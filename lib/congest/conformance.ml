@@ -30,45 +30,37 @@ let pp_report fmt r =
   if r.violations_dropped > 0 then
     Format.fprintf fmt "  (%d more violations dropped)@." r.violations_dropped
 
-(* minimal JSON string escaping: the strings we emit are ASCII *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"label\":\"%s\",\"ok\":%b,\"checks\":["
-       (json_escape r.label) (ok r));
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"passed\":%b,\"detail\":\"%s\"}"
-           (json_escape c.name) c.passed (json_escape c.detail)))
-    r.checks;
-  Buffer.add_string buf "],\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"invariant\":\"%s\",\"node\":%d,\"step\":%d,\"detail\":\"%s\"}"
-           (json_escape v.invariant) v.node v.step (json_escape v.detail)))
-    r.violations;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"violations_dropped\":%d}" r.violations_dropped);
-  Buffer.contents buf
+  let checks =
+    List.map
+      (fun c ->
+        Json.Obj
+          [
+            ("name", Json.Str c.name);
+            ("passed", Json.Bool c.passed);
+            ("detail", Json.Str c.detail);
+          ])
+      r.checks
+  and violations =
+    List.map
+      (fun v ->
+        Json.Obj
+          [
+            ("invariant", Json.Str v.invariant);
+            ("node", Json.int v.node);
+            ("step", Json.int v.step);
+            ("detail", Json.Str v.detail);
+          ])
+      r.violations
+  in
+  Json.Obj
+    [
+      ("label", Json.Str r.label);
+      ("ok", Json.Bool (ok r));
+      ("checks", Json.Arr checks);
+      ("violations", Json.Arr violations);
+      ("violations_dropped", Json.int r.violations_dropped);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Recorder and per-round instrumentation: invariants (c), (d), (e)    *)

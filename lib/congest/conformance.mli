@@ -57,8 +57,8 @@ val ok : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_to_json : report -> string
-(** One JSON object (no trailing newline), machine-readable companion to
+val report_to_json : report -> Json.t
+(** One JSON object, machine-readable companion to
     [lint_results.json]. *)
 
 (** {2 Per-round instrumentation — invariants (c), (d), (e)} *)

@@ -219,38 +219,35 @@ let to_csv t =
     (names t);
   Buffer.contents b
 
-let to_jsonl t =
-  let b = Buffer.create 1024 in
-  List.iter
+let to_json t =
+  List.map
     (fun name ->
-      (match Hashtbl.find t.tbl name with
-      | Counter c ->
-          Buffer.add_string b
-            (Printf.sprintf {|{"metric":"%s","kind":"counter","value":%d}|}
-               name c.count)
+      let metric kind fields =
+        Json.Obj
+          (("metric", Json.Str name) :: ("kind", Json.Str kind) :: fields)
+      in
+      match Hashtbl.find t.tbl name with
+      | Counter c -> metric "counter" [ ("value", Json.int c.count) ]
       | Gauge g ->
-          Buffer.add_string b
-            (Printf.sprintf
-               {|{"metric":"%s","kind":"gauge","value":%s,"max":%s}|} name
-               (float_str g.last)
-               (float_str (gauge_max g)))
+          metric "gauge"
+            [
+              ("value", Json.float "%g" g.last);
+              ("max", Json.float "%g" (gauge_max g));
+            ]
       | Histogram h ->
-          let buckets =
-            String.concat ","
-              (List.map
-                 (fun (ub, k) -> Printf.sprintf "[%d,%d]" ub k)
-                 (hist_buckets h))
-          in
-          Buffer.add_string b
-            (Printf.sprintf
-               {|{"metric":"%s","kind":"histogram","count":%d,"sum":%d,"min":%d,"max":%d,"buckets":[%s]}|}
-               name h.n_obs h.total
-               (if h.n_obs = 0 then 0 else h.h_min)
-               (if h.n_obs = 0 then 0 else h.h_max)
-               buckets));
-      Buffer.add_char b '\n')
-    (names t);
-  Buffer.contents b
+          let bucket (ub, k) = Json.Arr [ Json.int ub; Json.int k ] in
+          metric "histogram"
+            [
+              ("count", Json.int h.n_obs);
+              ("sum", Json.int h.total);
+              ("min", Json.int (if h.n_obs = 0 then 0 else h.h_min));
+              ("max", Json.int (if h.n_obs = 0 then 0 else h.h_max));
+              ("buckets", Json.Arr (List.map bucket (hist_buckets h)));
+            ])
+    (names t)
+
+let to_jsonl t =
+  String.concat "" (List.map (fun j -> Json.to_string j ^ "\n") (to_json t))
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then

@@ -76,10 +76,14 @@ val to_csv : t -> string
     observations with [2^(k-1) <= v < 2^k]; values [<= 0] land in
     [lt_1]). *)
 
-val to_jsonl : t -> string
+val to_json : t -> Json.t list
 (** One JSON object per metric, e.g.
     [{"metric":"bits_per_message","kind":"histogram","count":..,"sum":..,
-    "min":..,"max":..,"buckets":[[8,120],[16,3]]}]. *)
+    "min":..,"max":..,"buckets":[[8,120],[16,3]]}]. Non-finite gauge
+    values are [null]. *)
+
+val to_jsonl : t -> string
+(** {!to_json}, one object per line. *)
 
 val save : ?dir:string -> prefix:string -> t -> string list
 (** Writes [<prefix>_metrics.csv] and [<prefix>_metrics.jsonl] under

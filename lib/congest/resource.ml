@@ -362,108 +362,48 @@ let chrome_events t =
         ce_ts = t.ev_ts.(i);
       })
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let last_segment path =
   match String.rindex_opt path '/' with
   | None -> path
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
 
 let chrome_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"path\":\"%s\"}}"
-           (json_escape (last_segment ev.ce_path))
-           (match ev.ce_phase with `B -> "B" | `E -> "E")
-           ev.ce_ts
-           (json_escape ev.ce_path)))
-    (chrome_events t);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
-
-(* minimal parser for the exporter above (round-trip testing); scans
-   one event object per line, tolerating the wrapper lines *)
-
-let find_sub line pat =
-  let plen = String.length pat and llen = String.length line in
-  let rec go i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else go (i + 1)
+  let event ev =
+    Json.Obj
+      [
+        ("name", Json.Str (last_segment ev.ce_path));
+        ("cat", Json.Str "span");
+        ("ph", Json.Str (match ev.ce_phase with `B -> "B" | `E -> "E"));
+        ("ts", Json.float "%.3f" ev.ce_ts);
+        ("pid", Json.int 1);
+        ("tid", Json.int 1);
+        ("args", Json.Obj [ ("path", Json.Str ev.ce_path) ]);
+      ]
   in
-  go 0
-
-let parse_string_at line i =
-  let b = Buffer.create 16 in
-  let j = ref i and closed = ref false in
-  while (not !closed) && !j < String.length line do
-    (match line.[!j] with
-    | '\\' when !j + 1 < String.length line ->
-        incr j;
-        Buffer.add_char b
-          (match line.[!j] with 'n' -> '\n' | 't' -> '\t' | c -> c)
-    | '"' -> closed := true
-    | c -> Buffer.add_char b c);
-    incr j
-  done;
-  if !closed then Some (Buffer.contents b) else None
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.map event (chrome_events t)));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"
 
 let chrome_of_json text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match find_sub line "\"ph\":\"" with
-        | None -> go acc rest  (* wrapper line, no event object *)
-        | Some i -> (
-            let phase =
-              if i < String.length line then
-                match line.[i] with
-                | 'B' -> Some `B
-                | 'E' -> Some `E
-                | _ -> None
-              else None
-            in
-            match phase with
-            | None -> Error ("bad ph in: " ^ line)
-            | Some ce_phase -> (
-                match
-                  (find_sub line "\"ts\":", find_sub line "\"path\":\"")
-                with
-                | None, _ -> Error ("missing ts in: " ^ line)
-                | _, None -> Error ("missing path in: " ^ line)
-                | Some ti, Some pi -> (
-                    let j = ref ti in
-                    while
-                      !j < String.length line
-                      && (line.[!j] = '-' || line.[!j] = '.'
-                        || (line.[!j] >= '0' && line.[!j] <= '9'))
-                    do
-                      incr j
-                    done;
-                    match
-                      ( float_of_string_opt (String.sub line ti (!j - ti)),
-                        parse_string_at line pi )
-                    with
-                    | None, _ -> Error ("bad ts in: " ^ line)
-                    | _, None -> Error ("bad path in: " ^ line)
-                    | Some ce_ts, Some ce_path ->
-                        go ({ ce_path; ce_phase; ce_ts } :: acc) rest))))
+  let event j =
+    let ts = Json.to_float (Json.member "ts" j)
+    and path = Json.to_str (Json.member "path" (Json.member "args" j)) in
+    match (Json.to_str (Json.member "ph" j), ts, path) with
+    | Some ("B" | "E" as ph), Some ce_ts, Some ce_path ->
+        Ok { ce_path; ce_phase = (if ph = "B" then `B else `E); ce_ts }
+    | _ -> Error ("malformed event: " ^ Json.to_string j)
   in
-  go [] lines
+  let rec events acc = function
+    | [] -> Ok (List.rev acc)
+    | j :: rest -> Result.bind (event j) (fun e -> events (e :: acc) rest)
+  in
+  match Json.parse text with
+  | Error e -> Error e
+  | Ok doc -> (
+      match Json.to_list (Json.member "traceEvents" doc) with
+      | None -> Error "no traceEvents array"
+      | Some evs -> events [] evs)

@@ -139,5 +139,6 @@ val chrome_json : t -> string
     carries the full path under ["args"]. *)
 
 val chrome_of_json : string -> (chrome_event list, string) result
-(** Parses {!chrome_json} output back (round-trip asserted in tests);
-    [Error] describes the first malformed event. *)
+(** Parses {!chrome_json} output (or any catapult document with a
+    ["traceEvents"] array of B/E events) back; [Error] describes the
+    parse failure or the first malformed event. *)

@@ -486,208 +486,122 @@ let pp_event ppf = function
   | Span_enter { path } -> Format.fprintf ppf "span enter %s" path
   | Span_exit { path } -> Format.fprintf ppf "span exit %s" path
 
-(* hand-rolled JSONL: no JSON library in the dependency set, and the
-   emitted shapes are flat objects of ints plus one escaped string *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let event_to_jsonl = function
-  | Round_start { round } ->
-      Printf.sprintf {|{"ev":"round_start","round":%d}|} round
-  | Round_end { round; sent; delivered; in_flight; halted } ->
-      Printf.sprintf
-        {|{"ev":"round_end","round":%d,"sent":%d,"delivered":%d,"in_flight":%d,"halted":%d}|}
-        round sent delivered in_flight halted
-  | Message_sent { round; src; dst; bits } ->
-      Printf.sprintf
-        {|{"ev":"message_sent","round":%d,"src":%d,"dst":%d,"bits":%d}|} round
-        src dst bits
-  | Message_delivered { round; src; dst } ->
-      Printf.sprintf
-        {|{"ev":"message_delivered","round":%d,"src":%d,"dst":%d}|} round src
-        dst
-  | Message_dropped { round; src; dst; reason } ->
-      Printf.sprintf
-        {|{"ev":"message_dropped","round":%d,"src":%d,"dst":%d,"reason":"%s"}|}
-        round src dst (reason_label reason)
-  | Message_duplicated { round; src; dst; copy_delay } ->
-      Printf.sprintf
-        {|{"ev":"message_duplicated","round":%d,"src":%d,"dst":%d,"copy_delay":%d}|}
-        round src dst copy_delay
-  | Message_delayed { round; src; dst; delay } ->
-      Printf.sprintf
-        {|{"ev":"message_delayed","round":%d,"src":%d,"dst":%d,"delay":%d}|}
-        round src dst delay
-  | Node_halted { round; node } ->
-      Printf.sprintf {|{"ev":"node_halted","round":%d,"node":%d}|} round node
-  | Node_crashed { round; node } ->
-      Printf.sprintf {|{"ev":"node_crashed","round":%d,"node":%d}|} round node
-  | Bandwidth_high_water { round; node; bits } ->
-      Printf.sprintf
-        {|{"ev":"bandwidth_high_water","round":%d,"node":%d,"bits":%d}|} round
-        node bits
-  | Cost_charged { tag; rounds; messages; max_bits } ->
-      Printf.sprintf
-        {|{"ev":"cost_charged","tag":"%s","rounds":%d,"messages":%d,"max_bits":%d}|}
-        (escape tag) rounds messages max_bits
-  | Span_enter { path } ->
-      Printf.sprintf {|{"ev":"span_enter","path":"%s"}|} (escape path)
-  | Span_exit { path } ->
-      Printf.sprintf {|{"ev":"span_exit","path":"%s"}|} (escape path)
-
-(* minimal field extraction matching the printer above; tolerant of
-   whitespace after ':' so externally pretty-printed lines also parse *)
-
-let find_key line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec go i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else go (i + 1)
+let event_to_jsonl ev =
+  let i = Json.int in
+  let obj kind fields =
+    Json.to_string (Json.Obj (("ev", Json.Str kind) :: fields))
   in
-  go 0
+  let message kind round src dst extra =
+    obj kind ([ ("round", i round); ("src", i src); ("dst", i dst) ] @ extra)
+  in
+  match ev with
+  | Round_start { round } -> obj "round_start" [ ("round", i round) ]
+  | Round_end { round; sent; delivered; in_flight; halted } ->
+      obj "round_end"
+        [
+          ("round", i round);
+          ("sent", i sent);
+          ("delivered", i delivered);
+          ("in_flight", i in_flight);
+          ("halted", i halted);
+        ]
+  | Message_sent { round; src; dst; bits } ->
+      message "message_sent" round src dst [ ("bits", i bits) ]
+  | Message_delivered { round; src; dst } ->
+      message "message_delivered" round src dst []
+  | Message_dropped { round; src; dst; reason } ->
+      message "message_dropped" round src dst
+        [ ("reason", Json.Str (reason_label reason)) ]
+  | Message_duplicated { round; src; dst; copy_delay } ->
+      message "message_duplicated" round src dst
+        [ ("copy_delay", i copy_delay) ]
+  | Message_delayed { round; src; dst; delay } ->
+      message "message_delayed" round src dst [ ("delay", i delay) ]
+  | Node_halted { round; node } ->
+      obj "node_halted" [ ("round", i round); ("node", i node) ]
+  | Node_crashed { round; node } ->
+      obj "node_crashed" [ ("round", i round); ("node", i node) ]
+  | Bandwidth_high_water { round; node; bits } ->
+      obj "bandwidth_high_water"
+        [ ("round", i round); ("node", i node); ("bits", i bits) ]
+  | Cost_charged { tag; rounds; messages; max_bits } ->
+      obj "cost_charged"
+        [
+          ("tag", Json.Str tag);
+          ("rounds", i rounds);
+          ("messages", i messages);
+          ("max_bits", i max_bits);
+        ]
+  | Span_enter { path } -> obj "span_enter" [ ("path", Json.Str path) ]
+  | Span_exit { path } -> obj "span_exit" [ ("path", Json.Str path) ]
 
-let skip_ws line i =
-  let j = ref i in
-  while !j < String.length line && (line.[!j] = ' ' || line.[!j] = '\t') do
-    incr j
-  done;
-  !j
-
-let field_int line key =
-  match find_key line key with
-  | None -> Error (Printf.sprintf "missing int field %S in %s" key line)
-  | Some i ->
-      let i = skip_ws line i in
-      let j = ref i in
-      if !j < String.length line && line.[!j] = '-' then incr j;
-      let digits = ref 0 in
-      while
-        !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9'
-      do
-        incr j;
-        incr digits
-      done;
-      if !digits = 0 then
-        Error (Printf.sprintf "field %S is not an int in %s" key line)
-      else Ok (int_of_string (String.sub line i (!j - i)))
-
-let field_string line key =
-  match find_key line key with
-  | None -> Error (Printf.sprintf "missing string field %S in %s" key line)
-  | Some i ->
-      let i = skip_ws line i in
-      if i >= String.length line || line.[i] <> '"' then
-        Error (Printf.sprintf "field %S is not a string in %s" key line)
-      else begin
-        let b = Buffer.create 16 in
-        let j = ref (i + 1) in
-        let closed = ref false in
-        while (not !closed) && !j < String.length line do
-          (match line.[!j] with
-          | '\\' when !j + 1 < String.length line ->
-              incr j;
-              Buffer.add_char b
-                (match line.[!j] with
-                | 'n' -> '\n'
-                | 't' -> '\t'
-                | c -> c)
-          | '"' -> closed := true
-          | c -> Buffer.add_char b c);
-          incr j
-        done;
-        if !closed then Ok (Buffer.contents b)
-        else Error (Printf.sprintf "unterminated string %S in %s" key line)
-      end
-
-let ( let* ) r f = Result.bind r f
+exception Bad_field of string
 
 let event_of_jsonl line =
-  let* ev = field_string line "ev" in
-  match ev with
-  | "round_start" ->
-      let* round = field_int line "round" in
-      Ok (Round_start { round })
-  | "round_end" ->
-      let* round = field_int line "round" in
-      let* sent = field_int line "sent" in
-      let* delivered = field_int line "delivered" in
-      let* in_flight = field_int line "in_flight" in
-      let* halted = field_int line "halted" in
-      Ok (Round_end { round; sent; delivered; in_flight; halted })
-  | "message_sent" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* bits = field_int line "bits" in
-      Ok (Message_sent { round; src; dst; bits })
-  | "message_delivered" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      Ok (Message_delivered { round; src; dst })
-  | "message_dropped" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* reason = field_string line "reason" in
-      let* reason =
-        match reason with
-        | "adversary" -> Ok Adversary
-        | "crashed_dst" -> Ok Crashed_destination
-        | r -> Error (Printf.sprintf "unknown drop reason %S" r)
-      in
-      Ok (Message_dropped { round; src; dst; reason })
-  | "message_duplicated" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* copy_delay = field_int line "copy_delay" in
-      Ok (Message_duplicated { round; src; dst; copy_delay })
-  | "message_delayed" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* delay = field_int line "delay" in
-      Ok (Message_delayed { round; src; dst; delay })
-  | "node_halted" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
-      Ok (Node_halted { round; node })
-  | "node_crashed" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
-      Ok (Node_crashed { round; node })
-  | "bandwidth_high_water" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
-      let* bits = field_int line "bits" in
-      Ok (Bandwidth_high_water { round; node; bits })
-  | "cost_charged" ->
-      let* tag = field_string line "tag" in
-      let* rounds = field_int line "rounds" in
-      let* messages = field_int line "messages" in
-      let* max_bits = field_int line "max_bits" in
-      Ok (Cost_charged { tag; rounds; messages; max_bits })
-  | "span_enter" ->
-      let* path = field_string line "path" in
-      Ok (Span_enter { path })
-  | "span_exit" ->
-      let* path = field_string line "path" in
-      Ok (Span_exit { path })
-  | ev -> Error (Printf.sprintf "unknown event kind %S" ev)
+  let field kind conv j key =
+    match conv (Json.member key j) with
+    | Some v -> v
+    | None ->
+        raise (Bad_field (Printf.sprintf "missing %s field %S" kind key))
+  in
+  let decode j =
+    let int = field "int" Json.to_int j in
+    let str = field "string" Json.to_str j in
+    (* the three fields every message event starts with *)
+    let message k = k ~round:(int "round") ~src:(int "src") ~dst:(int "dst") in
+    match str "ev" with
+    | "round_start" -> Round_start { round = int "round" }
+    | "round_end" ->
+        Round_end
+          {
+            round = int "round";
+            sent = int "sent";
+            delivered = int "delivered";
+            in_flight = int "in_flight";
+            halted = int "halted";
+          }
+    | "message_sent" ->
+        message (fun ~round ~src ~dst ->
+            Message_sent { round; src; dst; bits = int "bits" })
+    | "message_delivered" ->
+        message (fun ~round ~src ~dst -> Message_delivered { round; src; dst })
+    | "message_dropped" ->
+        let reason =
+          match str "reason" with
+          | "adversary" -> Adversary
+          | "crashed_dst" -> Crashed_destination
+          | r -> raise (Bad_field (Printf.sprintf "unknown drop reason %S" r))
+        in
+        message (fun ~round ~src ~dst ->
+            Message_dropped { round; src; dst; reason })
+    | "message_duplicated" ->
+        message (fun ~round ~src ~dst ->
+            Message_duplicated
+              { round; src; dst; copy_delay = int "copy_delay" })
+    | "message_delayed" ->
+        message (fun ~round ~src ~dst ->
+            Message_delayed { round; src; dst; delay = int "delay" })
+    | "node_halted" -> Node_halted { round = int "round"; node = int "node" }
+    | "node_crashed" -> Node_crashed { round = int "round"; node = int "node" }
+    | "bandwidth_high_water" ->
+        Bandwidth_high_water
+          { round = int "round"; node = int "node"; bits = int "bits" }
+    | "cost_charged" ->
+        Cost_charged
+          {
+            tag = str "tag";
+            rounds = int "rounds";
+            messages = int "messages";
+            max_bits = int "max_bits";
+          }
+    | "span_enter" -> Span_enter { path = str "path" }
+    | "span_exit" -> Span_exit { path = str "path" }
+    | ev -> raise (Bad_field (Printf.sprintf "unknown event kind %S" ev))
+  in
+  match Json.parse line with
+  | Error e -> Error (e ^ " in " ^ line)
+  | Ok j -> (
+      try Ok (decode j) with Bad_field e -> Error (e ^ " in " ^ line))
 
 let to_jsonl s =
   let b = Buffer.create (64 * (1 + length s)) in

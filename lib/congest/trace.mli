@@ -13,7 +13,7 @@
     [stats.faults.dropped], and [Round_start] events equal
     [stats.rounds_used] (test/test_trace.ml asserts exactly this).
 
-    The JSONL emitters are hand-rolled (no JSON dependency): one object
+    The JSONL lines are written and read through {!Json}: one object
     per line with a fixed field order, parseable by {!event_of_jsonl}
     and by any standard JSON reader. *)
 

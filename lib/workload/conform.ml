@@ -256,16 +256,17 @@ let csv rows =
   Buffer.contents buf
 
 let to_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"target\":\"%s\",\"family\":\"%s\",\"n\":%d,\"adversarial\":%b,\"seconds\":%.4f,\"report\":%s}"
-           r.target r.family r.n r.adversarial r.seconds
-           (Conformance.report_to_json r.report)))
-    rows;
-  Buffer.add_char buf ']';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Arr
+       (List.map
+          (fun r ->
+            Json.Obj
+              [
+                ("target", Json.Str r.target);
+                ("family", Json.Str r.family);
+                ("n", Json.int r.n);
+                ("adversarial", Json.Bool r.adversarial);
+                ("seconds", Json.float "%.4f" r.seconds);
+                ("report", Conformance.report_to_json r.report);
+              ])
+          rows))

@@ -176,32 +176,27 @@ let sparkline buf ~series ~fp_changes ~flagged ~times =
 let render ?(title = "Benchmark trajectory") lines =
   let snaps = Array.of_list lines in
   let n_snaps = Array.length snaps in
-  let objs = Array.map Trajectory.workload_objs snaps in
-  let fps = Array.map Trajectory.fingerprint_of_line snaps in
+  let docs =
+    Array.map (fun l -> Result.value (Json.parse l) ~default:Json.Null) snaps
+  in
+  let objs = Array.map Trajectory.workloads docs in
+  let fps = Array.map (Json.member "fingerprint") docs in
   let times =
     Array.map
-      (fun line -> Option.value (Trajectory.num_field "time" line) ~default:0.0)
-      snaps
+      (fun doc ->
+        Option.value (Json.to_float (Json.member "time" doc)) ~default:0.0)
+      docs
   in
+  (* workload names in order of first appearance *)
   let names =
-    let seen = Hashtbl.create 16 in
-    let order = ref [] in
-    Array.iter
-      (List.iter (fun obj ->
-           match Trajectory.str_field "name" obj with
-           | Some name when not (Hashtbl.mem seen name) ->
-               Hashtbl.add seen name ();
-               order := name :: !order
-           | _ -> ()))
-      objs;
-    List.rev !order
+    Array.fold_left
+      (List.fold_left (fun acc (name, _) ->
+           if List.mem name acc then acc else acc @ [ name ]))
+      [] objs
   in
   let value name metric i =
-    List.find_opt
-      (fun obj -> Trajectory.str_field "name" obj = Some name)
-      objs.(i)
-    |> Option.map (Trajectory.num_field metric)
-    |> Option.join
+    Option.bind (List.assoc_opt name objs.(i)) (fun obj ->
+        Json.to_float (Json.member metric obj))
   in
   (* regression highlights come from the same comparator the CI gate
      uses, run over each consecutive pair; incomparable pairs (the
@@ -226,7 +221,7 @@ let render ?(title = "Benchmark trajectory") lines =
       (fun i ->
         if i > 0 && fps.(i) <> fps.(i - 1) then
           let sha =
-            match Option.bind fps.(i) Stats.fingerprint_of_json with
+            match Stats.fingerprint_of_value fps.(i) with
             | Some fp -> fp.Stats.git_sha
             | None -> "unknown"
           in
@@ -244,7 +239,7 @@ let render ?(title = "Benchmark trajectory") lines =
   let latest_fp =
     if n_snaps = 0 then "no snapshots"
     else
-      match Option.bind fps.(n_snaps - 1) Stats.fingerprint_of_json with
+      match Stats.fingerprint_of_value fps.(n_snaps - 1) with
       | Some fp -> Format.asprintf "%a" Stats.pp_fingerprint fp
       | None -> "no fingerprint recorded"
   in

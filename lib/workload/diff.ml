@@ -16,310 +16,76 @@ type side = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Minimal JSON reader                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* run reports nest objects and arrays, so the flat scanners in
-   {!Trajectory} are not enough here; this is a full (if small)
-   recursive-descent parser over the subset our own emitters produce *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "unterminated escape";
-            (match s.[!pos] with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if !pos + 4 >= n then fail "truncated \\u escape";
-                let code =
-                  int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4)
-                in
-                (match code with
-                | Some c when c < 128 -> Buffer.add_char buf (Char.chr c)
-                | Some _ -> Buffer.add_char buf '?'
-                | None -> fail "bad \\u escape");
-                pos := !pos + 4
-            | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let keyword word v =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
-      pos := !pos + m;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let kvs = ref [] in
-          let rec loop () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            kvs := (k, v) :: !kvs;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                loop ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          loop ();
-          Obj (List.rev !kvs)
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                loop ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          loop ();
-          Arr (List.rev !items)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> keyword "true" (Bool true)
-    | Some 'f' -> keyword "false" (Bool false)
-    | Some 'n' -> keyword "null" Null
-    | Some _ -> parse_number ()
-  in
-  try
-    let v = parse_value () in
-    Ok v
-  with Bad_json m -> Error m
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let opt_member k j = Option.bind j (member k)
-let as_str = function Some (Str s) -> Some s | _ -> None
-let as_arr = function Some (Arr l) -> l | _ -> []
-
-let num_or d = function
-  | Some (Num f) -> f
-  | Some (Bool true) -> 1.0
-  | Some (Bool false) -> 0.0
-  | _ -> d
-
-(* ------------------------------------------------------------------ *)
 (* Loading sides                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let fingerprint_of_member j =
-  match member "fingerprint" j with
-  | None -> None
-  | Some fp -> (
-      match
-        ( as_str (member "git_sha" fp),
-          as_str (member "ocaml_version" fp),
-          as_str (member "hostname" fp) )
-      with
-      | Some git_sha, Some ocaml_version, Some hostname ->
-          Some
-            {
-              Stats.git_sha;
-              ocaml_version;
-              word_size = int_of_float (num_or 0.0 (member "word_size" fp));
-              flambda = num_or 0.0 (member "flambda" fp) <> 0.0;
-              hostname;
-            }
-      | _ -> None)
+let num k j = Option.value (Json.to_float (Json.member k j)) ~default:0.0
+let str k j = Json.to_str (Json.member k j)
+let arr k j = Option.value (Json.to_list (Json.member k j)) ~default:[]
 
-let side_of_report_json ~label text =
-  match parse_json text with
-  | Error e -> Error (Printf.sprintf "%s: JSON parse failed: %s" label e)
-  | Ok doc ->
-      if member "report" doc = None then
-        Error (Printf.sprintf "%s: not a run report (no \"report\" object)" label)
-      else begin
-        (* span rollups carry the logical tree; resource rollups attach
-           allocation (and cover resource-only paths like "(unspanned)") *)
-        let res_rollups =
-          as_arr (opt_member "rollups" (member "resources" doc))
-        in
-        let minor_words_of path =
-          List.fold_left
-            (fun acc r ->
-              if as_str (member "path" r) = Some path then
-                num_or acc (member "minor_words" r)
-              else acc)
-            0.0 res_rollups
-        in
-        let phases =
-          List.map
-            (fun r ->
-              let path = Option.value (as_str (member "path" r)) ~default:"?" in
-              {
-                path;
-                depth = int_of_float (num_or 0.0 (member "depth" r));
-                rounds = num_or 0.0 (member "rounds" r);
-                messages = num_or 0.0 (member "messages" r);
-                bits = num_or 0.0 (member "bits" r);
-                seconds = num_or 0.0 (member "seconds" r);
-                minor_words = minor_words_of path;
-              })
-            (as_arr (member "rollups" doc))
-        in
-        let span_paths = List.map (fun p -> p.path) phases in
-        let extra =
-          List.filter_map
-            (fun r ->
-              match as_str (member "path" r) with
-              | Some path when not (List.mem path span_paths) ->
-                  Some
-                    {
-                      path;
-                      depth = int_of_float (num_or 0.0 (member "depth" r));
-                      rounds = 0.0;
-                      messages = 0.0;
-                      bits = 0.0;
-                      seconds = num_or 0.0 (member "seconds" r);
-                      minor_words = num_or 0.0 (member "minor_words" r);
-                    }
-              | _ -> None)
-            res_rollups
-        in
-        Ok
-          {
-            label;
-            fingerprint = fingerprint_of_member doc;
-            seconds_mad = num_or 0.0 (opt_member "seconds_mad" (member "report" doc));
-            phases = phases @ extra;
-          }
-      end
-
-let side_of_trajectory_line ~label line =
-  let phases =
-    List.filter_map
-      (fun obj ->
-        match Trajectory.str_field "name" obj with
-        | None -> None
-        | Some name ->
-            let num f = Option.value (Trajectory.num_field f obj) ~default:0.0 in
-            Some
-              {
-                path = name;
-                depth = 0;
-                rounds = num "rounds";
-                messages = num "messages";
-                bits = num "max_bits";
-                seconds = num "seconds";
-                minor_words = num "minor_words_per_node";
-              })
-      (Trajectory.workload_objs line)
+(* span rollups carry the logical tree; resource rollups attach
+   allocation by path (and add resource-only paths like "(unspanned)",
+   whose absent logical columns read as 0) *)
+let side_of_report ~label doc =
+  let spans = arr "rollups" doc in
+  let resources = arr "rollups" (Json.member "resources" doc) in
+  let same_path r r' = str "path" r = str "path" r' in
+  let phase r =
+    {
+      path = Option.value (str "path" r) ~default:"?";
+      depth = int_of_float (num "depth" r);
+      rounds = num "rounds" r;
+      messages = num "messages" r;
+      bits = num "bits" r;
+      seconds = num "seconds" r;
+      minor_words =
+        Option.fold ~none:0.0 ~some:(num "minor_words")
+          (List.find_opt (same_path r) resources);
+    }
   in
-  let seconds_mad =
-    List.fold_left
-      (fun acc obj ->
-        Float.max acc
-          (Option.value (Trajectory.num_field "seconds_mad" obj) ~default:0.0))
-      0.0
-      (Trajectory.workload_objs line)
+  let resource_only =
+    List.filter (fun r -> not (List.exists (same_path r) spans)) resources
   in
   {
     label;
-    fingerprint =
-      Option.bind
-        (Trajectory.fingerprint_of_line line)
-        Stats.fingerprint_of_json;
-    seconds_mad;
-    phases;
+    fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
+    seconds_mad = num "seconds_mad" (Json.member "report" doc);
+    phases = List.map phase (spans @ resource_only);
   }
 
-let read_all path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let is_report doc = Json.member "report" doc <> Json.Null
+
+let side_of_report_json ~label text =
+  match Json.parse text with
+  | Error e -> Error (Printf.sprintf "%s: JSON parse failed: %s" label e)
+  | Ok doc when is_report doc -> Ok (side_of_report ~label doc)
+  | Ok _ ->
+      Error (Printf.sprintf "%s: not a run report (no \"report\" object)" label)
+
+let side_of_trajectory_line ~label line =
+  let doc = Result.value (Json.parse line) ~default:Json.Null in
+  let rows = Trajectory.workloads doc in
+  {
+    label;
+    fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
+    seconds_mad =
+      List.fold_left
+        (fun acc (_, w) -> Float.max acc (num "seconds_mad" w))
+        0.0 rows;
+    phases =
+      List.map
+        (fun (name, w) ->
+          {
+            path = name;
+            depth = 0;
+            rounds = num "rounds" w;
+            messages = num "messages" w;
+            bits = num "max_bits" w;
+            seconds = num "seconds" w;
+            minor_words = num "minor_words_per_node" w;
+          })
+        rows;
+  }
 
 let load spec =
   let file, idx =
@@ -336,33 +102,31 @@ let load spec =
   if not (Sys.file_exists file) then
     Error (Printf.sprintf "%s: no such file" file)
   else
-    let text = read_all file in
-    let trimmed = String.trim text in
-    let is_report =
-      String.length trimmed > 10 && String.sub trimmed 0 10 = "{\"report\":"
-    in
-    if is_report then
-      if idx <> None then
-        Error (Printf.sprintf "%s: '#<index>' only applies to trajectory files" spec)
-      else side_of_report_json ~label:(Filename.basename file) text
-    else begin
-      let lines = Trajectory.read_snapshot_lines file in
-      let count = List.length lines in
-      if count = 0 then
-        Error (Printf.sprintf "%s: no snapshot lines" file)
-      else
-        let k = Option.value idx ~default:(-1) in
-        let pos = if k < 0 then count + k else k - 1 in
-        if pos < 0 || pos >= count then
+    let text = In_channel.with_open_bin file In_channel.input_all in
+    match Json.parse text with
+    | Ok doc when is_report doc ->
+        if idx <> None then
           Error
-            (Printf.sprintf "%s: snapshot index %d out of range (1..%d)" spec k
-               count)
+            (Printf.sprintf "%s: '#<index>' only applies to trajectory files"
+               spec)
+        else Ok (side_of_report ~label:(Filename.basename file) doc)
+    | _ -> (
+        let lines = Trajectory.read_snapshot_lines file in
+        let count = List.length lines in
+        if count = 0 then Error (Printf.sprintf "%s: no snapshot lines" file)
         else
-          Ok
-            (side_of_trajectory_line
-               ~label:(Printf.sprintf "%s#%d" (Filename.basename file) (pos + 1))
-               (List.nth lines pos))
-    end
+          let k = Option.value idx ~default:(-1) in
+          let pos = if k < 0 then count + k else k - 1 in
+          if pos < 0 || pos >= count then
+            Error
+              (Printf.sprintf "%s: snapshot index %d out of range (1..%d)" spec
+                 k count)
+          else
+            Ok
+              (side_of_trajectory_line
+                 ~label:
+                   (Printf.sprintf "%s#%d" (Filename.basename file) (pos + 1))
+                 (List.nth lines pos)))
 
 (* ------------------------------------------------------------------ *)
 (* Alignment and significance                                           *)
@@ -592,32 +356,44 @@ let to_markdown t =
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"diff\":{\"old\":%S,\"new\":%S,\"forced\":%b,\"significant\":%d,"
-    t.a_label t.b_label t.forced t.significant;
-  add "\"rows\":[%s]}}"
-    (String.concat ","
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"path\":%S,\"depth\":%d,\"status\":%S,\"score\":%.6f,\"metrics\":[%s]}"
-              r.r_path r.r_depth
-              (match r.r_status with
-              | Matched -> "matched"
-              | Added -> "added"
-              | Removed -> "removed"
-              | Renamed old -> "renamed:" ^ old)
-              r.r_score
-              (String.concat ","
-                 (List.map
-                    (fun m ->
-                      Printf.sprintf
-                        "{\"name\":%S,\"old\":%g,\"new\":%g,\"significant\":%b}"
-                        m.m_name m.m_old m.m_new m.m_sig)
-                    r.r_metrics)))
-          t.rows));
-  Buffer.contents buf
+  let status = function
+    | Matched -> "matched"
+    | Added -> "added"
+    | Removed -> "removed"
+    | Renamed old -> "renamed:" ^ old
+  in
+  let metric m =
+    Json.Obj
+      [
+        ("name", Json.Str m.m_name);
+        ("old", Json.float "%g" m.m_old);
+        ("new", Json.float "%g" m.m_new);
+        ("significant", Json.Bool m.m_sig);
+      ]
+  in
+  let row r =
+    Json.Obj
+      [
+        ("path", Json.Str r.r_path);
+        ("depth", Json.int r.r_depth);
+        ("status", Json.Str (status r.r_status));
+        ("score", Json.float "%.6f" r.r_score);
+        ("metrics", Json.Arr (List.map metric r.r_metrics));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "diff",
+           Json.Obj
+             [
+               ("old", Json.Str t.a_label);
+               ("new", Json.Str t.b_label);
+               ("forced", Json.Bool t.forced);
+               ("significant", Json.int t.significant);
+               ("rows", Json.Arr (List.map row t.rows));
+             ] );
+       ])
 
 (* difffolded input: "frame;frame old new", one line per stack, weights
    as integer microseconds of SELF time *)

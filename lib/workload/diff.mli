@@ -39,8 +39,8 @@ type side = {
 
 val load : string -> (side, string) result
 (** Loads a side from a spec:
-    - [path.json] containing a [{"report":...}] object — a run report;
-      the span rollups become the phases;
+    - a JSON document with a ["report"] member (in any layout) — a run
+      report; the span rollups become the phases;
     - [path] or [path#N] — a trajectory file; [N] is the 1-based
       snapshot index (negative counts from the end; default [-1], the
       newest); each workload row becomes a depth-0 phase.

@@ -212,135 +212,156 @@ let to_markdown t =
 (* JSON                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-let jopt_int = function Some d -> string_of_int d | None -> "null"
-let jopt_float = function Some f -> Printf.sprintf "%.6f" f | None -> "null"
-
 let to_json t =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"report\":{";
-  add "\"algo\":%s,\"reference\":%s,\"family\":%s," (jstr t.algo)
-    (jstr t.reference) (jstr t.family);
-  add "\"n\":%d,\"m\":%d,\"seed\":%d,\"epsilon\":%s," t.n t.m t.seed
-    (jopt_float t.epsilon);
-  add "\"colors\":%d,\"strong_diameter\":%s,\"weak_diameter\":%d," t.colors
-    (jopt_int t.strong_diameter) t.weak_diameter;
-  add "\"dead_fraction\":%s," (jopt_float t.dead_fraction);
-  add "\"rounds\":%d,\"messages\":%d,\"max_message_bits\":%d," t.rounds
-    t.messages t.max_message_bits;
-  add "\"valid\":%b,\"seconds\":%.6f,\"events\":%d,\"truncated\":%d}," t.valid
-    t.seconds t.events t.truncated;
-  add "\"fingerprint\":%s," (Stats.fingerprint_json t.fingerprint);
+  let i = Json.int and f6 = Json.float "%.6f" and f0 = Json.float "%.0f" in
+  let opt conv = function Some x -> conv x | None -> Json.Null in
+  let str s = Json.Str s and bool b = Json.Bool b in
+  let list f xs = Json.Arr (List.map f xs) in
   let c = t.causal in
-  add "\"causal\":{";
-  add "\"rounds\":%d,\"sim_rounds\":%d,\"engine_rounds\":%d,"
-    c.Congest.Causal.rounds c.Congest.Causal.sim_rounds
-    c.Congest.Causal.engine_rounds;
-  add "\"chain_rounds\":%d,\"critical_rounds\":%d,\"slack_rounds\":%d,"
-    c.Congest.Causal.chain_rounds c.Congest.Causal.critical_rounds
-    c.Congest.Causal.slack_rounds;
-  add "\"exact\":%b,\"chain\":[%s]}," c.Congest.Causal.exact
-    (String.concat ","
-       (List.map
-          (fun (h : Congest.Causal.hop) ->
-            Printf.sprintf
-              "{\"src\":%d,\"dst\":%d,\"sent\":%d,\"delivered\":%d,\"bits\":%d}"
-              h.Congest.Causal.src h.Congest.Causal.dst
-              h.Congest.Causal.sent_round h.Congest.Causal.delivered_round
-              h.Congest.Causal.bits)
-          c.Congest.Causal.chain));
-  add "\"span_slack\":[%s],"
-    (String.concat ","
-       (List.map
-          (fun (s : Congest.Causal.span_slack) ->
-            Printf.sprintf "{\"span\":%s,\"critical\":%d,\"slack\":%d}"
-              (jstr s.Congest.Causal.span_path) s.Congest.Causal.critical
-              s.Congest.Causal.slack)
-          t.span_slack));
-  add "\"rollups\":[%s],"
-    (String.concat ","
-       (List.map
-          (fun (r : Congest.Span.rollup) ->
-            Printf.sprintf
-              "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"rounds\":%d,\"rounds_incl\":%d,\"messages\":%d,\"messages_incl\":%d,\"bits\":%d,\"bits_incl\":%d,\"max_message_bits\":%d,\"seconds\":%.6f,\"seconds_incl\":%.6f}"
-              (jstr r.Congest.Span.path) r.Congest.Span.depth
-              r.Congest.Span.entries r.Congest.Span.rounds
-              r.Congest.Span.rounds_incl r.Congest.Span.messages
-              r.Congest.Span.messages_incl r.Congest.Span.bits
-              r.Congest.Span.bits_incl r.Congest.Span.max_message_bits
-              r.Congest.Span.seconds r.Congest.Span.seconds_incl)
-          t.rollups));
   let tot = t.res_totals in
-  add
-    "\"resources\":{\"seconds\":%.6f,\"minor_words\":%.0f,\"promoted_words\":%.0f,\"major_words\":%.0f,\"major_collections\":%d,\"peak_heap_mb\":%.3f,\"rollups\":[%s]},"
-    tot.Congest.Resource.t_seconds tot.Congest.Resource.t_minor_words
-    tot.Congest.Resource.t_promoted_words tot.Congest.Resource.t_major_words
-    tot.Congest.Resource.t_major_collections
-    (Congest.Resource.peak_heap_mb tot)
-    (String.concat ","
-       (List.map
-          (fun (r : Congest.Resource.rollup) ->
-            Printf.sprintf
-              "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"seconds\":%.6f,\"seconds_incl\":%.6f,\"minor_words\":%.0f,\"minor_words_incl\":%.0f,\"major_words\":%.0f,\"major_words_incl\":%.0f,\"major_collections\":%d}"
-              (jstr r.Congest.Resource.r_path) r.Congest.Resource.r_depth
-              r.Congest.Resource.r_entries r.Congest.Resource.r_seconds
-              r.Congest.Resource.r_seconds_incl
-              r.Congest.Resource.r_minor_words
-              r.Congest.Resource.r_minor_words_incl
-              r.Congest.Resource.r_major_words
-              r.Congest.Resource.r_major_words_incl
-              r.Congest.Resource.r_major_collections)
-          t.res_rollups));
-  let metric_lines =
-    String.split_on_char '\n' (Congest.Metrics.to_jsonl t.metrics)
-    |> List.filter (fun s -> String.trim s <> "")
-  in
-  add "\"metrics\":[%s]," (String.concat "," metric_lines);
   let a = t.audit in
-  add "\"audit\":{";
-  add "\"kind\":%s,\"n\":%d,\"num_colors\":%d,\"dead\":%d,\"dead_fraction\":%.6f,"
-    (jstr
-       (match a.Audit.kind with
-       | Audit.Decomposition -> "decomposition"
-       | Audit.Carving -> "carving"))
-    a.Audit.n a.Audit.num_colors a.Audit.dead a.Audit.dead_fraction;
-  add "\"max_diameter_lb\":%d,\"max_diameter_ub\":%s,"
-    (Audit.max_diameter_lb a)
-    (jopt_int (Audit.max_diameter_ub a));
-  add "\"verdict\":%s,"
-    (jstr (match t.audit_verdict with Ok () -> "ok" | Error e -> e));
-  add "\"certs\":[%s]}}"
-    (String.concat ","
-       (List.map
-          (fun (cert : Audit.cert) ->
-            Printf.sprintf
-              "{\"cluster\":%d,\"color\":%d,\"size\":%d,\"strong\":%b,\"height\":%s,\"diameter_lb\":%d,\"diameter_ub\":%s}"
-              cert.Audit.cluster cert.Audit.color
-              (List.length cert.Audit.members)
-              cert.Audit.strong
-              (match cert.Audit.tree with
-              | Some w -> string_of_int w.Audit.w_height
-              | None -> "null")
-              cert.Audit.diameter_lb
-              (jopt_int cert.Audit.diameter_ub))
-          a.Audit.certs));
-  Buffer.contents buf
+  let open Congest in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "report",
+           Json.Obj
+             [
+               ("algo", str t.algo);
+               ("reference", str t.reference);
+               ("family", str t.family);
+               ("n", i t.n);
+               ("m", i t.m);
+               ("seed", i t.seed);
+               ("epsilon", opt f6 t.epsilon);
+               ("colors", i t.colors);
+               ("strong_diameter", opt i t.strong_diameter);
+               ("weak_diameter", i t.weak_diameter);
+               ("dead_fraction", opt f6 t.dead_fraction);
+               ("rounds", i t.rounds);
+               ("messages", i t.messages);
+               ("max_message_bits", i t.max_message_bits);
+               ("valid", bool t.valid);
+               ("seconds", f6 t.seconds);
+               ("events", i t.events);
+               ("truncated", i t.truncated);
+             ] );
+         ("fingerprint", Stats.fingerprint_value t.fingerprint);
+         ( "causal",
+           Json.Obj
+             [
+               ("rounds", i c.Causal.rounds);
+               ("sim_rounds", i c.Causal.sim_rounds);
+               ("engine_rounds", i c.Causal.engine_rounds);
+               ("chain_rounds", i c.Causal.chain_rounds);
+               ("critical_rounds", i c.Causal.critical_rounds);
+               ("slack_rounds", i c.Causal.slack_rounds);
+               ("exact", bool c.Causal.exact);
+               ( "chain",
+                 list
+                   (fun (h : Causal.hop) ->
+                     Json.Obj
+                       [
+                         ("src", i h.Causal.src);
+                         ("dst", i h.Causal.dst);
+                         ("sent", i h.Causal.sent_round);
+                         ("delivered", i h.Causal.delivered_round);
+                         ("bits", i h.Causal.bits);
+                       ])
+                   c.Causal.chain );
+             ] );
+         ( "span_slack",
+           list
+             (fun (s : Causal.span_slack) ->
+               Json.Obj
+                 [
+                   ("span", str s.Causal.span_path);
+                   ("critical", i s.Causal.critical);
+                   ("slack", i s.Causal.slack);
+                 ])
+             t.span_slack );
+         ( "rollups",
+           list
+             (fun (r : Span.rollup) ->
+               Json.Obj
+                 [
+                   ("path", str r.Span.path);
+                   ("depth", i r.Span.depth);
+                   ("entries", i r.Span.entries);
+                   ("rounds", i r.Span.rounds);
+                   ("rounds_incl", i r.Span.rounds_incl);
+                   ("messages", i r.Span.messages);
+                   ("messages_incl", i r.Span.messages_incl);
+                   ("bits", i r.Span.bits);
+                   ("bits_incl", i r.Span.bits_incl);
+                   ("max_message_bits", i r.Span.max_message_bits);
+                   ("seconds", f6 r.Span.seconds);
+                   ("seconds_incl", f6 r.Span.seconds_incl);
+                 ])
+             t.rollups );
+         ( "resources",
+           Json.Obj
+             [
+               ("seconds", f6 tot.Resource.t_seconds);
+               ("minor_words", f0 tot.Resource.t_minor_words);
+               ("promoted_words", f0 tot.Resource.t_promoted_words);
+               ("major_words", f0 tot.Resource.t_major_words);
+               ("major_collections", i tot.Resource.t_major_collections);
+               ("peak_heap_mb", Json.float "%.3f" (Resource.peak_heap_mb tot));
+               ( "rollups",
+                 list
+                   (fun (r : Resource.rollup) ->
+                     Json.Obj
+                       [
+                         ("path", str r.Resource.r_path);
+                         ("depth", i r.Resource.r_depth);
+                         ("entries", i r.Resource.r_entries);
+                         ("seconds", f6 r.Resource.r_seconds);
+                         ("seconds_incl", f6 r.Resource.r_seconds_incl);
+                         ("minor_words", f0 r.Resource.r_minor_words);
+                         ("minor_words_incl", f0 r.Resource.r_minor_words_incl);
+                         ("major_words", f0 r.Resource.r_major_words);
+                         ("major_words_incl", f0 r.Resource.r_major_words_incl);
+                         ( "major_collections",
+                           i r.Resource.r_major_collections );
+                       ])
+                   t.res_rollups );
+             ] );
+         ("metrics", Json.Arr (Metrics.to_json t.metrics));
+         ( "audit",
+           Json.Obj
+             [
+               ( "kind",
+                 str
+                   (match a.Audit.kind with
+                   | Audit.Decomposition -> "decomposition"
+                   | Audit.Carving -> "carving") );
+               ("n", i a.Audit.n);
+               ("num_colors", i a.Audit.num_colors);
+               ("dead", i a.Audit.dead);
+               ("dead_fraction", f6 a.Audit.dead_fraction);
+               ("max_diameter_lb", i (Audit.max_diameter_lb a));
+               ("max_diameter_ub", opt i (Audit.max_diameter_ub a));
+               ( "verdict",
+                 str
+                   (match t.audit_verdict with Ok () -> "ok" | Error e -> e) );
+               ( "certs",
+                 list
+                   (fun (cert : Audit.cert) ->
+                     Json.Obj
+                       [
+                         ("cluster", i cert.Audit.cluster);
+                         ("color", i cert.Audit.color);
+                         ("size", i (List.length cert.Audit.members));
+                         ("strong", bool cert.Audit.strong);
+                         ( "height",
+                           opt (fun w -> i w.Audit.w_height) cert.Audit.tree );
+                         ("diameter_lb", i cert.Audit.diameter_lb);
+                         ("diameter_ub", opt i cert.Audit.diameter_ub);
+                       ])
+                   a.Audit.certs );
+             ] );
+       ])
 
 let save ?(dir = "bench_results") t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

@@ -70,7 +70,7 @@ val to_markdown : t -> string
 
 val to_json : t -> string
 (** One JSON object mirroring {!to_markdown}'s content; metrics are
-    embedded as the array of {!Congest.Metrics.to_jsonl} objects. *)
+    embedded as the array of {!Congest.Metrics.to_json} objects. *)
 
 val save : ?dir:string -> t -> string list
 (** Writes [report_<algo>_<family>.md] and [.json] under [dir]

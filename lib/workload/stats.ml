@@ -88,57 +88,30 @@ let current_fingerprint () =
     hostname = (try Unix.gethostname () with Unix.Unix_error _ -> "unknown");
   }
 
-let fingerprint_json fp =
-  Printf.sprintf
-    "{\"git_sha\":%S,\"ocaml_version\":%S,\"word_size\":%d,\"flambda\":%b,\"hostname\":%S}"
-    fp.git_sha fp.ocaml_version fp.word_size fp.flambda fp.hostname
+let fingerprint_value fp =
+  Json.Obj
+    [
+      ("git_sha", Json.Str fp.git_sha);
+      ("ocaml_version", Json.Str fp.ocaml_version);
+      ("word_size", Json.int fp.word_size);
+      ("flambda", Json.Bool fp.flambda);
+      ("hostname", Json.Str fp.hostname);
+    ]
 
-let index_of_sub s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go pos
+let fingerprint_json fp = Json.to_string (fingerprint_value fp)
 
-let jfield_str field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":\"") with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length field + 4 in
-      match String.index_from_opt obj start '"' with
-      | None -> None
-      | Some j -> Some (String.sub obj start (j - start)))
+let fingerprint_of_value j =
+  let ( let* ) = Option.bind in
+  let str k = Json.to_str (Json.member k j) in
+  let* git_sha = str "git_sha" in
+  let* ocaml_version = str "ocaml_version" in
+  let* word_size = Json.to_int (Json.member "word_size" j) in
+  let* flambda = Json.to_bool (Json.member "flambda" j) in
+  let* hostname = str "hostname" in
+  Some { git_sha; ocaml_version; word_size; flambda; hostname }
 
-let jfield_raw field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":") with
-  | None -> None
-  | Some i ->
-      let start = i + String.length field + 3 in
-      let j = ref start in
-      let len = String.length obj in
-      while
-        !j < len && (match obj.[!j] with ',' | '}' -> false | _ -> true)
-      do
-        incr j
-      done;
-      Some (String.trim (String.sub obj start (!j - start)))
-
-let fingerprint_of_json obj =
-  match
-    ( jfield_str "git_sha" obj,
-      jfield_str "ocaml_version" obj,
-      jfield_raw "word_size" obj,
-      jfield_raw "flambda" obj,
-      jfield_str "hostname" obj )
-  with
-  | Some git_sha, Some ocaml_version, Some ws, Some fl, Some hostname -> (
-      match (int_of_string_opt ws, bool_of_string_opt fl) with
-      | Some word_size, Some flambda ->
-          Some { git_sha; ocaml_version; word_size; flambda; hostname }
-      | _ -> None)
-  | _ -> None
+let fingerprint_of_json s =
+  Option.bind (Result.to_option (Json.parse s)) fingerprint_of_value
 
 let fingerprint_equal (a : fingerprint) b = a = b
 

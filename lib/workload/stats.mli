@@ -31,14 +31,20 @@ val current_fingerprint : unit -> fingerprint
     from the cwd to [.git] (HEAD -> ref -> packed-refs); never raises —
     unresolvable fields degrade to ["unknown"]. *)
 
-val fingerprint_json : fingerprint -> string
+val fingerprint_value : fingerprint -> Json.t
 (** Flat JSON object, e.g.
     [{"git_sha":"abc123","ocaml_version":"5.1.1","word_size":64,"flambda":false,"hostname":"ci"}]. *)
 
+val fingerprint_json : fingerprint -> string
+(** {!fingerprint_value}, rendered. *)
+
+val fingerprint_of_value : Json.t -> fingerprint option
+(** Inverse of {!fingerprint_value}; [None] when any field is missing or
+    malformed. *)
+
 val fingerprint_of_json : string -> fingerprint option
-(** Inverse of {!fingerprint_json}; [None] when any field is missing or
-    malformed. Scans the first occurrence of each field, so the input
-    may be a whole snapshot line containing the fingerprint object. *)
+(** {!fingerprint_of_value} of the parsed text; [None] when it does not
+    parse. *)
 
 val fingerprint_equal : fingerprint -> fingerprint -> bool
 val pp_fingerprint : Format.formatter -> fingerprint -> unit

@@ -11,73 +11,53 @@ type entry = {
 }
 
 let snapshot_json ?fingerprint ~time entries =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "{\"time\":%.0f," time);
-  (match fingerprint with
-  | Some fp ->
-      Buffer.add_string buf
-        (Printf.sprintf "\"fingerprint\":%s," (Stats.fingerprint_json fp))
-  | None -> ());
-  Buffer.add_string buf "\"workloads\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      (* "seconds" stays first so prefix-scanning parsers (num_field
-         matches the first occurrence) keep reading the median, not
-         "seconds_median"/"seconds_mad" *)
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"rounds\":%d,\"messages\":%d,\"max_bits\":%d,\"phases\":%d,\"seconds\":%.4f,\"seconds_median\":%.4f,\"seconds_mad\":%.6f,\"minor_words_per_node\":%.1f,\"peak_heap_mb\":%.1f}"
-           e.name e.rounds e.messages e.max_bits e.phases e.seconds e.seconds
-           e.seconds_mad e.minor_words_per_node e.peak_heap_mb))
-    entries;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-(* a snapshot line must be a balanced one-line object mentioning
-   "workloads"; the array delimiter lines '[' / ']' are structure, not
-   snapshots, and anything else is malformed *)
-let balanced_object line =
-  let depth = ref 0 and ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    line;
-  !ok && !depth = 0
+  let row e =
+    Json.Obj
+      [
+        ("name", Json.Str e.name);
+        ("rounds", Json.int e.rounds);
+        ("messages", Json.int e.messages);
+        ("max_bits", Json.int e.max_bits);
+        ("phases", Json.int e.phases);
+        ("seconds", Json.float "%.4f" e.seconds);
+        ("seconds_median", Json.float "%.4f" e.seconds);
+        ("seconds_mad", Json.float "%.6f" e.seconds_mad);
+        ("minor_words_per_node", Json.float "%.1f" e.minor_words_per_node);
+        ("peak_heap_mb", Json.float "%.1f" e.peak_heap_mb);
+      ]
+  in
+  let fingerprint =
+    match fingerprint with
+    | Some fp -> [ ("fingerprint", Stats.fingerprint_value fp) ]
+    | None -> []
+  in
+  Json.to_string
+    (Json.Obj
+       ((("time", Json.float "%.0f" time) :: fingerprint)
+       @ [ ("workloads", Json.Arr (List.map row entries)) ]))
 
 (* the trajectory file is a JSON array with exactly one snapshot object
-   per line, so appending = collect the '{'-lines and rewrite *)
+   per line, so appending = collect the snapshot lines and rewrite; the
+   array delimiter lines '[' / ']' are structure, and any other line
+   that is not one JSON object is malformed *)
 let read_snapshot_lines ?(warn = fun ~line_number:_ _ -> ()) path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    let lineno = ref 0 in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         incr lineno;
-         if String.length line > 0 then
-           if line.[0] = '{' then begin
-             let line =
-               if line.[String.length line - 1] = ',' then
-                 String.sub line 0 (String.length line - 1)
-               else line
-             in
-             if balanced_object line then lines := line :: !lines
-             else warn ~line_number:!lineno line
-           end
-           else if line <> "[" && line <> "]" then
-             warn ~line_number:!lineno line
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !lines
-  end
+  else
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.mapi (fun i line -> (i + 1, String.trim line))
+    |> List.filter_map (fun (line_number, line) ->
+           let line =
+             if String.ends_with ~suffix:"," line then
+               String.sub line 0 (String.length line - 1)
+             else line
+           in
+           match Json.parse line with
+           | Ok (Json.Obj _) -> Some line
+           | _ ->
+               if not (List.mem line [ ""; "["; "]" ]) then
+                 warn ~line_number line;
+               None)
 
 let write path lines =
   let oc = open_out path in
@@ -86,65 +66,13 @@ let write path lines =
   output_string oc "\n]\n";
   close_out oc
 
-(* just enough JSON scanning for our own one-line snapshots: the
-   workload objects are flat, so each runs from a {"name": marker to the
-   next '}' *)
-let index_of_sub s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go pos
+let workloads doc =
+  List.filter_map
+    (fun w ->
+      Option.map (fun name -> (name, w)) (Json.to_str (Json.member "name" w)))
+    (Option.value (Json.to_list (Json.member "workloads" doc)) ~default:[])
 
-let workload_objs line =
-  let rec go pos acc =
-    match index_of_sub line pos "{\"name\":" with
-    | None -> List.rev acc
-    | Some i -> (
-        match String.index_from_opt line i '}' with
-        | None -> List.rev acc
-        | Some j -> go (j + 1) (String.sub line i (j - i + 1) :: acc))
-  in
-  go 0 []
-
-let str_field field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":\"") with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length field + 4 in
-      match String.index_from_opt obj start '"' with
-      | None -> None
-      | Some j -> Some (String.sub obj start (j - start)))
-
-let num_field field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":") with
-  | None -> None
-  | Some i ->
-      let start = i + String.length field + 3 in
-      let j = ref start in
-      let len = String.length obj in
-      while
-        !j < len
-        && (match obj.[!j] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub obj start (!j - start))
-
-(* the fingerprint object is flat, so it runs from its marker to the
-   next '}' *)
-let fingerprint_of_line line =
-  match index_of_sub line 0 "\"fingerprint\":{" with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length "\"fingerprint\":" in
-      match String.index_from_opt line start '}' with
-      | None -> None
-      | Some j -> Some (String.sub line start (j - start + 1)))
+let parse_line line = Result.value (Json.parse line) ~default:Json.Null
 
 type regression = {
   r_name : string;
@@ -164,66 +92,60 @@ let default_metrics =
     "peak_heap_mb";
   ]
 
+let compare_docs ~metrics ~k old_doc new_doc =
+  let olds = workloads old_doc in
+  let metric name w = Json.to_float (Json.member name w) in
+  List.concat_map
+    (fun (name, nobj) ->
+      match List.assoc_opt name olds with
+      | None -> []  (* newly-added row: nothing to diff against *)
+      | Some oobj ->
+          List.filter_map
+            (fun m ->
+              match (metric m oobj, metric m nobj) with
+              | Some ov, Some nv when ov > 0.0 ->
+                  (* noisy metrics carry a recorded "<metric>_mad"
+                     column; the gate widens to max(10%, k*MAD), and
+                     metrics without one keep the pure 10% gate *)
+                  let mad_of w =
+                    Option.value (metric (m ^ "_mad") w) ~default:0.0
+                  in
+                  let mad = Float.max (mad_of oobj) (mad_of nobj) in
+                  (* seconds additionally needs to clear an absolute
+                     floor (as in {!Diff}): sub-millisecond headline
+                     jitter on the fast workloads never flags *)
+                  let floor = if m = "seconds" then 0.005 else 0.0 in
+                  if Stats.exceeds ~k ~mad ~baseline:ov nv && nv -. ov > floor
+                  then
+                    Some
+                      {
+                        r_name = name;
+                        r_metric = m;
+                        r_old = ov;
+                        r_new = nv;
+                        r_pct = 100.0 *. (nv -. ov) /. ov;
+                      }
+                  else None
+              | _ -> None)
+            metrics)
+    (workloads new_doc)
+
 let compare_lines ?(metrics = default_metrics) ?(k = 3.0) ~old_line ~new_line
     () =
-  let olds = workload_objs old_line and news = workload_objs new_line in
-  let flagged = ref [] in
-  List.iter
-    (fun nobj ->
-      match str_field "name" nobj with
-      | None -> ()
-      | Some name -> (
-          match
-            List.find_opt (fun o -> str_field "name" o = Some name) olds
-          with
-          | None -> ()  (* newly-added row: nothing to diff against *)
-          | Some oobj ->
-              List.iter
-                (fun metric ->
-                  match (num_field metric oobj, num_field metric nobj) with
-                  | Some ov, Some nv when ov > 0.0 ->
-                      (* noisy metrics carry a recorded "<metric>_mad"
-                         column; the gate widens to max(10%, k*MAD), and
-                         metrics without one keep the pure 10% gate *)
-                      let mad_field = metric ^ "_mad" in
-                      let mad =
-                        Float.max
-                          (Option.value (num_field mad_field oobj) ~default:0.0)
-                          (Option.value (num_field mad_field nobj) ~default:0.0)
-                      in
-                      (* seconds additionally needs to clear an absolute
-                         floor (as in {!Diff}): sub-millisecond headline
-                         jitter on the fast workloads never flags *)
-                      let floor =
-                        if metric = "seconds" then 0.005 else 0.0
-                      in
-                      if
-                        Stats.exceeds ~k ~mad ~baseline:ov nv
-                        && nv -. ov > floor
-                      then
-                        flagged :=
-                          {
-                            r_name = name;
-                            r_metric = metric;
-                            r_old = ov;
-                            r_new = nv;
-                            r_pct = 100.0 *. (nv -. ov) /. ov;
-                          }
-                          :: !flagged
-                  | _ -> ())
-                metrics))
-    news;
-  List.rev !flagged
+  compare_docs ~metrics ~k (parse_line old_line) (parse_line new_line)
 
 type verdict =
   | Regressions of regression list
   | Incomparable of { old_fp : string; new_fp : string }
 
-let compare_snapshots ?metrics ?k ~old_line ~new_line () =
-  match (fingerprint_of_line old_line, fingerprint_of_line new_line) with
-  | Some old_fp, Some new_fp when old_fp <> new_fp ->
-      Incomparable { old_fp; new_fp }
-  | _ -> Regressions (compare_lines ?metrics ?k ~old_line ~new_line ())
+let compare_snapshots ?(metrics = default_metrics) ?(k = 3.0) ~old_line
+    ~new_line () =
+  let old_doc = parse_line old_line and new_doc = parse_line new_line in
+  let fp = Json.member "fingerprint" in
+  match (fp old_doc, fp new_doc) with
+  | (Json.Obj _ as o), (Json.Obj _ as n) when o <> n ->
+      Incomparable { old_fp = Json.to_string o; new_fp = Json.to_string n }
+  | _ -> Regressions (compare_docs ~metrics ~k old_doc new_doc)
 
 let regression_line r =
   Printf.sprintf "regression: %s %s: %g -> %g (+%.1f%%)" r.r_name r.r_metric

@@ -44,28 +44,19 @@ val snapshot_json :
 
 val read_snapshot_lines :
   ?warn:(line_number:int -> string -> unit) -> string -> string list
-(** The '{'-prefixed snapshot lines of a trajectory file, oldest first;
-    [[]] when the file does not exist. A malformed line (unbalanced
-    braces, or non-empty content that is neither a snapshot object nor
-    an array delimiter) is skipped and reported to [warn] with its
-    1-based line number; the default [warn] is silent, matching the
-    historical behavior. *)
+(** The snapshot lines of a trajectory file (trailing comma removed),
+    oldest first; [[]] when the file does not exist. A malformed line
+    (non-empty content that is neither one JSON object nor an array
+    delimiter) is skipped and reported to [warn] with its 1-based line
+    number; the default [warn] is silent, matching the historical
+    behavior. *)
 
 val write : string -> string list -> unit
 (** Rewrites the file as a JSON array, one snapshot per line. *)
 
-val workload_objs : string -> string list
-(** The flat workload objects of a snapshot line, in file order. *)
-
-val str_field : string -> string -> string option
-(** [str_field field obj]: first ["field":"..."] occurrence. *)
-
-val num_field : string -> string -> float option
-(** [num_field field obj]: first ["field":<number>] occurrence. *)
-
-val fingerprint_of_line : string -> string option
-(** The raw ["fingerprint":{...}] object of a snapshot line, if
-    present; parse with {!Stats.fingerprint_of_json}. *)
+val workloads : Json.t -> (string * Json.t) list
+(** The named workload objects of a parsed snapshot line, in file
+    order, each with its name. *)
 
 type regression = {
   r_name : string;
@@ -102,7 +93,7 @@ val compare_lines :
 type verdict =
   | Regressions of regression list
   | Incomparable of { old_fp : string; new_fp : string }
-      (** raw fingerprint JSON of each side *)
+      (** the fingerprint object of each side, re-emitted *)
 
 val compare_snapshots :
   ?metrics:string list ->

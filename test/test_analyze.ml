@@ -187,7 +187,11 @@ let test_baseline_roundtrip () =
     (Printf.sprintf "{\n  \"accept\": [%s]\n}\n"
        (String.concat ", " (List.map (fun k -> "\"" ^ k ^ "\"") keys)));
   close_out oc;
-  let accept = Analyze_core.read_baseline path in
+  let accept =
+    match Analyze_core.read_baseline path with
+    | Ok keys -> keys
+    | Error e -> Alcotest.fail e
+  in
   Sys.remove path;
   check int "every key survives the round-trip" (List.length keys)
     (List.length accept);
@@ -204,8 +208,32 @@ let test_baseline_roundtrip () =
     (List.exists
        (fun f -> f.Analyze_core.f_file = "bad_hot.ml")
        open_findings);
-  check int "missing baseline file means empty accept list" 0
-    (List.length (Analyze_core.read_baseline "/nonexistent/baseline.json"))
+  check bool "missing baseline file means empty accept list" true
+    (Analyze_core.read_baseline "/nonexistent/baseline.json" = Ok [])
+
+let test_baseline_rejects_malformed () =
+  (* only the strings of the accept array are keys: a string elsewhere
+     in the file is not, and a truncated file is an error *)
+  let read text =
+    let path = Filename.temp_file "analyze_baseline" ".json" in
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    let got = Analyze_core.read_baseline path in
+    Sys.remove path;
+    got
+  in
+  check bool "strings outside accept ignored" true
+    (read {|{"accept":[],"note":"see docs"}|} = Ok []);
+  List.iter
+    (fun text ->
+      check bool ("rejected: " ^ text) true (Result.is_error (read text)))
+    [
+      {|{"accept": "oops|};
+      {|{"accept":["a",1]}|};
+      {|{"accept":"a"}|};
+      {|{"note":"no accept member"}|};
+    ]
 
 let test_json_deterministic () =
   let a = Analyze_core.analyze [ fixtures_dir ] in
@@ -264,6 +292,8 @@ let () =
             test_config_suppression;
           Alcotest.test_case "baseline accept keys round-trip" `Quick
             test_baseline_roundtrip;
+          Alcotest.test_case "malformed baseline rejected" `Quick
+            test_baseline_rejects_malformed;
           Alcotest.test_case "deterministic JSON with per-rule counts"
             `Quick test_json_deterministic;
           Alcotest.test_case "shipped tree analyzes clean" `Quick

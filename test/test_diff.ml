@@ -263,7 +263,7 @@ let test_load_specs () =
   (match D.load path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file accepted");
-  (* a report file is sniffed by its leading {"report": *)
+  (* a report file is recognized by its "report" member *)
   let rpath = Filename.temp_file "diff_rep" ".json" in
   let oc = open_out rpath in
   output_string oc
@@ -275,6 +275,31 @@ let test_load_specs () =
   (match D.load (rpath ^ "#1") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "#N on a report accepted");
+  (* a report is recognized by its "report" member however it is laid
+     out, and its fingerprint survives hostnames that need escaping *)
+  List.iter
+    (fun hostname ->
+      let fp = { (fp ()) with S.hostname } in
+      let fp_json = S.fingerprint_json fp in
+      List.iter
+        (fun (layout, text) ->
+          let oc = open_out rpath in
+          output_string oc text;
+          close_out oc;
+          let s = ok (D.load rpath) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s report fingerprint: %s" layout hostname)
+            true
+            (s.D.fingerprint = Some fp))
+        [
+          ( "compact",
+            "{\"report\":{\"algo\":\"x\"},\"fingerprint\":" ^ fp_json
+            ^ ",\"rollups\":[]}" );
+          ( "pretty",
+            "{\n  \"report\": {\n    \"algo\": \"x\"\n  },\n  \"fingerprint\": "
+            ^ fp_json ^ ",\n  \"rollups\": []\n}\n" );
+        ])
+    [ "ci"; "café"; "a\"b"; "tab\there" ];
   Sys.remove rpath
 
 let () =

@@ -87,10 +87,17 @@ let fp =
   }
 
 let test_fingerprint_roundtrip () =
-  match S.fingerprint_of_json (S.fingerprint_json fp) with
-  | None -> Alcotest.fail "fingerprint did not parse back"
-  | Some back ->
-      Alcotest.(check bool) "round-trips" true (S.fingerprint_equal fp back)
+  (* the last three hostnames need escaping or are not ASCII *)
+  List.iter
+    (fun hostname ->
+      let fp = { fp with S.hostname } in
+      match S.fingerprint_of_json (S.fingerprint_json fp) with
+      | None -> Alcotest.fail ("fingerprint did not parse back: " ^ hostname)
+      | Some back ->
+          Alcotest.(check bool)
+            ("round-trips: " ^ hostname)
+            true (S.fingerprint_equal fp back))
+    [ fp.S.hostname; "café"; "a\"b"; "tab\there" ]
 
 let test_fingerprint_of_json_rejects () =
   check

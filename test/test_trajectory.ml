@@ -207,15 +207,23 @@ let test_missing_fingerprint_still_compares () =
   | T.Incomparable _ -> Alcotest.fail "fingerprint-less baseline refused"
 
 let test_fingerprint_json_roundtrip () =
-  let line = T.snapshot_json ~fingerprint:(fp ()) ~time:7.0 [ entry "a" ] in
-  (match T.fingerprint_of_line line with
-  | None -> Alcotest.fail "fingerprint object not found in snapshot line"
-  | Some raw ->
+  (* the hostnames need escaping (or are not ASCII), so a scanner that
+     stops at the first '"' or reads OCaml escapes misreads them *)
+  List.iter
+    (fun hostname ->
+      let fp = { (fp ()) with Workload.Stats.hostname } in
+      let line = T.snapshot_json ~fingerprint:fp ~time:7.0 [ entry "a" ] in
+      let side = Workload.Diff.side_of_trajectory_line ~label:"t" line in
       Alcotest.(check bool)
-        "roundtrips through json" true
-        (Workload.Stats.fingerprint_of_json raw = Some (fp ())));
-  check Alcotest.(option string) "absent stays absent" None
-    (T.fingerprint_of_line (T.snapshot_json ~time:7.0 [ entry "a" ]))
+        ("roundtrips through json: " ^ hostname)
+        true
+        (side.Workload.Diff.fingerprint = Some fp))
+    [ "ci"; "café"; "a\"b"; "tab\there" ];
+  let bare = T.snapshot_json ~time:7.0 [ entry "a" ] in
+  Alcotest.(check bool)
+    "absent stays absent" true
+    ((Workload.Diff.side_of_trajectory_line ~label:"t" bare).Workload.Diff
+       .fingerprint = None)
 
 let test_malformed_line_warned_and_skipped () =
   (* a hand-edited (or truncated) trajectory file: the good snapshots

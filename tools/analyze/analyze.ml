@@ -71,7 +71,12 @@ let () =
   let accept =
     match !baseline with
     | None -> []
-    | Some file -> Analyze_core.read_baseline file
+    | Some file -> (
+        match Analyze_core.read_baseline file with
+        | Ok keys -> keys
+        | Error e ->
+            Printf.eprintf "analyze: bad baseline %s\n" e;
+            exit 2)
   in
   let open_findings, accepted =
     Analyze_core.split_baseline ~accept result.Analyze_core.r_findings

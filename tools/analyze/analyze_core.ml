@@ -1181,43 +1181,19 @@ let analyze ?(config = default_config) roots =
    listed is reported but does not fail the build. The committed
    baseline is empty — every shared value is annotated at source. *)
 let read_baseline path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    (* pull every string literal out of the accept array *)
-    let acc = ref [] in
-    let i = ref 0 in
-    let len = String.length s in
-    let in_accept = ref false in
-    while !i < len do
-      if (not !in_accept) && !i + 8 <= len && String.sub s !i 8 = "\"accept\""
-      then begin
-        in_accept := true;
-        i := !i + 8
-      end
-      else if !in_accept && s.[!i] = '"' then begin
-        let j = ref (!i + 1) in
-        let buf = Buffer.create 32 in
-        while !j < len && s.[!j] <> '"' do
-          if s.[!j] = '\\' && !j + 1 < len then begin
-            Buffer.add_char buf s.[!j + 1];
-            j := !j + 2
-          end
-          else begin
-            Buffer.add_char buf s.[!j];
-            incr j
-          end
-        done;
-        acc := Buffer.contents buf :: !acc;
-        i := !j + 1
-      end
-      else incr i
-    done;
-    List.rev !acc
-  end
+  if not (Sys.file_exists path) then Ok []
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let bad what = Error (Printf.sprintf "%s: %s" path what) in
+    match Json.parse text with
+    | Error e -> bad e
+    | Ok doc -> (
+        match Json.to_list (Json.member "accept" doc) with
+        | None -> bad "\"accept\" is not an array"
+        | Some items ->
+            let keys = List.filter_map Json.to_str items in
+            if List.length keys = List.length items then Ok keys
+            else bad "\"accept\" holds a value that is not a string")
 
 let split_baseline ~accept findings =
   List.partition (fun f -> not (List.mem f.f_key accept)) findings
@@ -1226,96 +1202,86 @@ let split_baseline ~accept findings =
 (* output                                                            *)
 (* ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(accepted = []) r =
-  let buf = Buffer.create 8192 in
-  let add = Buffer.add_string buf in
-  add (Printf.sprintf "{\"version\":1,\"units\":%d," r.r_units);
-  add "\"modules\":[";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char buf ',';
-      add
-        (Printf.sprintf
-           "{\"unit\":\"%s\",\"file\":\"%s\",\"local\":%d,\"owned\":%d,\"shared_annotated\":%d,\"shared_open\":%d,\"verdict\":\"%s\"}"
-           (json_escape m.m_unit) (json_escape m.m_file) m.m_local m.m_owned
-           m.m_shared_annotated m.m_shared_open
-           (if m.m_shared_open = 0 then "safe" else "unsafe")))
-    r.r_modules;
-  add "],\"inventory\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      add
-        (Printf.sprintf
-           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"unit\":\"%s\",\"binding\":\"%s\",\"fn\":\"%s\",\"kind\":\"%s\",\"class\":\"%s\"%s}"
-           (json_escape e.e_file) e.e_line e.e_col (json_escape e.e_unit)
-           (json_escape e.e_binding) (json_escape e.e_fn)
-           (json_escape e.e_kind)
-           (escape_name e.e_class)
-           (match e.e_reason with
-           | None -> ""
-           | Some rsn -> Printf.sprintf ",\"reason\":\"%s\"" (json_escape rsn))))
-    r.r_entries;
-  add "],\"mutable_types\":[";
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char buf ',';
-      add
-        (Printf.sprintf "{\"unit\":\"%s\",\"type\":\"%s\",\"fields\":[%s]}"
-           (json_escape t.t_unit) (json_escape t.t_name)
-           (String.concat ","
-              (List.map (fun f -> "\"" ^ json_escape f ^ "\"") t.t_fields))))
-    r.r_mutable_types;
-  add "],\"hot\":[";
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char buf ',';
-      add
-        (Printf.sprintf
-           "{\"unit\":\"%s\",\"fn\":\"%s\",\"file\":\"%s\",\"line\":%d,\"allocs\":%d,\"accepted\":%d,\"unresolved\":%d}"
-           (json_escape h.h_unit) (json_escape h.h_fn) (json_escape h.h_file)
-           h.h_line h.h_allocs h.h_accepted h.h_unresolved))
-    r.r_hots;
-  let emit_findings fs =
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        add
-          (Printf.sprintf
-             "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"key\":\"%s\",\"detail\":\"%s\"}"
-             (json_escape f.f_file) f.f_line f.f_col (json_escape f.f_rule)
-             (json_escape f.f_key) (json_escape f.f_detail)))
-      fs
+  let str s = Json.Str s and i = Json.int in
+  let module_ m =
+    Json.Obj
+      [
+        ("unit", str m.m_unit);
+        ("file", str m.m_file);
+        ("local", i m.m_local);
+        ("owned", i m.m_owned);
+        ("shared_annotated", i m.m_shared_annotated);
+        ("shared_open", i m.m_shared_open);
+        ("verdict", str (if m.m_shared_open = 0 then "safe" else "unsafe"));
+      ]
   in
-  add "],\"findings\":[";
-  emit_findings r.r_findings;
-  add "],\"accepted_findings\":[";
-  emit_findings accepted;
-  add "],\"counts\":{";
-  List.iteri
-    (fun i (rule, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add
-        (Printf.sprintf "\"%s\":%d" (json_escape rule)
-           (List.length
-              (List.filter (fun f -> f.f_rule = rule) r.r_findings))))
-    rules;
-  add "}}";
-  Buffer.contents buf
+  let entry e =
+    let reason =
+      match e.e_reason with None -> [] | Some rsn -> [ ("reason", str rsn) ]
+    in
+    Json.Obj
+      ([
+         ("file", str e.e_file);
+         ("line", i e.e_line);
+         ("col", i e.e_col);
+         ("unit", str e.e_unit);
+         ("binding", str e.e_binding);
+         ("fn", str e.e_fn);
+         ("kind", str e.e_kind);
+         ("class", str (escape_name e.e_class));
+       ]
+      @ reason)
+  in
+  let mutable_type t =
+    Json.Obj
+      [
+        ("unit", str t.t_unit);
+        ("type", str t.t_name);
+        ("fields", Json.Arr (List.map str t.t_fields));
+      ]
+  in
+  let hot h =
+    Json.Obj
+      [
+        ("unit", str h.h_unit);
+        ("fn", str h.h_fn);
+        ("file", str h.h_file);
+        ("line", i h.h_line);
+        ("allocs", i h.h_allocs);
+        ("accepted", i h.h_accepted);
+        ("unresolved", i h.h_unresolved);
+      ]
+  in
+  let finding f =
+    Json.Obj
+      [
+        ("file", str f.f_file);
+        ("line", i f.f_line);
+        ("col", i f.f_col);
+        ("rule", str f.f_rule);
+        ("key", str f.f_key);
+        ("detail", str f.f_detail);
+      ]
+  in
+  let count (rule, _) =
+    let hits = List.filter (fun f -> f.f_rule = rule) r.r_findings in
+    (rule, i (List.length hits))
+  in
+  let list f xs = Json.Arr (List.map f xs) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("version", i 1);
+         ("units", i r.r_units);
+         ("modules", list module_ r.r_modules);
+         ("inventory", list entry r.r_entries);
+         ("mutable_types", list mutable_type r.r_mutable_types);
+         ("hot", list hot r.r_hots);
+         ("findings", list finding r.r_findings);
+         ("accepted_findings", list finding accepted);
+         ("counts", Json.Obj (List.map count rules));
+       ])
 
 let pp_finding fmt f =
   Format.fprintf fmt "%s:%d:%d: [%s] %s" f.f_file f.f_line f.f_col f.f_rule

@@ -75,9 +75,10 @@ val cmt_paths : string list -> string list
 val analyze : ?config:config -> string list -> result
 (** sweep every .cmt under the given root directories *)
 
-val read_baseline : string -> string list
+val read_baseline : string -> (string list, string) Stdlib.result
 (** accepted finding keys from a {"accept":[...]} baseline file;
-    [] when the file does not exist *)
+    [Ok []] when the file does not exist, [Error] when it does not
+    parse or "accept" is not an array of strings *)
 
 val split_baseline :
   accept:string list -> finding list -> finding list * finding list

@@ -256,20 +256,6 @@ let ml_files roots =
 let pp_finding fmt f =
   Format.fprintf fmt "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.detail
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* (file, line, col, rule) order, so the report and the JSON payload are
    byte-stable regardless of the filesystem walk order that produced the
    findings *)
@@ -282,33 +268,30 @@ let sort_findings findings =
 
 let to_json ~files_scanned findings =
   let findings = sort_findings findings in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"rules\":[";
-  List.iteri
-    (fun i (name, doc) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"doc\":\"%s\"}" (json_escape name)
-           (json_escape doc)))
-    rules;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"files_scanned\":%d,\"findings\":[" files_scanned);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape f.file) f.line f.col (json_escape f.rule)
-           (json_escape f.detail)))
-    findings;
-  Buffer.add_string buf "],\"counts\":{";
-  List.iteri
-    (fun i (name, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (json_escape name)
-           (List.length (List.filter (fun f -> f.rule = name) findings))))
-    rules;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let finding f =
+    Json.Obj
+      [
+        ("file", Json.Str f.file);
+        ("line", Json.int f.line);
+        ("col", Json.int f.col);
+        ("rule", Json.Str f.rule);
+        ("detail", Json.Str f.detail);
+      ]
+  in
+  let count (name, _) =
+    let hits = List.filter (fun f -> f.rule = name) findings in
+    (name, Json.int (List.length hits))
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "rules",
+           Json.Arr
+             (List.map
+                (fun (name, doc) ->
+                  Json.Obj [ ("name", Json.Str name); ("doc", Json.Str doc) ])
+                rules) );
+         ("files_scanned", Json.int files_scanned);
+         ("findings", Json.Arr (List.map finding findings));
+         ("counts", Json.Obj (List.map count rules));
+       ])
