@@ -1,14 +1,19 @@
 (* Benchmark harness: regenerates the paper's Table 1 and Table 2 (measured
    on the workload suite), plus the auxiliary experiments F.MSG (message
    sizes), F.BARRIER (Section 3 tightness), F.LEMMA31 and F.APPS, and a
-   bechamel wall-clock timing suite (one Test.make group per table).
+   wall-clock timing table (one group per table). Every timing goes
+   through Workload.Stats.
 
    Usage:  dune exec bench/main.exe            (standard sizes, ~minutes)
            dune exec bench/main.exe -- full    (adds the n=16384 sweep)
            dune exec bench/main.exe -- quick   (smoke-test sizes)
-           dune exec bench/main.exe -- trace   (observability overhead only)
+           dune exec bench/main.exe -- overhead <layer> [quick]
+                                               (one instrumentation layer's
+                                                cost: trace, span, conform,
+                                                causal or resource)
            dune exec bench/main.exe -- record  (append a headline snapshot
-                                                to BENCH_trajectory.json) *)
+                                                to BENCH_trajectory.json)
+   The full mode list is the [modes] table at the bottom. *)
 
 open Dsgraph
 module Suite = Workload.Suite
@@ -23,47 +28,18 @@ let section title =
   Format.fprintf fmt "@.=== %s ===@.@." title;
   Format.pp_print_flush fmt ()
 
-let mode =
-  match Array.to_list Sys.argv with
-  | _ :: "full" :: _ -> `Full
-  | _ :: "quick" :: _ -> `Quick
-  | _ :: "faults" :: _ -> `Faults
-  | _ :: "trace" :: _ -> `Trace
-  | _ :: "conform" :: _ -> `Conform
-  | _ :: "causal" :: _ -> `Causal
-  | _ :: "chaos" :: _ -> `Chaos
-  | _ :: "record" :: _ -> `Record
-  | _ :: "scale" :: _ -> `Scale
-  | _ :: "resource" :: _ -> `Resource
-  | _ :: "analyze" :: _ -> `Analyze
-  | _ :: "dashboard" :: _ -> `Dashboard
-  | _ -> `Standard
-
-(* `chaos quick` shrinks the sweep to CI-smoke size *)
-let chaos_quick =
-  match Array.to_list Sys.argv with
-  | _ :: "chaos" :: "quick" :: _ -> true
-  | _ -> false
-
-(* `resource quick` shrinks the overhead medians to CI-smoke size *)
-let resource_quick =
-  match Array.to_list Sys.argv with
-  | _ :: "resource" :: "quick" :: _ -> true
-  | _ -> false
-
 (* surface the simulator's incomplete-run warnings (Sim.simulate with
    on_incomplete = `Warn logs to the "congest.sim" source) *)
 let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning)
 
-let table1_sizes =
-  match mode with
-  | `Quick -> [ 256 ]
-  | `Standard -> [ 256; 1024; 4096 ]
-  | _ -> [ 256; 1024; 4096; 16384 ]
+type size = Quick | Standard | Full
 
-let table2_sizes = table1_sizes
+let table_sizes = function
+  | Quick -> [ 256 ]
+  | Standard -> [ 256; 1024; 4096 ]
+  | Full -> [ 256; 1024; 4096; 16384 ]
 
 (* the ABCP baseline builds G^{2d} (Θ(n²) edges on low-diameter graphs): cap
    its size so the table stays minutes, not hours *)
@@ -75,7 +51,7 @@ let seed = 42
 (* Table 1: network decomposition                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table1 () =
+let table1 size =
   section
     "Table 1 -- network decomposition in CONGEST (measured colors, cluster \
      diameter, rounds)";
@@ -93,7 +69,7 @@ let table1 () =
               if d.name <> "abcp96" || n <= abcp_cap then
                 rows := Measure.decomposition_row ~seed d family ~n :: !rows)
             Algorithms.decomposers)
-        table1_sizes)
+        (table_sizes size))
     Suite.core;
   let rows = List.rev !rows in
   Measure.pp_decomp_table fmt rows;
@@ -104,7 +80,7 @@ let table1 () =
 (* Headline shape: Thm 2.3 vs Thm 3.4 diameters on the path family       *)
 (* ------------------------------------------------------------------ *)
 
-let headline rows =
+let headline size rows =
   section
     "Headline -- diameter improvement of Thm 3.4 over Thm 2.3 (path family)";
   Format.fprintf fmt
@@ -132,13 +108,13 @@ let headline rows =
             (float_of_int da /. float_of_int (max 1 db))
             a.Measure.rounds b.Measure.rounds
       | _ -> ())
-    table1_sizes
+    (table_sizes size)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: ball carving                                                *)
 (* ------------------------------------------------------------------ *)
 
-let table2 () =
+let table2 size =
   section "Table 2 -- ball carving in CONGEST (n sweep at eps = 1/2)";
   let rows = ref [] in
   List.iter
@@ -150,7 +126,7 @@ let table2 () =
               rows :=
                 Measure.carving_row ~seed c family ~n ~epsilon:0.5 :: !rows)
             Algorithms.carvers)
-        table2_sizes)
+        (table_sizes size))
     [ Suite.path; Suite.grid ];
   let sweep_n = List.rev !rows in
   Measure.pp_carve_table fmt sweep_n;
@@ -173,7 +149,7 @@ let table2 () =
 (* F.MSG: message sizes — the qualitative gap the paper closes           *)
 (* ------------------------------------------------------------------ *)
 
-let messages_experiment () =
+let messages_experiment size =
   section
     "F.MSG -- maximum message size in bits (ABCP96 transformation vs this \
      paper)";
@@ -200,13 +176,13 @@ let messages_experiment () =
         run (fun cost g -> ignore (Strongdecomp.Netdecomp.weak ~cost g))
       in
       Format.fprintf fmt "%8d %12d %14d %14d %14d@." n bandwidth abcp ours weak)
-    (match mode with `Quick -> [ 128; 256 ] | _ -> [ 128; 256; 512; 1024 ])
+    (match size with Quick -> [ 128; 256 ] | _ -> [ 128; 256; 512; 1024 ])
 
 (* ------------------------------------------------------------------ *)
 (* F.BARRIER: Section 3 tightness                                       *)
 (* ------------------------------------------------------------------ *)
 
-let barrier_experiment () =
+let barrier_experiment size =
   section "F.BARRIER -- Lemma 3.1 on the subdivided expander vs the grid";
   Format.fprintf fmt
     "On the barrier graph either branch must be expensive: a balanced cut \
@@ -215,7 +191,7 @@ let barrier_experiment () =
   Format.fprintf fmt "%-9s %7s %-10s %10s %13s %9s %11s@." "family" "n"
     "outcome" "separator" "sep_scale" "diam(U)" "diam_scale";
   let sizes =
-    match mode with `Quick -> [ 512 ] | _ -> [ 512; 1024; 2048; 4096 ]
+    match size with Quick -> [ 512 ] | _ -> [ 512; 1024; 2048; 4096 ]
   in
   List.iter
     (fun n ->
@@ -239,11 +215,11 @@ let barrier_experiment () =
 (* F.LEMMA31: outcome census across the suite                           *)
 (* ------------------------------------------------------------------ *)
 
-let lemma31_experiment () =
+let lemma31_experiment size =
   section "F.LEMMA31 -- Lemma 3.1 outcomes across the workload suite";
   Format.fprintf fmt "%-10s %7s %-10s %10s %9s %10s@." "family" "n" "outcome"
     "separator" "diam(U)" "rounds";
-  let n = match mode with `Quick -> 256 | _ -> 1024 in
+  let n = match size with Quick -> 256 | _ -> 1024 in
   List.iter
     (fun (fam : Suite.family) ->
       let g = fam.Suite.build ~seed ~n in
@@ -269,13 +245,13 @@ let lemma31_experiment () =
 (* F.APPS: the C·D use template                                          *)
 (* ------------------------------------------------------------------ *)
 
-let apps_experiment () =
+let apps_experiment size =
   section
     "F.APPS -- MIS and (D+1)-coloring on top of Thm 2.3 decompositions, vs \
      Luby's randomized MIS (simulated)";
   Format.fprintf fmt "%-10s %7s %7s %7s %10s %10s %10s %8s@." "family" "n" "C"
     "D" "mis_rnds" "col_rnds" "luby_rnds" "valid";
-  let n = match mode with `Quick -> 256 | _ -> 1024 in
+  let n = match size with Quick -> 256 | _ -> 1024 in
   List.iter
     (fun (fam : Suite.family) ->
       let g = fam.Suite.build ~seed ~n in
@@ -307,7 +283,7 @@ let apps_experiment () =
 (* F.SIM: the genuinely distributed execution vs the cost model          *)
 (* ------------------------------------------------------------------ *)
 
-let sim_experiment () =
+let sim_experiment size =
   section
     "F.SIM -- weak carving executed round-by-round on the synchronous \
      simulator";
@@ -321,8 +297,8 @@ let sim_experiment () =
   Format.fprintf fmt "%-8s %5s %-6s %6s %10s %12s %8s %8s@." "family" "n"
     "preset" "match" "sim_rounds" "model_rounds" "maxbits" "bandw";
   let graphs =
-    match mode with
-    | `Quick -> [ ("grid", Gen.grid 5 5); ("er", Suite.erdos_renyi.Suite.build ~seed ~n:24) ]
+    match size with
+    | Quick -> [ ("grid", Gen.grid 5 5); ("er", Suite.erdos_renyi.Suite.build ~seed ~n:24) ]
     | _ ->
         [
           ("path", Gen.path 48);
@@ -362,8 +338,8 @@ let sim_experiment () =
         stats.Strongdecomp.Transform_distributed.weak_rounds
         stats.Strongdecomp.Transform_distributed.ball_rounds
         stats.Strongdecomp.Transform_distributed.max_bits)
-    (match mode with
-    | `Quick -> [ ("grid", Gen.grid 5 5) ]
+    (match size with
+    | Quick -> [ ("grid", Gen.grid 5 5) ]
     | _ ->
         [
           ("path", Gen.path 40);
@@ -375,7 +351,7 @@ let sim_experiment () =
 (* Shape check: measured / theory-formula ratios across the n sweep      *)
 (* ------------------------------------------------------------------ *)
 
-let shape_check rows2 =
+let shape_check size rows2 =
   section
     "Shape check -- measured rounds and diameter divided by the paper's \
      formula (path family, eps = 1/2)";
@@ -386,8 +362,8 @@ let shape_check rows2 =
      ratio; a ratio growing with n would flag@.an order violation. None \
      grows.@.@.";
   Format.fprintf fmt "%-10s" "algo";
-  List.iter (fun n -> Format.fprintf fmt "  D/thy@%-6d" n) table2_sizes;
-  List.iter (fun n -> Format.fprintf fmt "  R/thy@%-6d" n) table2_sizes;
+  List.iter (fun n -> Format.fprintf fmt "  D/thy@%-6d" n) (table_sizes size);
+  List.iter (fun n -> Format.fprintf fmt "  R/thy@%-6d" n) (table_sizes size);
   Format.fprintf fmt "@.";
   List.iter
     (fun (trow : Workload.Theory.row) ->
@@ -415,7 +391,7 @@ let shape_check rows2 =
                 in
                 Some
                   (Workload.Theory.ratio trow which ~n ~epsilon:0.5 ~measured))
-          table2_sizes
+          (table_sizes size)
       in
       let ds = cells `Diameter and rs = cells `Rounds in
       if List.exists Option.is_some ds then begin
@@ -434,7 +410,7 @@ let shape_check rows2 =
 (* Ablations: the design choices DESIGN.md calls out                     *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_presets () =
+let ablation_presets size =
   section
     "ABLATION A1 -- weak-engine preset inside Theorem 2.2 (RG20 guarantees \
      vs GGR21 parameters)";
@@ -447,7 +423,7 @@ let ablation_presets () =
      depth. The strong diameter@.inherits 2R + O(log n/eps).@.@.";
   Format.fprintf fmt "%-9s %7s %-8s %7s %7s %7s %12s@." "family" "n" "preset"
     "sDiam" "dead%" "steps" "rounds";
-  let sizes = match mode with `Quick -> [ 1024 ] | _ -> [ 1024; 4096 ] in
+  let sizes = match size with Quick -> [ 1024 ] | _ -> [ 1024; 4096 ] in
   List.iter
     (fun n ->
       List.iter
@@ -470,7 +446,7 @@ let ablation_presets () =
         ])
     sizes
 
-let ablation_epsilon_split () =
+let ablation_epsilon_split size =
   section
     "ABLATION A2 -- Theorem 2.1's eps' = eps/(2 log n) split, probed by \
      feeding the weak engine directly at eps vs eps/(2 log n)";
@@ -480,7 +456,7 @@ let ablation_epsilon_split () =
      trees below.@.@.";
   Format.fprintf fmt "%-9s %7s %14s %10s %10s@." "family" "n" "eps'" "depth R"
     "dead%";
-  let n = match mode with `Quick -> 512 | _ -> 4096 in
+  let n = match size with Quick -> 512 | _ -> 4096 in
   let g = Suite.path.Suite.build ~seed ~n in
   let log2n =
     int_of_float (Float.ceil (log (float_of_int n) /. log 2.0))
@@ -497,7 +473,7 @@ let ablation_epsilon_split () =
         0.5 /. float_of_int (2 * log2n) );
     ]
 
-let ablation_colors_vs_eps () =
+let ablation_colors_vs_eps size =
   section
     "ABLATION A4 -- colors vs per-repetition boundary parameter in the \
      LS93 reduction";
@@ -507,7 +483,7 @@ let ablation_colors_vs_eps () =
      below eps, so colors barely@.move and the visible trade is the \
      1/eps factor in per-cluster diameter and rounds.@.@.";
   Format.fprintf fmt "%8s %8s %8s %8s@." "eps" "colors" "sDiam" "rounds";
-  let n = match mode with `Quick -> 256 | _ -> 1024 in
+  let n = match size with Quick -> 256 | _ -> 1024 in
   let g = Suite.path.Suite.build ~seed ~n in
   List.iter
     (fun epsilon ->
@@ -523,11 +499,11 @@ let ablation_colors_vs_eps () =
         (Congest.Cost.rounds cost))
     [ 0.75; 0.5; 0.25 ]
 
-let ablation_apps_extra () =
+let ablation_apps_extra size =
   section
     "ABLATION A3 -- further decomposition consumers: spanner and expander \
      decomposition";
-  let n = match mode with `Quick -> 256 | _ -> 1024 in
+  let n = match size with Quick -> 256 | _ -> 1024 in
   Format.fprintf fmt "%-10s %7s %9s %9s %12s %10s@." "family" "n"
     "spn_edges" "stretch" "xdecomp_k" "cut_frac";
   List.iter
@@ -559,21 +535,14 @@ let faults_experiment () =
      reported). Overhead is outer rounds vs the fault-free@.unwrapped \
      baseline.@.@.";
   let sweeps =
-    match mode with
-    | `Quick ->
-        [
-          (Workload.Faults.Ls, "path", 64, 0.5);
-          (Workload.Faults.Weakdiam, "grid", 25, 0.5);
-        ]
-    | _ ->
-        [
-          (Workload.Faults.Ls, "path", 128, 0.5);
-          (Workload.Faults.Ls, "er", 128, 0.5);
-          (Workload.Faults.Ls, "reg4", 256, 0.5);
-          (Workload.Faults.Weakdiam, "grid", 49, 0.5);
-          (Workload.Faults.Weakdiam, "er", 48, 0.5);
-          (Workload.Faults.Weakdiam, "path", 64, 0.5);
-        ]
+    [
+      (Workload.Faults.Ls, "path", 128, 0.5);
+      (Workload.Faults.Ls, "er", 128, 0.5);
+      (Workload.Faults.Ls, "reg4", 256, 0.5);
+      (Workload.Faults.Weakdiam, "grid", 49, 0.5);
+      (Workload.Faults.Weakdiam, "er", 48, 0.5);
+      (Workload.Faults.Weakdiam, "path", 64, 0.5);
+    ]
   in
   let rows =
     List.concat_map
@@ -591,540 +560,239 @@ let faults_experiment () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suite: one Test.make per table/figure             *)
+(* Wall-clock timing: one group per table/figure                         *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_suite () =
-  section "Wall-clock timing (bechamel, monotonic clock, ~0.5 s per test)";
-  let open Bechamel in
-  let open Toolkit in
-  let n = match mode with `Quick -> 256 | _ -> 1024 in
+let timing_suite size =
+  section "Wall-clock timing (Workload.Stats: median +- MAD of 5 runs)";
+  let n = match size with Quick -> 256 | _ -> 1024 in
   let path = Suite.path.Suite.build ~seed ~n in
   let grid = Suite.grid.Suite.build ~seed ~n in
   let er = Suite.erdos_renyi.Suite.build ~seed ~n in
-  let test_table1 =
-    Test.make_grouped ~name:"table1" ~fmt:"%s %s"
-      [
-        Test.make ~name:"thm2.3/path"
-          (Staged.stage (fun () -> Strongdecomp.Netdecomp.strong path));
-        Test.make ~name:"thm3.4/path"
-          (Staged.stage (fun () -> Strongdecomp.Netdecomp.strong_improved path));
-        Test.make ~name:"ls93/path"
-          (Staged.stage (fun () ->
-               Baseline.Linial_saks.decompose (Rng.create 1) path));
-        Test.make ~name:"mpx/path"
-          (Staged.stage (fun () -> Baseline.Mpx.decompose (Rng.create 1) path));
-      ]
-  in
-  let test_table2 =
-    Test.make_grouped ~name:"table2" ~fmt:"%s %s"
-      [
-        Test.make ~name:"thm2.2/grid"
-          (Staged.stage (fun () ->
-               Strongdecomp.Strong_carving.carve grid ~epsilon:0.5));
-        Test.make ~name:"thm3.3/grid"
-          (Staged.stage (fun () ->
-               Strongdecomp.Strong_carving.carve_improved grid ~epsilon:0.5));
-        Test.make ~name:"ggr21/grid"
-          (Staged.stage (fun () -> Weakdiam.Weak_carving.carve grid ~epsilon:0.5));
-        Test.make ~name:"rg20/grid"
-          (Staged.stage (fun () ->
-               Weakdiam.Weak_carving.carve ~preset:Weakdiam.Weak_carving.Rg20
-                 grid ~epsilon:0.5));
-      ]
-  in
-  let test_figures =
-    Test.make_grouped ~name:"figures" ~fmt:"%s %s"
-      [
-        Test.make ~name:"lemma3.1/grid"
-          (Staged.stage (fun () ->
-               Strongdecomp.Sparse_cut.run ~epsilon:0.5 grid
-                 ~domain:(Mask.full (Graph.n grid))));
-        Test.make ~name:"mis/er" (Staged.stage (fun () -> Apps.Mis.run er));
-        Test.make ~name:"edge_carving/grid"
-          (Staged.stage (fun () ->
-               Strongdecomp.Edge_carving.carve grid ~epsilon:0.25));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  Format.fprintf fmt "%-26s %14s@." "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-      List.iter
-        (fun name ->
-          let est = Hashtbl.find results name in
-          let value =
-            match Analyze.OLS.estimates est with
-            | Some [ v ] -> v
-            | _ -> Float.nan
-          in
-          let pretty =
-            if value > 1e9 then Printf.sprintf "%.2f s" (value /. 1e9)
-            else if value > 1e6 then Printf.sprintf "%.2f ms" (value /. 1e6)
-            else Printf.sprintf "%.0f ns" value
-          in
-          Format.fprintf fmt "%-26s %14s@." name pretty)
-        (List.sort compare names))
-    [ test_table1; test_table2; test_figures ]
-
-(* ------------------------------------------------------------------ *)
-(* T.TRACE: observability overhead                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* median wall-clock of [reps] runs of [f] *)
-let median_seconds ~reps f =
-  let samples =
-    List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  let sorted = List.sort compare samples in
-  List.nth sorted (reps / 2)
-
-let trace_experiment () =
-  section
-    "T.TRACE -- wall-clock overhead of the per-round event sink on \
-     simulator-heavy workloads";
-  Format.fprintf fmt
-    "Each workload runs with no sink (off), with a sink attached (on), \
-     then with no@.sink again (off2, the noise floor). The observability \
-     contract is: 'off' pays@.nothing — the hot path only tests an option \
-     — and 'on' stays within a few@.percent. overhead%% = (on - off) / \
-     off; compare it against the floor.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
-  let er = Suite.erdos_renyi.Suite.build ~seed ~n:96 in
-  let grid = Gen.grid 8 8 in
-  (* iters batches sub-millisecond workloads so one sample rises above
-     timer noise; each traced iteration gets a fresh sink *)
-  let workloads =
+  let run f () = ignore (Sys.opaque_identity (f ())) in
+  let tests =
     [
-      ( "leader_election/er96",
-        200,
-        fun trace -> ignore (Congest.Programs.leader_election ?trace er) );
-      ( "bfs/er96",
-        200,
-        fun trace -> ignore (Congest.Programs.bfs ?trace er ~source:0) );
-      ( "weak_carve_sim/grid64",
-        2,
-        fun trace ->
-          ignore (Weakdiam.Distributed.carve ?trace grid ~epsilon:0.5) );
+      ("table1 thm2.3/path", run (fun () -> Strongdecomp.Netdecomp.strong path));
+      ( "table1 thm3.4/path",
+        run (fun () -> Strongdecomp.Netdecomp.strong_improved path) );
+      ( "table1 ls93/path",
+        run (fun () -> Baseline.Linial_saks.decompose (Rng.create 1) path) );
+      ("table1 mpx/path", run (fun () -> Baseline.Mpx.decompose (Rng.create 1) path));
+      ( "table2 thm2.2/grid",
+        run (fun () -> Strongdecomp.Strong_carving.carve grid ~epsilon:0.5) );
+      ( "table2 thm3.3/grid",
+        run (fun () ->
+            Strongdecomp.Strong_carving.carve_improved grid ~epsilon:0.5) );
+      ( "table2 ggr21/grid",
+        run (fun () -> Weakdiam.Weak_carving.carve grid ~epsilon:0.5) );
+      ( "table2 rg20/grid",
+        run (fun () ->
+            Weakdiam.Weak_carving.carve ~preset:Weakdiam.Weak_carving.Rg20 grid
+              ~epsilon:0.5) );
+      ( "figures lemma3.1/grid",
+        run (fun () ->
+            Strongdecomp.Sparse_cut.run ~epsilon:0.5 grid
+              ~domain:(Mask.full (Graph.n grid))) );
+      ("figures mis/er", run (fun () -> Apps.Mis.run er));
+      ( "figures edge_carving/grid",
+        run (fun () -> Strongdecomp.Edge_carving.carve grid ~epsilon:0.25) );
     ]
+  in
+  let pretty s =
+    if s >= 1.0 then Printf.sprintf "%.2f s" s
+    else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
+    else Printf.sprintf "%.0f us" (s *. 1e6)
+  in
+  Format.fprintf fmt "%-26s %14s %12s@." "benchmark" "time/run" "mad";
+  List.iter
+    (fun (name, f) ->
+      let (), t = Workload.Stats.measure f in
+      Format.fprintf fmt "%-26s %14s %12s@." name
+        (pretty t.Workload.Stats.median)
+        (pretty t.Workload.Stats.mad))
+    tests
+
+(* ------------------------------------------------------------------ *)
+(* Instrumentation overhead: one table, one driver                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every observability layer (event trace, phase spans, conformance
+   verifier, causal analyzer, resource recorder) is budgeted by the same
+   experiment: the workload with the layer off, on, then off again as
+   the noise floor (Workload.Stats.overhead). A row's [run ~on] is one
+   iteration; [iters] of them form a timed batch, so sub-millisecond
+   message pumps rise above timer noise. *)
+type overhead_row = {
+  layer : string;
+  workload : string;
+  iters : int;
+  run : on:bool -> unit;
+}
+
+(* A workload is (name, graph, iterations per batch, one execution with
+   the optional instruments attached). *)
+let overhead_table () =
+  let er = Suite.erdos_renyi.Suite.build ~seed ~n:96 in
+  let grid = Gen.grid 8 8 and grid256 = Gen.grid 16 16 in
+  let leader =
+    ( "leader_election/er96",
+      er,
+      200,
+      fun ~conformance trace ->
+        ignore (Congest.Programs.leader_election ?conformance ?trace er) )
+  and bfs =
+    ( "bfs/er96",
+      er,
+      200,
+      fun ~conformance trace ->
+        ignore (Congest.Programs.bfs ?conformance ?trace er ~source:0) )
+  and sim =
+    ( "weak_carve_sim/grid64",
+      grid,
+      2,
+      fun ~conformance trace ->
+        ignore
+          (Weakdiam.Distributed.carve ?conformance ?trace grid ~epsilon:0.5) )
+  in
+  (* the strong engine runs no node program, so it takes no verifier *)
+  let strong name g =
+    ( name,
+      g,
+      2,
+      fun ~conformance:_ trace ->
+        let cost = Congest.Cost.create ?trace () in
+        ignore (Strongdecomp.Netdecomp.strong ~cost g) )
+  in
+  let row layer ?(suffix = "") (name, _, iters, _) run =
+    { layer; workload = name ^ suffix; iters; run }
+  in
+  let exec (_, _, _, exec) trace = exec ~conformance:None trace in
+  (* off: no sink; on: a sink, cleared per iteration *)
+  let trace w =
+    let sink = Congest.Trace.sink () in
+    row "trace" w (fun ~on ->
+        if on then begin
+          Congest.Trace.clear sink;
+          exec w (Some sink)
+        end
+        else exec w None)
+  in
+  (* off: a tracing-only sink; on: the default sink, spans recorded *)
+  let span w =
+    let plain = Congest.Trace.sink ~spans:false ()
+    and spanned = Congest.Trace.sink () in
+    row "span" w (fun ~on ->
+        let sink = if on then spanned else plain in
+        Congest.Trace.clear sink;
+        exec w (Some sink))
+  in
+  (* off: a traced run; on: the program also wrapped by the verifier,
+     which under [order_invariant] re-runs every multi-message round on
+     the reversed inbox (rows marked OI) *)
+  let conform ~order_invariant ((_, g, _, exec) as w) =
+    let sink = Congest.Trace.sink () and rec_ = Congest.Conformance.recorder () in
+    let inst = Congest.Conformance.instrumentor ~order_invariant rec_ g in
+    row "conform" w
+      ~suffix:(if order_invariant then " OI" else "")
+      (fun ~on ->
+        Congest.Trace.clear sink;
+        Congest.Conformance.clear rec_;
+        exec ~conformance:(if on then Some inst else None) (Some sink))
+  in
+  (* off: a traced run; on: the same run, then the critical-path replay
+     of its stream *)
+  let causal w =
+    let sink = Congest.Trace.sink () in
+    row "causal" w (fun ~on ->
+        Congest.Trace.clear sink;
+        exec w (Some sink);
+        if on then begin
+          let t = Congest.Causal.analyze sink in
+          ignore (Congest.Causal.span_breakdown sink t)
+        end)
+  in
+  (* off: spans only; on: a fresh recorder sampling the clock and GC at
+     every span transition. Trace.clear detaches the previous one. *)
+  let resource w =
+    let sink = Congest.Trace.sink () in
+    row "resource" w (fun ~on ->
+        Congest.Trace.clear sink;
+        if on then Resource.attach (Resource.create ()) sink;
+        exec w (Some sink))
+  in
+  [
+    trace leader;
+    trace bfs;
+    trace sim;
+    span sim;
+    span (strong "thm2.3/grid64" grid);
+    conform ~order_invariant:true leader;
+    conform ~order_invariant:false bfs;
+    conform ~order_invariant:false sim;
+    causal sim;
+    causal (strong "thm2.3/grid256" grid256);
+    resource sim;
+    (* the strong engine is span-dense but fast: grid256 makes the batch
+       long enough for the median to mean something *)
+    resource (strong "thm2.3/grid256" grid256);
+  ]
+
+let overhead_layers = [ "trace"; "span"; "conform"; "causal"; "resource" ]
+
+let results_dir = "bench_results"
+
+(* writes bench_results/<name>; false (after saying so) when it cannot *)
+let write_result name contents =
+  try
+    if not (Sys.file_exists results_dir) then Unix.mkdir results_dir 0o755;
+    let oc = open_out (Filename.concat results_dir name) in
+    output_string oc contents;
+    close_out oc;
+    true
+  with Sys_error e ->
+    Format.fprintf fmt "@.(skipping CSV dump: %s)@." e;
+    false
+
+let run_overhead layer ~quick =
+  section
+    (Printf.sprintf
+       "%s overhead -- wall clock with the layer off, on, and off again" layer);
+  Format.fprintf fmt
+    "overhead%% = (on - off) / off on medians; floor%% = (off2 - off) / off \
+     is the@.noise the overhead has to be read against.@.@.";
+  let plan =
+    { Workload.Stats.default_plan with samples = (if quick then 5 else 15) }
   in
   Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
     "off(s)" "on(s)" "off2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let sink = Congest.Trace.sink () in
-        let batch trace () =
-          for _ = 1 to iters do
-            if trace then begin
-              Congest.Trace.clear sink;
-              exec (Some sink)
-            end
-            else exec None
+  let csv = Buffer.create 512 in
+  Buffer.add_string csv
+    "workload,layer,reps,base_seconds,layer_seconds,base2_seconds,base_mad,layer_mad,overhead_pct,floor_pct\n";
+  List.iter
+    (fun r ->
+      if r.layer = layer then begin
+        let batch on () =
+          for _ = 1 to r.iters do
+            r.run ~on
           done
         in
-        (* warm-up, excluded from the samples *)
-        batch false ();
-        let off = median_seconds ~reps (batch false) in
-        let on = median_seconds ~reps (batch true) in
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
+        let o =
+          Workload.Stats.overhead ~plan ~base:(batch false) ~layer:(batch true)
+            ()
+        in
+        let open Workload.Stats in
         Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
-
-(* T.SPAN: the tentpole acceptance number — spans must cost a few percent
-   at most over tracing alone, since every enter/exit only pushes one
-   packed event and touches two float cells *)
-let span_overhead_experiment () =
-  section
-    "T.SPAN -- wall-clock overhead of phase spans over tracing alone";
-  Format.fprintf fmt
-    "Both columns attach a sink; 'trace' disables spans (~spans:false), \
-     'spans' is the@.default sink with the full phase hierarchy recorded. \
-     trace2 re-runs the@.tracing-only batch as the noise floor. The budget \
-     is overhead%% <= 5.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 15 in
-  let grid = Gen.grid 8 8 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      ( "thm2.3/grid64",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid) );
-    ]
-  in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "trace(s)" "spans(s)" "trace2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let plain = Congest.Trace.sink ~spans:false () in
-        let spanned = Congest.Trace.sink () in
-        let batch sink () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            exec sink
-          done
-        in
-        (* warm both variants so neither pays cold caches *)
-        batch spanned ();
-        batch plain ();
-        let off = median_seconds ~reps (batch plain) in
-        let on = median_seconds ~reps (batch spanned) in
-        let off2 = median_seconds ~reps (batch plain) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
-
-(* M.RES: wall-clock overhead of the resource recorder over spans alone.
-   Every span enter/exit additionally reads the clock plus the GC
-   counters and charges one delta — the budget is overhead% <= 5 on the
-   span-dense simulator workload, and CI gates on it (resource mode). *)
-let resource_overhead_experiment () =
-  section
-    "M.RES -- wall-clock overhead of the resource recorder over spans alone";
-  Format.fprintf fmt
-    "Both columns attach a default (spans-enabled) sink; 'resources' \
-     additionally@.attaches a fresh Congest.Resource recorder per \
-     iteration, so every span@.transition samples the clock and the GC \
-     counters. spans2 re-runs the@.spans-only batch as the noise floor. \
-     The budget is overhead%% <= 5.@.@.";
-  let reps = if resource_quick then 5 else 15 in
-  let grid = Gen.grid 8 8 in
-  let grid16 = Gen.grid 16 16 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      (* the strong engine is span-dense but fast: run it on grid256 so
-         the batch is long enough for the median to mean something *)
-      ( "thm2.3/grid256",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid16) );
-    ]
-  in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "spans(s)" "resources" "spans2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let sink = Congest.Trace.sink () in
-        (* Trace.clear resets the hooks, so the spans-only batches run
-           with no recorder attached even after a resourced batch *)
-        let batch resourced () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            if resourced then Resource.attach (Resource.create ()) sink;
-            exec sink
-          done
-        in
-        batch true ();
-        batch false ();
-        (* settle the heap between batches so one column does not pay
-           the major collections of the previous column's garbage *)
-        let settle () = Gc.full_major () in
-        settle ();
-        let off = median_seconds ~reps (batch false) in
-        settle ();
-        let on = median_seconds ~reps (batch true) in
-        settle ();
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
-
-let run_resource_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = resource_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "resource_overhead.csv") in
-     output_string oc
-       "workload,reps,spans_seconds,resources_seconds,spans2_seconds,overhead_pct,floor_pct\n";
-     List.iter
-       (fun (name, reps, off, on, off2, overhead, floor) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-              on off2 overhead floor))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/resource_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
-(* C.CONF: wall-clock cost of the model-invariant verifier's per-round
-   instrumentation over a plain traced run. The always-on checks (edge
-   discipline + halt monotonicity) must stay within the ~10% budget;
-   order-invariant workloads additionally re-run every multi-message
-   round on the reversed inbox, which deliberately doubles round work,
-   so they are labeled and judged separately. *)
-let conform_overhead_experiment () =
-  section
-    "C.CONF -- wall-clock overhead of conformance instrumentation over \
-     tracing alone";
-  Format.fprintf fmt
-    "Both columns attach a sink; 'verified' additionally wraps the \
-     program in@.Congest.Conformance.instrument. traced2 re-runs the \
-     tracing-only batch as the@.noise floor. Budget: overhead%% <= 10 for \
-     the (c)-(d) checks; rows marked OI@.also pay the inbox-reversal \
-     re-run of invariant (e).@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
-  let er = Suite.erdos_renyi.Suite.build ~seed ~n:96 in
-  let grid = Gen.grid 8 8 in
-  let workloads =
-    [
-      ( "leader_election/er96 OI",
-        200,
-        Some true,
-        fun conformance trace ->
-          ignore (Congest.Programs.leader_election ?conformance ?trace er) );
-      ( "bfs/er96",
-        200,
-        Some false,
-        fun conformance trace ->
-          ignore (Congest.Programs.bfs ?conformance ?trace er ~source:0) );
-      ( "weak_carve_sim/grid64",
-        2,
-        Some false,
-        fun conformance trace ->
-          ignore (Weakdiam.Distributed.carve ?conformance ?trace grid ~epsilon:0.5)
-      );
-    ]
-  in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "traced(s)" "verified" "traced2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, order_invariant, exec) ->
-        let sink = Congest.Trace.sink () in
-        let rec_ = Congest.Conformance.recorder () in
-        let g = if name = "weak_carve_sim/grid64" then grid else er in
-        let inst =
-          Congest.Conformance.instrumentor ?order_invariant rec_ g
-        in
-        let batch verified () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            Congest.Conformance.clear rec_;
-            exec (if verified then Some inst else None) (Some sink)
-          done
-        in
-        batch true ();
-        batch false ();
-        let off = median_seconds ~reps (batch false) in
-        let on = median_seconds ~reps (batch true) in
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
-
-(* sample artifacts so a bench run leaves an inspectable event stream *)
-let trace_artifacts () =
-  let grid = Gen.grid 8 8 in
-  let sink = Congest.Trace.sink () in
-  ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5);
-  let jsonl =
-    Congest.Trace.save ~file:"trace_weak_carve_grid64.jsonl" sink
-  in
-  let metrics = Congest.Metrics.of_trace sink in
-  let files =
-    Congest.Metrics.save ~prefix:"trace_weak_carve_grid64" metrics
-  in
-  Format.fprintf fmt "@.sample event stream -> %s (%d events)@." jsonl
-    (Congest.Trace.length sink);
-  List.iter (Format.fprintf fmt "sample metrics -> %s@.") files
-
-let run_trace_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = trace_experiment () in
-  let span_rows = span_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let dump file header rows =
-       let oc = open_out (Filename.concat dir file) in
-       output_string oc header;
-       List.iter
-         (fun (name, reps, off, on, off2, overhead, floor) ->
-           output_string oc
-             (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-                on off2 overhead floor))
-         rows;
-       close_out oc
-     in
-     dump "trace_overhead.csv"
-       "workload,reps,off_seconds,on_seconds,off2_seconds,overhead_pct,floor_pct\n"
-       rows;
-     dump "span_overhead.csv"
-       "workload,reps,trace_seconds,spans_seconds,trace2_seconds,overhead_pct,floor_pct\n"
-       span_rows;
-     trace_artifacts ();
-     Format.fprintf fmt
-       "@.CSV dumps written to bench_results/{trace,span}_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
-let run_conform_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = conform_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "conform_overhead.csv") in
-     output_string oc
-       "workload,reps,traced_seconds,verified_seconds,traced2_seconds,overhead_pct,floor_pct\n";
-     List.iter
-       (fun (name, reps, off, on, off2, overhead, floor) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-              on off2 overhead floor))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/conform_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
-(* A.CAUSAL: replay cost of the happens-before analyzer, relative to the
-   traced run that produced the event stream. Analysis is a pure
-   consumer (two Trace.iter passes plus the span replay), so the budget
-   is a fraction of the run itself: analyze <= 10% of run. *)
-let causal_experiment () =
-  section
-    "A.CAUSAL -- replay cost of the causal critical-path analyzer over \
-     the traced run";
-  Format.fprintf fmt
-    "'run' executes the workload with a sink attached; 'analyze' replays \
-     the recorded@.stream (Causal.analyze + span_breakdown) without \
-     re-running anything. Budget:@.overhead%% = analyze / run <= 10.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
-  let grid = Gen.grid 8 8 in
-  let grid256 = Gen.grid 16 16 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      ( "thm2.3/grid256",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid256) );
-    ]
-  in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %16s@." "workload" "reps"
-    "run(s)" "analyze(s)" "overhead%" "critical/rounds";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let sink = Congest.Trace.sink () in
-        let run_batch () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            exec sink
-          done
-        in
-        let analyze_batch () =
-          for _ = 1 to iters do
-            let t = Congest.Causal.analyze sink in
-            ignore (Congest.Causal.span_breakdown sink t)
-          done
-        in
-        (* warm-up also leaves the sink holding one full run's stream
-           for the analyze batches to replay *)
-        run_batch ();
-        analyze_batch ();
-        let run_s = median_seconds ~reps run_batch in
-        let analyze_s = median_seconds ~reps analyze_batch in
-        let overhead = 100.0 *. analyze_s /. Float.max run_s 1e-9 in
-        let t = Congest.Causal.analyze sink in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.2f %16s@." name reps
-          run_s analyze_s overhead
-          (Printf.sprintf "%d/%d%s" t.Congest.Causal.critical_rounds
-             t.Congest.Causal.rounds
-             (if t.Congest.Causal.exact then "" else " ~"));
-        ( name,
-          reps,
-          run_s,
-          analyze_s,
-          overhead,
-          t.Congest.Causal.critical_rounds,
-          t.Congest.Causal.rounds ))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
-
-let run_causal_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = causal_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "causal_overhead.csv") in
-     output_string oc
-       "workload,reps,run_seconds,analyze_seconds,overhead_pct,critical_rounds,rounds\n";
-     List.iter
-       (fun (name, reps, run_s, analyze_s, overhead, critical, rounds) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.3f,%d,%d\n" name reps run_s
-              analyze_s overhead critical rounds))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/causal_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+          r.workload plan.samples o.base.median o.layer.median o.base2.median
+          o.overhead_pct o.floor_pct;
+        Buffer.add_string csv
+          (Printf.sprintf "%s,%s,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.3f,%.3f\n"
+             r.workload layer plan.samples o.base.median o.layer.median
+             o.base2.median o.base.mad o.layer.mad o.overhead_pct o.floor_pct)
+      end)
+    (overhead_table ());
+  let file = layer ^ "_overhead.csv" in
+  if write_result file (Buffer.contents csv) then
+    Format.fprintf fmt "@.CSV dump written to %s/%s@." results_dir file
 
 (* ------------------------------------------------------------------ *)
 (* B.CHAOS: seeded chaos sweep + repair-cost headline                    *)
@@ -1157,7 +825,7 @@ let repair_trial ~trial =
   (match Repair.verify_cert ~prev:session ~post rep.Repair.cert with
   | Ok () -> ()
   | Error e -> failwith ("repair headline certificate rejected: " ^ e));
-  let t0 = Unix.gettimeofday () in
+  let t0 = Resource.now () in
   let survivors = Mask.to_list (Cluster.Repair.survivors s'.Repair.state) in
   let sub, _back = Subgraph.induce post survivors in
   let labels, lcolors =
@@ -1178,17 +846,11 @@ let repair_trial ~trial =
   (match Audit.verify sub audit with
   | Ok () -> ()
   | Error e -> failwith ("repair headline scratch audit rejected: " ^ e));
-  let scratch_seconds = Unix.gettimeofday () -. t0 in
+  let scratch_seconds = Resource.now () -. t0 in
   (rep, !region_edges, scratch_seconds)
 
-let median3 a b c =
-  match List.sort compare [ a; b; c ] with
-  | [ _; m; _ ] -> m
-  | _ -> assert false
-
-let run_chaos_only () =
-  let t0 = Unix.gettimeofday () in
-  let count = if chaos_quick then 25 else 200 in
+let run_chaos ~quick =
+  let count = if quick then 25 else 200 in
   section
     (Printf.sprintf
        "B.CHAOS -- %d seeded fault schedules through detect -> repair -> \
@@ -1255,9 +917,9 @@ let run_chaos_only () =
   section
     "B.REPAIR -- grid256/greedy single-crash headline (median of 3 trials)";
   let trials = List.map (fun t -> (t, repair_trial ~trial:t)) [ 1; 2; 3 ] in
-  let med f = match trials with
-    | [ (_, a); (_, b); (_, c) ] -> median3 (f a) (f b) (f c)
-    | _ -> assert false
+  let med f =
+    (Workload.Stats.summarize (List.map (fun (_, t) -> f t) trials))
+      .Workload.Stats.median
   in
   let med_repair = med (fun (rep, _, _) -> rep.Repair.seconds) in
   let med_scratch = med (fun (_, _, s) -> s) in
@@ -1270,37 +932,30 @@ let run_chaos_only () =
   let headline_ok = med_touched <= 0.25 && ratio <= 0.50 in
   Format.fprintf fmt "headline: %s@."
     (if headline_ok then "PASS" else "FAIL");
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let write name contents =
-       let oc = open_out (Filename.concat dir name) in
-       output_string oc contents;
-       close_out oc
-     in
-     write "chaos.csv" (Chaos.csv rows);
-     let buf = Buffer.create 512 in
-     Buffer.add_string buf
-       "workload,trial,dirty,carried,fresh,touched,touched_fraction,region_edges,repair_seconds,scratch_seconds,cost_ratio\n";
-     List.iter
-       (fun (t, (rep, edges, scratch_s)) ->
-         Buffer.add_string buf
-           (Printf.sprintf "repair/greedy_grid256,%d,%d,%d,%d,%d,%.4f,%d,%.6f,%.6f,%.3f\n"
-              t rep.Repair.dirty_clusters rep.Repair.carried_clusters
-              rep.Repair.fresh_clusters rep.Repair.touched_nodes
-              rep.Repair.touched_fraction edges rep.Repair.seconds scratch_s
-              (rep.Repair.seconds /. Float.max 1e-9 scratch_s)))
-       trials;
-     Buffer.add_string buf
-       (Printf.sprintf "repair/greedy_grid256,median,,,,,%.4f,,%.6f,%.6f,%.3f\n"
-          med_touched med_repair med_scratch ratio);
-     write "repair_cost.csv" (Buffer.contents buf);
-     Format.fprintf fmt
-       "@.CSV dumps written to %s/chaos.csv and %s/repair_cost.csv@." dir dir
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0);
-  if failures <> [] || not headline_ok then exit 1
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    "workload,trial,dirty,carried,fresh,touched,touched_fraction,region_edges,repair_seconds,scratch_seconds,cost_ratio\n";
+  List.iter
+    (fun (t, (rep, edges, scratch_s)) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "repair/greedy_grid256,%d,%d,%d,%d,%d,%.4f,%d,%.6f,%.6f,%.3f\n" t
+           rep.Repair.dirty_clusters rep.Repair.carried_clusters
+           rep.Repair.fresh_clusters rep.Repair.touched_nodes
+           rep.Repair.touched_fraction edges rep.Repair.seconds scratch_s
+           (rep.Repair.seconds /. Float.max 1e-9 scratch_s)))
+    trials;
+  Buffer.add_string buf
+    (Printf.sprintf "repair/greedy_grid256,median,,,,,%.4f,,%.6f,%.6f,%.3f\n"
+       med_touched med_repair med_scratch ratio);
+  if
+    write_result "chaos.csv" (Chaos.csv rows)
+    && write_result "repair_cost.csv" (Buffer.contents buf)
+  then
+    Format.fprintf fmt
+      "@.CSV dumps written to %s/chaos.csv and %s/repair_cost.csv@."
+      results_dir results_dir;
+  failures = [] && headline_ok
 
 (* ------------------------------------------------------------------ *)
 (* B.RECORD: persistent headline-metrics time series                     *)
@@ -1427,8 +1082,25 @@ let compare_snapshots ~old_line ~new_line =
 
 let fingerprint = lazy (Workload.Stats.current_fingerprint ())
 
-let run_record_only () =
-  let t0 = Unix.gettimeofday () in
+(* appends [entries] to BENCH_trajectory.json as one snapshot and
+   compares it with the previous one: [Some regressions], or [None] for
+   the first snapshot *)
+let append_snapshot ?(kind = "snapshot") entries =
+  let line =
+    Trajectory.snapshot_json
+      ~fingerprint:(Lazy.force fingerprint)
+      ~time:(Unix.time ()) entries
+  in
+  let prev = read_trajectory () in
+  Trajectory.write trajectory_path (prev @ [ line ]);
+  Format.fprintf fmt "appended %s %d to %s@." kind
+    (List.length prev + 1)
+    trajectory_path;
+  match List.rev prev with
+  | last :: _ -> Some (compare_snapshots ~old_line:last ~new_line:line)
+  | [] -> None
+
+let run_record () =
   section
     "B.RECORD -- headline-metrics snapshot appended to BENCH_trajectory.json";
   let entries = record_entries () in
@@ -1445,24 +1117,13 @@ let run_record_only () =
     entries;
   Format.fprintf fmt "@.environment: %a@." Workload.Stats.pp_fingerprint
     (Lazy.force fingerprint);
-  let line =
-    Trajectory.snapshot_json
-      ~fingerprint:(Lazy.force fingerprint)
-      ~time:(Unix.time ()) entries
-  in
-  let prev = read_trajectory () in
-  Trajectory.write trajectory_path (prev @ [ line ]);
-  Format.fprintf fmt "appended snapshot %d to %s@."
-    (List.length prev + 1)
-    trajectory_path;
-  (match List.rev prev with
-  | last :: _ ->
-      if compare_snapshots ~old_line:last ~new_line:line = 0 then
-        Format.fprintf fmt "no significant regressions vs the previous \
-                            snapshot@."
-  | [] -> Format.fprintf fmt "first snapshot -- nothing to compare against@.");
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  (match append_snapshot entries with
+  | Some 0 ->
+      Format.fprintf fmt "no significant regressions vs the previous \
+                          snapshot@."
+  | Some _ -> ()
+  | None -> Format.fprintf fmt "first snapshot -- nothing to compare against@.");
+  true
 
 (* ------------------------------------------------------------------ *)
 (* B.DASHBOARD: the trajectory rendered as a self-contained HTML page   *)
@@ -1470,12 +1131,13 @@ let run_record_only () =
 
 let dashboard_path = "BENCH_dashboard.html"
 
-let run_dashboard_only () =
+let run_dashboard () =
   section "B.DASHBOARD -- trajectory sparkline dashboard";
   let lines = read_trajectory () in
   Workload.Dashboard.write ~path:dashboard_path lines;
   Format.fprintf fmt "%d snapshots rendered to %s@." (List.length lines)
-    dashboard_path
+    dashboard_path;
+  true
 
 (* ------------------------------------------------------------------ *)
 (* B.SCALE: million-node CSR substrate end-to-end                       *)
@@ -1486,25 +1148,23 @@ let run_dashboard_only () =
 let scale_n = 1 lsl 20
 let scale_samples = 20_000_000
 
-let run_scale_only () =
-  let t0 = Unix.gettimeofday () in
+let run_scale () =
   section
     (Printf.sprintf
        "B.SCALE -- RMAT n=%d, %d edge samples: generate -> save -> \
         mmap-load -> decompose -> audit"
        scale_n scale_samples);
-  let dir = "bench_results" in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let csr_path = Filename.concat dir "rmat1M.csr" in
-  let spill_path = Filename.concat dir "rmat1M.trace" in
+  if not (Sys.file_exists results_dir) then Unix.mkdir results_dir 0o755;
+  let csr_path = Filename.concat results_dir "rmat1M.csr" in
+  let spill_path = Filename.concat results_dir "rmat1M.trace" in
   (* the ~90 s pipeline used to run completely dark: a process-lifetime
      recorder now pulses phase/elapsed/peak-heap to stderr per stage *)
   let res = Resource.create () in
   let timed name f =
     Resource.heartbeat res name;
-    let s0 = Unix.gettimeofday () in
+    let s0 = Resource.now () in
     let x = f () in
-    let dt = Unix.gettimeofday () -. s0 in
+    let dt = Resource.now () -. s0 in
     Format.fprintf fmt "%-12s %8.2f s@." name dt;
     (x, dt)
   in
@@ -1558,48 +1218,34 @@ let run_scale_only () =
       peak_heap_mb = Resource.peak_heap_mb dec_tot;
     }
   in
-  let line =
-    Trajectory.snapshot_json
-      ~fingerprint:(Lazy.force fingerprint)
-      ~time:(Unix.time ()) [ entry ]
+  ignore (append_snapshot ~kind:"scale snapshot" [ entry ]);
+  let csv =
+    List.map
+      (fun (k, v) -> Printf.sprintf "%s,%s\n" k v)
+      [
+        ("n", string_of_int (Graph.n g));
+        ("m", string_of_int (Graph.m g));
+        ("colors", string_of_int colors);
+        ("clusters", string_of_int clusters);
+        ("rounds", string_of_int (Congest.Cost.rounds cost));
+        ("messages", string_of_int (Congest.Cost.messages cost));
+        ("spilled_events", string_of_int (Congest.Trace.spilled sink));
+        ("audit", match verdict with Ok () -> "pass" | Error _ -> "fail");
+        ("generate_seconds", Printf.sprintf "%.3f" gen_s);
+        ("save_seconds", Printf.sprintf "%.3f" save_s);
+        ("mmap_load_seconds", Printf.sprintf "%.3f" load_s);
+        ("decompose_seconds", Printf.sprintf "%.3f" dec_s);
+        ("certify_seconds", Printf.sprintf "%.3f" cert_s);
+        ("verify_seconds", Printf.sprintf "%.3f" verify_s);
+      ]
   in
-  let prev = read_trajectory () in
-  Trajectory.write trajectory_path (prev @ [ line ]);
-  Format.fprintf fmt "appended scale snapshot %d to %s@."
-    (List.length prev + 1)
-    trajectory_path;
-  (match List.rev prev with
-  | last :: _ -> ignore (compare_snapshots ~old_line:last ~new_line:line)
-  | [] -> ());
-  let oc = open_out (Filename.concat dir "scale.csv") in
-  output_string oc "metric,value\n";
-  List.iter
-    (fun (k, v) -> output_string oc (Printf.sprintf "%s,%s\n" k v))
-    [
-      ("n", string_of_int (Graph.n g));
-      ("m", string_of_int (Graph.m g));
-      ("colors", string_of_int colors);
-      ("clusters", string_of_int clusters);
-      ("rounds", string_of_int (Congest.Cost.rounds cost));
-      ("messages", string_of_int (Congest.Cost.messages cost));
-      ("spilled_events", string_of_int (Congest.Trace.spilled sink));
-      ("audit", match verdict with Ok () -> "pass" | Error _ -> "fail");
-      ("generate_seconds", Printf.sprintf "%.3f" gen_s);
-      ("save_seconds", Printf.sprintf "%.3f" save_s);
-      ("mmap_load_seconds", Printf.sprintf "%.3f" load_s);
-      ("decompose_seconds", Printf.sprintf "%.3f" dec_s);
-      ("certify_seconds", Printf.sprintf "%.3f" cert_s);
-      ("verify_seconds", Printf.sprintf "%.3f" verify_s);
-    ];
-  close_out oc;
-  Format.fprintf fmt "CSV dump written to %s/scale.csv@." dir;
+  if write_result "scale.csv" (String.concat "" ("metric,value\n" :: csv)) then
+    Format.fprintf fmt "CSV dump written to %s/scale.csv@." results_dir;
   (* the spill and the 170 MB graph image are scratch, not artifacts *)
   Congest.Trace.clear sink;
   if Sys.file_exists csr_path then Sys.remove csr_path;
   Resource.heartbeat res "done";
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0);
-  if verdict <> Ok () then exit 1
+  verdict = Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* B.ANALYZE: whole-tree static analysis wall-clock                     *)
@@ -1609,8 +1255,7 @@ let run_scale_only () =
    and rides the same trajectory machinery as 'record', so the >10%
    comparator guards the analyzer's cost the way it guards the
    algorithms' *)
-let run_analyze_only () =
-  let t0 = Unix.gettimeofday () in
+let run_analyze () =
   section
     "B.ANALYZE -- typed whole-program analysis (domain-safety + [@hot] \
      allocations) over the built tree";
@@ -1624,12 +1269,12 @@ let run_analyze_only () =
        to time@."
     (String.concat ", " roots)
   else begin
+    (* the window covers the analysis alone, not the banner or the
+       directory walk above *)
     let res = Resource.create () in
-    let minor0 = Gc.minor_words () in
     let result = Analyze_core.analyze roots in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let minor_words = Gc.minor_words () -. minor0 in
     let tot = Resource.totals res in
+    let seconds = tot.Resource.t_seconds in
     let shared =
       List.length
         (List.filter
@@ -1645,141 +1290,120 @@ let run_analyze_only () =
       shared
       (List.length result.Analyze_core.r_hots)
       findings seconds;
-    let entry =
-      {
-        Trajectory.name = "analyze/tree";
-        rounds = result.Analyze_core.r_units;
-        messages = List.length result.Analyze_core.r_entries;
-        max_bits = shared;
-        phases = findings;
-        seconds;
-        seconds_mad = 0.0;
-        minor_words_per_node =
-          minor_words /. float_of_int (max 1 result.Analyze_core.r_units);
-        peak_heap_mb = Resource.peak_heap_mb tot;
-      }
-    in
-    let line =
-      Trajectory.snapshot_json
-        ~fingerprint:(Lazy.force fingerprint)
-        ~time:(Unix.time ()) [ entry ]
-    in
-    let prev = read_trajectory () in
-    Trajectory.write trajectory_path (prev @ [ line ]);
-    Format.fprintf fmt "appended analyze snapshot %d to %s@."
-      (List.length prev + 1)
-      trajectory_path;
-    (match List.rev prev with
-    | last :: _ -> ignore (compare_snapshots ~old_line:last ~new_line:line)
-    | [] -> ());
-    (try
-       let dir = "bench_results" in
-       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-       let oc = open_out (Filename.concat dir "analyze.csv") in
-       output_string oc "metric,value\n";
-       List.iter
-         (fun (k, v) -> output_string oc (Printf.sprintf "%s,%s\n" k v))
+    ignore
+      (append_snapshot ~kind:"analyze snapshot"
          [
-           ("cmts", string_of_int cmts);
-           ("units", string_of_int result.Analyze_core.r_units);
-           ( "mutable_values",
-             string_of_int (List.length result.Analyze_core.r_entries) );
-           ("shared", string_of_int shared);
-           ( "hot_functions",
-             string_of_int (List.length result.Analyze_core.r_hots) );
-           ("findings", string_of_int findings);
-           ("seconds", Printf.sprintf "%.3f" seconds);
-         ];
-       close_out oc;
-       Format.fprintf fmt "CSV dump written to bench_results/analyze.csv@."
-     with Sys_error e -> Format.fprintf fmt "(skipping CSV dump: %s)@." e)
+           {
+             Trajectory.name = "analyze/tree";
+             rounds = result.Analyze_core.r_units;
+             messages = List.length result.Analyze_core.r_entries;
+             max_bits = shared;
+             phases = findings;
+             seconds;
+             seconds_mad = 0.0;
+             minor_words_per_node =
+               tot.Resource.t_minor_words
+               /. float_of_int (max 1 result.Analyze_core.r_units);
+             peak_heap_mb = Resource.peak_heap_mb tot;
+           };
+         ]);
+    let csv =
+      List.map
+        (fun (k, v) -> Printf.sprintf "%s,%s\n" k v)
+        [
+          ("cmts", string_of_int cmts);
+          ("units", string_of_int result.Analyze_core.r_units);
+          ( "mutable_values",
+            string_of_int (List.length result.Analyze_core.r_entries) );
+          ("shared", string_of_int shared);
+          ( "hot_functions",
+            string_of_int (List.length result.Analyze_core.r_hots) );
+          ("findings", string_of_int findings);
+          ("seconds", Printf.sprintf "%.3f" seconds);
+        ]
+    in
+    if write_result "analyze.csv" (String.concat "" ("metric,value\n" :: csv))
+    then Format.fprintf fmt "CSV dump written to %s/analyze.csv@." results_dir
   end;
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  true
 
 (* ------------------------------------------------------------------ *)
 
-let run_faults_only () =
-  let t0 = Unix.gettimeofday () in
+let run_faults () =
   let rows = faults_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "faults.csv") in
-     output_string oc (Workload.Faults.csv rows);
-     close_out oc;
-     Format.fprintf fmt "@.CSV dump written to %s/faults.csv@." dir
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  if write_result "faults.csv" (Workload.Faults.csv rows) then
+    Format.fprintf fmt "@.CSV dump written to %s/faults.csv@." results_dir;
+  true
+
+let run_tables size =
+  let rows1 = table1 size in
+  headline size rows1;
+  let rows2 = table2 size in
+  shape_check size rows2;
+  messages_experiment size;
+  barrier_experiment size;
+  lemma31_experiment size;
+  apps_experiment size;
+  sim_experiment size;
+  ablation_presets size;
+  ablation_epsilon_split size;
+  ablation_colors_vs_eps size;
+  ablation_apps_extra size;
+  timing_suite size;
+  if
+    write_result "table1.csv" (Workload.Measure.decomp_csv rows1)
+    && write_result "table2.csv" (Workload.Measure.carve_csv rows2)
+  then Format.fprintf fmt "@.CSV dumps written to %s/@." results_dir;
+  true
+
+exception Usage
+
+let no_args = function [] -> () | _ -> raise Usage
+let quick_arg = function [] -> false | [ "quick" ] -> true | _ -> raise Usage
+
+(* every mode: its name, its argument synopsis, and its run over the
+   remaining arguments (false = exit 1); the usage line is printed from
+   this table *)
+let modes =
+  let tables size args = no_args args; run_tables size in
+  let plain run args = no_args args; run () in
+  [
+    ("full", "", tables Full);
+    ("quick", "", tables Quick);
+    ("faults", "", plain run_faults);
+    ("chaos", " [quick]", fun args -> run_chaos ~quick:(quick_arg args));
+    ("record", "", plain run_record);
+    ("scale", "", plain run_scale);
+    ("analyze", "", plain run_analyze);
+    ("dashboard", "", plain run_dashboard);
+    ( "overhead",
+      Printf.sprintf " <%s> [quick]" (String.concat "|" overhead_layers),
+      function
+      | layer :: rest when List.mem layer overhead_layers ->
+          run_overhead layer ~quick:(quick_arg rest);
+          true
+      | _ -> raise Usage );
+  ]
 
 let () =
+  let args = List.tl (Array.to_list Sys.argv) in
   Format.fprintf fmt
     "strongdecomp benchmark harness -- reproduction of Chang & Ghaffari, \
-     PODC 2021@.mode: %s (pass 'full' for the n=16384 sweep, 'quick' for a \
-     smoke test,@.'faults' for the graceful-degradation sweep only, 'trace' \
-     for the observability@.overhead experiments only, 'conform' for the \
-     verifier-overhead experiment@.only, 'causal' for the critical-path \
-     analyzer replay cost, 'chaos' for the@.self-healing sweep and the \
-     repair-cost headline ('chaos quick' for a smoke),@.'record' to append \
-     a headline snapshot to the persistent BENCH_trajectory.json,@.'scale' \
-     for the million-node CSR end-to-end smoke, 'resource' for the@.resource-\
-     recorder overhead experiment, 'analyze' for the whole-tree@.static-\
-     analysis timing, 'dashboard' to render BENCH_trajectory.json to@.\
-     BENCH_dashboard.html)@."
-    (match mode with
-    | `Quick -> "quick"
-    | `Standard -> "standard"
-    | `Full -> "full"
-    | `Faults -> "faults"
-    | `Trace -> "trace"
-    | `Conform -> "conform"
-    | `Causal -> "causal"
-    | `Chaos -> if chaos_quick then "chaos (quick)" else "chaos"
-    | `Record -> "record"
-    | `Scale -> "scale"
-    | `Resource -> "resource"
-    | `Analyze -> "analyze"
-    | `Dashboard -> "dashboard");
-  if mode = `Faults then run_faults_only ()
-  else if mode = `Trace then run_trace_only ()
-  else if mode = `Conform then run_conform_only ()
-  else if mode = `Causal then run_causal_only ()
-  else if mode = `Chaos then run_chaos_only ()
-  else if mode = `Record then run_record_only ()
-  else if mode = `Scale then run_scale_only ()
-  else if mode = `Resource then run_resource_only ()
-  else if mode = `Analyze then run_analyze_only ()
-  else if mode = `Dashboard then run_dashboard_only ()
-  else begin
-  let t0 = Unix.gettimeofday () in
-  let rows1 = table1 () in
-  headline rows1;
-  let rows2 = table2 () in
-  shape_check rows2;
-  messages_experiment ();
-  barrier_experiment ();
-  lemma31_experiment ();
-  apps_experiment ();
-  sim_experiment ();
-  ablation_presets ();
-  ablation_epsilon_split ();
-  ablation_colors_vs_eps ();
-  ablation_apps_extra ();
-  bechamel_suite ();
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let write name contents =
-       let oc = open_out (Filename.concat dir name) in
-       output_string oc contents;
-       close_out oc
-     in
-     write "table1.csv" (Workload.Measure.decomp_csv rows1);
-     write "table2.csv" (Workload.Measure.carve_csv rows2);
-     Format.fprintf fmt "@.CSV dumps written to %s/@." dir
-   with Sys_error e ->
-     Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-  end
+     PODC 2021@.mode: %s@.usage: main.exe [%s]@."
+    (if args = [] then "standard" else String.concat " " args)
+    (String.concat " | " (List.map (fun (name, syn, _) -> name ^ syn) modes));
+  let t0 = Resource.now () in
+  let ok =
+    try
+      match args with
+      | [] -> run_tables Standard
+      | mode :: rest -> (
+          match List.find_opt (fun (name, _, _) -> name = mode) modes with
+          | Some (_, _, run) -> run rest
+          | None -> raise Usage)
+    with Usage ->
+      Format.fprintf fmt "unknown mode or arguments@.";
+      exit 2
+  in
+  Format.fprintf fmt "@.total benchmark time: %.1f s@." (Resource.now () -. t0);
+  if not ok then exit 1

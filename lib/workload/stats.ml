@@ -163,11 +163,30 @@ let measure ?(plan = default_plan) f =
   | Some v -> (v, summarize samples)
   | None -> assert false (* samples >= 1 *)
 
-let noise_floor ?plan f =
-  let _, a = measure ?plan f in
-  let _, b = measure ?plan f in
-  if a.median <= 0.0 then 0.0
-  else Float.abs (b.median -. a.median) /. a.median
+type overhead = {
+  base : summary;
+  layer : summary;
+  base2 : summary;
+  overhead_pct : float;
+  floor_pct : float;
+}
+
+let overhead ?(plan = default_plan) ~base ~layer () =
+  for _ = 1 to plan.warmup do
+    ignore (layer ());
+    ignore (base ())
+  done;
+  (* settle once per batch, not per sample: a heap collected before
+     every sample has to regrow inside it *)
+  let batch f =
+    if plan.settle then settle ();
+    snd (measure ~plan:{ plan with warmup = 0; settle = false } f)
+  in
+  let b = batch base in
+  let l = batch layer in
+  let b2 = batch base in
+  let pct x = 100.0 *. (x.median -. b.median) /. Float.max b.median 1e-9 in
+  { base = b; layer = l; base2 = b2; overhead_pct = pct l; floor_pct = pct b2 }
 
 (* ------------------------------------------------------------------ *)
 (* Significance                                                         *)

@@ -1,14 +1,15 @@
 (** Statistical measurement: multi-sample timing with warmup and GC
-    settling, median/MAD summaries, a self-calibrated noise floor, and
-    the environment fingerprint every persisted measurement carries.
+    settling, median/MAD summaries, the instrumentation-overhead
+    calibration, and the environment fingerprint every persisted
+    measurement carries.
 
-    This generalizes the one-off calibration that lived in
-    [bench resource]: instead of a single-shot [seconds] headline that
-    drifts with machine noise, callers run {!measure} and persist the
-    median together with the MAD (median absolute deviation), so the
+    Instead of a single-shot [seconds] headline that drifts with
+    machine noise, callers run {!measure} and persist the median
+    together with the MAD (median absolute deviation), so the
     {!Trajectory} comparator and the {!Diff} engine can tell noise from
     regression — a delta is only significant when it exceeds
-    [max(rel * baseline, k * MAD)] (see {!threshold}).
+    [max(rel * baseline, k * MAD)] (see {!threshold}). {!overhead} is
+    the calibration every [bench overhead <layer>] row goes through.
 
     Alongside [congest/resource] and [bench/], this module is the only
     sanctioned wall-clock/GC site (the [wallclock] lint rule admits it
@@ -86,11 +87,26 @@ val measure : ?plan:plan -> (unit -> 'a) -> 'a * summary
     returning the last run's result and the timing summary. Timing uses
     {!Congest.Resource.now}, the repo's single sanctioned clock. *)
 
-val noise_floor : ?plan:plan -> (unit -> 'a) -> float
-(** Relative difference between the medians of two independent
-    measurement batches of the same workload — an empirical bound on
-    run-to-run noise under the current plan. [0.] when the first
-    batch's median is not positive. *)
+type overhead = {
+  base : summary;  (** the instrumentation off *)
+  layer : summary;  (** the instrumentation on *)
+  base2 : summary;  (** off again: the noise floor *)
+  overhead_pct : float;  (** [100 * (layer - base) / base], on medians *)
+  floor_pct : float;  (** [100 * (base2 - base) / base], on medians *)
+}
+(** The cost of one instrumentation layer, reported next to the
+    measured run-to-run noise it has to be read against. *)
+
+val overhead :
+  ?plan:plan -> base:(unit -> 'a) -> layer:(unit -> 'b) -> unit -> overhead
+(** The base/layer/base sandwich: [plan.warmup] untimed runs of
+    [layer] and [base], alternating, then three {!measure} batches of
+    [plan.samples] timed runs each — [base], [layer], [base] again.
+    With [plan.settle] the heap is settled once before each batch, so
+    no batch pays the previous one's garbage, but not before each
+    sample, which would make every sample regrow the heap. The second base
+    batch bounds the noise: an [overhead_pct] inside [floor_pct] is
+    not a cost. *)
 
 val threshold : ?rel:float -> ?k:float -> mad:float -> float -> float
 (** [threshold ~mad baseline] is the absolute delta a measurement must

@@ -69,11 +69,39 @@ let test_measure_clamps_samples () =
   let _, s = S.measure ~plan (fun () -> ()) in
   check Alcotest.int "at least one sample" 1 s.S.runs
 
-let test_noise_floor_finite () =
+let test_overhead_order () =
+  let log = ref [] in
+  let plan = { S.warmup = 2; samples = 3; settle = false } in
+  ignore
+    (S.overhead ~plan
+       ~base:(fun () -> log := 'b' :: !log)
+       ~layer:(fun () -> log := 'l' :: !log)
+       ());
+  check Alcotest.string "warmups, then base, layer, base batches"
+    ("lblb" ^ "bbb" ^ "lll" ^ "bbb")
+    (String.of_seq (List.to_seq (List.rev !log)))
+
+(* deterministic busy work: [k] passes over a fixed array *)
+let work k () =
+  let a = Array.init 10_000 Fun.id in
+  let acc = ref 0 in
+  for _ = 1 to k do
+    Array.iter (fun x -> acc := !acc + x) a
+  done;
+  Sys.opaque_identity !acc
+
+let test_overhead_finite () =
   let plan = { S.warmup = 0; samples = 3; settle = false } in
-  let nf = S.noise_floor ~plan (fun () -> Sys.opaque_identity (List.init 100 Fun.id)) in
-  Alcotest.(check bool) "finite and non-negative" true
-    (Float.is_finite nf && nf >= 0.0)
+  let o = S.overhead ~plan ~base:(work 1) ~layer:(work 1) () in
+  Alcotest.(check bool) "finite percentages" true
+    (Float.is_finite o.S.overhead_pct && Float.is_finite o.S.floor_pct);
+  check Alcotest.int "each batch has the plan's samples" 3 o.S.base2.S.runs
+
+let test_overhead_orders_work () =
+  let plan = { S.warmup = 1; samples = 5; settle = false } in
+  let o = S.overhead ~plan ~base:(work 1) ~layer:(work 20) () in
+  Alcotest.(check bool) "twenty times the work is not faster" true
+    (o.S.layer.S.median >= o.S.base.S.median)
 
 (* ------------------------------------------------------------------ *)
 
@@ -147,7 +175,12 @@ let () =
             test_measure_counts_runs;
           Alcotest.test_case "samples clamped to one" `Quick
             test_measure_clamps_samples;
-          Alcotest.test_case "noise floor finite" `Quick test_noise_floor_finite;
+          Alcotest.test_case "overhead runs warmups then base, layer, base"
+            `Quick test_overhead_order;
+          Alcotest.test_case "overhead percentages finite" `Quick
+            test_overhead_finite;
+          Alcotest.test_case "overhead ranks more work above base" `Quick
+            test_overhead_orders_work;
         ] );
       ( "fingerprint",
         [
