@@ -130,41 +130,45 @@ let double_sweep ?mask t c =
       | Some (far, d1) -> (
           match sweep far with None -> -1 | Some (_, d2) -> max d1 d2))
 
-(* Strong (member-confined) searches run on the induced member set via
-   Bfs.restricted_bfs: O(cluster volume) instead of O(n) per cluster, so
-   whole-decomposition sweeps stay linear even with 10^5 singleton
-   clusters. Visit order matches the masked BFS they replace, so results
-   are identical. *)
+(* Strong (member-confined) searches run Bfs.restricted_into with
+   membership read off cluster_of: O(cluster volume) instead of O(n) per
+   cluster, so whole-decomposition sweeps stay linear even with 10^5
+   singleton clusters. The caller's scratch is reused across clusters.
+   Visit order matches the masked BFS (weak_* with the member mask), so
+   results are identical. *)
 
-let member_set members =
-  let set = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace set v ()) members;
-  set
+let restricted ~scratch t c source =
+  Bfs.restricted_into t.graph ~owner:t.cluster_of ~id:c ~source scratch
 
-let restricted_sweep g set members source =
-  let bfs = Bfs.restricted_bfs g ~members:set ~source in
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> None
-      | Some (best_v, best_d) -> (
-          match Hashtbl.find_opt bfs v with
-          | None -> None
-          | Some (d, _) ->
-              if d > best_d then Some (v, d) else Some (best_v, best_d)))
-    (Some (source, 0))
-    members
+(* farthest member from [source] (first in member order on ties) after
+   a restricted search from it; None when some member is unreached *)
+let farthest (s : Bfs.scratch) members source =
+  let rec go best_v best_d = function
+    | [] -> Some (best_v, best_d)
+    | v :: rest ->
+        let d = s.Bfs.dist.(v) in
+        if d < 0 then None
+        else if d > best_d then go v d rest
+        else go best_v best_d rest
+  in
+  go source 0 members
 
-let strong_diameter_estimate t c =
+(* restricted search from [source], then [farthest], then release *)
+let sweep ~scratch t c members source =
+  let k = restricted ~scratch t c source in
+  let r = farthest scratch members source in
+  Bfs.release scratch k;
+  r
+
+let strong_diameter_estimate ~scratch t c =
   match t.member_lists.(c) with
   | [] | [ _ ] -> 0
   | [ u; v ] -> if Graph.is_edge t.graph u v then 1 else -1
   | first :: _ as members -> (
-      let set = member_set members in
-      match restricted_sweep t.graph set members first with
+      match sweep ~scratch t c members first with
       | None -> -1
       | Some (far, d1) -> (
-          match restricted_sweep t.graph set members far with
+          match sweep ~scratch t c members far with
           | None -> -1
           | Some (_, d2) -> max d1 d2))
 
@@ -180,74 +184,46 @@ let estimate_max f t =
   done;
   if !disconnected then -1 else !worst
 
-let max_strong_diameter_estimate t = estimate_max strong_diameter_estimate t
+let max_strong_diameter_estimate t =
+  let scratch = Bfs.scratch (Graph.n t.graph) in
+  estimate_max (strong_diameter_estimate ~scratch) t
 let max_weak_diameter_estimate t = estimate_max weak_diameter_estimate t
 
-(* BFS witness tree from the first member; [prune] keeps only the union
-   of root-to-member paths (identity for the strong variant, where the
-   mask already confines the search to the members) *)
-let witness_tree_gen ?mask ~prune t c =
+(* BFS witness tree from the first member in the (masked) host graph,
+   pruned to the union of the root-to-member paths *)
+let weak_witness_tree ?within t c =
   match t.member_lists.(c) with
   | [] -> None
   | root :: _ as members ->
-      let parent = Bfs.parents ?mask t.graph ~source:root in
-      let dist = Bfs.distances ?mask t.graph ~source:root in
+      let parent = Bfs.parents ?mask:within t.graph ~source:root in
+      let dist = Bfs.distances ?mask:within t.graph ~source:root in
       if List.exists (fun v -> dist.(v) < 0) members then None
       else
         let height = List.fold_left (fun h v -> max h dist.(v)) 0 members in
-        let pairs =
-          if not prune then
-            List.filter_map
-              (fun v -> if v = root then None else Some (v, parent.(v)))
-              members
-          else begin
-            let keep = Hashtbl.create 64 in
-            let rec mark v =
-              if not (Hashtbl.mem keep v) then begin
-                Hashtbl.add keep v ();
-                if v <> root then mark parent.(v)
-              end
-            in
-            List.iter mark members;
-            List.sort compare
-              (Hashtbl.fold
-                 (fun v () acc ->
-                   if v = root then acc else (v, parent.(v)) :: acc)
-                 keep [])
+        let keep = Hashtbl.create 64 in
+        let rec mark v =
+          if not (Hashtbl.mem keep v) then begin
+            Hashtbl.add keep v ();
+            if v <> root then mark parent.(v)
           end
         in
-        Some (root, pairs, height)
-
-let witness_tree t c =
-  match t.member_lists.(c) with
-  | [] -> None
-  | [ v ] -> Some (v, [], 0)
-  | root :: _ as members ->
-      let set = member_set members in
-      let bfs = Bfs.restricted_bfs t.graph ~members:set ~source:root in
-      if List.exists (fun v -> not (Hashtbl.mem bfs v)) members then None
-      else
-        let height =
-          List.fold_left (fun h v -> max h (fst (Hashtbl.find bfs v))) 0 members
-        in
+        List.iter mark members;
         let pairs =
-          List.filter_map
-            (fun v ->
-              if v = root then None else Some (v, snd (Hashtbl.find bfs v)))
-            members
+          List.sort compare
+            (Hashtbl.fold
+               (fun v () acc ->
+                 if v = root then acc else (v, parent.(v)) :: acc)
+               keep [])
         in
         Some (root, pairs, height)
 
-let weak_witness_tree ?within t c =
-  witness_tree_gen ?mask:within ~prune:true t c
-
-let eccentric_pair_gen ?mask t c =
+let weak_eccentric_pair ?within t c =
   match t.member_lists.(c) with
   | [] -> (-1, -1, -1)
   | [ v ] -> (v, v, 0)
   | first :: _ as members ->
       let sweep source =
-        let dist = Bfs.distances ?mask t.graph ~source in
+        let dist = Bfs.distances ?mask:within t.graph ~source in
         if List.exists (fun v -> dist.(v) < 0) members then None
         else
           Some
@@ -263,31 +239,36 @@ let eccentric_pair_gen ?mask t c =
           | None -> (-1, -1, -1)
           | Some (v, d) -> (u, v, d)))
 
-let eccentric_pair t c =
+(* the witness-tree search from the first member is also the first
+   eccentric sweep, so both witnesses cost two restricted searches *)
+let strong_witnesses ~scratch t c =
   match t.member_lists.(c) with
-  | [] -> (-1, -1, -1)
-  | [ v ] -> (v, v, 0)
-  | first :: _ as members -> (
-      let set = member_set members in
-      let sweep source =
-        let bfs = Bfs.restricted_bfs t.graph ~members:set ~source in
-        if List.exists (fun v -> not (Hashtbl.mem bfs v)) members then None
-        else
-          Some
-            (List.fold_left
-               (fun (bv, bd) v ->
-                 let d = fst (Hashtbl.find bfs v) in
-                 if d > bd then (v, d) else (bv, bd))
-               (source, 0) members)
+  | [] -> None
+  | [ v ] -> Some ((v, [], 0), (v, v, 0))
+  | root :: _ as members -> (
+      let k = restricted ~scratch t c root in
+      let first =
+        Option.map
+          (fun (u, _) ->
+            let height =
+              List.fold_left (fun h v -> max h scratch.Bfs.dist.(v)) 0 members
+            in
+            let pairs =
+              List.filter_map
+                (fun v ->
+                  if v = root then None else Some (v, scratch.Bfs.parent.(v)))
+                members
+            in
+            ((root, pairs, height), u))
+          (farthest scratch members root)
       in
-      match sweep first with
-      | None -> (-1, -1, -1)
-      | Some (u, _) -> (
-          match sweep u with
-          | None -> (-1, -1, -1)
-          | Some (v, d) -> (u, v, d)))
-
-let weak_eccentric_pair ?within t c = eccentric_pair_gen ?mask:within t c
+      Bfs.release scratch k;
+      match first with
+      | None -> None
+      | Some (tree, u) ->
+          Option.map
+            (fun (v, d) -> (tree, (u, v, d)))
+            (sweep ~scratch t c members u))
 
 let pp fmt t =
   Format.fprintf fmt "clustering(%d clusters, %d/%d nodes)" t.num_clusters

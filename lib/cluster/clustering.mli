@@ -54,7 +54,14 @@ val weak_diameter : ?within:Dsgraph.Mask.t -> t -> int -> int
 
 val max_weak_diameter : ?within:Dsgraph.Mask.t -> t -> int
 
-val strong_diameter_estimate : t -> int -> int
+(** {2 Member-restricted searches}
+
+    The strong searches below take a [~scratch] of [Bfs.scratch n]
+    ([n = Graph.n (graph t)]) and run in O(cluster volume): allocate
+    one scratch per pass over the clustering and hand it to every
+    cluster, never one per cluster. *)
+
+val strong_diameter_estimate : scratch:Dsgraph.Bfs.scratch -> t -> int -> int
 (** Double-sweep estimate of {!strong_diameter}: BFS inside the cluster
     from an arbitrary member, then from the farthest node found. Exact on
     trees, a lower bound within a factor 2 in general, O(cluster) instead
@@ -63,38 +70,51 @@ val strong_diameter_estimate : t -> int -> int
     value on small graphs. *)
 
 val max_strong_diameter_estimate : t -> int
+(** Max of {!strong_diameter_estimate} over clusters (one scratch for
+    the whole pass); [-1] if any cluster is disconnected. *)
 
 val weak_diameter_estimate : t -> int -> int
 (** Double-sweep in the host graph between cluster members. *)
 
 val max_weak_diameter_estimate : t -> int
 
-val witness_tree : t -> int -> (int * (int * int) list * int) option
-(** [(root, parents, height)] of a BFS tree {e inside} the cluster's
-    induced subgraph: [parents] is one [(node, parent)] pair per
-    non-root member (sorted by node), every pair a real graph edge with
-    both endpoints in the cluster, and [height] the largest BFS depth
-    over the members. Such a tree certifies that the induced subgraph
-    is connected with strong diameter at most [2 * height]. [None] when
-    the induced subgraph is disconnected (then only a weak witness
-    exists — see {!weak_witness_tree}). *)
+val strong_witnesses :
+  scratch:Dsgraph.Bfs.scratch ->
+  t ->
+  int ->
+  ((int * (int * int) list * int) * (int * int * int)) option
+(** [Some (tree, pair)], the two witnesses of the cluster's strong
+    diameter, or [None] when the induced subgraph is disconnected (then
+    only a weak witness exists — see {!weak_witness_tree}).
+
+    [tree = (root, parents, height)] is a BFS tree {e inside} the
+    cluster's induced subgraph from its first member: [parents] is one
+    [(node, parent)] pair per non-root member (sorted by node), every
+    pair a real graph edge with both endpoints in the cluster, and
+    [height] the largest BFS depth over the members. It certifies that
+    the induced subgraph is connected with strong diameter at most
+    [2 * height].
+
+    [pair = (u, v, d)] is a double-sweep witness pair inside the induced
+    subgraph: members at distance exactly [d], so [d] is a certified
+    lower bound on the strong diameter (within a factor 2 of it, exact
+    on trees).
+
+    Two restricted searches: the tree's search from the first member
+    doubles as the first eccentric sweep. Both witnesses equal
+    {!weak_witness_tree} and {!weak_eccentric_pair} confined to the
+    member mask. *)
 
 val weak_witness_tree : ?within:Dsgraph.Mask.t -> t -> int -> (int * (int * int) list * int) option
-(** As {!witness_tree} but the BFS runs in the (masked) host graph, so
-    the tree may route through non-members (Steiner nodes); it is
-    pruned to the union of the root-to-member paths. Certifies weak
-    diameter at most [2 * height]. [None] when some member is
-    unreachable even in the host graph. *)
-
-val eccentric_pair : t -> int -> int * int * int
-(** [(u, v, d)] — a double-sweep witness pair inside the cluster's
-    induced subgraph: members at distance exactly [d], so [d] is a
-    certified lower bound on the strong diameter (within a factor 2 of
-    it, exact on trees). [(-1, -1, -1)] when the induced subgraph is
-    disconnected. *)
+(** As the tree of {!strong_witnesses} but the BFS runs in the (masked)
+    host graph, so the tree may route through non-members (Steiner
+    nodes); it is pruned to the union of the root-to-member paths.
+    Certifies weak diameter at most [2 * height]. [None] when some
+    member is unreachable even in the host graph. *)
 
 val weak_eccentric_pair : ?within:Dsgraph.Mask.t -> t -> int -> int * int * int
-(** As {!eccentric_pair}, measured in the (masked) host graph: a lower
-    bound on the weak diameter. *)
+(** As the pair of {!strong_witnesses}, measured in the (masked) host
+    graph: a lower bound on the weak diameter. [(-1, -1, -1)] when some
+    member is unreachable. *)
 
 val pp : Format.formatter -> t -> unit

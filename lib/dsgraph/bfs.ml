@@ -131,23 +131,52 @@ let distances_into ?mask g ~source ~dist ~queue =
   end
 [@@hot]
 
-let restricted_bfs g ~members ~source =
-  let out = Hashtbl.create (max 16 (Hashtbl.length members)) in
-  if Hashtbl.mem members source then begin
-    Hashtbl.add out source (0, source);
-    let q = Queue.create () in
-    Queue.add source q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      let du, _ = Hashtbl.find out u in
-      Graph.iter_neighbors g u (fun v ->
-          if Hashtbl.mem members v && not (Hashtbl.mem out v) then begin
-            Hashtbl.add out v (du + 1, u);
-            Queue.add v q
-          end)
-    done
-  end;
-  out
+type scratch = { dist : int array; parent : int array; queue : int array }
+
+let scratch n =
+  {
+    dist = Array.make n (-1);
+    parent = Array.make n (-1);
+    queue = Array.make n 0;
+  }
+
+(* The row loop reads the CSR views directly rather than going through
+   Graph.iter_neighbors: no visitor closure and no indirect call per
+   edge, which is most of the cost once the arrays sit in cache. *)
+let restricted_into g ~owner ~id ~source s =
+  if Array.length s.dist < Graph.n g then
+    invalid_arg "Bfs.restricted_into: scratch smaller than the graph";
+  if owner.(source) <> id then 0
+  else begin
+    let dist = s.dist and parent = s.parent and queue = s.queue in
+    let offsets = Graph.offsets g and targets = Graph.targets g in
+    dist.(source) <- 0;
+    parent.(source) <- source;
+    queue.(0) <- source;
+    let head = (ref 0 [@alloc_ok "two cursor cells per call, not per node"])
+    and tail = (ref 1 [@alloc_ok "two cursor cells per call, not per node"]) in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let du1 = dist.(u) + 1 in
+      for i = offsets.{u} to offsets.{u + 1} - 1 do
+        let v = targets.{i} in
+        if owner.(v) = id && dist.(v) = -1 then begin
+          dist.(v) <- du1;
+          parent.(v) <- u;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    !tail
+  end
+[@@hot]
+
+let release s k =
+  for i = 0 to k - 1 do
+    s.dist.(s.queue.(i)) <- -1
+  done
 
 let component_of ?mask g v =
   if not (alive mask v) then []

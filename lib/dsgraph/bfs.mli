@@ -48,11 +48,33 @@ val distances_into :
     ([0] when the source is outside the mask). Distances along [queue]
     are non-decreasing; results equal {!distances} on the same mask. *)
 
-val restricted_bfs :
-  Graph.t -> members:(int, unit) Hashtbl.t -> source:int ->
-  (int, int * int) Hashtbl.t
-(** BFS over the subgraph induced by [members], in [O(volume of members)]
-    time and space — independent of [Graph.n]. Maps each reached member
-    to [(distance, bfs parent)]; the source maps to [(0, source)];
-    unreached members are absent. Visit order (and hence parents) match
-    {!distances}/{!parents} under the equivalent {!Mask}. *)
+type scratch = private {
+  dist : int array;
+  parent : int array;
+  queue : int array;
+}
+(** Caller-owned buffers for {!restricted_into}: one per whole-clustering
+    pass, never one per cluster. Between searches every [dist] cell is
+    [-1]; {!release} restores that after each search. *)
+
+val scratch : int -> scratch
+(** [scratch n] for graphs with at most [n] nodes. *)
+
+val restricted_into :
+  Graph.t -> owner:int array -> id:int -> source:int -> scratch -> int
+(** Allocation-free BFS over the subgraph induced by the nodes [v] with
+    [owner.(v) = id] — a cluster's members — in [O(volume of members)]
+    time, independent of [Graph.n]. Membership is one array read; no
+    hashing. Fills [dist] (hop counts) and [parent] (BFS parent, the
+    source its own) for every reached member and lists the reached
+    members in BFS order in [queue.(0 .. k-1)], where [k] is the
+    returned count ([0] when [owner.(source) <> id]). [dist]/[parent]
+    cells of unreached nodes keep their previous contents, so read
+    [parent.(v)] only when [dist.(v) >= 0]. Visit order (and hence
+    parents) match {!distances}/{!parents} under the equivalent
+    {!Mask}. Call {!release} with [k] before the next search.
+    @raise Invalid_argument when the scratch is smaller than the graph. *)
+
+val release : scratch -> int -> unit
+(** [release s k] resets [dist] on the [k] nodes the last search
+    visited, in [O(k)]. *)

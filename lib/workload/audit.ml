@@ -29,14 +29,13 @@ type t = {
   dead_fraction : float;
 }
 
-let cert_of_cluster clustering ~color c =
+let cert_of_cluster ~scratch clustering ~color c =
   let members = Cluster.Clustering.members clustering c in
   let of_tree (root, pairs, height) =
     { w_root = root; w_parents = pairs; w_height = height }
   in
-  match Cluster.Clustering.witness_tree clustering c with
-  | Some w ->
-      let u, v, d = Cluster.Clustering.eccentric_pair clustering c in
+  match Cluster.Clustering.strong_witnesses ~scratch clustering c with
+  | Some (w, (u, v, d)) ->
       let w = of_tree w in
       {
         cluster = c;
@@ -66,8 +65,9 @@ let cert_of_cluster clustering ~color c =
       }
 
 let certs_of_clustering clustering ~color_of =
+  let scratch = Bfs.scratch (Graph.n (Cluster.Clustering.graph clustering)) in
   List.init (Cluster.Clustering.num_clusters clustering) (fun c ->
-      cert_of_cluster clustering ~color:(color_of c) c)
+      cert_of_cluster ~scratch clustering ~color:(color_of c) c)
 
 let certify_decomposition d =
   let clustering = Cluster.Decomposition.clustering d in
@@ -109,38 +109,94 @@ exception Reject of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
 
+(* Producers emit cluster ids 0..k-1 in list order. Checked position by
+   position, an in-range id below its position has already been seen, so
+   it is a repeat. *)
+let id_error ~k i id =
+  if id < 0 || id >= k then
+    Some (Printf.sprintf "cluster id %d outside [0, %d)" id k)
+  else if id < i then
+    Some
+      (Printf.sprintf "cluster id %d appears twice (certificates %d and %d)"
+         id id i)
+  else if id > i then
+    Some
+      (Printf.sprintf
+         "certificate %d carries cluster id %d: ids must run 0..%d in list \
+          order"
+         i id (k - 1))
+  else None
+
+let certs_by_id t =
+  let a = Array.of_list t.certs in
+  let k = Array.length a in
+  let rec scan i =
+    if i = k then Ok a
+    else
+      match id_error ~k i a.(i).cluster with
+      | Some e -> Error e
+      | None -> scan (i + 1)
+  in
+  scan 0
+
+(* Per-verify buffers for the witness-tree recheck. [stamp] is the
+   current certificate's cluster id + 1 (ids are distinct once verify has
+   checked them), so entries of earlier certificates read as absent and
+   nothing is ever cleared. *)
+type tree_scratch = {
+  t_parent : int array;
+  t_has_parent : int array;  (* stamp when t_parent holds this cert's entry *)
+  t_depth : int array;
+  t_has_depth : int array;  (* stamp when t_depth is known *)
+}
+
+let tree_scratch n =
+  {
+    t_parent = Array.make n 0;
+    t_has_parent = Array.make n 0;
+    t_depth = Array.make n 0;
+    t_has_depth = Array.make n 0;
+  }
+
 (* depth of every tree node from the parent pointers alone, rejecting
-   duplicate nodes, dangling parents, and cycles *)
-let tree_depths ~cluster w =
-  let parent = Hashtbl.create 64 in
+   duplicate nodes, dangling parents, and cycles; every node is in range
+   (the caller has checked the root and every pair) *)
+let tree_depths ts ~stamp ~cluster w =
   List.iter
     (fun (v, p) ->
       if v = w.w_root then
         fail "cluster %d: witness root %d also has a parent" cluster v;
-      if Hashtbl.mem parent v then
+      if ts.t_has_parent.(v) = stamp then
         fail "cluster %d: node %d appears twice in the witness tree" cluster v;
-      Hashtbl.add parent v p)
+      ts.t_has_parent.(v) <- stamp;
+      ts.t_parent.(v) <- p)
     w.w_parents;
-  let depth = Hashtbl.create 64 in
-  Hashtbl.add depth w.w_root 0;
+  ts.t_has_depth.(w.w_root) <- stamp;
+  ts.t_depth.(w.w_root) <- 0;
   let bound = List.length w.w_parents + 1 in
-  let rec depth_of steps v =
-    if steps > bound then
-      fail "cluster %d: witness tree has a parent cycle at node %d" cluster v;
-    match Hashtbl.find_opt depth v with
-    | Some d -> d
-    | None ->
-        (match Hashtbl.find_opt parent v with
-        | None ->
-            fail "cluster %d: node %d hangs off the witness tree (parent %s)"
-              cluster v "missing"
-        | Some p ->
-            let d = 1 + depth_of (steps + 1) p in
-            Hashtbl.add depth v d);
-        Hashtbl.find depth v
+  (* climb to the nearest node of known depth, then write the depths
+     back down the climbed path *)
+  let depth_of v =
+    let rec climb steps u =
+      if steps > bound then
+        fail "cluster %d: witness tree has a parent cycle at node %d"
+          cluster u;
+      if ts.t_has_depth.(u) = stamp then ts.t_depth.(u) + steps
+      else if ts.t_has_parent.(u) <> stamp then
+        fail "cluster %d: node %d hangs off the witness tree (parent %s)"
+          cluster u "missing"
+      else climb (steps + 1) ts.t_parent.(u)
+    in
+    let rec settle d u =
+      if ts.t_has_depth.(u) <> stamp then begin
+        ts.t_has_depth.(u) <- stamp;
+        ts.t_depth.(u) <- d;
+        settle (d - 1) ts.t_parent.(u)
+      end
+    in
+    settle (climb 0 v) v
   in
-  List.iter (fun (v, _) -> ignore (depth_of 0 v)) w.w_parents;
-  depth
+  List.iter (fun (v, _) -> depth_of v) w.w_parents
 
 let verify g t =
   let n = Graph.n g in
@@ -158,12 +214,18 @@ let verify g t =
           check_domain rest
     in
     check_domain t.domain;
-    (* membership: disjoint clusters confined to the domain *)
+    (* membership: disjoint clusters with ids 0..k-1 in order, confined
+       to the domain; owner.(v) is the id of v's cluster, so afterwards
+       one array read answers "is v a member of cluster c" *)
     let owner = Array.make n (-1) in
     let node_color = Array.make n (-1) in
     let clustered = ref 0 in
-    List.iter
-      (fun cert ->
+    let k = List.length t.certs in
+    List.iteri
+      (fun i cert ->
+        (match id_error ~k i cert.cluster with
+        | Some e -> fail "%s" e
+        | None -> ());
         if cert.members = [] then fail "cluster %d is empty" cert.cluster;
         (match t.kind with
         | Decomposition ->
@@ -213,18 +275,20 @@ let verify g t =
         then
           fail "edge (%d,%d) joins clusters %d and %d of the same color %d" u
             v owner.(u) owner.(v) node_color.(u));
-    (* witness trees and eccentric pairs, cluster by cluster *)
+    (* witness trees and eccentric pairs, cluster by cluster, over
+       buffers shared by every cluster; owner answers membership *)
+    let ts = tree_scratch n in
+    let bfs = Bfs.scratch n in
     List.iter
       (fun cert ->
-        let member = Hashtbl.create 64 in
-        List.iter (fun v -> Hashtbl.replace member v ()) cert.members;
+        let member v = v >= 0 && v < n && owner.(v) = cert.cluster in
         (match cert.tree with
         | None ->
             if cert.diameter_ub <> None then
               fail "cluster %d: diameter upper bound without a witness tree"
                 cert.cluster
         | Some w ->
-            if not (Hashtbl.mem member w.w_root) then
+            if not (member w.w_root) then
               fail "cluster %d: witness root %d is not a member" cert.cluster
                 w.w_root;
             List.iter
@@ -235,28 +299,29 @@ let verify g t =
                 if not (Graph.is_edge g v p) then
                   fail "cluster %d: witness pair (%d,%d) is not a graph edge"
                     cert.cluster v p;
-                if cert.strong && not (Hashtbl.mem member v && Hashtbl.mem member p)
-                then
+                if cert.strong && not (member v && member p) then
                   fail
                     "cluster %d: strong witness pair (%d,%d) leaves the \
                      cluster"
                     cert.cluster v p)
               w.w_parents;
-            let depth = tree_depths ~cluster:cert.cluster w in
+            let stamp = cert.cluster + 1 in
+            tree_depths ts ~stamp ~cluster:cert.cluster w;
             List.iter
               (fun v ->
-                if not (Hashtbl.mem depth v) then
+                if ts.t_has_depth.(v) <> stamp then
                   fail "cluster %d: member %d missing from the witness tree"
                     cert.cluster v)
               cert.members;
-            if cert.strong && Hashtbl.length depth <> List.length cert.members
+            (* the tree holds its root plus one distinct node per pair *)
+            if
+              cert.strong
+              && List.length w.w_parents + 1 <> List.length cert.members
             then
               fail "cluster %d: strong witness tree has non-member nodes"
                 cert.cluster;
             let height =
-              List.fold_left
-                (fun h v -> max h (Hashtbl.find depth v))
-                0 cert.members
+              List.fold_left (fun h v -> max h ts.t_depth.(v)) 0 cert.members
             in
             if height <> w.w_height then
               fail "cluster %d: witness height claims %d, recomputed %d"
@@ -266,17 +331,20 @@ let verify g t =
                 cert.cluster);
         (if cert.diameter_lb >= 0 then begin
            let u, v = cert.lb_pair in
-           if not (Hashtbl.mem member u && Hashtbl.mem member v) then
+           if not (member u && member v) then
              fail "cluster %d: eccentric pair (%d,%d) not members"
                cert.cluster u v;
            let duv =
-             if cert.strong then
+             if cert.strong then begin
                (* member-restricted BFS: O(cluster volume), so the full
                   recheck stays linear across 10^5+ clusters *)
-               let bfs = Bfs.restricted_bfs g ~members:member ~source:u in
-               match Hashtbl.find_opt bfs v with
-               | Some (d, _) -> d
-               | None -> -1
+               let k =
+                 Bfs.restricted_into g ~owner ~id:cert.cluster ~source:u bfs
+               in
+               let d = bfs.Bfs.dist.(v) in
+               Bfs.release bfs k;
+               d
+             end
              else (Bfs.distances g ~source:u).(v)
            in
            if duv <> cert.diameter_lb then

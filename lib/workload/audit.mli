@@ -16,12 +16,13 @@
       against the domain and the member lists.
 
     {!verify} re-checks a certificate against the raw graph using only
-    graph primitives ([is_edge], [iter_edges], reference BFS) — it
-    never consults the clustering structures that produced the
-    certificate, so a bug in a decomposition algorithm (or a tampered
-    certificate) cannot vouch for itself. The test suite seeds
-    corruptions (wrong diameter witness, overlapping colors,
-    miscounted dead nodes) and asserts they are rejected. *)
+    graph primitives ([is_edge], [iter_edges], BFS) and an owner index
+    it builds from the certificate's own member lists — it never
+    consults the clustering structures that produced the certificate,
+    so a bug in a decomposition algorithm (or a tampered certificate)
+    cannot vouch for itself. The test suite seeds corruptions (wrong
+    diameter witness, overlapping colors, miscounted dead nodes,
+    repeated cluster ids) and asserts they are rejected. *)
 
 type witness = {
   w_root : int;
@@ -63,23 +64,38 @@ val certify_decomposition : Cluster.Decomposition.t -> t
 
 val certify_carving : Cluster.Carving.t -> t
 
-val cert_of_cluster : Cluster.Clustering.t -> color:int -> int -> cert
+val cert_of_cluster :
+  scratch:Dsgraph.Bfs.scratch ->
+  Cluster.Clustering.t ->
+  color:int ->
+  int ->
+  cert
 (** Certificate of one cluster: strong witnesses when its induced
     subgraph is connected, host-graph (weak) witnesses otherwise.
     Exposed so the repair engine can re-certify {e only} the clusters
-    it touched and carry every other certificate over verbatim. *)
+    it touched and carry every other certificate over verbatim.
+    [scratch] is a [Bfs.scratch n] shared by every cluster of the pass
+    (see [Cluster.Clustering.strong_witnesses]). *)
+
+val certs_by_id : t -> (cert array, string) result
+(** The certificates as an array indexed by cluster id. [Error] names
+    the first id that breaks the rule every producer follows — ids
+    [0 .. k-1] in list order — as out of range, repeated, or out of
+    order. *)
 
 val verify : Dsgraph.Graph.t -> t -> (unit, string) result
-(** Re-checks every claim against [g] alone: members partition the
-    domain (disjoint, in range) and the dead count and fraction are
-    recounted; no edge joins two distinct same-color clusters (for
+(** Re-checks every claim against [g] alone: cluster ids run
+    [0 .. k-1] in list order (as {!certs_by_id} requires); members
+    partition the domain (disjoint, in range) and the dead count and
+    fraction are recounted; no edge joins two distinct same-color clusters (for
     carvings, where all colors are [-1], this is full cluster
     non-adjacency); every witness tree is a real tree — each pair a
     graph edge, acyclic, rooted at a member, spanning exactly the
     members (strong) or covering all members (weak), with the claimed
     height recomputed from the parent pointers and
     [diameter_ub = 2 * height]; every eccentric pair's distance is
-    re-derived by reference BFS and must equal [diameter_lb], and
+    re-derived by BFS (inside the claimed members for strong
+    certificates, in [g] for weak ones) and must equal [diameter_lb], and
     [diameter_lb <= diameter_ub] where both exist. *)
 
 val check_survivors :

@@ -52,24 +52,15 @@ type report = {
   cert : cert;
 }
 
-(* by-cluster-id array view of an audit's certificates *)
-let certs_by_id audit k =
-  let dummy = List.hd audit.Audit.certs in
-  let a = Array.make k dummy in
-  List.iter (fun c -> a.(c.Audit.cluster) <- c) audit.Audit.certs;
-  a
-
 let repair ?(halo = 0) ~recarve session d =
   let t0 = Congest.Resource.now () in
   let st = CR.step session.state d in
-  let k_old = Cluster.Clustering.num_clusters session.clustering in
-  let weak =
-    if k_old = 0 then fun _ -> false
-    else begin
-      let certs = certs_by_id session.audit k_old in
-      fun c -> not certs.(c).Audit.strong
-    end
+  let old_certs =
+    match Audit.certs_by_id session.audit with
+    | Ok a -> a
+    | Error e -> invalid_arg ("Repair.repair: session audit: " ^ e)
   in
+  let weak c = not old_certs.(c).Audit.strong in
   let pl =
     CR.plan ~halo ~weak
       ~color:(fun c -> session.colors.(c))
@@ -95,19 +86,18 @@ let repair ?(halo = 0) ~recarve session d =
   let carried = List.rev !carried in
   let from_old = Array.make (max k_new 1) (-1) in
   List.iter (fun (o, nw) -> from_old.(nw) <- o) carried;
+  let g = CR.graph st in
+  let n = Graph.n g in
   (* untouched certificates are carried over verbatim (only the cluster
-     id is renumbered); touched clusters are the only ones re-certified *)
-  let old_certs =
-    if k_old = 0 then [||] else certs_by_id session.audit k_old
-  in
+     id is renumbered); touched clusters are the only ones re-certified,
+     all over one scratch *)
+  let scratch = Bfs.scratch n in
   let certs =
     List.init k_new (fun c ->
         let o = from_old.(c) in
         if o >= 0 then { (old_certs.(o)) with Audit.cluster = c }
-        else Audit.cert_of_cluster clustering ~color:colors.(c) c)
+        else Audit.cert_of_cluster ~scratch clustering ~color:colors.(c) c)
   in
-  let g = CR.graph st in
-  let n = Graph.n g in
   (* audit domain: the original domain's survivors, plus anything the
      merge clustered (for decompositions this is exactly the survivor
      set; for partial-domain carvings a halo never reaches outside) *)
@@ -172,26 +162,42 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+(* [ids] then the [side] of every pair name each of 0..k-1 exactly once:
+   k distinct in-range marks *)
+let partitions k ids pairs side =
+  let seen = Array.make k false in
+  let mark i =
+    if i < 0 || i >= k || seen.(i) then false
+    else begin
+      seen.(i) <- true;
+      true
+    end
+  in
+  List.length ids + List.length pairs = k
+  && List.for_all mark ids
+  && List.for_all (fun p -> mark (side p)) pairs
+
 let verify_cert ~prev ~post c =
   try
     let k_old = Cluster.Clustering.num_clusters prev.clustering in
-    let olds = c.c_dirty @ List.map fst c.c_carried in
-    if List.sort compare olds <> List.init k_old Fun.id then
+    if not (partitions k_old c.c_dirty c.c_carried fst) then
       bad "dirty + carried do not partition the %d previous clusters" k_old;
     let k_new = List.length c.c_audit.Audit.certs in
-    let news = c.c_fresh @ List.map snd c.c_carried in
-    if List.sort compare news <> List.init k_new Fun.id then
+    if not (partitions k_new c.c_fresh c.c_carried snd) then
       bad "fresh + carried do not partition the %d repaired clusters" k_new;
-    let old_certs =
-      if k_old = 0 then [||] else certs_by_id prev.audit k_old
+    let by_id what audit =
+      match Audit.certs_by_id audit with
+      | Ok a -> a
+      | Error e -> bad "%s certificate: %s" what e
     in
-    let new_certs =
-      if k_new = 0 then [||] else certs_by_id c.c_audit k_new
-    in
+    let old_certs = by_id "previous" prev.audit in
+    let new_certs = by_id "repaired" c.c_audit in
+    if Array.length old_certs <> k_old then
+      bad "previous certificate covers %d clusters, not %d"
+        (Array.length old_certs) k_old;
+    (* the partitions put every carried pair in range *)
     List.iter
       (fun (o, nw) ->
-        if o < 0 || o >= k_old || nw < 0 || nw >= k_new then
-          bad "carried pair (%d,%d) out of range" o nw;
         if { (old_certs.(o)) with Audit.cluster = nw } <> new_certs.(nw) then
           bad "carried cluster %d -> %d: certificate not identical" o nw)
       c.c_carried;

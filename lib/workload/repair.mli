@@ -11,8 +11,9 @@
     {!cert}: a checkable claim that the repair was local.
 
     {!verify_cert} re-checks that claim against the previous session
-    and the post-fault graph alone: the dirty and carried cluster ids
-    partition the old clustering, every carried certificate is
+    and the post-fault graph alone: both audits' cluster ids run
+    [0 .. k-1] in order, the dirty and carried cluster ids partition
+    the old clustering, every carried certificate is
     byte-identical to its predecessor except for the cluster id, the
     carried and fresh ids partition the new clustering, and the merged
     audit passes the graph-only [Audit.verify] on the post-fault
@@ -62,8 +63,10 @@ val repair :
   session * report
 (** Applies one delta and heals the clustering locally. [recarve] is as
     in [Cluster.Repair.merge] (see {!recarve_decomposer} /
-    {!recarve_carver}); [halo] defaults to [0].
-    @raise Invalid_argument on an inconsistent delta. *)
+    {!recarve_carver}); [halo] defaults to [0]. Fresh clusters are
+    certified over one [Bfs.scratch] allocated per call.
+    @raise Invalid_argument on an inconsistent delta, or when the
+    session's audit breaks the cluster-id rule of [Audit.certs_by_id]. *)
 
 val verify_cert :
   prev:session -> post:Dsgraph.Graph.t -> cert -> (unit, string) result

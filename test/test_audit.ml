@@ -181,6 +181,66 @@ let test_rejects_structural_tampering () =
   in
   expect_reject "forged tree edge" g bad
 
+(* corruption 5: duplicate cluster ids — minimized regression. Relabel
+   cluster 1 of an honest greedy audit on an 8x8 grid to id 0: the
+   members, trees and colors stay valid, so only the id rule catches
+   it (it used to verify) *)
+let test_rejects_duplicate_cluster_id () =
+  let g = Gen.grid 8 8 in
+  let d = Baseline.Greedy.decompose g in
+  let t = Audit.certify_decomposition d in
+  check bool "honest verifies" true (is_ok (Audit.verify g t));
+  let relabel i id = tamper t i (fun c -> { c with Audit.cluster = id }) in
+  let expect what bad msg =
+    match Audit.verify g bad with
+    | Ok () -> Alcotest.failf "corruption not rejected: %s" what
+    | Error e -> check Alcotest.string what msg e
+  in
+  expect "duplicate id" (relabel 1 0)
+    "cluster id 0 appears twice (certificates 0 and 1)";
+  let k = List.length t.Audit.certs in
+  expect "id out of range" (relabel 2 k)
+    (Printf.sprintf "cluster id %d outside [0, %d)" k k);
+  expect "id out of order" (relabel 1 2)
+    (Printf.sprintf
+       "certificate 1 carries cluster id 2: ids must run 0..%d in list order"
+       (k - 1))
+
+(* Words allocated per node by certify + verify on a greedy
+   decomposition of a side x side grid. Words allocated straight into
+   the major heap count too (minor + major - promoted): an O(n) scratch
+   is larger than the minor-heap limit for one block, so a per-cluster
+   scratch would show up only there. The counters are synced at minor
+   collections, hence the Gc.minor before each read. *)
+let audit_words_per_node side =
+  let g = Gen.grid side side in
+  let d = Baseline.Greedy.decompose g in
+  let allocated () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let t = Audit.certify_decomposition d in
+  let verdict = Audit.verify g t in
+  let words = allocated () -. before in
+  check bool "verifies" true (is_ok verdict);
+  words /. float_of_int (Graph.n g)
+
+(* allocation scales with cluster volume, not with n: quadrupling n
+   (and with it the cluster count — greedy covers a grid with nearly
+   all singletons) leaves the per-node cost flat, whereas an O(n)
+   buffer per cluster would quadruple it. 32x32 and 64x64 rather than
+   larger: greedy itself is quadratic on a grid (one BFS of the whole
+   remaining component per cluster). *)
+let test_allocation_scales_with_volume () =
+  let small = audit_words_per_node 32 and large = audit_words_per_node 64 in
+  check bool
+    (Printf.sprintf "64x64 %.1f words/node within 1.5x of 32x32 %.1f" large
+       small)
+    true
+    (large <= 1.5 *. small)
+
 let test_verify_is_independent () =
   (* a certificate for the wrong graph must be rejected outright *)
   let t, _ = Lazy.force decomp_fixture in
@@ -206,6 +266,10 @@ let () =
             test_rejects_miscounted_dead;
           Alcotest.test_case "rejects structural tampering" `Quick
             test_rejects_structural_tampering;
+          Alcotest.test_case "rejects duplicate cluster ids" `Quick
+            test_rejects_duplicate_cluster_id;
+          Alcotest.test_case "allocation scales with cluster volume" `Quick
+            test_allocation_scales_with_volume;
           Alcotest.test_case "verification is graph-anchored" `Quick
             test_verify_is_independent;
         ] );

@@ -77,6 +77,37 @@ let test_clustering_weak_diameter_masked () =
   let within = Mask.of_list 5 [ 1; 2; 3; 4 ] in
   check int "masked weak" (-1) (Clustering.weak_diameter ~within c 0)
 
+(* The strong searches run a member-restricted BFS over a shared
+   scratch; the weak variants confined to the member mask run the
+   reference masked BFS. [strong_witnesses] must return exactly the
+   weak tree and pair on every cluster (and [None] exactly when the
+   weak tree is [None]), which is what keeps certificates
+   byte-identical. Random clusterings of sparse random graphs give
+   connected and disconnected clusters, singletons and pairs. *)
+let prop_restricted_matches_masked_reference =
+  QCheck2.Test.make ~count:80
+    ~name:"strong witnesses equal the weak ones within the member mask"
+    ~print:(fun (seed, n, pct, k) ->
+      Printf.sprintf "seed=%d n=%d p=%d%% k=%d" seed n pct k)
+    QCheck2.Gen.(
+      quad (int_bound 100_000) (int_range 1 40) (int_range 2 40)
+        (int_range 1 6))
+    (fun (seed, n, pct, k) ->
+      let rng = Rng.create seed in
+      let g = Gen.erdos_renyi rng n (float_of_int pct /. 100.0) in
+      let cluster_of = Array.init n (fun _ -> Rng.int rng (k + 1) - 1) in
+      let c = Clustering.make g ~cluster_of in
+      let scratch = Bfs.scratch n in
+      List.for_all
+        (fun i ->
+          let within = Mask.of_list n (Clustering.members c i) in
+          let pair = Clustering.weak_eccentric_pair ~within c i in
+          Clustering.strong_witnesses ~scratch c i
+          = Option.map
+              (fun tree -> (tree, pair))
+              (Clustering.weak_witness_tree ~within c i))
+        (List.init (Clustering.num_clusters c) Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Steiner trees                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -348,6 +379,7 @@ let () =
             test_clustering_disconnected_cluster;
           Alcotest.test_case "weak diameter masked" `Quick
             test_clustering_weak_diameter_masked;
+          QCheck_alcotest.to_alcotest prop_restricted_matches_masked_reference;
         ] );
       ( "steiner",
         [

@@ -539,9 +539,46 @@ let prop_power_monotone =
       let g = random_graph seed n (float_of_int pct /. 100.0) in
       Graph.m (Power.power g 2) <= Graph.m (Power.power g 3))
 
+(* one scratch serves every search: each must equal the masked
+   reference BFS over the source's owner class and leave every dist
+   cell at -1 after release *)
+let prop_restricted_into_matches_masked =
+  QCheck.Test.make ~name:"restricted_into equals masked distances and parents"
+    ~count:60 arb_graph (fun (seed, n, pct) ->
+      let g = random_graph seed n (float_of_int pct /. 100.0) in
+      let owner = Array.init n (fun v -> ((v * 7) + seed) mod 4 - 1) in
+      let s = Bfs.scratch n in
+      List.for_all
+        (fun source ->
+          let id = owner.(source) in
+          let members = List.filter (fun v -> owner.(v) = id) (Graph.nodes g) in
+          let mask = Mask.of_list n members in
+          let dist = Bfs.distances ~mask g ~source in
+          let parent = Bfs.parents ~mask g ~source in
+          let k = Bfs.restricted_into g ~owner ~id ~source s in
+          let reached = List.filter (fun v -> dist.(v) >= 0) (Graph.nodes g) in
+          let ok =
+            k = List.length reached
+            && List.for_all
+                 (fun v ->
+                   s.Bfs.dist.(v) = dist.(v) && s.Bfs.parent.(v) = parent.(v))
+                 reached
+            && List.for_all
+                 (fun v -> dist.(v) >= 0 || s.Bfs.dist.(v) = -1)
+                 (Graph.nodes g)
+            && List.sort compare (Array.to_list (Array.sub s.Bfs.queue 0 k))
+               = reached
+          in
+          Bfs.release s k;
+          ok
+          && Array.for_all (fun d -> d = -1) s.Bfs.dist
+          && Bfs.restricted_into g ~owner ~id:(id + 10) ~source s = 0)
+        (Graph.nodes g))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_restricted_into_matches_masked;
       prop_bfs_triangle_inequality;
       prop_components_partition;
       prop_subdivide_preserves_components;

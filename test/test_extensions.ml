@@ -398,10 +398,11 @@ let prop_estimates_bracket_exact =
       (* random clustering by parity of id blocks *)
       let cluster_of = Array.init (Graph.n g) (fun v -> v mod 3) in
       let c = Clustering.make g ~cluster_of in
+      let scratch = Bfs.scratch (Graph.n g) in
       let ok = ref true in
       for i = 0 to Clustering.num_clusters c - 1 do
         let exact = Clustering.strong_diameter c i in
-        let est = Clustering.strong_diameter_estimate c i in
+        let est = Clustering.strong_diameter_estimate ~scratch c i in
         (* both agree on connectivity; the estimate is a lower bound
            within a factor 2 *)
         if exact = -1 then ok := !ok && est = -1

@@ -266,6 +266,42 @@ let test_tampered_cert_rejected () =
       expect_reject "mutated carried certificate"
         { cert with Repair.c_audit = tampered })
 
+(* minimized regression: an out-of-range or repeated cluster id in the
+   repaired audit indexed the by-id array directly and raised
+   Invalid_argument "index out of bounds" instead of returning Error *)
+let test_tampered_cluster_id_rejected () =
+  let s, recarve = decomp_session () in
+  let s', rep = Repair.repair ~halo:1 ~recarve s (CR.delta ~crash:[ 10 ] ()) in
+  let post = CR.graph s'.Repair.state in
+  let cert = rep.Repair.cert in
+  let relabel i id =
+    let audit = cert.Repair.c_audit in
+    {
+      cert with
+      Repair.c_audit =
+        {
+          audit with
+          Audit.certs =
+            List.mapi
+              (fun j (c : Audit.cert) ->
+                if j = i then { c with Audit.cluster = id } else c)
+              audit.Audit.certs;
+        };
+    }
+  in
+  let k = List.length cert.Repair.c_audit.Audit.certs in
+  let expect what c msg =
+    match Repair.verify_cert ~prev:s ~post c with
+    | Ok () -> Alcotest.failf "tampering not rejected: %s" what
+    | Error e -> check Alcotest.string what msg e
+    | exception e ->
+        Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  expect "id out of range" (relabel 0 10000)
+    (Printf.sprintf "repaired certificate: cluster id 10000 outside [0, %d)" k);
+  expect "repeated id" (relabel 1 0)
+    "repaired certificate: cluster id 0 appears twice (certificates 0 and 1)"
+
 (* the ISSUE acceptance bar: grid256, one crash, halo 1 — the repair
    re-carves at most 25% of the nodes *)
 let test_grid256_single_crash_locality () =
@@ -343,6 +379,8 @@ let () =
             test_carving_repair_certified;
           Alcotest.test_case "tampered certificates rejected" `Quick
             test_tampered_cert_rejected;
+          Alcotest.test_case "tampered cluster ids rejected" `Quick
+            test_tampered_cluster_id_rejected;
           Alcotest.test_case "grid256 single crash is local" `Quick
             test_grid256_single_crash_locality;
           QCheck_alcotest.to_alcotest prop_repair_equivalence;
