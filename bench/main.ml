@@ -983,15 +983,17 @@ let read_trajectory () =
 let record_entries () =
   let decomp name n =
     let d = Algorithms.find_decomposer name in
+    (* timed samples run untraced; one final traced run, with a recorder
+       created just before it, supplies the logical and resource columns,
+       so they describe that run alone *)
+    let _, summary =
+      Measure.decomposition_row_sampled ~seed ~plan:Workload.Stats.quick_plan
+        d Suite.grid ~n
+    in
     let sink = Congest.Trace.sink () in
     let res = Resource.create () in
     Resource.attach res sink;
-    (* the sink (and its recorder) only see the last sample, so the
-       logical and resource columns still describe a single run *)
-    let row, summary =
-      Measure.decomposition_row_sampled ~seed ~trace:sink
-        ~plan:Workload.Stats.quick_plan d Suite.grid ~n
-    in
+    let row = Measure.decomposition_row ~seed ~trace:sink d Suite.grid ~n in
     let tot = Resource.totals res in
     {
       Trajectory.name = Printf.sprintf "%s/grid%d" name n;

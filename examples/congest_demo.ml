@@ -61,9 +61,9 @@ let () =
     {
       Congest.Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (Graph.neighbors g 0).(0), () ], true)
-          else ((), [], true));
+        (fun ~node ~state:_ ~inbox:_ ~out ->
+          if node = 0 then Congest.Sim.send out (Graph.neighbors g 0).(0) ();
+          Congest.Sim.halt out);
     }
   in
   (try

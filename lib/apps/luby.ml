@@ -27,62 +27,47 @@ let run ?(seed = 1) g =
             exchange = true;
           });
       round =
-        (fun ~node ~state:st ~inbox ->
+        (fun ~node ~state:st ~inbox ~out ->
+          let exists p =
+            Congest.Sim.Inbox.fold (fun acc _ m -> acc || p m) false inbox
+          in
+          (* if any neighbor joined the MIS last round, drop out *)
+          let dominated () = exists (fun m -> m = In_announce) in
+          (match st.status with
           (* decided nodes only react to announcements (nothing to do) *)
-          match st.status with
-          | In_mis | Out -> (st, [], true)
+          | In_mis | Out -> Congest.Sim.halt out
           | Undecided ->
               if st.exchange then begin
-                (* if any neighbor joined the MIS last round, drop out *)
-                let dominated =
-                  List.exists (fun (_, m) -> m = In_announce) inbox
-                in
-                if dominated then begin
+                if dominated () then begin
                   st.status <- Out;
-                  (st, [], true)
+                  Congest.Sim.halt out
                 end
                 else begin
                   st.exchange <- false;
                   let p = Rng.int st.rng (1 lsl priority_bits) in
                   st.current <- (p, node);
-                  let out =
-                    Array.to_list
-                      (Array.map
-                         (fun nb -> (nb, Priority (p, node)))
-                         (Graph.neighbors g node))
-                  in
-                  (st, out, false)
+                  Graph.iter_neighbors g node (fun nb ->
+                      Congest.Sim.send out nb (Priority (p, node)))
                 end
               end
               else begin
                 st.exchange <- true;
                 let beaten =
-                  List.exists
-                    (fun (_, m) ->
-                      match m with
-                      | Priority (p, i) -> (p, i) > st.current
-                      | In_announce -> false)
-                    inbox
+                  exists (function
+                    | Priority (p, i) -> (p, i) > st.current
+                    | In_announce -> false)
                 in
-                let dominated =
-                  List.exists (fun (_, m) -> m = In_announce) inbox
-                in
-                if dominated then begin
+                if dominated () then begin
                   st.status <- Out;
-                  (st, [], true)
+                  Congest.Sim.halt out
                 end
                 else if not beaten then begin
                   st.status <- In_mis;
-                  let out =
-                    Array.to_list
-                      (Array.map
-                         (fun nb -> (nb, In_announce))
-                         (Graph.neighbors g node))
-                  in
-                  (st, out, false)
+                  Graph.iter_neighbors g node (fun nb ->
+                      Congest.Sim.send out nb In_announce)
                 end
-                else (st, [], false)
               end);
+          st);
     }
   in
   let bits = function

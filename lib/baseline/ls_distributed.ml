@@ -29,10 +29,10 @@ let build rng g ~epsilon =
         (fun ~node ~neighbors:_ ->
           { best_prio = node; best_slack = radii.(node); announced = None });
       round =
-        (fun ~node ~state ~inbox ->
+        (fun ~node ~state ~inbox ~out ->
           let best =
-            List.fold_left
-              (fun acc (_, pair) -> if better pair acc then pair else acc)
+            Congest.Sim.Inbox.fold
+              (fun acc _ pair -> if better pair acc then pair else acc)
               (state.best_prio, state.best_slack)
               inbox
           in
@@ -41,17 +41,15 @@ let build rng g ~epsilon =
             state.best_slack >= 1
             && state.announced <> Some (state.best_prio, state.best_slack)
           in
-          if should_send then
-            let out =
-              Array.to_list
-                (Array.map
-                   (fun nb -> (nb, (state.best_prio, state.best_slack - 1)))
-                   (Graph.neighbors g node))
-            in
-            ( { state with announced = Some (state.best_prio, state.best_slack) },
-              out,
-              false )
-          else (state, [], true));
+          if should_send then begin
+            let m = (state.best_prio, state.best_slack - 1) in
+            Graph.iter_neighbors g node (fun nb -> Congest.Sim.send out nb m);
+            { state with announced = Some (state.best_prio, state.best_slack) }
+          end
+          else begin
+            Congest.Sim.halt out;
+            state
+          end);
     }
   in
   (cap, msg_bits, program)

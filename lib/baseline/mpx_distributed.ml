@@ -79,25 +79,24 @@ let partition ?(seed = 1) ?adversary ?conformance ?trace g ~beta =
             round = 0;
           });
       round =
-        (fun ~node ~state:st ~inbox ->
+        (fun ~node ~state:st ~inbox ~out ->
           st.round <- st.round + 1;
           (* adopt the best wave among this round's arrivals and our own
              start, if still unclaimed *)
           if st.center = -1 then begin
-            let best = ref max_int in
-            List.iter (fun (_, c) -> if c < !best then best := c) inbox;
-            if st.round = st.start_round && node < !best then best := node;
-            if !best < max_int then st.center <- !best
+            let best = Congest.Sim.Inbox.fold (fun b _ c -> min b c) max_int inbox in
+            let best =
+              if st.round = st.start_round && node < best then node else best
+            in
+            if best < max_int then st.center <- best
           end;
           if st.center >= 0 && not st.announced then begin
             st.announced <- true;
-            let out =
-              Array.to_list
-                (Array.map (fun nb -> (nb, st.center)) (Graph.neighbors g node))
-            in
-            (st, out, false)
+            Graph.iter_neighbors g node (fun nb ->
+                Congest.Sim.send out nb st.center)
           end
-          else (st, [], st.center >= 0));
+          else if st.center >= 0 then Congest.Sim.halt out;
+          st);
     }
   in
   let config =

@@ -15,9 +15,10 @@
     - {b Simulator traces} ([Sim.simulate] with a sink attached) carry
       the full per-message stream. A message [m'] sent by node [v]
       causally depends on a message [m] delivered to [v] at a round
-      [<= sent_round m'] (the simulator delivers into inboxes before
-      stepping the nodes, so within one trace the deliveries of a round
-      precede its sends — one forward pass suffices). The chain value of
+      [<= sent_round m'] (the simulator records a round's deliveries
+      from its round buffer before stepping the nodes, and a node reads
+      its inbox before it sends, so within one trace the deliveries of a
+      round precede its sends — one forward pass suffices). The chain value of
       a delivered message is its in-flight latency
       [delivered - sent] plus the best chain value delivered to its
       sender beforehand; the critical path is the maximum over all

@@ -112,63 +112,59 @@ let instrument ?(order_invariant = false) rec_ g inner =
       "per-node step counters captured by the instrumented program's \
        closures; indexed by node, racy only across nodes"]
   in
-  (* duplicate-destination detection without per-round allocation:
-     [seen.(dst) = gen] marks dst as already hit in the current call *)
-  let seen =
-    Array.make n 0
-    [@@domain_unsafe
-      "duplicate-destination scratch shared by every node's round \
-       closure; must become per-domain before parallel delivery"]
-  in
-  let gen =
-    ref 0
-    [@@domain_unsafe
-      "generation counter paired with [seen]; same sharding constraint"]
-  in
   let init ~node ~neighbors =
     voted_halt.(node) <- false;
     steps.(node) <- 0;
     inner.Sim.init ~node ~neighbors
   in
-  let round ~node ~state ~inbox =
+  (* the sends of one inner round, for the order comparison of (e) *)
+  let sends out ~first =
+    List.init (Sim.Out.length out - first) (fun i ->
+        (Sim.Out.dst out (first + i), Sim.Out.msg out (first + i)))
+  in
+  let round ~node ~state ~inbox ~out =
     steps.(node) <- steps.(node) + 1;
     let step = steps.(node) in
-    let state', out, halt = inner.Sim.round ~node ~state ~inbox in
-    (* (c) one message per incident edge, neighbors only *)
-    incr gen;
-    List.iter
-      (fun (dst, _) ->
-        if dst < 0 || dst >= n || not (Graph.is_edge g node dst) then
-          record rec_ ~invariant:"edge-discipline" ~node ~step
-            (Printf.sprintf "sent to non-neighbor %d" dst)
-        else if seen.(dst) = !gen then
-          record rec_ ~invariant:"edge-discipline" ~node ~step
-            (Printf.sprintf "sent twice to neighbor %d in one round" dst)
-        else seen.(dst) <- !gen)
-      out;
+    (* the wrapper may be handed an outbox that already holds sends *)
+    let first = Sim.Out.length out in
+    let state' = inner.Sim.round ~node ~state ~inbox ~out in
+    let sent = Sim.Out.length out - first in
+    let halt = Sim.Out.halted out in
+    (* (c) one message per incident edge, neighbors only; out-degree is
+       small, so an earlier duplicate is found by scanning the outbox *)
+    for i = first to first + sent - 1 do
+      let dst = Sim.Out.dst out i in
+      let rec earlier j = j < i && (Sim.Out.dst out j = dst || earlier (j + 1)) in
+      if dst < 0 || dst >= n || not (Graph.is_edge g node dst) then
+        record rec_ ~invariant:"edge-discipline" ~node ~step
+          (Printf.sprintf "sent to non-neighbor %d" dst)
+      else if earlier first then
+        record rec_ ~invariant:"edge-discipline" ~node ~step
+          (Printf.sprintf "sent twice to neighbor %d in one round" dst)
+    done;
     (* (d) halt monotonicity: no spontaneous sends or wake-ups *)
-    if voted_halt.(node) && inbox = [] then begin
-      if out <> [] then
+    if voted_halt.(node) && Sim.Inbox.is_empty inbox then begin
+      if sent > 0 then
         record rec_ ~invariant:"halt-monotonic" ~node ~step
           (Printf.sprintf "halted node sent %d message(s) with empty inbox"
-             (List.length out));
+             sent);
       if not halt then
         record rec_ ~invariant:"halt-monotonic" ~node ~step
           "halted node un-halted without a delivery"
     end;
     (* (e) inbox-order robustness, for registered programs only *)
-    (if order_invariant && List.length inbox > 1 then
-       let state2, out2, halt2 =
-         inner.Sim.round ~node ~state ~inbox:(List.rev inbox)
-       in
-       if halt2 <> halt then
+    (if order_invariant && Sim.Inbox.length inbox > 1 then
+       let out2 = Sim.Out.create () in
+       let reversed = Sim.Inbox.of_list (List.rev (Sim.Inbox.to_list inbox)) in
+       let state2 = inner.Sim.round ~node ~state ~inbox:reversed ~out:out2 in
+       if Sim.Out.halted out2 <> halt then
          record rec_ ~invariant:"order-invariant" ~node ~step
            "halt vote depends on inbox order"
        else if
          not
            (equal_or_incomparable
-              (List.sort compare out)
-              (List.sort compare out2))
+              (List.sort compare (sends out ~first))
+              (List.sort compare (sends out2 ~first:0)))
        then
          record rec_ ~invariant:"order-invariant" ~node ~step
            "outbox set depends on inbox order"
@@ -176,7 +172,7 @@ let instrument ?(order_invariant = false) rec_ g inner =
          record rec_ ~invariant:"order-invariant" ~node ~step
            "state depends on inbox order");
     voted_halt.(node) <- halt;
-    (state', out, halt)
+    state'
   in
   { Sim.init; round }
 

@@ -88,8 +88,11 @@ val instrument :
     [false]) — (e): the inner [round] is re-run on the reversed inbox and
     the resulting state, outbox {e set}, and halt vote must coincide.
     Comparison uses structural equality; states containing closures are
-    compared only by their halt/outbox behavior. The wrapper adds no
-    messages and never alters the program's observable behavior. *)
+    compared only by their halt/outbox behavior. (c) and (d) read the
+    sends the inner round appended to the outbox it was handed; the
+    re-run of (e) sends into a fresh outbox that is then discarded. The
+    wrapper adds no messages and never alters the program's observable
+    behavior. *)
 
 type instrumentor = {
   instrument : 'st 'msg. ('st, 'msg) Sim.program -> ('st, 'msg) Sim.program;

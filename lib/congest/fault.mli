@@ -1,7 +1,7 @@
 (** Deterministic, seeded fault-injection adversaries for {!Sim}.
 
-    An adversary sits between a node's [send] and the destination's inbox
-    and may, per message: drop it (iid rate or scheduled bursts on chosen
+    An adversary sits between a node's {!Sim.send} and the round buffer
+    its message would be delivered from, and may, per message: drop it (iid rate or scheduled bursts on chosen
     edges), duplicate it (the extra copy optionally delayed, modelling
     retransmitting hardware), or delay it by a bounded number of rounds
     (reordering within the window). Independently, it may {e crash-stop} a

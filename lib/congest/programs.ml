@@ -21,18 +21,12 @@ let leader_election ?adversary ?conformance ?trace g =
     {
       Sim.init = (fun ~node ~neighbors:_ -> { best = node; dirty = true });
       round =
-        (fun ~node ~state ~inbox ->
-          ignore node;
-          let best =
-            List.fold_left (fun acc (_, m) -> min acc m) state.best inbox
-          in
+        (fun ~node ~state ~inbox ~out ->
+          let best = Sim.Inbox.fold (fun acc _ m -> min acc m) state.best inbox in
           if state.dirty || best < state.best then
-            let out =
-              Array.to_list
-                (Array.map (fun nb -> (nb, best)) (Graph.neighbors g node))
-            in
-            ({ best; dirty = false }, out, false)
-          else ({ best; dirty = false }, [], true));
+            Graph.iter_neighbors g node (fun nb -> Sim.send out nb best)
+          else Sim.halt out;
+          { best; dirty = false });
     }
   in
   let states, stats =
@@ -58,30 +52,26 @@ let bfs ?adversary ?conformance ?trace g ~source =
           if node = source then { dist = 0; parent = source; announced = false }
           else { dist = -1; parent = -1; announced = false });
       round =
-        (fun ~node ~state ~inbox ->
+        (fun ~node ~state ~inbox ~out ->
           let state =
-            if state.dist >= 0 then state
+            if state.dist >= 0 || Sim.Inbox.is_empty inbox then state
             else
-              match inbox with
-              | [] -> state
-              | (u, d) :: rest ->
-                  let best_u, best_d =
-                    List.fold_left
-                      (fun (bu, bd) (u', d') ->
-                        if d' < bd then (u', d') else (bu, bd))
-                      (u, d) rest
-                  in
-                  { dist = best_d + 1; parent = best_u; announced = false }
+              (* first arrival wins distance ties *)
+              let best_u, best_d =
+                Sim.Inbox.fold
+                  (fun (bu, bd) u d -> if d < bd then (u, d) else (bu, bd))
+                  (-1, max_int) inbox
+              in
+              { dist = best_d + 1; parent = best_u; announced = false }
           in
-          if state.dist >= 0 && not state.announced then
-            let out =
-              Array.to_list
-                (Array.map
-                   (fun nb -> (nb, state.dist))
-                   (Graph.neighbors g node))
-            in
-            ({ state with announced = true }, out, false)
-          else (state, [], true));
+          if state.dist >= 0 && not state.announced then begin
+            Graph.iter_neighbors g node (fun nb -> Sim.send out nb state.dist);
+            { state with announced = true }
+          end
+          else begin
+            Sim.halt out;
+            state
+          end);
     }
   in
   let states, stats =
@@ -119,19 +109,21 @@ let subtree_counts ?adversary ?conformance ?trace g ~parent =
           ignore node;
           { round_no = 0; pending = 0; total = 1; sent_up = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~node ~state ~inbox ~out ->
+          if parent.(node) = -1 then begin
+            Sim.halt out;
+            state
+          end
           else
             let state = { state with round_no = state.round_no + 1 } in
-            if state.round_no = 1 then
-              let out =
-                if parent.(node) <> node then [ (parent.(node), Child) ] else []
-              in
-              (state, out, false)
+            if state.round_no = 1 then begin
+              if parent.(node) <> node then Sim.send out parent.(node) Child;
+              state
+            end
             else
               let state =
-                List.fold_left
-                  (fun st (_, m) ->
+                Sim.Inbox.fold
+                  (fun st _ m ->
                     match m with
                     | Child -> { st with pending = st.pending + 1 }
                     | Count c ->
@@ -139,11 +131,15 @@ let subtree_counts ?adversary ?conformance ?trace g ~parent =
                   state inbox
               in
               let is_root = parent.(node) = node in
-              if state.pending = 0 && not state.sent_up && not is_root then
-                ( { state with sent_up = true },
-                  [ (parent.(node), Count state.total) ],
-                  false )
-              else (state, [], state.sent_up || (is_root && state.pending = 0)));
+              if state.pending = 0 && not state.sent_up && not is_root then begin
+                Sim.send out parent.(node) (Count state.total);
+                { state with sent_up = true }
+              end
+              else begin
+                if state.sent_up || (is_root && state.pending = 0) then
+                  Sim.halt out;
+                state
+              end);
     }
   in
   let states, stats =

@@ -94,7 +94,7 @@ type 'msg pkt = {
 
 type 'msg link = {
   mutable alive : bool;
-  mutable outq : 'msg pkt list; (* seq order, length <= window *)
+  outq : 'msg pkt Queue.t; (* seq order, length <= window *)
   mutable acked : int; (* all seq <= acked are acknowledged *)
   mutable recv_next : int; (* next in-order seq expected *)
   oob : (int, 'msg option) Hashtbl.t; (* out-of-order buffer *)
@@ -102,6 +102,8 @@ type 'msg link = {
   mutable last_heard : int;
   mutable last_sent : int;
   mutable ack_dirty : bool;
+  mutable staged_at : int; (* inner round of the payload in [staged] *)
+  mutable staged : 'msg option;
 }
 
 type ('st, 'msg) node = {
@@ -114,6 +116,8 @@ type ('st, 'msg) node = {
   mutable retransmissions : int;
   mutable heartbeats : int;
   mutable detected : int list;
+  inbox : 'msg Sim.inbox; (* the inner round's deliveries, reused *)
+  out : 'msg Sim.out; (* the inner round's sends, reused *)
 }
 
 let inner_state st = st.inner_state
@@ -151,7 +155,11 @@ let receive st u (f : 'msg frame) =
     l.last_heard <- st.outer;
     if f.ack > l.acked then begin
       l.acked <- f.ack;
-      l.outq <- List.filter (fun p -> p.seq > f.ack) l.outq
+      while
+        (not (Queue.is_empty l.outq)) && (Queue.peek l.outq).seq <= f.ack
+      do
+        ignore (Queue.take l.outq)
+      done
     end;
     match f.token with
     | None -> ()
@@ -183,7 +191,8 @@ let receive st u (f : 'msg frame) =
 
 (* A link is awaited when progress depends on hearing from it: tokens of
    ours unacknowledged, or we are blocked on its next token. *)
-let awaited st l = l.outq <> [] || ((not (finished st)) && l.recv_next <= st.k)
+let awaited st l =
+  (not (Queue.is_empty l.outq)) || ((not (finished st)) && l.recv_next <= st.k)
 
 (* Capped retry: with [max_retries > 0], a token retransmitted that many
    times without an acknowledgement condemns its link even before the
@@ -191,9 +200,9 @@ let awaited st l = l.outq <> [] || ((not (finished st)) && l.recv_next <= st.k)
 let retries_exhausted st l =
   st.cfg.max_retries > 0
   &&
-  match l.outq with
-  | p :: _ -> p.attempts >= st.cfg.max_retries
-  | [] -> false
+  match Queue.peek_opt l.outq with
+  | Some p -> p.attempts >= st.cfg.max_retries
+  | None -> false
 
 let detect_dead st =
   Array.iter
@@ -205,7 +214,7 @@ let detect_dead st =
            || retries_exhausted st l)
       then begin
         l.alive <- false;
-        l.outq <- [];
+        Queue.clear l.outq;
         Hashtbl.reset l.oob;
         st.detected <- u :: st.detected
       end)
@@ -217,62 +226,59 @@ let can_execute st =
        (fun u ->
          let l = link_of st u in
          (not l.alive)
-         || (l.recv_next >= st.k + 1 && List.length l.outq < st.cfg.window))
+         || (l.recv_next >= st.k + 1 && Queue.length l.outq < st.cfg.window))
        st.sorted_nbrs
 
 let execute_inner (inner : ('st, 'msg) Sim.program) ~node st =
   let r = st.k + 1 in
-  let inbox =
-    Array.fold_left
-      (fun acc u ->
-        let l = link_of st u in
-        match Hashtbl.find_opt l.delivered (r - 1) with
-        | Some tok ->
-            Hashtbl.remove l.delivered (r - 1);
-            if l.alive then
-              match tok with Some m -> (u, m) :: acc | None -> acc
-            else acc
-        | None -> acc)
-      [] st.sorted_nbrs
-    |> List.rev
-  in
-  let state', outgoing, _halt =
-    inner.Sim.round ~node ~state:st.inner_state ~inbox
-  in
-  st.inner_state <- state';
-  let sent = Hashtbl.create 4 in
-  List.iter
-    (fun (dst, m) ->
-      if not (Hashtbl.mem st.links dst) then
+  Sim.Inbox.clear st.inbox;
+  Array.iter
+    (fun u ->
+      let l = link_of st u in
+      match Hashtbl.find_opt l.delivered (r - 1) with
+      | Some tok -> (
+          Hashtbl.remove l.delivered (r - 1);
+          match tok with
+          | Some m when l.alive -> Sim.Inbox.add st.inbox u m
+          | _ -> ())
+      | None -> ())
+    st.sorted_nbrs;
+  Sim.Out.reset st.out;
+  st.inner_state <-
+    inner.Sim.round ~node ~state:st.inner_state ~inbox:st.inbox ~out:st.out;
+  for i = 0 to Sim.Out.length st.out - 1 do
+    let dst = Sim.Out.dst st.out i in
+    match Hashtbl.find_opt st.links dst with
+    | None ->
         invalid_arg
-          (Printf.sprintf "Reliable: node %d sent to non-neighbor %d" node dst);
-      if Hashtbl.mem sent dst then
-        invalid_arg
-          (Printf.sprintf "Reliable: node %d sent twice to %d in one round"
-             node dst);
-      Hashtbl.add sent dst m)
-    outgoing;
+          (Printf.sprintf "Reliable: node %d sent to non-neighbor %d" node dst)
+    | Some l ->
+        if l.staged_at = r then
+          invalid_arg
+            (Printf.sprintf "Reliable: node %d sent twice to %d in one round"
+               node dst);
+        l.staged_at <- r;
+        l.staged <- Some (Sim.Out.msg st.out i)
+  done;
   Array.iter
     (fun u ->
       let l = link_of st u in
       if l.alive then
-        l.outq <-
-          l.outq
-          @ [
-              {
-                seq = r;
-                payload = Hashtbl.find_opt sent u;
-                last_tx = -1;
-                attempts = 0;
-              };
-            ])
+        Queue.add
+          {
+            seq = r;
+            payload = (if l.staged_at = r then l.staged else None);
+            last_tx = -1;
+            attempts = 0;
+          }
+          l.outq)
     st.sorted_nbrs;
   st.k <- r
 
 let frame_for st ~node ~nbr l =
   let token =
-    match l.outq with
-    | p :: _
+    match Queue.peek_opt l.outq with
+    | Some p
       when p.last_tx >= 0
            && st.outer - p.last_tx
               >= rto_for st.cfg ~node ~nbr ~seq:p.seq ~attempts:p.attempts ->
@@ -281,7 +287,7 @@ let frame_for st ~node ~nbr l =
         st.retransmissions <- st.retransmissions + 1;
         Some (p.seq, p.payload)
     | _ -> (
-        match List.find_opt (fun p -> p.last_tx < 0) l.outq with
+        match Seq.find (fun p -> p.last_tx < 0) (Queue.to_seq l.outq) with
         | Some p ->
             p.last_tx <- st.outer;
             Some (p.seq, p.payload)
@@ -308,7 +314,7 @@ let wrap cfg (inner : ('st, 'msg) Sim.program) :
         Hashtbl.replace links u
           {
             alive = true;
-            outq = [];
+            outq = Queue.create ();
             acked = 0;
             recv_next = 1;
             oob = Hashtbl.create 4;
@@ -316,6 +322,8 @@ let wrap cfg (inner : ('st, 'msg) Sim.program) :
             last_heard = 0;
             last_sent = 0;
             ack_dirty = false;
+            staged_at = 0;
+            staged = None;
           })
       neighbors;
     let sorted_nbrs = Array.copy neighbors in
@@ -330,39 +338,37 @@ let wrap cfg (inner : ('st, 'msg) Sim.program) :
       retransmissions = 0;
       heartbeats = 0;
       detected = [];
+      inbox = Sim.Inbox.create ();
+      out = Sim.Out.create ();
     }
   in
-  let round ~node ~state:st ~inbox =
+  let round ~node ~state:st ~inbox ~out =
     st.outer <- st.outer + 1;
-    List.iter (fun (u, f) -> receive st u f) inbox;
+    Sim.Inbox.iter (receive st) inbox;
     detect_dead st;
     while can_execute st do
       execute_inner inner ~node st
     done;
-    let out =
-      Array.fold_left
-        (fun acc u ->
-          let l = link_of st u in
-          if not l.alive then acc
-          else
-            match frame_for st ~node ~nbr:u l with
-            | Some f ->
-                l.last_sent <- st.outer;
-                l.ack_dirty <- false;
-                (u, f) :: acc
-            | None -> acc)
-        [] st.sorted_nbrs
-      |> List.rev
-    in
-    let halt =
+    Array.iter
+      (fun u ->
+        let l = link_of st u in
+        if l.alive then
+          match frame_for st ~node ~nbr:u l with
+          | Some f ->
+              l.last_sent <- st.outer;
+              l.ack_dirty <- false;
+              Sim.send out u f
+          | None -> ())
+      st.sorted_nbrs;
+    if
       finished st
       && Array.for_all
            (fun u ->
              let l = link_of st u in
-             (not l.alive) || l.outq = [])
+             (not l.alive) || Queue.is_empty l.outq)
            st.sorted_nbrs
-    in
-    (st, out, halt)
+    then Sim.halt out;
+    st
   in
   { Sim.init; round }
 

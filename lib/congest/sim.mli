@@ -2,8 +2,11 @@
 
     Nodes run the same program; per round each node reads its inbox (one
     message per neighbor at most on a fault-free fabric; an adversary may
-    duplicate or delay deliveries), updates its state, and emits at most
-    one message per incident edge. Message sizes are measured by a
+    duplicate or delay deliveries), updates its state, and sends at most
+    one message per incident edge. Messages travel through a ring of
+    flat round buffers, one per round of delay the adversary may add
+    plus two, so the fault-free and the adversarial runs share one
+    delivery path. Message sizes are measured by a
     user-supplied [bits] function and checked against the bandwidth;
     exceeding it raises {!Bandwidth_exceeded} — this is how the ABCP96
     baseline's unbounded messages are surfaced.
@@ -32,18 +35,82 @@ exception Incomplete of { max_rounds : int; running : int }
 (** Raised by [`Raise] on incomplete runs: [max_rounds] elapsed with
     [running] nodes still not halted (or messages still in flight). *)
 
+(** {2 Node programs}
+
+    A round is push-based: the simulator hands a node a read-only view
+    of the messages delivered to it this round and an outbox; the node
+    returns its new state and, during the call, {!send}s messages and
+    may vote to {!halt}. Both values are owned by the simulator and
+    reused across calls, so an idle round allocates nothing; a program
+    must not keep either beyond the call that received it. *)
+
+type 'msg inbox
+(** The messages delivered to one node in one round, in send order
+    (senders in increasing node order; a sender's messages in its own
+    send order; with an adversary, delayed copies in the order they were
+    scheduled). *)
+
+type 'msg out
+(** One node's outbox for one round. *)
+
+val send : 'msg out -> int -> 'msg -> unit
+(** [send out dst msg] sends [msg] to neighbor [dst], arriving next
+    round on a fault-free fabric. Sending twice to the same neighbor in
+    one round, or to a non-neighbor, makes {!simulate} raise
+    [Invalid_argument] after the round returns. *)
+
+val halt : 'msg out -> unit
+(** Votes to halt this round. A node that does not call [halt] keeps
+    the run going; the vote is cast afresh every round. *)
+
+module Inbox : sig
+  type 'msg t = 'msg inbox
+
+  val length : 'msg t -> int
+  val is_empty : 'msg t -> bool
+
+  val iter : (int -> 'msg -> unit) -> 'msg t -> unit
+  (** [iter f inbox] calls [f src msg] in delivery order. *)
+
+  val fold : ('acc -> int -> 'msg -> 'acc) -> 'acc -> 'msg t -> 'acc
+  val to_list : 'msg t -> (int * 'msg) list
+
+  (** {3 Building inboxes} for wrappers that run an inner program
+      ({!Reliable}, {!Conformance}) and for tests. *)
+
+  val create : unit -> 'msg t
+  val of_list : (int * 'msg) list -> 'msg t
+  val clear : 'msg t -> unit
+
+  val add : 'msg t -> int -> 'msg -> unit
+  (** [add inbox src msg] appends one delivery. *)
+end
+
+module Out : sig
+  type 'msg t = 'msg out
+  (** Reading an outbox back, for wrappers and tests. *)
+
+  val create : unit -> 'msg t
+
+  val reset : 'msg t -> unit
+  (** Empties the outbox and clears the halt vote. *)
+
+  val length : 'msg t -> int
+
+  val dst : 'msg t -> int -> int
+  (** [dst out i] is the destination of the [i]-th message sent. *)
+
+  val msg : 'msg t -> int -> 'msg
+  val halted : 'msg t -> bool
+end
+
 type ('st, 'msg) program = {
   init : node:int -> neighbors:int array -> 'st;
       (** Initial state; a node knows its own identifier and its neighbors'
           (standard after one round of identifier exchange). *)
-  round :
-    node:int ->
-    state:'st ->
-    inbox:(int * 'msg) list ->
-    'st * (int * 'msg) list * bool;
-      (** [round ~node ~state ~inbox] returns the new state, outgoing
-          [(neighbor, message)] pairs, and whether the node votes to halt.
-          Sending twice to the same neighbor in one round is rejected. *)
+  round : node:int -> state:'st -> inbox:'msg inbox -> out:'msg out -> 'st;
+      (** [round ~node ~state ~inbox ~out] reads this round's deliveries,
+          sends through [out], and returns the new state. *)
 }
 
 type fault_stats = {

@@ -26,7 +26,9 @@ type event =
   | Round_end of {
       round : int;
       sent : int;  (** program messages sent this round *)
-      delivered : int;  (** messages moved into inboxes this round *)
+      delivered : int;
+          (** messages delivered from this round's buffer (excludes those
+              addressed to crashed nodes) *)
       in_flight : int;  (** messages still scheduled for later rounds *)
       halted : int;  (** nodes currently voting to halt *)
     }

@@ -28,30 +28,32 @@ let bfs_stage ?trace g ~mask ~source =
           if node = source then { dist = 0; parent = source; announced = false }
           else { dist = -1; parent = -1; announced = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if not (Mask.mem mask node) then (state, [], true)
+        (fun ~node ~state ~inbox ~out ->
+          if not (Mask.mem mask node) then begin
+            Congest.Sim.halt out;
+            state
+          end
           else
             let state =
-              if state.dist >= 0 then state
+              if state.dist >= 0 || Congest.Sim.Inbox.is_empty inbox then state
               else
-                match inbox with
-                | [] -> state
-                | (u, d) :: rest ->
-                    let best_u, best_d =
-                      List.fold_left
-                        (fun (bu, bd) (u', d') ->
-                          if d' < bd then (u', d') else (bu, bd))
-                        (u, d) rest
-                    in
-                    { dist = best_d + 1; parent = best_u; announced = false }
+                (* first arrival wins distance ties *)
+                let best_u, best_d =
+                  Congest.Sim.Inbox.fold
+                    (fun (bu, bd) u d -> if d < bd then (u, d) else (bu, bd))
+                    (-1, max_int) inbox
+                in
+                { dist = best_d + 1; parent = best_u; announced = false }
             in
-            if state.dist >= 0 && not state.announced then
-              let out =
-                Array.to_list
-                  (Array.map (fun nb -> (nb, state.dist)) (Graph.neighbors g node))
-              in
-              ({ state with announced = true }, out, false)
-            else (state, [], true));
+            if state.dist >= 0 && not state.announced then begin
+              Graph.iter_neighbors g node (fun nb ->
+                  Congest.Sim.send out nb state.dist);
+              { state with announced = true }
+            end
+            else begin
+              Congest.Sim.halt out;
+              state
+            end);
     }
   in
   let states, stats =
@@ -88,19 +90,22 @@ let pair_counts_stage ?trace g ~parent ~contrib =
           let a, b = contrib node in
           { round_no = 0; pending = 0; acc_a = a; acc_b = b; sent_up = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~node ~state ~inbox ~out ->
+          if parent.(node) = -1 then begin
+            Congest.Sim.halt out;
+            state
+          end
           else
             let state = { state with round_no = state.round_no + 1 } in
-            if state.round_no = 1 then
-              let out =
-                if parent.(node) <> node then [ (parent.(node), Child) ] else []
-              in
-              (state, out, false)
+            if state.round_no = 1 then begin
+              if parent.(node) <> node then
+                Congest.Sim.send out parent.(node) Child;
+              state
+            end
             else
               let state =
-                List.fold_left
-                  (fun st (_, m) ->
+                Congest.Sim.Inbox.fold
+                  (fun st _ m ->
                     match m with
                     | Child -> { st with pending = st.pending + 1 }
                     | Pair (a, b) ->
@@ -113,11 +118,15 @@ let pair_counts_stage ?trace g ~parent ~contrib =
                   state inbox
               in
               let is_root = parent.(node) = node in
-              if state.pending = 0 && (not state.sent_up) && not is_root then
-                ( { state with sent_up = true },
-                  [ (parent.(node), Pair (state.acc_a, state.acc_b)) ],
-                  false )
-              else (state, [], state.sent_up || (is_root && state.pending = 0)));
+              if state.pending = 0 && (not state.sent_up) && not is_root then begin
+                Congest.Sim.send out parent.(node) (Pair (state.acc_a, state.acc_b));
+                { state with sent_up = true }
+              end
+              else begin
+                if state.sent_up || (is_root && state.pending = 0) then
+                  Congest.Sim.halt out;
+                state
+              end);
     }
   in
   let states, stats =
@@ -146,22 +155,37 @@ let broadcast_stage ?trace g ~parent ~root ~value =
           if node = root then { value; relayed = false }
           else { value = -1; relayed = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~node ~state ~inbox ~out ->
+          if parent.(node) = -1 then begin
+            Congest.Sim.halt out;
+            state
+          end
           else
             let state =
-              match inbox with
-              | (_, v) :: _ when state.value = -1 -> { state with value = v }
-              | _ -> state
+              if state.value = -1 && not (Congest.Sim.Inbox.is_empty inbox) then
+                (* the first delivery carries the value *)
+                let v =
+                  Congest.Sim.Inbox.fold
+                    (fun acc _ v -> if acc = -1 then v else acc)
+                    (-1) inbox
+                in
+                { state with value = v }
+              else state
             in
             if state.value >= 0 && not state.relayed then begin
-              let out = ref [] in
-              Graph.iter_neighbors g node (fun w ->
-                  if parent.(w) = node && w <> node then
-                    out := (w, state.value) :: !out);
-              ({ state with relayed = true }, !out, false)
+              (* children in descending id order *)
+              let nbrs = Graph.neighbors g node in
+              for i = Array.length nbrs - 1 downto 0 do
+                let w = nbrs.(i) in
+                if parent.(w) = node && w <> node then
+                  Congest.Sim.send out w state.value
+              done;
+              { state with relayed = true }
             end
-            else (state, [], state.value >= 0));
+            else begin
+              if state.value >= 0 then Congest.Sim.halt out;
+              state
+            end);
     }
   in
   let states, stats =

@@ -226,17 +226,17 @@ let of_csr_unchecked ~n ~m ~offsets ~targets =
     invalid_arg "Graph.of_csr_unchecked: inconsistent offsets";
   { n; m; offsets; targets; edge_offset = None }
 
-let is_edge t u v =
-  let rec search lo hi =
-    if lo >= hi then false
-    else
-      let mid = (lo + hi) / 2 in
-      let x = t.targets.{mid} in
-      if x = v then true
-      else if x < v then search (mid + 1) hi
-      else search lo mid
-  in
-  search t.offsets.{u} t.offsets.{u + 1}
+(* binary search of a sorted row; top level, so no closure per call *)
+let rec row_mem (row : int_array1) v lo hi =
+  if lo >= hi then false
+  else
+    let mid = (lo + hi) / 2 in
+    let x = row.{mid} in
+    if x = v then true
+    else if x < v then row_mem row v (mid + 1) hi
+    else row_mem row v lo mid
+
+let is_edge t u v = row_mem t.targets v t.offsets.{u} t.offsets.{u + 1}
 
 let iter_edges t f =
   for u = 0 to t.n - 1 do

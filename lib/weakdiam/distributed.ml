@@ -35,7 +35,13 @@ type nstate = {
   props : (int, int list ref) Hashtbl.t; (* cluster -> proposer neighbors *)
   counts : (int, int * int) Hashtbl.t; (* cluster -> (#reports, sum) *)
   sent_up : (int, unit) Hashtbl.t;
-  outq : (int, msg Queue.t) Hashtbl.t;
+  outq : (int, msg Queue.t) Hashtbl.t; (* per neighbor FIFO, one per edge *)
+  mutable queued : int; (* messages waiting in [outq] *)
+  (* [outq]'s queues in drain order, rebuilt when a neighbor is first
+     queued to: the reverse of [Hashtbl.fold] order over [outq], the send
+     order the golden trace test pins *)
+  mutable drain_to : int array;
+  mutable drain_q : msg Queue.t array;
   mutable round_in_step : int;
   mutable steps_left_in_phase : int;
   mutable phases_left : int list; (* step counts of the remaining phases *)
@@ -86,9 +92,23 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
       | None ->
           let q = Queue.create () in
           Hashtbl.replace st.outq nbr q;
+          let order = Hashtbl.fold (fun nb q acc -> (nb, q) :: acc) st.outq [] in
+          st.drain_to <- Array.of_list (List.map fst order);
+          st.drain_q <- Array.of_list (List.map snd order);
           q
     in
-    Queue.add m q
+    Queue.add m q;
+    st.queued <- st.queued + 1
+  in
+  (* one message per edge, in drain order *)
+  let drain st out =
+    for i = 0 to Array.length st.drain_q - 1 do
+      let q = st.drain_q.(i) in
+      if not (Queue.is_empty q) then begin
+        Congest.Sim.send out st.drain_to.(i) (Queue.pop q);
+        st.queued <- st.queued - 1
+      end
+    done
   in
   let neighbors = Graph.neighbors g in
   let broadcast st m = Array.iter (fun nb -> enqueue st nb m) (neighbors st.id) in
@@ -265,6 +285,9 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
               counts = Hashtbl.create 4;
               sent_up = Hashtbl.create 4;
               outq = Hashtbl.create (Array.length nbrs);
+              queued = 0;
+              drain_to = [||];
+              drain_q = [||];
               round_in_step = 0;
               steps_left_in_phase = 0;
               phases_left = [];
@@ -287,7 +310,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
                  start_phase st steps rest);
           st);
       round =
-        (fun ~node ~state:st ~inbox ->
+        (fun ~node ~state:st ~inbox ~out ->
           ignore node;
           (* schedule bookkeeping: advance step/phase on budget expiry *)
           let active = st.steps_left_in_phase > 0 || st.phases_left <> [] in
@@ -304,20 +327,18 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
             end
             else st.round_in_step <- st.round_in_step + 1
           end;
-          List.iter (fun (s, m) -> process st s m) inbox;
-          if st.round_in_step >= 4 && st.steps_left_in_phase > 0 then
-            aggregate st;
-          (* drain one message per edge *)
-          let out = ref [] in
-          Hashtbl.iter
-            (fun nbr q ->
-              if not (Queue.is_empty q) then out := (nbr, Queue.pop q) :: !out)
-            st.outq;
-          let done_ =
-            st.steps_left_in_phase = 0 && st.phases_left = []
-            && !out = []
-          in
-          (st, !out, done_));
+          if not (Congest.Sim.Inbox.is_empty inbox) then
+            Congest.Sim.Inbox.iter (process st) inbox;
+          (* [sent_up] only ever holds tree keys: once it holds all of
+             them, every tree has reported this step *)
+          if
+            st.round_in_step >= 4 && st.steps_left_in_phase > 0
+            && Hashtbl.length st.sent_up < Hashtbl.length st.trees
+          then aggregate st;
+          if st.queued > 0 then drain st out
+          else if st.steps_left_in_phase = 0 && st.phases_left = [] then
+            Congest.Sim.halt out;
+          st);
     }
   in
   let bits = function

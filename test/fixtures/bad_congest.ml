@@ -18,9 +18,10 @@ let cheating_program g =
   {
     Congest.Sim.init = (fun ~node ~neighbors:_ -> node);
     round =
-      (fun ~node ~state ~inbox:_ ->
+      (fun ~node ~state ~inbox:_ ~out ->
         print_endline "leaking state through stdout";
         Printf.printf "node %d\n" node;
         ignore g;
-        (state, [], true));
+        Congest.Sim.halt out;
+        state);
   }

@@ -11,8 +11,9 @@ let honest_program g =
   {
     Congest.Sim.init = (fun ~node ~neighbors:_ -> node);
     round =
-      (fun ~node ~state ~inbox:_ ->
+      (fun ~node ~state ~inbox:_ ~out ->
         ignore g;
         ignore node;
-        (state, [], true));
+        Congest.Sim.halt out;
+        state);
   }

@@ -71,18 +71,12 @@ let chatter ~talk g =
   {
     Sim.init = (fun ~node:_ ~neighbors:_ -> { r = 0; log = [] });
     round =
-      (fun ~node ~state ~inbox ->
+      (fun ~node ~state ~inbox ~out ->
         let r = state.r + 1 in
-        let state = { r; log = (r, inbox) :: state.log } in
         if r <= talk then
-          let out =
-            Array.to_list
-              (Array.map
-                 (fun nb -> (nb, (node * 1000) + r))
-                 (Graph.neighbors g node))
-          in
-          (state, out, false)
-        else (state, [], true));
+          Graph.iter_neighbors g node (fun nb -> Sim.send out nb ((node * 1000) + r))
+        else Sim.halt out;
+        { r; log = (r, Sim.Inbox.to_list inbox) :: state.log });
   }
 
 let chat_bits _ = 8

@@ -21,7 +21,8 @@ let invariants violations =
    on the edge cheats before we could observe the recording) *)
 let direct_round g program ~node ~inbox =
   let state = program.Sim.init ~node ~neighbors:(Graph.neighbors g node) in
-  program.Sim.round ~node ~state ~inbox
+  program.Sim.round ~node ~state ~inbox:(Sim.Inbox.of_list inbox)
+    ~out:(Sim.Out.create ())
 
 let test_edge_discipline () =
   let g = Gen.path 3 in
@@ -30,9 +31,12 @@ let test_edge_discipline () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node:_ ~state:_ ~inbox:_ ->
+        (fun ~node:_ ~state:_ ~inbox:_ ~out ->
           (* node 0: 2 is not a neighbor, and 1 is hit twice *)
-          ((), [ (2, ()); (1, ()); (1, ()) ], true));
+          Sim.send out 2 ();
+          Sim.send out 1 ();
+          Sim.send out 1 ();
+          Sim.halt out);
     }
   in
   let wrapped = Conformance.instrument rec_ g cheat in
@@ -50,16 +54,17 @@ let test_halt_monotonicity () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node:_ ~state:_ ~inbox:_ ->
+        (fun ~node:_ ~state:_ ~inbox:_ ~out ->
           incr calls;
-          if !calls = 1 then ((), [], true) (* vote halt *)
-          else ((), [ (1, ()) ], false) (* then spontaneously wake up *));
+          if !calls = 1 then Sim.halt out (* vote halt *)
+          else Sim.send out 1 () (* then spontaneously wake up *));
     }
   in
   let wrapped = Conformance.instrument rec_ g cheat in
   let state = wrapped.Sim.init ~node:0 ~neighbors:(Graph.neighbors g 0) in
-  let state, _, _ = wrapped.Sim.round ~node:0 ~state ~inbox:[] in
-  let _ = wrapped.Sim.round ~node:0 ~state ~inbox:[] in
+  let empty = Sim.Inbox.create () in
+  let state = wrapped.Sim.round ~node:0 ~state ~inbox:empty ~out:(Sim.Out.create ()) in
+  let _ = wrapped.Sim.round ~node:0 ~state ~inbox:empty ~out:(Sim.Out.create ()) in
   let vs = Conformance.recorded rec_ in
   check (Alcotest.list Alcotest.string) "halt cheat flagged"
     [ "halt-monotonic" ] (invariants vs);
@@ -73,12 +78,10 @@ let test_order_invariance_flagged () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> 0);
       round =
-        (fun ~node:_ ~state ~inbox ->
+        (fun ~node:_ ~state ~inbox ~out ->
+          Sim.halt out;
           (* state = first sender in inbox order: order-dependent *)
-          let state =
-            match inbox with (u, _) :: _ -> u | [] -> state
-          in
-          (state, [], true));
+          match Sim.Inbox.to_list inbox with (u, _) :: _ -> u | [] -> state);
     }
   in
   let wrapped =
@@ -105,16 +108,12 @@ let flood g =
   {
     Sim.init = (fun ~node ~neighbors:_ -> (node, true));
     round =
-      (fun ~node ~state:(best, dirty) ~inbox ->
-        let best' =
-          List.fold_left (fun acc (_, m) -> min acc m) best inbox
-        in
+      (fun ~node ~state:(best, dirty) ~inbox ~out ->
+        let best' = Sim.Inbox.fold (fun acc _ m -> min acc m) best inbox in
         if dirty || best' < best then
-          ( (best', false),
-            Array.to_list
-              (Array.map (fun nb -> (nb, best')) (Graph.neighbors g node)),
-            false )
-        else ((best', false), [], true));
+          Graph.iter_neighbors g node (fun nb -> Sim.send out nb best')
+        else Sim.halt out;
+        (best', false));
   }
 
 let find_check name (r : Conformance.report) =
@@ -145,11 +144,16 @@ let test_verify_program_catches_nondeterminism () =
     {
       Sim.init = (fun ~node ~neighbors:_ -> node);
       round =
-        (fun ~node ~state ~inbox:_ ->
+        (fun ~node ~state ~inbox:_ ~out ->
           incr poison;
-          if state >= 0 && node = 0 then
-            (-1, [ (1, !poison) ], false)
-          else (state, [], true));
+          if state >= 0 && node = 0 then begin
+            Sim.send out 1 !poison;
+            -1
+          end
+          else begin
+            Sim.halt out;
+            state
+          end);
     }
   in
   let report =
@@ -172,17 +176,20 @@ let test_verify_program_catches_order_cheat () =
       Sim.init =
         (fun ~node ~neighbors:_ -> if node = 0 then (0, false) else (-1, false));
       round =
-        (fun ~node ~state:(parent, announced) ~inbox ->
+        (fun ~node ~state:(parent, announced) ~inbox ~out ->
           let parent =
             if parent >= 0 then parent
-            else match inbox with (u, _) :: _ -> u | [] -> -1
+            else
+              match Sim.Inbox.to_list inbox with (u, _) :: _ -> u | [] -> -1
           in
-          if parent >= 0 && not announced then
-            ( (parent, true),
-              Array.to_list
-                (Array.map (fun nb -> (nb, ())) (Graph.neighbors g node)),
-              false )
-          else ((parent, announced), [], true));
+          if parent >= 0 && not announced then begin
+            Graph.iter_neighbors g node (fun nb -> Sim.send out nb ());
+            (parent, true)
+          end
+          else begin
+            Sim.halt out;
+            (parent, announced)
+          end);
     }
   in
   let report =

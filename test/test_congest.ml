@@ -94,15 +94,16 @@ let gossip_program g =
   {
     Sim.init = (fun ~node ~neighbors:_ -> { sent = false; best = node });
     round =
-      (fun ~node ~state ~inbox ->
-        let best = List.fold_left (fun acc (_, m) -> max acc m) state.best inbox in
-        if not state.sent then
-          let out =
-            Array.to_list
-              (Array.map (fun nb -> (nb, node)) (Graph.neighbors g node))
-          in
-          ({ sent = true; best }, out, false)
-        else ({ state with best }, [], true));
+      (fun ~node ~state ~inbox ~out ->
+        let best = Sim.Inbox.fold (fun acc _ m -> max acc m) state.best inbox in
+        if not state.sent then begin
+          Graph.iter_neighbors g node (fun nb -> Sim.send out nb node);
+          { sent = true; best }
+        end
+        else begin
+          Sim.halt out;
+          { state with best }
+        end);
   }
 
 let test_sim_delivers_messages () =
@@ -122,7 +123,10 @@ let test_sim_bandwidth_enforced () =
   let oversized =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
-      round = (fun ~node:_ ~state:_ ~inbox:_ -> ((), [ (1, ()) ], true));
+      round =
+        (fun ~node:_ ~state:_ ~inbox:_ ~out ->
+          Sim.send out 1 ();
+          Sim.halt out);
     }
   in
   Alcotest.check_raises "bandwidth"
@@ -141,8 +145,9 @@ let test_sim_rejects_non_neighbor () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (2, ()) ], true) else ((), [], true));
+        (fun ~node ~state:_ ~inbox:_ ~out ->
+          if node = 0 then Sim.send out 2 ();
+          Sim.halt out);
     }
   in
   Alcotest.check_raises "non neighbor"
@@ -155,8 +160,12 @@ let test_sim_rejects_double_send () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (1, ()); (1, ()) ], true) else ((), [], true));
+        (fun ~node ~state:_ ~inbox:_ ~out ->
+          if node = 0 then begin
+            Sim.send out 1 ();
+            Sim.send out 1 ()
+          end;
+          Sim.halt out);
     }
   in
   Alcotest.check_raises "double send"
@@ -168,7 +177,7 @@ let test_sim_max_rounds_cutoff () =
   let forever =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
-      round = (fun ~node:_ ~state:_ ~inbox:_ -> ((), [], false));
+      round = (fun ~node:_ ~state:_ ~inbox:_ ~out:_ -> ());
     }
   in
   let _, stats =
@@ -179,6 +188,55 @@ let test_sim_max_rounds_cutoff () =
   in
   check int "cut off" 7 stats.rounds_used;
   check bool "not halted" false stats.all_halted
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per node-round                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* minor words allocated by [f ()], after a minor collection so the
+   counter starts from a synced heap *)
+let minor_words_of f =
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let r = f () in
+  let words = Gc.minor_words () -. before in
+  (r, words)
+
+(* every node stays silent for [rounds] rounds, then halts *)
+let idle_program ~rounds =
+  {
+    Sim.init = (fun ~node:_ ~neighbors:_ -> 0);
+    round =
+      (fun ~node:_ ~state ~inbox:_ ~out ->
+        let r = state + 1 in
+        if r >= rounds then Sim.halt out;
+        r);
+  }
+
+let test_idle_rounds_allocate_nothing () =
+  let g = Gen.grid 32 32 and rounds = 200 in
+  let (_, stats), words =
+    minor_words_of (fun () ->
+        Sim.simulate ~bits:(fun _ -> 1) g (idle_program ~rounds))
+  in
+  check int "ran every round" rounds stats.Sim.rounds_used;
+  let per = words /. float_of_int (Graph.n g * rounds) in
+  check bool
+    (Printf.sprintf "idle simulation: %.3f words per node-round < 1" per)
+    true (per < 1.0)
+
+let test_weak_carve_allocation_bound () =
+  let g = Gen.grid 16 16 in
+  let r, words =
+    minor_words_of (fun () -> Weakdiam.Distributed.carve g ~epsilon:0.5)
+  in
+  let node_rounds =
+    Graph.n g * r.Weakdiam.Distributed.sim_stats.Sim.rounds_used
+  in
+  let per = words /. float_of_int node_rounds in
+  check bool
+    (Printf.sprintf "weak carve: %.2f words per node-round <= 8" per)
+    true (per <= 8.0)
 
 (* ------------------------------------------------------------------ *)
 (* Classic programs                                                     *)
@@ -376,6 +434,13 @@ let () =
             test_sim_rejects_double_send;
           Alcotest.test_case "max rounds cutoff" `Quick
             test_sim_max_rounds_cutoff;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "idle rounds allocate nothing" `Quick
+            test_idle_rounds_allocate_nothing;
+          Alcotest.test_case "weak carve words per node-round" `Quick
+            test_weak_carve_allocation_bound;
         ] );
       ( "programs",
         [

@@ -386,6 +386,29 @@ let test_measure_row_carries_trace () =
     (row.Workload.Measure.strong_diameter <> None)
 
 
+(* Golden trace: the committed event stream of the weak carving on an
+   8x8 grid. Any change to delivery order, send order or the node
+   program's message schedule shows up here as a byte difference. *)
+let golden_path = "../bench_results/trace_weak_carve_grid64.jsonl"
+
+let test_golden_weak_carve_trace () =
+  let sink = Trace.sink () in
+  let _ = Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5 in
+  let expected = In_channel.with_open_bin golden_path In_channel.input_all in
+  let actual = Trace.to_jsonl sink in
+  let lines s = String.split_on_char '\n' s in
+  let first_diff =
+    let rec go i = function
+      | a :: ra, b :: rb -> if String.equal a b then go (i + 1) (ra, rb) else i
+      | [], [] -> -1
+      | _ -> i
+    in
+    go 1 (lines expected, lines actual)
+  in
+  check int "first differing line (-1 = byte-identical)" (-1) first_diff;
+  check bool "byte-identical to the committed trace" true
+    (String.equal expected actual)
+
 let () =
   Alcotest.run "trace"
     [
@@ -401,7 +424,11 @@ let () =
             test_agreement_strong_adversarial;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "event stream" `Quick test_event_stream_deterministic ] );
+        [
+          Alcotest.test_case "event stream" `Quick test_event_stream_deterministic;
+          Alcotest.test_case "golden weak carve grid64" `Quick
+            test_golden_weak_carve_trace;
+        ] );
       ( "sink",
         [
           Alcotest.test_case "capacity truncation" `Quick test_capacity_truncation;
