@@ -700,16 +700,16 @@ let overhead_table () =
         exec ~conformance:(if on then Some inst else None) (Some sink))
   in
   (* off: a traced run; on: the same run, then the critical-path replay
-     of its stream *)
+     of its stream and the per-span table with its critical/slack split,
+     as reports build it *)
   let causal w =
     let sink = Congest.Trace.sink () in
     row "causal" w (fun ~on ->
         Congest.Trace.clear sink;
         exec w (Some sink);
-        if on then begin
-          let t = Congest.Causal.analyze sink in
-          ignore (Congest.Causal.span_breakdown sink t)
-        end)
+        if on then
+          ignore
+            (Congest.Span.rollups ~causal:(Congest.Causal.analyze sink) sink))
   in
   (* off: spans only; on: a fresh recorder sampling the clock and GC at
      every span transition. Trace.clear detaches the previous one. *)

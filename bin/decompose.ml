@@ -395,16 +395,6 @@ let profile_cmd =
              $(b,minor-words), $(b,major-words) (from the resource \
              recorder).")
   in
-  let resources_arg =
-    Arg.(
-      value & flag
-      & info [ "resources" ]
-          ~doc:
-            "Also dump the per-phase resource rollups (wall seconds, \
-             minor/promoted/major GC words, major collections) to \
-             $(i,PREFIX)_resources.csv and check their exact-sum \
-             invariant against the process totals.")
-  in
   let chrome_arg =
     Arg.(
       value
@@ -415,7 +405,7 @@ let profile_cmd =
              JSON to $(i,FILE) — open it in chrome://tracing or \
              Perfetto.")
   in
-  let run algo family n seed epsilon out_dir weight resources chrome =
+  let run algo family n seed epsilon out_dir weight chrome =
     let family = lookup_family family in
     let sink = Congest.Trace.sink () in
     let res = Congest.Resource.create () in
@@ -436,34 +426,14 @@ let profile_cmd =
               Format.eprintf "unknown algorithm %s@." algo;
               exit 2)
     in
-    let rollups = Congest.Span.rollups sink in
+    (* one sample serves both the table and the exact-sum check below *)
+    let res_rollups, tot = Congest.Resource.snapshot res in
+    let rollups = Congest.Span.rollups ~resource:res_rollups sink in
     Format.printf "%s on %s (n=%d): per-phase rollups@.@." name
       family.Suite.name n;
     Congest.Span.pp_rollups Format.std_formatter rollups;
     let prefix = Printf.sprintf "profile_%s_%s" name family.Suite.name in
-    let files =
-      match weight with
-      | (`Rounds | `Messages | `Bits) as w ->
-          Congest.Span.save ~dir:out_dir ~weight:w ~prefix sink
-      | (`Seconds | `Minor_words | `Major_words) as w ->
-          (* resource-weighted stacks: same files, folded values from the
-             recorder instead of the logical trace costs *)
-          let csv_path = Filename.concat out_dir (prefix ^ "_phases.csv") in
-          let folded_path = Filename.concat out_dir (prefix ^ ".folded") in
-          write_file csv_path (Congest.Span.rollup_csv rollups);
-          write_file folded_path (Congest.Resource.to_folded ~weight:w res);
-          [ csv_path; folded_path ]
-    in
-    (* one sample serves both the CSV and the exact-sum check below *)
-    let res_rollups, res_totals = Congest.Resource.snapshot res in
-    let files =
-      if resources then begin
-        let path = Filename.concat out_dir (prefix ^ "_resources.csv") in
-        write_file path (Congest.Resource.csv res_rollups);
-        files @ [ path ]
-      end
-      else files
-    in
+    let files = Congest.Span.save ~dir:out_dir ~weight ~prefix rollups in
     let files =
       match chrome with
       | None -> files
@@ -474,32 +444,33 @@ let profile_cmd =
     List.iter (Format.printf "@.wrote %s") files;
     Format.printf "@.";
     (* resource exact-sum invariant: per-path self words (plus the
-       "(unspanned)" bucket) telescope to the window totals *)
-    if resources then begin
-      let rrs = res_rollups and tot = res_totals in
-      let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rrs in
-      let minor = sum (fun r -> r.Congest.Resource.r_minor_words) in
-      let major = sum (fun r -> r.Congest.Resource.r_major_words) in
-      if
-        minor <> tot.Congest.Resource.t_minor_words
-        || major <> tot.Congest.Resource.t_major_words
-      then begin
-        Format.eprintf
-          "resource attribution mismatch: spans (%.0f minor, %.0f major \
-           words) vs process (%.0f minor, %.0f major words)@."
-          minor major tot.Congest.Resource.t_minor_words
-          tot.Congest.Resource.t_major_words;
-        exit 1
-      end
-      else
-        Format.printf
-          "resource attribution check: %.0f minor words, %.0f major words, \
-           %.3f s fully attributed (peak heap %.1f MB)@."
-          tot.Congest.Resource.t_minor_words
-          tot.Congest.Resource.t_major_words
-          tot.Congest.Resource.t_seconds
-          (Congest.Resource.peak_heap_mb tot)
-    end;
+       unspanned bucket) telescope to the window totals *)
+    let sum f =
+      List.fold_left
+        (fun acc (r : Congest.Span.rollup) ->
+          acc +. Option.fold ~none:0.0 ~some:f r.resource)
+        0.0 rollups
+    in
+    let minor = sum (fun r -> r.Congest.Resource.r_minor_words) in
+    let major = sum (fun r -> r.Congest.Resource.r_major_words) in
+    if
+      minor <> tot.Congest.Resource.t_minor_words
+      || major <> tot.Congest.Resource.t_major_words
+    then begin
+      Format.eprintf
+        "resource attribution mismatch: spans (%.0f minor, %.0f major \
+         words) vs process (%.0f minor, %.0f major words)@."
+        minor major tot.Congest.Resource.t_minor_words
+        tot.Congest.Resource.t_major_words;
+      exit 1
+    end
+    else
+      Format.printf
+        "resource attribution check: %.0f minor words, %.0f major words, \
+         %.3f s fully attributed (peak heap %.1f MB)@."
+        tot.Congest.Resource.t_minor_words tot.Congest.Resource.t_major_words
+        tot.Congest.Resource.t_seconds
+        (Congest.Resource.peak_heap_mb tot);
     (* self-totals over all phases must reproduce the trace-wide globals;
        only enforceable when nothing was dropped at capacity *)
     if Congest.Trace.truncated sink = 0 then begin
@@ -538,15 +509,16 @@ let profile_cmd =
     if not valid then exit 1
   in
   let doc =
-    "run one algorithm with phase spans attached and emit per-phase cost \
-     rollups (CSV) plus flamegraph-compatible folded stacks; a resource \
-     recorder rides along for wall-clock/GC attribution ($(b,--resources)) \
-     and Chrome-trace export ($(b,--chrome))"
+    "run one algorithm with phase spans and a resource recorder attached \
+     and emit the per-phase table (CSV: logical cost plus wall-clock/GC \
+     attribution, each checked to sum exactly to its global total) plus \
+     flamegraph-compatible folded stacks, and optionally a Chrome trace \
+     ($(b,--chrome))"
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ algo_pos $ family_pos $ n_arg $ seed_arg $ epsilon_arg
-      $ out_dir_arg $ weight_arg $ resources_arg $ chrome_arg)
+      $ out_dir_arg $ weight_arg $ chrome_arg)
 
 let conform_cmd =
   let target_arg =

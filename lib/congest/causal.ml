@@ -51,8 +51,6 @@ type cell = {
   mutable c_value : int;
 }
 
-let unspanned = "(unspanned)"
-
 let analyze sink =
   (* pass 1: node-id range, engine rounds, and exactness markers *)
   let max_node = ref (-1) in
@@ -200,53 +198,6 @@ let analyze sink =
     round_critical;
     exact = !exact;
   }
-
-type span_slack = { span_path : string; critical : int; slack : int }
-
-type span_acc = { mutable s_critical : int; mutable s_slack : int }
-
-let span_breakdown sink t =
-  let tbl : (string, span_acc) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let get path =
-    match Hashtbl.find_opt tbl path with
-    | Some a -> a
-    | None ->
-        let a = { s_critical = 0; s_slack = 0 } in
-        Hashtbl.add tbl path a;
-        order := path :: !order;
-        a
-  in
-  let stack = ref [] in
-  let innermost () = match !stack with p :: _ -> p | [] -> unspanned in
-  let cur_round = ref 0 in
-  Trace.iter
-    (fun ev ->
-      match ev with
-      | Trace.Span_enter { path } -> stack := path :: !stack
-      | Trace.Span_exit _ -> (
-          match !stack with [] -> () | _ :: rest -> stack := rest)
-      | Trace.Round_start _ ->
-          incr cur_round;
-          let a = get (innermost ()) in
-          let critical =
-            !cur_round < Array.length t.round_critical
-            && t.round_critical.(!cur_round)
-          in
-          if critical then a.s_critical <- a.s_critical + 1
-          else a.s_slack <- a.s_slack + 1
-      | Trace.Cost_charged { rounds; _ } ->
-          (* the engine is a single causal thread: all charged rounds
-             are on the critical path *)
-          let a = get (innermost ()) in
-          a.s_critical <- a.s_critical + rounds
-      | _ -> ())
-    sink;
-  List.rev_map
-    (fun path ->
-      let a = Hashtbl.find tbl path in
-      { span_path = path; critical = a.s_critical; slack = a.s_slack })
-    !order
 
 let metrics ?into t =
   let m = match into with Some m -> m | None -> Metrics.create () in

@@ -70,25 +70,15 @@ type t = {
           endpoint *)
   round_critical : bool array;
       (** [sim_rounds + 1] cells, 1-indexed by round; whether the round
-          is covered by a witness-chain hop's flight interval *)
+          is covered by a witness-chain hop's flight interval.
+          {!Span.rollups} splits each span's self rounds into critical
+          and slack with it (every [Cost_charged] round is critical) *)
   exact : bool;
       (** no drops, duplicates, delays, or crashes were seen, so the
           FIFO send/delivery matching is exact *)
 }
 
 val analyze : Trace.sink -> t
-
-type span_slack = { span_path : string; critical : int; slack : int }
-(** Per-span attribution of rounds: [critical] rounds are covered by
-    the witness chain (every [Cost_charged] round counts as critical),
-    [slack] rounds are not. Summed over all spans,
-    [critical + slack = rounds]. *)
-
-val span_breakdown : Trace.sink -> t -> span_slack list
-(** Replays the span stack (as {!Span.rollups} does) and splits each
-    span's self-attributed rounds into critical vs. slack using
-    [t.round_critical]. Rounds outside any span land in the
-    ["(unspanned)"] bucket; order is first-seen. *)
 
 val metrics : ?into:Metrics.t -> t -> Metrics.t
 (** Exports counters [causal_rounds], [causal_chain_rounds],

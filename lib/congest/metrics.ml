@@ -166,25 +166,6 @@ let of_trace ?into sink =
   flush_inboxes ();
   t
 
-let of_spans ?into sink =
-  let t = match into with Some t -> t | None -> create () in
-  List.iter
-    (fun (r : Span.rollup) ->
-      let pre = "span." ^ r.Span.path ^ "." in
-      incr ~by:r.Span.entries (counter t (pre ^ "entries"));
-      incr ~by:r.Span.rounds (counter t (pre ^ "rounds"));
-      incr ~by:r.Span.rounds_incl (counter t (pre ^ "rounds_incl"));
-      incr ~by:r.Span.messages (counter t (pre ^ "messages"));
-      incr ~by:r.Span.messages_incl (counter t (pre ^ "messages_incl"));
-      incr ~by:r.Span.bits (counter t (pre ^ "bits"));
-      incr ~by:r.Span.bits_incl (counter t (pre ^ "bits_incl"));
-      set (gauge t (pre ^ "max_message_bits"))
-        (float_of_int r.Span.max_message_bits);
-      set (gauge t (pre ^ "seconds")) r.Span.seconds;
-      set (gauge t (pre ^ "seconds_incl")) r.Span.seconds_incl)
-    (Span.rollups sink);
-  t
-
 let names t = List.rev t.order
 
 let float_str v =

@@ -59,15 +59,8 @@ val of_trace : ?into:t -> Trace.sink -> t
     [max_message_bits] and [max_in_flight]. Cost-level events feed
     counters [cost_rounds], [cost_messages], per-tag counters
     [cost.<tag>.rounds], and histogram [cost_charge_rounds]. Span
-    events contribute nothing here — see {!of_spans}. *)
-
-val of_spans : ?into:t -> Trace.sink -> t
-(** Folds {!Span.rollups} into per-phase metrics: counters
-    [span.<path>.entries], [.rounds], [.rounds_incl], [.messages],
-    [.messages_incl], [.bits], [.bits_incl] and gauges
-    [.max_message_bits], [.seconds], [.seconds_incl]. Self totals over
-    all paths (including the [(unspanned)] bucket) sum exactly to the
-    corresponding {!of_trace} globals. *)
+    events contribute nothing here — the per-span table is
+    {!Span.rollups}. *)
 
 val to_csv : t -> string
 (** Long format, one statistic per row: [metric,stat,value]. Histograms

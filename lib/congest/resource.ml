@@ -72,7 +72,7 @@ let fresh_acc path depth =
 
 let create () =
   let st = Gc.quick_stat () in
-  let unspanned = fresh_acc "(unspanned)" 0 in
+  let unspanned = fresh_acc Trace.unspanned 0 in
   {
     accs = Hashtbl.create 16;
     unspanned;
@@ -164,11 +164,6 @@ let push_event t phase acc =
   t.ev_ts.(n) <- Float.round ((t.l_time -. t.t0) *. 1e9) /. 1e3;
   t.ev_len <- n + 1
 
-let path_depth path =
-  let d = ref 0 in
-  String.iter (fun c -> if c = '/' then incr d) path;
-  !d
-
 let on_enter t sink pid =
   transition t;
   let acc =
@@ -176,7 +171,7 @@ let on_enter t sink pid =
     | Some a -> a
     | None ->
         let path = Trace.span_path sink pid in
-        let a = fresh_acc path (path_depth path) in
+        let a = fresh_acc path (Trace.path_depth path) in
         Hashtbl.add t.accs pid a;
         a
   in
@@ -197,15 +192,10 @@ let on_exit t _sink _pid =
     push_event t 'E' t.stack.(t.depth)
   end
 
-let span_seconds t =
-  Hashtbl.fold (fun _ a l -> (a.a_path, a.self_s, a.incl_s) :: l) t.accs []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
 let attach t sink =
   Trace.set_span_hooks sink
     ~enter:(fun pid -> on_enter t sink pid)
     ~exit:(fun pid -> on_exit t sink pid)
-    ~seconds:(fun () -> span_seconds t)
 
 type rollup = {
   r_path : string;
@@ -282,49 +272,6 @@ let snapshot t =
   (rollups_now t, tot)
 
 let peak_heap_mb tot = float_of_int tot.t_peak_heap_words *. word_bytes /. 1e6
-
-let csv rs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "path,depth,entries,seconds,seconds_incl,minor_words,minor_words_incl,promoted_words,promoted_words_incl,major_words,major_words_incl,major_collections,major_collections_incl\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%d,%.6f,%.6f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%d,%d\n"
-           r.r_path r.r_depth r.r_entries r.r_seconds r.r_seconds_incl
-           r.r_minor_words r.r_minor_words_incl r.r_promoted_words
-           r.r_promoted_words_incl r.r_major_words r.r_major_words_incl
-           r.r_major_collections r.r_major_collections_incl))
-    rs;
-  Buffer.contents b
-
-type weight = [ `Seconds | `Minor_words | `Major_words ]
-
-let weight_of_string = function
-  | "seconds" -> Some `Seconds
-  | "minor-words" -> Some `Minor_words
-  | "major-words" -> Some `Major_words
-  | _ -> None
-
-let to_folded ?(weight = `Seconds) t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun r ->
-      let v =
-        match weight with
-        | `Seconds -> int_of_float (r.r_seconds *. 1e6)
-        | `Minor_words -> int_of_float r.r_minor_words
-        | `Major_words -> int_of_float r.r_major_words
-      in
-      if v > 0 then begin
-        Buffer.add_string b
-          (String.concat ";" (String.split_on_char '/' r.r_path));
-        Buffer.add_char b ' ';
-        Buffer.add_string b (string_of_int v);
-        Buffer.add_char b '\n'
-      end)
-    (rollups t);
-  Buffer.contents b
 
 let metrics ?into t =
   let m = match into with Some m -> m | None -> Metrics.create () in

@@ -39,14 +39,14 @@ val create : unit -> t
 val attach : t -> Trace.sink -> unit
 (** Registers [t] on the sink's span hooks: subsequent
     [enter_span]/[exit_span] calls feed the per-path tables and the
-    Chrome timeline, and the sink's {!Trace.span_seconds} is served
-    from [t] (so {!Span.rollups} seconds columns light up). Attach a
-    fresh recorder after {!Trace.clear} — clearing resets the hooks
-    because path interning restarts. *)
+    Chrome timeline; pass {!snapshot}'s rows to {!Span.rollups} to join
+    them onto the per-span table. Attach a fresh recorder after
+    {!Trace.clear} — clearing resets the hooks because path interning
+    restarts. *)
 
 type rollup = {
-  r_path : string;  (** full "/"-joined span path, or ["(unspanned)"] *)
-  r_depth : int;  (** nesting depth; [0] for roots and unspanned *)
+  r_path : string;  (** full "/"-joined span path, or {!Trace.unspanned} *)
+  r_depth : int;  (** {!Trace.path_depth}: [1] for roots, [0] unspanned *)
   r_entries : int;  (** closed or open activations seen *)
   r_seconds : float;  (** self wall seconds (excludes open descendants) *)
   r_seconds_incl : float;
@@ -89,20 +89,6 @@ val snapshot : t -> rollup list * totals
 
 val peak_heap_mb : totals -> float
 (** [t_peak_heap_words] in megabytes ([Sys.word_size] bytes/word). *)
-
-val csv : rollup list -> string
-(** Header plus one row per path, the resource analogue of
-    {!Span.rollup_csv}. *)
-
-type weight = [ `Seconds | `Minor_words | `Major_words ]
-
-val weight_of_string : string -> weight option
-(** Recognizes ["seconds"], ["minor-words"], ["major-words"]. *)
-
-val to_folded : ?weight:weight -> t -> string
-(** Folded flamegraph stacks ([;]-joined path, one integer per line):
-    self microseconds for [`Seconds] (default), self words otherwise.
-    Zero-weight paths are skipped; parseable by {!Span.of_folded}. *)
 
 val metrics : ?into:Metrics.t -> t -> Metrics.t
 (** Exports window totals as gauges ([res.seconds],

@@ -1,9 +1,8 @@
 (* Hierarchical phase spans over the trace sink. The recording half is
    in Trace (the sink owns the open-span stack and the packed buffer);
    this module is the user-facing API plus the replay that attributes
-   rounds, messages, and bits to span paths. *)
-
-let unspanned = "(unspanned)"
+   rounds, messages, and bits to span paths, joined with the resource
+   and critical-path columns into the one per-span table. *)
 
 let enter trace name =
   match trace with None -> () | Some s -> Trace.enter_span s name
@@ -28,6 +27,8 @@ let with_span trace name f =
           Trace.exit_span s;
           raise e)
 
+type split = { critical : int; slack : int }
+
 type rollup = {
   path : string;
   depth : int;
@@ -39,8 +40,8 @@ type rollup = {
   bits : int;
   bits_incl : int;
   max_message_bits : int;
-  seconds : float;
-  seconds_incl : float;
+  resource : Resource.rollup option;
+  causal : split option;
 }
 
 type acc = {
@@ -52,18 +53,18 @@ type acc = {
   mutable a_bits : int;
   mutable a_bits_incl : int;
   mutable a_max_bits : int;
+  mutable a_critical : int;
 }
 
-let path_depth path =
-  if path = unspanned then 0
-  else 1 + String.fold_left (fun k c -> if c = '/' then k + 1 else k) 0 path
-
 (* Replay attribution: self goes to the innermost open span at the time
-   of the event ([unspanned] when none is open — kept as an explicit
-   bucket so per-span self totals sum exactly to the Metrics.of_trace
-   globals), inclusive to every open ancestor. Open paths are pairwise
-   distinct (each extends its parent), so inclusive counts each once. *)
-let rollups sink =
+   of the event ([Trace.unspanned] when none is open — kept as an
+   explicit bucket so per-span self totals sum exactly to the
+   Metrics.of_trace globals), inclusive to every open ancestor. Open
+   paths are pairwise distinct (each extends its parent), so inclusive
+   counts each once. Critical rounds are self-attributed like rounds:
+   a simulator round is critical when the witness chain covers it, an
+   engine-charged round always is (the engine is one causal thread). *)
+let rollups ?resource ?causal sink =
   let tbl : (string, acc) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   let get path =
@@ -80,61 +81,83 @@ let rollups sink =
             a_bits = 0;
             a_bits_incl = 0;
             a_max_bits = 0;
+            a_critical = 0;
           }
         in
         Hashtbl.add tbl path a;
         order := path :: !order;
         a
   in
+  (* the open frames' accumulators, innermost first, so an event costs
+     no path hashing *)
   let stack = ref [] in
-  let charge ~rounds ~messages ~bits ~maxb =
-    let open_paths = !stack in
-    let self = match open_paths with p :: _ -> p | [] -> unspanned in
-    let a = get self in
+  let charge ~rounds ~critical ~messages ~bits ~maxb =
+    let open_accs =
+      match !stack with [] -> [ get Trace.unspanned ] | accs -> accs
+    in
+    let a = List.hd open_accs in
     a.a_rounds <- a.a_rounds + rounds;
+    a.a_critical <- a.a_critical + critical;
     a.a_messages <- a.a_messages + messages;
     a.a_bits <- a.a_bits + bits;
     if maxb > a.a_max_bits then a.a_max_bits <- maxb;
-    let incl p =
-      let a = get p in
-      a.a_rounds_incl <- a.a_rounds_incl + rounds;
-      a.a_messages_incl <- a.a_messages_incl + messages;
-      a.a_bits_incl <- a.a_bits_incl + bits
-    in
-    match open_paths with
-    | [] -> incl unspanned
-    | ps -> List.iter incl ps
+    List.iter
+      (fun a ->
+        a.a_rounds_incl <- a.a_rounds_incl + rounds;
+        a.a_messages_incl <- a.a_messages_incl + messages;
+        a.a_bits_incl <- a.a_bits_incl + bits)
+      open_accs
   in
+  let round_critical =
+    match causal with Some c -> c.Causal.round_critical | None -> [||]
+  in
+  let cur_round = ref 0 in
   Trace.iter
     (fun ev ->
       match ev with
       | Trace.Span_enter { path } ->
           let a = get path in
           a.a_entries <- a.a_entries + 1;
-          stack := path :: !stack
+          stack := a :: !stack
       | Trace.Span_exit _ -> (
           match !stack with [] -> () | _ :: rest -> stack := rest)
-      | Trace.Round_start _ -> charge ~rounds:1 ~messages:0 ~bits:0 ~maxb:0
+      | Trace.Round_start _ ->
+          incr cur_round;
+          let critical =
+            if
+              !cur_round < Array.length round_critical
+              && round_critical.(!cur_round)
+            then 1
+            else 0
+          in
+          charge ~rounds:1 ~critical ~messages:0 ~bits:0 ~maxb:0
       | Trace.Message_sent { bits; _ } ->
-          charge ~rounds:0 ~messages:1 ~bits ~maxb:bits
+          charge ~rounds:0 ~critical:0 ~messages:1 ~bits ~maxb:bits
       | Trace.Cost_charged { rounds; messages; max_bits; _ } ->
-          charge ~rounds ~messages ~bits:0 ~maxb:max_bits
+          charge ~rounds ~critical:rounds ~messages ~bits:0 ~maxb:max_bits
       | _ -> ())
     sink;
-  let secs = Trace.span_seconds sink in
-  List.iter (fun (p, _, _) -> ignore (get p)) secs;
-  let sec_of p =
-    match List.find_opt (fun (q, _, _) -> q = p) secs with
-    | Some (_, self, incl) -> (self, incl)
-    | None -> (0.0, 0.0)
+  (* paths only the recorder saw (normally just the unspanned bucket,
+     which holds the time before the first span) come first *)
+  let logical = List.rev !order in
+  let res_tbl = Hashtbl.create 32 in
+  let res_only =
+    List.filter_map
+      (fun (r : Resource.rollup) ->
+        Hashtbl.replace res_tbl r.Resource.r_path r;
+        if Hashtbl.mem tbl r.Resource.r_path then None
+        else begin
+          (get r.Resource.r_path).a_entries <- r.Resource.r_entries;
+          Some r.Resource.r_path
+        end)
+      (Option.value resource ~default:[])
   in
-  List.rev_map
+  List.map
     (fun path ->
       let a = Hashtbl.find tbl path in
-      let seconds, seconds_incl = sec_of path in
       {
         path;
-        depth = path_depth path;
+        depth = Trace.path_depth path;
         entries = a.a_entries;
         rounds = a.a_rounds;
         rounds_incl = a.a_rounds_incl;
@@ -143,22 +166,31 @@ let rollups sink =
         bits = a.a_bits;
         bits_incl = a.a_bits_incl;
         max_message_bits = a.a_max_bits;
-        seconds;
-        seconds_incl;
+        resource = Hashtbl.find_opt res_tbl path;
+        causal =
+          Option.map
+            (fun _ ->
+              { critical = a.a_critical; slack = a.a_rounds - a.a_critical })
+            causal;
       })
-    !order
+    (res_only @ logical)
 
-type weight = [ `Rounds | `Messages | `Bits ]
+type weight = [ `Rounds | `Messages | `Bits | `Seconds | `Minor_words | `Major_words ]
 
-let weight_of r = function
+let weight_of r w =
+  let res f = Option.fold ~none:0 ~some:f r.resource in
+  match w with
   | `Rounds -> r.rounds
   | `Messages -> r.messages
   | `Bits -> r.bits
+  | `Seconds -> res (fun x -> int_of_float (x.Resource.r_seconds *. 1e6))
+  | `Minor_words -> res (fun x -> int_of_float x.Resource.r_minor_words)
+  | `Major_words -> res (fun x -> int_of_float x.Resource.r_major_words)
 
 (* flamegraph folded-stack format: frames joined by ';', one
    "stack value" line per path, weight = the span's SELF count (the
    flamegraph renderer re-derives inclusive totals by summation) *)
-let to_folded ?(weight = `Rounds) sink =
+let to_folded ?(weight = `Rounds) rs =
   let b = Buffer.create 256 in
   List.iter
     (fun r ->
@@ -170,7 +202,7 @@ let to_folded ?(weight = `Rounds) sink =
         Buffer.add_string b (string_of_int v);
         Buffer.add_char b '\n'
       end)
-    (rollups sink);
+    rs;
   Buffer.contents b
 
 let of_folded text =
@@ -197,18 +229,67 @@ let of_folded text =
   in
   go [] (String.split_on_char '\n' text)
 
-let rollup_csv rs =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "path,depth,entries,rounds,rounds_incl,messages,messages_incl,bits,bits_incl,max_message_bits,seconds,seconds_incl\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f\n" r.path
-           r.depth r.entries r.rounds r.rounds_incl r.messages r.messages_incl
-           r.bits r.bits_incl r.max_message_bits r.seconds r.seconds_incl))
-    rs;
-  Buffer.contents b
+(* the one column list: CSV and JSON both render it, so the two
+   artifacts cannot disagree on names or formats *)
+let columns r =
+  let i = Json.int and f6 = Json.float "%.6f" and f0 = Json.float "%.0f" in
+  [
+    ("path", Json.Str r.path);
+    ("depth", i r.depth);
+    ("entries", i r.entries);
+    ("rounds", i r.rounds);
+    ("rounds_incl", i r.rounds_incl);
+    ("messages", i r.messages);
+    ("messages_incl", i r.messages_incl);
+    ("bits", i r.bits);
+    ("bits_incl", i r.bits_incl);
+    ("max_message_bits", i r.max_message_bits);
+  ]
+  @ (match r.resource with
+    | None -> []
+    | Some x ->
+        Resource.
+          [
+            ("seconds", f6 x.r_seconds);
+            ("seconds_incl", f6 x.r_seconds_incl);
+            ("minor_words", f0 x.r_minor_words);
+            ("minor_words_incl", f0 x.r_minor_words_incl);
+            ("promoted_words", f0 x.r_promoted_words);
+            ("promoted_words_incl", f0 x.r_promoted_words_incl);
+            ("major_words", f0 x.r_major_words);
+            ("major_words_incl", f0 x.r_major_words_incl);
+            ("major_collections", i x.r_major_collections);
+            ("major_collections_incl", i x.r_major_collections_incl);
+          ])
+  @
+  match r.causal with
+  | None -> []
+  | Some c -> [ ("critical", i c.critical); ("slack", i c.slack) ]
+
+let to_json rs = Json.Arr (List.map (fun r -> Json.Obj (columns r)) rs)
+
+(* header = the widest row's columns; a row lacking a group (a path the
+   passed snapshot never saw) leaves those cells empty *)
+let csv rs =
+  let header =
+    List.fold_left
+      (fun h r ->
+        let names = List.map fst (columns r) in
+        if List.length names > List.length h then names else h)
+      [] rs
+  in
+  let cell = function Json.Str s | Json.Num s -> s | _ -> "" in
+  let line cells = String.concat "," cells ^ "\n" in
+  String.concat ""
+    (line header
+    :: List.map
+         (fun r ->
+           let cols = columns r in
+           line
+             (List.map
+                (fun k -> Option.fold ~none:"" ~some:cell (List.assoc_opt k cols))
+                header))
+         rs)
 
 let pp_rollups ppf rs =
   Format.fprintf ppf "%-52s %10s %10s %10s %9s@." "phase" "rounds" "messages"
@@ -223,16 +304,18 @@ let pp_rollups ppf rs =
       in
       Format.fprintf ppf "%-52s %10d %10d %10d %9.4f@."
         (indent ^ label)
-        r.rounds_incl r.messages_incl r.bits_incl r.seconds_incl)
+        r.rounds_incl r.messages_incl r.bits_incl
+        (Option.fold ~none:0.0
+           ~some:(fun x -> x.Resource.r_seconds_incl)
+           r.resource))
     rs
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
-let save ?(dir = "bench_results") ?weight ~prefix sink =
+let save ?(dir = "bench_results") ?weight ~prefix rs =
   ensure_dir dir;
-  let rs = rollups sink in
   let csv_path = Filename.concat dir (prefix ^ "_phases.csv") in
   let folded_path = Filename.concat dir (prefix ^ ".folded") in
   let write path text =
@@ -240,6 +323,6 @@ let save ?(dir = "bench_results") ?weight ~prefix sink =
     output_string oc text;
     close_out oc
   in
-  write csv_path (rollup_csv rs);
-  write folded_path (to_folded ?weight sink);
+  write csv_path (csv rs);
+  write folded_path (to_folded ?weight rs);
   [ csv_path; folded_path ]

@@ -80,12 +80,10 @@ type sink = {
   mutable span_depth : int;
   mutable hook_enter : int -> unit;  (* path id, after the frame opens *)
   mutable hook_exit : int -> unit;  (* path id, before the frame closes *)
-  mutable hook_seconds : unit -> (string * float * float) list;
 }
 
 let no_enter (_ : int) = ()
 let no_exit (_ : int) = ()
-let no_seconds () = []
 
 (* kind codes; [decode] below is the single reader *)
 let k_round_start = 0
@@ -128,7 +126,6 @@ let sink ?(capacity = 1_000_000) ?(spans = true) ?spill () =
     span_depth = 0;
     hook_enter = no_enter;
     hook_exit = no_exit;
-    hook_seconds = no_seconds;
   }
 
 let grow s off =
@@ -281,12 +278,15 @@ let exit_span s =
 let span_depth s = s.span_depth
 let spans_enabled s = s.spans_enabled
 let span_path s pid = s.tags.(pid)
-let span_seconds s = s.hook_seconds ()
+let unspanned = "(unspanned)"
 
-let set_span_hooks s ~enter ~exit ~seconds =
+let path_depth path =
+  if path = unspanned then 0
+  else 1 + String.fold_left (fun k c -> if c = '/' then k + 1 else k) 0 path
+
+let set_span_hooks s ~enter ~exit =
   s.hook_enter <- enter;
-  s.hook_exit <- exit;
-  s.hook_seconds <- seconds
+  s.hook_exit <- exit
 
 let record s ev =
   let off = slot s in
@@ -433,7 +433,6 @@ let clear s =
      would be stale: detach and require a fresh [Resource.attach] *)
   s.hook_enter <- no_enter;
   s.hook_exit <- no_exit;
-  s.hook_seconds <- no_seconds;
   match s.spill with
   | None -> ()
   | Some sp ->

@@ -62,7 +62,7 @@ type event =
       (** a named phase opened; [path] is the full ["/"]-joined nesting,
           e.g. ["netdecomp/color=3/transform/level=7"]. Carries no
           wall-clock time so traces of identical runs stay byte-identical
-          (see {!span_seconds}). *)
+          (wall-clock and GC attribution live in {!Resource}). *)
   | Span_exit of { path : string }  (** the matching close *)
 
 type sink
@@ -120,23 +120,20 @@ val span_path : sink -> int -> string
 (** Resolves an interned span path id (as passed to the hooks) back to
     the full ["/"]-joined path. *)
 
-val set_span_hooks :
-  sink ->
-  enter:(int -> unit) ->
-  exit:(int -> unit) ->
-  seconds:(unit -> (string * float * float) list) ->
-  unit
-(** Registers span observers: [enter]/[exit] fire from
-    {!enter_span}/{!exit_span} with the interned path id, and [seconds]
-    serves {!span_seconds}. Installed by {!Resource.attach}; reset to
-    no-ops by {!clear} (path ids restart, so an attached recorder would
-    go stale). *)
+val unspanned : string
+(** ["(unspanned)"]: the synthetic path that per-span attribution
+    ({!Span.rollups}, {!Resource.rollups}) charges while no span is
+    open. *)
 
-val span_seconds : sink -> (string * float * float) list
-(** [(path, self, inclusive)] wall seconds accumulated over all closed
-    activations of each span path, sorted by path — served by the
-    attached {!Resource.t}, or [[]] when none is attached. Self
-    excludes time spent in child spans; inclusive is enter-to-exit. *)
+val path_depth : string -> int
+(** Nesting depth of a span path: [1] for a root, one more per ["/"],
+    and [0] for {!unspanned}. *)
+
+val set_span_hooks : sink -> enter:(int -> unit) -> exit:(int -> unit) -> unit
+(** Registers span observers: [enter]/[exit] fire from
+    {!enter_span}/{!exit_span} with the interned path id. Installed by
+    {!Resource.attach}; reset to no-ops by {!clear} (path ids restart,
+    so an attached recorder would go stale). *)
 
 val length : sink -> int
 

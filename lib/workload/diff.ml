@@ -19,46 +19,79 @@ type side = {
 (* Loading sides                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* trajectory columns default per era: snapshots 0-2 predate
+   [minor_words_per_node] *)
 let num k j = Option.value (Json.to_float (Json.member k j)) ~default:0.0
 let str k j = Json.to_str (Json.member k j)
-let arr k j = Option.value (Json.to_list (Json.member k j)) ~default:[]
 
-(* span rollups carry the logical tree; resource rollups attach
-   allocation by path (and add resource-only paths like "(unspanned)",
-   whose absent logical columns read as 0) *)
+(* A report side is read strictly: the schema, the spans array and
+   every column compared must be present, so an older or misspelled
+   artifact is refused instead of diffing as a side of zeros. *)
 let side_of_report ~label doc =
-  let spans = arr "rollups" doc in
-  let resources = arr "rollups" (Json.member "resources" doc) in
-  let same_path r r' = str "path" r = str "path" r' in
-  let phase r =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun m -> Error (label ^ ": " ^ m)) fmt in
+  let report = Json.member "report" doc in
+  let* () =
+    match Json.to_int (Json.member "schema" report) with
+    | Some v when v = Report.schema -> Ok ()
+    | Some v -> fail "report.schema is %d, expected %d" v Report.schema
+    | None -> fail "report.schema missing (expected %d)" Report.schema
+  in
+  let* spans =
+    match Json.to_list (Json.member "spans" doc) with
+    | Some spans -> Ok spans
+    | None -> fail "missing \"spans\" array"
+  in
+  let phase k r =
+    let need c =
+      match Json.to_float (Json.member c r) with
+      | Some v -> Ok v
+      | None -> fail "spans[%d] has no numeric %S" k c
+    in
+    let* path =
+      match str "path" r with
+      | Some p -> Ok p
+      | None -> fail "spans[%d] has no string \"path\"" k
+    in
+    let* depth = need "depth" in
+    let* rounds = need "rounds" in
+    let* messages = need "messages" in
+    let* bits = need "bits" in
+    let* seconds = need "seconds" in
+    let* minor_words = need "minor_words" in
+    Ok
+      {
+        path;
+        depth = int_of_float depth;
+        rounds;
+        messages;
+        bits;
+        seconds;
+        minor_words;
+      }
+  in
+  let rec phases k = function
+    | [] -> Ok []
+    | r :: rest ->
+        let* p = phase k r in
+        let* ps = phases (k + 1) rest in
+        Ok (p :: ps)
+  in
+  let* phases = phases 0 spans in
+  Ok
     {
-      path = Option.value (str "path" r) ~default:"?";
-      depth = int_of_float (num "depth" r);
-      rounds = num "rounds" r;
-      messages = num "messages" r;
-      bits = num "bits" r;
-      seconds = num "seconds" r;
-      minor_words =
-        Option.fold ~none:0.0 ~some:(num "minor_words")
-          (List.find_opt (same_path r) resources);
+      label;
+      fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
+      seconds_mad = num "seconds_mad" report;
+      phases;
     }
-  in
-  let resource_only =
-    List.filter (fun r -> not (List.exists (same_path r) spans)) resources
-  in
-  {
-    label;
-    fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
-    seconds_mad = num "seconds_mad" (Json.member "report" doc);
-    phases = List.map phase (spans @ resource_only);
-  }
 
 let is_report doc = Json.member "report" doc <> Json.Null
 
 let side_of_report_json ~label text =
   match Json.parse text with
   | Error e -> Error (Printf.sprintf "%s: JSON parse failed: %s" label e)
-  | Ok doc when is_report doc -> Ok (side_of_report ~label doc)
+  | Ok doc when is_report doc -> side_of_report ~label doc
   | Ok _ ->
       Error (Printf.sprintf "%s: not a run report (no \"report\" object)" label)
 
@@ -109,7 +142,7 @@ let load spec =
           Error
             (Printf.sprintf "%s: '#<index>' only applies to trajectory files"
                spec)
-        else Ok (side_of_report ~label:(Filename.basename file) doc)
+        else side_of_report ~label:(Filename.basename file) doc
     | _ -> (
         let lines = Trajectory.read_snapshot_lines file in
         let count = List.length lines in

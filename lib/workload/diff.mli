@@ -5,9 +5,9 @@
     noise floor.
 
     A side is loaded from a run-report JSON (the [decompose report]
-    artifact, whose ["rollups"] and ["resources"]["rollups"] arrays
-    carry the span tree) or from a BENCH_trajectory.json row (headline
-    workloads only, each a depth-0 phase). Two sides recorded under
+    artifact, whose ["spans"] array carries the span tree) or from a
+    BENCH_trajectory.json row (headline workloads only, each a depth-0
+    phase). Two sides recorded under
     different {!Stats.fingerprint}s are refused unless forced —
     cross-machine phase timings are not comparable.
 
@@ -40,14 +40,19 @@ type side = {
 val load : string -> (side, string) result
 (** Loads a side from a spec:
     - a JSON document with a ["report"] member (in any layout) — a run
-      report; the span rollups become the phases;
+      report of schema {!Report.schema}; its ["spans"] rows become the
+      phases, and a missing schema, array or compared column (path,
+      depth, rounds, messages, bits, seconds, minor_words) is an
+      [Error] naming the file and the key;
     - [path] or [path#N] — a trajectory file; [N] is the 1-based
       snapshot index (negative counts from the end; default [-1], the
-      newest); each workload row becomes a depth-0 phase.
+      newest); each workload row becomes a depth-0 phase, and a column
+      an older snapshot lacks reads as [0].
     Errors mention the spec, never raise. *)
 
 val side_of_report_json : label:string -> string -> (side, string) result
-(** Parses a run-report JSON document (see {!Report.to_json}). *)
+(** Parses a run-report JSON document (see {!Report.to_json}) as
+    strictly as {!load}. *)
 
 val side_of_trajectory_line : label:string -> string -> side
 (** One trajectory snapshot line as a side of headline phases. *)

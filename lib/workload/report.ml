@@ -18,11 +18,9 @@ type t = {
   events : int;
   truncated : int;
   metrics : Congest.Metrics.t;
-  rollups : Congest.Span.rollup list;
-  res_rollups : Congest.Resource.rollup list;
+  spans : Congest.Span.rollup list;
   res_totals : Congest.Resource.totals;
   causal : Congest.Causal.t;
-  span_slack : Congest.Causal.span_slack list;
   audit : Audit.t;
   audit_verdict : (unit, string) result;
   fingerprint : Stats.fingerprint;
@@ -33,7 +31,6 @@ let assemble ~algo ~reference ~family ~n ~m ~seed ~epsilon ~colors
     ~max_message_bits ~valid ~seconds ~sink ~resource ~audit ~graph =
   let res_rollups, res_totals = Congest.Resource.snapshot resource in
   let metrics = Congest.Metrics.of_trace sink in
-  let metrics = Congest.Metrics.of_spans ~into:metrics sink in
   let causal = Congest.Causal.analyze sink in
   let metrics = Congest.Causal.metrics ~into:metrics causal in
   let metrics = Congest.Resource.metrics ~into:metrics resource in
@@ -57,11 +54,9 @@ let assemble ~algo ~reference ~family ~n ~m ~seed ~epsilon ~colors
     events = Congest.Trace.length sink;
     truncated = Congest.Trace.truncated sink;
     metrics;
-    rollups = Congest.Span.rollups sink;
-    res_rollups;
+    spans = Congest.Span.rollups ~resource:res_rollups ~causal sink;
     res_totals;
     causal;
-    span_slack = Congest.Causal.span_breakdown sink causal;
     audit;
     audit_verdict = Audit.verify graph audit;
     fingerprint = Stats.current_fingerprint ();
@@ -174,27 +169,13 @@ let to_markdown t =
      if rest > 0 then add "\n... and %d more hops (full chain in the JSON report).\n" rest;
      add "\n"
    end);
-  (if t.span_slack <> [] then begin
-     add "## Critical vs. slack rounds by span\n\n";
-     add "| span | critical | slack |\n|---|---|---|\n";
-     List.iter
-       (fun (s : Congest.Causal.span_slack) ->
-         add "| %s | %d | %d |\n" s.Congest.Causal.span_path
-           s.Congest.Causal.critical s.Congest.Causal.slack)
-       t.span_slack;
-     add "\n"
-   end);
-  (if t.rollups <> [] then begin
-     add "## Phase rollups\n\n```\n%s```\n\n"
-       (Format.asprintf "%a" Congest.Span.pp_rollups t.rollups)
-   end);
-  (if t.res_rollups <> [] then begin
-     add "## Resource profile\n\n";
-     add
-       "Wall-clock and GC attribution per span (self values sum to the \
-        process totals; \"(unspanned)\" absorbs time outside any span).\n\n";
-     add "```\n%s```\n\n" (Congest.Resource.csv t.res_rollups)
-   end);
+  add "## Spans\n\n";
+  add
+    "One row per span path: self and inclusive rounds, messages and bits; \
+     wall-clock and GC attribution (self values sum to the process \
+     totals; \"(unspanned)\" absorbs time outside any span); critical vs. \
+     slack self rounds.\n\n";
+  add "```\n%s```\n\n" (Congest.Span.csv t.spans);
   add "## Metrics\n\n```\n%s```\n\n"
     (Format.asprintf "%a" Congest.Metrics.pp t.metrics);
   add "## Cluster audit\n\n";
@@ -212,6 +193,8 @@ let to_markdown t =
 (* JSON                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let schema = 2
+
 let to_json t =
   let i = Json.int and f6 = Json.float "%.6f" and f0 = Json.float "%.0f" in
   let opt conv = function Some x -> conv x | None -> Json.Null in
@@ -227,6 +210,7 @@ let to_json t =
          ( "report",
            Json.Obj
              [
+               ("schema", i schema);
                ("algo", str t.algo);
                ("reference", str t.reference);
                ("family", str t.family);
@@ -270,35 +254,7 @@ let to_json t =
                        ])
                    c.Causal.chain );
              ] );
-         ( "span_slack",
-           list
-             (fun (s : Causal.span_slack) ->
-               Json.Obj
-                 [
-                   ("span", str s.Causal.span_path);
-                   ("critical", i s.Causal.critical);
-                   ("slack", i s.Causal.slack);
-                 ])
-             t.span_slack );
-         ( "rollups",
-           list
-             (fun (r : Span.rollup) ->
-               Json.Obj
-                 [
-                   ("path", str r.Span.path);
-                   ("depth", i r.Span.depth);
-                   ("entries", i r.Span.entries);
-                   ("rounds", i r.Span.rounds);
-                   ("rounds_incl", i r.Span.rounds_incl);
-                   ("messages", i r.Span.messages);
-                   ("messages_incl", i r.Span.messages_incl);
-                   ("bits", i r.Span.bits);
-                   ("bits_incl", i r.Span.bits_incl);
-                   ("max_message_bits", i r.Span.max_message_bits);
-                   ("seconds", f6 r.Span.seconds);
-                   ("seconds_incl", f6 r.Span.seconds_incl);
-                 ])
-             t.rollups );
+         ("spans", Span.to_json t.spans);
          ( "resources",
            Json.Obj
              [
@@ -308,24 +264,6 @@ let to_json t =
                ("major_words", f0 tot.Resource.t_major_words);
                ("major_collections", i tot.Resource.t_major_collections);
                ("peak_heap_mb", Json.float "%.3f" (Resource.peak_heap_mb tot));
-               ( "rollups",
-                 list
-                   (fun (r : Resource.rollup) ->
-                     Json.Obj
-                       [
-                         ("path", str r.Resource.r_path);
-                         ("depth", i r.Resource.r_depth);
-                         ("entries", i r.Resource.r_entries);
-                         ("seconds", f6 r.Resource.r_seconds);
-                         ("seconds_incl", f6 r.Resource.r_seconds_incl);
-                         ("minor_words", f0 r.Resource.r_minor_words);
-                         ("minor_words_incl", f0 r.Resource.r_minor_words_incl);
-                         ("major_words", f0 r.Resource.r_major_words);
-                         ("major_words_incl", f0 r.Resource.r_major_words_incl);
-                         ( "major_collections",
-                           i r.Resource.r_major_collections );
-                       ])
-                   t.res_rollups );
              ] );
          ("metrics", Json.Arr (Metrics.to_json t.metrics));
          ( "audit",

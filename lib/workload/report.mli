@@ -5,12 +5,12 @@
     - the measurement row ({!Measure}): colors, diameters, rounds,
       message sizes, checker verdict;
     - replayed {!Congest.Metrics} (counters, gauges, histograms);
-    - per-phase {!Congest.Span} rollups;
-    - the causal critical path and slack ({!Congest.Causal}),
-      including the per-span critical/slack split;
-    - the {!Congest.Resource} side channel: per-span wall-clock and
-      GC-allocation attribution plus the process totals (peak heap,
-      minor/major words), gathered by a recorder attached for the run;
+    - the causal critical path and slack ({!Congest.Causal});
+    - the one per-span table ({!Congest.Span.rollups}): logical cost,
+      wall-clock and GC attribution from a {!Congest.Resource} recorder
+      attached for the run, and the per-span critical/slack split;
+    - the process totals of that recorder (peak heap, minor/major
+      words);
     - the per-cluster {!Audit} certificate table and the independent
       {!Audit.verify} verdict against the raw graph.
 
@@ -37,14 +37,13 @@ type t = {
   events : int;  (** trace events recorded *)
   truncated : int;  (** events dropped by the sink's capacity bound *)
   metrics : Congest.Metrics.t;
-  rollups : Congest.Span.rollup list;
-  res_rollups : Congest.Resource.rollup list;
-      (** per-span resource attribution, ["(unspanned)"] included *)
+  spans : Congest.Span.rollup list;
+      (** the per-span table with the resource and causal column groups *)
   res_totals : Congest.Resource.totals;
-      (** process totals over the run window, one sample with
-          [res_rollups] so the exact-sum invariant holds between them *)
+      (** process totals over the run window, one sample with the
+          resource columns of [spans] so the exact-sum invariant holds
+          between them *)
   causal : Congest.Causal.t;
-  span_slack : Congest.Causal.span_slack list;
   audit : Audit.t;
   audit_verdict : (unit, string) result;
   fingerprint : Stats.fingerprint;
@@ -64,13 +63,19 @@ val of_carver :
 
 val to_markdown : t -> string
 (** Self-contained markdown document: headline table, causal summary,
-    per-span critical/slack table, metrics, phase rollups, and the
-    cluster audit table (capped rows are noted explicitly, never
-    dropped silently). *)
+    the per-span table ({!Congest.Span.csv}), metrics, and the cluster
+    audit table (capped rows are noted explicitly, never dropped
+    silently). *)
+
+val schema : int
+(** Version of the {!to_json} layout, written as ["report"]["schema"];
+    {!Diff} refuses report sides of any other version. *)
 
 val to_json : t -> string
-(** One JSON object mirroring {!to_markdown}'s content; metrics are
-    embedded as the array of {!Congest.Metrics.to_json} objects. *)
+(** One JSON object mirroring {!to_markdown}'s content: [report],
+    [fingerprint], [causal], [spans] ({!Congest.Span.to_json}),
+    [resources] (the recorder's totals), [metrics] (the array of
+    {!Congest.Metrics.to_json} objects) and [audit]. *)
 
 val save : ?dir:string -> t -> string list
 (** Writes [report_<algo>_<family>.md] and [.json] under [dir]

@@ -4,9 +4,9 @@
    every fault-free registry run (engine-level, Cost_charged only) the
    critical-path length equals the measured round count exactly, with
    zero slack. Hand-built traces pin down the chain arithmetic, the
-   fault degradation to [exact = false], and the per-span
-   critical/slack split; a real simulator run cross-checks against
-   Sim.stats. *)
+   fault degradation to [exact = false]; a real simulator run
+   cross-checks against Sim.stats. The per-span critical/slack split is
+   one of the table invariants test_span checks over the registry. *)
 
 module Trace = Congest.Trace
 module Causal = Congest.Causal
@@ -158,20 +158,7 @@ let test_simulated_run () =
     | [ h ] -> h.Causal.delivered_round > h.Causal.sent_round
     | [] -> true
   in
-  check bool "chain hops causally ordered" true (ordered t.Causal.chain);
-  (* the per-span split partitions the full round count *)
-  let spans = Causal.span_breakdown sink t in
-  let covered =
-    List.fold_left
-      (fun acc s -> acc + s.Causal.critical + s.Causal.slack)
-      0 spans
-  in
-  check int "span critical+slack partition the rounds" t.Causal.rounds covered;
-  let critical_total =
-    List.fold_left (fun acc s -> acc + s.Causal.critical) 0 spans
-  in
-  check int "span critical totals match" t.Causal.critical_rounds
-    critical_total
+  check bool "chain hops causally ordered" true (ordered t.Causal.chain)
 
 let test_metrics_emitter () =
   let sink = Trace.sink () in

@@ -216,29 +216,84 @@ let test_side_of_trajectory_line () =
 
 let test_side_of_report_json () =
   let text =
-    "{\"report\":{\"algo\":\"thm2.3\",\"seconds_mad\":0.003},\
+    "{\"report\":{\"schema\":2,\"algo\":\"thm2.3\",\"seconds_mad\":0.003},\
      \"fingerprint\":{\"git_sha\":\"abc123\",\"ocaml_version\":\"5.1.1\",\
      \"word_size\":64,\"flambda\":false,\"hostname\":\"ci\"},\
-     \"rollups\":[{\"path\":\"carve\",\"depth\":0,\"rounds\":10,\
-     \"messages\":5,\"bits\":100,\"seconds\":0.5}],\
-     \"resources\":{\"rollups\":[{\"path\":\"carve\",\"minor_words\":4200},\
-     {\"path\":\"(unspanned)\",\"depth\":0,\"seconds\":0.1,\
-     \"minor_words\":77}]}}"
+     \"spans\":[{\"path\":\"(unspanned)\",\"depth\":0,\"rounds\":0,\
+     \"messages\":0,\"bits\":0,\"seconds\":0.1,\"minor_words\":77},\
+     {\"path\":\"carve\",\"depth\":1,\"rounds\":10,\"messages\":5,\
+     \"bits\":100,\"seconds\":0.5,\"minor_words\":4200}]}"
   in
   let s = ok (D.side_of_report_json ~label:"rep" text) in
   Alcotest.(check (float 1e-9)) "report-level MAD" 0.003 s.D.seconds_mad;
   Alcotest.(check bool) "fingerprint parsed" true (s.D.fingerprint = Some (fp ()));
-  check Alcotest.int "span + resource-only phases" 2 (List.length s.D.phases);
+  check Alcotest.int "one phase per spans row" 2 (List.length s.D.phases);
   let carve = List.find (fun p -> p.D.path = "carve") s.D.phases in
-  Alcotest.(check (float 1e-9)) "minor words joined by path" 4200.0
+  Alcotest.(check (float 1e-9)) "minor words from the row" 4200.0
     carve.D.minor_words;
+  check Alcotest.int "root depth" 1 carve.D.depth;
   let unsp = List.find (fun p -> p.D.path = "(unspanned)") s.D.phases in
-  Alcotest.(check (float 1e-9)) "resource-only phase kept" 77.0
-    unsp.D.minor_words;
+  Alcotest.(check (float 1e-9)) "unspanned phase kept" 77.0 unsp.D.minor_words;
   (* not a report: refused with the label in the message *)
   match D.side_of_report_json ~label:"rep" "{\"x\":1}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-report JSON accepted"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* a report file the diff must refuse, with the file and the key named *)
+let refused ~key text =
+  let path = Filename.temp_file "diff_bad" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let r = D.load path in
+  Sys.remove path;
+  match r with
+  | Ok _ -> Alcotest.fail ("misread as a side: " ^ text)
+  | Error e ->
+      Alcotest.(check bool) ("names the file: " ^ e) true
+        (contains e (Filename.basename path));
+      Alcotest.(check bool) ("names " ^ key ^ ": " ^ e) true (contains e key)
+
+let test_refuses_parent_layout () =
+  refused ~key:"schema"
+    "{\"report\":{\"algo\":\"x\"},\"rollups\":[{\"path\":\"a\",\
+     \"depth\":0,\"rounds\":500,\"messages\":1,\"bits\":1,\"seconds\":0.1}],\
+     \"resources\":{\"rollups\":[{\"path\":\"a\",\"minor_words\":9}]}}"
+
+let test_refuses_missing_array () =
+  refused ~key:"spans"
+    "{\"report\":{\"schema\":2,\"algo\":\"x\"},\"rollupz\":[{\"path\":\"a\"}]}"
+
+let test_refuses_missing_column () =
+  refused ~key:"rounds"
+    "{\"report\":{\"schema\":2,\"algo\":\"x\"},\"spans\":[{\"path\":\"a\",\
+     \"depth\":1,\"messages\":1,\"bits\":1,\"seconds\":0.1,\
+     \"minor_words\":5}]}"
+
+(* roots are depth 1 and the unspanned bucket depth 0, the same in the
+   report's CSV, its JSON and the diff side read back from it *)
+let test_one_depth_convention () =
+  let r =
+    Workload.Report.of_decomposer
+      (Workload.Algorithms.find_decomposer "thm2.3")
+      Workload.Suite.grid ~n:16
+  in
+  let csv = Congest.Span.csv r.Workload.Report.spans in
+  Alcotest.(check bool) "CSV root depth 1" true (contains csv "\nnetdecomp,1,");
+  Alcotest.(check bool) "CSV unspanned depth 0" true
+    (contains csv "\n(unspanned),0,");
+  let json = Workload.Report.to_json r in
+  Alcotest.(check bool) "JSON root depth 1" true
+    (contains json "{\"path\":\"netdecomp\",\"depth\":1,");
+  let s = ok (D.side_of_report_json ~label:"rep" json) in
+  let depth path =
+    (List.find (fun p -> p.D.path = path) s.D.phases).D.depth
+  in
+  check Alcotest.int "diff side root depth 1" 1 (depth "netdecomp");
+  check Alcotest.int "diff side unspanned depth 0" 0 (depth "(unspanned)")
 
 let test_load_specs () =
   let path = Filename.temp_file "diff_traj" ".json" in
@@ -267,8 +322,9 @@ let test_load_specs () =
   let rpath = Filename.temp_file "diff_rep" ".json" in
   let oc = open_out rpath in
   output_string oc
-    "{\"report\":{\"algo\":\"x\"},\"rollups\":[{\"path\":\"a\",\"depth\":0,\
-     \"rounds\":1,\"messages\":1,\"bits\":1,\"seconds\":0.1}]}";
+    "{\"report\":{\"schema\":2,\"algo\":\"x\"},\"spans\":[{\"path\":\"a\",\
+     \"depth\":1,\"rounds\":1,\"messages\":1,\"bits\":1,\"seconds\":0.1,\
+     \"minor_words\":3}]}";
   close_out oc;
   check Alcotest.int "report side loads" 1
     (List.length (ok (D.load rpath)).D.phases);
@@ -293,11 +349,11 @@ let test_load_specs () =
             (s.D.fingerprint = Some fp))
         [
           ( "compact",
-            "{\"report\":{\"algo\":\"x\"},\"fingerprint\":" ^ fp_json
-            ^ ",\"rollups\":[]}" );
+            "{\"report\":{\"schema\":2,\"algo\":\"x\"},\"fingerprint\":"
+            ^ fp_json ^ ",\"spans\":[]}" );
           ( "pretty",
-            "{\n  \"report\": {\n    \"algo\": \"x\"\n  },\n  \"fingerprint\": "
-            ^ fp_json ^ ",\n  \"rollups\": []\n}\n" );
+            "{\n  \"report\": {\n    \"schema\": 2,\n    \"algo\": \"x\"\n  },\n\
+            \  \"fingerprint\": " ^ fp_json ^ ",\n  \"spans\": []\n}\n" );
         ])
     [ "ci"; "café"; "a\"b"; "tab\there" ];
   Sys.remove rpath
@@ -340,6 +396,14 @@ let () =
           Alcotest.test_case "trajectory line side" `Quick
             test_side_of_trajectory_line;
           Alcotest.test_case "report json side" `Quick test_side_of_report_json;
+          Alcotest.test_case "parent report layout refused" `Quick
+            test_refuses_parent_layout;
+          Alcotest.test_case "missing spans array refused" `Quick
+            test_refuses_missing_array;
+          Alcotest.test_case "missing column refused" `Quick
+            test_refuses_missing_column;
+          Alcotest.test_case "one depth convention" `Quick
+            test_one_depth_convention;
           Alcotest.test_case "load spec parsing" `Quick test_load_specs;
         ] );
     ]

@@ -1,10 +1,11 @@
 (* Tests for the resource side channel (Congest.Resource): the exact-sum
    attribution invariant (per-path self seconds/words plus "(unspanned)"
    reproduce the process totals, fault-free and adversarial, weak and
-   strong engines), byte-identical traces with and without a recorder
-   attached, the Chrome trace-event export round-trip with balanced B/E
-   stack discipline, the peak-heap watermark, and the folded/CSV/metrics
-   surfaces. *)
+   strong engines, checked on the per-span table by Table_invariants),
+   byte-identical traces with and without a recorder attached, the
+   Chrome trace-event export round-trip with balanced B/E stack
+   discipline, the peak-heap watermark, and the resource columns of the
+   folded/CSV/metrics surfaces. *)
 
 open Dsgraph
 module Sim = Congest.Sim
@@ -34,33 +35,13 @@ let find_rollup path rolls =
 (* Exact-sum invariant                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One atomic snapshot: self words over every path (unspanned included)
-   must equal the window totals EXACTLY — integral word counts stored in
-   floats add without rounding below 2^53. Seconds get a tolerance. *)
-let assert_exact_sums name res =
+(* One atomic snapshot joined onto the per-span table: its self words
+   over every path (unspanned included) must equal the window totals
+   exactly. Returns the recorder's own rows. *)
+let assert_exact_sums name sink res =
   let rolls, tot = Resource.snapshot res in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 rolls in
-  let sumi f = List.fold_left (fun acc r -> acc + f r) 0 rolls in
-  check (Alcotest.float 0.0) (* exact float equality, on purpose *)
-    (name ^ ": minor words attributed")
-    tot.Resource.t_minor_words
-    (sumf (fun r -> r.Resource.r_minor_words));
-  check (Alcotest.float 0.0)
-    (name ^ ": promoted words attributed")
-    tot.Resource.t_promoted_words
-    (sumf (fun r -> r.Resource.r_promoted_words));
-  check (Alcotest.float 0.0)
-    (name ^ ": major words attributed")
-    tot.Resource.t_major_words
-    (sumf (fun r -> r.Resource.r_major_words));
-  check int
-    (name ^ ": major collections attributed")
-    tot.Resource.t_major_collections
-    (sumi (fun r -> r.Resource.r_major_collections));
-  check (Alcotest.float 1e-6)
-    (name ^ ": seconds attributed")
-    tot.Resource.t_seconds
-    (sumf (fun r -> r.Resource.r_seconds));
+  Table_invariants.check_table ~name ~totals:tot sink
+    (Span.rollups ~resource:rolls sink);
   check bool (name ^ ": window nonempty") true (tot.Resource.t_seconds > 0.0);
   check bool (name ^ ": something was allocated") true
     (tot.Resource.t_minor_words > 0.0);
@@ -75,7 +56,7 @@ let test_sums_weak_fault_free () =
   let sink = Trace.sink () in
   let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  let rolls = assert_exact_sums "weak carve" res in
+  let rolls = assert_exact_sums "weak carve" sink res in
   let root = find_rollup "weakdiam_sim" rolls in
   check bool "root saw wall time" true (root.Resource.r_seconds_incl > 0.0);
   check bool "root saw allocation" true
@@ -99,7 +80,7 @@ let test_sums_weak_adversarial () =
   in
   check bool "adversary actually dropped" true
     (r.Weakdiam.Distributed.r_sim_stats.Sim.faults.Sim.dropped > 0);
-  let rolls = assert_exact_sums "weak carve reliable+adversary" res in
+  let rolls = assert_exact_sums "weak carve reliable+adversary" sink res in
   ignore (find_rollup "weakdiam_reliable" rolls)
 
 let test_sums_strong_fault_free () =
@@ -107,7 +88,7 @@ let test_sums_strong_fault_free () =
   let res = attach_fresh sink in
   let cost = Congest.Cost.create ~trace:sink () in
   ignore (Strongdecomp.Netdecomp.strong ~cost grid8);
-  let rolls = assert_exact_sums "thm2.3" res in
+  let rolls = assert_exact_sums "thm2.3" sink res in
   ignore (find_rollup "netdecomp" rolls);
   check bool "color phases charged" true
     (List.exists
@@ -124,7 +105,7 @@ let test_sums_strong_adversarial () =
   in
   check bool "adversary actually dropped" true
     (r.Baseline.Mpx_distributed.sim_stats.Sim.faults.Sim.dropped > 0);
-  let rolls = assert_exact_sums "mpx under faults" res in
+  let rolls = assert_exact_sums "mpx under faults" sink res in
   ignore (find_rollup "mpx_partition" rolls)
 
 let test_sums_stable_across_reads () =
@@ -134,10 +115,10 @@ let test_sums_stable_across_reads () =
   let sink = Trace.sink () in
   let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  ignore (assert_exact_sums "first read" res);
-  ignore (assert_exact_sums "second read" res);
+  ignore (assert_exact_sums "first read" sink res);
+  ignore (assert_exact_sums "second read" sink res);
   ignore (Resource.rollups res);
-  ignore (assert_exact_sums "after separate reads" res)
+  ignore (assert_exact_sums "after separate reads" sink res)
 
 (* ------------------------------------------------------------------ *)
 (* Traces stay byte-identical                                           *)
@@ -165,33 +146,42 @@ let test_trace_byte_identical () =
     (String.equal (strong ~resourced:false) (strong ~resourced:true))
 
 let test_span_seconds_served_by_recorder () =
-  (* Span.rollups seconds columns light up only when a recorder is
-     attached; without one span_seconds is empty *)
-  let bare = Trace.sink () in
-  ignore (Weakdiam.Distributed.carve ~trace:bare grid8 ~epsilon:0.5);
-  check int "no recorder, no seconds" 0 (List.length (Trace.span_seconds bare));
+  (* the per-span table carries resource columns only when a snapshot is
+     passed, and then on every row, with the root's wall time in it *)
   let sink = Trace.sink () in
-  ignore (attach_fresh sink);
+  let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  check bool "recorder serves seconds" true
-    (List.length (Trace.span_seconds sink) > 0);
-  let rolls = Span.rollups sink in
+  check bool "no snapshot, no resource columns" true
+    (List.for_all
+       (fun (r : Span.rollup) -> r.Span.resource = None)
+       (Span.rollups sink));
+  let resource, _ = Resource.snapshot res in
+  let rolls = Span.rollups ~resource sink in
+  check bool "every row joined" true
+    (List.for_all (fun (r : Span.rollup) -> r.Span.resource <> None) rolls);
   check bool "Span rollups see wall time" true
-    (List.exists (fun (r : Span.rollup) -> r.Span.seconds_incl > 0.0) rolls)
+    (List.exists
+       (fun (r : Span.rollup) ->
+         match r.Span.resource with
+         | Some x -> x.Resource.r_seconds_incl > 0.0
+         | None -> false)
+       rolls);
+  check Alcotest.string "the recorder-only unspanned row leads"
+    Trace.unspanned (List.hd rolls).Span.path
 
 let test_clear_detaches () =
   let sink = Trace.sink () in
-  ignore (attach_fresh sink);
+  let res = attach_fresh sink in
   Span.enter (Some sink) "a";
   Span.exit (Some sink);
-  check bool "seconds before clear" true
-    (List.length (Trace.span_seconds sink) > 0);
+  let paths () = List.map (fun r -> r.Resource.r_path) (Resource.rollups res) in
+  check bool "recorder saw a" true (List.mem "a" (paths ()));
   Trace.clear sink;
-  check int "clear resets the hooks" 0 (List.length (Trace.span_seconds sink));
   (* spans still work recorder-free after clear *)
   Span.enter (Some sink) "b";
   Span.exit (Some sink);
-  check int "stack balanced" 0 (Trace.span_depth sink)
+  check int "stack balanced" 0 (Trace.span_depth sink);
+  check bool "clear resets the hooks" false (List.mem "b" (paths ()))
 
 (* ------------------------------------------------------------------ *)
 (* Peak-heap watermark                                                  *)
@@ -284,9 +274,11 @@ let test_folded_parses () =
   let sink = Trace.sink () in
   let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
+  let resource, _ = Resource.snapshot res in
+  let rolls = Span.rollups ~resource sink in
   List.iter
     (fun weight ->
-      match Span.of_folded (Resource.to_folded ~weight res) with
+      match Span.of_folded (Span.to_folded ~weight rolls) with
       | Error e -> Alcotest.fail e
       | Ok pairs ->
           check bool "nonempty folded stacks" true (pairs <> []);
@@ -297,28 +289,25 @@ let test_folded_parses () =
             pairs)
     [ `Seconds; `Minor_words ]
 
-let test_weight_of_string () =
-  check bool "seconds" true (Resource.weight_of_string "seconds" = Some `Seconds);
-  check bool "minor" true
-    (Resource.weight_of_string "minor-words" = Some `Minor_words);
-  check bool "major" true
-    (Resource.weight_of_string "major-words" = Some `Major_words);
-  check bool "unknown" true (Resource.weight_of_string "rounds" = None)
-
 let test_csv_shape () =
   let sink = Trace.sink () in
   let res = attach_fresh sink in
   Span.enter (Some sink) "a";
   Span.exit (Some sink);
-  let rolls, _ = Resource.snapshot res in
-  let csv = Resource.csv rolls in
+  let resource, _ = Resource.snapshot res in
+  let csv = Span.csv (Span.rollups ~resource sink) in
   let lines = String.split_on_char '\n' (String.trim csv) in
   check bool "header + unspanned + a" true (List.length lines >= 3);
   check Alcotest.string "header row"
-    "path,depth,entries,seconds,seconds_incl,minor_words,minor_words_incl,promoted_words,promoted_words_incl,major_words,major_words_incl,major_collections,major_collections_incl"
+    "path,depth,entries,rounds,rounds_incl,messages,messages_incl,bits,bits_incl,max_message_bits,seconds,seconds_incl,minor_words,minor_words_incl,promoted_words,promoted_words_incl,major_words,major_words_incl,major_collections,major_collections_incl"
     (List.hd lines);
-  check bool "a row present" true
-    (List.exists (fun l -> String.length l >= 2 && String.sub l 0 2 = "a,") lines)
+  check bool "a row present, a root" true
+    (List.exists (fun l -> String.length l >= 4 && String.sub l 0 4 = "a,1,") lines);
+  check bool "unspanned row at depth 0" true
+    (List.exists
+       (fun l ->
+         String.length l >= 14 && String.sub l 0 14 = "(unspanned),0,")
+       lines)
 
 let test_metrics_export () =
   let sink = Trace.sink () in
@@ -372,7 +361,6 @@ let () =
       ( "surfaces",
         [
           Alcotest.test_case "folded parses" `Quick test_folded_parses;
-          Alcotest.test_case "weight names" `Quick test_weight_of_string;
           Alcotest.test_case "csv shape" `Quick test_csv_shape;
           Alcotest.test_case "metrics export" `Quick test_metrics_export;
         ] );

@@ -1,14 +1,13 @@
-(* Tests for the phase-span profiler: balanced/unbalanced enter-exit,
-   replay attribution (per-span self totals must sum exactly to the
-   Metrics.of_trace globals, on weak and strong algorithms, fault-free
-   and adversarial), folded-stack round-trips, per-phase metrics
-   derivation, and the allocation-freedom of the spans-off path. *)
+(* Tests for the phase-span profiler and its one per-span table:
+   balanced/unbalanced enter-exit, replay attribution (the table
+   invariants of Table_invariants on weak and strong algorithms,
+   fault-free and adversarial, and over the whole registry), folded-stack
+   round-trips, and the allocation-freedom of the spans-off path. *)
 
 open Dsgraph
 module Sim = Congest.Sim
 module Trace = Congest.Trace
 module Span = Congest.Span
-module Metrics = Congest.Metrics
 module Fault = Congest.Fault
 
 let check = Alcotest.check
@@ -53,13 +52,19 @@ let test_enter_idx_names () =
 
 let test_with_span_exception_safe () =
   let s = Trace.sink () in
+  let res = Congest.Resource.create () in
+  Congest.Resource.attach res s;
   (try
      Span.with_span (Some s) "risky" (fun () -> failwith "boom")
    with Failure _ -> ());
   check int "span closed on exception" 0 (Trace.span_depth s);
-  let r = find_rollup "risky" (Span.rollups s) in
+  let resource, _ = Congest.Resource.snapshot res in
+  let r = find_rollup "risky" (Span.rollups ~resource s) in
   check int "one activation" 1 r.Span.entries;
-  check bool "wall time recorded" true (r.Span.seconds_incl >= 0.0)
+  check bool "recorder saw the exit" true
+    (match r.Span.resource with
+    | Some x -> x.Congest.Resource.r_entries = 1
+    | None -> false)
 
 let test_capacity_drop_keeps_stack_balanced () =
   (* span events past capacity are dropped from the stream, but the
@@ -93,10 +98,12 @@ let test_manual_attribution () =
   Span.exit (Some s);
   let rolls = Span.rollups s in
   let paths = List.map (fun (r : Span.rollup) -> r.Span.path) rolls in
-  check bool "first-seen order" true (paths = [ Span.unspanned; "a"; "a/b" ]);
-  let un = find_rollup Span.unspanned rolls in
+  check bool "first-seen order" true (paths = [ Trace.unspanned; "a"; "a/b" ]);
+  let un = find_rollup Trace.unspanned rolls in
   check int "pre-span round is unspanned" 1 un.Span.rounds;
+  check int "unspanned depth" 0 un.Span.depth;
   let a = find_rollup "a" rolls in
+  check int "a is a root" 1 a.Span.depth;
   check int "a self rounds" 2 a.Span.rounds;
   check int "a inclusive rounds" 3 a.Span.rounds_incl;
   check int "a self messages" 3 a.Span.messages;
@@ -113,32 +120,15 @@ let test_manual_attribution () =
 (* Exact-sum property on real algorithms                                *)
 (* ------------------------------------------------------------------ *)
 
-(* self totals over every rollup (including the unspanned bucket) must
-   reproduce the trace-wide Metrics.of_trace globals exactly *)
-let assert_sums name sink =
-  check int (name ^ ": nothing truncated") 0 (Trace.truncated sink);
-  let rolls = Span.rollups sink in
-  let m = Metrics.of_trace sink in
-  let c n = Metrics.counter_value (Metrics.counter m n) in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rolls in
-  check int
-    (name ^ ": rounds attributed")
-    (c "rounds" + c "cost_rounds")
-    (sum (fun (r : Span.rollup) -> r.Span.rounds));
-  check int
-    (name ^ ": messages attributed")
-    (c "messages_sent" + c "cost_messages")
-    (sum (fun (r : Span.rollup) -> r.Span.messages));
-  check int
-    (name ^ ": bits attributed")
-    (Metrics.hist_sum (Metrics.histogram m "bits_per_message"))
-    (sum (fun (r : Span.rollup) -> r.Span.bits));
-  rolls
+(* every attribution run builds one table with a recorder attached and
+   the causal split joined, and checks all of its invariants *)
+let assert_sums name run = Table_invariants.traced ~name run
 
 let test_sums_weak_fault_free () =
-  let sink = Trace.sink () in
-  ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  let rolls = assert_sums "weak carve" sink in
+  let rolls =
+    assert_sums "weak carve" (fun sink ->
+        ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5))
+  in
   let root = find_rollup "weakdiam_sim" rolls in
   check bool "simulate phase under the root" true
     (List.exists
@@ -151,23 +141,26 @@ let test_sums_weak_adversarial () =
   let adv =
     Fault.create (Fault.spec ~seed:5 ~drop:0.05 ~duplicate:0.02 ~delay:0.03 ())
   in
-  let sink = Trace.sink () in
-  let r =
-    Weakdiam.Distributed.carve_reliable ~adversary:adv ~trace:sink
-      (Gen.grid 5 5) ~epsilon:0.5
+  let dropped = ref 0 in
+  let rolls =
+    assert_sums "weak carve reliable+adversary" (fun sink ->
+        let r =
+          Weakdiam.Distributed.carve_reliable ~adversary:adv ~trace:sink
+            (Gen.grid 5 5) ~epsilon:0.5
+        in
+        dropped := r.Weakdiam.Distributed.r_sim_stats.Sim.faults.Sim.dropped)
   in
-  check bool "adversary actually dropped" true
-    (r.Weakdiam.Distributed.r_sim_stats.Sim.faults.Sim.dropped > 0);
-  let rolls = assert_sums "weak carve reliable+adversary" sink in
+  check bool "adversary actually dropped" true (!dropped > 0);
   ignore (find_rollup "weakdiam_reliable" rolls)
 
 let test_sums_strong_fault_free () =
   (* engine-level run: the netdecomp color loop over Theorem 2.2 carving,
      every Cost.charge attributed through the open span path *)
-  let sink = Trace.sink () in
-  let cost = Congest.Cost.create ~trace:sink () in
-  ignore (Strongdecomp.Netdecomp.strong ~cost grid8);
-  let rolls = assert_sums "thm2.3" sink in
+  let rolls =
+    assert_sums "thm2.3" (fun sink ->
+        let cost = Congest.Cost.create ~trace:sink () in
+        ignore (Strongdecomp.Netdecomp.strong ~cost grid8))
+  in
   let root = find_rollup "netdecomp" rolls in
   check bool "color phases recorded" true
     (List.exists
@@ -184,15 +177,46 @@ let test_sums_strong_fault_free () =
 
 let test_sums_strong_adversarial () =
   let adv = Fault.create (Fault.spec ~seed:9 ~drop:0.08 ~delay:0.05 ()) in
-  let sink = Trace.sink () in
-  let r =
-    Baseline.Mpx_distributed.partition ~adversary:adv ~trace:sink (er 3 80)
-      ~beta:0.4
+  let dropped = ref 0 in
+  let rolls =
+    assert_sums "mpx under faults" (fun sink ->
+        let r =
+          Baseline.Mpx_distributed.partition ~adversary:adv ~trace:sink
+            (er 3 80) ~beta:0.4
+        in
+        dropped := r.Baseline.Mpx_distributed.sim_stats.Sim.faults.Sim.dropped)
   in
-  check bool "adversary actually dropped" true
-    (r.Baseline.Mpx_distributed.sim_stats.Sim.faults.Sim.dropped > 0);
-  let rolls = assert_sums "mpx under faults" sink in
+  check bool "adversary actually dropped" true (!dropped > 0);
   ignore (find_rollup "mpx_partition" rolls)
+
+(* one table per registry run: every decomposer and carver on a grid,
+   plus the weak carving on the round-by-round simulator, whose trace
+   carries the per-message stream the causal split is built from *)
+let test_registry_invariants () =
+  let g = Workload.Suite.grid in
+  List.iter
+    (fun (d : Workload.Algorithms.decomposer) ->
+      ignore
+        (assert_sums (d.Workload.Algorithms.name ^ "/grid64") (fun sink ->
+             ignore (Workload.Measure.decomposition_row ~trace:sink d g ~n:64))))
+    Workload.Algorithms.decomposers;
+  List.iter
+    (fun (c : Workload.Algorithms.carver) ->
+      ignore
+        (assert_sums (c.Workload.Algorithms.name ^ "/grid64") (fun sink ->
+             ignore
+               (Workload.Measure.carving_row ~trace:sink c g ~n:64
+                  ~epsilon:0.25))))
+    Workload.Algorithms.carvers;
+  let rolls =
+    assert_sums "weak carve simulated" (fun sink ->
+        ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5))
+  in
+  check bool "the simulated chain leaves slack somewhere" true
+    (List.exists
+       (fun (r : Span.rollup) ->
+         match r.Span.causal with Some s -> s.Span.slack > 0 | None -> false)
+       rolls)
 
 (* ------------------------------------------------------------------ *)
 (* Folded stacks                                                        *)
@@ -210,7 +234,7 @@ let test_folded_round_trip () =
         | `Messages -> r.Span.messages
         | `Bits -> r.Span.bits
       in
-      match Span.of_folded (Span.to_folded ~weight sink) with
+      match Span.of_folded (Span.to_folded ~weight:(weight :> Span.weight) rolls) with
       | Error e -> Alcotest.fail e
       | Ok pairs ->
           let expected =
@@ -226,21 +250,6 @@ let test_folded_rejects_garbage () =
   check bool "missing weight" true (Result.is_error (Span.of_folded "justpath"));
   check bool "non-numeric weight" true
     (Result.is_error (Span.of_folded "a;b notanumber"))
-
-(* ------------------------------------------------------------------ *)
-(* Metrics derivation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_of_spans_metrics () =
-  let sink = Trace.sink () in
-  ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  let m = Metrics.of_spans sink in
-  let root = find_rollup "weakdiam_sim" (Span.rollups sink) in
-  check int "rollup rounds_incl exported as a counter"
-    root.Span.rounds_incl
-    (Metrics.counter_value (Metrics.counter m "span.weakdiam_sim.rounds_incl"));
-  check int "rollup entries exported" root.Span.entries
-    (Metrics.counter_value (Metrics.counter m "span.weakdiam_sim.entries"))
 
 (* ------------------------------------------------------------------ *)
 (* Allocation behavior                                                  *)
@@ -293,14 +302,14 @@ let () =
             test_sums_strong_fault_free;
           Alcotest.test_case "strong adversarial sums" `Quick
             test_sums_strong_adversarial;
+          Alcotest.test_case "table invariants over the registry" `Quick
+            test_registry_invariants;
         ] );
       ( "folded",
         [
           Alcotest.test_case "round trip" `Quick test_folded_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_folded_rejects_garbage;
         ] );
-      ( "metrics",
-        [ Alcotest.test_case "of_spans" `Quick test_of_spans_metrics ] );
       ( "allocation",
         [
           Alcotest.test_case "spans-off path free" `Quick
