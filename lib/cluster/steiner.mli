@@ -10,7 +10,9 @@ type tree = {
   root : int;
   parent : (int * int) list;
       (** [(node, parent)] pairs; the root appears as [(root, root)].
-          Every non-root pair must be a host-graph edge. *)
+          Every non-root pair must be a host-graph edge. The checkers
+          here read the pairs as a set; [Weakdiam.Weak_carving] emits
+          them in ascending node order. *)
 }
 
 type forest = tree array

@@ -41,21 +41,29 @@ let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : Strong_carving.carver) g
   in
   Cluster.Decomposition.make clustering ~color_of_cluster
 
+(* Each decomposition carves through one weak-carving scratch: its
+   n-sized arrays are allocated once, not once per carving. *)
 let strong ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
+  let scratch = Weakdiam.Weak_carving.scratch () in
   let carver ?cost ?domain g ~epsilon =
-    fst (Strong_carving.carve ?cost ~preset ?domain g ~epsilon)
+    fst (Strong_carving.carve ?cost ~preset ~scratch ?domain g ~epsilon)
   in
   of_carver ?cost carver g
 
 let strong_improved ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
+  let scratch = Weakdiam.Weak_carving.scratch () in
   let carver ?cost ?domain g ~epsilon =
-    fst (Strong_carving.carve_improved ?cost ~preset ?domain g ~epsilon)
+    fst
+      (Strong_carving.carve_improved ?cost ~preset ~scratch ?domain g ~epsilon)
   in
   of_carver ?cost carver g
 
 let weak ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
+  let scratch = Weakdiam.Weak_carving.scratch () in
   let carver ?cost ?domain g ~epsilon =
-    let r = Weakdiam.Weak_carving.carve ~preset ?cost ?domain g ~epsilon in
+    let r =
+      Weakdiam.Weak_carving.carve ~preset ~scratch ?cost ?domain g ~epsilon
+    in
     r.carving
   in
   of_carver ?cost carver g

@@ -1,26 +1,35 @@
-let weak_of_preset preset : Transform.weak_carver =
- fun ?cost g ~domain ~epsilon ->
-  let r = Weakdiam.Weak_carving.carve ~preset ?cost ~domain g ~epsilon in
-  {
-    Transform.clustering = r.carving.Cluster.Carving.clustering;
-    forest = r.forest;
-    depth = r.max_depth;
-    congestion = r.congestion;
-  }
+let weak_of_preset ?scratch preset : Transform.weak_carver =
+  let scratch =
+    Option.value scratch ~default:(Weakdiam.Weak_carving.scratch ())
+  in
+  fun ?cost g ~domain ~epsilon ->
+    let r =
+      Weakdiam.Weak_carving.carve ~preset ~scratch ?cost ~domain g ~epsilon
+    in
+    {
+      Transform.clustering = r.carving.Cluster.Carving.clustering;
+      forest = r.forest;
+      depth = r.max_depth;
+      congestion = r.congestion;
+    }
 
-let carve ?cost ?(preset = Weakdiam.Weak_carving.default_preset) ?domain g
-    ~epsilon =
+let carve ?cost ?(preset = Weakdiam.Weak_carving.default_preset) ?scratch
+    ?domain g ~epsilon =
   Congest.Span.with_span
     (Option.bind cost Congest.Cost.trace)
     "strong_carving"
     (fun () ->
-      Transform.strong_carve ?cost ~weak:(weak_of_preset preset) ?domain g
-        ~epsilon)
+      Transform.strong_carve ?cost
+        ~weak:(weak_of_preset ?scratch preset)
+        ?domain g ~epsilon)
 
 let carve_improved ?cost ?(preset = Weakdiam.Weak_carving.default_preset)
-    ?domain g ~epsilon =
+    ?scratch ?domain g ~epsilon =
+  let scratch =
+    Option.value scratch ~default:(Weakdiam.Weak_carving.scratch ())
+  in
   let strong ?cost g ~domain ~epsilon =
-    fst (carve ?cost ~preset ~domain g ~epsilon)
+    fst (carve ?cost ~preset ~scratch ~domain g ~epsilon)
   in
   Congest.Span.with_span
     (Option.bind cost Congest.Cost.trace)

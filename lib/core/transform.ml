@@ -32,7 +32,18 @@ let strong_carve ?cost ~weak ?domain g ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Transform.strong_carve: epsilon must be in (0, 1)";
   let n_graph = Graph.n g in
-  let domain = match domain with Some d -> d | None -> Mask.full n_graph in
+  let domain =
+    match domain with
+    | None -> Mask.full n_graph
+    | Some d ->
+        if Mask.size d <> n_graph then
+          invalid_arg
+            (Printf.sprintf
+               "Transform.strong_carve: domain mask has size %d, graph has \
+                %d nodes"
+               (Mask.size d) n_graph);
+        d
+  in
   let n = max (Mask.count domain) 2 in
   let eps' = epsilon /. (2.0 *. float_of_int (log2_ceil n)) in
   let growth_limit = ball_growth_limit ~n ~epsilon in
@@ -79,9 +90,8 @@ let strong_carve ?cost ~weak ?domain g ~epsilon =
           let giant =
             let best = ref (-1) in
             Array.iteri
-              (fun c members ->
-                if float_of_int (List.length members) > threshold then best := c)
-              (Array.of_list (Cluster.Clustering.clusters clustering));
+              (fun c size -> if float_of_int size > threshold then best := c)
+              (Cluster.Clustering.sizes clustering);
             !best
           in
           if giant < 0 then begin

@@ -58,7 +58,10 @@ val strong_carve :
     parallel (per-level round cost = max over components); per component,
     the [A] invocation charges through the shared meter, the giant-cluster
     size check charges [depth·congestion] rounds, and the Case II BFS
-    charges [r* + 1] rounds. *)
+    charges [r* + 1] rounds.
+
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    is not a mask over exactly [Graph.n g] nodes. *)
 
 val ball_growth_limit : n:int -> epsilon:float -> int
 (** The number of radius-growth steps [O(log n/ε)] Case II may need:

@@ -38,7 +38,9 @@ type preset = Rg20 | Ggr21 | Hybrid
 
 type result = {
   carving : Cluster.Carving.t;
-  forest : Cluster.Steiner.forest;  (** tree per cluster, same indexing *)
+  forest : Cluster.Steiner.forest;
+      (** tree per cluster, same indexing; each tree's [parent] pairs are
+          every node that ever entered it, in ascending node order *)
   steps : int;  (** total growth/stop exchange steps across phases *)
   phases : int;
   steps_per_phase : int list;
@@ -48,8 +50,21 @@ type result = {
   congestion : int;  (** measured max trees per edge [L] *)
 }
 
+type scratch
+(** Caller-owned working memory for {!carve}: per-label and per-node
+    arrays, the Steiner trail arena and per-edge congestion counts. Hold
+    one per decomposition and pass it to every call; a call without one
+    allocates its own. A scratch serves any number of calls, on any
+    graphs, one call at a time: it grows to the largest graph it has
+    carved and is reset in [O(|domain| + tree edges)] as each call
+    returns (also when it raises). *)
+
+val scratch : unit -> scratch
+(** An empty scratch; the first {!carve} sizes it. *)
+
 val carve :
   ?preset:preset ->
+  ?scratch:scratch ->
   ?cost:Congest.Cost.t ->
   ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
@@ -60,12 +75,19 @@ val carve :
     every non-dead domain node is clustered; each cluster has a valid
     Steiner tree containing all its members as nodes.
 
+    Work: the first step of each phase scans the alive red domain nodes
+    and their rows; every later step scans only the red neighbours of the
+    previous step's joiners (its frontier), so a step costs the volume of
+    its frontier, not [n]. Setup and reset are [O(|domain|)] plus one
+    pass over the domain mask, and the scan allocates nothing.
+
     Cost charging (see DESIGN.md §5): each step charges one round for the
     proposal exchange plus [2·(d + L) + 2] rounds for the per-cluster
     count/decision convergecast-broadcast over Steiner trees of current
     max depth [d] and congestion [L], with [O(log n)]-bit messages.
 
     @param preset default {!Ggr21} (the paper composes with GGR21).
-    @raise Invalid_argument if [epsilon] is outside (0, 1). *)
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    is not a mask over exactly [Graph.n g] nodes. *)
 
 val default_preset : preset

@@ -311,6 +311,12 @@ let test_checker_catches_steiner_corruption () =
   let carving = r.Weakdiam.Weak_carving.carving in
   check bool "pristine accepted" true
     (is_ok (Carving.check_weak ~epsilon:0.5 ~steiner:forest carving));
+  Array.iter
+    (fun t ->
+      let nodes = List.map fst t.Steiner.parent in
+      check bool "pairs in ascending node order" true
+        (nodes = List.sort_uniq compare nodes))
+    forest;
   (* corrupt one tree: make a non-root entry its own parent (breaks the
      parent-chain-reaches-root invariant) *)
   let target =

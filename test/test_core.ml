@@ -240,6 +240,13 @@ let test_thm22_deterministic () =
       (Clustering.cluster_of c2.Carving.clustering v)
   done
 
+let test_thm22_domain_size_mismatch () =
+  let g = Gen.grid 6 6 in
+  Alcotest.check_raises "short mask"
+    (Invalid_argument
+       "Transform.strong_carve: domain mask has size 10, graph has 36 nodes")
+    (fun () -> ignore (Carve.carve ~domain:(Mask.full 10) g ~epsilon:0.5))
+
 let test_thm22_message_size_small () =
   let cost = Congest.Cost.create () in
   let g = Gen.grid 8 8 in
@@ -687,6 +694,8 @@ let () =
             test_thm22_domain_restriction;
           Alcotest.test_case "deterministic" `Quick test_thm22_deterministic;
           Alcotest.test_case "message size" `Quick test_thm22_message_size_small;
+          Alcotest.test_case "domain size mismatch" `Quick
+            test_thm22_domain_size_mismatch;
         ] );
       ( "unknown_n",
         [

@@ -15,10 +15,20 @@ let log2i n =
   let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
   go 0 1
 
+(* Each tree lists its (node, parent) pairs in strictly ascending node
+   order. *)
+let forest_in_node_order (forest : Steiner.forest) =
+  let rec ascending = function
+    | (u, _) :: ((v, _) :: _ as rest) -> u < v && ascending rest
+    | _ -> true
+  in
+  Array.for_all (fun t -> ascending t.Steiner.parent) forest
+
 (* Full validation of a weak carving result against the contract of the
    black box [A] in Theorem 2.1. *)
 let validate ?(preset = WC.Ggr21) ~epsilon g =
   let result = WC.carve ~preset g ~epsilon in
+  check bool "forest in node order" true (forest_in_node_order result.forest);
   let b = Congest.Bits.id_bits ~n:(Graph.n g) in
   (* 1. clusters non-adjacent, dead fraction <= epsilon, valid trees *)
   let checked =
@@ -176,6 +186,34 @@ let test_epsilon_validation () =
     (Invalid_argument "Weak_carving.carve: epsilon must be in (0, 1)")
     (fun () -> ignore (WC.carve g ~epsilon:1.0))
 
+let test_domain_size_mismatch () =
+  let g = Gen.grid 6 6 in
+  Alcotest.check_raises "short mask"
+    (Invalid_argument
+       "Weak_carving.carve: domain mask has size 10, graph has 36 nodes")
+    (fun () -> ignore (WC.carve ~domain:(Mask.full 10) g ~epsilon:0.5));
+  Alcotest.check_raises "long mask"
+    (Invalid_argument
+       "Weak_carving.carve: domain mask has size 40, graph has 36 nodes")
+    (fun () -> ignore (WC.carve ~domain:(Mask.full 40) g ~epsilon:0.5))
+
+let test_scratch_reuse_across_graphs () =
+  (* one scratch through a small graph, a larger one and the small one
+     again: every call equals a fresh-scratch call *)
+  let scratch = WC.scratch () in
+  let small = Gen.grid 5 5 and large = Gen.erdos_renyi (Rng.create 3) 90 0.05 in
+  List.iter
+    (fun g ->
+      let shared = WC.carve ~scratch g ~epsilon:0.3 in
+      let fresh = WC.carve g ~epsilon:0.3 in
+      for v = 0 to Graph.n g - 1 do
+        check int "same cluster"
+          (Clustering.cluster_of fresh.carving.Carving.clustering v)
+          (Clustering.cluster_of shared.carving.Carving.clustering v)
+      done;
+      check bool "same forest" true (shared.forest = fresh.forest))
+    [ small; large; small ]
+
 let test_singleton_graph () =
   let g = Graph.of_edge_seq ~n:1 Seq.empty in
   let r = WC.carve g ~epsilon:0.5 in
@@ -328,6 +366,92 @@ let prop_alive_components_in_one_cluster =
               List.for_all (fun u -> Clustering.cluster_of clustering u = c) rest)
         (Components.components ~mask:alive g))
 
+(* The flat engine against the Hashtbl engine it replaced
+   (test/weak_carving_ref.ml): same clusters, schedule, (R, L), forest as
+   sorted pairs and Cost breakdown, on random graphs and presets, with
+   several random domains carved in a row through one scratch. *)
+let equivalence_gen =
+  QCheck.Gen.(
+    quad (int_bound 1_000_000) (int_range 0 2) (int_range 0 2) (int_range 1 3))
+
+let random_graph rng family =
+  match family with
+  | 0 ->
+      let n = 2 + Rng.int rng 80 in
+      Gen.erdos_renyi rng n (0.01 +. Rng.float rng 0.15)
+  | 1 ->
+      let n = 1 lsl (2 + Rng.int rng 6) in
+      Gen.rmat rng ~n ~m:(n * (1 + Rng.int rng 4))
+  | _ ->
+      (* a grid with scrambled ids *)
+      let side = 2 + Rng.int rng 10 in
+      let g = Gen.grid side side in
+      let perm = Rng.permutation rng (Graph.n g) in
+      Graph.of_edge_seq ~n:(Graph.n g)
+        (Seq.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges_seq g))
+
+let sorted_forest (forest : Steiner.forest) =
+  Array.map
+    (fun t -> (t.Steiner.root, List.sort compare t.Steiner.parent))
+    forest
+
+let same_run g (a : WC.result) (b : WC.result) ca cb =
+  let ok = ref true in
+  for v = 0 to Graph.n g - 1 do
+    if
+      Clustering.cluster_of a.carving.Carving.clustering v
+      <> Clustering.cluster_of b.carving.Carving.clustering v
+    then ok := false
+  done;
+  !ok
+  && Carving.dead a.carving = Carving.dead b.carving
+  && a.steps = b.steps && a.phases = b.phases
+  && a.steps_per_phase = b.steps_per_phase
+  && a.max_depth = b.max_depth && a.congestion = b.congestion
+  && sorted_forest a.forest = sorted_forest b.forest
+  && Cost.breakdown ca = Cost.breakdown cb
+  && Cost.rounds ca = Cost.rounds cb
+  && Cost.messages ca = Cost.messages cb
+  && Cost.max_message_bits ca = Cost.max_message_bits cb
+
+let prop_flat_engine_matches_reference =
+  QCheck.Test.make ~name:"flat engine equals the reference engine" ~count:150
+    (QCheck.make
+       ~print:(fun (seed, family, preset, calls) ->
+         Printf.sprintf "seed=%d family=%d preset=%d calls=%d" seed family
+           preset calls)
+       equivalence_gen)
+    (fun (seed, family, preset, calls) ->
+      let rng = Rng.create seed in
+      let g = random_graph rng family in
+      let n = Graph.n g in
+      let preset = [| WC.Rg20; WC.Ggr21; WC.Hybrid |].(preset) in
+      let scratch = WC.scratch () in
+      List.for_all
+        (fun call ->
+          let epsilon =
+            match Rng.int rng 4 with
+            | 0 -> 0.5
+            | 1 -> 0.1
+            | 2 -> 0.0179
+            | _ -> 0.01 +. Rng.float rng 0.9
+          in
+          let domain =
+            if call = 0 && Rng.bool rng then None
+            else
+              let keep = 0.3 +. Rng.float rng 0.7 in
+              Some
+                (Mask.of_list n
+                   (List.filter
+                      (fun _ -> Rng.float rng 1.0 < keep)
+                      (Graph.nodes g)))
+          in
+          let ca = Cost.create () and cb = Cost.create () in
+          let a = WC.carve ~preset ~scratch ~cost:ca ?domain g ~epsilon in
+          let b = Weak_carving_ref.carve ~preset ~cost:cb ?domain g ~epsilon in
+          forest_in_node_order a.forest && same_run g a b ca cb)
+        (List.init calls Fun.id))
+
 let () =
   Alcotest.run "weakdiam"
     [
@@ -361,6 +485,10 @@ let () =
           Alcotest.test_case "cost meter" `Quick test_cost_meter_charged;
           Alcotest.test_case "domain restriction" `Quick test_domain_restriction;
           Alcotest.test_case "epsilon validation" `Quick test_epsilon_validation;
+          Alcotest.test_case "domain size mismatch" `Quick
+            test_domain_size_mismatch;
+          Alcotest.test_case "scratch reuse across graphs" `Quick
+            test_scratch_reuse_across_graphs;
           Alcotest.test_case "singleton" `Quick test_singleton_graph;
           Alcotest.test_case "isolated nodes" `Quick test_two_isolated_nodes;
           Alcotest.test_case "complete graph" `Quick
@@ -390,5 +518,6 @@ let () =
             prop_hybrid_kills_at_most_rg20_budget;
             prop_alive_components_in_one_cluster;
             prop_distributed_matches_engine;
+            prop_flat_engine_matches_reference;
           ] );
     ]
