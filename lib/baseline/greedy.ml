@@ -16,60 +16,65 @@ let carve ?cost ?beta ?domain g ~epsilon =
   if beta <= 1.0 then invalid_arg "Greedy.carve: beta must exceed 1";
   let n = Graph.n g in
   let domain = match domain with Some d -> d | None -> Mask.full n in
-  let remaining = Mask.copy domain in
+  (* The remaining nodes are the class [owner.(v) = 0] of the layer
+     steps; a node leaves it when it is carved or postponed. [volume]
+     is their total degree: what a pull step could still read. *)
+  let owner = Array.init n (fun v -> if Mask.mem domain v then 0 else -1) in
+  let left = ref (Mask.count domain) in
+  let volume = ref 0 in
+  Mask.iter domain (fun v -> volume := !volume + Graph.degree g v);
   let cluster_of = Array.make n (-1) in
   let next_cluster = ref 0 in
   (* Reusable BFS scratch: only the cells listed in [queue] are ever
      non-(-1), and each iteration resets exactly those — so carving a
      region costs its volume, not O(n), and 10^5 singleton components
      cost 10^5 steps rather than 10^11. *)
-  let dist = Array.make (max 1 n) (-1) in
-  let queue = Array.make (max 1 n) 0 in
-  (* The smallest remaining id is monotone (nodes are only ever removed
-     from [remaining]), so a cursor replaces the per-cluster
-     Mask.to_list scan that made center selection O(n). *)
+  let s = Bfs.scratch n in
+  (* The smallest remaining id is monotone (nodes are only ever removed),
+     so a cursor replaces the per-cluster Mask.to_list scan that made
+     center selection O(n). *)
   let cursor = ref 0 in
-  while Mask.count remaining > 0 do
-    while not (Mask.mem remaining !cursor) do
+  while !left > 0 do
+    while owner.(!cursor) <> 0 do
       incr cursor
     done;
     let center = !cursor in
-    let count =
-      Bfs.distances_into ~mask:remaining g ~source:center ~dist ~queue
+    (* Grow one layer at a time: layer r is queue.(lo .. hi-1), so
+       ball(r) = hi, and the step appends layer r+1, so ball(r+1) = the
+       new tail. Stop at the first r with ball(r+1) <= beta * ball(r); an
+       empty layer r+1 (r = the center's eccentricity) always stops it.
+       Layers past r+1 never affect the output, so they are never
+       searched. A pull step's candidates are the ids center .. n-1,
+       which hold every remaining node. *)
+    let rec grow r lo hi frontier explored =
+      let tail =
+        Bfs.step g ~owner ~id:0 s ~lo ~hi ~frontier
+          ~unexplored:(!volume - explored)
+          ~first:center ~last:n
+      in
+      if float_of_int tail <= beta *. float_of_int hi then (r, hi, tail)
+      else
+        let next = Bfs.volume g s ~lo:hi ~hi:tail in
+        grow (r + 1) hi tail next (explored + next)
     in
-    let maxd = dist.(queue.(count - 1)) in
-    let cum = Array.make (maxd + 1) 0 in
-    for i = 0 to count - 1 do
-      let d = dist.(queue.(i)) in
-      cum.(d) <- cum.(d) + 1
-    done;
-    for k = 1 to maxd do
-      cum.(k) <- cum.(k) + cum.(k - 1)
-    done;
-    let ball r = if r > maxd then cum.(maxd) else cum.(r) in
-    let rec find r =
-      if r >= maxd then maxd
-      else if float_of_int (ball (r + 1)) <= beta *. float_of_int (ball r) then r
-      else find (r + 1)
-    in
-    let r = find 0 in
+    Bfs.start s center;
+    let d = Graph.degree g center in
+    let r, inner, outer = grow 0 0 1 d d in
     (match cost with
     | None -> ()
     | Some c ->
-        Congest.Cost.charge c ~rounds:(r + 2) ~messages:(ball (r + 1))
+        Congest.Cost.charge c ~rounds:(r + 2) ~messages:outer
           ~max_bits:(2 * Congest.Bits.id_bits ~n) "greedy.grow");
     let id = !next_cluster in
     incr next_cluster;
-    for i = 0 to count - 1 do
-      let v = queue.(i) in
-      let d = dist.(v) in
-      if d <= r then begin
-        cluster_of.(v) <- id;
-        Mask.remove remaining v
-      end
-      else if d = r + 1 then Mask.remove remaining v;
-      dist.(v) <- -1
-    done
+    for i = 0 to outer - 1 do
+      let v = s.Bfs.queue.(i) in
+      if i < inner then cluster_of.(v) <- id;
+      owner.(v) <- -1;
+      volume := !volume - Graph.degree g v
+    done;
+    left := !left - outer;
+    Bfs.release s outer
   done;
   let clustering = Cluster.Clustering.make g ~cluster_of in
   Cluster.Carving.make clustering ~domain

@@ -134,11 +134,12 @@ let double_sweep ?mask t c =
    membership read off cluster_of: O(cluster volume) instead of O(n) per
    cluster, so whole-decomposition sweeps stay linear even with 10^5
    singleton clusters. The caller's scratch is reused across clusters.
-   Visit order matches the masked BFS (weak_* with the member mask), so
-   results are identical. *)
+   Distances and the min-id parent one layer up equal those of the
+   masked BFS (weak_* with the member mask), so results are identical. *)
 
 let restricted ~scratch t c source =
-  Bfs.restricted_into t.graph ~owner:t.cluster_of ~id:c ~source scratch
+  Bfs.restricted_into t.graph ~owner:t.cluster_of ~id:c
+    ~members:t.member_lists.(c) ~source scratch
 
 (* farthest member from [source] (first in member order on ties) after
    a restricted search from it; None when some member is unreached *)
@@ -190,29 +191,40 @@ let max_strong_diameter_estimate t =
 let max_weak_diameter_estimate t = estimate_max weak_diameter_estimate t
 
 (* BFS witness tree from the first member in the (masked) host graph,
-   pruned to the union of the root-to-member paths *)
+   pruned to the union of the root-to-member paths. A node's parent is
+   its min-id neighbour one layer up — the canonical parent of
+   Bfs.restricted_into, read off the masked distances. *)
 let weak_witness_tree ?within t c =
   match t.member_lists.(c) with
   | [] -> None
   | root :: _ as members ->
-      let parent = Bfs.parents ?mask:within t.graph ~source:root in
       let dist = Bfs.distances ?mask:within t.graph ~source:root in
       if List.exists (fun v -> dist.(v) < 0) members then None
       else
         let height = List.fold_left (fun h v -> max h dist.(v)) 0 members in
+        let parent v =
+          let up = dist.(v) - 1 in
+          let p = ref (-1) in
+          Graph.iter_neighbors t.graph v (fun u ->
+              if !p < 0 && dist.(u) = up then p := u);
+          !p
+        in
+        (* kept node -> its parent *)
         let keep = Hashtbl.create 64 in
         let rec mark v =
-          if not (Hashtbl.mem keep v) then begin
-            Hashtbl.add keep v ();
-            if v <> root then mark parent.(v)
-          end
+          if not (Hashtbl.mem keep v) then
+            if v = root then Hashtbl.add keep v v
+            else begin
+              let p = parent v in
+              Hashtbl.add keep v p;
+              mark p
+            end
         in
         List.iter mark members;
         let pairs =
           List.sort compare
             (Hashtbl.fold
-               (fun v () acc ->
-                 if v = root then acc else (v, parent.(v)) :: acc)
+               (fun v p acc -> if v = root then acc else (v, p) :: acc)
                keep [])
         in
         Some (root, pairs, height)

@@ -90,7 +90,8 @@ val strong_witnesses :
     [tree = (root, parents, height)] is a BFS tree {e inside} the
     cluster's induced subgraph from its first member: [parents] is one
     [(node, parent)] pair per non-root member (sorted by node), every
-    pair a real graph edge with both endpoints in the cluster, and
+    pair a real graph edge with both endpoints in the cluster, the
+    parent being the node's min-id neighbour one layer up, and
     [height] the largest BFS depth over the members. It certifies that
     the induced subgraph is connected with strong diameter at most
     [2 * height].
@@ -108,7 +109,9 @@ val strong_witnesses :
 val weak_witness_tree : ?within:Dsgraph.Mask.t -> t -> int -> (int * (int * int) list * int) option
 (** As the tree of {!strong_witnesses} but the BFS runs in the (masked)
     host graph, so the tree may route through non-members (Steiner
-    nodes); it is pruned to the union of the root-to-member paths.
+    nodes); it is pruned to the union of the root-to-member paths. Each
+    node's parent is again its min-id neighbour one layer up, read off
+    the masked distances.
     Certifies weak diameter at most [2 * height]. [None] when some
     member is unreachable even in the host graph. *)
 

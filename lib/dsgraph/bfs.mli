@@ -37,44 +37,93 @@ val weak_diameter_of_set : ?mask:Mask.t -> Graph.t -> int list -> int
 val component_of : ?mask:Mask.t -> Graph.t -> int -> int list
 (** The connected component of a node in [G\[mask\]], sorted. *)
 
-val distances_into :
-  ?mask:Mask.t -> Graph.t -> source:int -> dist:int array -> queue:int array -> int
-(** Allocation-free BFS into caller-owned scratch, for per-cluster loops
-    at scale. [dist] (length [>= n], every reachable cell [-1] on entry)
-    receives hop counts; [queue] (length [>= n]) receives the visited
-    nodes in BFS order — it doubles as the touched-list, so the caller
-    restores the [-1] invariant by resetting exactly
-    [dist.(queue.(0 .. k-1))], where [k] is the returned visit count
-    ([0] when the source is outside the mask). Distances along [queue]
-    are non-decreasing; results equal {!distances} on the same mask. *)
-
 type scratch = private {
   dist : int array;
   parent : int array;
   queue : int array;
 }
-(** Caller-owned buffers for {!restricted_into}: one per whole-clustering
-    pass, never one per cluster. Between searches every [dist] cell is
-    [-1]; {!release} restores that after each search. *)
+(** Caller-owned buffers for {!restricted_into} and the layer steps: one
+    per whole-clustering pass, never one per cluster. Between searches
+    every [dist] cell is [-1]; {!release} restores that after each
+    search. *)
 
 val scratch : int -> scratch
 (** [scratch n] for graphs with at most [n] nodes. *)
 
 val restricted_into :
-  Graph.t -> owner:int array -> id:int -> source:int -> scratch -> int
+  Graph.t ->
+  owner:int array ->
+  id:int ->
+  members:int list ->
+  source:int ->
+  scratch ->
+  int
 (** Allocation-free BFS over the subgraph induced by the nodes [v] with
     [owner.(v) = id] — a cluster's members — in [O(volume of members)]
     time, independent of [Graph.n]. Membership is one array read; no
-    hashing. Fills [dist] (hop counts) and [parent] (BFS parent, the
-    source its own) for every reached member and lists the reached
-    members in BFS order in [queue.(0 .. k-1)], where [k] is the
+    hashing. [members] must list exactly those nodes (any order).
+
+    Fills [dist] (hop counts) and [parent] for every reached member and
+    lists the reached members in [queue.(0 .. k-1)], layer by layer
+    (distances along [queue] are non-decreasing), where [k] is the
     returned count ([0] when [owner.(source) <> id]). [dist]/[parent]
     cells of unreached nodes keep their previous contents, so read
-    [parent.(v)] only when [dist.(v) >= 0]. Visit order (and hence
-    parents) match {!distances}/{!parents} under the equivalent
-    {!Mask}. Call {!release} with [k] before the next search.
+    [parent.(v)] only when [dist.(v) >= 0].
+
+    Parent contract: [parent.(source) = source], and every other reached
+    [v] gets the {e smallest-id} member neighbour [u] with
+    [dist.(u) = dist.(v) - 1] — a function of the distances alone, so it
+    does not depend on the direction each layer was expanded in.
+
+    Each layer is expanded top-down (push: the frontier scans its rows)
+    unless bottom-up is cheaper by Beamer's test: the frontier's arc
+    volume, less the [members] count, exceeds 1/14 of the members'
+    volume still unexplored. A bottom-up step (pull) is one pass over
+    [members] in which each unvisited member scans its own sorted row
+    and stops at its first frontier neighbour, the min-id one. Hub
+    clusters of small depth thus cost a few early-stopping pulls rather
+    than one read of every arc; deep, thin clusters never pull. The
+    order of a layer within [queue] depends on the direction; distances
+    and the reached set do not. Call {!release} with [k] before the next
+    search.
     @raise Invalid_argument when the scratch is smaller than the graph. *)
 
 val release : scratch -> int -> unit
 (** [release s k] resets [dist] on the [k] nodes the last search
     visited, in [O(k)]. *)
+
+(** {2 Layer steps}
+
+    The pieces of {!restricted_into}'s search, for searches that stop
+    after some layer (greedy ball growing). The class is again
+    [owner.(v) = id]; the search's layers live in [queue], layer 0 being
+    [queue.(0 .. 0)]. *)
+
+val start : scratch -> int -> unit
+(** [start s source] makes [source] layer 0: [dist] 0, its own parent,
+    [queue.(0)]. *)
+
+val step :
+  Graph.t ->
+  owner:int array ->
+  id:int ->
+  scratch ->
+  lo:int ->
+  hi:int ->
+  frontier:int ->
+  unexplored:int ->
+  first:int ->
+  last:int ->
+  int
+(** Expands the layer [queue.(lo .. hi-1)] into the next one, appended
+    from [queue.(hi)], and returns the new tail (= [hi] when the layer
+    has no unvisited class neighbour). [frontier] is the layer's arc
+    volume ({!volume}) and [unexplored] the volume of the class nodes
+    not yet reached. The step pulls when [frontier], less the candidate
+    count [last - first], exceeds [unexplored / 14]; a pull scans the
+    candidate ids [first .. last-1], which must include every unvisited
+    class node. Distances and parents follow the contract of
+    {!restricted_into}. *)
+
+val volume : Graph.t -> scratch -> lo:int -> hi:int -> int
+(** Sum of the degrees of [queue.(lo .. hi-1)]. *)

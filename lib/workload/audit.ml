@@ -337,9 +337,12 @@ let verify g t =
            let duv =
              if cert.strong then begin
                (* member-restricted BFS: O(cluster volume), so the full
-                  recheck stays linear across 10^5+ clusters *)
+                  recheck stays linear across 10^5+ clusters; owner was
+                  built from cert.members, so they are exactly the class
+                  a pull step scans *)
                let k =
-                 Bfs.restricted_into g ~owner ~id:cert.cluster ~source:u bfs
+                 Bfs.restricted_into g ~owner ~id:cert.cluster
+                   ~members:cert.members ~source:u bfs
                in
                let d = bfs.Bfs.dist.(v) in
                Bfs.release bfs k;

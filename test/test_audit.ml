@@ -230,13 +230,11 @@ let audit_words_per_node side =
 (* allocation scales with cluster volume, not with n: quadrupling n
    (and with it the cluster count — greedy covers a grid with nearly
    all singletons) leaves the per-node cost flat, whereas an O(n)
-   buffer per cluster would quadruple it. 32x32 and 64x64 rather than
-   larger: greedy itself is quadratic on a grid (one BFS of the whole
-   remaining component per cluster). *)
+   buffer per cluster would quadruple it. *)
 let test_allocation_scales_with_volume () =
-  let small = audit_words_per_node 32 and large = audit_words_per_node 64 in
+  let small = audit_words_per_node 64 and large = audit_words_per_node 128 in
   check bool
-    (Printf.sprintf "64x64 %.1f words/node within 1.5x of 32x32 %.1f" large
+    (Printf.sprintf "128x128 %.1f words/node within 1.5x of 64x64 %.1f" large
        small)
     true
     (large <= 1.5 *. small)

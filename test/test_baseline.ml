@@ -257,6 +257,81 @@ let prop_abcp_carve =
       let carving, _ = Abcp.carve g ~epsilon:0.5 in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
+(* The layer-by-layer greedy grower against the whole-component BFS
+   oracle of greedy_ref.ml: same cluster of every node, same dead set,
+   same colors, same Cost rounds, messages and bits — with and without
+   a domain, on grids, sparse ER and hub-heavy RMAT graphs. *)
+let equivalence_gen =
+  QCheck.Gen.(
+    quad (int_bound 100_000) (int_range 0 2) (int_range 0 2) (int_range 2 6))
+
+let equivalence_graph rng family =
+  match family with
+  | 0 -> Gen.grid (2 + Rng.int rng 30) (2 + Rng.int rng 30)
+  | 1 ->
+      let n = 2 + Rng.int rng 300 in
+      Gen.erdos_renyi rng n (Rng.float rng (6.0 /. float_of_int n))
+  | _ ->
+      let log2 = 6 + Rng.int rng 5 in
+      Gen.rmat rng ~n:(1 lsl log2) ~m:((2 + Rng.int rng 14) lsl log2)
+
+let same_cost ca cb =
+  Congest.Cost.rounds ca = Congest.Cost.rounds cb
+  && Congest.Cost.messages ca = Congest.Cost.messages cb
+  && Congest.Cost.max_message_bits ca = Congest.Cost.max_message_bits cb
+
+let same_labels g a b =
+  List.for_all
+    (fun v -> Clustering.cluster_of a v = Clustering.cluster_of b v)
+    (Graph.nodes g)
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"layered greedy equals the full-BFS reference"
+    ~count:120
+    (QCheck.make
+       ~print:(fun (seed, family, preset, calls) ->
+         Printf.sprintf "seed=%d family=%d preset=%d calls=%d" seed family
+           preset calls)
+       equivalence_gen)
+    (fun (seed, family, preset, calls) ->
+      let rng = Rng.create seed in
+      let g = equivalence_graph rng family in
+      let n = Graph.n g in
+      let preset =
+        [| Greedy.Ls93_existential; Greedy.Aglp; Greedy.Gha19 |].(preset)
+      in
+      let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
+      let da = Greedy.decompose ~cost:ca ~preset g in
+      let db = Greedy_ref.decompose ~cost:cb ~preset g in
+      same_cost ca cb
+      && same_labels g (Decomposition.clustering da)
+           (Decomposition.clustering db)
+      && List.for_all
+           (fun v ->
+             Decomposition.color_of_node da v
+             = Decomposition.color_of_node db v)
+           (Graph.nodes g)
+      && List.for_all
+           (fun call ->
+             let epsilon = 0.05 +. Rng.float rng 0.9 in
+             let domain =
+               if call = 0 then None
+               else
+                 let keep = 0.3 +. Rng.float rng 0.7 in
+                 Some
+                   (Mask.of_list n
+                      (List.filter
+                         (fun _ -> Rng.float rng 1.0 < keep)
+                         (Graph.nodes g)))
+             in
+             let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
+             let a = Greedy.carve ~cost:ca ?domain g ~epsilon in
+             let b = Greedy_ref.carve ~cost:cb ?domain g ~epsilon in
+             same_cost ca cb
+             && same_labels g a.Carving.clustering b.Carving.clustering
+             && Carving.dead a = Carving.dead b)
+           (List.init calls Fun.id))
+
 let () =
   Alcotest.run "baseline"
     [
@@ -301,6 +376,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_ls_carve; prop_mpx_carve; prop_greedy_carve; prop_abcp_carve ]
+          [
+            prop_ls_carve;
+            prop_mpx_carve;
+            prop_greedy_carve;
+            prop_greedy_matches_reference;
+            prop_abcp_carve;
+          ]
       );
     ]

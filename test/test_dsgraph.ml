@@ -539,41 +539,83 @@ let prop_power_monotone =
       let g = random_graph seed n (float_of_int pct /. 100.0) in
       Graph.m (Power.power g 2) <= Graph.m (Power.power g 3))
 
-(* one scratch serves every search: each must equal the masked
-   reference BFS over the source's owner class and leave every dist
-   cell at -1 after release *)
+(* One scratch serves every search. Each must reach the masked
+   reference BFS's set at its distances, give every reached node except
+   the source the min-id neighbour one layer up as parent (recomputed
+   here from Bfs.distances ~mask alone), list the reached set in
+   non-decreasing distance order, and leave every dist cell at -1 after
+   release. Besides random graphs of density 0-40% (as arb_graph) the
+   generator draws hub graphs — a star with >= 1,000 leaves and an
+   RMAT 2^10 — whose frontiers outweigh the rest, so pull steps run. *)
+let restricted_gen =
+  QCheck.Gen.(
+    quad (int_bound 10_000) (int_range 0 2) (int_range 2 40) (int_range 0 40))
+
+let restricted_graph seed family n pct =
+  match family with
+  | 0 -> random_graph seed n (float_of_int pct /. 100.0)
+  | 1 -> Gen.star (1_000 + (seed / 4 mod 64))
+  | _ -> Gen.rmat (Rng.create seed) ~n:1024 ~m:(4096 * (1 + (pct mod 4)))
+
+let min_parent_reference g dist v =
+  let up = dist.(v) - 1 in
+  List.find (fun u -> dist.(u) = up) (Array.to_list (Graph.neighbors g v))
+
 let prop_restricted_into_matches_masked =
-  QCheck.Test.make ~name:"restricted_into equals masked distances and parents"
-    ~count:60 arb_graph (fun (seed, n, pct) ->
-      let g = random_graph seed n (float_of_int pct /. 100.0) in
-      let owner = Array.init n (fun v -> ((v * 7) + seed) mod 4 - 1) in
+  QCheck.Test.make
+    ~name:"restricted_into equals masked distances and parents" ~count:180
+    (QCheck.make
+       ~print:(fun (seed, family, n, pct) ->
+         Printf.sprintf "seed=%d family=%d n=%d p=%d%%" seed family n pct)
+       restricted_gen)
+    (fun (seed, family, n, pct) ->
+      let g = restricted_graph seed family n pct in
+      let n = Graph.n g in
+      let classes = 1 + (seed mod 4) in
+      let owner = Array.init n (fun v -> (((v * 7) + seed) mod classes) - 1) in
+      let members_of = Array.make classes [] in
+      for v = n - 1 downto 0 do
+        members_of.(owner.(v) + 1) <- v :: members_of.(owner.(v) + 1)
+      done;
+      let sources =
+        if family = 0 then Graph.nodes g
+        else
+          let rng = Rng.create seed in
+          0 :: List.init 12 (fun _ -> Rng.int rng n)
+      in
       let s = Bfs.scratch n in
       List.for_all
         (fun source ->
           let id = owner.(source) in
-          let members = List.filter (fun v -> owner.(v) = id) (Graph.nodes g) in
+          let members = members_of.(id + 1) in
           let mask = Mask.of_list n members in
           let dist = Bfs.distances ~mask g ~source in
-          let parent = Bfs.parents ~mask g ~source in
-          let k = Bfs.restricted_into g ~owner ~id ~source s in
+          let k = Bfs.restricted_into g ~owner ~id ~members ~source s in
           let reached = List.filter (fun v -> dist.(v) >= 0) (Graph.nodes g) in
+          let order = Array.sub s.Bfs.queue 0 k in
           let ok =
             k = List.length reached
+            && List.for_all (fun v -> s.Bfs.dist.(v) = dist.(v)) reached
+            && s.Bfs.parent.(source) = source
             && List.for_all
                  (fun v ->
-                   s.Bfs.dist.(v) = dist.(v) && s.Bfs.parent.(v) = parent.(v))
+                   v = source
+                   || s.Bfs.parent.(v) = min_parent_reference g dist v)
                  reached
             && List.for_all
                  (fun v -> dist.(v) >= 0 || s.Bfs.dist.(v) = -1)
                  (Graph.nodes g)
-            && List.sort compare (Array.to_list (Array.sub s.Bfs.queue 0 k))
-               = reached
+            && List.sort compare (Array.to_list order) = reached
+            && Array.for_all Fun.id
+                 (Array.init (max 0 (k - 1)) (fun i ->
+                      dist.(order.(i)) <= dist.(order.(i + 1))))
           in
           Bfs.release s k;
           ok
           && Array.for_all (fun d -> d = -1) s.Bfs.dist
-          && Bfs.restricted_into g ~owner ~id:(id + 10) ~source s = 0)
-        (Graph.nodes g))
+          && Bfs.restricted_into g ~owner ~id:(id + 10) ~members:[] ~source s
+             = 0)
+        sources)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
