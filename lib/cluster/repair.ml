@@ -93,18 +93,25 @@ let step st d =
   List.iter (fun v -> down_set.(v) <- true) d.crash;
   List.iter (fun v -> down_set.(v) <- false) d.revive;
   let up_after v = not down_set.(v) in
-  let removed, extra =
+  (* [st.current] is the graph before this delta, so an edge listed
+     twice must be caught here, not by the presence check *)
+  let removed, extra, _ =
     List.fold_left
-      (fun (removed, extra) e ->
+      (fun (removed, extra, seen) e ->
         let u, v = norm e in
         check_node "del-edge" u;
         check_node "del-edge" v;
+        if List.mem (u, v) seen then
+          invalid_arg
+            (Printf.sprintf "Repair.step: deleting edge (%d,%d) twice" u v);
         if not (Graph.is_edge st.current u v) then
           invalid_arg
             (Printf.sprintf "Repair.step: deleting absent edge (%d,%d)" u v);
-        if List.mem (u, v) extra then (removed, List.filter (( <> ) (u, v)) extra)
-        else ((u, v) :: removed, extra))
-      (st.removed, st.extra) d.del_edges
+        let seen = (u, v) :: seen in
+        if List.mem (u, v) extra then
+          (removed, List.filter (( <> ) (u, v)) extra, seen)
+        else ((u, v) :: removed, extra, seen))
+      (st.removed, st.extra, []) d.del_edges
   in
   let removed, extra =
     List.fold_left

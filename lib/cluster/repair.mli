@@ -87,8 +87,11 @@ val step : state -> delta -> state
     delta components refer to the pre-delta state: crash targets must
     be up, revive targets down, deleted edges present between up
     nodes, inserted edges absent with both endpoints up after the
-    delta's own crashes and revives are accounted.
-    @raise Invalid_argument on any inconsistency. *)
+    delta's own crashes and revives are accounted. An edge listed twice
+    in [del_edges] or [add_edges], in either orientation, is an
+    inconsistency.
+    @raise Invalid_argument on any inconsistency, with a message that
+    starts with ["Repair.step"]. *)
 
 type plan = {
   dirty : int list;  (** invalidated cluster ids of the old clustering *)

@@ -155,6 +155,7 @@ let instrument ?(order_invariant = false) rec_ g inner =
     (* (e) inbox-order robustness, for registered programs only *)
     (if order_invariant && Sim.Inbox.length inbox > 1 then
        let out2 = Sim.Out.create () in
+       Sim.Out.set_round out2 (Sim.round out);
        let reversed = Sim.Inbox.of_list (List.rev (Sim.Inbox.to_list inbox)) in
        let state2 = inner.Sim.round ~node ~state ~inbox:reversed ~out:out2 in
        if Sim.Out.halted out2 <> halt then

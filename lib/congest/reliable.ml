@@ -244,6 +244,9 @@ let execute_inner (inner : ('st, 'msg) Sim.program) ~node st =
       | None -> ())
     st.sorted_nbrs;
   Sim.Out.reset st.out;
+  (* the inner program runs every inner round, so its wake hint is
+     dropped; it still reads its own round number *)
+  Sim.Out.set_round st.out r;
   st.inner_state <-
     inner.Sim.round ~node ~state:st.inner_state ~inbox:st.inbox ~out:st.out;
   for i = 0 to Sim.Out.length st.out - 1 do

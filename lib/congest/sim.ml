@@ -82,20 +82,31 @@ module Inbox = struct
     ib
 end
 
-type 'msg out = { sends : 'msg vec; mutable halt_vote : bool }
+(* [idle_for]: the wake hint of this call, rounds the node may skip;
+   [round]: the 1-based round being run, set by whoever owns the outbox *)
+type 'msg out = {
+  sends : 'msg vec;
+  mutable halt_vote : bool;
+  mutable idle_for : int;
+  mutable round : int;
+}
 
 let send o dst msg = push o.sends dst msg
 let halt o = o.halt_vote <- true
+let idle o ~rounds = o.idle_for <- max 0 rounds
+let round o = o.round
 
 module Out = struct
   type 'msg t = 'msg out
 
-  let create () = { sends = vec (); halt_vote = false }
+  let create () = { sends = vec (); halt_vote = false; idle_for = 0; round = 0 }
 
   let reset o =
     o.sends.len <- 0;
-    o.halt_vote <- false
+    o.halt_vote <- false;
+    o.idle_for <- 0
 
+  let set_round o r = o.round <- r
   let length o = o.sends.len
   let halted o = o.halt_vote
 
@@ -400,6 +411,9 @@ let simulate ?(config = Config.default) ~bits g program =
   in
   let states = Array.init n (fun v -> program.init ~node:v ~neighbors:(Graph.neighbors g v)) in
   let halted = Array.make n false in
+  (* [wake.(v)]: the first round [v] must be run without mail; a skipped
+     node keeps its last halt vote *)
+  let wake = Array.make n 0 in
   let inbox = Inbox.create () and out = Out.create () in
   let rounds_used = ref 0 in
   let crashed_at round v =
@@ -427,13 +441,19 @@ let simulate ?(config = Config.default) ~bits g program =
         halted.(v) <- true;
         s.s_head.(v) <- -1
       end
-      else begin
+      else if wake.(v) <= round || s.s_head.(v) >= 0 then begin
         let was_halted = halted.(v) in
         deliver s v inbox;
         Out.reset out;
+        out.round <- round;
         states.(v) <- program.round ~node:v ~state:states.(v) ~inbox ~out;
         let halt = out.halt_vote in
         halted.(v) <- halt;
+        (* next round without mail, saturating at [max_int] *)
+        wake.(v) <-
+          (if out.idle_for = 0 then 0
+           else if out.idle_for >= max_int - round then max_int
+           else round + 1 + out.idle_for);
         (match trace with
         | None -> ()
         | Some t ->

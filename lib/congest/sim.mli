@@ -42,7 +42,13 @@ exception Incomplete of { max_rounds : int; running : int }
     returns its new state and, during the call, {!send}s messages and
     may vote to {!halt}. Both values are owned by the simulator and
     reused across calls, so an idle round allocates nothing; a program
-    must not keep either beyond the call that received it. *)
+    must not keep either beyond the call that received it.
+
+    A program that knows it has nothing to do may also pass a wake hint
+    with {!idle}: {!simulate} then skips the node's next rounds until the
+    hint runs out or mail arrives for it. The hint never changes a run's
+    result, only how often [round] is called: a program that never calls
+    {!idle} is called every round. *)
 
 type 'msg inbox
 (** The messages delivered to one node in one round, in send order
@@ -61,7 +67,24 @@ val send : 'msg out -> int -> 'msg -> unit
 
 val halt : 'msg out -> unit
 (** Votes to halt this round. A node that does not call [halt] keeps
-    the run going; the vote is cast afresh every round. *)
+    the run going; the vote is cast afresh every round the node is
+    called, and a skipped node (see {!idle}) keeps its last vote. *)
+
+val idle : 'msg out -> rounds:int -> unit
+(** [idle out ~rounds:k] is a wake hint: the node has nothing to do in
+    its next [k] rounds unless mail arrives, so {!simulate} may skip
+    them. It is only a hint. A skipped node keeps the halt vote of this
+    call, and a delivery wakes it early. Skipping is sound only when the
+    program, called in a skipped round with an empty inbox, would have
+    sent nothing and voted as it did here; a woken node catches up with
+    {!round}. [k <= 0] gives no hint; [k = max_int] means "until mail"
+    (the wake round saturates). Wrappers that run an inner program on a
+    private outbox may drop the hint and call it every round. *)
+
+val round : 'msg out -> int
+(** The 1-based round this call runs, so a node woken after skipped
+    rounds can count them. An outbox made with {!Out.create} reads 0
+    until {!Out.set_round}. *)
 
 module Inbox : sig
   type 'msg t = 'msg inbox
@@ -93,7 +116,12 @@ module Out : sig
   val create : unit -> 'msg t
 
   val reset : 'msg t -> unit
-  (** Empties the outbox and clears the halt vote. *)
+  (** Empties the outbox and clears the halt vote and the wake hint;
+      the round number stays. *)
+
+  val set_round : 'msg t -> int -> unit
+  (** Sets the round {!round} reports. A wrapper that owns a private
+      outbox sets it to its inner round before each inner call. *)
 
   val length : 'msg t -> int
 
@@ -110,7 +138,9 @@ type ('st, 'msg) program = {
           (standard after one round of identifier exchange). *)
   round : node:int -> state:'st -> inbox:'msg inbox -> out:'msg out -> 'st;
       (** [round ~node ~state ~inbox ~out] reads this round's deliveries,
-          sends through [out], and returns the new state. *)
+          sends through [out], and returns the new state. It is called
+          every round the node is alive, except rounds it declared
+          {!idle} and received no mail in. *)
 }
 
 type fault_stats = {
@@ -180,7 +210,8 @@ val simulate :
   ('st, 'msg) program ->
   'st array * stats
 (** Runs until every node votes to halt {e and} no message is in flight,
-    or until [config.max_rounds] (default [4 * n + 16]).
+    or until [config.max_rounds] (default [4 * n + 16]); a node skipped
+    under an {!idle} hint counts with the vote it last cast.
     [config.bandwidth] defaults to {!Bits.bandwidth}. Returns final
     states (a crashed node's state is frozen at its crash round).
 

@@ -43,6 +43,7 @@ type nstate = {
   mutable drain_to : int array;
   mutable drain_q : msg Queue.t array;
   mutable round_in_step : int;
+  mutable last_round : int; (* the simulator round of the last call *)
   mutable steps_left_in_phase : int;
   mutable phases_left : int list; (* step counts of the remaining phases *)
   mutable bit : int; (* current phase's bit *)
@@ -289,6 +290,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
               drain_to = [||];
               drain_q = [||];
               round_in_step = 0;
+              last_round = 0;
               steps_left_in_phase = 0;
               phases_left = [];
               bit = 0;
@@ -312,8 +314,14 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
       round =
         (fun ~node ~state:st ~inbox ~out ->
           ignore node;
-          (* schedule bookkeeping: advance step/phase on budget expiry *)
           let active = st.steps_left_in_phase > 0 || st.phases_left <> [] in
+          (* catch up on the rounds skipped under the last wake hint; it
+             never reaches past the step boundary *)
+          let r = Congest.Sim.round out in
+          if active then
+            st.round_in_step <- st.round_in_step + (r - st.last_round - 1);
+          st.last_round <- r;
+          (* schedule bookkeeping: advance step/phase on budget expiry *)
           if active then begin
             if st.round_in_step >= step_budget then begin
               st.steps_left_in_phase <- st.steps_left_in_phase - 1;
@@ -335,9 +343,18 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
             st.round_in_step >= 4 && st.steps_left_in_phase > 0
             && Hashtbl.length st.sent_up < Hashtbl.length st.trees
           then aggregate st;
+          (* with nothing queued, only mail, the first aggregate (round 4
+             of the step) or the step boundary can make the node act *)
           if st.queued > 0 then drain st out
-          else if st.steps_left_in_phase = 0 && st.phases_left = [] then
+          else if st.steps_left_in_phase = 0 && st.phases_left = [] then begin
             Congest.Sim.halt out;
+            Congest.Sim.idle out ~rounds:max_int
+          end
+          else
+            Congest.Sim.idle out
+              ~rounds:
+                (if st.round_in_step < 4 then 3 - st.round_in_step
+                 else step_budget - st.round_in_step);
           st);
     }
   in

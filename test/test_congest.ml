@@ -190,6 +190,132 @@ let test_sim_max_rounds_cutoff () =
   check bool "not halted" false stats.all_halted
 
 (* ------------------------------------------------------------------ *)
+(* Wake hints                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [node_round v r ~inbox ~out] is node [v]'s behavior when called
+   in round [r]; [calls.(v)] collects the rounds it was called in *)
+let hinted_program n node_round =
+  let calls = Array.make n [] in
+  let program =
+    {
+      Sim.init = (fun ~node:_ ~neighbors:_ -> ());
+      round =
+        (fun ~node ~state:() ~inbox ~out ->
+          let r = Sim.round out in
+          calls.(node) <- r :: calls.(node);
+          node_round node r ~inbox ~out);
+    }
+  in
+  (program, fun v -> List.rev calls.(v))
+
+let round_list = Alcotest.(list int)
+
+let test_idle_node_not_called () =
+  let program, calls =
+    hinted_program 2 (fun v r ~inbox:_ ~out ->
+        if v = 0 then
+          if r = 1 then Sim.idle out ~rounds:5
+          else begin
+            Sim.halt out;
+            Sim.idle out ~rounds:max_int
+          end
+        else if r >= 10 then Sim.halt out)
+  in
+  let _, stats = Sim.simulate ~bits:(fun _ -> 1) (Gen.path 2) program in
+  Alcotest.check round_list "rounds 2..6 skipped" [ 1; 7 ] (calls 0);
+  check int "node without hint called every round" 10 (List.length (calls 1));
+  check int "run length" 10 stats.Sim.rounds_used;
+  check bool "halted" true stats.all_halted
+
+let test_mail_wakes_idle_node () =
+  let got = ref [] in
+  let program, calls =
+    hinted_program 2 (fun v r ~inbox ~out ->
+        if v = 0 then begin
+          got := Sim.Inbox.to_list inbox @ !got;
+          if r = 1 then Sim.idle out ~rounds:100 else Sim.halt out
+        end
+        else begin
+          if r = 3 then Sim.send out 0 42;
+          if r >= 3 then Sim.halt out
+        end)
+  in
+  let _, stats = Sim.simulate ~bits:(fun _ -> 7) (Gen.path 2) program in
+  Alcotest.check round_list "woken by the round-3 send" [ 1; 4 ] (calls 0);
+  Alcotest.(check (list (pair int int))) "delivered" [ (1, 42) ] !got;
+  check int "run length" 4 stats.Sim.rounds_used
+
+let test_idle_keeps_halt_vote () =
+  (* a halted, skipped node lets the run end ... *)
+  let program, calls =
+    hinted_program 2 (fun v r ~inbox:_ ~out ->
+        if v = 0 then begin
+          Sim.halt out;
+          Sim.idle out ~rounds:max_int
+        end
+        else if r >= 6 then Sim.halt out)
+  in
+  let _, stats = Sim.simulate ~bits:(fun _ -> 1) (Gen.path 2) program in
+  Alcotest.check round_list "called once" [ 1 ] (calls 0);
+  check int "ends when the last node halts" 6 stats.Sim.rounds_used;
+  check bool "all halted" true stats.all_halted;
+  (* ... and a running, skipped node keeps it going *)
+  let program, calls =
+    hinted_program 2 (fun v r ~inbox:_ ~out ->
+        if v = 0 && r = 1 then Sim.idle out ~rounds:3 else Sim.halt out)
+  in
+  let _, stats = Sim.simulate ~bits:(fun _ -> 1) (Gen.path 2) program in
+  Alcotest.check round_list "woken after its hint" [ 1; 5 ] (calls 0);
+  check int "not ended while it ran" 5 stats.Sim.rounds_used;
+  check bool "all halted" true stats.all_halted
+
+let test_idle_max_int_saturates () =
+  (* a hint of max_int from round 3 must not wrap to a past round *)
+  let program, calls =
+    hinted_program 1 (fun _ r ~inbox:_ ~out ->
+        if r >= 3 then Sim.idle out ~rounds:max_int)
+  in
+  let _, stats =
+    Sim.simulate
+      ~config:
+        Sim.Config.(
+          default |> with_max_rounds 10 |> with_on_incomplete `Ignore)
+      ~bits:(fun _ -> 1)
+      (Gen.path 1) program
+  in
+  Alcotest.check round_list "never woken again" [ 1; 2; 3 ] (calls 0);
+  check int "runs to the cutoff" 10 stats.Sim.rounds_used;
+  check bool "not halted" false stats.all_halted
+
+let test_crash_while_idle_traced () =
+  let program, calls =
+    hinted_program 2 (fun v r ~inbox:_ ~out ->
+        if v = 0 && r = 1 then Sim.idle out ~rounds:10
+        else if r >= 8 then Sim.halt out)
+  in
+  let adv = Congest.Fault.(create (spec ~crashes:[ (0, 4) ] ())) in
+  let sink = Congest.Trace.sink () in
+  let _, stats =
+    Sim.simulate
+      ~config:Sim.Config.(default |> with_adversary adv |> with_trace sink)
+      ~bits:(fun _ -> 1)
+      (Gen.path 2) program
+  in
+  Alcotest.check round_list "crashed before its wake round" [ 1 ] (calls 0);
+  let crashes =
+    List.filter_map
+      (function
+        | Congest.Trace.Node_crashed { round; node } -> Some (node, round)
+        | _ -> None)
+      (Congest.Trace.events sink)
+  in
+  Alcotest.(check (list (pair int int)))
+    "crash in its round" [ (0, 4) ] crashes;
+  Alcotest.(check (list int)) "crash counted" [ 0 ] stats.Sim.faults.crashed;
+  check int "ends when the survivor halts" 8 stats.Sim.rounds_used
+
+(* ------------------------------------------------------------------ *)
 (* Allocation per node-round                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -434,6 +560,19 @@ let () =
             test_sim_rejects_double_send;
           Alcotest.test_case "max rounds cutoff" `Quick
             test_sim_max_rounds_cutoff;
+        ] );
+      ( "wake hint",
+        [
+          Alcotest.test_case "idle node not called" `Quick
+            test_idle_node_not_called;
+          Alcotest.test_case "mail wakes early" `Quick
+            test_mail_wakes_idle_node;
+          Alcotest.test_case "skipped node keeps halt vote" `Quick
+            test_idle_keeps_halt_vote;
+          Alcotest.test_case "max_int saturates" `Quick
+            test_idle_max_int_saturates;
+          Alcotest.test_case "crash while idle traced" `Quick
+            test_crash_while_idle_traced;
         ] );
       ( "allocation",
         [

@@ -83,7 +83,23 @@ let test_step_validation () =
   expect_invalid "insert an existing edge" (fun () ->
       CR.step st (CR.delta ~add_edges:[ (1, 2) ] ()));
   expect_invalid "insert at a down endpoint" (fun () ->
-      CR.step down (CR.delta ~add_edges:[ (1, 3) ] ()))
+      CR.step down (CR.delta ~add_edges:[ (1, 3) ] ()));
+  (* an edge listed twice in one delta is rejected by Repair.step itself,
+     before any history is recorded, in either orientation *)
+  let expect_step_error what f =
+    match f () with
+    | exception Invalid_argument msg ->
+        check bool
+          (Printf.sprintf "%s: %S starts with Repair.step" what msg)
+          true
+          (String.starts_with ~prefix:"Repair.step" msg)
+    | _ -> Alcotest.failf "expected Invalid_argument: %s" what
+  in
+  let inserted = CR.step st (CR.delta ~add_edges:[ (0, 2) ] ()) in
+  expect_step_error "delete an inserted edge twice" (fun () ->
+      CR.step inserted (CR.delta ~del_edges:[ (0, 2); (2, 0) ] ()));
+  expect_step_error "delete a base edge twice" (fun () ->
+      CR.step st (CR.delta ~del_edges:[ (1, 2); (1, 2) ] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Planning on a hand-built clustering: cycle of 8 nodes, clusters

@@ -452,6 +452,67 @@ let prop_flat_engine_matches_reference =
           forest_in_node_order a.forest && same_run g a b ca cb)
         (List.init calls Fun.id))
 
+(* The wake hint of the node program is only a hint: run through a
+   wrapper that drops it (a private outbox carrying the true round, sends
+   and halt vote forwarded), so every node is called every round, the
+   simulation gives the same labels, stats and trace bytes. *)
+let drop_hints =
+  {
+    Congest.Conformance.instrument =
+      (fun p ->
+        let priv = Congest.Sim.Out.create () in
+        {
+          p with
+          Congest.Sim.round =
+            (fun ~node ~state ~inbox ~out ->
+              Congest.Sim.Out.reset priv;
+              Congest.Sim.Out.set_round priv (Congest.Sim.round out);
+              let state = p.Congest.Sim.round ~node ~state ~inbox ~out:priv in
+              for i = 0 to Congest.Sim.Out.length priv - 1 do
+                Congest.Sim.send out
+                  (Congest.Sim.Out.dst priv i)
+                  (Congest.Sim.Out.msg priv i)
+              done;
+              if Congest.Sim.Out.halted priv then Congest.Sim.halt out;
+              state);
+        });
+  }
+
+let prop_wake_hint_transparent =
+  QCheck.Test.make ~name:"weak carve: wake hints change no output" ~count:30
+    (QCheck.make
+       ~print:(fun (seed, family) ->
+         Printf.sprintf "seed=%d family=%d" seed family)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 0 4)))
+    (fun (seed, family) ->
+      let rng = Rng.create seed in
+      let g =
+        match family with
+        | 0 ->
+            let side = 8 + Rng.int rng 25 in
+            Gen.grid side side
+        | 1 | 2 | 3 -> random_graph rng (family - 1)
+        | _ -> random_graph rng (Rng.int rng 3)
+      in
+      let domain =
+        if family < 4 then None
+        else
+          Some
+            (Mask.of_list (Graph.n g)
+               (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
+      in
+      let run conformance =
+        let trace = Congest.Trace.sink () in
+        let r = Dist.carve ?conformance ?domain ~trace g ~epsilon:0.5 in
+        let labels =
+          Array.init (Graph.n g)
+            (Clustering.cluster_of r.Dist.carving.Carving.clustering)
+        in
+        (labels, r.Dist.sim_stats, Digest.string (Congest.Trace.to_jsonl trace))
+      in
+      let la, sa, ta = run None and lb, sb, tb = run (Some drop_hints) in
+      la = lb && sa = sb && ta = tb)
+
 let () =
   Alcotest.run "weakdiam"
     [
@@ -519,5 +580,6 @@ let () =
             prop_alive_components_in_one_cluster;
             prop_distributed_matches_engine;
             prop_flat_engine_matches_reference;
+            prop_wake_hint_transparent;
           ] );
     ]
