@@ -7,32 +7,78 @@ type t = {
   member_lists : int list array; (* sorted members, lazily computed eagerly *)
 }
 
+(* Labels are renumbered in order of first appearance through an
+   open-addressing table (Fibonacci hashing, linear probing, doubled
+   when half full) holding the first node seen with each label: the
+   label is read back from [cluster_of] and the id from [normalized].
+   The table is O(k) words for k clusters, whatever the labels are.
+   The member lists come from a counting sort into one int array, each
+   list consed from its slice and stored once. *)
+
+(* slot of label [c] in [table], or the empty slot where it goes *)
+let rec slot table ~cluster_of c i =
+  let v = table.(i) in
+  if v < 0 || cluster_of.(v) = c then i
+  else slot table ~cluster_of c ((i + 1) land (Array.length table - 1))
+
+let hash c ~bits = (c * 0x278DDE6E5FD29F05) lsr (63 - bits)
+
 let make g ~cluster_of =
   let n = Graph.n g in
   if Array.length cluster_of <> n then
     invalid_arg "Clustering.make: array length mismatch";
-  let remap = Hashtbl.create 16 in
-  let next = ref 0 in
-  let normalized =
-    Array.map
-      (fun c ->
-        if c < 0 then -1
-        else
-          match Hashtbl.find_opt remap c with
-          | Some d -> d
-          | None ->
-              let d = !next in
-              incr next;
-              Hashtbl.add remap c d;
-              d)
-      cluster_of
-  in
-  let member_lists = Array.make !next [] in
+  let bits = ref 4 in
+  let table = ref (Array.make (1 lsl !bits) (-1)) in
+  let normalized = Array.make n (-1) in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    let c = cluster_of.(v) in
+    if c >= 0 then begin
+      let i = slot !table ~cluster_of c (hash c ~bits:!bits) in
+      if !table.(i) >= 0 then normalized.(v) <- normalized.(!table.(i))
+      else begin
+        !table.(i) <- v;
+        normalized.(v) <- !k;
+        incr k;
+        if 2 * !k > Array.length !table then begin
+          let old = !table in
+          incr bits;
+          table := Array.make (1 lsl !bits) (-1);
+          Array.iter
+            (fun u ->
+              if u >= 0 then
+                !table.(slot !table ~cluster_of cluster_of.(u)
+                          (hash cluster_of.(u) ~bits:!bits)) <- u)
+            old
+        end
+      end
+    end
+  done;
+  let k = !k in
+  (* pos.(c) ends as the start of c's slice of [order]; pos.(k) is the
+     end of the last one *)
+  let pos = Array.make (k + 1) 0 in
+  Array.iter (fun c -> if c >= 0 then pos.(c) <- pos.(c) + 1) normalized;
+  for c = 1 to k do
+    pos.(c) <- pos.(c) + pos.(c - 1)
+  done;
+  let order = Array.make pos.(k) 0 in
   for v = n - 1 downto 0 do
     let c = normalized.(v) in
-    if c >= 0 then member_lists.(c) <- v :: member_lists.(c)
+    if c >= 0 then begin
+      pos.(c) <- pos.(c) - 1;
+      order.(pos.(c)) <- v
+    end
   done;
-  { graph = g; cluster_of = normalized; num_clusters = !next; member_lists }
+  let member_lists =
+    Array.init k (fun c ->
+        let l = ref [] in
+        for i = pos.(c + 1) - 1 downto pos.(c) do
+          l := order.(i) :: !l
+        done;
+        !l)
+  in
+  { graph = g; cluster_of = normalized; num_clusters = k; member_lists }
 
 let graph t = t.graph
 let cluster_of t v = t.cluster_of.(v)

@@ -9,8 +9,9 @@ type t
 
 val make : Dsgraph.Graph.t -> cluster_of:int array -> t
 (** [make g ~cluster_of] normalizes arbitrary non-negative cluster labels
-    to dense ids. [cluster_of.(v) < 0] marks [v] unclustered. The array is
-    copied. *)
+    to dense ids, in order of first appearance. [cluster_of.(v) < 0]
+    marks [v] unclustered. The array is copied. O(n) time and memory
+    whatever the size of the labels. *)
 
 val graph : t -> Dsgraph.Graph.t
 

@@ -13,50 +13,50 @@ let delta ?(crash = []) ?(revive = []) ?(del_edges = []) ?(add_edges = []) () =
 let is_empty d =
   d.crash = [] && d.revive = [] && d.del_edges = [] && d.add_edges = []
 
-(* The fault history is kept as lists of normalized (u < v) pairs;
-   deltas are small, so list membership is cheap compared to the graph
-   rebuild. Invariants: [removed] is a subset of the base edge set,
-   [extra] is disjoint from it. *)
+(* Node and cluster flags are one byte each: at the sizes repair runs
+   on, an n-node set is small enough for the minor heap, where a
+   [bool array] of n words would be a major-heap allocation per step. *)
+let flags k = Bytes.make k '\000'
+let flagged f i = Bytes.get f i <> '\000'
+let flag f i b = Bytes.set f i (if b then '\001' else '\000')
+
+(* The fault history is kept as packed-int sets, (u lsl 31) lor v as
+   Graph.Builder packs. Invariants: [removed] holds normalized (u < v)
+   base edges currently deleted; [extra] holds the non-base edges
+   currently present, in both orientations, so the extra edges of a
+   node are one range of the set; [current] is the base graph minus
+   [removed] plus [extra], restricted to up nodes. *)
+module Packed = Set.Make (Int)
+
 type state = {
   base_g : Graph.t;
-  down_set : bool array;
-  removed : (int * int) list; (* base edges currently deleted *)
-  extra : (int * int) list; (* non-base edges currently present *)
+  down_set : Bytes.t;
+  removed : Packed.t;
+  extra : Packed.t;
   current : Graph.t;
 }
 
+let pack u v = (u lsl 31) lor v
+let low = (1 lsl 31) - 1
 let norm (u, v) = if u < v then (u, v) else (v, u)
-
-(* Materialize the current graph from the base plus the fault history:
-   the one sanctioned delta-application path (see the conformance
-   lint's graph-edit rule). Crashed nodes are isolated; their logical
-   edges return on revival. *)
-let materialize base_g ~down_set ~removed ~extra =
-  let up u = not down_set.(u) in
-  let del = ref removed in
-  Graph.iter_edges base_g (fun u v ->
-      if (not (up u)) || not (up v) then
-        if not (List.mem (u, v) removed) then del := (u, v) :: !del);
-  let add = List.filter (fun (u, v) -> up u && up v) extra in
-  Graph.apply_edits base_g ~del:!del ~add
 
 let init g =
   {
     base_g = g;
-    down_set = Array.make (Graph.n g) false;
-    removed = [];
-    extra = [];
+    down_set = flags (Graph.n g);
+    removed = Packed.empty;
+    extra = Packed.empty;
     current = g;
   }
 
 let graph st = st.current
 let base st = st.base_g
-let is_down st v = st.down_set.(v)
+let is_down st v = flagged st.down_set v
 
 let down st =
   let acc = ref [] in
-  for v = Array.length st.down_set - 1 downto 0 do
-    if st.down_set.(v) then acc := v :: !acc
+  for v = Bytes.length st.down_set - 1 downto 0 do
+    if flagged st.down_set v then acc := v :: !acc
   done;
   !acc
 
@@ -64,9 +64,16 @@ let survivors st =
   let n = Graph.n st.base_g in
   let m = Mask.empty n in
   for v = 0 to n - 1 do
-    if not st.down_set.(v) then Mask.add m v
+    if not (flagged st.down_set v) then Mask.add m v
   done;
   m
+
+(* [f w] for every non-base edge (v, w) in [extra] *)
+let iter_extra extra v f =
+  let hi = pack (v + 1) 0 in
+  Seq.iter
+    (fun p -> f (p land low))
+    (Seq.take_while (fun p -> p < hi) (Packed.to_seq_from (pack v 0) extra))
 
 let step st d =
   let n = Graph.n st.base_g in
@@ -76,23 +83,27 @@ let step st d =
   in
   List.iter (check_node "crash") d.crash;
   List.iter (check_node "revive") d.revive;
+  let down_set = Bytes.copy st.down_set in
   List.iter
     (fun v ->
-      if st.down_set.(v) then
+      if is_down st v then
         invalid_arg (Printf.sprintf "Repair.step: crashing down node %d" v);
       if List.mem v d.revive then
         invalid_arg
-          (Printf.sprintf "Repair.step: node %d both crashed and revived" v))
+          (Printf.sprintf "Repair.step: node %d both crashed and revived" v);
+      if flagged down_set v then
+        invalid_arg (Printf.sprintf "Repair.step: crashing node %d twice" v);
+      flag down_set v true)
     d.crash;
   List.iter
     (fun v ->
-      if not st.down_set.(v) then
-        invalid_arg (Printf.sprintf "Repair.step: reviving up node %d" v))
+      if not (is_down st v) then
+        invalid_arg (Printf.sprintf "Repair.step: reviving up node %d" v);
+      if not (flagged down_set v) then
+        invalid_arg (Printf.sprintf "Repair.step: reviving node %d twice" v);
+      flag down_set v false)
     d.revive;
-  let down_set = Array.copy st.down_set in
-  List.iter (fun v -> down_set.(v) <- true) d.crash;
-  List.iter (fun v -> down_set.(v) <- false) d.revive;
-  let up_after v = not down_set.(v) in
+  let up_after v = not (flagged down_set v) in
   (* [st.current] is the graph before this delta, so an edge listed
      twice must be caught here, not by the presence check *)
   let removed, extra, _ =
@@ -101,17 +112,19 @@ let step st d =
         let u, v = norm e in
         check_node "del-edge" u;
         check_node "del-edge" v;
-        if List.mem (u, v) seen then
+        let p = pack u v in
+        if Packed.mem p seen then
           invalid_arg
             (Printf.sprintf "Repair.step: deleting edge (%d,%d) twice" u v);
         if not (Graph.is_edge st.current u v) then
           invalid_arg
             (Printf.sprintf "Repair.step: deleting absent edge (%d,%d)" u v);
-        let seen = (u, v) :: seen in
-        if List.mem (u, v) extra then
-          (removed, List.filter (( <> ) (u, v)) extra, seen)
-        else ((u, v) :: removed, extra, seen))
-      (st.removed, st.extra, []) d.del_edges
+        let seen = Packed.add p seen in
+        if Packed.mem p extra then
+          (removed, Packed.remove p (Packed.remove (pack v u) extra), seen)
+        else (Packed.add p removed, extra, seen))
+      (st.removed, st.extra, Packed.empty)
+      d.del_edges
   in
   let removed, extra =
     List.fold_left
@@ -124,18 +137,48 @@ let step st d =
           invalid_arg
             (Printf.sprintf
                "Repair.step: inserting edge (%d,%d) at a down endpoint" u v);
-        if List.mem (u, v) extra then
+        let p = pack u v in
+        if Packed.mem p extra then
           invalid_arg
             (Printf.sprintf "Repair.step: inserting edge (%d,%d) twice" u v);
-        if List.mem (u, v) removed then
-          (List.filter (( <> ) (u, v)) removed, extra)
+        if Packed.mem p removed then (Packed.remove p removed, extra)
         else if Graph.is_edge st.base_g u v then
           invalid_arg
             (Printf.sprintf "Repair.step: inserting existing edge (%d,%d)" u v)
-        else (removed, (u, v) :: extra))
+        else (removed, Packed.add p (Packed.add (pack v u) extra)))
       (removed, extra) d.add_edges
   in
-  let current = materialize st.base_g ~down_set ~removed ~extra in
+  (* Only these edges can change presence: the delta's own edges, the
+     current edges of crashed nodes and the logical edges of revived
+     ones. Each is re-derived from the post-delta fault state and the
+     current graph is edited by exactly the ones that differ. *)
+  let cands = ref [] in
+  let cand u v = cands := pack (min u v) (max u v) :: !cands in
+  List.iter (fun (u, v) -> cand u v) d.del_edges;
+  List.iter (fun (u, v) -> cand u v) d.add_edges;
+  List.iter (fun v -> Graph.iter_neighbors st.current v (cand v)) d.crash;
+  List.iter
+    (fun v ->
+      Graph.iter_neighbors st.base_g v (cand v);
+      iter_extra extra v (cand v))
+    d.revive;
+  let del = ref [] and add = ref [] in
+  List.iter
+    (fun p ->
+      let u = p lsr 31 and v = p land low in
+      let present =
+        up_after u && up_after v
+        && ((Graph.is_edge st.base_g u v && not (Packed.mem p removed))
+           || Packed.mem p extra)
+      in
+      match (Graph.is_edge st.current u v, present) with
+      | true, false -> del := (u, v) :: !del
+      | false, true -> add := (u, v) :: !add
+      | _ -> ())
+    (List.sort_uniq Int.compare !cands);
+  (* the one sanctioned delta-application path (the conformance lint's
+     graph-edit rule) *)
+  let current = Graph.apply_edits st.current ~del:!del ~add:!add in
   { base_g = st.base_g; down_set; removed; extra; current }
 
 (* ------------------------------------------------------------------ *)
@@ -144,28 +187,26 @@ let step st d =
 
 type plan = { dirty : int list; region : int list; seeds : int list }
 
-(* multi-source BFS ball of radius [h], restricted to up nodes *)
+(* multi-source BFS ball of radius [h], restricted to up nodes: the
+   nodes reached, in BFS order; it costs what the ball holds, not n *)
 let ball g ~up ~seeds ~h =
-  let n = Graph.n g in
-  let dist = Array.make n (-1) in
+  let dist = Hashtbl.create 64 in
   let q = Queue.create () in
-  List.iter
-    (fun v ->
-      if up v && dist.(v) < 0 then begin
-        dist.(v) <- 0;
-        Queue.add v q
-      end)
-    seeds;
+  let reach v d =
+    if up v && not (Hashtbl.mem dist v) then begin
+      Hashtbl.add dist v d;
+      Queue.add v q
+    end
+  in
+  List.iter (fun v -> reach v 0) seeds;
+  let reached = ref [] in
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    if dist.(v) < h then
-      Graph.iter_neighbors g v (fun w ->
-          if up w && dist.(w) < 0 then begin
-            dist.(w) <- dist.(v) + 1;
-            Queue.add w q
-          end)
+    reached := v :: !reached;
+    let d = Hashtbl.find dist v in
+    if d < h then Graph.iter_neighbors g v (fun w -> reach w (d + 1))
   done;
-  dist
+  List.rev !reached
 
 let plan ?(halo = 0) ~weak ~color ~old st d =
   if halo < 0 then invalid_arg "Repair.plan: negative halo";
@@ -174,14 +215,14 @@ let plan ?(halo = 0) ~weak ~color ~old st d =
   if n <> Graph.n st.current then
     invalid_arg "Repair.plan: clustering and state disagree on n";
   let k = Clustering.num_clusters old in
-  let dirty = Array.make k false in
+  let dirty = flags k in
   let cl v = Clustering.cluster_of old v in
-  let mark c = if c >= 0 then dirty.(c) <- true in
+  let mark c = if c >= 0 then flag dirty c true in
   (* weak certificates route through arbitrary host nodes: any delta
      at all invalidates them *)
   if not (is_empty d) then
     for c = 0 to k - 1 do
-      if weak c then dirty.(c) <- true
+      if weak c then flag dirty c true
     done;
   (* a crashed member invalidates its cluster's membership *)
   List.iter (fun v -> mark (cl v)) d.crash;
@@ -215,27 +256,24 @@ let plan ?(halo = 0) ~weak ~color ~old st d =
     d.add_edges;
   let seeds = List.sort_uniq compare !seeds in
   let extras = ref d.revive in
-  (if halo > 0 then
-     let dist =
-       ball st.current ~up:(fun v -> not (is_down st v)) ~seeds ~h:halo
-     in
-     for v = 0 to n - 1 do
-       if dist.(v) >= 0 then
-         if cl v >= 0 then mark (cl v) else extras := v :: !extras
-     done);
+  if halo > 0 then
+    List.iter
+      (fun v -> if cl v >= 0 then mark (cl v) else extras := v :: !extras)
+      (ball st.current ~up:(fun v -> not (is_down st v)) ~seeds ~h:halo);
   let region = ref [] in
   for c = 0 to k - 1 do
-    if dirty.(c) then
+    if flagged dirty c then
       List.iter
         (fun v -> if not (is_down st v) then region := v :: !region)
         (Clustering.members old c)
   done;
   List.iter
-    (fun v -> if cl v < 0 || not dirty.(cl v) then region := v :: !region)
+    (fun v ->
+      if cl v < 0 || not (flagged dirty (cl v)) then region := v :: !region)
     !extras;
   let dirty_ids = ref [] in
   for c = k - 1 downto 0 do
-    if dirty.(c) then dirty_ids := c :: !dirty_ids
+    if flagged dirty c then dirty_ids := c :: !dirty_ids
   done;
   { dirty = !dirty_ids; region = List.sort_uniq compare !region; seeds }
 
@@ -256,28 +294,30 @@ type merged = {
 let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   let n = Graph.n st.current in
   let k_old = Clustering.num_clusters old in
-  let dirty = Array.make k_old false in
-  List.iter (fun c -> dirty.(c) <- true) pl.dirty;
-  let in_region = Array.make n false in
-  List.iter (fun v -> in_region.(v) <- true) pl.region;
+  let dirty = flags k_old in
+  List.iter (fun c -> flag dirty c true) pl.dirty;
+  let in_region = flags n in
+  List.iter (fun v -> flag in_region v true) pl.region;
   let untouched v =
     let c = Clustering.cluster_of old v in
-    c >= 0 && (not dirty.(c)) && not in_region.(v)
+    c >= 0 && (not (flagged dirty c)) && not (flagged in_region v)
   in
   (* carvings: withhold region nodes adjacent to an untouched cluster,
      so fresh clusters cannot break separation; the withheld nodes
      stay dead *)
-  let withheld = Array.make n false in
+  let withheld = flags n in
   (match kind with
   | Decomposition -> ()
   | Carving ->
       List.iter
         (fun v ->
           Graph.iter_neighbors st.current v (fun w ->
-              if untouched w then withheld.(v) <- true))
+              if untouched w then flag withheld v true))
         pl.region);
   let domain =
-    List.filter (fun v -> (not withheld.(v)) && not (is_down st v)) pl.region
+    List.filter
+      (fun v -> (not (flagged withheld v)) && not (is_down st v))
+      pl.region
   in
   let labels = Array.make n (-1) in
   (* untouched clusters keep their old cluster id as the label; fresh
@@ -305,7 +345,7 @@ let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   let clustering = Clustering.make st.current ~cluster_of:labels in
   let k_new = Clustering.num_clusters clustering in
   let old_to_new = Array.make k_old (-1) in
-  let from_old = Array.make (max k_new 1) (-1) in
+  let from_old = Array.make k_new (-1) in
   for c = 0 to k_new - 1 do
     match Clustering.members clustering c with
     | [] -> ()
@@ -320,7 +360,7 @@ let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   for c = k_new - 1 downto 0 do
     if from_old.(c) < 0 then fresh := c :: !fresh
   done;
-  let colors = Array.make (max k_new 1) (-1) in
+  let colors = Array.make k_new (-1) in
   (match kind with
   | Carving -> ()
   | Decomposition ->
@@ -344,7 +384,6 @@ let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
           let rec first i = if Hashtbl.mem banned i then first (i + 1) else i in
           colors.(c) <- first 0)
         !fresh);
-  let colors = Array.sub colors 0 k_new in
   {
     clustering;
     colors;

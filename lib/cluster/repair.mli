@@ -63,7 +63,8 @@ type state
     deleted from / added to the base graph. A crashed node is isolated
     in the current graph (all incident edges removed) but its logical
     edges — base edges minus deletions plus insertions — reappear when
-    it revives. *)
+    it revives. The current graph is kept, not rebuilt: {!step} edits
+    it by the delta. *)
 
 val init : Dsgraph.Graph.t -> state
 (** Fault-free initial state over a base graph. *)
@@ -87,9 +88,18 @@ val step : state -> delta -> state
     delta components refer to the pre-delta state: crash targets must
     be up, revive targets down, deleted edges present between up
     nodes, inserted edges absent with both endpoints up after the
-    delta's own crashes and revives are accounted. An edge listed twice
-    in [del_edges] or [add_edges], in either orientation, is an
-    inconsistency.
+    delta's own crashes and revives are accounted. A node listed twice
+    in [crash] or in [revive], and an edge listed twice in [del_edges]
+    or [add_edges] (in either orientation), is an inconsistency.
+
+    Cost: what the delta touches, not the fault history. Only the
+    delta's own edges, the current edges of crashed nodes and the
+    logical edges of revived nodes can change; each has its presence
+    re-derived from the post-delta fault state, and the current graph
+    is edited by exactly those that differ ({!Dsgraph.Graph.apply_edits}).
+    Beyond that splice's O(n + m) copy, one step is O(D log H) for the
+    D candidate edges and the H edges of the history, plus an O(n)-byte
+    copy of the down set.
     @raise Invalid_argument on any inconsistency, with a message that
     starts with ["Repair.step"]. *)
 

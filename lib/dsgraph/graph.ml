@@ -273,6 +273,47 @@ let edge_index t (u, v) =
   iter_neighbors t u (fun w -> if w > u && w < v then incr pos);
   (edge_offset t).(u) + !pos
 
+(* Edits are spliced into a copy, not rebuilt: the edit lists are
+   packed ((lo lsl shift) lor hi, as the builder packs), sorted and
+   deduplicated, then expanded to both orientations and sorted by row.
+   Each edited row is one merge of its old row with its deletions and
+   additions; every run of unedited rows is blitted over with its
+   offsets shifted by the degree change so far. Cost: O(n) offset
+   copies, one blit per unedited run, and O(d log d) in the d edits —
+   never a sort of the whole edge set. *)
+
+(* sorted, deduplicated array of a packed list *)
+let sorted_set l =
+  let a = Array.of_list l in
+  Array.sort Int.compare a;
+  let k = ref 0 in
+  Array.iter
+    (fun p ->
+      if !k = 0 || p <> a.(!k - 1) then begin
+        a.(!k) <- p;
+        incr k
+      end)
+    a;
+  Array.sub a 0 !k
+
+let rec sorted_mem (a : int array) p lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let x = a.(mid) in
+  x = p || if x < p then sorted_mem a p (mid + 1) hi else sorted_mem a p lo mid
+
+(* both orientations (row lsl shift) lor col of packed edges, by row *)
+let directed (edges : int array) =
+  let d = Array.make (2 * Array.length edges) 0 in
+  Array.iteri
+    (fun i p ->
+      d.(2 * i) <- p;
+      d.((2 * i) + 1) <- ((p land lowmask) lsl shift) lor (p lsr shift))
+    edges;
+  Array.sort Int.compare d;
+  d
+
 let apply_edits t ~del ~add =
   let norm what (u, v) =
     if u = v then
@@ -282,34 +323,93 @@ let apply_edits t ~del ~add =
         (Printf.sprintf "Graph.apply_edits: %s endpoint out of range" what);
     if u < v then (u, v) else (v, u)
   in
-  let dels = Hashtbl.create (max 1 (List.length del)) in
-  List.iter
-    (fun e ->
-      let u, v = norm "del" e in
-      if not (is_edge t u v) then
-        invalid_arg
-          (Printf.sprintf "Graph.apply_edits: deleting non-edge (%d,%d)" u v);
-      Hashtbl.replace dels (u, v) ())
-    del;
-  let adds = Hashtbl.create (max 1 (List.length add)) in
-  List.iter
-    (fun e ->
-      let u, v = norm "add" e in
-      if Hashtbl.mem dels (u, v) then
-        invalid_arg
-          (Printf.sprintf
-             "Graph.apply_edits: edge (%d,%d) both deleted and added" u v);
-      if is_edge t u v then
-        invalid_arg
-          (Printf.sprintf "Graph.apply_edits: adding existing edge (%d,%d)" u
-             v);
-      Hashtbl.replace adds (u, v) ())
-    add;
-  let b = Builder.create ~n:t.n in
-  iter_edges t (fun u v ->
-      if not (Hashtbl.mem dels (u, v)) then Builder.add_edge b u v);
-  Hashtbl.iter (fun (u, v) () -> Builder.add_edge b u v) adds;
-  Builder.build b
+  let dels =
+    sorted_set
+      (List.map
+         (fun e ->
+           let u, v = norm "del" e in
+           if not (is_edge t u v) then
+             invalid_arg
+               (Printf.sprintf "Graph.apply_edits: deleting non-edge (%d,%d)"
+                  u v);
+           (u lsl shift) lor v)
+         del)
+  in
+  let adds =
+    sorted_set
+      (List.map
+         (fun e ->
+           let u, v = norm "add" e in
+           let p = (u lsl shift) lor v in
+           if sorted_mem dels p 0 (Array.length dels) then
+             invalid_arg
+               (Printf.sprintf
+                  "Graph.apply_edits: edge (%d,%d) both deleted and added" u v);
+           if is_edge t u v then
+             invalid_arg
+               (Printf.sprintf "Graph.apply_edits: adding existing edge (%d,%d)"
+                  u v);
+           p)
+         add)
+  in
+  let m = t.m - Array.length dels + Array.length adds in
+  let rdel = directed dels and radd = directed adds in
+  let nd = Array.length rdel and na = Array.length radd in
+  let offsets = ba_create (t.n + 1) and targets = ba_create (2 * m) in
+  (* [di]/[ai] walk rdel/radd in row order; rows before [copied] are
+     written, and [moved] is how far the next row's start has shifted *)
+  let di = ref 0 and ai = ref 0 and copied = ref 0 and moved = ref 0 in
+  let copy_rows upto =
+    let lo = t.offsets.{!copied} and hi = t.offsets.{upto} in
+    for u = !copied to upto - 1 do
+      offsets.{u} <- t.offsets.{u} + !moved
+    done;
+    if hi > lo then
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub t.targets lo (hi - lo))
+        (Bigarray.Array1.sub targets (lo + !moved) (hi - lo));
+    copied := upto
+  in
+  while !di < nd || !ai < na do
+    let x =
+      if !ai >= na then rdel.(!di) lsr shift
+      else if !di >= nd then radd.(!ai) lsr shift
+      else min (rdel.(!di) lsr shift) (radd.(!ai) lsr shift)
+    in
+    copy_rows x;
+    (* merge row x: its old neighbours minus deletions, plus additions,
+       with [max_int] standing for an exhausted side *)
+    let out = ref (t.offsets.{x} + !moved) in
+    offsets.{x} <- !out;
+    let i = ref t.offsets.{x} and hi = t.offsets.{x + 1} in
+    let added () =
+      if !ai < na && radd.(!ai) lsr shift = x then radd.(!ai) land lowmask
+      else max_int
+    in
+    let a = ref (added ()) in
+    while !i < hi || !a < max_int do
+      let y = if !i < hi then t.targets.{!i} else max_int in
+      if !a < y then begin
+        targets.{!out} <- !a;
+        incr out;
+        incr ai;
+        a := added ()
+      end
+      else begin
+        if !di < nd && rdel.(!di) = (x lsl shift) lor y then incr di
+        else begin
+          targets.{!out} <- y;
+          incr out
+        end;
+        incr i
+      end
+    done;
+    moved := !out - hi;
+    copied := x + 1
+  done;
+  copy_rows t.n;
+  offsets.{t.n} <- 2 * m;
+  { n = t.n; m; offsets; targets; edge_offset = None }
 
 let pp fmt t =
   Format.fprintf fmt "graph(n=%d, m=%d, maxdeg=%d)" t.n t.m (max_degree t)

@@ -94,11 +94,18 @@ val edge_index : t -> int * int -> int
 
 val apply_edits : t -> del:(int * int) list -> add:(int * int) list -> t
 (** [apply_edits t ~del ~add] is a new graph with the edges of [del]
-    removed and the edges of [add] inserted; [t] is unchanged. This is
-    the {e only} sanctioned way to derive a faulted graph from a base
-    graph — the conformance lint confines its callers to [lib/dsgraph]
-    and the repair engine ([lib/cluster/repair.ml]), so every fault
-    delta flows through one audited path.
+    removed and the edges of [add] inserted; [t] is unchanged. Both
+    lists are sets: an edge listed twice, in either orientation, is one
+    edit. This is the {e only} sanctioned way to derive a faulted graph
+    from a base graph — the conformance lint confines its callers to
+    [lib/dsgraph] and the repair engine ([lib/cluster/repair.ml]), so
+    every fault delta flows through one audited path.
+
+    Cost: the edits are spliced into a copy. Each row with an edited
+    endpoint is merged with its sorted edits; every other row is copied
+    as is, a run of such rows at a time. That is O(n) offset copies, one
+    blit of the untouched adjacency and O(d log d) in the [d] edits,
+    with no sort of the whole edge set and no per-edge hashing.
     @raise Invalid_argument on out-of-range endpoints, self-loops,
     deleting a non-edge, adding an existing edge, or an edge listed in
     both [del] and [add]. *)

@@ -160,43 +160,61 @@ let tree_scratch n =
 
 (* depth of every tree node from the parent pointers alone, rejecting
    duplicate nodes, dangling parents, and cycles; every node is in range
-   (the caller has checked the root and every pair) *)
-let tree_depths ts ~stamp ~cluster w =
-  List.iter
-    (fun (v, p) ->
-      if v = w.w_root then
+   (the caller has checked the root and every pair). The walks are
+   top-level functions over explicit arguments, so verifying a tree
+   allocates nothing. *)
+let rec record_parents ts ~stamp ~cluster ~root = function
+  | [] -> ()
+  | (v, p) :: rest ->
+      if v = root then
         fail "cluster %d: witness root %d also has a parent" cluster v;
       if ts.t_has_parent.(v) = stamp then
         fail "cluster %d: node %d appears twice in the witness tree" cluster v;
       ts.t_has_parent.(v) <- stamp;
-      ts.t_parent.(v) <- p)
-    w.w_parents;
+      ts.t_parent.(v) <- p;
+      record_parents ts ~stamp ~cluster ~root rest
+
+(* climb to the nearest node of known depth: its depth plus the steps *)
+let rec climb ts ~stamp ~cluster ~bound steps u =
+  if steps > bound then
+    fail "cluster %d: witness tree has a parent cycle at node %d" cluster u;
+  if ts.t_has_depth.(u) = stamp then ts.t_depth.(u) + steps
+  else if ts.t_has_parent.(u) <> stamp then
+    fail "cluster %d: node %d hangs off the witness tree (parent %s)" cluster u
+      "missing"
+  else climb ts ~stamp ~cluster ~bound (steps + 1) ts.t_parent.(u)
+
+(* write the depths back down the climbed path *)
+let rec settle ts ~stamp d u =
+  if ts.t_has_depth.(u) <> stamp then begin
+    ts.t_has_depth.(u) <- stamp;
+    ts.t_depth.(u) <- d;
+    settle ts ~stamp (d - 1) ts.t_parent.(u)
+  end
+
+let rec settle_all ts ~stamp ~cluster ~bound = function
+  | [] -> ()
+  | (v, _) :: rest ->
+      settle ts ~stamp (climb ts ~stamp ~cluster ~bound 0 v) v;
+      settle_all ts ~stamp ~cluster ~bound rest
+
+let tree_depths ts ~stamp ~cluster w =
+  record_parents ts ~stamp ~cluster ~root:w.w_root w.w_parents;
   ts.t_has_depth.(w.w_root) <- stamp;
   ts.t_depth.(w.w_root) <- 0;
   let bound = List.length w.w_parents + 1 in
-  (* climb to the nearest node of known depth, then write the depths
-     back down the climbed path *)
-  let depth_of v =
-    let rec climb steps u =
-      if steps > bound then
-        fail "cluster %d: witness tree has a parent cycle at node %d"
-          cluster u;
-      if ts.t_has_depth.(u) = stamp then ts.t_depth.(u) + steps
-      else if ts.t_has_parent.(u) <> stamp then
-        fail "cluster %d: node %d hangs off the witness tree (parent %s)"
-          cluster u "missing"
-      else climb (steps + 1) ts.t_parent.(u)
-    in
-    let rec settle d u =
-      if ts.t_has_depth.(u) <> stamp then begin
-        ts.t_has_depth.(u) <- stamp;
-        ts.t_depth.(u) <- d;
-        settle (d - 1) ts.t_parent.(u)
-      end
-    in
-    settle (climb 0 v) v
-  in
-  List.iter (fun (v, _) -> depth_of v) w.w_parents
+  settle_all ts ~stamp ~cluster ~bound w.w_parents
+
+let rec members_in_tree ts ~stamp ~cluster = function
+  | [] -> ()
+  | v :: rest ->
+      if ts.t_has_depth.(v) <> stamp then
+        fail "cluster %d: member %d missing from the witness tree" cluster v;
+      members_in_tree ts ~stamp ~cluster rest
+
+let rec tree_height ts h = function
+  | [] -> h
+  | v :: rest -> tree_height ts (max h ts.t_depth.(v)) rest
 
 let verify g t =
   let n = Graph.n g in
@@ -220,6 +238,23 @@ let verify g t =
     let owner = Array.make n (-1) in
     let node_color = Array.make n (-1) in
     let clustered = ref 0 in
+    (* per-cluster walks are defined once per verify and take the cert
+       as an argument, so no closure is allocated per cluster *)
+    let rec claim cert = function
+      | [] -> ()
+      | v :: rest ->
+          if v < 0 || v >= n then
+            fail "cluster %d: member %d out of range" cert.cluster v;
+          if not in_domain.(v) then
+            fail "cluster %d: member %d outside the domain" cert.cluster v;
+          if owner.(v) >= 0 then
+            fail "node %d claimed by clusters %d and %d" v owner.(v)
+              cert.cluster;
+          owner.(v) <- cert.cluster;
+          node_color.(v) <- cert.color;
+          incr clustered;
+          claim cert rest
+    in
     let k = List.length t.certs in
     List.iteri
       (fun i cert ->
@@ -236,19 +271,7 @@ let verify g t =
             if cert.color <> -1 then
               fail "cluster %d: carved clusters carry no colors (got %d)"
                 cert.cluster cert.color);
-        List.iter
-          (fun v ->
-            if v < 0 || v >= n then
-              fail "cluster %d: member %d out of range" cert.cluster v;
-            if not in_domain.(v) then
-              fail "cluster %d: member %d outside the domain" cert.cluster v;
-            if owner.(v) >= 0 then
-              fail "node %d claimed by clusters %d and %d" v owner.(v)
-                cert.cluster;
-            owner.(v) <- cert.cluster;
-            node_color.(v) <- cert.color;
-            incr clustered)
-          cert.members)
+        claim cert cert.members)
       t.certs;
     (* dead accounting, recounted from the lists just validated *)
     let dead = List.length t.domain - !clustered in
@@ -279,40 +302,36 @@ let verify g t =
        buffers shared by every cluster; owner answers membership *)
     let ts = tree_scratch n in
     let bfs = Bfs.scratch n in
+    let member cert v = v >= 0 && v < n && owner.(v) = cert.cluster in
+    let rec check_pairs cert = function
+      | [] -> ()
+      | (v, p) :: rest ->
+          if v < 0 || v >= n || p < 0 || p >= n then
+            fail "cluster %d: witness pair (%d,%d) out of range" cert.cluster v
+              p;
+          if not (Graph.is_edge g v p) then
+            fail "cluster %d: witness pair (%d,%d) is not a graph edge"
+              cert.cluster v p;
+          if cert.strong && not (member cert v && member cert p) then
+            fail "cluster %d: strong witness pair (%d,%d) leaves the cluster"
+              cert.cluster v p;
+          check_pairs cert rest
+    in
     List.iter
       (fun cert ->
-        let member v = v >= 0 && v < n && owner.(v) = cert.cluster in
         (match cert.tree with
         | None ->
             if cert.diameter_ub <> None then
               fail "cluster %d: diameter upper bound without a witness tree"
                 cert.cluster
         | Some w ->
-            if not (member w.w_root) then
+            if not (member cert w.w_root) then
               fail "cluster %d: witness root %d is not a member" cert.cluster
                 w.w_root;
-            List.iter
-              (fun (v, p) ->
-                if v < 0 || v >= n || p < 0 || p >= n then
-                  fail "cluster %d: witness pair (%d,%d) out of range"
-                    cert.cluster v p;
-                if not (Graph.is_edge g v p) then
-                  fail "cluster %d: witness pair (%d,%d) is not a graph edge"
-                    cert.cluster v p;
-                if cert.strong && not (member v && member p) then
-                  fail
-                    "cluster %d: strong witness pair (%d,%d) leaves the \
-                     cluster"
-                    cert.cluster v p)
-              w.w_parents;
+            check_pairs cert w.w_parents;
             let stamp = cert.cluster + 1 in
             tree_depths ts ~stamp ~cluster:cert.cluster w;
-            List.iter
-              (fun v ->
-                if ts.t_has_depth.(v) <> stamp then
-                  fail "cluster %d: member %d missing from the witness tree"
-                    cert.cluster v)
-              cert.members;
+            members_in_tree ts ~stamp ~cluster:cert.cluster cert.members;
             (* the tree holds its root plus one distinct node per pair *)
             if
               cert.strong
@@ -320,18 +339,18 @@ let verify g t =
             then
               fail "cluster %d: strong witness tree has non-member nodes"
                 cert.cluster;
-            let height =
-              List.fold_left (fun h v -> max h ts.t_depth.(v)) 0 cert.members
-            in
+            let height = tree_height ts 0 cert.members in
             if height <> w.w_height then
               fail "cluster %d: witness height claims %d, recomputed %d"
                 cert.cluster w.w_height height;
-            if cert.diameter_ub <> Some (2 * w.w_height) then
-              fail "cluster %d: diameter upper bound is not 2 x height"
-                cert.cluster);
+            match cert.diameter_ub with
+            | Some ub when ub = 2 * w.w_height -> ()
+            | _ ->
+                fail "cluster %d: diameter upper bound is not 2 x height"
+                  cert.cluster);
         (if cert.diameter_lb >= 0 then begin
            let u, v = cert.lb_pair in
-           if not (member u && member v) then
+           if not (member cert u && member cert v) then
              fail "cluster %d: eccentric pair (%d,%d) not members"
                cert.cluster u v;
            let duv =

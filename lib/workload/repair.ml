@@ -80,10 +80,11 @@ let repair ?(halo = 0) ~recarve session d =
   let colors = m.CR.colors in
   let k_new = Cluster.Clustering.num_clusters clustering in
   let carried = ref [] in
-  Array.iteri
-    (fun o nw -> if nw >= 0 then carried := (o, nw) :: !carried)
-    m.CR.old_to_new;
-  let carried = List.rev !carried in
+  for o = Array.length m.CR.old_to_new - 1 downto 0 do
+    let nw = m.CR.old_to_new.(o) in
+    if nw >= 0 then carried := (o, nw) :: !carried
+  done;
+  let carried = !carried in
   let from_old = Array.make (max k_new 1) (-1) in
   List.iter (fun (o, nw) -> from_old.(nw) <- o) carried;
   let g = CR.graph st in
@@ -101,13 +102,14 @@ let repair ?(halo = 0) ~recarve session d =
   (* audit domain: the original domain's survivors, plus anything the
      merge clustered (for decompositions this is exactly the survivor
      set; for partial-domain carvings a halo never reaches outside) *)
-  let domain =
-    List.filter
-      (fun v ->
-        (session.base_domain.(v) && not (CR.is_down st v))
-        || Cluster.Clustering.cluster_of clustering v >= 0)
-      (List.init n Fun.id)
-  in
+  let domain = ref [] in
+  for v = n - 1 downto 0 do
+    if
+      (session.base_domain.(v) && not (CR.is_down st v))
+      || Cluster.Clustering.cluster_of clustering v >= 0
+    then domain := v :: !domain
+  done;
+  let domain = !domain in
   let dead = List.length domain - Cluster.Clustering.clustered_count clustering in
   let num_colors =
     match kind with
@@ -136,7 +138,7 @@ let repair ?(halo = 0) ~recarve session d =
       c_audit = audit;
     }
   in
-  let survivor_count = Mask.count (CR.survivors st) in
+  let survivor_count = n - List.length (CR.down st) in
   let session' =
     {
       state = st;
@@ -165,17 +167,53 @@ let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 (* [ids] then the [side] of every pair name each of 0..k-1 exactly once:
    k distinct in-range marks *)
 let partitions k ids pairs side =
-  let seen = Array.make k false in
+  let seen = Bytes.make k '\000' in
   let mark i =
-    if i < 0 || i >= k || seen.(i) then false
+    if i < 0 || i >= k || Bytes.get seen i <> '\000' then false
     else begin
-      seen.(i) <- true;
+      Bytes.set seen i '\001';
       true
     end
   in
   List.length ids + List.length pairs = k
   && List.for_all mark ids
   && List.for_all (fun p -> mark (side p)) pairs
+
+(* [b] is [a] renumbered to [cluster], field by field. A carried cert
+   shares its lists with its predecessor, and [compare] (unlike [=])
+   returns at once on physically equal blocks, so shared fields cost
+   one pointer test; certs hold no floats, so [compare x y = 0] is
+   exactly [x = y]. The full record patterns make the compiler reject
+   a cert field this check forgets. *)
+let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
+  let same x y = compare x y = 0 in
+  let {
+    Audit.cluster = _;
+    color;
+    members;
+    strong;
+    tree;
+    diameter_lb;
+    lb_pair;
+    diameter_ub;
+  } =
+    a
+  in
+  let {
+    Audit.cluster = b_cluster;
+    color = b_color;
+    members = b_members;
+    strong = b_strong;
+    tree = b_tree;
+    diameter_lb = b_lb;
+    lb_pair = b_pair;
+    diameter_ub = b_ub;
+  } =
+    b
+  in
+  b_cluster = cluster && b_color = color && b_strong = strong
+  && b_lb = diameter_lb && same members b_members && same tree b_tree
+  && same lb_pair b_pair && same diameter_ub b_ub
 
 let verify_cert ~prev ~post c =
   try
@@ -198,7 +236,7 @@ let verify_cert ~prev ~post c =
     (* the partitions put every carried pair in range *)
     List.iter
       (fun (o, nw) ->
-        if { (old_certs.(o)) with Audit.cluster = nw } <> new_certs.(nw) then
+        if not (carried_equal old_certs.(o) new_certs.(nw) ~cluster:nw) then
           bad "carried cluster %d -> %d: certificate not identical" o nw)
       c.c_carried;
     match Audit.verify post c.c_audit with

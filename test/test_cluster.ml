@@ -77,6 +77,89 @@ let test_clustering_weak_diameter_masked () =
   let within = Mask.of_list 5 [ 1; 2; 3; 4 ] in
   check int "masked weak" (-1) (Clustering.weak_diameter ~within c 0)
 
+(* The normalization Clustering.make did with a polymorphic Hashtbl:
+   dense ids in order of first appearance, members by a cons per node. *)
+let hashtbl_normalize cluster_of =
+  let remap = Hashtbl.create 16 in
+  let next = ref 0 in
+  let normalized =
+    Array.map
+      (fun c ->
+        if c < 0 then -1
+        else
+          match Hashtbl.find_opt remap c with
+          | Some d -> d
+          | None ->
+              let d = !next in
+              incr next;
+              Hashtbl.add remap c d;
+              d)
+      cluster_of
+  in
+  let members = Array.make !next [] in
+  for v = Array.length cluster_of - 1 downto 0 do
+    let c = normalized.(v) in
+    if c >= 0 then members.(c) <- v :: members.(c)
+  done;
+  (normalized, members)
+
+(* label families: all unclustered, small, at least n, near max_int, and
+   a mix with negatives of every size *)
+let label_of mode rng n _ =
+  match mode with
+  | 0 -> -1
+  | 1 -> Rng.int rng (n + 1) - 1
+  | 2 -> n + Rng.int rng (2 * n + 1)
+  | 3 -> max_int - Rng.int rng 5
+  | _ -> (
+      match Rng.int rng 4 with
+      | 0 -> min_int + Rng.int rng 3
+      | 1 -> max_int - Rng.int rng 3
+      | 2 -> Rng.int rng 4
+      | _ -> -1 - Rng.int rng 3)
+
+let prop_make_matches_hashtbl_normalization =
+  QCheck2.Test.make ~count:300
+    ~name:"Clustering.make equals the Hashtbl normalization"
+    ~print:(fun (seed, n, mode) -> Printf.sprintf "seed=%d n=%d mode=%d" seed n mode)
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 80) (int_range 0 4))
+    (fun (seed, n, mode) ->
+      let rng = Rng.create seed in
+      let labels = Array.init n (label_of mode rng n) in
+      let cl = Cluster.Clustering.make (Gen.path n) ~cluster_of:labels in
+      let normalized, members = hashtbl_normalize labels in
+      Cluster.Clustering.num_clusters cl = Array.length members
+      && List.for_all
+           (fun v -> Cluster.Clustering.cluster_of cl v = normalized.(v))
+           (List.init n Fun.id)
+      && Cluster.Clustering.clusters cl = Array.to_list members)
+
+(* labels near max_int cost what small ones do: the remap table is O(n),
+   never sized by the labels *)
+let test_make_allocation_independent_of_labels () =
+  let n = 4096 in
+  let g = Gen.path n in
+  (* the least of three runs, each from an empty minor heap: a
+     collection during a run can inflate the counters *)
+  let words labels =
+    let once () =
+      Gc.minor ();
+      let minor0, promoted0, major0 = Gc.counters () in
+      ignore (Sys.opaque_identity (Cluster.Clustering.make g ~cluster_of:labels));
+      let minor1, promoted1, major1 = Gc.counters () in
+      minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)
+    in
+    List.fold_left min infinity [ once (); once (); once () ]
+  in
+  List.iter
+    (fun (what, label) ->
+      let w = words (Array.init n label) in
+      check bool
+        (Printf.sprintf "%s labels: %.0f words for n = %d" what w n)
+        true
+        (w < float_of_int (16 * n)))
+    [ ("small", fun v -> v / 3); ("huge", fun v -> max_int - (v / 3)) ]
+
 (* The strong searches run a member-restricted BFS over a shared
    scratch; the weak variants confined to the member mask run the
    reference masked BFS. [strong_witnesses] must return exactly the
@@ -386,6 +469,9 @@ let () =
           Alcotest.test_case "weak diameter masked" `Quick
             test_clustering_weak_diameter_masked;
           QCheck_alcotest.to_alcotest prop_restricted_matches_masked_reference;
+          QCheck_alcotest.to_alcotest prop_make_matches_hashtbl_normalization;
+          Alcotest.test_case "make allocation independent of labels" `Quick
+            test_make_allocation_independent_of_labels;
         ] );
       ( "steiner",
         [

@@ -44,7 +44,89 @@ let test_apply_edits () =
   expect_invalid "self-loop" (fun () ->
       Graph.apply_edits g ~del:[] ~add:[ (2, 2) ]);
   expect_invalid "del and add the same edge" (fun () ->
-      Graph.apply_edits g ~del:[ (0, 1) ] ~add:[ (1, 0) ])
+      Graph.apply_edits g ~del:[ (0, 1) ] ~add:[ (1, 0) ]);
+  (* the splice keeps the rebuild's validation, message for message *)
+  let expect_msg msg ~del ~add =
+    match Graph.apply_edits g ~del ~add with
+    | exception Invalid_argument m -> check Alcotest.string msg msg m
+    | _ -> Alcotest.failf "expected Invalid_argument %S" msg
+  in
+  expect_msg "Graph.apply_edits: deleting non-edge (0,2)" ~del:[ (2, 0) ] ~add:[];
+  expect_msg "Graph.apply_edits: adding existing edge (0,1)" ~del:[]
+    ~add:[ (1, 0) ];
+  expect_msg "Graph.apply_edits: self-loop in add" ~del:[] ~add:[ (2, 2) ];
+  expect_msg "Graph.apply_edits: self-loop in del" ~del:[ (1, 1) ] ~add:[];
+  expect_msg "Graph.apply_edits: del endpoint out of range" ~del:[ (0, 4) ]
+    ~add:[];
+  expect_msg "Graph.apply_edits: add endpoint out of range" ~del:[]
+    ~add:[ (-1, 2) ];
+  expect_msg "Graph.apply_edits: edge (0,1) both deleted and added"
+    ~del:[ (0, 1) ] ~add:[ (1, 0) ];
+  (* edits are sets: a repeat, in either orientation, is one edit *)
+  let g' = Graph.apply_edits g ~del:[ (1, 2); (2, 1) ] ~add:[ (0, 3); (3, 0) ] in
+  check int "repeats merged" 3 (Graph.m g');
+  check bool "empty edit lists copy the graph" true
+    (Graph.equal g (Graph.apply_edits g ~del:[] ~add:[]))
+
+(* the rebuild the splice replaced: every kept edge and every added one
+   through a Graph.Builder *)
+let rebuild g ~del ~add =
+  let b = Graph.Builder.create ~n:(Graph.n g) in
+  let norm (u, v) = if u < v then (u, v) else (v, u) in
+  let del = List.map norm del in
+  Graph.iter_edges g (fun u v ->
+      if not (List.mem (u, v) del) then Graph.Builder.add_edge b u v);
+  List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) add;
+  Graph.Builder.build b
+
+let prop_apply_edits_matches_rebuild =
+  QCheck2.Test.make ~count:300
+    ~name:"Graph.apply_edits splice equals a Graph.Builder rebuild"
+    ~print:(fun (seed, n, pct) -> Printf.sprintf "seed=%d n=%d p=%d%%" seed n pct)
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 40) (int_range 0 50))
+    (fun (seed, n, pct) ->
+      let rng = Rng.create seed in
+      let g =
+        Graph.of_edge_seq ~n
+          (Seq.filter_map
+             (fun i ->
+               let u = i / n and v = i mod n in
+               if u < v && Rng.int rng 100 < pct then Some (u, v) else None)
+             (Seq.init (n * n) Fun.id))
+      in
+      let edges = Array.of_list (List.of_seq (Graph.edges_seq g)) in
+      let mode = seed mod 4 in
+      (* mode 0: no edits at all; mode 1: every edge of one node goes *)
+      let del =
+        if mode = 0 || Array.length edges = 0 then []
+        else
+          let hub = Rng.int rng n in
+          List.filter
+            (fun (u, v) ->
+              (mode = 1 && (u = hub || v = hub)) || Rng.int rng 100 < 20)
+            (Array.to_list edges)
+      in
+      (* repeats and flipped orientations are the same edit *)
+      let del =
+        match del with (u, v) :: _ when seed mod 3 = 0 -> (v, u) :: del | _ -> del
+      in
+      let isolated = List.filter (fun v -> Graph.degree g v = 0) (Graph.nodes g) in
+      let add = ref [] in
+      if mode <> 0 then begin
+        (* edges at isolated nodes first, then random non-edges *)
+        (match isolated with
+        | a :: b :: _ -> add := [ (a, b) ]
+        | [ a ] when n > 1 -> add := [ (a, (a + 1) mod n) ]
+        | _ -> ());
+        for _ = 1 to Rng.int rng 8 do
+          let u = Rng.int rng n and v = Rng.int rng n in
+          if u <> v && not (Graph.is_edge g u v) then add := (v, u) :: (u, v) :: !add
+        done
+      end;
+      let add = List.filter (fun (u, v) -> not (Graph.is_edge g u v)) !add in
+      let before = rebuild g ~del:[] ~add:[] in
+      let spliced = Graph.apply_edits g ~del ~add in
+      Graph.equal spliced (rebuild g ~del ~add) && Graph.equal g before)
 
 (* ------------------------------------------------------------------ *)
 (* Fault state                                                          *)
@@ -99,7 +181,143 @@ let test_step_validation () =
   expect_step_error "delete an inserted edge twice" (fun () ->
       CR.step inserted (CR.delta ~del_edges:[ (0, 2); (2, 0) ] ()));
   expect_step_error "delete a base edge twice" (fun () ->
-      CR.step st (CR.delta ~del_edges:[ (1, 2); (1, 2) ] ()))
+      CR.step st (CR.delta ~del_edges:[ (1, 2); (1, 2) ] ()));
+  (* a node listed twice in crash or in revive is the same kind of
+     inconsistency *)
+  expect_step_error "crash a node twice" (fun () ->
+      CR.step st (CR.delta ~crash:[ 1; 1 ] ()));
+  let two_down = CR.step st (CR.delta ~crash:[ 2 ] ()) in
+  expect_step_error "revive a node twice" (fun () ->
+      CR.step two_down (CR.delta ~revive:[ 2; 2 ] ()))
+
+(* ------------------------------------------------------------------ *)
+(* The delta-sized step against the full-history replay (Repair_ref)    *)
+(* ------------------------------------------------------------------ *)
+
+(* the step and the oracle agree on the graph, the down set and the
+   survivors; [what] names the point of the schedule *)
+let agrees what st r =
+  let ok =
+    Graph.equal (CR.graph st) (Repair_ref.graph r)
+    && CR.down st = Repair_ref.down r
+    && Mask.to_list (CR.survivors st) = Repair_ref.survivors r
+  in
+  if not ok then Printf.printf "step and replay disagree at %s\n" what;
+  ok
+
+(* A valid random delta against the oracle's state. Crashes, revivals,
+   deletions (of base and of inserted edges, some at nodes crashing in
+   the same delta) and insertions, which favour re-adding this delta's
+   own deletions and deleted base edges over fresh pairs. *)
+let random_delta rng r =
+  let g = Repair_ref.graph r in
+  let n = Graph.n g in
+  let up = Repair_ref.survivors r in
+  let crash =
+    if List.length up > 3 then List.filter (fun _ -> Rng.int rng 100 < 8) up
+    else []
+  in
+  let revive = List.filter (fun _ -> Rng.int rng 100 < 30) (Repair_ref.down r) in
+  let up_after v =
+    (not (Repair_ref.is_down r v || List.mem v crash)) || List.mem v revive
+  in
+  let edges = Array.of_list (List.of_seq (Graph.edges_seq g)) in
+  let del = ref [] in
+  for _ = 1 to Rng.int rng 3 do
+    if Array.length edges > 0 then begin
+      let e = edges.(Rng.int rng (Array.length edges)) in
+      if not (List.mem e !del) then del := e :: !del
+    end
+  done;
+  let absent_after (u, v) =
+    u <> v && up_after u && up_after v
+    && ((not (Repair_ref.logical r u v)) || List.mem (min u v, max u v) !del)
+  in
+  let add = ref [] in
+  for _ = 1 to Rng.int rng 3 do
+    let pool =
+      match Rng.int rng 3 with
+      | 0 -> !del
+      | 1 -> Repair_ref.removed r
+      | _ -> [ (Rng.int rng n, Rng.int rng n) ]
+    in
+    match pool with
+    | [] -> ()
+    | l ->
+        let u, v = List.nth l (Rng.int rng (List.length l)) in
+        let e = (min u v, max u v) in
+        if absent_after e && not (List.mem e !add) then add := e :: !add
+  done;
+  CR.delta ~crash ~revive ~del_edges:!del
+    ~add_edges:(List.map (fun (u, v) -> if Rng.bool rng then (v, u) else (u, v)) !add)
+    ()
+
+let replay_graph seed n =
+  match seed mod 3 with
+  | 0 -> Gen.grid (max 2 (n / 4)) 4
+  | 1 -> Gen.path n
+  | _ -> (Workload.Suite.find "er").Workload.Suite.build ~seed ~n
+
+let prop_step_matches_replay =
+  QCheck2.Test.make ~count:25
+    ~name:"delta-sized step equals the full-history replay over long schedules"
+    ~print:(fun (seed, n, steps) ->
+      Printf.sprintf "seed=%d n=%d steps=%d" seed n steps)
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 6 30) (int_range 200 300))
+    (fun (seed, n, steps) ->
+      let g = replay_graph seed n in
+      let rng = Rng.create seed in
+      let rec go i st r =
+        i = steps
+        ||
+        let d = random_delta rng r in
+        let st = CR.step st d and r = Repair_ref.step r d in
+        agrees (Printf.sprintf "delta %d" i) st r && go (i + 1) st r
+      in
+      go 0 (CR.init g) (Repair_ref.init g))
+
+(* each history the step has to get right, named, on a 4x4 grid *)
+let test_step_histories () =
+  let g = Gen.grid 4 4 in
+  let deltas =
+    [
+      (* crash, then revive: the node's edges come back *)
+      CR.delta ~crash:[ 5 ] ();
+      CR.delta ~revive:[ 5 ] ();
+      (* delete a base edge, then add it back *)
+      CR.delta ~del_edges:[ (0, 1) ] ();
+      CR.delta ~add_edges:[ (1, 0) ] ();
+      (* an inserted edge whose endpoint crashes, then revives *)
+      CR.delta ~add_edges:[ (0, 15) ] ();
+      CR.delta ~crash:[ 15 ] ();
+      CR.delta ~revive:[ 15 ] ();
+      (* delete and add one edge in one delta, inserted and base *)
+      CR.delta ~del_edges:[ (0, 15) ] ~add_edges:[ (15, 0) ] ();
+      CR.delta ~del_edges:[ (4, 5) ] ~add_edges:[ (5, 4) ] ();
+      (* a crash and a deletion at the same node in one delta, the
+         deletion outliving the revival *)
+      CR.delta ~crash:[ 6 ] ~del_edges:[ (6, 7) ] ();
+      CR.delta ~revive:[ 6 ] ();
+      (* a revival with an insertion at the revived node *)
+      CR.delta ~crash:[ 9 ] ();
+      CR.delta ~revive:[ 9 ] ~add_edges:[ (9, 3) ] ();
+    ]
+  in
+  ignore
+    (List.fold_left
+       (fun (i, st, r) d ->
+         let st = CR.step st d and r = Repair_ref.step r d in
+         check bool (Printf.sprintf "delta %d agrees" i) true
+           (agrees (string_of_int i) st r);
+         (i + 1, st, r))
+       (0, CR.init g, Repair_ref.init g)
+       deltas);
+  let st = List.fold_left CR.step (CR.init g) deltas in
+  check bool "re-added base edge present" true (Graph.is_edge (CR.graph st) 0 1);
+  check bool "inserted edge back after revival" true
+    (Graph.is_edge (CR.graph st) 0 15);
+  check bool "deletion outlives the crash" false (Graph.is_edge (CR.graph st) 6 7);
+  check bool "insertion at a revived node" true (Graph.is_edge (CR.graph st) 3 9)
 
 (* ------------------------------------------------------------------ *)
 (* Planning on a hand-built clustering: cycle of 8 nodes, clusters
@@ -282,6 +500,53 @@ let test_tampered_cert_rejected () =
       expect_reject "mutated carried certificate"
         { cert with Repair.c_audit = tampered })
 
+(* carried certificates are compared by value: a fresh copy of an equal
+   member list passes, a changed witness tree does not *)
+let test_carried_cert_by_value () =
+  let s, recarve = decomp_session () in
+  let s', rep = Repair.repair ~halo:1 ~recarve s (CR.delta ~crash:[ 10 ] ()) in
+  let post = CR.graph s'.Repair.state in
+  let cert = rep.Repair.cert in
+  let o, nw =
+    match
+      List.find_opt
+        (fun (_, nw) ->
+          List.exists
+            (fun (c : Audit.cert) -> c.Audit.cluster = nw && c.Audit.tree <> None)
+            cert.Repair.c_audit.Audit.certs)
+        cert.Repair.c_carried
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "expected a carried cluster with a witness tree"
+  in
+  let with_cert f =
+    let audit = cert.Repair.c_audit in
+    {
+      cert with
+      Repair.c_audit =
+        {
+          audit with
+          Audit.certs =
+            List.map
+              (fun (c : Audit.cert) -> if c.Audit.cluster = nw then f c else c)
+              audit.Audit.certs;
+        };
+    }
+  in
+  let copied =
+    with_cert (fun c -> { c with Audit.members = List.map Fun.id c.Audit.members })
+  in
+  (match Repair.verify_cert ~prev:s ~post copied with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "copied member list rejected: %s" e);
+  let retreed = with_cert (fun c -> { c with Audit.tree = None }) in
+  match Repair.verify_cert ~prev:s ~post retreed with
+  | Ok () -> Alcotest.fail "changed witness tree accepted"
+  | Error e ->
+      check Alcotest.string "message"
+        (Printf.sprintf "carried cluster %d -> %d: certificate not identical" o nw)
+        e
+
 (* minimized regression: an out-of-range or repeated cluster id in the
    repaired audit indexed the by-id array directly and raised
    Invalid_argument "index out of bounds" instead of returning Error *)
@@ -374,6 +639,10 @@ let () =
           Alcotest.test_case "apply_edits" `Quick test_apply_edits;
           Alcotest.test_case "crash and revive" `Quick test_state_crash_revive;
           Alcotest.test_case "delta validation" `Quick test_step_validation;
+          QCheck_alcotest.to_alcotest prop_apply_edits_matches_rebuild;
+          Alcotest.test_case "step histories match the replay" `Quick
+            test_step_histories;
+          QCheck_alcotest.to_alcotest prop_step_matches_replay;
         ] );
       ( "plan",
         [
@@ -395,6 +664,8 @@ let () =
             test_carving_repair_certified;
           Alcotest.test_case "tampered certificates rejected" `Quick
             test_tampered_cert_rejected;
+          Alcotest.test_case "carried certificates compared by value" `Quick
+            test_carried_cert_by_value;
           Alcotest.test_case "tampered cluster ids rejected" `Quick
             test_tampered_cluster_id_rejected;
           Alcotest.test_case "grid256 single crash is local" `Quick
