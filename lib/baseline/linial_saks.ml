@@ -165,14 +165,18 @@ let carve_with_trees ?cost ?(max_retries = 60) rng ?domain g ~epsilon =
 
 let weak_carver rng : Strongdecomp.Transform.weak_carver =
  fun ?cost g ~domain ~epsilon ->
+  let domain = Mask.of_list (Graph.n g) (Array.to_list domain) in
   let carving, forest = carve_with_trees ?cost rng ~domain g ~epsilon in
   let depth =
     Array.fold_left (fun acc t -> max acc (Cluster.Steiner.depth t)) 0 forest
   in
   let congestion = Cluster.Steiner.congestion g forest in
   {
-    Strongdecomp.Transform.clustering = carving.Cluster.Carving.clustering;
-    forest;
+    Strongdecomp.Transform.clusters =
+      Array.of_list
+        (List.map Array.of_list
+           (Cluster.Clustering.clusters carving.Cluster.Carving.clustering));
+    roots = Array.map (fun t -> t.Cluster.Steiner.root) forest;
     depth;
     congestion;
   }

@@ -146,36 +146,6 @@ let max_weak_diameter ?within t =
   done;
   if !disconnected then -1 else !worst
 
-let double_sweep ?mask t c =
-  match t.member_lists.(c) with
-  | [] | [ _ ] -> 0
-  | [ u; v ] ->
-      (* pair shortcut *)
-      if Graph.is_edge t.graph u v then 1
-      else if mask <> None then -1 (* two non-adjacent nodes, masked: apart *)
-      else
-        let dist = Bfs.distances t.graph ~source:u in
-        dist.(v)
-  | first :: _ as members ->
-      (* farthest member from [source]; None when some member unreachable *)
-      let sweep source =
-        let dist = Bfs.distances ?mask t.graph ~source in
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | None -> None
-            | Some (best_v, best_d) ->
-                if dist.(v) < 0 then None
-                else if dist.(v) > best_d then Some (v, dist.(v))
-                else Some (best_v, best_d))
-          (Some (source, 0))
-          members
-      in
-      (match sweep first with
-      | None -> -1
-      | Some (far, d1) -> (
-          match sweep far with None -> -1 | Some (_, d2) -> max d1 d2))
-
 (* Strong (member-confined) searches run Bfs.restricted_into with
    membership read off cluster_of: O(cluster volume) instead of O(n) per
    cluster, so whole-decomposition sweeps stay linear even with 10^5
@@ -219,7 +189,29 @@ let strong_diameter_estimate ~scratch t c =
           | None -> -1
           | Some (_, d2) -> max d1 d2))
 
-let weak_diameter_estimate t c = double_sweep t c
+(* Weak searches run Bfs.reach in the whole host graph and stop once
+   every member has been reached: the farthest member's distance is
+   final by then, so the sweep reads the same as a full BFS. *)
+let weak_sweep ~scratch t c members source =
+  let k =
+    Bfs.reach t.graph ~owner:t.cluster_of ~id:c ~count:(List.length members)
+      ~source scratch
+  in
+  let r = farthest scratch members source in
+  Bfs.release scratch k;
+  r
+
+let weak_diameter_estimate ~scratch t c =
+  match t.member_lists.(c) with
+  | [] | [ _ ] -> 0
+  | [ u; v ] when Graph.is_edge t.graph u v -> 1
+  | first :: _ as members -> (
+      match weak_sweep ~scratch t c members first with
+      | None -> -1
+      | Some (far, d1) -> (
+          match weak_sweep ~scratch t c members far with
+          | None -> -1
+          | Some (_, d2) -> max d1 d2))
 
 let estimate_max f t =
   let worst = ref 0 in
@@ -234,7 +226,9 @@ let estimate_max f t =
 let max_strong_diameter_estimate t =
   let scratch = Bfs.scratch (Graph.n t.graph) in
   estimate_max (strong_diameter_estimate ~scratch) t
-let max_weak_diameter_estimate t = estimate_max weak_diameter_estimate t
+let max_weak_diameter_estimate t =
+  let scratch = Bfs.scratch (Graph.n t.graph) in
+  estimate_max (weak_diameter_estimate ~scratch) t
 
 (* BFS witness tree from the first member in the (masked) host graph,
    pruned to the union of the root-to-member paths. A node's parent is

@@ -74,10 +74,17 @@ val max_strong_diameter_estimate : t -> int
 (** Max of {!strong_diameter_estimate} over clusters (one scratch for
     the whole pass); [-1] if any cluster is disconnected. *)
 
-val weak_diameter_estimate : t -> int -> int
-(** Double-sweep in the host graph between cluster members. *)
+val weak_diameter_estimate : scratch:Dsgraph.Bfs.scratch -> t -> int -> int
+(** Double-sweep in the host graph between cluster members: a BFS from
+    the first member, then one from the farthest member found (first in
+    member order on ties); the larger eccentricity, or [-1] when some
+    member is unreachable. Each sweep stops once every member has been
+    reached ({!Dsgraph.Bfs.reach}), so it costs the ball that covers the
+    cluster, not the graph. *)
 
 val max_weak_diameter_estimate : t -> int
+(** Max of {!weak_diameter_estimate} over clusters (one scratch for the
+    whole pass); [-1] if some cluster's members are disconnected. *)
 
 val strong_witnesses :
   scratch:Dsgraph.Bfs.scratch ->

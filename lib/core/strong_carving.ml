@@ -4,11 +4,12 @@ let weak_of_preset ?scratch preset : Transform.weak_carver =
   in
   fun ?cost g ~domain ~epsilon ->
     let r =
-      Weakdiam.Weak_carving.carve ~preset ~scratch ?cost ~domain g ~epsilon
+      Weakdiam.Weak_carving.carve_local ~preset ~scratch ?cost g ~domain
+        ~epsilon
     in
     {
-      Transform.clustering = r.carving.Cluster.Carving.clustering;
-      forest = r.forest;
+      Transform.clusters = r.members;
+      roots = r.roots;
       depth = r.max_depth;
       congestion = r.congestion;
     }

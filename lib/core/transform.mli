@@ -22,26 +22,64 @@
     strong diameter [<= 2·R(n, ε/(2 log n)) + O(log n/ε)]. *)
 
 type weak_result = {
-  clustering : Cluster.Clustering.t;
-      (** non-adjacent clusters on the domain; unclustered = removed *)
-  forest : Cluster.Steiner.forest;
+  clusters : int array array;
+      (** non-adjacent clusters on the domain, each one's members
+          ascending, in order of their smallest member; domain nodes in
+          no cluster are removed *)
+  roots : int array;  (** each cluster's Steiner tree root, same indexing *)
   depth : int;  (** measured Steiner depth [R] *)
   congestion : int;  (** measured congestion [L] *)
 }
+(** A weak carving of one domain, described by the domain's nodes
+    alone: what Theorem 2.1 reads of [A]'s clusters and Steiner trees.
+    The trees enter through their roots (Case II's ball centre) and
+    their depth and congestion (the rounds charged). *)
 
 type weak_carver =
   ?cost:Congest.Cost.t ->
   Dsgraph.Graph.t ->
-  domain:Dsgraph.Mask.t ->
+  domain:int array ->
   epsilon:float ->
   weak_result
-(** The black box [A] of Theorem 2.1. *)
+(** The black box [A] of Theorem 2.1, run on [G\[domain\]]; [domain] is
+    ascending node ids. *)
 
 type stats = {
   iterations : int;  (** size-halving levels actually used *)
   weak_invocations : int;
   max_ball_radius : int;  (** largest [r*] used in Case II *)
 }
+
+type scratch
+(** Caller-owned working memory for {!strong_carve_local}: three arrays
+    indexed by node whose marks are stamped afresh for every node set, so
+    they are never cleared. One scratch serves any number of calls, on
+    any graphs, one call at a time; it grows to the largest graph. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; the first call sizes it. *)
+
+val strong_carve_local :
+  ?cost:Congest.Cost.t ->
+  weak:weak_carver ->
+  ?scratch:scratch ->
+  Dsgraph.Graph.t ->
+  domain:int array ->
+  epsilon:float ->
+  int array array * stats
+(** {!strong_carve} on [G\[domain\]], [domain] being ascending node
+    ids, with the output described by the domain alone: the clusters'
+    member arrays (each ascending; the clusters in no particular order),
+    the domain nodes in none of them being dead. Same clusters, stats and
+    cost charges as {!strong_carve} on the same node set. A returned
+    array may be [domain] itself or one of [weak]'s cluster arrays; none
+    is modified.
+
+    Work: beyond what [weak] costs, each component of each level costs
+    its own volume, and the call allocates only arrays of the domain's
+    size; with a warm [scratch] nothing in it is [O(n)].
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    is not strictly ascending ids of [g]'s nodes. *)
 
 val strong_carve :
   ?cost:Congest.Cost.t ->
@@ -59,6 +97,21 @@ val strong_carve :
     the [A] invocation charges through the shared meter, the giant-cluster
     size check charges [depth·congestion] rounds, and the Case II BFS
     charges [r* + 1] rounds.
+
+    Work: components are ascending member arrays, found by BFS over one
+    node-indexed scratch whose marks are stamped afresh per node set and
+    never cleared. Beyond what [weak] costs, a component costs its own
+    volume: Case I's alive components and Case II's ball BFS (which
+    stops at the component's edge) and remaining components read only
+    the component's nodes and rows. The call is {!strong_carve_local} on
+    the mask's members plus [O(n)] once: a fresh scratch, the output
+    labels and the returned carving.
+
+    Trace spans: ["transform/level=i"] per level, and inside it
+    ["weak"], ["case_i"] and ["case_ii"] around each component's [A]
+    call and its two cases. The level's rounds are charged once, after
+    its components, so these inner spans carry only wall time and
+    words.
 
     @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
     is not a mask over exactly [Graph.n g] nodes. *)

@@ -279,6 +279,30 @@ let release s k =
     s.dist.(s.queue.(i)) <- -1
   done
 
+let reach g ~owner ~id ~count ~source s =
+  if Array.length s.dist < Graph.n g then
+    invalid_arg "Bfs.reach: scratch smaller than the graph";
+  let offsets = Graph.offsets g and targets = Graph.targets g in
+  let dist = s.dist and queue = s.queue in
+  start s source;
+  let found = ref (Bool.to_int (owner.(source) = id)) in
+  let head = ref 0 and tail = ref 1 in
+  while !found < count && !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du1 = dist.(u) + 1 in
+    for i = offsets.{u} to offsets.{u + 1} - 1 do
+      let v = targets.{i} in
+      if dist.(v) = -1 then begin
+        dist.(v) <- du1;
+        queue.(!tail) <- v;
+        incr tail;
+        if owner.(v) = id then incr found
+      end
+    done
+  done;
+  !tail
+
 let component_of ?mask g v =
   if not (alive mask v) then []
   else

@@ -92,6 +92,23 @@ val release : scratch -> int -> unit
 (** [release s k] resets [dist] on the [k] nodes the last search
     visited, in [O(k)]. *)
 
+val reach :
+  Graph.t ->
+  owner:int array ->
+  id:int ->
+  count:int ->
+  source:int ->
+  scratch ->
+  int
+(** BFS from [source] over the whole graph (paths may leave the class
+    [owner.(v) = id]) that stops as soon as it has reached [count] class
+    nodes, or its component is exhausted. Every node it reaches gets its
+    exact distance in [dist] and a place in [queue.(0 .. k-1)], [k]
+    being the returned count; [parent] is meaningless. The search is
+    push-only and allocates nothing. Call {!release} with [k] before the
+    next search.
+    @raise Invalid_argument when the scratch is smaller than the graph. *)
+
 (** {2 Layer steps}
 
     The pieces of {!restricted_into}'s search, for searches that stop

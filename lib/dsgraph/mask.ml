@@ -40,6 +40,16 @@ let to_list t =
   done;
   !acc
 
+let to_array t =
+  let a = Array.make t.count 0 and k = ref 0 in
+  for v = 0 to Array.length t.mem - 1 do
+    if t.mem.(v) then begin
+      a.(!k) <- v;
+      incr k
+    end
+  done;
+  a
+
 let iter t f =
   for v = 0 to Array.length t.mem - 1 do
     if t.mem.(v) then f v

@@ -30,6 +30,9 @@ val size : t -> int
 val to_list : t -> int list
 (** Members in increasing order. *)
 
+val to_array : t -> int array
+(** Members in increasing order. *)
+
 val iter : t -> (int -> unit) -> unit
 
 val inter : t -> t -> t

@@ -4,6 +4,17 @@ type preset = Rg20 | Ggr21 | Hybrid
 
 let default_preset = Ggr21
 
+type local = {
+  members : int array array;
+  roots : int array;
+  dead : int array;
+  steps : int;
+  phases : int;
+  steps_per_phase : int list;
+  max_depth : int;
+  congestion : int;
+}
+
 type result = {
   carving : Cluster.Carving.t;
   forest : Cluster.Steiner.forest;
@@ -17,37 +28,37 @@ type result = {
 (* The engine's state, flat and reusable across calls. Labels are node
    ids, so every per-cluster table is an array indexed by label.
 
-   Steiner trails live in one append-only arena of entries (e_label,
-   e_parent, e_depth): a node's entries are chained newest-first through
-   e_next from head.(v), and cur.(v) is the entry of its current cluster.
-   A node joins at most one cluster per phase, so its chain holds at most
-   b + 1 entries, one per tree it ever entered.
+   Steiner trails live in one append-only arena with an entry (label,
+   parent, next) per join: a node's entries are chained newest-first
+   through next from head.(v). The entry of node v in the tree it roots
+   is implicit, (v, v). A node joins at most one cluster per phase, so
+   its chain holds at most b entries, and never two of one tree (see
+   [join]). The arena is a list of fixed-size chunks that only grows:
+   it costs the largest call's joins, with no copying. dep.(v) is v's
+   depth in the tree of its current cluster.
 
    Congestion is counted per CSR arc, at the smaller endpoint's arc of
    each tree edge; touched lists the arcs with a nonzero count.
 
    Between calls label is -1 and cnt and arc_trees are 0 everywhere, and
    the arena is empty; every other array is initialized over the domain
-   when a call starts. *)
+   when a call starts. The domain itself is the caller's array. *)
 type scratch = {
   mutable label : int array;  (* by node: label; -1 off-domain, -2 dead *)
   mutable size : int array;  (* by label: current members *)
   mutable joined : int array;  (* by label: joins this phase *)
   mutable stopped : bool array;  (* by label: stopped this phase *)
   mutable cnt : int array;  (* by label: proposals this step *)
-  mutable cur : int array;
+  mutable dep : int array;
   mutable head : int array;
   mutable stamp : int array;  (* by node: last epoch it entered front *)
   mutable epoch : int;
-  mutable dom : int array;  (* the domain, ascending *)
   mutable front : int array;  (* nodes the next step scans *)
   mutable prop : int array;  (* this step's proposers ... *)
   mutable via : int array;  (* ... and the neighbour each proposes through *)
   mutable nprop : int;
-  mutable e_label : int array;
-  mutable e_parent : int array;
-  mutable e_depth : int array;
-  mutable e_next : int array;
+  mutable arena : int array array;  (* chunks; the first [nchunks] used *)
+  mutable nchunks : int;
   mutable entries : int;
   mutable arc_trees : int array;
   mutable touched : int array;
@@ -61,19 +72,16 @@ let scratch () =
     joined = [||];
     stopped = [||];
     cnt = [||];
-    cur = [||];
+    dep = [||];
     head = [||];
     stamp = [||];
     epoch = 0;
-    dom = [||];
     front = [||];
     prop = [||];
     via = [||];
     nprop = 0;
-    e_label = [||];
-    e_parent = [||];
-    e_depth = [||];
-    e_next = [||];
+    arena = [||];
+    nchunks = 0;
     entries = 0;
     arc_trees = [||];
     touched = [||];
@@ -89,58 +97,57 @@ let fit s g =
     s.joined <- Array.make n 0;
     s.stopped <- Array.make n false;
     s.cnt <- Array.make n 0;
-    s.cur <- Array.make n 0;
+    s.dep <- Array.make n 0;
     s.head <- Array.make n 0;
     s.stamp <- Array.make n 0;
-    s.dom <- Array.make n 0;
     s.front <- Array.make n 0;
     s.prop <- Array.make n 0;
-    s.via <- Array.make n 0;
-    s.e_label <- Array.make (2 * n) 0;
-    s.e_parent <- Array.make (2 * n) 0;
-    s.e_depth <- Array.make (2 * n) 0;
-    s.e_next <- Array.make (2 * n) 0
+    s.via <- Array.make n 0
   end;
   if Array.length s.arc_trees < 2 * Graph.m g then begin
     s.arc_trees <- Array.make (2 * Graph.m g) 0;
     s.touched <- Array.make (Graph.m g) 0
   end
 
-let grow_arena s =
-  let double a =
-    let b = Array.make (max 1 (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  in
-  s.e_label <- double s.e_label;
-  s.e_parent <- double s.e_parent;
-  s.e_depth <- double s.e_depth;
-  s.e_next <- double s.e_next
+let chunk_bits = 12
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+(* The chunk holding entry [e], and the offset of its label; parent and
+   next follow. *)
+let chunk s e = s.arena.(e lsr chunk_bits)
+let slot e = 3 * (e land chunk_mask)
 
 (* Append a tree entry for node [v] and make it the head of v's chain. *)
-let push_entry s v ~label ~parent ~depth =
-  if s.entries = Array.length s.e_label then grow_arena s;
+let push_entry s v ~label ~parent =
   let e = s.entries in
-  s.entries <- e + 1;
-  s.e_label.(e) <- label;
-  s.e_parent.(e) <- parent;
-  s.e_depth.(e) <- depth;
-  s.e_next.(e) <- s.head.(v);
+  let c = e lsr chunk_bits in
+  if c = s.nchunks then begin
+    if c = Array.length s.arena then begin
+      let a = Array.make (max 8 (2 * c)) [||] in
+      Array.blit s.arena 0 a 0 c;
+      s.arena <- a
+    end;
+    s.arena.(c) <- Array.make (3 lsl chunk_bits) 0;
+    s.nchunks <- c + 1
+  end;
+  let a = s.arena.(c) and i = slot e in
+  a.(i) <- label;
+  a.(i + 1) <- parent;
+  a.(i + 2) <- s.head.(v);
   s.head.(v) <- e;
-  e
+  s.entries <- e + 1
 
-(* v's entry in the tree of [label], or -1 if it never entered it. *)
-let rec entry_in s e label =
-  if e < 0 || s.e_label.(e) = label then e else entry_in s s.e_next.(e) label
+(* Index of [x] in the sorted row [targets.{lo .. hi-1}], which holds it. *)
+let rec arc_search (targets : Graph.int_array1) x lo hi =
+  let mid = (lo + hi) / 2 in
+  let t = targets.{mid} in
+  if t = x then mid
+  else if t < x then arc_search targets x (mid + 1) hi
+  else arc_search targets x lo mid
 
 (* Index of the arc u -> x in u's sorted CSR row; x must be a neighbour. *)
-let arc_index (offsets : Graph.int_array1) (targets : Graph.int_array1) u x =
-  let rec go lo hi =
-    let mid = (lo + hi) / 2 in
-    let t = targets.{mid} in
-    if t = x then mid else if t < x then go (mid + 1) hi else go lo mid
-  in
-  go offsets.{u} offsets.{u + 1}
+let arc_index (offsets : Graph.int_array1) targets u x =
+  arc_search targets x offsets.{u} offsets.{u + 1}
 
 (* The best proposal target in the row [targets.{i .. hi-1}]: the alive
    neighbour with the smallest blue, unstopped label, ties to the smaller
@@ -185,9 +192,9 @@ let propose s (offsets : Graph.int_array1) targets bit src len =
 [@@hot]
 
 (* Restore the between-calls invariants. *)
-let release s ndom =
-  for k = 0 to ndom - 1 do
-    let v = s.dom.(k) in
+let release s dom =
+  for k = 0 to Array.length dom - 1 do
+    let v = dom.(k) in
     s.label.(v) <- -1;
     s.cnt.(v) <- 0
   done;
@@ -197,22 +204,25 @@ let release s ndom =
   s.ntouched <- 0;
   s.entries <- 0
 
-let carve ?(preset = default_preset) ?scratch:s ?cost ?domain g ~epsilon =
+let check_epsilon epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
-    invalid_arg "Weak_carving.carve: epsilon must be in (0, 1)";
+    invalid_arg "Weak_carving.carve: epsilon must be in (0, 1)"
+
+(* The carving of G[dom], [dom] ascending, and, when [trees], each
+   cluster's Steiner tree (else [||]). Only the trees read the arena, so
+   without them no entry is written: depth and congestion are kept in
+   dep and arc_trees. *)
+let run ~trees ?(preset = default_preset) ?scratch:s ?cost g ~domain:dom
+    ~epsilon =
+  check_epsilon epsilon;
   let n = Graph.n g in
-  let domain =
-    match domain with
-    | None -> Mask.full n
-    | Some d ->
-        if Mask.size d <> n then
-          invalid_arg
-            (Printf.sprintf
-               "Weak_carving.carve: domain mask has size %d, graph has %d \
-                nodes"
-               (Mask.size d) n);
-        d
-  in
+  Array.iteri
+    (fun k v ->
+      if v < 0 || v >= n || (k > 0 && v <= dom.(k - 1)) then
+        invalid_arg
+          "Weak_carving.carve_local: domain must be ascending node ids of \
+           the graph")
+    dom;
   let s = match s with Some s -> s | None -> scratch () in
   fit s g;
   let charge ?rounds ?messages ?max_bits tag =
@@ -224,19 +234,15 @@ let carve ?(preset = default_preset) ?scratch:s ?cost ?domain g ~epsilon =
   let b = id_bits in
   let offsets = Graph.offsets g and targets = Graph.targets g in
   let label = s.label and size = s.size and joined = s.joined in
-  let stopped = s.stopped and cnt = s.cnt and dom = s.dom in
-  let ndom = ref 0 in
-  Mask.iter domain (fun v ->
-      dom.(!ndom) <- v;
-      incr ndom);
-  let ndom = !ndom in
-  Fun.protect ~finally:(fun () -> release s ndom) @@ fun () ->
+  let stopped = s.stopped and cnt = s.cnt in
+  let ndom = Array.length dom in
+  Fun.protect ~finally:(fun () -> release s dom) @@ fun () ->
   for k = 0 to ndom - 1 do
     let v = dom.(k) in
     label.(v) <- v;
     size.(v) <- 1;
     s.head.(v) <- -1;
-    s.cur.(v) <- push_entry s v ~label:v ~parent:v ~depth:0
+    s.dep.(v) <- 0
   done;
   let max_depth = ref 0 and max_congestion = ref 0 in
   let total_steps = ref 0 in
@@ -272,23 +278,18 @@ let carve ?(preset = default_preset) ?scratch:s ?cost ?domain g ~epsilon =
     label.(v) <- lbl;
     size.(lbl) <- size.(lbl) + 1;
     joined.(lbl) <- joined.(lbl) + 1;
-    let cw = s.cur.(w) in
-    (* w must be in the tree: it is a current member of [lbl] *)
-    if s.e_label.(cw) <> lbl then
-      invalid_arg "Weak_carving: join target missing from tree";
-    (* Trees are append-only: entries are never removed or replaced, so
-       every parent chain stays valid and acyclic. If [v] once belonged to
-       this cluster and rejoins it, its old tree position still connects it
-       to the root — reusing it avoids parent cycles (e.g. the root
-       reparenting under its own descendant). *)
-    let e = entry_in s s.head.(v) lbl in
-    if e >= 0 then s.cur.(v) <- e
-    else begin
-      let depth = s.e_depth.(cw) + 1 in
-      s.cur.(v) <- push_entry s v ~label:lbl ~parent:w ~depth;
-      note_tree_edge v w;
-      if depth > !max_depth then max_depth := depth
-    end
+    (* Trees are append-only, and [v] has never been in [lbl]'s tree:
+       [v] is red, so [lbl] is not its current label, and no label it
+       left comes back. It left each one in some phase j for a label
+       with bit j clear, and every label it takes later comes from an
+       alive neighbour, which shares bits 0..j with it after phase j, so
+       bit j stays clear (DESIGN.md §5). So the new entry makes no
+       parent cycle. *)
+    let depth = s.dep.(w) + 1 in
+    s.dep.(v) <- depth;
+    if trees then push_entry s v ~label:lbl ~parent:w;
+    note_tree_edge v w;
+    if depth > !max_depth then max_depth := depth
   in
   let kill v =
     let old = label.(v) in
@@ -365,54 +366,101 @@ let carve ?(preset = default_preset) ?scratch:s ?cost ?domain g ~epsilon =
   done;
   Congest.Span.exit trace;
   (* Assemble the output: dense cluster ids in order of first appearance by
-     node index, so that [Clustering.make]'s normalization is the
-     identity and the forest indexing matches. The phases are over, so
-     [joined] holds each label's cluster id (-1: no survivor). *)
+     node index (the order [Clustering.make] normalizes to), each
+     cluster's members ascending. The phases are over, so [joined] holds
+     each label's cluster id (-1: no survivor), [size] each survivor's
+     member count and [cnt] (reset by [release]) the fill cursor. *)
   let id_of = joined in
   for k = 0 to ndom - 1 do
     id_of.(dom.(k)) <- -1
   done;
-  let cluster_of = Array.make n (-1) in
-  let roots = ref [] and next = ref 0 in
+  let roots = ref [] and next = ref 0 and ndead = ref 0 in
+  for k = 0 to ndom - 1 do
+    let lbl = label.(dom.(k)) in
+    if lbl < 0 then incr ndead
+    else if id_of.(lbl) < 0 then begin
+      id_of.(lbl) <- !next;
+      incr next;
+      roots := lbl :: !roots
+    end
+  done;
+  let roots = Array.of_list (List.rev !roots) in
+  let members = Array.map (fun root -> Array.make size.(root) 0) roots in
+  let dead = Array.make !ndead 0 and nd = ref 0 in
   for k = 0 to ndom - 1 do
     let v = dom.(k) in
     let lbl = label.(v) in
-    if lbl >= 0 then begin
-      if id_of.(lbl) < 0 then begin
-        id_of.(lbl) <- !next;
-        incr next;
-        roots := lbl :: !roots
-      end;
-      cluster_of.(v) <- id_of.(lbl)
+    if lbl < 0 then begin
+      dead.(!nd) <- v;
+      incr nd
+    end
+    else begin
+      members.(id_of.(lbl)).(cnt.(lbl)) <- v;
+      cnt.(lbl) <- cnt.(lbl) + 1
     end
   done;
   (* Each tree lists every node that ever entered it, in ascending node
-     order: walk the domain downwards, consing each entry onto its tree. *)
-  let parents = Array.make !next [] in
+     order: walk the domain downwards, consing each entry onto its tree,
+     then the node's root pair if it roots a surviving tree. *)
+  let parents = Array.make (if trees then Array.length roots else 0) [] in
+  if trees then
   for k = ndom - 1 downto 0 do
     let v = dom.(k) in
     let e = ref s.head.(v) in
     while !e >= 0 do
-      let id = id_of.(s.e_label.(!e)) in
-      if id >= 0 then parents.(id) <- (v, s.e_parent.(!e)) :: parents.(id);
-      e := s.e_next.(!e)
-    done
+      let a = chunk s !e and i = slot !e in
+      let id = id_of.(a.(i)) in
+      if id >= 0 then parents.(id) <- (v, a.(i + 1)) :: parents.(id);
+      e := a.(i + 2)
+    done;
+    let id = id_of.(v) in
+    if id >= 0 then parents.(id) <- (v, v) :: parents.(id)
   done;
-  let forest =
-    Array.of_list
-      (List.rev_map
-         (fun root ->
-           { Cluster.Steiner.root; parent = parents.(id_of.(root)) })
-         !roots)
+  ( {
+      members;
+      roots;
+      dead;
+      steps = !total_steps;
+      phases = b;
+      steps_per_phase = List.rev !phase_steps;
+      max_depth = !max_depth;
+      congestion = !max_congestion;
+    },
+    Array.mapi
+      (fun id root -> { Cluster.Steiner.root; parent = parents.(id) })
+      (if trees then roots else [||]) )
+
+let carve_local ?preset ?scratch ?cost g ~domain ~epsilon =
+  fst (run ~trees:false ?preset ?scratch ?cost g ~domain ~epsilon)
+
+let carve ?preset ?scratch ?cost ?domain g ~epsilon =
+  check_epsilon epsilon;
+  let n = Graph.n g in
+  let domain =
+    match domain with
+    | None -> Mask.full n
+    | Some d ->
+        if Mask.size d <> n then
+          invalid_arg
+            (Printf.sprintf
+               "Weak_carving.carve: domain mask has size %d, graph has %d \
+                nodes"
+               (Mask.size d) n);
+        d
   in
+  let l, forest =
+    run ~trees:true ?preset ?scratch ?cost g ~domain:(Mask.to_array domain)
+      ~epsilon
+  in
+  let cluster_of = Array.make n (-1) in
+  Array.iteri (fun id -> Array.iter (fun v -> cluster_of.(v) <- id)) l.members;
   let clustering = Cluster.Clustering.make g ~cluster_of in
-  let carving = Cluster.Carving.make clustering ~domain in
   {
-    carving;
+    carving = Cluster.Carving.make clustering ~domain;
     forest;
-    steps = !total_steps;
-    phases = b;
-    steps_per_phase = List.rev !phase_steps;
-    max_depth = !max_depth;
-    congestion = !max_congestion;
+    steps = l.steps;
+    phases = l.phases;
+    steps_per_phase = l.steps_per_phase;
+    max_depth = l.max_depth;
+    congestion = l.congestion;
   }

@@ -36,6 +36,28 @@
 
 type preset = Rg20 | Ggr21 | Hybrid
 
+type local = {
+  members : int array array;
+      (** each cluster's members, ascending; clusters in order of their
+          smallest member (the order {!Cluster.Clustering.make}
+          normalizes to) *)
+  roots : int array;
+      (** each cluster's label, the root of its Steiner tree, same
+          indexing *)
+  dead : int array;  (** the unclustered domain nodes, ascending *)
+  steps : int;  (** total growth/stop exchange steps across phases *)
+  phases : int;
+  steps_per_phase : int list;
+  max_depth : int;  (** measured max Steiner depth [R] *)
+  congestion : int;  (** measured max trees per edge [L] *)
+}
+(** A carving described by its domain alone: no array, list or mask
+    indexed by the graph's nodes, so it costs the domain's size. The
+    Steiner trees themselves are not materialized: listing each one as
+    [(node, parent)] pairs costs a list cell and a pair per tree entry,
+    which Theorem 2.1 never reads (it reads each tree's root, depth and
+    congestion). {!carve} returns them. *)
+
 type result = {
   carving : Cluster.Carving.t;
   forest : Cluster.Steiner.forest;
@@ -51,8 +73,9 @@ type result = {
 }
 
 type scratch
-(** Caller-owned working memory for {!carve}: per-label and per-node
-    arrays, the Steiner trail arena and per-edge congestion counts. Hold
+(** Caller-owned working memory for {!carve} and {!carve_local}:
+    per-label and per-node arrays, the Steiner trail arena (written only
+    by {!carve}) and per-edge congestion counts. Hold
     one per decomposition and pass it to every call; a call without one
     allocates its own. A scratch serves any number of calls, on any
     graphs, one call at a time: it grows to the largest graph it has
@@ -61,6 +84,31 @@ type scratch
 
 val scratch : unit -> scratch
 (** An empty scratch; the first {!carve} sizes it. *)
+
+val carve_local :
+  ?preset:preset ->
+  ?scratch:scratch ->
+  ?cost:Congest.Cost.t ->
+  Dsgraph.Graph.t ->
+  domain:int array ->
+  epsilon:float ->
+  local
+(** [carve_local g ~domain ~epsilon] runs the carving on [G\[domain\]],
+    [domain] being ascending node ids. Same guarantees, schedule and
+    cost charges as {!carve} on the same node set.
+
+    Work: the first step of each phase scans the alive red domain nodes
+    and their rows; every later step scans only the red neighbours of the
+    previous step's joiners (its frontier), so a step costs the volume of
+    its frontier, not [n]. A join updates the joiner's depth and one
+    per-edge congestion count and never looks at the trees the node was
+    in before: no node re-enters a tree it left (DESIGN.md §5). Setup,
+    output and reset are [O(|domain|)] plus the tree edges, so with a
+    warm [scratch] a call costs [O(b · |domain| + volume scanned)]
+    whatever [Graph.n g] is, and allocates only its result.
+
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    is not strictly ascending ids of [g]'s nodes. *)
 
 val carve :
   ?preset:preset ->
@@ -75,11 +123,10 @@ val carve :
     every non-dead domain node is clustered; each cluster has a valid
     Steiner tree containing all its members as nodes.
 
-    Work: the first step of each phase scans the alive red domain nodes
-    and their rows; every later step scans only the red neighbours of the
-    previous step's joiners (its frontier), so a step costs the volume of
-    its frontier, not [n]. Setup and reset are [O(|domain|)] plus one
-    pass over the domain mask, and the scan allocates nothing.
+    Work: {!carve_local} on the mask's members, plus one arena entry per
+    join (chunked, grown once per scratch, never copied) from which the
+    trees are listed, plus [O(n)] to list the members and to build the
+    {!Cluster.Carving.t}.
 
     Cost charging (see DESIGN.md §5): each step charges one round for the
     proposal exchange plus [2·(d + L) + 2] rounds for the per-cluster

@@ -191,6 +191,62 @@ let prop_restricted_matches_masked_reference =
               (Clustering.weak_witness_tree ~within c i))
         (List.init (Clustering.num_clusters c) Fun.id))
 
+(* Test-only oracle: the weak double sweep Clustering used before its
+   sweeps stopped early on a shared scratch, kept as it was (two
+   whole-graph Bfs.distances per cluster). *)
+let double_sweep t c =
+  let g = Clustering.graph t in
+  match Clustering.members t c with
+  | [] | [ _ ] -> 0
+  | [ u; v ] ->
+      if Graph.is_edge g u v then 1
+      else
+        let dist = Bfs.distances g ~source:u in
+        dist.(v)
+  | first :: _ as members -> (
+      let sweep source =
+        let dist = Bfs.distances g ~source in
+        List.fold_left
+          (fun acc v ->
+            match acc with
+            | None -> None
+            | Some (best_v, best_d) ->
+                if dist.(v) < 0 then None
+                else if dist.(v) > best_d then Some (v, dist.(v))
+                else Some (best_v, best_d))
+          (Some (source, 0))
+          members
+      in
+      match sweep first with
+      | None -> -1
+      | Some (far, d1) -> (
+          match sweep far with None -> -1 | Some (_, d2) -> max d1 d2))
+
+let prop_weak_estimate_matches_double_sweep =
+  QCheck2.Test.make ~count:100
+    ~name:"early-stopping weak estimate equals the full double sweep"
+    ~print:(fun (seed, n, pct, k) ->
+      Printf.sprintf "seed=%d n=%d p=%d%% k=%d" seed n pct k)
+    QCheck2.Gen.(
+      quad (int_bound 100_000) (int_range 1 60) (int_range 1 30)
+        (int_range 1 8))
+    (fun (seed, n, pct, k) ->
+      let rng = Rng.create seed in
+      let g = Gen.erdos_renyi rng n (float_of_int pct /. 100.0) in
+      let cluster_of = Array.init n (fun _ -> Rng.int rng (k + 1) - 1) in
+      let c = Clustering.make g ~cluster_of in
+      let scratch = Bfs.scratch n in
+      let all = List.init (Clustering.num_clusters c) Fun.id in
+      List.for_all
+        (fun i -> Clustering.weak_diameter_estimate ~scratch c i = double_sweep c i)
+        all
+      && Clustering.max_weak_diameter_estimate c
+         = List.fold_left
+             (fun acc i ->
+               let d = double_sweep c i in
+               if acc < 0 || d < 0 then -1 else max acc d)
+             0 all)
+
 (* ------------------------------------------------------------------ *)
 (* Steiner trees                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -469,6 +525,7 @@ let () =
           Alcotest.test_case "weak diameter masked" `Quick
             test_clustering_weak_diameter_masked;
           QCheck_alcotest.to_alcotest prop_restricted_matches_masked_reference;
+          QCheck_alcotest.to_alcotest prop_weak_estimate_matches_double_sweep;
           QCheck_alcotest.to_alcotest prop_make_matches_hashtbl_normalization;
           Alcotest.test_case "make allocation independent of labels" `Quick
             test_make_allocation_independent_of_labels;

@@ -260,10 +260,10 @@ let test_thm22_message_size_small () =
 
 let weak_box preset : Transform.weak_carver =
  fun ?cost g ~domain ~epsilon ->
-  let r = Weakdiam.Weak_carving.carve ~preset ?cost ~domain g ~epsilon in
+  let r = Weakdiam.Weak_carving.carve_local ~preset ?cost g ~domain ~epsilon in
   {
-    Transform.clustering = r.carving.Carving.clustering;
-    forest = r.forest;
+    Transform.clusters = r.members;
+    roots = r.roots;
     depth = r.max_depth;
     congestion = r.congestion;
   }
@@ -660,6 +660,172 @@ let prop_edge_carving_valid =
       let r = EdgeC.carve g ~epsilon:0.25 in
       is_ok (EdgeC.check r ~epsilon:0.25 g))
 
+(* The domain-local transformation against the Mask-based one it
+   replaced (test/transform_ref.ml): same labels, stats and Cost
+   breakdown for strong_carve and strong_carve_unknown_n, on ER, RMAT
+   and scrambled grids, with random domains carved in a row, through the
+   engine presets (one scratch per side) or Linial-Saks (one equally
+   seeded generator per side); and the same Theorem 2.3 labels and
+   colors. *)
+let labels g (c : Carving.t) =
+  Array.init (Graph.n g) (Clustering.cluster_of c.Carving.clustering)
+
+let same_cost a b =
+  Congest.Cost.breakdown a = Congest.Cost.breakdown b
+  && Congest.Cost.rounds a = Congest.Cost.rounds b
+  && Congest.Cost.messages a = Congest.Cost.messages b
+  && Congest.Cost.max_message_bits a = Congest.Cost.max_message_bits b
+
+let protect f = try Ok (f ()) with Failure m -> Error m
+
+(* A scripted weak carver on a path, whose clusters are disconnected and
+   interleave: in each domain every third node dies and the surviving
+   pairs go alternately to two clusters. Case I must hand the next level
+   its components in the reference's order (by smallest node), which
+   decides the order of the weak calls; both sides log them. *)
+let scripted_clusters domain =
+  let a = ref [] and b = ref [] in
+  Array.iteri
+    (fun k v ->
+      if k mod 3 <> 2 then
+        if k / 3 mod 2 = 0 then a := v :: !a else b := v :: !b)
+    domain;
+  List.filter_map
+    (function [] -> None | l -> Some (Array.of_list (List.rev l)))
+    [ !a; !b ]
+  |> List.sort (fun x y -> Int.compare x.(0) y.(0))
+  |> Array.of_list
+
+let test_transform_component_order () =
+  let g = Gen.path 60 in
+  let log_new = ref [] and log_ref = ref [] in
+  let weak : Transform.weak_carver =
+   fun ?cost:_ _ ~domain ~epsilon:_ ->
+    log_new := Array.to_list domain :: !log_new;
+    let clusters = scripted_clusters domain in
+    {
+      Transform.clusters;
+      roots = Array.map (fun c -> c.(0)) clusters;
+      depth = 1;
+      congestion = 1;
+    }
+  in
+  let weak_ref : Transform_ref.weak_carver =
+   fun ?cost:_ g ~domain ~epsilon:_ ->
+    let domain = Mask.to_array domain in
+    log_ref := Array.to_list domain :: !log_ref;
+    let clusters = scripted_clusters domain in
+    let cluster_of = Array.make (Graph.n g) (-1) in
+    Array.iteri (fun c -> Array.iter (fun v -> cluster_of.(v) <- c)) clusters;
+    {
+      Transform_ref.clustering = Clustering.make g ~cluster_of;
+      forest =
+        Array.map
+          (fun c ->
+            { Cluster.Steiner.root = c.(0); parent = [ (c.(0), c.(0)) ] })
+          clusters;
+      depth = 1;
+      congestion = 1;
+    }
+  in
+  let a, _ = Transform.strong_carve ~weak g ~epsilon:0.5 in
+  let b, _ = Transform_ref.strong_carve ~weak:weak_ref g ~epsilon:0.5 in
+  check bool "same labels" true (labels g a = labels g b);
+  check bool "several calls" true (List.length !log_new > 3);
+  check bool "same weak calls, same order" true (!log_new = !log_ref)
+
+let prop_transform_matches_reference =
+  QCheck.Test.make ~name:"domain-local transform equals the reference"
+    ~count:120
+    (QCheck.make
+       ~print:(fun (seed, family, carver, calls) ->
+         Printf.sprintf "seed=%d family=%d carver=%d calls=%d" seed family
+           carver calls)
+       QCheck.Gen.(
+         quad (int_bound 1_000_000) (int_range 0 2) (int_range 0 3)
+           (int_range 1 3)))
+    (fun (seed, family, carver, calls) ->
+      let rng = Rng.create seed in
+      let g = Random_graph.make rng family in
+      let n = Graph.n g in
+      let presets = Weakdiam.Weak_carving.[| Rg20; Ggr21; Hybrid |] in
+      let weak, weak_ref =
+        if carver < 3 then
+          ( Carve.weak_of_preset presets.(carver),
+            Transform_ref.engine_weak presets.(carver) )
+        else
+          ( Baseline.Linial_saks.weak_carver (Rng.create seed),
+            Transform_ref.ls_weak (Rng.create seed) )
+      in
+      let same_call () =
+        let epsilon =
+          match Rng.int rng 3 with
+          | 0 -> 0.5
+          | 1 -> 0.1
+          | _ -> 0.05 +. Rng.float rng 0.9
+        in
+        let domain =
+          if Rng.bool rng then None
+          else
+            let keep = 0.3 +. Rng.float rng 0.7 in
+            Some
+              (Mask.of_list n
+                 (List.filter (fun _ -> Rng.float rng 1.0 < keep) (Graph.nodes g)))
+        in
+        let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
+        let a =
+          protect (fun () ->
+              let c, st = Transform.strong_carve ~cost:ca ~weak ?domain g ~epsilon in
+              (labels g c, st.Transform.iterations, st.weak_invocations,
+               st.max_ball_radius))
+        in
+        let b =
+          protect (fun () ->
+              let c, st =
+                Transform_ref.strong_carve ~cost:cb ~weak:weak_ref ?domain g
+                  ~epsilon
+              in
+              (labels g c, st.Transform_ref.iterations, st.weak_invocations,
+               st.max_ball_radius))
+        in
+        let ua = Congest.Cost.create () and ub = Congest.Cost.create () in
+        let a' =
+          protect (fun () ->
+              labels g
+                (Transform.strong_carve_unknown_n ~cost:ua ~weak ?domain g
+                   ~epsilon))
+        in
+        let b' =
+          protect (fun () ->
+              labels g
+                (Transform_ref.strong_carve_unknown_n ~cost:ub ~weak:weak_ref
+                   ?domain g ~epsilon))
+        in
+        a = b && same_cost ca cb && a' = b' && same_cost ua ub
+      in
+      let carves = List.for_all (fun _ -> same_call ()) (List.init calls Fun.id) in
+      let decomposition =
+        carver = 3
+        ||
+        let preset = presets.(carver) in
+        let d = Netdecomp.strong ~preset g in
+        let scratch = Weakdiam.Weak_carving.scratch () in
+        let weak = Transform_ref.engine_weak ~scratch preset in
+        let r =
+          Netdecomp.of_carver
+            (fun ?cost ?domain g ~epsilon ->
+              fst (Transform_ref.strong_carve ?cost ~weak ?domain g ~epsilon))
+            g
+        in
+        let of_dec d =
+          Array.init n (fun v ->
+              ( Clustering.cluster_of (Decomposition.clustering d) v,
+                Decomposition.color_of_node d v ))
+        in
+        of_dec d = of_dec r
+      in
+      carves && decomposition)
+
 let () =
   Alcotest.run "core"
     [
@@ -696,6 +862,8 @@ let () =
           Alcotest.test_case "message size" `Quick test_thm22_message_size_small;
           Alcotest.test_case "domain size mismatch" `Quick
             test_thm22_domain_size_mismatch;
+          Alcotest.test_case "component order" `Quick
+            test_transform_component_order;
         ] );
       ( "unknown_n",
         [
@@ -760,6 +928,7 @@ let () =
           [
             prop_sparse_cut_valid;
             prop_transform_distributed;
+            prop_transform_matches_reference;
             prop_thm22_valid;
             prop_thm33_valid;
             prop_thm23_valid;

@@ -408,7 +408,7 @@ let prop_estimates_bracket_exact =
         if exact = -1 then ok := !ok && est = -1
         else ok := !ok && est <= exact && exact <= (2 * est) + 1;
         let wexact = Clustering.weak_diameter c i in
-        let west = Clustering.weak_diameter_estimate c i in
+        let west = Clustering.weak_diameter_estimate ~scratch c i in
         if wexact = -1 then ok := !ok && west = -1
         else ok := !ok && west <= wexact && wexact <= (2 * west) + 1
       done;

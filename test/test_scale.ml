@@ -113,10 +113,10 @@ let test_spanner_er_2048 () =
 let test_unknown_n_grid_2500 () =
   let g = Gen.grid 50 50 in
   let weak ?cost g ~domain ~epsilon =
-    let r = Weakdiam.Weak_carving.carve ?cost ~domain g ~epsilon in
+    let r = Weakdiam.Weak_carving.carve_local ?cost g ~domain ~epsilon in
     {
-      Strongdecomp.Transform.clustering = r.carving.Carving.clustering;
-      forest = r.forest;
+      Strongdecomp.Transform.clusters = r.members;
+      roots = r.roots;
       depth = r.max_depth;
       congestion = r.congestion;
     }

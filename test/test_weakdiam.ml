@@ -374,22 +374,6 @@ let equivalence_gen =
   QCheck.Gen.(
     quad (int_bound 1_000_000) (int_range 0 2) (int_range 0 2) (int_range 1 3))
 
-let random_graph rng family =
-  match family with
-  | 0 ->
-      let n = 2 + Rng.int rng 80 in
-      Gen.erdos_renyi rng n (0.01 +. Rng.float rng 0.15)
-  | 1 ->
-      let n = 1 lsl (2 + Rng.int rng 6) in
-      Gen.rmat rng ~n ~m:(n * (1 + Rng.int rng 4))
-  | _ ->
-      (* a grid with scrambled ids *)
-      let side = 2 + Rng.int rng 10 in
-      let g = Gen.grid side side in
-      let perm = Rng.permutation rng (Graph.n g) in
-      Graph.of_edge_seq ~n:(Graph.n g)
-        (Seq.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges_seq g))
-
 let sorted_forest (forest : Steiner.forest) =
   Array.map
     (fun t -> (t.Steiner.root, List.sort compare t.Steiner.parent))
@@ -423,7 +407,7 @@ let prop_flat_engine_matches_reference =
        equivalence_gen)
     (fun (seed, family, preset, calls) ->
       let rng = Rng.create seed in
-      let g = random_graph rng family in
+      let g = Random_graph.make rng family in
       let n = Graph.n g in
       let preset = [| WC.Rg20; WC.Ggr21; WC.Hybrid |].(preset) in
       let scratch = WC.scratch () in
@@ -451,6 +435,57 @@ let prop_flat_engine_matches_reference =
           let b = Weak_carving_ref.carve ~preset ~cost:cb ?domain g ~epsilon in
           forest_in_node_order a.forest && same_run g a b ca cb)
         (List.init calls Fun.id))
+
+(* No node ever re-enters a Steiner tree it left (DESIGN.md §5), so the
+   reference's rejoin check never fires: all three presets, several
+   random domains carved in a row through one scratch, the flat engine
+   agreeing with the reference on every call, and its domain-local
+   result with its whole-graph one. *)
+let prop_reference_never_rejoins =
+  QCheck.Test.make ~name:"reference engine never rejoins a tree" ~count:60
+    (QCheck.make
+       ~print:(fun (seed, family, calls) ->
+         Printf.sprintf "seed=%d family=%d calls=%d" seed family calls)
+       QCheck.Gen.(triple (int_bound 1_000_000) (int_range 0 2) (int_range 1 4)))
+    (fun (seed, family, calls) ->
+      let rng = Rng.create seed in
+      let g = Random_graph.make rng family in
+      let n = Graph.n g in
+      List.for_all
+        (fun preset ->
+          let scratch = WC.scratch () in
+          List.for_all
+            (fun _ ->
+              let epsilon = 0.01 +. Rng.float rng 0.9 in
+              let domain =
+                if Rng.bool rng then None
+                else
+                  Some
+                    (Mask.of_list n
+                       (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
+              in
+              let before = !Weak_carving_ref.rejoins in
+              let ca = Cost.create () and cb = Cost.create () in
+              let a = WC.carve ~preset ~scratch ~cost:ca ?domain g ~epsilon in
+              let b = Weak_carving_ref.carve ~preset ~cost:cb ?domain g ~epsilon in
+              (* the local result, through the same scratch, is [a] *)
+              let l =
+                WC.carve_local ~preset ~scratch g
+                  ~domain:(Mask.to_array a.carving.Carving.domain)
+                  ~epsilon
+              in
+              let cl = a.carving.Carving.clustering in
+              !Weak_carving_ref.rejoins = before
+              && same_run g a b ca cb
+              && l.WC.members
+                 = Array.of_list (List.map Array.of_list (Clustering.clusters cl))
+              && l.WC.roots = Array.map (fun t -> t.Steiner.root) a.forest
+              && Array.to_list l.WC.dead = Carving.dead a.carving
+              && l.WC.steps_per_phase = a.steps_per_phase
+              && l.WC.max_depth = a.max_depth
+              && l.WC.congestion = a.congestion)
+            (List.init calls Fun.id))
+        [ WC.Rg20; WC.Ggr21; WC.Hybrid ])
 
 (* The wake hint of the node program is only a hint: run through a
    wrapper that drops it (a private outbox carrying the true round, sends
@@ -491,8 +526,8 @@ let prop_wake_hint_transparent =
         | 0 ->
             let side = 8 + Rng.int rng 25 in
             Gen.grid side side
-        | 1 | 2 | 3 -> random_graph rng (family - 1)
-        | _ -> random_graph rng (Rng.int rng 3)
+        | 1 | 2 | 3 -> Random_graph.make rng (family - 1)
+        | _ -> Random_graph.make rng (Rng.int rng 3)
       in
       let domain =
         if family < 4 then None
@@ -580,6 +615,7 @@ let () =
             prop_alive_components_in_one_cluster;
             prop_distributed_matches_engine;
             prop_flat_engine_matches_reference;
+            prop_reference_never_rejoins;
             prop_wake_hint_transparent;
           ] );
     ]

@@ -5,7 +5,10 @@
    equivalence property in test_weakdiam.ml can diff the two engines.
    It reuses the library's [preset] and [result] types and emits each
    tree's [(node, parent)] pairs in Hashtbl order, so compare forests as
-   sorted pairs. *)
+   sorted pairs. [rejoins] counts how often [join]'s rejoin check
+   finds the joining node already in the tree; the flat engine dropped
+   that check, and a property in test_weakdiam.ml asserts it never
+   fires. *)
 
 open Dsgraph
 open Weakdiam.Weak_carving
@@ -20,6 +23,8 @@ type cluster_info = {
 
 (* A node's membership record in one cluster's Steiner tree. *)
 type tree_entry = { parent : int; depth : int }
+
+let rejoins = ref 0
 
 let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
@@ -103,7 +108,8 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
        this cluster and rejoins it, its old tree position still connects it
        to the root — reusing it avoids parent cycles (e.g. the root
        reparenting under its own descendant). *)
-    if not (Hashtbl.mem t v) then begin
+    if Hashtbl.mem t v then incr rejoins
+    else begin
       Hashtbl.replace t v { parent = w; depth = wd + 1 };
       note_tree_edge v w;
       if wd + 1 > !max_depth then max_depth := wd + 1
