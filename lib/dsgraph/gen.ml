@@ -80,11 +80,14 @@ let hypercube d =
         done
       done)
 
+(* [Rng.bernoulli rng p] with its threshold hoisted out of the pair loop:
+   the same draws and the same outcomes, at half the cost per pair *)
 let erdos_renyi rng n p =
+  let t = Rng.threshold p in
   build_edges n (fun add ->
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
-          if Rng.float rng 1.0 < p then add u v
+          if Rng.bits53 rng < t then add u v
         done
       done)
 
@@ -275,12 +278,13 @@ let barabasi_albert rng n k =
   Graph.Builder.build b
 
 let planted_partition rng k s p_in p_out =
+  let t_in = Rng.threshold p_in and t_out = Rng.threshold p_out in
   build_edges (k * s) (fun add ->
       let n = k * s in
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
-          let p = if u / s = v / s then p_in else p_out in
-          if Rng.float rng 1.0 < p then add u v
+          let t = if u / s = v / s then t_in else t_out in
+          if Rng.bits53 rng < t then add u v
         done
       done)
 
@@ -325,20 +329,25 @@ let rmat ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) rng ~n ~m =
     done;
     !s
   in
-  let builder = Graph.Builder.create ~n in
-  let ab = a +. b and abc = a +. b +. c in
+  let builder = Graph.Builder.create_sized ~n ~capacity:(max 0 m) in
+  (* [Rng.float rng 1.0 < p] is [Rng.bits53 rng < Rng.threshold p], so
+     each quadrant step is one int draw against three int thresholds *)
+  let ta = Rng.threshold a
+  and tab = Rng.threshold (a +. b)
+  and tabc = Rng.threshold (a +. b +. c) in
   for _ = 1 to m do
     let u = ref 0 and v = ref 0 in
     for _ = 1 to scale do
-      let r = Rng.float rng 1.0 in
-      let ubit, vbit =
-        if r < a then (0, 0)
-        else if r < ab then (0, 1)
-        else if r < abc then (1, 0)
-        else (1, 1)
+      let x = Rng.bits53 rng in
+      (* thresholds and draws are below 2^62, so [t - 1 - x] is negative,
+         and its [asr 62] is -1, exactly when [x >= t]: the quadrant
+         0..3 (a, b, c, d) is minus the sum, with no branch *)
+      let q =
+        -(((ta - 1 - x) asr 62) + ((tab - 1 - x) asr 62)
+         + ((tabc - 1 - x) asr 62))
       in
-      u := (2 * !u) + ubit;
-      v := (2 * !v) + vbit
+      u := (2 * !u) + (q lsr 1);
+      v := (2 * !v) + (q land 1)
     done;
     (* self-loops are dropped rather than resampled (keeps the draw count
        at exactly scale·m for any seed); duplicates merge at build *)
@@ -370,7 +379,7 @@ let power_law ?(exponent = 2.5) rng ~n ~m =
     done;
     !lo
   in
-  let b = Graph.Builder.create ~n in
+  let b = Graph.Builder.create_sized ~n ~capacity:(max 0 m) in
   for _ = 1 to m do
     let u = sample () in
     let v = sample () in
@@ -390,7 +399,7 @@ let pref_attach rng ~n ~k =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 2 capacity)
   in
   let pool_size = ref 0 in
-  let b = Graph.Builder.create ~n in
+  let b = Graph.Builder.create_sized ~n ~capacity:(capacity / 2) in
   let add_edge u v =
     Graph.Builder.add_edge b u v;
     pool.{!pool_size} <- u;

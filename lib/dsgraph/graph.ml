@@ -64,11 +64,16 @@ type builder = {
 }
 
 module Builder = struct
-  let create ~n =
-    if n < 0 then invalid_arg "Graph.Builder.create: negative n";
-    if n > 1 lsl shift then
-      invalid_arg "Graph.Builder.create: n exceeds 2^31";
-    { bn = n; packed = ba_create 1024; blen = 0; built = false }
+  let make ~fn ~n ~capacity =
+    if n < 0 then invalid_arg (fn ^ ": negative n");
+    if n > 1 lsl shift then invalid_arg (fn ^ ": n exceeds 2^31");
+    if capacity < 0 then invalid_arg (fn ^ ": negative capacity");
+    { bn = n; packed = ba_create capacity; blen = 0; built = false }
+
+  let create ~n = make ~fn:"Graph.Builder.create" ~n ~capacity:1024
+
+  let create_sized ~n ~capacity =
+    make ~fn:"Graph.Builder.create_sized" ~n ~capacity
 
   let add_edge b u v =
     if b.built then invalid_arg "Graph.Builder.add_edge: already built";
@@ -85,6 +90,13 @@ module Builder = struct
     b.packed.{len} <- (lo lsl shift) lor hi;
     b.blen <- len + 1
 
+  (* top level, not a local closure over [a]: a closure would be
+     allocated by every partitioning call, ~8 words per node at 2^20 *)
+  let swap (a : int_array1) i j =
+    let tmp = a.{i} in
+    a.{i} <- a.{j};
+    a.{j} <- tmp
+
   (* monomorphic in-place quicksort on a slice; inclusive bounds *)
   let rec qsort (a : int_array1) lo hi =
     if hi - lo < 16 then
@@ -98,15 +110,10 @@ module Builder = struct
         a.{!j + 1} <- x
       done
     else begin
-      let swap i j =
-        let tmp = a.{i} in
-        a.{i} <- a.{j};
-        a.{j} <- tmp
-      in
       let mid = (lo + hi) / 2 in
-      if a.{mid} < a.{lo} then swap mid lo;
-      if a.{hi} < a.{lo} then swap hi lo;
-      if a.{hi} < a.{mid} then swap hi mid;
+      if a.{mid} < a.{lo} then swap a mid lo;
+      if a.{hi} < a.{lo} then swap a hi lo;
+      if a.{hi} < a.{mid} then swap a hi mid;
       let pivot = a.{mid} in
       let i = ref lo and j = ref hi in
       while !i <= !j do
@@ -117,7 +124,7 @@ module Builder = struct
           decr j
         done;
         if !i <= !j then begin
-          swap !i !j;
+          swap a !i !j;
           incr i;
           decr j
         end

@@ -25,6 +25,16 @@ module Builder : sig
   (** Fresh builder on nodes [0..n-1].
       @raise Invalid_argument if [n] is negative or exceeds [2^31]. *)
 
+  val create_sized : n:int -> capacity:int -> builder
+  (** [create_sized ~n ~capacity] is {!create} with its edge buffer
+      allocated for [capacity] {!add_edge} calls up front. A generator
+      that knows its sample count passes it, so no add doubles the
+      buffer: the doubled copies live outside the OCaml heap, and a
+      generator that allocates nothing on the heap runs no GC that
+      would free them. More adds than [capacity] still work, by
+      doubling. @raise Invalid_argument as {!create}, or if [capacity]
+      is negative. *)
+
   val add_edge : builder -> int -> int -> unit
   (** Adds an undirected edge; orientation is irrelevant and duplicates
       (in either orientation) are merged at {!build} time. O(1) amortized,

@@ -158,9 +158,22 @@ let load_csr ?(verify = false) path =
       if version <> csr_version then
         invalid_arg
           (Printf.sprintf "Io.load_csr: unsupported version %Ld" version);
-      let n = Int64.to_int (Bytes.get_int64_ne header 24) in
-      let m = Int64.to_int (Bytes.get_int64_ne header 32) in
-      if n < 0 || m < 0 then invalid_arg "Io.load_csr: negative sizes";
+      let n64 = Bytes.get_int64_ne header 24
+      and m64 = Bytes.get_int64_ne header 32 in
+      if n64 < 0L || m64 < 0L then invalid_arg "Io.load_csr: negative sizes";
+      (* bound both before any arithmetic: an unchecked [m] near 2^59
+         wraps the byte count below to a small, plausible file size *)
+      if n64 > Int64.shift_left 1L 31 then
+        invalid_arg
+          (Printf.sprintf "Io.load_csr: n = %Ld exceeds the 2^31 node limit"
+             n64);
+      let n = Int64.to_int n64 in
+      let max_m = (((max_int - csr_header_bytes) / 8) - (n + 1)) / 2 in
+      if m64 > Int64.of_int max_m then
+        invalid_arg
+          (Printf.sprintf
+             "Io.load_csr: m = %Ld overflows the payload byte count" m64);
+      let m = Int64.to_int m64 in
       let words = n + 1 + (2 * m) in
       let expected = csr_header_bytes + (8 * words) in
       if size <> expected then

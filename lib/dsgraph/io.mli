@@ -31,12 +31,21 @@ val save_csr : string -> Graph.t -> unit
     through one shared mapping, so saving a loaded graph is a page-level
     copy. @raise Sys_error / [Unix.Unix_error] on IO failure. *)
 
+val checksum_csr :
+  n:int -> m:int -> Graph.int_array1 -> Graph.int_array1 -> int
+(** [checksum_csr ~n ~m offsets targets] is the 62-bit splitmix fold
+    over [n], [m], the [n+1] offsets and the [2m] targets that
+    {!save_csr} stores in the header: a fingerprint of the exact CSR
+    bytes, so two graphs with equal checksums are byte-identical with
+    overwhelming probability. [O(n+m)]. *)
+
 val load_csr : ?verify:bool -> string -> Graph.t
 (** [load_csr path] maps the file and wraps the two buffer slices as a
     graph without copying or parsing — [O(1)] in the graph size; pages
     are faulted in on first touch. Header validation always runs: bad
-    magic, a byte-order mismatch, an unknown version, or a file whose
-    size disagrees with its claimed [n]/[m] (truncation) all raise.
+    magic, a byte-order mismatch, an unknown version, an [n] above
+    [2^31] or an [m] whose byte count overflows, or a file whose size
+    disagrees with its claimed [n]/[m] (truncation) all raise.
     [~verify:true] additionally refolds the payload checksum — an
     [O(n+m)] scan, off by default to keep loads constant-time.
     @raise Invalid_argument on any of the above,

@@ -90,7 +90,7 @@ let gen_delta rng sp st =
   List.iter (fun v -> Hashtbl.replace crashed v ()) crash;
   let revive =
     List.filter
-      (fun v -> CR.is_down st v && Rng.float rng 1.0 < sp.revive_prob)
+      (fun v -> CR.is_down st v && Rng.bernoulli rng sp.revive_prob)
       (List.init n Fun.id)
   in
   let live_edges = ref [] in

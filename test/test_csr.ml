@@ -145,6 +145,86 @@ let test_checksum_catches_bit_rot () =
         (Invalid_argument "Io.load_csr: checksum mismatch") (fun () ->
           ignore (Io.load_csr ~verify:true path)))
 
+(* A 72-byte file whose header claims m = 2^59: 8 * (n + 1 + 2m) wraps
+   to 8, so an unbounded size check sees exactly the bytes it expects
+   and the load dies inside map_file instead of naming the bad header. *)
+let header_claiming ~n ~m =
+  let h = Bytes.make 64 '\000' in
+  Bytes.blit_string "DSGCSR01" 0 h 0 8;
+  Bytes.set_int64_ne h 8 0x0123456789ABCDEFL;
+  Bytes.set_int64_ne h 16 1L;
+  Bytes.set_int64_ne h 24 n;
+  Bytes.set_int64_ne h 32 m;
+  Bytes.to_string h
+
+let test_rejects_wrapping_sizes () =
+  with_tmp (fun path ->
+      write_file path (header_claiming ~n:0L ~m:(Int64.shift_left 1L 59)
+                       ^ String.make 8 '\000');
+      Alcotest.check_raises "m = 2^59"
+        (Invalid_argument
+           "Io.load_csr: m = 576460752303423488 overflows the payload byte \
+            count") (fun () -> ignore (Io.load_csr path)));
+  with_tmp (fun path ->
+      write_file path (header_claiming ~n:(Int64.of_int ((1 lsl 31) + 1)) ~m:0L);
+      Alcotest.check_raises "n = 2^31 + 1"
+        (Invalid_argument
+           "Io.load_csr: n = 2147483649 exceeds the 2^31 node limit")
+        (fun () -> ignore (Io.load_csr path)));
+  with_tmp (fun path ->
+      write_file path (header_claiming ~n:Int64.min_int ~m:0L);
+      Alcotest.check_raises "n = -2^63"
+        (Invalid_argument "Io.load_csr: negative sizes") (fun () ->
+          ignore (Io.load_csr path)))
+
+(* ------------------------------------------------------------------ *)
+(* Every generator family, pinned to its CSR checksum                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The checksums were taken from the boxed splitmix64 generator before
+   its draws went allocation-free; a change to any of them means a
+   generator, the Rng stream or the CSR build changed its output. *)
+let pinned_families : (string * (Rng.t -> Graph.t) * int * int) list =
+  [
+    ("path", (fun _ -> Gen.path 50), 964466958884967185, 964466958884967185);
+    ("cycle", (fun _ -> Gen.cycle 50), 1049845319147116782, 1049845319147116782);
+    ("complete", (fun _ -> Gen.complete 12), 3994194945695597402, 3994194945695597402);
+    ("star", (fun _ -> Gen.star 20), 4097908371876809039, 4097908371876809039);
+    ("grid", (fun _ -> Gen.grid 9 7), 2230399973135219973, 2230399973135219973);
+    ("torus", (fun _ -> Gen.torus 6 5), 3304445357540518988, 3304445357540518988);
+    ("binary_tree", (fun _ -> Gen.binary_tree 40), 1860977089369532426, 1860977089369532426);
+    ("random_tree", (fun r -> Gen.random_tree r 200), 1855804046589675517, 3766897843748027776);
+    ("hypercube", (fun _ -> Gen.hypercube 5), 356787091162292581, 356787091162292581);
+    ("erdos_renyi", (fun r -> Gen.erdos_renyi r 120 0.05), 3250154662440329563, 1806625434079045910);
+    ("random_regular", (fun r -> Gen.random_regular r 60 4), 4553741347016580665, 3628190704059370841);
+    ("random_regular_odd", (fun r -> Gen.random_regular r 31 4), 2580235663209244836, 1447782825819520948);
+    ("expander", (fun r -> Gen.expander r 64), 3138201767361524459, 1318262928215259980);
+    ("subdivide", (fun r -> Gen.subdivide (Gen.expander r 16) 3), 118244109456075704, 4114265322806470846);
+    ("ring_of_cliques", (fun _ -> Gen.ring_of_cliques 5 4), 2002844458249052404, 2002844458249052404);
+    ("barbell", (fun _ -> Gen.barbell 5 6), 4363383065666538414, 4363383065666538414);
+    ("caterpillar", (fun r -> Gen.caterpillar r 30 40), 2152273379406759292, 4444816657607870715);
+    ("lollipop", (fun _ -> Gen.lollipop 6 9), 217717414650009081, 217717414650009081);
+    ("barabasi_albert", (fun r -> Gen.barabasi_albert r 200 3), 1312863961506930996, 858568978347765687);
+    ("planted_partition", (fun r -> Gen.planted_partition r 4 25 0.3 0.02), 3020072267468312044, 2103769192569576678);
+    ("disjoint_union", (fun r -> Gen.disjoint_union (Gen.random_tree r 20) (Gen.cycle 9)), 2307496257463688158, 4033942023738343765);
+    ("ensure_connected", (fun r -> Gen.ensure_connected r (Gen.erdos_renyi r 80 0.015)), 3815358458897807093, 1347082520221371277);
+    ("rmat", (fun r -> Gen.rmat r ~n:1024 ~m:8000), 2194619409897743669, 221182986252983828);
+    ("rmat_skewed", (fun r -> Gen.rmat ~a:0.45 ~b:0.25 ~c:0.0 r ~n:256 ~m:3000), 4357332169060830461, 714332751634198489);
+    ("power_law", (fun r -> Gen.power_law r ~n:1000 ~m:5000), 2764246840659994659, 3576833055670452758);
+    ("pref_attach", (fun r -> Gen.pref_attach r ~n:1000 ~k:3), 1963369401100471318, 2130353627874329174);
+  ]
+
+let checksum g =
+  Io.checksum_csr ~n:(Graph.n g) ~m:(Graph.m g) (Graph.offsets g)
+    (Graph.targets g)
+
+let test_families_pinned () =
+  List.iter
+    (fun (name, gen, at1, at2) ->
+      check int (name ^ ", seed 1") at1 (checksum (gen (Rng.create 1)));
+      check int (name ^ ", seed 2") at2 (checksum (gen (Rng.create 2))))
+    pinned_families
+
 (* ------------------------------------------------------------------ *)
 (* Large-scale generators: determinism down to the file bytes          *)
 (* ------------------------------------------------------------------ *)
@@ -227,6 +307,8 @@ let () =
             test_rejects_truncated_payload;
           Alcotest.test_case "checksum catches bit rot" `Quick
             test_checksum_catches_bit_rot;
+          Alcotest.test_case "sizes that wrap the byte count" `Quick
+            test_rejects_wrapping_sizes;
         ] );
       ( "generators",
         [
@@ -239,5 +321,7 @@ let () =
           Alcotest.test_case "rmat shape" `Quick test_rmat_shape;
           Alcotest.test_case "power_law shape" `Quick test_power_law_shape;
           Alcotest.test_case "pref_attach shape" `Quick test_pref_attach_shape;
+          Alcotest.test_case "every family pinned at two seeds" `Quick
+            test_families_pinned;
         ] );
     ]

@@ -69,6 +69,38 @@ let test_builder_incremental () =
     (Invalid_argument "Graph.Builder.build: already built") (fun () ->
       ignore (Graph.Builder.build b))
 
+let test_builder_sized () =
+  (* the sized constructor at capacity 0, 1, exactly the number of adds
+     and above it builds the same graph as [create] *)
+  let rng = Rng.create 17 in
+  let n = 60 in
+  let adds =
+    List.filter_map
+      (fun _ ->
+        let u = Rng.int rng n and v = Rng.int rng n in
+        if u = v then None else Some (u, v))
+      (List.init 400 Fun.id)
+  in
+  let k = List.length adds in
+  let build make =
+    let b = make () in
+    List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) adds;
+    Graph.Builder.build b
+  in
+  let expect = build (fun () -> Graph.Builder.create ~n) in
+  List.iter
+    (fun capacity ->
+      let g = build (fun () -> Graph.Builder.create_sized ~n ~capacity) in
+      check bool
+        (Printf.sprintf "capacity %d of %d adds" capacity k)
+        true (Graph.equal expect g))
+    [ 0; 1; k; k + 1; 4 * k ];
+  check int "empty at capacity 0" 0
+    (Graph.m (Graph.Builder.build (Graph.Builder.create_sized ~n:3 ~capacity:0)));
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Graph.Builder.create_sized: negative capacity")
+    (fun () -> ignore (Graph.Builder.create_sized ~n:3 ~capacity:(-1)))
+
 let test_degrees () =
   let g = Gen.star 5 in
   check int "center degree" 4 (Graph.degree g 0);
@@ -476,6 +508,166 @@ let test_rng_geometric_mean () =
   (* E[failures before success] = (1-p)/p = 1 *)
   check bool "mean near 1" true (abs_float (mean -. 1.0) < 0.1)
 
+(* The allocation-free Rng against the boxed oracle in rng_ref.ml: a
+   random seed and a random mix of every draw must give the same values,
+   bit for bit, in the same order. *)
+type rng_op =
+  | Op_int of int
+  | Op_int64
+  | Op_float of float
+  | Op_bits53
+  | Op_bool
+  | Op_bernoulli of float
+  | Op_exponential of float
+  | Op_geometric of float
+  | Op_split
+  | Op_permutation of int
+
+let two53 = 9007199254740992.0
+
+(* the probabilities where a threshold could go wrong *)
+let special_ps =
+  [
+    0.0; -0.0; -1.0; 1.0; 2.0; Float.nan; Float.infinity;
+    Float.neg_infinity; 4.9e-324; Float.min_float /. 2.0; Float.min_float;
+    Float.epsilon; 1.0 -. Float.epsilon; Float.pred 1.0; 0.5; 1.0 /. two53;
+    Float.max_float;
+  ]
+
+let gen_rng_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun b -> Op_int b) (oneof [ int_range 1 10; int_range 1 max_int ]));
+        (1, return Op_int64);
+        (2, map (fun x -> Op_float x) (float_range (-10.0) 1e6));
+        (3, return Op_bits53);
+        (1, return Op_bool);
+        ( 4,
+          map
+            (fun p -> Op_bernoulli p)
+            (oneof [ float_range 0.0 1.0; oneofl special_ps ]) );
+        (1, map (fun r -> Op_exponential r) (float_range 0.01 10.0));
+        (1, map (fun p -> Op_geometric p) (float_range 0.01 1.0));
+        (1, return Op_split);
+        (1, map (fun k -> Op_permutation k) (int_range 0 20));
+      ])
+
+let show_rng_op = function
+  | Op_int b -> Printf.sprintf "int %d" b
+  | Op_int64 -> "int64"
+  | Op_float x -> Printf.sprintf "float %h" x
+  | Op_bits53 -> "bits53"
+  | Op_bool -> "bool"
+  | Op_bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Op_exponential r -> Printf.sprintf "exponential %h" r
+  | Op_geometric p -> Printf.sprintf "geometric %h" p
+  | Op_split -> "split"
+  | Op_permutation k -> Printf.sprintf "permutation %d" k
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* one op on both generators; a split continues on the children, so
+   the split streams are compared too *)
+let step_both (a, b) op =
+  match op with
+  | Op_int bound -> (Rng.int a bound = Rng_ref.int b bound, (a, b))
+  | Op_int64 -> (Rng.int64 a = Rng_ref.int64 b, (a, b))
+  | Op_float x -> (same_float (Rng.float a x) (Rng_ref.float b x), (a, b))
+  | Op_bits53 ->
+      ( Rng.bits53 a
+        = Int64.to_int (Int64.shift_right_logical (Rng_ref.int64 b) 11),
+        (a, b) )
+  | Op_bool -> (Rng.bool a = Rng_ref.bool b, (a, b))
+  | Op_bernoulli p -> (Rng.bernoulli a p = (Rng_ref.float b 1.0 < p), (a, b))
+  | Op_exponential r ->
+      (same_float (Rng.exponential a r) (Rng_ref.exponential b r), (a, b))
+  | Op_geometric p -> (Rng.geometric a p = Rng_ref.geometric b p, (a, b))
+  | Op_split -> (true, (Rng.split a, Rng_ref.split b))
+  | Op_permutation k -> (Rng.permutation a k = Rng_ref.permutation b k, (a, b))
+
+let prop_rng_matches_reference =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, ops) ->
+        Printf.sprintf "seed %d: %s" seed
+          (String.concat "; " (List.map show_rng_op ops)))
+      QCheck.Gen.(
+        pair
+          (oneof [ int_range (-1000) 1000; int_range min_int max_int ])
+          (list_size (int_range 1 200) gen_rng_op))
+  in
+  QCheck.Test.make ~name:"rng equals the boxed reference, draw for draw"
+    ~count:300 arb (fun (seed, ops) ->
+      let rec go pair = function
+        | [] -> true
+        | op :: rest ->
+            let ok, pair = step_both pair op in
+            ok && go pair rest
+      in
+      go (Rng.create seed, Rng_ref.create seed) ops)
+
+let test_rng_bernoulli_at_the_boundary () =
+  (* p exactly at the next draw's value, and one ulp either side: the
+     integer threshold must cut where the float comparison does *)
+  for seed = 0 to 199 do
+    let bits = Rng.bits53 (Rng.create seed) in
+    let r = float_of_int bits /. two53 in
+    List.iter
+      (fun p ->
+        let fresh = Rng_ref.create seed in
+        let expect = Rng_ref.float fresh 1.0 < p in
+        check bool
+          (Printf.sprintf "seed %d, p = %h" seed p)
+          expect
+          (Rng.bernoulli (Rng.create seed) p))
+      [ r; Float.succ r; Float.pred r ]
+  done;
+  List.iter
+    (fun p ->
+      let t = Rng.threshold p in
+      check bool (Printf.sprintf "threshold %h in range" p) true
+        (t >= 0 && t <= 1 lsl 53))
+    special_ps
+
+(* the test_trace pattern: warm once, then count a second run's words *)
+let minor_words_of f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_rng_draws_allocation_free () =
+  let rng = Rng.create 11 in
+  let sink = ref 0 in
+  let draws name draw =
+    let words =
+      minor_words_of (fun () ->
+          for _ = 1 to 100_000 do
+            sink := !sink lxor draw ()
+          done)
+    in
+    check bool
+      (Printf.sprintf "10^5 %s draws allocate nothing (%.0f words)" name words)
+      true (words < 64.0)
+  in
+  draws "int" (fun () -> Rng.int rng 1000);
+  draws "bits53" (fun () -> Rng.bits53 rng);
+  draws "bernoulli" (fun () -> Bool.to_int (Rng.bernoulli rng 0.3));
+  ignore (Sys.opaque_identity !sink)
+
+let test_rmat_allocation_per_sample () =
+  let samples = 50_000 in
+  let words =
+    minor_words_of (fun () ->
+        ignore (Gen.rmat (Rng.create 3) ~n:4096 ~m:samples))
+  in
+  check bool
+    (Printf.sprintf "rmat minor words per sample %.3f < 1"
+       (words /. float_of_int samples))
+    true
+    (words < float_of_int samples)
+
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -644,6 +836,7 @@ let () =
             test_edge_index_distinct;
           Alcotest.test_case "builder incremental" `Quick
             test_builder_incremental;
+          Alcotest.test_case "builder sized" `Quick test_builder_sized;
           Alcotest.test_case "equal" `Quick test_equal;
         ] );
       ( "gen",
@@ -732,6 +925,13 @@ let () =
           Alcotest.test_case "exponential positive" `Quick
             test_rng_exponential_positive;
           Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
+          Alcotest.test_case "bernoulli at the boundary" `Quick
+            test_rng_bernoulli_at_the_boundary;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_rng_draws_allocation_free;
+          Alcotest.test_case "rmat under a word per sample" `Quick
+            test_rmat_allocation_per_sample;
+          QCheck_alcotest.to_alcotest prop_rng_matches_reference;
         ] );
       ("properties", qcheck_cases);
     ]
