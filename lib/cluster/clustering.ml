@@ -70,15 +70,52 @@ let make g ~cluster_of =
       order.(pos.(c)) <- v
     end
   done;
-  let member_lists =
-    Array.init k (fun c ->
-        let l = ref [] in
-        for i = pos.(c + 1) - 1 downto pos.(c) do
-          l := order.(i) :: !l
-        done;
-        !l)
-  in
+  (* filled from [], not from a young list: a long array made from a
+     young value costs a forced minor collection *)
+  let member_lists = Array.make k [] in
+  for c = 0 to k - 1 do
+    let l = ref [] in
+    for i = pos.(c + 1) - 1 downto pos.(c) do
+      l := order.(i) :: !l
+    done;
+    member_lists.(c) <- !l
+  done;
   { graph = g; cluster_of = normalized; num_clusters = k; member_lists }
+
+(* [members] must be non-empty, strictly increasing and owned by [c];
+   returns how many there are *)
+let rec count_members cluster_of c ~prev acc = function
+  | [] -> acc
+  | v :: rest ->
+      if v <= prev || v >= Array.length cluster_of || cluster_of.(v) <> c then
+        invalid_arg "Clustering.of_parts: member lists disagree with labels";
+      count_members cluster_of c ~prev:v (acc + 1) rest
+
+let of_parts g ~cluster_of ~members =
+  let n = Graph.n g in
+  if Array.length cluster_of <> n then
+    invalid_arg "Clustering.of_parts: array length mismatch";
+  let k = Array.length members in
+  let listed = ref 0 and first = ref (-1) in
+  for c = 0 to k - 1 do
+    match members.(c) with
+    | [] -> invalid_arg "Clustering.of_parts: empty cluster"
+    | v :: _ ->
+        if v <= !first then
+          invalid_arg "Clustering.of_parts: ids not in first-appearance order";
+        first := v;
+        listed := count_members cluster_of c ~prev:(-1) !listed members.(c)
+  done;
+  let clustered = ref 0 in
+  Array.iter
+    (fun c ->
+      if c < -1 || c >= k then
+        invalid_arg "Clustering.of_parts: cluster id out of range";
+      if c >= 0 then incr clustered)
+    cluster_of;
+  if !clustered <> !listed then
+    invalid_arg "Clustering.of_parts: member lists disagree with labels";
+  { graph = g; cluster_of; num_clusters = k; member_lists = members }
 
 let graph t = t.graph
 let cluster_of t v = t.cluster_of.(v)

@@ -13,6 +13,17 @@ val make : Dsgraph.Graph.t -> cluster_of:int array -> t
     marks [v] unclustered. The array is copied. O(n) time and memory
     whatever the size of the labels. *)
 
+val of_parts :
+  Dsgraph.Graph.t -> cluster_of:int array -> members:int list array -> t
+(** The clustering whose cluster [c] is [members.(c)], for builders that
+    derive one clustering from another and share its member lists.
+    Both arrays are taken over, not copied. They must already be in
+    {!make}'s normal form: [cluster_of.(v)] is [v]'s id or [-1], every
+    list is non-empty, sorted and holds exactly the nodes of its id,
+    and ids run in order of first appearance (each list's head above
+    the previous one's). Checked in O(n) time without allocating.
+    @raise Invalid_argument when the parts disagree. *)
+
 val graph : t -> Dsgraph.Graph.t
 
 val cluster_of : t -> int -> int

@@ -286,17 +286,63 @@ type kind = Decomposition | Carving
 type merged = {
   clustering : Clustering.t;
   colors : int array;
-  old_to_new : int array;
+  carried : (int * int) list;
   fresh : int list;
   touched_nodes : int;
 }
 
-let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
+(* Node-indexed buffers of one merge, left as they were found: every
+   flag cleared, every label and id -1. A cluster id is below n, so the
+   cluster-indexed ones are node-sized too. *)
+type scratch = {
+  dirty_c : Bytes.t;
+  in_region : Bytes.t;
+  withheld : Bytes.t;
+  trimmed : Bytes.t;  (* untouched cluster that lost a member *)
+  label : int array;  (* fresh cluster of a re-carved node, by sub id *)
+  new_id : int array;  (* new id of an untouched cluster *)
+}
+
+let scratch n =
+  {
+    dirty_c = flags n;
+    in_region = flags n;
+    withheld = flags n;
+    trimmed = flags n;
+    label = Array.make n (-1);
+    new_id = Array.make n (-1);
+  }
+
+(* clears what a merge over [pl] may have set, however far it got *)
+let reset sc ~old ~plan:pl ~state:st =
+  List.iter (fun c -> flag sc.dirty_c c false) pl.dirty;
+  let untrim v =
+    let c = Clustering.cluster_of old v in
+    if c >= 0 then flag sc.trimmed c false
+  in
+  List.iter
+    (fun v ->
+      flag sc.in_region v false;
+      flag sc.withheld v false;
+      sc.label.(v) <- -1;
+      untrim v)
+    pl.region;
+  for v = 0 to Bytes.length st.down_set - 1 do
+    if flagged st.down_set v then untrim v
+  done;
+  Array.fill sc.new_id 0 (Clustering.num_clusters old) (-1)
+
+(* The merged clustering is built from the old one. Untouched clusters
+   keep their member lists (shared, unless a member left through the
+   region or a crash), re-carved nodes form the fresh clusters of the
+   re-carve's own normalized clustering, and one pass over the nodes
+   renumbers both kinds in order of first appearance, as
+   [Clustering.make] would on the merged labels. *)
+let merge_into sc ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   let n = Graph.n st.current in
   let k_old = Clustering.num_clusters old in
-  let dirty = flags k_old in
+  let dirty = sc.dirty_c and in_region = sc.in_region in
   List.iter (fun c -> flag dirty c true) pl.dirty;
-  let in_region = flags n in
   List.iter (fun v -> flag in_region v true) pl.region;
   let untouched v =
     let c = Clustering.cluster_of old v in
@@ -305,7 +351,7 @@ let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   (* carvings: withhold region nodes adjacent to an untouched cluster,
      so fresh clusters cannot break separation; the withheld nodes
      stay dead *)
-  let withheld = flags n in
+  let withheld = sc.withheld in
   (match kind with
   | Decomposition -> ()
   | Carving ->
@@ -319,75 +365,126 @@ let merge ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
       (fun v -> (not (flagged withheld v)) && not (is_down st v))
       pl.region
   in
-  let labels = Array.make n (-1) in
-  (* untouched clusters keep their old cluster id as the label; fresh
-     clusters get labels starting at k_old, so probing any member of a
-     normalized cluster recovers which side it came from *)
+  (* the re-carve's clusters, normalized inside the sub graph; [back]
+     is ascending, so mapped member lists stay sorted *)
+  let fresh_cl, back =
+    if domain = [] then (None, [||])
+    else begin
+      let sub, back = Subgraph.induce st.current domain in
+      let sub_labels, _sub_colors = recarve sub in
+      if Array.length sub_labels <> Graph.n sub then
+        invalid_arg "Repair.merge: recarve returned wrong label count";
+      Array.iteri
+        (fun i l ->
+          if l < 0 && kind = Decomposition then
+            invalid_arg
+              (Printf.sprintf
+                 "Repair.merge: decomposition recarve left node %d unclustered"
+                 back.(i)))
+        sub_labels;
+      let cl = Clustering.make sub ~cluster_of:sub_labels in
+      Array.iteri (fun i v -> sc.label.(v) <- Clustering.cluster_of cl i) back;
+      (Some cl, back)
+    end
+  in
+  let k_fresh =
+    match fresh_cl with Some cl -> Clustering.num_clusters cl | None -> 0
+  in
+  (* an untouched cluster loses the members that are down or in the
+     region (for sessions, never: crashes dirty their cluster and the
+     region holds dirty clusters and unclustered nodes) *)
+  let trim v =
+    let c = Clustering.cluster_of old v in
+    if c >= 0 && not (flagged dirty c) then flag sc.trimmed c true
+  in
+  List.iter trim pl.region;
   for v = 0 to n - 1 do
-    if untouched v && not (is_down st v) then
-      labels.(v) <- Clustering.cluster_of old v
+    if flagged st.down_set v then trim v
   done;
-  if domain <> [] then begin
-    let sub, back = Subgraph.induce st.current domain in
-    let sub_labels, _sub_colors = recarve sub in
-    if Array.length sub_labels <> Graph.n sub then
-      invalid_arg "Repair.merge: recarve returned wrong label count";
-    Array.iteri
-      (fun i l ->
-        if l >= 0 then labels.(back.(i)) <- k_old + l
-        else if kind = Decomposition then
-          invalid_arg
-            (Printf.sprintf
-               "Repair.merge: decomposition recarve left node %d unclustered"
-               back.(i)))
-      sub_labels
-  end;
-  let clustering = Clustering.make st.current ~cluster_of:labels in
-  let k_new = Clustering.num_clusters clustering in
-  let old_to_new = Array.make k_old (-1) in
-  let from_old = Array.make k_new (-1) in
-  for c = 0 to k_new - 1 do
-    match Clustering.members clustering c with
-    | [] -> ()
-    | v :: _ ->
-        let l = labels.(v) in
-        if l < k_old then begin
-          old_to_new.(l) <- c;
-          from_old.(c) <- l
-        end
+  (* one pass in node order: the first node of each cluster fixes its
+     new id. Fresh clusters are met in the order of their first nodes,
+     which is their order inside the sub graph, so [fresh_to_new]
+     ascends. *)
+  let cluster_of = Array.make n (-1) in
+  let fresh_to_new = Array.make k_fresh (-1) in
+  let k_new = ref 0 in
+  let id_of ids i =
+    if ids.(i) < 0 then begin
+      ids.(i) <- !k_new;
+      incr k_new
+    end;
+    ids.(i)
+  in
+  for v = 0 to n - 1 do
+    if sc.label.(v) >= 0 then cluster_of.(v) <- id_of fresh_to_new sc.label.(v)
+    else if untouched v && not (is_down st v) then
+      cluster_of.(v) <- id_of sc.new_id (Clustering.cluster_of old v)
   done;
-  let fresh = ref [] in
-  for c = k_new - 1 downto 0 do
-    if from_old.(c) < 0 then fresh := c :: !fresh
+  let members = Array.make !k_new [] in
+  let carried = ref [] in
+  for o = k_old - 1 downto 0 do
+    let c = sc.new_id.(o) in
+    if c >= 0 then begin
+      carried := (o, c) :: !carried;
+      members.(c) <-
+        (if flagged sc.trimmed o then
+           List.filter (fun v -> cluster_of.(v) = c) (Clustering.members old o)
+         else Clustering.members old o)
+    end
   done;
-  let colors = Array.make k_new (-1) in
+  (match fresh_cl with
+  | None -> ()
+  | Some cl ->
+      Array.iteri
+        (fun l c ->
+          members.(c) <- List.map (fun i -> back.(i)) (Clustering.members cl l))
+        fresh_to_new);
+  let clustering = Clustering.of_parts st.current ~cluster_of ~members in
+  let colors = Array.make !k_new (-1) in
   (match kind with
   | Carving -> ()
   | Decomposition ->
       (* carried clusters keep their colors *)
-      for c = 0 to k_new - 1 do
-        if from_old.(c) >= 0 then colors.(c) <- color_of from_old.(c)
-      done;
+      List.iter (fun (o, c) -> colors.(c) <- color_of o) !carried;
       (* fresh clusters: smallest color unused by any adjacent,
          already-colored cluster — deterministic in new-id order, and
          always possible (the palette may grow) *)
-      List.iter
+      Array.iter
         (fun c ->
-          let banned = Hashtbl.create 8 in
+          let banned = ref [] in
           List.iter
             (fun v ->
               Graph.iter_neighbors st.current v (fun w ->
                   let cw = Clustering.cluster_of clustering w in
-                  if cw >= 0 && cw <> c && colors.(cw) >= 0 then
-                    Hashtbl.replace banned colors.(cw) ()))
+                  if
+                    cw >= 0 && cw <> c && colors.(cw) >= 0
+                    && not (List.mem colors.(cw) !banned)
+                  then banned := colors.(cw) :: !banned))
             (Clustering.members clustering c);
-          let rec first i = if Hashtbl.mem banned i then first (i + 1) else i in
+          let rec first i = if List.mem i !banned then first (i + 1) else i in
           colors.(c) <- first 0)
-        !fresh);
+        fresh_to_new);
   {
     clustering;
     colors;
-    old_to_new;
-    fresh = !fresh;
+    carried = !carried;
+    fresh = Array.to_list fresh_to_new;
     touched_nodes = List.length pl.region;
   }
+
+let merge ~scratch:sc ~kind ~old ~color_of ~plan ~state ~recarve =
+  let n = Graph.n state.current and k_old = Clustering.num_clusters old in
+  if Graph.n (Clustering.graph old) <> n then
+    invalid_arg "Repair.merge: clustering and state disagree on n";
+  if Bytes.length sc.in_region <> n then
+    invalid_arg "Repair.merge: scratch made for another number of nodes";
+  (* the scratch is only ever written in range, so [reset] cannot fail *)
+  let in_range what bound i =
+    if i < 0 || i >= bound then
+      invalid_arg (Printf.sprintf "Repair.merge: %s %d out of range" what i)
+  in
+  List.iter (in_range "dirty cluster" k_old) plan.dirty;
+  List.iter (in_range "region node" n) plan.region;
+  Fun.protect
+    ~finally:(fun () -> reset sc ~old ~plan ~state)
+    (fun () -> merge_into sc ~kind ~old ~color_of ~plan ~state ~recarve)

@@ -136,13 +136,23 @@ type merged = {
   clustering : Clustering.t;  (** over {!graph}[ st] *)
   colors : int array;
       (** per new cluster id; all [-1] for carvings *)
-  old_to_new : int array;
-      (** old cluster id -> new id; [-1] for dirty (retired) clusters *)
+  carried : (int * int) list;
+      (** [(old id, new id)] of every untouched cluster, sorted; dirty
+          (retired) clusters are not listed *)
   fresh : int list;  (** new ids of re-carved clusters, sorted *)
   touched_nodes : int;  (** size of the re-carve region *)
 }
 
+type scratch
+(** Node-indexed flags and labels for {!merge}, reused across merges
+    and left cleared after each one, whether it returns or raises. Use
+    it from one domain at a time. *)
+
+val scratch : int -> scratch
+(** [scratch n] for graphs of [n] nodes. *)
+
 val merge :
+  scratch:scratch ->
   kind:kind ->
   old:Clustering.t ->
   color_of:(int -> int) ->
@@ -161,5 +171,14 @@ val merge :
     carvings, region nodes adjacent to an untouched cluster are
     withheld from [recarve] and left dead, so full non-adjacency is
     preserved by construction.
+
+    The merged clustering is built from [old]: untouched clusters keep
+    their member lists (shared, not copied), and one pass over the
+    nodes renumbers carried and fresh clusters in order of first
+    appearance, exactly as [Clustering.make] would on the merged
+    labels. Beyond the re-carve, a merge allocates the new cluster-of
+    array (n words), the new member-list and color arrays, the
+    [carried] list and the fresh clusters' lists.
     @raise Invalid_argument if a decomposition [recarve] leaves a
-    region node unclustered or returns a negative color. *)
+    region node unclustered, a dirty id or region node is out of range,
+    or [old] or [scratch] was made for another number of nodes. *)

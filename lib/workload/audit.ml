@@ -127,35 +127,71 @@ let id_error ~k i id =
          i id (k - 1))
   else None
 
-let certs_by_id t =
-  let a = Array.of_list t.certs in
-  let k = Array.length a in
-  let rec scan i =
-    if i = k then Ok a
-    else
-      match id_error ~k i a.(i).cluster with
-      | Some e -> Error e
-      | None -> scan (i + 1)
-  in
-  scan 0
+(* placeholder for id-indexed cert arrays: a constant, so it is static
+   data and [Array.make] never empties the minor heap to store it *)
+let blank =
+  {
+    cluster = -1;
+    color = -1;
+    members = [];
+    strong = false;
+    tree = None;
+    diameter_lb = -1;
+    lb_pair = (-1, -1);
+    diameter_ub = None;
+  }
 
-(* Per-verify buffers for the witness-tree recheck. [stamp] is the
-   current certificate's cluster id + 1 (ids are distinct once verify has
-   checked them), so entries of earlier certificates read as absent and
-   nothing is ever cleared. *)
-type tree_scratch = {
+let certs_by_id_into buf t =
+  let k = List.length t.certs in
+  if Array.length !buf < k then buf := Array.make (2 * k) blank;
+  let a = !buf in
+  let rec fill i = function
+    | [] -> Ok k
+    | c :: rest -> (
+        a.(i) <- c;
+        match id_error ~k i c.cluster with
+        | Some e -> Error e
+        | None -> fill (i + 1) rest)
+  in
+  fill 0 t.certs
+
+let certs_by_id t =
+  let buf = ref (Array.make (List.length t.certs) blank) in
+  Result.map (fun _ -> !buf) (certs_by_id_into buf t)
+
+(* Verify buffers, reused across verifies. Each verify reserves the
+   stamps [base .. base + k] (k certificates): cluster c's stamp is
+   [base + c] and the domain's is [base + k]. Every stamp a verify
+   writes is below the next one's base, so stale entries read as
+   absent and nothing is ever cleared. [owner.(v)] is the stamp of the
+   cluster that claimed v, which is also the class id the member-
+   restricted BFS reads; [bfs] keeps its all-[-1] [dist] between
+   searches. *)
+type workspace = {
+  w_n : int;
+  mutable next : int;
+  in_domain : int array;
+  owner : int array;
+  node_color : int array;
   t_parent : int array;
   t_has_parent : int array;  (* stamp when t_parent holds this cert's entry *)
   t_depth : int array;
   t_has_depth : int array;  (* stamp when t_depth is known *)
+  bfs : Bfs.scratch;
 }
 
-let tree_scratch n =
+let workspace n =
   {
+    w_n = n;
+    next = 0;
+    in_domain = Array.make n (-1);
+    owner = Array.make n (-1);
+    node_color = Array.make n 0;
     t_parent = Array.make n 0;
-    t_has_parent = Array.make n 0;
+    t_has_parent = Array.make n (-1);
     t_depth = Array.make n 0;
-    t_has_depth = Array.make n 0;
+    t_has_depth = Array.make n (-1);
+    bfs = Bfs.scratch n;
   }
 
 (* depth of every tree node from the parent pointers alone, rejecting
@@ -216,27 +252,34 @@ let rec tree_height ts h = function
   | [] -> h
   | v :: rest -> tree_height ts (max h ts.t_depth.(v)) rest
 
-let verify g t =
+let verify_with ws g t =
   let n = Graph.n g in
+  if ws.w_n <> n then
+    invalid_arg
+      (Printf.sprintf "Audit.verify_with: workspace for %d nodes, graph has %d"
+         ws.w_n n);
+  let k = List.length t.certs in
+  let base = ws.next in
+  ws.next <- base + k + 1;
+  let in_domain = ws.in_domain and owner = ws.owner in
+  let node_color = ws.node_color in
+  let dom = base + k in
   try
     if t.n <> n then
       fail "certificate claims n=%d but the graph has %d nodes" t.n n;
     (* domain: sorted, in range, duplicate-free *)
-    let in_domain = Array.make n false in
     let rec check_domain = function
       | [] -> ()
       | v :: rest ->
           if v < 0 || v >= n then fail "domain node %d out of range" v;
-          if in_domain.(v) then fail "domain node %d listed twice" v;
-          in_domain.(v) <- true;
+          if in_domain.(v) = dom then fail "domain node %d listed twice" v;
+          in_domain.(v) <- dom;
           check_domain rest
     in
     check_domain t.domain;
     (* membership: disjoint clusters with ids 0..k-1 in order, confined
-       to the domain; owner.(v) is the id of v's cluster, so afterwards
-       one array read answers "is v a member of cluster c" *)
-    let owner = Array.make n (-1) in
-    let node_color = Array.make n (-1) in
+       to the domain; owner.(v) is base + the id of v's cluster, so
+       afterwards one array read answers "is v a member of cluster c" *)
     let clustered = ref 0 in
     (* per-cluster walks are defined once per verify and take the cert
        as an argument, so no closure is allocated per cluster *)
@@ -245,17 +288,16 @@ let verify g t =
       | v :: rest ->
           if v < 0 || v >= n then
             fail "cluster %d: member %d out of range" cert.cluster v;
-          if not in_domain.(v) then
+          if in_domain.(v) <> dom then
             fail "cluster %d: member %d outside the domain" cert.cluster v;
-          if owner.(v) >= 0 then
-            fail "node %d claimed by clusters %d and %d" v owner.(v)
+          if owner.(v) >= base then
+            fail "node %d claimed by clusters %d and %d" v (owner.(v) - base)
               cert.cluster;
-          owner.(v) <- cert.cluster;
+          owner.(v) <- base + cert.cluster;
           node_color.(v) <- cert.color;
           incr clustered;
           claim cert rest
     in
-    let k = List.length t.certs in
     List.iteri
       (fun i cert ->
         (match id_error ~k i cert.cluster with
@@ -288,21 +330,27 @@ let verify g t =
     if Float.abs (expected_fraction -. t.dead_fraction) > 1e-9 then
       fail "dead fraction: certificate claims %.6f, recount gives %.6f"
         t.dead_fraction expected_fraction;
-    (* color-class disjointness by one scan of the raw edge set; for
-       carvings every color is -1, so this is full non-adjacency *)
-    Graph.iter_edges g (fun u v ->
-        if
-          owner.(u) >= 0 && owner.(v) >= 0
-          && owner.(u) <> owner.(v)
-          && node_color.(u) = node_color.(v)
-        then
-          fail "edge (%d,%d) joins clusters %d and %d of the same color %d" u
-            v owner.(u) owner.(v) node_color.(u));
-    (* witness trees and eccentric pairs, cluster by cluster, over
-       buffers shared by every cluster; owner answers membership *)
-    let ts = tree_scratch n in
-    let bfs = Bfs.scratch n in
-    let member cert v = v >= 0 && v < n && owner.(v) = cert.cluster in
+    (* color-class disjointness by one scan of the raw edge set, in
+       [Graph.iter_edges] order; for carvings every color is -1, so
+       this is full non-adjacency *)
+    let offsets = Graph.offsets g and targets = Graph.targets g in
+    for u = 0 to n - 1 do
+      let ou = owner.(u) in
+      if ou >= base then
+        for i = offsets.{u} to offsets.{u + 1} - 1 do
+          let v = targets.{i} in
+          if
+            u < v && owner.(v) >= base && owner.(v) <> ou
+            && node_color.(v) = node_color.(u)
+          then
+            fail "edge (%d,%d) joins clusters %d and %d of the same color %d"
+              u v (ou - base) (owner.(v) - base) node_color.(u)
+        done
+    done;
+    (* witness trees and eccentric pairs, cluster by cluster, over the
+       workspace's buffers; owner answers membership *)
+    let bfs = ws.bfs in
+    let member cert v = v >= 0 && v < n && owner.(v) = base + cert.cluster in
     let rec check_pairs cert = function
       | [] -> ()
       | (v, p) :: rest ->
@@ -329,9 +377,9 @@ let verify g t =
               fail "cluster %d: witness root %d is not a member" cert.cluster
                 w.w_root;
             check_pairs cert w.w_parents;
-            let stamp = cert.cluster + 1 in
-            tree_depths ts ~stamp ~cluster:cert.cluster w;
-            members_in_tree ts ~stamp ~cluster:cert.cluster cert.members;
+            let stamp = base + cert.cluster in
+            tree_depths ws ~stamp ~cluster:cert.cluster w;
+            members_in_tree ws ~stamp ~cluster:cert.cluster cert.members;
             (* the tree holds its root plus one distinct node per pair *)
             if
               cert.strong
@@ -339,7 +387,7 @@ let verify g t =
             then
               fail "cluster %d: strong witness tree has non-member nodes"
                 cert.cluster;
-            let height = tree_height ts 0 cert.members in
+            let height = tree_height ws 0 cert.members in
             if height <> w.w_height then
               fail "cluster %d: witness height claims %d, recomputed %d"
                 cert.cluster w.w_height height;
@@ -353,21 +401,23 @@ let verify g t =
            if not (member cert u && member cert v) then
              fail "cluster %d: eccentric pair (%d,%d) not members"
                cert.cluster u v;
+           (* strong: member-restricted BFS, O(cluster volume), so the
+              full recheck stays linear across 10^5+ clusters (owner was
+              built from cert.members, so they are exactly the class a
+              pull step scans); weak: host-graph BFS that stops at v *)
            let duv =
-             if cert.strong then begin
-               (* member-restricted BFS: O(cluster volume), so the full
-                  recheck stays linear across 10^5+ clusters; owner was
-                  built from cert.members, so they are exactly the class
-                  a pull step scans *)
-               let k =
-                 Bfs.restricted_into g ~owner ~id:cert.cluster
-                   ~members:cert.members ~source:u bfs
+             if u = v then 0
+             else begin
+               let reached =
+                 if cert.strong then
+                   Bfs.restricted_into g ~owner ~id:(base + cert.cluster)
+                     ~members:cert.members ~source:u bfs
+                 else Bfs.seek g ~source:u ~target:v bfs
                in
                let d = bfs.Bfs.dist.(v) in
-               Bfs.release bfs k;
+               Bfs.release bfs reached;
                d
              end
-             else (Bfs.distances g ~source:u).(v)
            in
            if duv <> cert.diameter_lb then
              fail
@@ -383,6 +433,8 @@ let verify g t =
       t.certs;
     Ok ()
   with Reject msg -> Error msg
+
+let verify g t = verify_with (workspace (Graph.n g)) g t
 
 (* The one source of truth for post-fault validity: certify the labels
    restricted to the survivor subgraph as a carving (non-adjacency is

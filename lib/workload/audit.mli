@@ -83,6 +83,14 @@ val certs_by_id : t -> (cert array, string) result
     [0 .. k-1] in list order — as out of range, repeated, or out of
     order. *)
 
+val certs_by_id_into : cert array ref -> t -> (int, string) result
+(** {!certs_by_id} into a caller-owned buffer: [Ok k] puts the [k]
+    certificates in cells [0 .. k-1] of [!buf], which is replaced by
+    one twice as long first when it is shorter than [k]; later cells
+    are stale. [Error] is {!certs_by_id}'s. Buffers are filled from a
+    static placeholder, never from a young value, so a long one costs
+    no forced minor collection. *)
+
 val verify : Dsgraph.Graph.t -> t -> (unit, string) result
 (** Re-checks every claim against [g] alone: cluster ids run
     [0 .. k-1] in list order (as {!certs_by_id} requires); members
@@ -96,7 +104,25 @@ val verify : Dsgraph.Graph.t -> t -> (unit, string) result
     [diameter_ub = 2 * height]; every eccentric pair's distance is
     re-derived by BFS (inside the claimed members for strong
     certificates, in [g] for weak ones) and must equal [diameter_lb], and
-    [diameter_lb <= diameter_ub] where both exist. *)
+    [diameter_lb <= diameter_ub] where both exist. A weak pair's BFS
+    stops once it reaches the pair's second node. Allocates a fresh
+    {!workspace}; see {!verify_with}. *)
+
+type workspace
+(** Reusable buffers for {!verify_with}: seven [n]-cell int arrays and a
+    [Bfs.scratch n]. Entries are stamped per verify, so a workspace is
+    never cleared, and a verify that rejects partway leaves nothing a
+    later one can read. It holds scratch only, never a result. Use it
+    from one domain at a time. *)
+
+val workspace : int -> workspace
+(** [workspace n] for graphs of [n] nodes. *)
+
+val verify_with : workspace -> Dsgraph.Graph.t -> t -> (unit, string) result
+(** {!verify} on caller-owned buffers: the same verdicts and messages,
+    and no [n]-sized allocation.
+    @raise Invalid_argument when the workspace was made for another
+    number of nodes than the graph has. *)
 
 val check_survivors :
   Dsgraph.Graph.t ->

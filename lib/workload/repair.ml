@@ -1,15 +1,47 @@
 open Dsgraph
 module CR = Cluster.Repair
 
+(* Scratch of one session lineage: what [repair] and [verify_cert]
+   would otherwise allocate per step. Holds no result; the cert buffers
+   are refilled from the session's audit on every use. *)
+type workspace = {
+  verify : Audit.workspace;
+  bfs : Bfs.scratch;  (* certifies fresh clusters *)
+  merge : CR.scratch;
+  old_certs : Audit.cert array ref;
+  new_certs : Audit.cert array ref;
+  from_old : int array;  (* new cluster id -> old id, or -1 *)
+}
+
+(* the cert buffers start at twice the first audit's size, so a lineage
+   whose cluster count stays below that never regrows them *)
+let workspace (audit : Audit.t) =
+  let n = audit.Audit.n in
+  let sized () =
+    let buf = ref [||] in
+    ignore (Audit.certs_by_id_into buf audit : (int, string) result);
+    buf
+  in
+  {
+    verify = Audit.workspace n;
+    bfs = Bfs.scratch n;
+    merge = CR.scratch n;
+    old_certs = sized ();
+    new_certs = sized ();
+    from_old = Array.make n (-1);
+  }
+
 type session = {
   state : CR.state;
   clustering : Cluster.Clustering.t;
   colors : int array;
   base_domain : bool array;
   audit : Audit.t;
+  work : workspace;
 }
 
 let start_decomposition d =
+  let audit = Audit.certify_decomposition d in
   let clustering = Cluster.Decomposition.clustering d in
   let g = Cluster.Clustering.graph clustering in
   let k = Cluster.Clustering.num_clusters clustering in
@@ -18,10 +50,12 @@ let start_decomposition d =
     clustering;
     colors = Array.init k (Cluster.Decomposition.color_of_cluster d);
     base_domain = Array.make (Graph.n g) true;
-    audit = Audit.certify_decomposition d;
+    audit;
+    work = workspace audit;
   }
 
 let start_carving cv =
+  let audit = Audit.certify_carving cv in
   let clustering = cv.Cluster.Carving.clustering in
   let g = Cluster.Clustering.graph clustering in
   let k = Cluster.Clustering.num_clusters clustering in
@@ -30,7 +64,8 @@ let start_carving cv =
     clustering;
     colors = Array.make k (-1);
     base_domain = Array.init (Graph.n g) (Mask.mem cv.Cluster.Carving.domain);
-    audit = Audit.certify_carving cv;
+    audit;
+    work = workspace audit;
   }
 
 type cert = {
@@ -52,14 +87,21 @@ type report = {
   cert : cert;
 }
 
+let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l)
+
 let repair ?(halo = 0) ~recarve session d =
   let t0 = Congest.Resource.now () in
+  let ws = session.work in
   let st = CR.step session.state d in
-  let old_certs =
-    match Audit.certs_by_id session.audit with
-    | Ok a -> a
-    | Error e -> invalid_arg ("Repair.repair: session audit: " ^ e)
-  in
+  let k_old = Cluster.Clustering.num_clusters session.clustering in
+  (match Audit.certs_by_id_into ws.old_certs session.audit with
+  | Ok k when k = k_old -> ()
+  | Ok k ->
+      invalid_arg
+        (Printf.sprintf
+           "Repair.repair: session audit covers %d clusters, not %d" k k_old)
+  | Error e -> invalid_arg ("Repair.repair: session audit: " ^ e));
+  let old_certs = !(ws.old_certs) in
   let weak c = not old_certs.(c).Audit.strong in
   let pl =
     CR.plan ~halo ~weak
@@ -72,45 +114,57 @@ let repair ?(halo = 0) ~recarve session d =
     | Audit.Carving -> CR.Carving
   in
   let m =
-    CR.merge ~kind ~old:session.clustering
+    CR.merge ~scratch:ws.merge ~kind ~old:session.clustering
       ~color_of:(fun c -> session.colors.(c))
       ~plan:pl ~state:st ~recarve
   in
   let clustering = m.CR.clustering in
   let colors = m.CR.colors in
   let k_new = Cluster.Clustering.num_clusters clustering in
-  let carried = ref [] in
-  for o = Array.length m.CR.old_to_new - 1 downto 0 do
-    let nw = m.CR.old_to_new.(o) in
-    if nw >= 0 then carried := (o, nw) :: !carried
-  done;
-  let carried = !carried in
-  let from_old = Array.make (max k_new 1) (-1) in
+  let carried = m.CR.carried in
+  let from_old = ws.from_old in
+  Array.fill from_old 0 k_new (-1);
   List.iter (fun (o, nw) -> from_old.(nw) <- o) carried;
   let g = CR.graph st in
   let n = Graph.n g in
   (* untouched certificates are carried over verbatim (only the cluster
-     id is renumbered); touched clusters are the only ones re-certified,
-     all over one scratch *)
-  let scratch = Bfs.scratch n in
+     id is renumbered). Where every id from [keep] up is carried under
+     its old id, the old list's tail is shared as it is; below it, a
+     cert keeping its id is reused, and only touched clusters are
+     re-certified, all over the workspace's scratch. *)
+  let keep = ref k_new in
+  if k_new = k_old then
+    while !keep > 0 && from_old.(!keep - 1) = !keep - 1 do
+      decr keep
+    done;
   let certs =
-    List.init k_new (fun c ->
-        let o = from_old.(c) in
-        if o >= 0 then { (old_certs.(o)) with Audit.cluster = c }
-        else Audit.cert_of_cluster ~scratch clustering ~color:colors.(c) c)
+    ref (if k_new = k_old then drop !keep session.audit.Audit.certs else [])
   in
+  for c = !keep - 1 downto 0 do
+    let o = from_old.(c) in
+    let cert =
+      if o < 0 then
+        Audit.cert_of_cluster ~scratch:ws.bfs clustering ~color:colors.(c) c
+      else if o = c then old_certs.(o)
+      else { (old_certs.(o)) with Audit.cluster = c }
+    in
+    certs := cert :: !certs
+  done;
+  let certs = !certs in
   (* audit domain: the original domain's survivors, plus anything the
      merge clustered (for decompositions this is exactly the survivor
      set; for partial-domain carvings a halo never reaches outside) *)
-  let domain = ref [] in
+  let domain = ref [] and size = ref 0 and clustered = ref 0 in
   for v = n - 1 downto 0 do
-    if
-      (session.base_domain.(v) && not (CR.is_down st v))
-      || Cluster.Clustering.cluster_of clustering v >= 0
-    then domain := v :: !domain
+    let c = Cluster.Clustering.cluster_of clustering v in
+    if (session.base_domain.(v) && not (CR.is_down st v)) || c >= 0 then begin
+      domain := v :: !domain;
+      incr size;
+      if c >= 0 then incr clustered
+    end
   done;
   let domain = !domain in
-  let dead = List.length domain - Cluster.Clustering.clustered_count clustering in
+  let dead = !size - !clustered in
   let num_colors =
     match kind with
     | CR.Carving -> 0
@@ -124,8 +178,7 @@ let repair ?(halo = 0) ~recarve session d =
       num_colors;
       domain;
       dead;
-      dead_fraction =
-        float_of_int dead /. float_of_int (max 1 (List.length domain));
+      dead_fraction = float_of_int dead /. float_of_int (max 1 !size);
     }
   in
   let cert =
@@ -146,6 +199,7 @@ let repair ?(halo = 0) ~recarve session d =
       colors;
       base_domain = session.base_domain;
       audit;
+      work = ws;
     }
   in
   ( session',
@@ -179,43 +233,47 @@ let partitions k ids pairs side =
   && List.for_all mark ids
   && List.for_all (fun p -> mark (side p)) pairs
 
-(* [b] is [a] renumbered to [cluster], field by field. A carried cert
-   shares its lists with its predecessor, and [compare] (unlike [=])
-   returns at once on physically equal blocks, so shared fields cost
-   one pointer test; certs hold no floats, so [compare x y = 0] is
-   exactly [x = y]. The full record patterns make the compiler reject
-   a cert field this check forgets. *)
+(* [b] is [a] renumbered to [cluster]. A carried cert shares its lists
+   with its predecessor (and is its predecessor when the id did not
+   move), and [compare] (unlike [=]) returns at once on physically
+   equal blocks, so shared fields cost one pointer test; certs hold no
+   floats, so [compare x y = 0] is exactly [x = y]. Under a new id the
+   check is field by field, where the full record patterns make the
+   compiler reject a cert field it forgets. *)
 let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
-  let same x y = compare x y = 0 in
-  let {
-    Audit.cluster = _;
-    color;
-    members;
-    strong;
-    tree;
-    diameter_lb;
-    lb_pair;
-    diameter_ub;
-  } =
-    a
-  in
-  let {
-    Audit.cluster = b_cluster;
-    color = b_color;
-    members = b_members;
-    strong = b_strong;
-    tree = b_tree;
-    diameter_lb = b_lb;
-    lb_pair = b_pair;
-    diameter_ub = b_ub;
-  } =
-    b
-  in
-  b_cluster = cluster && b_color = color && b_strong = strong
-  && b_lb = diameter_lb && same members b_members && same tree b_tree
-  && same lb_pair b_pair && same diameter_ub b_ub
+  if a.Audit.cluster = cluster then compare a b = 0
+  else
+    let same x y = compare x y = 0 in
+    let {
+      Audit.cluster = _;
+      color;
+      members;
+      strong;
+      tree;
+      diameter_lb;
+      lb_pair;
+      diameter_ub;
+    } =
+      a
+    in
+    let {
+      Audit.cluster = b_cluster;
+      color = b_color;
+      members = b_members;
+      strong = b_strong;
+      tree = b_tree;
+      diameter_lb = b_lb;
+      lb_pair = b_pair;
+      diameter_ub = b_ub;
+    } =
+      b
+    in
+    b_cluster = cluster && b_color = color && b_strong = strong
+    && b_lb = diameter_lb && same members b_members && same tree b_tree
+    && same lb_pair b_pair && same diameter_ub b_ub
 
 let verify_cert ~prev ~post c =
+  let ws = prev.work in
   try
     let k_old = Cluster.Clustering.num_clusters prev.clustering in
     if not (partitions k_old c.c_dirty c.c_carried fst) then
@@ -223,23 +281,28 @@ let verify_cert ~prev ~post c =
     let k_new = List.length c.c_audit.Audit.certs in
     if not (partitions k_new c.c_fresh c.c_carried snd) then
       bad "fresh + carried do not partition the %d repaired clusters" k_new;
-    let by_id what audit =
-      match Audit.certs_by_id audit with
-      | Ok a -> a
+    let by_id what buf audit =
+      match Audit.certs_by_id_into buf audit with
+      | Ok k -> k
       | Error e -> bad "%s certificate: %s" what e
     in
-    let old_certs = by_id "previous" prev.audit in
-    let new_certs = by_id "repaired" c.c_audit in
-    if Array.length old_certs <> k_old then
-      bad "previous certificate covers %d clusters, not %d"
-        (Array.length old_certs) k_old;
+    let k_prev = by_id "previous" ws.old_certs prev.audit in
+    ignore (by_id "repaired" ws.new_certs c.c_audit : int);
+    if k_prev <> k_old then
+      bad "previous certificate covers %d clusters, not %d" k_prev k_old;
     (* the partitions put every carried pair in range *)
+    let old_certs = !(ws.old_certs) and new_certs = !(ws.new_certs) in
     List.iter
       (fun (o, nw) ->
         if not (carried_equal old_certs.(o) new_certs.(nw) ~cluster:nw) then
           bad "carried cluster %d -> %d: certificate not identical" o nw)
       c.c_carried;
-    match Audit.verify post c.c_audit with
+    let verdict =
+      if Graph.n post = Graph.n (CR.graph prev.state) then
+        Audit.verify_with ws.verify post c.c_audit
+      else Audit.verify post c.c_audit
+    in
+    match verdict with
     | Ok () -> Ok ()
     | Error e -> Error (Printf.sprintf "merged audit rejected: %s" e)
   with Bad s -> Error s

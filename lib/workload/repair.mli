@@ -19,6 +19,16 @@
     audit passes the graph-only [Audit.verify] on the post-fault
     graph. *)
 
+type workspace
+(** Scratch of one session lineage: a {!Audit.workspace} for
+    {!verify_cert}'s full verify, a [Bfs.scratch] for certifying fresh
+    clusters, the merge's {!Cluster.Repair.scratch} and the id-indexed
+    certificate buffers. {!start_decomposition} and {!start_carving}
+    make one, and every session {!repair} derives from it shares it. It
+    holds scratch only, never a result, so a lineage may branch; but its
+    sessions must be repaired and verified from one domain at a
+    time. *)
+
 type session = {
   state : Cluster.Repair.state;
   clustering : Cluster.Clustering.t;  (** over [Cluster.Repair.graph state] *)
@@ -28,6 +38,7 @@ type session = {
           decompositions); survivors outside it stay out of the audit
           domain *)
   audit : Audit.t;  (** certificate of [clustering] on the current graph *)
+  work : workspace;  (** shared with every session of the lineage *)
 }
 
 val start_decomposition : Cluster.Decomposition.t -> session
@@ -64,14 +75,19 @@ val repair :
 (** Applies one delta and heals the clustering locally. [recarve] is as
     in [Cluster.Repair.merge] (see {!recarve_decomposer} /
     {!recarve_carver}); [halo] defaults to [0]. Fresh clusters are
-    certified over one [Bfs.scratch] allocated per call.
+    certified over the lineage's workspace. A certificate that keeps
+    its cluster id is carried physically, and where every id from some
+    point on keeps its certificate, the certificate list's tail is
+    shared with the session's.
     @raise Invalid_argument on an inconsistent delta, or when the
     session's audit breaks the cluster-id rule of [Audit.certs_by_id]. *)
 
 val verify_cert :
   prev:session -> post:Dsgraph.Graph.t -> cert -> (unit, string) result
 (** Checks the locality claim (see the module header). [post] must be
-    the post-delta graph ([Cluster.Repair.graph] of the new state). *)
+    the post-delta graph ([Cluster.Repair.graph] of the new state). The
+    full [Audit.verify] runs on [prev]'s workspace
+    ([Audit.verify_with]), with the same verdicts and messages. *)
 
 val recarve_decomposer :
   Algorithms.decomposer -> seed:int -> Dsgraph.Graph.t -> int array * int array

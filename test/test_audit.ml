@@ -245,6 +245,155 @@ let test_verify_is_independent () =
   let other = Gen.grid 4 4 in
   check bool "wrong graph rejected" false (is_ok (Audit.verify other t))
 
+(* A weakly certified decomposition: the clusters of a 6x6 grid are
+   the residue classes of 5, mostly disconnected inside, each with its
+   own color. *)
+let weak_fixture () =
+  let g = Gen.grid 6 6 in
+  let labels = Array.init (Graph.n g) (fun v -> v mod 5) in
+  let cl = Cluster.Clustering.make g ~cluster_of:labels in
+  let colors = Array.init (Cluster.Clustering.num_clusters cl) Fun.id in
+  let d = Cluster.Decomposition.make cl ~color_of_cluster:colors in
+  (Audit.certify_decomposition d, g)
+
+let verdict = function Ok () -> "ok" | Error e -> e
+let is_weak (c : Audit.cert) = not c.Audit.strong
+
+(* the weak eccentric-pair check stops its BFS at the pair's second
+   node; its verdicts and messages are those of a full host-graph BFS *)
+let test_weak_pairs_keep_messages () =
+  let t, g = weak_fixture () in
+  let weak = List.filter is_weak t.Audit.certs in
+  check bool "fixture has weak certificates" true (List.length weak >= 3);
+  let ws = Audit.workspace (Graph.n g) in
+  let check_verdict what want audit =
+    check Alcotest.string what want (verdict (Audit.verify g audit));
+    check Alcotest.string (what ^ " (workspace)") want
+      (verdict (Audit.verify_with ws g audit))
+  in
+  check_verdict "honest weak audit" "ok" t;
+  List.iter
+    (fun (c : Audit.cert) ->
+      let cluster = c.Audit.cluster and u, v = c.Audit.lb_pair in
+      let expect what f ~pair:(u, v) ~claimed =
+        check_verdict what
+          (Printf.sprintf
+             "cluster %d: eccentric pair (%d,%d) is at distance %d, not the \
+              claimed %d"
+             cluster u v (Bfs.distances g ~source:u).(v) claimed)
+          (tamper t cluster f);
+        check_verdict (what ^ ", then honest") "ok" t
+      in
+      let lb = c.Audit.diameter_lb in
+      expect "weak lower bound + 1"
+        (fun c -> { c with Audit.diameter_lb = lb + 1 })
+        ~pair:(u, v) ~claimed:(lb + 1);
+      (* a pair nearer than the claim: the search stops early *)
+      match List.filter (fun w -> w <> u && w <> v) c.Audit.members with
+      | w :: _ ->
+          expect "weak pair moved"
+            (fun c -> { c with Audit.lb_pair = (u, w) })
+            ~pair:(u, w) ~claimed:lb
+      | [] -> ())
+    weak;
+  (* members in two components: the search exhausts one and reads -1 *)
+  let g2 =
+    Graph.of_edge_seq ~n:6 (List.to_seq [ (0, 1); (1, 2); (3, 4); (4, 5) ])
+  in
+  let cl = Cluster.Clustering.make g2 ~cluster_of:[| 0; 0; 1; 0; 1; 1 |] in
+  let t2 =
+    Audit.certify_decomposition
+      (Cluster.Decomposition.make cl ~color_of_cluster:[| 0; 1 |])
+  in
+  check Alcotest.string "split weak cluster verifies" "ok"
+    (verdict (Audit.verify g2 t2));
+  let bad =
+    tamper t2 0 (fun c -> { c with Audit.diameter_lb = 3; lb_pair = (0, 3) })
+  in
+  check Alcotest.string "unreachable pair"
+    "cluster 0: eccentric pair (0,3) is at distance -1, not the claimed 3"
+    (verdict (Audit.verify_with (Audit.workspace 6) g2 bad))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* One workspace through verifies that reject partway — at a claim, in
+   a witness tree, after an eccentric-pair BFS (strong and weak), at a
+   color clash — and honest ones, in both orders: every verdict equals
+   a fresh-buffer verify's. *)
+let test_workspace_reuse () =
+  let t, g = Lazy.force decomp_fixture in
+  let wt, wg = weak_fixture () in
+  let ws = Audit.workspace (Graph.n g) and wws = Audit.workspace (Graph.n wg) in
+  let certs = Array.of_list t.Audit.certs in
+  let big =
+    List.find
+      (fun (c : Audit.cert) -> List.length c.Audit.members > 2)
+      t.Audit.certs
+  in
+  let owner = Array.make t.Audit.n (-1) in
+  Array.iter
+    (fun (c : Audit.cert) ->
+      List.iter (fun v -> owner.(v) <- c.Audit.cluster) c.Audit.members)
+    certs;
+  let clash = ref None in
+  Graph.iter_edges g (fun u v ->
+      let ou = owner.(u) and ov = owner.(v) in
+      if !clash = None && ou >= 0 && ov >= 0 && ou <> ov then
+        clash := Some (ou, ov));
+  let a, b = Option.get !clash in
+  let last = certs.(Array.length certs - 1).Audit.cluster in
+  let weak =
+    List.find
+      (fun (c : Audit.cert) -> is_weak c && c.Audit.diameter_lb > 0)
+      wt.Audit.certs
+  in
+  let on_t i f = (ws, g, tamper t i f)
+  and on_wt i f = (wws, wg, tamper wt i f) in
+  let bad =
+    [
+      ( "claimed by clusters",
+        on_t last (fun c ->
+            let stolen = List.hd big.Audit.members in
+            { c with Audit.members = stolen :: c.Audit.members }) );
+      ( "witness height",
+        on_t big.Audit.cluster (fun c ->
+            match c.Audit.tree with
+            | Some w ->
+                let w_height = w.Audit.w_height + 1 in
+                { c with Audit.tree = Some { w with Audit.w_height } }
+            | None -> c) );
+      ( "is at distance",
+        on_t big.Audit.cluster (fun c ->
+            { c with Audit.diameter_lb = c.Audit.diameter_lb + 1 }) );
+      ( "is at distance",
+        on_wt weak.Audit.cluster (fun c ->
+            { c with Audit.diameter_lb = c.Audit.diameter_lb - 1 }) );
+      ( "of the same color",
+        on_t a (fun c -> { c with Audit.color = certs.(b).Audit.color }) );
+    ]
+  in
+  List.iter
+    (fun (what, (w, g', audit)) ->
+      let fresh = verdict (Audit.verify g' audit) in
+      check bool (what ^ ": rejected there") true (contains fresh what);
+      check Alcotest.string (what ^ ": rejected on the workspace") fresh
+        (verdict (Audit.verify_with w g' audit));
+      check Alcotest.string (what ^ ": honest accepted after it") "ok"
+        (verdict (Audit.verify_with ws g t));
+      check Alcotest.string (what ^ ": weak honest accepted after it") "ok"
+        (verdict (Audit.verify_with wws wg wt));
+      check Alcotest.string (what ^ ": rejected after an honest verify") fresh
+        (verdict (Audit.verify_with w g' audit)))
+    bad;
+  Alcotest.check_raises "workspace of the wrong size"
+    (Invalid_argument
+       (Printf.sprintf "Audit.verify_with: workspace for %d nodes, graph has %d"
+          (Graph.n g + 1) (Graph.n g)))
+    (fun () -> ignore (Audit.verify_with (Audit.workspace (Graph.n g + 1)) g t))
+
 let () =
   Alcotest.run "audit"
     [
@@ -270,5 +419,9 @@ let () =
             test_allocation_scales_with_volume;
           Alcotest.test_case "verification is graph-anchored" `Quick
             test_verify_is_independent;
+          Alcotest.test_case "weak eccentric pairs keep their messages" `Quick
+            test_weak_pairs_keep_messages;
+          Alcotest.test_case "workspace reuse after rejections" `Quick
+            test_workspace_reuse;
         ] );
     ]

@@ -384,8 +384,8 @@ let test_merge_carving_frontier () =
     p.CR.region;
   let recarve_nodes = ref (-1) in
   let m =
-    CR.merge ~kind:CR.Carving ~old:cl ~color_of:carving_color ~plan:p ~state:st
-      ~recarve:(fun sub ->
+    CR.merge ~scratch:(CR.scratch (Graph.n g)) ~kind:CR.Carving ~old:cl
+      ~color_of:carving_color ~plan:p ~state:st ~recarve:(fun sub ->
         recarve_nodes := Graph.n sub;
         (Array.make (Graph.n sub) 0, [| -1 |]))
   in
@@ -396,7 +396,7 @@ let test_merge_carving_frontier () =
   check bool "separation preserved" true
     (Cluster.Clustering.non_adjacent m.CR.clustering);
   Alcotest.(check (list int)) "untouched members intact" [ 3; 4 ]
-    (Cluster.Clustering.members m.CR.clustering m.CR.old_to_new.(1));
+    (Cluster.Clustering.members m.CR.clustering (List.assoc 1 m.CR.carried));
   check int "one fresh cluster" 1 (List.length m.CR.fresh)
 
 let test_merge_empty_delta_is_identity () =
@@ -630,6 +630,242 @@ let prop_repair_equivalence =
       && List.for_all (fun row -> row.Chaos.scratch_valid) r.Chaos.rows)
 
 (* ------------------------------------------------------------------ *)
+(* Lineage workspace: equal to the rebuild-everything reference         *)
+(* ------------------------------------------------------------------ *)
+
+module Ref = Workload_repair_ref
+
+let labels_of cl n = Array.init n (Cluster.Clustering.cluster_of cl)
+
+let same_sessions (s : Repair.session) (r : Ref.session) =
+  let n = Graph.n (CR.graph s.Repair.state) in
+  labels_of s.Repair.clustering n = labels_of r.Ref.clustering n
+  && Cluster.Clustering.clusters s.Repair.clustering
+     = Cluster.Clustering.clusters r.Ref.clustering
+  && s.Repair.colors = r.Ref.colors
+  && s.Repair.audit = r.Ref.audit
+  && Graph.equal (CR.graph s.Repair.state) (CR.graph r.Ref.state)
+
+let same_reports (a : Repair.report) (b : Repair.report) =
+  a.Repair.dirty_clusters = b.Repair.dirty_clusters
+  && a.Repair.touched_nodes = b.Repair.touched_nodes
+  && a.Repair.touched_fraction = b.Repair.touched_fraction
+  && a.Repair.fresh_clusters = b.Repair.fresh_clusters
+  && a.Repair.carried_clusters = b.Repair.carried_clusters
+  && a.Repair.cert = b.Repair.cert
+
+(* the carried-certificate tamperings of the certificate tests, plus a
+   fresh certificate whose lower bound is off by one (it passes the
+   carried checks and falls to the full verify) *)
+let tamperings (cert : Repair.cert) =
+  let audit = cert.Repair.c_audit in
+  let with_cert id f =
+    {
+      cert with
+      Repair.c_audit =
+        {
+          audit with
+          Audit.certs =
+            List.map
+              (fun (c : Audit.cert) -> if c.Audit.cluster = id then f c else c)
+              audit.Audit.certs;
+        };
+    }
+  in
+  let carried =
+    match cert.Repair.c_carried with
+    | [] -> []
+    | (_, nw) :: _ ->
+        [
+          with_cert nw (fun c ->
+              { c with Audit.members = List.map Fun.id c.Audit.members });
+          with_cert nw (fun c -> { c with Audit.tree = None });
+          with_cert nw (fun c -> { c with Audit.diameter_ub = Some 9999 });
+        ]
+  in
+  let fresh =
+    match cert.Repair.c_fresh with
+    | [] -> []
+    | f :: _ ->
+        [
+          with_cert f (fun c ->
+              { c with Audit.diameter_lb = c.Audit.diameter_lb + 1 });
+        ]
+  in
+  let dirty =
+    match cert.Repair.c_dirty with
+    | [] -> []
+    | _ :: rest -> [ { cert with Repair.c_dirty = rest } ]
+  in
+  (cert :: carried) @ fresh @ dirty
+
+let lineage_case seed =
+  let rng = Rng.create seed in
+  let g = Random_graph.make rng (seed mod 3) in
+  let carve = seed / 3 mod 2 = 1 in
+  let halo = seed / 6 mod 3 in
+  let engine = if seed / 18 mod 2 = 0 then "greedy" else "ls93" in
+  let cost = Congest.Cost.create () and epsilon = 0.25 in
+  let s, recarve =
+    if carve then
+      let a =
+        Workload.Algorithms.find_carver
+          (if engine = "greedy" then "thm2.2" else engine)
+      in
+      let cv = a.Workload.Algorithms.run ~cost ~seed g ~epsilon in
+      ( Repair.start_carving cv,
+        fun i -> Repair.recarve_carver a ~seed:(seed + i) ~epsilon )
+    else
+      let a = Workload.Algorithms.find_decomposer engine in
+      let d = a.Workload.Algorithms.run ~cost ~seed g in
+      ( Repair.start_decomposition d,
+        fun i -> Repair.recarve_decomposer a ~seed:(seed + i) )
+  in
+  (g, s, recarve, halo)
+
+let prop_workspace_matches_reference =
+  QCheck2.Test.make ~count:150
+    ~name:
+      "lineage workspace repair and verify_cert equal the rebuild-everything \
+       reference"
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 5 20))
+    (fun (seed, steps) ->
+      let g, s0, recarve, halo = lineage_case seed in
+      if Graph.n g < 4 then true
+      else begin
+        let rng = Rng.create (seed + 1) in
+        let rec go i (s : Repair.session) (r : Ref.session) =
+          i = steps
+          ||
+          let d = E2e_core.Churn.delta rng s.Repair.state in
+          let s', rep = Repair.repair ~halo ~recarve:(recarve i) s d in
+          let r', rrep = Ref.repair ~halo ~recarve:(recarve i) r d in
+          let post = CR.graph s'.Repair.state in
+          if not (same_sessions s' r' && same_reports rep rrep) then
+            QCheck2.Test.fail_reportf "step %d: sessions or reports differ" i;
+          List.iteri
+            (fun j c ->
+              let got = Repair.verify_cert ~prev:s ~post c in
+              let want = Ref.verify_cert ~prev:r ~post c in
+              if got <> want then
+                QCheck2.Test.fail_reportf "step %d, certificate %d: %s vs %s" i
+                  j
+                  (match got with Ok () -> "ok" | Error e -> e)
+                  (match want with Ok () -> "ok" | Error e -> e))
+            (tamperings rep.Repair.cert);
+          go (i + 1) s' r'
+        in
+        go 0 s0 (Ref.of_session s0)
+      end)
+
+(* one fresh cluster per re-carved node *)
+let singletons sub =
+  (Array.init (Graph.n sub) Fun.id, Array.make (Graph.n sub) 0)
+
+(* Merges over hand-made plans that sessions never produce: an
+   untouched cluster with a member in the region or down must lose it,
+   and may then be met later in node order. The merge builds from the
+   old clustering; the reference relabels every node. *)
+let test_merge_trims_like_relabeling () =
+  let g, cl = pairs_fixture () in
+  let color_of c = c mod 2 in
+  let agree what ~kind st (plan : CR.plan) =
+    let m =
+      CR.merge ~scratch:(CR.scratch (Graph.n g)) ~kind ~old:cl ~color_of ~plan
+        ~state:st ~recarve:singletons
+    in
+    let r =
+      Ref.merge ~kind ~old:cl ~color_of ~plan ~state:st ~recarve:singletons
+    in
+    let carried = ref [] in
+    Array.iteri
+      (fun o c -> if c >= 0 then carried := (o, c) :: !carried)
+      r.Ref.old_to_new;
+    check bool (what ^ ": clusters") true
+      (Cluster.Clustering.clusters m.CR.clustering
+       = Cluster.Clustering.clusters r.Ref.clustering
+      && labels_of m.CR.clustering 8 = labels_of r.Ref.clustering 8);
+    check bool (what ^ ": colors") true (m.CR.colors = r.Ref.colors);
+    check bool (what ^ ": carried") true (m.CR.carried = List.rev !carried);
+    check bool (what ^ ": fresh") true (m.CR.fresh = r.Ref.fresh)
+  in
+  let plan ?(dirty = []) region = { CR.dirty; region; seeds = [] } in
+  let st0 = CR.init g in
+  let crashed v = CR.step st0 (CR.delta ~crash:[ v ] ()) in
+  List.iter
+    (fun kind ->
+      agree "region node of an untouched cluster" ~kind st0
+        (plan ~dirty:[ 0 ] [ 0; 1; 3 ]);
+      agree "first member leaves" ~kind st0 (plan [ 2 ]);
+      agree "down member of an untouched cluster" ~kind (crashed 5) (plan []);
+      agree "whole cluster leaves" ~kind (crashed 6) (plan [ 7 ]))
+    [ CR.Decomposition; CR.Carving ]
+
+(* A merge that raises — a bad plan, or a re-carve that breaks the
+   decomposition contract after the scratch is half written — leaves
+   the scratch clean for the next one. *)
+let test_merge_scratch_after_failures () =
+  let g, cl = pairs_fixture () in
+  let sc = CR.scratch (Graph.n g) in
+  let merge ?(recarve = singletons) sc plan =
+    CR.merge ~scratch:sc ~kind:CR.Decomposition ~old:cl
+      ~color_of:(fun c -> c mod 2)
+      ~plan ~state:(CR.init g) ~recarve
+  in
+  let plan = { CR.dirty = [ 1 ]; region = [ 2; 3 ]; seeds = [] } in
+  let expect msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  expect "Repair.merge: dirty cluster 4 out of range" (fun () ->
+      merge sc { plan with CR.dirty = [ 1; 4 ] });
+  expect "Repair.merge: region node 8 out of range" (fun () ->
+      merge sc { plan with CR.region = [ 2; 3; 8 ] });
+  expect "Repair.merge: decomposition recarve left node 3 unclustered"
+    (fun () -> merge sc plan ~recarve:(fun _ -> ([| 0; -1 |], [| 0 |])));
+  let other = { CR.dirty = [ 0 ]; region = [ 0; 1 ]; seeds = [] } in
+  let m = merge sc other and fresh = merge (CR.scratch (Graph.n g)) other in
+  check bool "same merge as on a new scratch" true
+    (labels_of m.CR.clustering 8 = labels_of fresh.CR.clustering 8
+    && m.CR.carried = fresh.CR.carried
+    && m.CR.fresh = fresh.CR.fresh
+    && m.CR.colors = fresh.CR.colors)
+
+(* Per-step allocation of the grid-churn loop (repair + verify_cert)
+   on a greedy 32x32 grid: words that go straight to the major heap
+   (major - promoted, exact without a minor collection). The new
+   clustering's cluster-of array (n words) plus the per-cluster arrays
+   fit in 4n; an n-sized temporary per step would not. *)
+let test_step_direct_major_words () =
+  let g = Gen.grid 32 32 in
+  let n = Graph.n g in
+  let greedy = Workload.Algorithms.find_decomposer "greedy" in
+  let s0 = Repair.start_decomposition (Baseline.Greedy.decompose g) in
+  let rng = Rng.create 42 in
+  let worst = ref 0.0 and total = ref 0.0 in
+  let s = ref s0 in
+  for i = 0 to 99 do
+    let d = E2e_core.Churn.delta rng !s.Repair.state in
+    let recarve = Repair.recarve_decomposer greedy ~seed:(42 + i) in
+    let _, promoted0, major0 = Gc.counters () in
+    let s', rep = Repair.repair ~halo:1 ~recarve !s d in
+    let post = CR.graph s'.Repair.state in
+    let verdict = Repair.verify_cert ~prev:!s ~post rep.Repair.cert in
+    let _, promoted1, major1 = Gc.counters () in
+    (match verdict with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "step %d rejected: %s" i e);
+    let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+    worst := Float.max !worst direct;
+    total := !total +. direct;
+    s := s'
+  done;
+  let bound = 4.0 *. float_of_int n in
+  check bool
+    (Printf.sprintf "worst step %.0f direct words <= 4n = %.0f (mean %.0f)"
+       !worst bound (!total /. 100.0))
+    true (!worst <= bound)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "repair"
@@ -671,5 +907,15 @@ let () =
           Alcotest.test_case "grid256 single crash is local" `Quick
             test_grid256_single_crash_locality;
           QCheck_alcotest.to_alcotest prop_repair_equivalence;
+        ] );
+      ( "workspace",
+        [
+          QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
+          Alcotest.test_case "merge trims untouched clusters like relabeling"
+            `Quick test_merge_trims_like_relabeling;
+          Alcotest.test_case "merge scratch survives failed merges" `Quick
+            test_merge_scratch_after_failures;
+          Alcotest.test_case "step direct major words within 4n" `Quick
+            test_step_direct_major_words;
         ] );
     ]
