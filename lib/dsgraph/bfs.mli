@@ -109,15 +109,6 @@ val reach :
     next search.
     @raise Invalid_argument when the scratch is smaller than the graph. *)
 
-val seek : Graph.t -> source:int -> target:int -> scratch -> int
-(** Push BFS from [source] over the whole graph that stops once
-    [target] has a distance (after the row that reached it), or the
-    component is exhausted: [dist.(target)] is then the hop distance,
-    [-1] when unreachable. Reached nodes are [queue.(0 .. k-1)], [k]
-    being the returned count; [parent] is meaningless. Allocates
-    nothing. Call {!release} with [k] before the next search.
-    @raise Invalid_argument when the scratch is smaller than the graph. *)
-
 (** {2 Layer steps}
 
     The pieces of {!restricted_into}'s search, for searches that stop

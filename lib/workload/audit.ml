@@ -165,7 +165,9 @@ let certs_by_id t =
    writes is below the next one's base, so stale entries read as
    absent and nothing is ever cleared. [owner.(v)] is the stamp of the
    cluster that claimed v, which is also the class id the member-
-   restricted BFS reads; [bfs] keeps its all-[-1] [dist] between
+   restricted BFS reads. Once the claims are checked, [in_domain] is
+   free: a weak eccentric-pair search stamps its target there, a class
+   of one node for [Bfs.reach]. [bfs] keeps its all-[-1] [dist] between
    searches. *)
 type workspace = {
   w_n : int;
@@ -330,23 +332,16 @@ let verify_with ws g t =
     if Float.abs (expected_fraction -. t.dead_fraction) > 1e-9 then
       fail "dead fraction: certificate claims %.6f, recount gives %.6f"
         t.dead_fraction expected_fraction;
-    (* color-class disjointness by one scan of the raw edge set, in
-       [Graph.iter_edges] order; for carvings every color is -1, so
-       this is full non-adjacency *)
-    let offsets = Graph.offsets g and targets = Graph.targets g in
-    for u = 0 to n - 1 do
-      let ou = owner.(u) in
-      if ou >= base then
-        for i = offsets.{u} to offsets.{u + 1} - 1 do
-          let v = targets.{i} in
-          if
-            u < v && owner.(v) >= base && owner.(v) <> ou
-            && node_color.(v) = node_color.(u)
-          then
-            fail "edge (%d,%d) joins clusters %d and %d of the same color %d"
-              u v (ou - base) (owner.(v) - base) node_color.(u)
-        done
-    done;
+    (* color-class disjointness by one scan of the raw edge set; for
+       carvings every color is -1, so this is full non-adjacency *)
+    Graph.iter_edges g (fun u v ->
+        if
+          owner.(u) >= base && owner.(v) >= base
+          && owner.(u) <> owner.(v)
+          && node_color.(u) = node_color.(v)
+        then
+          fail "edge (%d,%d) joins clusters %d and %d of the same color %d" u
+            v (owner.(u) - base) (owner.(v) - base) node_color.(u));
     (* witness trees and eccentric pairs, cluster by cluster, over the
        workspace's buffers; owner answers membership *)
     let bfs = ws.bfs in
@@ -404,15 +399,21 @@ let verify_with ws g t =
            (* strong: member-restricted BFS, O(cluster volume), so the
               full recheck stays linear across 10^5+ clusters (owner was
               built from cert.members, so they are exactly the class a
-              pull step scans); weak: host-graph BFS that stops at v *)
+              pull step scans); weak: host-graph BFS that stops at v,
+              the one node of in_domain with the cluster's stamp *)
            let duv =
              if u = v then 0
              else begin
+               let stamp = base + cert.cluster in
                let reached =
                  if cert.strong then
-                   Bfs.restricted_into g ~owner ~id:(base + cert.cluster)
+                   Bfs.restricted_into g ~owner ~id:stamp
                      ~members:cert.members ~source:u bfs
-                 else Bfs.seek g ~source:u ~target:v bfs
+                 else begin
+                   in_domain.(v) <- stamp;
+                   Bfs.reach g ~owner:in_domain ~id:stamp ~count:1 ~source:u
+                     bfs
+                 end
                in
                let d = bfs.Bfs.dist.(v) in
                Bfs.release bfs reached;

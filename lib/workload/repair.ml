@@ -87,8 +87,6 @@ type report = {
   cert : cert;
 }
 
-let rec drop i l = if i = 0 then l else drop (i - 1) (List.tl l)
-
 let repair ?(halo = 0) ~recarve session d =
   let t0 = Congest.Resource.now () in
   let ws = session.work in
@@ -128,19 +126,11 @@ let repair ?(halo = 0) ~recarve session d =
   let g = CR.graph st in
   let n = Graph.n g in
   (* untouched certificates are carried over verbatim (only the cluster
-     id is renumbered). Where every id from [keep] up is carried under
-     its old id, the old list's tail is shared as it is; below it, a
-     cert keeping its id is reused, and only touched clusters are
-     re-certified, all over the workspace's scratch. *)
-  let keep = ref k_new in
-  if k_new = k_old then
-    while !keep > 0 && from_old.(!keep - 1) = !keep - 1 do
-      decr keep
-    done;
-  let certs =
-    ref (if k_new = k_old then drop !keep session.audit.Audit.certs else [])
-  in
-  for c = !keep - 1 downto 0 do
+     id is renumbered; a cert keeping its id is reused as it is), and
+     only touched clusters are re-certified, on the workspace's BFS
+     scratch *)
+  let certs = ref [] in
+  for c = k_new - 1 downto 0 do
     let o = from_old.(c) in
     let cert =
       if o < 0 then
@@ -236,41 +226,37 @@ let partitions k ids pairs side =
 (* [b] is [a] renumbered to [cluster]. A carried cert shares its lists
    with its predecessor (and is its predecessor when the id did not
    move), and [compare] (unlike [=]) returns at once on physically
-   equal blocks, so shared fields cost one pointer test; certs hold no
-   floats, so [compare x y = 0] is exactly [x = y]. Under a new id the
-   check is field by field, where the full record patterns make the
-   compiler reject a cert field it forgets. *)
+   equal blocks, so each shared field costs one pointer test. The full
+   record patterns make the compiler reject a cert field it forgets. *)
 let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
-  if a.Audit.cluster = cluster then compare a b = 0
-  else
-    let same x y = compare x y = 0 in
-    let {
-      Audit.cluster = _;
-      color;
-      members;
-      strong;
-      tree;
-      diameter_lb;
-      lb_pair;
-      diameter_ub;
-    } =
-      a
-    in
-    let {
-      Audit.cluster = b_cluster;
-      color = b_color;
-      members = b_members;
-      strong = b_strong;
-      tree = b_tree;
-      diameter_lb = b_lb;
-      lb_pair = b_pair;
-      diameter_ub = b_ub;
-    } =
-      b
-    in
-    b_cluster = cluster && b_color = color && b_strong = strong
-    && b_lb = diameter_lb && same members b_members && same tree b_tree
-    && same lb_pair b_pair && same diameter_ub b_ub
+  let same x y = compare x y = 0 in
+  let {
+    Audit.cluster = _;
+    color;
+    members;
+    strong;
+    tree;
+    diameter_lb;
+    lb_pair;
+    diameter_ub;
+  } =
+    a
+  in
+  let {
+    Audit.cluster = b_cluster;
+    color = b_color;
+    members = b_members;
+    strong = b_strong;
+    tree = b_tree;
+    diameter_lb = b_lb;
+    lb_pair = b_pair;
+    diameter_ub = b_ub;
+  } =
+    b
+  in
+  b_cluster = cluster && b_color = color && b_strong = strong
+  && b_lb = diameter_lb && same members b_members && same tree b_tree
+  && same lb_pair b_pair && same diameter_ub b_ub
 
 let verify_cert ~prev ~post c =
   let ws = prev.work in
@@ -297,12 +283,10 @@ let verify_cert ~prev ~post c =
         if not (carried_equal old_certs.(o) new_certs.(nw) ~cluster:nw) then
           bad "carried cluster %d -> %d: certificate not identical" o nw)
       c.c_carried;
-    let verdict =
-      if Graph.n post = Graph.n (CR.graph prev.state) then
-        Audit.verify_with ws.verify post c.c_audit
-      else Audit.verify post c.c_audit
-    in
-    match verdict with
+    let n = Graph.n (CR.graph prev.state) in
+    if Graph.n post <> n then
+      bad "post graph has %d nodes, not %d" (Graph.n post) n;
+    match Audit.verify_with ws.verify post c.c_audit with
     | Ok () -> Ok ()
     | Error e -> Error (Printf.sprintf "merged audit rejected: %s" e)
   with Bad s -> Error s

@@ -85,9 +85,10 @@ val repair :
 val verify_cert :
   prev:session -> post:Dsgraph.Graph.t -> cert -> (unit, string) result
 (** Checks the locality claim (see the module header). [post] must be
-    the post-delta graph ([Cluster.Repair.graph] of the new state). The
-    full [Audit.verify] runs on [prev]'s workspace
-    ([Audit.verify_with]), with the same verdicts and messages. *)
+    the post-delta graph ([Cluster.Repair.graph] of the new state); a
+    graph of another size is rejected. The full [Audit.verify] runs on
+    [prev]'s workspace ([Audit.verify_with]), with the same verdicts and
+    messages. *)
 
 val recarve_decomposer :
   Algorithms.decomposer -> seed:int -> Dsgraph.Graph.t -> int array * int array

@@ -583,6 +583,32 @@ let test_tampered_cluster_id_rejected () =
   expect "repeated id" (relabel 1 0)
     "repaired certificate: cluster id 0 appears twice (certificates 0 and 1)"
 
+(* a post graph of another size is rejected with its sizes, and the
+   lineage workspace still verifies the right graph afterwards *)
+let test_wrong_size_post_rejected () =
+  let s, recarve = decomp_session () in
+  let s', rep = Repair.repair ~halo:1 ~recarve s (CR.delta ~crash:[ 10 ] ()) in
+  let post = CR.graph s'.Repair.state in
+  let n = Graph.n post in
+  let verify post =
+    match Repair.verify_cert ~prev:s ~post rep.Repair.cert with
+    | r -> r
+    | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  in
+  List.iter
+    (fun m ->
+      let wrong =
+        Graph.of_edge_seq ~n:m
+          (Seq.filter (fun (u, v) -> u < m && v < m) (Graph.edges_seq post))
+      in
+      check
+        Alcotest.(result unit string)
+        (Printf.sprintf "post graph of %d nodes" m)
+        (Error (Printf.sprintf "post graph has %d nodes, not %d" m n))
+        (verify wrong))
+    [ n - 1; n + 1 ];
+  check Alcotest.(result unit string) "right post graph" (Ok ()) (verify post)
+
 (* the ISSUE acceptance bar: grid256, one crash, halo 1 — the repair
    re-carves at most 25% of the nodes *)
 let test_grid256_single_crash_locality () =
@@ -904,6 +930,8 @@ let () =
             test_carried_cert_by_value;
           Alcotest.test_case "tampered cluster ids rejected" `Quick
             test_tampered_cluster_id_rejected;
+          Alcotest.test_case "post graph of another size rejected" `Quick
+            test_wrong_size_post_rejected;
           Alcotest.test_case "grid256 single crash is local" `Quick
             test_grid256_single_crash_locality;
           QCheck_alcotest.to_alcotest prop_repair_equivalence;
