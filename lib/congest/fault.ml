@@ -24,6 +24,12 @@ let spec ?(seed = 0) ?(drop = 0.0) ?(duplicate = 0.0) ?(delay = 0.0)
 type t = {
   sp : spec;
   rng : Rng.t;
+  (* [Rng.threshold] of the cumulative drop, drop + duplicate and total
+     rates: a [Rng.bits53] draw below one is the [Rng.float] draw below
+     the rate, without boxing a float per message *)
+  drop_below : int;
+  duplicate_below : int;
+  delay_below : int;
   crash_round : (int, int) Hashtbl.t;
   (* per node, sorted disjoint down intervals [from, until): crashed at
      [r] iff some interval contains [r]; [max_int] = never revived *)
@@ -35,7 +41,7 @@ type t = {
 
 let create sp =
   let check_rate name r =
-    if r < 0.0 || r > 1.0 then
+    if not (r >= 0.0 && r <= 1.0) then
       invalid_arg (Printf.sprintf "Fault.create: %s rate %g not in [0,1]" name r)
   in
   check_rate "drop" sp.drop;
@@ -111,6 +117,9 @@ let create sp =
   {
     sp;
     rng = Rng.create sp.seed;
+    drop_below = Rng.threshold sp.drop;
+    duplicate_below = Rng.threshold (sp.drop +. sp.duplicate);
+    delay_below = Rng.threshold (sp.drop +. sp.duplicate +. sp.delay);
     crash_round;
     churn;
     n_dropped = 0;
@@ -122,8 +131,10 @@ let spec_of t = t.sp
 
 type fate = Deliver | Drop | Duplicate of int | Delay of int
 
+(* the closure is made only when there are bursts to check *)
 let in_burst t ~round ~src ~dst =
-  List.exists
+  t.sp.bursts <> []
+  && List.exists
     (fun b ->
       round >= b.from_round && round <= b.until_round
       &&
@@ -139,20 +150,19 @@ let fate t ~round ~src ~dst =
     Drop
   end
   else begin
-    let total = t.sp.drop +. t.sp.duplicate +. t.sp.delay in
-    if total <= 0.0 then Deliver
+    if t.delay_below = 0 then Deliver
     else
-      let u = Rng.float t.rng 1.0 in
-      if u < t.sp.drop then begin
+      let u = Rng.bits53 t.rng in
+      if u < t.drop_below then begin
         t.n_dropped <- t.n_dropped + 1;
         Drop
       end
-      else if u < t.sp.drop +. t.sp.duplicate then begin
+      else if u < t.duplicate_below then begin
         t.n_duplicated <- t.n_duplicated + 1;
         let d = if t.sp.delay_window > 0 then Rng.int t.rng (t.sp.delay_window + 1) else 0 in
         Duplicate d
       end
-      else if u < total && t.sp.delay_window > 0 then begin
+      else if u < t.delay_below && t.sp.delay_window > 0 then begin
         t.n_delayed <- t.n_delayed + 1;
         Delay (1 + Rng.int t.rng t.sp.delay_window)
       end

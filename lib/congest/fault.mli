@@ -62,11 +62,12 @@ type t
     Single-use — create a fresh one per {!Sim.simulate} to replay a schedule. *)
 
 val create : spec -> t
-(** @raise Invalid_argument on rates outside [0, 1], negative windows,
-    crash rounds < 1, burst windows with [until_round < from_round],
-    or a churn schedule whose crash/revive rounds do not strictly
-    interleave per node (a revive without a preceding crash, a revive
-    at or before its crash, or a re-crash before the pending revive). *)
+(** @raise Invalid_argument on rates outside [0, 1] (NaN included),
+    negative windows, crash rounds < 1, burst windows with
+    [until_round < from_round], or a churn schedule whose crash/revive
+    rounds do not strictly interleave per node (a revive without a
+    preceding crash, a revive at or before its crash, or a re-crash
+    before the pending revive). *)
 
 val spec_of : t -> spec
 

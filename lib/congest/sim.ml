@@ -411,6 +411,14 @@ let simulate ?(config = Config.default) ~bits g program =
   in
   let states = Array.init n (fun v -> program.init ~node:v ~neighbors:(Graph.neighbors g v)) in
   let halted = Array.make n false in
+  (* nodes whose [halted] entry is true, kept as the entries change *)
+  let n_halted = ref 0 in
+  let set_halted v h =
+    if h <> halted.(v) then begin
+      halted.(v) <- h;
+      if h then incr n_halted else decr n_halted
+    end
+  in
   (* [wake.(v)]: the first round [v] must be run without mail; a skipped
      node keeps its last halt vote *)
   let wake = Array.make n 0 in
@@ -421,24 +429,23 @@ let simulate ?(config = Config.default) ~bits g program =
     | Some adv -> Fault.is_crashed adv ~round v
     | None -> false
   in
+  let adversarial = Option.is_some adversary in
   let continue = ref true in
   while !continue && !rounds_used < max_rounds do
     incr rounds_used;
     let round = !rounds_used in
     f.sent <- 0;
-    (match trace with
-    | None -> ()
-    | Some s -> Trace.record s (Trace.Round_start { round }));
+    (match trace with None -> () | Some t -> Trace.emit_round_start t ~round);
     let s = slot f round in
     arrivals f s ~round;
     for v = 0 to n - 1 do
-      if crashed_at round v then begin
+      if adversarial && crashed_at round v then begin
         (match trace with
         | None -> ()
         | Some t ->
             if not (crashed_at (round - 1) v) then
               Trace.record t (Trace.Node_crashed { round; node = v }));
-        halted.(v) <- true;
+        set_halted v true;
         s.s_head.(v) <- -1
       end
       else if wake.(v) <= round || s.s_head.(v) >= 0 then begin
@@ -448,7 +455,7 @@ let simulate ?(config = Config.default) ~bits g program =
         out.round <- round;
         states.(v) <- program.round ~node:v ~state:states.(v) ~inbox ~out;
         let halt = out.halt_vote in
-        halted.(v) <- halt;
+        set_halted v halt;
         (* next round without mail, saturating at [max_int] *)
         wake.(v) <-
           (if out.idle_for = 0 then 0
@@ -457,35 +464,21 @@ let simulate ?(config = Config.default) ~bits g program =
         (match trace with
         | None -> ()
         | Some t ->
-            if halt && not was_halted then
-              Trace.record t (Trace.Node_halted { round; node = v }));
+            if halt && not was_halted then Trace.emit_node_halted t ~round ~node:v);
         send_step f ~round ~src:v out
       end
     done;
     s.s_len <- 0;
-    let all_halted = Array.for_all (fun h -> h) halted in
     (match trace with
     | None -> ()
     | Some t ->
-        let halted_count =
-          Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 halted
-        in
-        Trace.record t
-          (Trace.Round_end
-             {
-               round;
-               sent = f.sent;
-               delivered = f.delivered;
-               in_flight = f.pending;
-               halted = halted_count;
-             }));
-    if all_halted && f.pending = 0 then continue := false
+        Trace.emit_round_end t ~round ~sent:f.sent ~delivered:f.delivered
+          ~in_flight:f.pending ~halted:!n_halted);
+    if !n_halted = n && f.pending = 0 then continue := false
   done;
-  let all_halted = Array.for_all (fun h -> h) halted in
+  let all_halted = !n_halted = n in
   if (not all_halted) || f.pending > 0 then begin
-    let running =
-      Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted
-    in
+    let running = n - !n_halted in
     match on_incomplete with
     | `Ignore -> ()
     | `Warn ->

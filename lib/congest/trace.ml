@@ -208,6 +208,38 @@ let[@inline] emit_message_delivered s ~round ~src ~dst =
   end
 [@@hot]
 
+let[@inline] emit_round_start s ~round =
+  let off = slot s in
+  if off >= 0 then begin
+    let buf = s.buf in
+    Array.unsafe_set buf off k_round_start;
+    Array.unsafe_set buf (off + 1) round
+  end
+[@@hot]
+
+let[@inline] emit_round_end s ~round ~sent ~delivered ~in_flight ~halted =
+  let off = slot s in
+  if off >= 0 then begin
+    let buf = s.buf in
+    Array.unsafe_set buf off k_round_end;
+    Array.unsafe_set buf (off + 1) round;
+    Array.unsafe_set buf (off + 2) sent;
+    Array.unsafe_set buf (off + 3) delivered;
+    Array.unsafe_set buf (off + 4) in_flight;
+    Array.unsafe_set buf (off + 5) halted
+  end
+[@@hot]
+
+let[@inline] emit_node_halted s ~round ~node =
+  let off = slot s in
+  if off >= 0 then begin
+    let buf = s.buf in
+    Array.unsafe_set buf off k_node_halted;
+    Array.unsafe_set buf (off + 1) round;
+    Array.unsafe_set buf (off + 2) node
+  end
+[@@hot]
+
 let tag_id s tag =
   match Hashtbl.find_opt s.tag_index tag with
   | Some i -> i

@@ -97,6 +97,22 @@ val emit_message_sent :
 val emit_message_delivered : sink -> round:int -> src:int -> dst:int -> unit
 (** As {!emit_message_sent}, for {!constructor-Message_delivered}. *)
 
+val emit_round_start : sink -> round:int -> unit
+(** As {!emit_message_sent}, for {!constructor-Round_start}. *)
+
+val emit_round_end :
+  sink ->
+  round:int ->
+  sent:int ->
+  delivered:int ->
+  in_flight:int ->
+  halted:int ->
+  unit
+(** As {!emit_message_sent}, for {!constructor-Round_end}. *)
+
+val emit_node_halted : sink -> round:int -> node:int -> unit
+(** As {!emit_message_sent}, for {!constructor-Node_halted}. *)
+
 val enter_span : sink -> string -> unit
 (** Opens a phase named by one path segment; the recorded
     {!constructor-Span_enter} carries the full path (the open ancestors

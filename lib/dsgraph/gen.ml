@@ -370,7 +370,8 @@ let power_law ?(exponent = 2.5) rng ~n ~m =
   done;
   let total = !acc in
   let sample () =
-    let x = Rng.float rng total in
+    (* [Rng.float rng total], inline so the draw is not boxed *)
+    let x = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 *. total in
     (* smallest i with cum.(i) > x *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do

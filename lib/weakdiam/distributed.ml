@@ -8,40 +8,77 @@ type result = {
   engine : Weak_carving.result;
 }
 
-type msg =
-  | Propose
-  | Count_up of int * int (* cluster label, aggregated proposal count *)
-  | Depart_up of int * int (* cluster label, departures (forwarded up) *)
-  | Decide of int * bool (* cluster label, grow? *)
-  | Accepted of int (* your proposal to this cluster was accepted *)
-  | Rejected (* your target stopped: die *)
-  | Attach of int (* sender becomes my tree child for this cluster *)
-  | Label_is of int
-  | Died
-  | Stopped of int
+(* Messages are immediate ints: a 4-bit tag, then up to two fields of
+   [field_bits] each (a cluster label, then a count or the grow flag), so
+   a send allocates nothing. [bits] charges each message the size of the
+   variant it encodes, not of its int. *)
+let field_bits = 29
+let max_nodes = (1 lsl field_bits) - 1 (* also the mask of one field *)
+let propose = 0 (* no fields *)
+let count_up = 1 (* cluster label, aggregated proposal count *)
+let depart_up = 2 (* cluster label, departures (forwarded up) *)
+let decide = 3 (* cluster label, grow? (0 or 1) *)
+let accepted = 4 (* your proposal to this cluster was accepted *)
+let rejected = 5 (* your target stopped: die *)
+let attach = 6 (* sender becomes my tree child for this cluster *)
+let label_is = 7
+let died = 8
+let stopped = 9
+let msg1 tag c = tag lor (c lsl 4)
+let msg2 tag c k = tag lor (c lsl 4) lor (k lsl (4 + field_bits))
+let tag m = m land 15
+let arg1 m = (m lsr 4) land max_nodes
+let arg2 m = m lsr (4 + field_bits)
 
-type tree_entry = { parent : int; mutable children : int list }
+(* one node's record of one cluster's tree *)
+type tree = {
+  cl : int;  (* cluster label *)
+  parent : int;  (* neighbour position of the parent; -1 at the root *)
+  mutable children : int list;  (* neighbour positions, last attached first *)
+  mutable nchildren : int;
+  (* per step *)
+  mutable reports : int;  (* children's counts received *)
+  mutable sum : int;  (* their total *)
+  mutable sent : bool;  (* counted up (or decided, at the root) *)
+  mutable props : int list;  (* proposer positions, last first *)
+  mutable nprops : int;
+}
 
+(* A node's state is flat: everything about a neighbour sits at its
+   position in the sorted row [nbrs], and everything about a cluster in
+   the node's [trees]. The per-step tables (proposals, counts, reports)
+   live in the trees: only tree clusters are ever read back. The golden
+   trace pins two orders the program once took from Hashtbls, and both
+   are kept exactly with {!Hashtbl_order}: the order edges are drained
+   in and the order [aggregate] visits the trees in. *)
 type nstate = {
   id : int;
   mutable label : int; (* >= 0 cluster label, -2 dead *)
-  trees : (int, tree_entry) Hashtbl.t;
-  nbr_label : (int, int) Hashtbl.t;
-  stopped : (int, unit) Hashtbl.t; (* per phase *)
+  nbrs : int array;  (* neighbour ids, ascending *)
+  nbr_label : int array;
+  (* trees in creation order; [tree_order] holds their indices in the
+     order [aggregate] visits them *)
+  mutable trees : tree array;
+  mutable ntrees : int;
+  tree_order : Hashtbl_order.t;
+  mutable nsent : int;  (* trees with [sent] this step *)
+  mutable agg_due : bool;  (* this step's first aggregation has not run *)
+  mutable stopped : int array; (* clusters stopped this phase *)
+  mutable nstopped : int;
   (* root-side bookkeeping, meaningful when some cluster label = id *)
   mutable size : int;
   mutable joined : int;
-  (* per-step transient state *)
-  props : (int, int list ref) Hashtbl.t; (* cluster -> proposer neighbors *)
-  counts : (int, int * int) Hashtbl.t; (* cluster -> (#reports, sum) *)
-  sent_up : (int, unit) Hashtbl.t;
-  outq : (int, msg Queue.t) Hashtbl.t; (* per neighbor FIFO, one per edge *)
-  mutable queued : int; (* messages waiting in [outq] *)
-  (* [outq]'s queues in drain order, rebuilt when a neighbor is first
-     queued to: the reverse of [Hashtbl.fold] order over [outq], the send
-     order the golden trace test pins *)
-  mutable drain_to : int array;
-  mutable drain_q : msg Queue.t array;
+  (* one FIFO per edge: linked cells, [qhead.(p) = -1] empty, [-2] never
+     queued to *)
+  qhead : int array;
+  qtail : int array;
+  mutable cell_msg : int array;
+  mutable cell_next : int array;
+  mutable free : int;
+  mutable queued : int; (* messages waiting in the FIFOs *)
+  (* positions ever queued to, keyed by neighbour id; drained backwards *)
+  drain : Hashtbl_order.t;
+  mutable recv : int -> int -> unit;  (* [process st], made once: a round allocates no closure *)
   mutable round_in_step : int;
   mutable last_round : int; (* the simulator round of the last call *)
   mutable steps_left_in_phase : int;
@@ -51,6 +88,195 @@ type nstate = {
 
 let is_red bit lbl = (lbl lsr bit) land 1 = 1
 
+(* neighbour id -> position in the sorted row *)
+let position st v =
+  let lo = ref 0 and hi = ref (Array.length st.nbrs - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if st.nbrs.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* the index of cluster [c]'s tree, -1 if none; newest trees first, as
+   the ones a message is about are mostly recent *)
+let rec find_tree_from st c i =
+  if i < 0 || st.trees.(i).cl = c then i else find_tree_from st c (i - 1)
+
+let find_tree st c = find_tree_from st c (st.ntrees - 1)
+
+let add_tree st c ~parent =
+  let t =
+    {
+      cl = c;
+      parent;
+      children = [];
+      nchildren = 0;
+      reports = 0;
+      sum = 0;
+      sent = false;
+      props = [];
+      nprops = 0;
+    }
+  in
+  let k = st.ntrees in
+  if k = Array.length st.trees then begin
+    let trees = Array.make (max 4 (2 * k)) t in
+    Array.blit st.trees 0 trees 0 k;
+    st.trees <- trees
+  end;
+  st.trees.(k) <- t;
+  st.ntrees <- k + 1;
+  Hashtbl_order.add st.tree_order c k
+
+let rec stopped_from st c i =
+  i < st.nstopped && (st.stopped.(i) = c || stopped_from st c (i + 1))
+
+let is_stopped st c = stopped_from st c 0
+
+let new_cells st =
+  let k = Array.length st.cell_msg in
+  let size = max 4 (2 * k) in
+  let grow a =
+    let b = Array.make size (-1) in
+    Array.blit a 0 b 0 k;
+    b
+  in
+  st.cell_msg <- grow st.cell_msg;
+  st.cell_next <- grow st.cell_next;
+  for c = k to size - 2 do
+    st.cell_next.(c) <- c + 1
+  done;
+  st.free <- k
+
+let enqueue st p m =
+  if st.qhead.(p) = -2 then begin
+    st.qhead.(p) <- -1;
+    Hashtbl_order.add st.drain st.nbrs.(p) p
+  end;
+  if st.free < 0 then new_cells st;
+  let c = st.free in
+  st.free <- st.cell_next.(c);
+  st.cell_msg.(c) <- m;
+  st.cell_next.(c) <- -1;
+  if st.qhead.(p) < 0 then st.qhead.(p) <- c else st.cell_next.(st.qtail.(p)) <- c;
+  st.qtail.(p) <- c;
+  st.queued <- st.queued + 1
+
+(* one message per edge: the reverse of [Hashtbl.fold] order over the
+   neighbours queued to so far *)
+let drain st out =
+  for i = st.drain.length - 1 downto 0 do
+    let p = st.drain.values.(i) in
+    let c = st.qhead.(p) in
+    if c >= 0 then begin
+      Congest.Sim.send out st.nbrs.(p) st.cell_msg.(c);
+      st.qhead.(p) <- st.cell_next.(c);
+      st.cell_next.(c) <- st.free;
+      st.free <- c;
+      st.queued <- st.queued - 1
+    end
+  done
+
+let broadcast st m =
+  for p = 0 to Array.length st.nbrs - 1 do
+    enqueue st p m
+  done
+
+let rec enqueue_all st m = function
+  | [] -> ()
+  | p :: rest ->
+      enqueue st p m;
+      enqueue_all st m rest
+
+(* mark a cluster stopped; members announce it to their neighborhood *)
+let note_stopped st c =
+  if not (is_stopped st c) then begin
+    if st.nstopped = Array.length st.stopped then begin
+      let a = Array.make (max 4 (2 * st.nstopped)) 0 in
+      Array.blit st.stopped 0 a 0 st.nstopped;
+      st.stopped <- a
+    end;
+    st.stopped.(st.nstopped) <- c;
+    st.nstopped <- st.nstopped + 1;
+    if st.label = c then broadcast st (msg1 stopped c)
+  end
+
+let depart st old =
+  if old >= 0 then
+    if old = st.id then st.size <- st.size - 1
+    else
+      let i = find_tree st old in
+      (* always found: members hold a tree entry *)
+      if i >= 0 then enqueue st st.trees.(i).parent (msg2 depart_up old 1)
+
+let handle_decide st c grow =
+  let i = find_tree st c in
+  if i >= 0 then
+    enqueue_all st (msg2 decide c (Bool.to_int grow)) st.trees.(i).children;
+  if not grow then note_stopped st c;
+  if i >= 0 then begin
+    let t = st.trees.(i) in
+    enqueue_all st (if grow then msg1 accepted c else rejected) t.props;
+    t.props <- [];
+    t.nprops <- 0
+  end
+
+let join st c contact =
+  let old = st.label in
+  depart st old;
+  st.label <- c;
+  if find_tree st c < 0 then begin
+    add_tree st c ~parent:contact;
+    enqueue st contact (msg1 attach c)
+  end;
+  broadcast st (msg1 label_is c)
+
+let die st =
+  depart st st.label;
+  st.label <- -2;
+  broadcast st died
+
+let process st sender m =
+  let k = tag m in
+  if k = label_is then st.nbr_label.(position st sender) <- arg1 m
+  else if k = died then st.nbr_label.(position st sender) <- -2
+  else if k = stopped then note_stopped st (arg1 m)
+  else if k = propose then begin
+    let i = find_tree st st.label in
+    if i >= 0 then begin
+      let t = st.trees.(i) in
+      t.props <- position st sender :: t.props;
+      t.nprops <- t.nprops + 1
+    end
+  end
+  else if k = count_up then begin
+    let i = find_tree st (arg1 m) in
+    if i >= 0 then begin
+      let t = st.trees.(i) in
+      t.reports <- t.reports + 1;
+      t.sum <- t.sum + arg2 m
+    end
+  end
+  else if k = depart_up then begin
+    let c = arg1 m in
+    if c = st.id then st.size <- st.size - arg2 m
+    else
+      let i = find_tree st c in
+      if i >= 0 then enqueue st st.trees.(i).parent m
+  end
+  else if k = decide then handle_decide st (arg1 m) (arg2 m = 1)
+  else if k = accepted then join st (arg1 m) (position st sender)
+  else if k = rejected then die st
+  else begin
+    (* attach *)
+    let i = find_tree st (arg1 m) in
+    if i >= 0 then begin
+      let t = st.trees.(i) in
+      t.children <- position st sender :: t.children;
+      t.nchildren <- t.nchildren + 1
+    end
+  end
+
 (* Everything needed to run the node program, shared by the fault-free
    and the reliable-transport entry points. *)
 type built = {
@@ -58,14 +284,20 @@ type built = {
   b_step_budget : int;
   b_total_steps : int;
   b_domain : Mask.t;
-  b_program : (nstate, msg) Congest.Sim.program;
-  b_bits : msg -> int;
+  b_program : (nstate, int) Congest.Sim.program;
+  b_bits : int -> int;
   b_bandwidth : int;
   b_max_rounds : int;
 }
 
 let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
   let n = Graph.n g in
+  if n > max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Weakdiam.Distributed: n = %d exceeds %d, the largest graph whose \
+          messages pack into one int"
+         n max_nodes);
   let domain = match domain with Some d -> d | None -> Mask.full n in
   let engine = Weak_carving.carve ~preset ~domain g ~epsilon in
   let b = Congest.Bits.id_bits ~n in
@@ -86,168 +318,58 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     | Weak_carving.Ggr21 -> ggr21
     | Weak_carving.Hybrid -> Float.min rg20 ggr21
   in
-  let enqueue st nbr m =
-    let q =
-      match Hashtbl.find_opt st.outq nbr with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          Hashtbl.replace st.outq nbr q;
-          let order = Hashtbl.fold (fun nb q acc -> (nb, q) :: acc) st.outq [] in
-          st.drain_to <- Array.of_list (List.map fst order);
-          st.drain_q <- Array.of_list (List.map snd order);
-          q
-    in
-    Queue.add m q;
-    st.queued <- st.queued + 1
-  in
-  (* one message per edge, in drain order *)
-  let drain st out =
-    for i = 0 to Array.length st.drain_q - 1 do
-      let q = st.drain_q.(i) in
-      if not (Queue.is_empty q) then begin
-        Congest.Sim.send out st.drain_to.(i) (Queue.pop q);
-        st.queued <- st.queued - 1
-      end
-    done
-  in
-  let neighbors = Graph.neighbors g in
-  let broadcast st m = Array.iter (fun nb -> enqueue st nb m) (neighbors st.id) in
-  (* mark a cluster stopped; members announce it to their neighborhood *)
-  let note_stopped st c =
-    if not (Hashtbl.mem st.stopped c) then begin
-      Hashtbl.replace st.stopped c ();
-      if st.label = c then broadcast st (Stopped c)
-    end
-  in
-  let depart st old =
-    if old >= 0 then
-      if old = st.id then st.size <- st.size - 1
-      else
-        match Hashtbl.find_opt st.trees old with
-        | Some e -> enqueue st e.parent (Depart_up (old, 1))
-        | None -> () (* unreachable: members always hold a tree entry *)
-  in
-  let handle_decide st c grow =
-    (match Hashtbl.find_opt st.trees c with
-    | Some e -> List.iter (fun child -> enqueue st child (Decide (c, grow))) e.children
-    | None -> ());
-    if not grow then note_stopped st c;
-    (match Hashtbl.find_opt st.props c with
-    | None -> ()
-    | Some proposers ->
-        List.iter
-          (fun p -> enqueue st p (if grow then Accepted c else Rejected))
-          !proposers;
-        Hashtbl.remove st.props c)
-  in
-  let join st c contact =
-    let old = st.label in
-    depart st old;
-    st.label <- c;
-    if not (Hashtbl.mem st.trees c) then begin
-      Hashtbl.replace st.trees c { parent = contact; children = [] };
-      enqueue st contact (Attach c)
-    end;
-    broadcast st (Label_is c)
-  in
-  let die st =
-    depart st st.label;
-    st.label <- -2;
-    broadcast st Died
-  in
-  let process st sender m =
-    match m with
-    | Label_is l -> Hashtbl.replace st.nbr_label sender l
-    | Died -> Hashtbl.replace st.nbr_label sender (-2)
-    | Stopped c -> note_stopped st c
-    | Propose ->
-        let c = st.label in
-        let cell =
-          match Hashtbl.find_opt st.props c with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.replace st.props c r;
-              r
-        in
-        cell := sender :: !cell
-    | Count_up (c, k) ->
-        let reports, sum =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt st.counts c)
-        in
-        Hashtbl.replace st.counts c (reports + 1, sum + k)
-    | Depart_up (c, k) ->
-        if c = st.id then st.size <- st.size - k
-        else (
-          match Hashtbl.find_opt st.trees c with
-          | Some e -> enqueue st e.parent (Depart_up (c, k))
-          | None -> ())
-    | Decide (c, grow) -> handle_decide st c grow
-    | Accepted c -> join st c sender
-    | Rejected -> die st
-    | Attach c -> (
-        match Hashtbl.find_opt st.trees c with
-        | Some e -> e.children <- sender :: e.children
-        | None -> ())
-  in
   (* aggregation pass: once proposals have arrived (round >= 4), each tree
      node reports each cluster once all of that cluster's children have *)
   let aggregate st =
-    Hashtbl.iter
-      (fun c (e : tree_entry) ->
-        if not (Hashtbl.mem st.sent_up c) then begin
-          let reports, sum =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt st.counts c)
-          in
-          if reports = List.length e.children then begin
-            let own =
-              if st.label = c then
-                match Hashtbl.find_opt st.props c with
-                | Some r -> List.length !r
-                | None -> 0
-              else 0
-            in
-            let total = own + sum in
-            Hashtbl.replace st.sent_up c ();
-            if c = st.id then begin
-              (* root: decide *)
-              if total > 0 then begin
-                let grow = float_of_int total >= threshold st in
-                if grow then begin
-                  st.size <- st.size + total;
-                  st.joined <- st.joined + total
-                end;
-                handle_decide st c grow
-              end
-            end
-            else enqueue st e.parent (Count_up (c, total))
+    for j = 0 to st.ntrees - 1 do
+      let t = st.trees.(st.tree_order.values.(j)) in
+      if (not t.sent) && t.reports = t.nchildren then begin
+        let total = (if st.label = t.cl then t.nprops else 0) + t.sum in
+        t.sent <- true;
+        st.nsent <- st.nsent + 1;
+        if t.cl = st.id then begin
+          (* root: decide *)
+          if total > 0 then begin
+            let grow = float_of_int total >= threshold st in
+            if grow then begin
+              st.size <- st.size + total;
+              st.joined <- st.joined + total
+            end;
+            handle_decide st t.cl grow
           end
-        end)
-      st.trees
+        end
+        else enqueue st t.parent (msg2 count_up t.cl total)
+      end
+    done
   in
   let start_step st =
     st.round_in_step <- 1;
-    Hashtbl.reset st.props;
-    Hashtbl.reset st.counts;
-    Hashtbl.reset st.sent_up;
-    (* red nodes adjacent to a live blue cluster propose *)
+    for i = 0 to st.ntrees - 1 do
+      let t = st.trees.(i) in
+      t.reports <- 0;
+      t.sum <- 0;
+      t.sent <- false;
+      t.props <- [];
+      t.nprops <- 0
+    done;
+    st.nsent <- 0;
+    st.agg_due <- true;
+    (* red nodes adjacent to a live blue cluster propose to the smallest
+       such label, the smallest neighbour id breaking ties *)
     if st.label >= 0 && is_red st.bit st.label then begin
-      let best = ref None in
-      Array.iter
-        (fun w ->
-          match Hashtbl.find_opt st.nbr_label w with
-          | Some lw
-            when lw >= 0
-                 && (not (is_red st.bit lw))
-                 && not (Hashtbl.mem st.stopped lw) -> (
-              match !best with
-              | None -> best := Some (lw, w)
-              | Some (bl, bw) ->
-                  if lw < bl || (lw = bl && w < bw) then best := Some (lw, w))
-          | _ -> ())
-        (neighbors st.id);
-      match !best with None -> () | Some (_, w) -> enqueue st w Propose
+      let best = ref (-1) and best_label = ref max_int in
+      for p = 0 to Array.length st.nbrs - 1 do
+        let lw = st.nbr_label.(p) in
+        if
+          lw >= 0 && lw < !best_label
+          && (not (is_red st.bit lw))
+          && not (is_stopped st lw)
+        then begin
+          best := p;
+          best_label := lw
+        end
+      done;
+      if !best >= 0 then enqueue st !best propose
     end
   in
   let rec start_phase st steps rest =
@@ -264,7 +386,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     else begin
       st.steps_left_in_phase <- steps;
       st.phases_left <- rest;
-      Hashtbl.reset st.stopped;
+      st.nstopped <- 0;
       st.joined <- 0;
       start_step st
     end
@@ -273,22 +395,31 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     {
       Congest.Sim.init =
         (fun ~node ~neighbors:nbrs ->
+          let deg = Array.length nbrs in
           let st =
             {
               id = node;
               label = (if Mask.mem domain node then node else -1);
-              trees = Hashtbl.create 4;
-              nbr_label = Hashtbl.create (Array.length nbrs);
-              stopped = Hashtbl.create 4;
+              nbrs;
+              nbr_label =
+                Array.map (fun w -> if Mask.mem domain w then w else -2) nbrs;
+              trees = [||];
+              ntrees = 0;
+              tree_order = Hashtbl_order.create 4;
+              nsent = 0;
+              agg_due = false;
+              stopped = [||];
+              nstopped = 0;
               size = 1;
               joined = 0;
-              props = Hashtbl.create 4;
-              counts = Hashtbl.create 4;
-              sent_up = Hashtbl.create 4;
-              outq = Hashtbl.create (Array.length nbrs);
+              qhead = Array.make deg (-2);
+              qtail = Array.make deg (-1);
+              cell_msg = [||];
+              cell_next = [||];
+              free = -1;
               queued = 0;
-              drain_to = [||];
-              drain_q = [||];
+              drain = Hashtbl_order.create deg;
+              recv = (fun _ _ -> ());
               round_in_step = 0;
               last_round = 0;
               steps_left_in_phase = 0;
@@ -296,12 +427,8 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
               bit = 0;
             }
           in
-          if Mask.mem domain node then
-            Hashtbl.replace st.trees node { parent = node; children = [] };
-          Array.iter
-            (fun w ->
-              Hashtbl.replace st.nbr_label w (if Mask.mem domain w then w else -2))
-            nbrs;
+          st.recv <- process st;
+          if Mask.mem domain node then add_tree st node ~parent:(-1);
           (* the whole schedule is known up front (derived from n in a real
              deployment); bit i is phase i. Nodes outside the domain sleep. *)
           (if Mask.mem domain node then
@@ -335,14 +462,19 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
             end
             else st.round_in_step <- st.round_in_step + 1
           end;
-          if not (Congest.Sim.Inbox.is_empty inbox) then
-            Congest.Sim.Inbox.iter (process st) inbox;
-          (* [sent_up] only ever holds tree keys: once it holds all of
-             them, every tree has reported this step *)
+          let mail = not (Congest.Sim.Inbox.is_empty inbox) in
+          if mail then Congest.Sim.Inbox.iter st.recv inbox;
+          (* between two calls only mail changes what [aggregate] sees,
+             so it runs on mail and once at the step's round 4; it is done
+             for the step once every tree has reported *)
           if
             st.round_in_step >= 4 && st.steps_left_in_phase > 0
-            && Hashtbl.length st.sent_up < Hashtbl.length st.trees
-          then aggregate st;
+            && (mail || st.agg_due)
+            && st.nsent < st.ntrees
+          then begin
+            st.agg_due <- false;
+            aggregate st
+          end;
           (* with nothing queued, only mail, the first aggregate (round 4
              of the step) or the step boundary can make the node act *)
           if st.queued > 0 then drain st out
@@ -358,11 +490,12 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
           st);
     }
   in
-  let bits = function
-    | Propose | Rejected | Died -> 4
-    | Accepted _ | Attach _ | Label_is _ | Stopped _ -> 4 + id_bits
-    | Count_up _ | Depart_up _ -> 4 + (2 * id_bits)
-    | Decide _ -> 5 + id_bits
+  let bits m =
+    let k = tag m in
+    if k = propose || k = rejected || k = died then 4
+    else if k = count_up || k = depart_up then 4 + (2 * id_bits)
+    else if k = decide then 5 + id_bits
+    else 4 + id_bits
   in
   let max_rounds = ((total_steps + 2) * step_budget) + (4 * step_budget) in
   let bandwidth = max (Congest.Bits.bandwidth ~n) (4 + (2 * id_bits)) in

@@ -22,6 +22,12 @@
     depth and congestion — the {e execution} is faithful, only the
     schedule lengths are oracle-provided (see DESIGN.md §2). *)
 
+val max_nodes : int
+(** The largest graph the program runs on, [2^29 - 1] nodes: a message
+    is one immediate int holding a 4-bit tag and up to two 29-bit fields
+    (a cluster label and a count), and {!carve} and {!carve_reliable}
+    raise [Invalid_argument] on a larger graph rather than misencode. *)
+
 type result = {
   carving : Cluster.Carving.t;
   sim_stats : Congest.Sim.stats;  (** measured rounds/messages/bits *)

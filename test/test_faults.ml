@@ -75,6 +75,9 @@ let test_fault_validation () =
   Alcotest.check_raises "bad rate"
     (Invalid_argument "Fault.create: drop rate 1.5 not in [0,1]") (fun () ->
       ignore (Fault.create (Fault.spec ~drop:1.5 ())));
+  Alcotest.check_raises "NaN rate"
+    (Invalid_argument "Fault.create: delay rate nan not in [0,1]") (fun () ->
+      ignore (Fault.create (Fault.spec ~delay:Float.nan ())));
   Alcotest.check_raises "bad crash round"
     (Invalid_argument "Fault.create: crash round must be >= 1") (fun () ->
       ignore (Fault.create (Fault.spec ~crashes:[ (0, 0) ] ())))
@@ -463,6 +466,65 @@ let test_harness_zero_fault_row () =
   check int "nothing dropped" 0 row.Workload.Faults.dropped;
   check int "no recovery" 0 row.Workload.Faults.recovery_rounds
 
+(* [Fault.fate] compares one [Rng.bits53] draw per message against
+   thresholds hoisted into [Fault.create]. [float_fate] is the float form
+   it replaced, one [Rng.float] draw per message: both must give the same
+   fate stream, for rates of 0, 1,
+   subnormals, the smallest normal, 1 - ulp and random values. *)
+let float_fate (sp : Fault.spec) rng =
+  let total = sp.drop +. sp.duplicate +. sp.delay in
+  if total <= 0.0 then Fault.Deliver
+  else
+    let u = Rng.float rng 1.0 in
+    if u < sp.drop then Fault.Drop
+    else if u < sp.drop +. sp.duplicate then
+      Fault.Duplicate
+        (if sp.delay_window > 0 then Rng.int rng (sp.delay_window + 1) else 0)
+    else if u < total && sp.delay_window > 0 then
+      Fault.Delay (1 + Rng.int rng sp.delay_window)
+    else Fault.Deliver
+
+let rate_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.0;
+            1.0;
+            Int64.float_of_bits 1L (* smallest subnormal *);
+            Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL (* largest subnormal *);
+            Float.min_float;
+            Float.pred 1.0;
+            0.5;
+          ];
+        float_range 0.0 1.0;
+      ])
+
+let prop_fate_matches_float_form =
+  QCheck2.Test.make ~count:300
+    ~name:"fault fates equal the float-draw form, stream for stream"
+    ~print:(fun (seed, (drop, duplicate, delay), window) ->
+      Printf.sprintf "seed=%d drop=%h dup=%h delay=%h window=%d" seed drop
+        duplicate delay window)
+    QCheck2.Gen.(
+      triple (int_range 0 1_000_000) (triple rate_gen rate_gen rate_gen)
+        (int_range 0 3))
+    (fun (seed, (drop, duplicate, delay), delay_window) ->
+      let sp = Fault.spec ~seed ~drop ~duplicate ~delay ~delay_window () in
+      let adv = Fault.create sp and rng = Rng.create seed in
+      let fates =
+        List.init 400 (fun i ->
+            let a = Fault.fate adv ~round:(1 + i) ~src:0 ~dst:1 in
+            (a, float_fate sp rng))
+      in
+      let count p = List.length (List.filter (fun (_, b) -> p b) fates) in
+      List.for_all (fun (a, b) -> a = b) fates
+      && Fault.dropped adv = count (fun f -> f = Fault.Drop)
+      && Fault.duplicated adv
+         = count (function Fault.Duplicate _ -> true | _ -> false)
+      && Fault.delayed adv = count (function Fault.Delay _ -> true | _ -> false))
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: exactly-once + in-order delivery under arbitrary adversaries *)
 (* ------------------------------------------------------------------ *)
@@ -499,6 +561,7 @@ let () =
           Alcotest.test_case "drop all" `Quick test_fault_drop_all;
           Alcotest.test_case "burst schedule" `Quick test_fault_burst;
           Alcotest.test_case "validation" `Quick test_fault_validation;
+          QCheck_alcotest.to_alcotest prop_fate_matches_float_form;
         ] );
       ( "sim",
         [

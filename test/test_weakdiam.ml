@@ -287,6 +287,25 @@ let test_distributed_rounds_within_schedule () =
     (r.Dist.sim_stats.Congest.Sim.rounds_used
     <= ((r.Dist.total_steps + 6) * r.Dist.step_budget))
 
+(* The node program packs its messages into ints and keeps its state in
+   flat arrays, so a run allocates a few words per message: node set-up,
+   the engine run, proposal and child lists, and buffers growing to their
+   peak. On the 16x16 grid (27,753 messages) the whole [carve] measured
+   2.7 minor words per message; the Hashtbl program it replaced, 40.4. *)
+let test_distributed_minor_words () =
+  let g = Gen.grid 16 16 in
+  ignore (Dist.carve g ~epsilon:0.5);
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let r = Dist.carve g ~epsilon:0.5 in
+  let words = Gc.minor_words () -. before in
+  let messages = r.Dist.sim_stats.Congest.Sim.total_messages in
+  check int "messages" 27_753 messages;
+  let per_message = words /. float_of_int messages in
+  if per_message > 5.0 then
+    Alcotest.failf "%.0f minor words for %d messages: %.2f a message, over 5"
+      words messages per_message
+
 let prop_distributed_matches_engine =
   QCheck.Test.make
     ~name:"distributed weak carving equals the step-granular engine" ~count:45
@@ -548,6 +567,141 @@ let prop_wake_hint_transparent =
       let la, sa, ta = run None and lb, sb, tb = run (Some drop_hints) in
       la = lb && sa = sb && ta = tb)
 
+(* [Hashtbl_order] against a real unseeded Hashtbl, through resizes:
+   initial sizes 0-40, up to 300 distinct keys, dense small ids or wide
+   labels. *)
+let prop_hashtbl_order =
+  QCheck.Test.make ~name:"Hashtbl_order visits keys as Hashtbl.iter does"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, size, count) ->
+         Printf.sprintf "seed=%d size=%d count=%d" seed size count)
+       QCheck.Gen.(
+         triple (int_bound 1_000_000) (int_range 0 40) (int_range 0 300)))
+    (fun (seed, size, count) ->
+      let rng = Rng.create seed in
+      let range = if Rng.bool rng then 2 * count + 1 else 1 lsl 29 in
+      let tbl = Hashtbl.create ~random:false size in
+      let order = Weakdiam.Hashtbl_order.create size in
+      let ok = ref true in
+      for value = 0 to count - 1 do
+        let key = Rng.int rng range in
+        if not (Hashtbl.mem tbl key) then begin
+          Hashtbl.add tbl key value;
+          Weakdiam.Hashtbl_order.add order key value;
+          let expected = List.rev (Hashtbl.fold (fun _ v acc -> v :: acc) tbl []) in
+          let o = order.Weakdiam.Hashtbl_order.values in
+          if expected <> List.init order.length (fun i -> o.(i)) then ok := false
+        end
+      done;
+      !ok)
+
+(* The flat node program against the Hashtbl program it replaced
+   (test/distributed_ref.ml), on grids, ER, RMAT and scrambled grids,
+   random domains and all three presets. [reference_case] draws one
+   input; [small] keeps it to at most ~25 nodes, since the reliable
+   transport multiplies the rounds. *)
+let reference_case ~small (seed, family, preset) =
+  let rng = Rng.create seed in
+  let g =
+    match family with
+    | 0 ->
+        let side = 2 + Rng.int rng (if small then 4 else 11) in
+        Gen.grid side side
+    | 1 when small ->
+        Gen.erdos_renyi rng (2 + Rng.int rng 23) (0.05 +. Rng.float rng 0.2)
+    | 2 when small -> Gen.rmat rng ~n:16 ~m:(16 * (1 + Rng.int rng 3))
+    | 3 when small ->
+        let side = 2 + Rng.int rng 4 in
+        let perm = Rng.permutation rng (side * side) in
+        Graph.of_edge_seq ~n:(side * side)
+          (Seq.map
+             (fun (u, v) -> (perm.(u), perm.(v)))
+             (Graph.edges_seq (Gen.grid side side)))
+    | f -> Random_graph.make rng (f - 1)
+  in
+  let n = Graph.n g in
+  let domain =
+    if Rng.bool rng then None
+    else
+      Some
+        (Mask.of_list n (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
+  in
+  let epsilon = if Rng.bool rng then 0.5 else 0.05 +. Rng.float rng 0.9 in
+  (rng, g, [| WC.Rg20; WC.Ggr21; WC.Hybrid |].(preset), domain, epsilon)
+
+let reference_gen =
+  QCheck.make
+    ~print:(fun (seed, family, preset) ->
+      Printf.sprintf "seed=%d family=%d preset=%d" seed family preset)
+    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 0 3) (int_range 0 2))
+
+(* [carve], plain and under a conformance recorder: labels, [Sim.stats],
+   schedule, recorded violations and the JSONL trace are equal *)
+let prop_program_matches_reference =
+  QCheck.Test.make ~name:"flat node program equals the reference program"
+    ~count:150 reference_gen (fun case ->
+      let _, g, preset, domain, epsilon = reference_case ~small:false case in
+      List.for_all
+        (fun instrumented ->
+          let run carve =
+            let trace = Congest.Trace.sink () in
+            let recorder = Congest.Conformance.recorder () in
+            let conformance =
+              if instrumented then
+                Some (Congest.Conformance.instrumentor recorder g)
+              else None
+            in
+            let (r : Dist.result) = carve conformance trace in
+            ( Array.init (Graph.n g)
+                (Clustering.cluster_of r.carving.Carving.clustering),
+              r.sim_stats,
+              (r.step_budget, r.total_steps),
+              Congest.Conformance.recorded recorder,
+              Congest.Trace.to_jsonl trace )
+          in
+          run (fun conformance trace ->
+              Dist.carve ?conformance ~preset ?domain ~trace g ~epsilon)
+          = run (fun conformance trace ->
+                Distributed_ref.carve ?conformance ~preset ?domain ~trace g
+                  ~epsilon))
+        [ false; true ])
+
+(* [carve_reliable] under a seeded adversary (drops, duplicates, delays,
+   sometimes a crash): the labels, the crash and liveness outcome,
+   [Sim.stats] with its fault counts, the transport's counters and the
+   JSONL trace are equal *)
+let prop_reliable_matches_reference =
+  QCheck.Test.make
+    ~name:"flat node program equals the reference under faults" ~count:25
+    reference_gen (fun case ->
+      let rng, g, preset, domain, epsilon = reference_case ~small:true case in
+      let n = Graph.n g in
+      let spec =
+        Congest.Fault.spec ~seed:(Rng.int rng 1_000_000)
+          ~drop:(Rng.float rng 0.15) ~duplicate:(Rng.float rng 0.1)
+          ~delay:(Rng.float rng 0.1) ~delay_window:(Rng.int rng 3)
+          ~crashes:
+            (if Rng.bool rng then [ (Rng.int rng n, 1 + Rng.int rng 200) ]
+             else [])
+          ()
+      in
+      let run carve_reliable =
+        let trace = Congest.Trace.sink () in
+        let (r : Dist.reliable_result) =
+          carve_reliable (Congest.Fault.create spec) trace
+        in
+        ( (r.cluster_of, r.crashed, r.finished, r.dead_view),
+          (r.r_sim_stats, r.transport),
+          (r.inner_rounds, r.oracle_rounds, r.r_step_budget, r.r_total_steps),
+          Congest.Trace.to_jsonl trace )
+      in
+      run (fun adversary trace ->
+          Dist.carve_reliable ~adversary ~preset ?domain ~trace g ~epsilon)
+      = run (fun adversary trace ->
+            Distributed_ref.carve_reliable ~adversary ~preset ?domain ~trace g
+              ~epsilon))
+
 let () =
   Alcotest.run "weakdiam"
     [
@@ -604,6 +758,8 @@ let () =
             test_distributed_epsilon_sweep;
           Alcotest.test_case "rounds within schedule" `Quick
             test_distributed_rounds_within_schedule;
+          Alcotest.test_case "minor words per message" `Quick
+            test_distributed_minor_words;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -617,5 +773,8 @@ let () =
             prop_flat_engine_matches_reference;
             prop_reference_never_rejoins;
             prop_wake_hint_transparent;
+            prop_hashtbl_order;
+            prop_program_matches_reference;
+            prop_reliable_matches_reference;
           ] );
     ]
