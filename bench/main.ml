@@ -11,7 +11,8 @@
                                                (one instrumentation layer's
                                                 cost: trace, span, conform,
                                                 causal or resource)
-           dune exec bench/main.exe -- record  (append a headline snapshot
+           dune exec bench/main.exe -- record  (append the rows of
+                                                bench_results/e2e/results.json
                                                 to BENCH_trajectory.json)
    The full mode list is the [modes] table at the bottom. *)
 
@@ -975,157 +976,76 @@ let read_trajectory () =
         (if String.length line > 40 then String.sub line 0 40 ^ "..." else line))
     trajectory_path
 
-(* one snapshot workload: logical costs from the trace, resource columns
-   (seconds, per-node allocation, peak heap) from a recorder attached to
-   each run's sink. The seconds headline is the median of a
-   Workload.Stats multi-sample run, with the MAD stored alongside so
-   the comparator can tell noise from regression. *)
-let record_entries () =
-  let decomp name n =
-    let d = Algorithms.find_decomposer name in
-    (* timed samples run untraced; one final traced run, with a recorder
-       created just before it, supplies the logical and resource columns,
-       so they describe that run alone *)
-    let _, summary =
-      Measure.decomposition_row_sampled ~seed ~plan:Workload.Stats.quick_plan
-        d Suite.grid ~n
-    in
-    let sink = Congest.Trace.sink () in
-    let res = Resource.create () in
-    Resource.attach res sink;
-    let row = Measure.decomposition_row ~seed ~trace:sink d Suite.grid ~n in
-    let tot = Resource.totals res in
-    {
-      Trajectory.name = Printf.sprintf "%s/grid%d" name n;
-      rounds = row.Measure.rounds;
-      messages = row.Measure.messages;
-      max_bits = row.Measure.max_message_bits;
-      phases = List.length (Congest.Span.rollups sink);
-      seconds = summary.Workload.Stats.median;
-      seconds_mad = summary.Workload.Stats.mad;
-      minor_words_per_node =
-        tot.Resource.t_minor_words /. float_of_int n;
-      peak_heap_mb = Resource.peak_heap_mb tot;
-    }
-  in
-  let sim () =
-    let g = Gen.grid 8 8 in
-    (* timed samples run untraced; one final traced run supplies the
-       logical and resource columns *)
-    let _, summary =
-      Workload.Stats.measure ~plan:Workload.Stats.default_plan (fun () ->
-          Weakdiam.Distributed.carve g ~epsilon:0.5)
-    in
-    let sink = Congest.Trace.sink () in
-    let res = Resource.create () in
-    Resource.attach res sink;
-    let r = Weakdiam.Distributed.carve ~trace:sink g ~epsilon:0.5 in
-    let tot = Resource.totals res in
-    let s = r.Weakdiam.Distributed.sim_stats in
-    {
-      Trajectory.name = "weak_carve_sim/grid64";
-      rounds = s.Congest.Sim.rounds_used;
-      messages = s.Congest.Sim.total_messages;
-      max_bits = s.Congest.Sim.max_bits_seen;
-      phases = List.length (Congest.Span.rollups sink);
-      seconds = summary.Workload.Stats.median;
-      seconds_mad = summary.Workload.Stats.mad;
-      minor_words_per_node = tot.Resource.t_minor_words /. 64.0;
-      peak_heap_mb = Resource.peak_heap_mb tot;
-    }
-  in
-  (* repair headline, mapped onto the snapshot shape so the >10%
-     comparator guards locality and cost: rounds := touched nodes,
-     messages := dirty clusters, max_bits := region edges, phases :=
-     fresh clusters, seconds := repair wall time (single-shot, so its
-     MAD is 0 and the comparator keeps the pure 10% gate) *)
-  let repair_entry () =
-    let res = Resource.create () in
-    let rep, region_edges, _scratch = repair_trial ~trial:1 in
-    let tot = Resource.totals res in
-    {
-      Trajectory.name = "repair/greedy_grid256";
-      rounds = rep.Repair.touched_nodes;
-      messages = rep.Repair.dirty_clusters;
-      max_bits = region_edges;
-      phases = rep.Repair.fresh_clusters;
-      seconds = rep.Repair.seconds;
-      seconds_mad = 0.0;
-      minor_words_per_node = tot.Resource.t_minor_words /. 256.0;
-      peak_heap_mb = Resource.peak_heap_mb tot;
-    }
-  in
-  [
-    decomp "thm2.3" 256;
-    decomp "thm3.4" 256;
-    decomp "ggr21" 256;
-    decomp "mpx" 256;
-    sim ();
-    repair_entry ();
-  ]
-
-(* prints one "regression: ..." line per significant metric increase
-   (the MAD-aware max(10%, k*MAD) gate); CI greps for the prefix and
-   surfaces them as non-blocking warnings. Snapshots recorded under
-   different environment fingerprints are not compared at all. *)
-let compare_snapshots ~old_line ~new_line =
-  match Trajectory.compare_snapshots ~old_line ~new_line () with
-  | Trajectory.Incomparable { old_fp; new_fp } ->
-      Format.fprintf fmt
-        "environment fingerprint changed -- skipping the regression \
-         comparison@.  previous: %s@.  current:  %s@."
-        old_fp new_fp;
-      0
-  | Trajectory.Regressions regs ->
-      List.iter
-        (fun r -> Format.fprintf fmt "%s@." (Trajectory.regression_line r))
-        regs;
-      List.length regs
-
-let fingerprint = lazy (Workload.Stats.current_fingerprint ())
-
 (* appends [entries] to BENCH_trajectory.json as one snapshot and
-   compares it with the previous one: [Some regressions], or [None] for
-   the first snapshot *)
-let append_snapshot ?(kind = "snapshot") entries =
+   prints the regression lines of each row against its latest earlier
+   same-environment row; CI greps the "regression:" prefix and surfaces
+   the lines as non-blocking warnings *)
+let append_snapshot ~kind ~fingerprint entries =
   let line =
-    Trajectory.snapshot_json
-      ~fingerprint:(Lazy.force fingerprint)
-      ~time:(Unix.time ()) entries
+    Trajectory.snapshot_json ~fingerprint ~time:(Unix.time ()) entries
   in
   let prev = read_trajectory () in
   Trajectory.write trajectory_path (prev @ [ line ]);
   Format.fprintf fmt "appended %s %d to %s@." kind
     (List.length prev + 1)
     trajectory_path;
-  match List.rev prev with
-  | last :: _ -> Some (compare_snapshots ~old_line:last ~new_line:line)
-  | [] -> None
+  let d = Workload.Diff.against_history prev line in
+  let compared =
+    List.length
+      (List.filter (fun r -> r.Workload.Diff.r_status = Workload.Diff.Matched)
+         d.Workload.Diff.rows)
+  in
+  match Workload.Diff.regressions d with
+  | _ when compared = 0 ->
+      Format.fprintf fmt
+        "none of these rows has an earlier value under this environment \
+         (%a) -- nothing to compare against@."
+        Workload.Stats.pp_fingerprint fingerprint
+  | [] ->
+      Format.fprintf fmt
+        "no significant regressions in %d of %d rows vs their latest \
+         same-environment snapshots@."
+        compared (List.length entries)
+  | regs ->
+      List.iter
+        (fun r -> Format.fprintf fmt "%s@." (Workload.Diff.regression_line r))
+        regs
+
+let fingerprint = lazy (Workload.Stats.current_fingerprint ())
+
+(* the rows come from the e2e harness's last all-workload run: record
+   times nothing itself *)
+let e2e_results = Filename.concat results_dir "e2e/results.json"
 
 let run_record () =
   section
-    "B.RECORD -- headline-metrics snapshot appended to BENCH_trajectory.json";
-  let entries = record_entries () in
-  Format.fprintf fmt "%-24s %10s %10s %8s %7s %9s %9s %12s %8s@." "workload"
-    "rounds" "messages" "maxbits" "phases" "seconds" "mad" "minorW/node"
-    "peakMB";
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "%-24s %10d %10d %8d %7d %9.3f %9.4f %12.0f %8.1f@."
-        e.Trajectory.name e.Trajectory.rounds e.Trajectory.messages
-        e.Trajectory.max_bits e.Trajectory.phases e.Trajectory.seconds
-        e.Trajectory.seconds_mad e.Trajectory.minor_words_per_node
-        e.Trajectory.peak_heap_mb)
-    entries;
-  Format.fprintf fmt "@.environment: %a@." Workload.Stats.pp_fingerprint
-    (Lazy.force fingerprint);
-  (match append_snapshot entries with
-  | Some 0 ->
-      Format.fprintf fmt "no significant regressions vs the previous \
-                          snapshot@."
-  | Some _ -> ()
-  | None -> Format.fprintf fmt "first snapshot -- nothing to compare against@.");
-  true
+    ("B.RECORD -- the rows of " ^ e2e_results
+   ^ " appended to BENCH_trajectory.json");
+  let parsed =
+    if not (Sys.file_exists e2e_results) then
+      Error "no such file; run `dune exec bench/e2e/e2e.exe -- run` first"
+    else
+      Result.bind
+        (Json.parse (In_channel.with_open_bin e2e_results In_channel.input_all))
+        Trajectory.of_e2e
+  in
+  match parsed with
+  | Error e ->
+      Format.fprintf fmt "%s: %s -- nothing appended@." e2e_results e;
+      false
+  | Ok (fingerprint, entries) ->
+      List.iter
+        (fun e ->
+          Format.fprintf fmt "%-40s %s@." e.Trajectory.name
+            (String.concat " "
+               (List.map
+                  (fun (k, v) -> k ^ "=" ^ Json.to_string v)
+                  e.Trajectory.columns)))
+        entries;
+      Format.fprintf fmt "@.environment: %a@." Workload.Stats.pp_fingerprint
+        fingerprint;
+      append_snapshot ~kind:"snapshot" ~fingerprint entries;
+      true
 
 (* ------------------------------------------------------------------ *)
 (* B.DASHBOARD: the trajectory rendered as a self-contained HTML page   *)
@@ -1214,36 +1134,35 @@ let run_scale () =
   (match verdict with
   | Ok () -> Format.fprintf fmt "@.audit: PASS@."
   | Error e -> Format.fprintf fmt "@.audit: FAIL (%s)@." e);
-  (* the scale rows ride the same snapshot machinery as 'record' *)
-  let entry =
-    {
-      Trajectory.name = "scale/rmat1M";
-      rounds = Congest.Cost.rounds cost;
-      messages = Congest.Cost.messages cost;
-      max_bits = Congest.Cost.max_message_bits cost;
-      phases;
-      seconds = dec_s;
-      seconds_mad = 0.0;
-      minor_words_per_node =
-        dec_tot.Resource.t_minor_words /. float_of_int scale_n;
-      peak_heap_mb = Resource.peak_heap_mb dec_tot;
-    }
+  (* the scale rows ride the same snapshot machinery as 'record';
+     both are single-shot, so they carry no MAD *)
+  let resources (tot : Resource.totals) =
+    [
+      ( "minor_words_per_node",
+        Json.float "%.1f"
+          (tot.Resource.t_minor_words /. float_of_int scale_n) );
+      ("peak_heap_mb", Json.float "%.1f" (Resource.peak_heap_mb tot));
+    ]
   in
-  let gen_entry =
-    {
-      Trajectory.name = "scale/rmat1M/generate";
-      rounds = 0;
-      messages = 0;
-      max_bits = 0;
-      phases = 0;
-      seconds = gen_s;
-      seconds_mad = 0.0;
-      minor_words_per_node =
-        gen_tot.Resource.t_minor_words /. float_of_int scale_n;
-      peak_heap_mb = Resource.peak_heap_mb gen_tot;
-    }
-  in
-  ignore (append_snapshot ~kind:"scale snapshot" [ entry; gen_entry ]);
+  append_snapshot ~kind:"scale snapshot" ~fingerprint:(Lazy.force fingerprint)
+    [
+      {
+        Trajectory.name = "scale/rmat1M";
+        columns =
+          [
+            ("rounds", Json.int (Congest.Cost.rounds cost));
+            ("messages", Json.int (Congest.Cost.messages cost));
+            ("max_bits", Json.int (Congest.Cost.max_message_bits cost));
+            ("phases", Json.int phases);
+            ("seconds", Json.float "%.4f" dec_s);
+          ]
+          @ resources dec_tot;
+      };
+      {
+        Trajectory.name = "scale/rmat1M/generate";
+        columns = ("seconds", Json.float "%.4f" gen_s) :: resources gen_tot;
+      };
+    ];
   let csv =
     List.map
       (fun (k, v) -> Printf.sprintf "%s,%s\n" k v)
@@ -1316,23 +1235,27 @@ let run_analyze () =
       shared
       (List.length result.Analyze_core.r_hots)
       findings seconds;
-    ignore
-      (append_snapshot ~kind:"analyze snapshot"
-         [
-           {
-             Trajectory.name = "analyze/tree";
-             rounds = result.Analyze_core.r_units;
-             messages = List.length result.Analyze_core.r_entries;
-             max_bits = shared;
-             phases = findings;
-             seconds;
-             seconds_mad = 0.0;
-             minor_words_per_node =
-               tot.Resource.t_minor_words
-               /. float_of_int (max 1 result.Analyze_core.r_units);
-             peak_heap_mb = Resource.peak_heap_mb tot;
-           };
-         ]);
+    append_snapshot ~kind:"analyze snapshot"
+      ~fingerprint:(Lazy.force fingerprint)
+      [
+        {
+          Trajectory.name = "analyze/tree";
+          columns =
+            [
+              ("units", Json.int result.Analyze_core.r_units);
+              ( "mutable_values",
+                Json.int (List.length result.Analyze_core.r_entries) );
+              ("shared", Json.int shared);
+              ("findings", Json.int findings);
+              ("seconds", Json.float "%.4f" seconds);
+              ( "minor_words_per_unit",
+                Json.float "%.1f"
+                  (tot.Resource.t_minor_words
+                  /. float_of_int (max 1 result.Analyze_core.r_units)) );
+              ("peak_heap_mb", Json.float "%.1f" (Resource.peak_heap_mb tot));
+            ];
+        };
+      ];
     let csv =
       List.map
         (fun (k, v) -> Printf.sprintf "%s,%s\n" k v)

@@ -308,7 +308,6 @@ let exit_span s =
   end
 
 let span_depth s = s.span_depth
-let spans_enabled s = s.spans_enabled
 let span_path s pid = s.tags.(pid)
 let unspanned = "(unspanned)"
 
@@ -485,37 +484,6 @@ let clear s =
 let reason_label = function
   | Adversary -> "adversary"
   | Crashed_destination -> "crashed_dst"
-
-let pp_event ppf = function
-  | Round_start { round } -> Format.fprintf ppf "round %d start" round
-  | Round_end { round; sent; delivered; in_flight; halted } ->
-      Format.fprintf ppf
-        "round %d end: %d sent, %d delivered, %d in flight, %d halted" round
-        sent delivered in_flight halted
-  | Message_sent { round; src; dst; bits } ->
-      Format.fprintf ppf "r%d: %d -> %d (%d bits)" round src dst bits
-  | Message_delivered { round; src; dst } ->
-      Format.fprintf ppf "r%d: %d -> %d delivered" round src dst
-  | Message_dropped { round; src; dst; reason } ->
-      Format.fprintf ppf "r%d: %d -> %d dropped (%s)" round src dst
-        (reason_label reason)
-  | Message_duplicated { round; src; dst; copy_delay } ->
-      Format.fprintf ppf "r%d: %d -> %d duplicated (+%d rounds)" round src dst
-        copy_delay
-  | Message_delayed { round; src; dst; delay } ->
-      Format.fprintf ppf "r%d: %d -> %d delayed (+%d rounds)" round src dst
-        delay
-  | Node_halted { round; node } ->
-      Format.fprintf ppf "r%d: node %d halted" round node
-  | Node_crashed { round; node } ->
-      Format.fprintf ppf "r%d: node %d crashed" round node
-  | Bandwidth_high_water { round; node; bits } ->
-      Format.fprintf ppf "r%d: node %d high-water %d bits" round node bits
-  | Cost_charged { tag; rounds; messages; max_bits } ->
-      Format.fprintf ppf "cost %s: +%d rounds, +%d messages, max %d bits" tag
-        rounds messages max_bits
-  | Span_enter { path } -> Format.fprintf ppf "span enter %s" path
-  | Span_exit { path } -> Format.fprintf ppf "span exit %s" path
 
 let event_to_jsonl ev =
   let i = Json.int in

@@ -130,8 +130,6 @@ val exit_span : sink -> unit
 val span_depth : sink -> int
 (** Number of currently open spans. *)
 
-val spans_enabled : sink -> bool
-
 val span_path : sink -> int -> string
 (** Resolves an interned span path id (as passed to the hooks) back to
     the full ["/"]-joined path. *)
@@ -161,8 +159,6 @@ val events : sink -> event list
 
 val iter : (event -> unit) -> sink -> unit
 val clear : sink -> unit
-
-val pp_event : Format.formatter -> event -> unit
 
 val event_to_jsonl : event -> string
 (** One JSON object, no trailing newline, fields in a fixed order, e.g.

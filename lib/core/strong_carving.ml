@@ -43,5 +43,3 @@ type carver =
   Dsgraph.Graph.t ->
   epsilon:float ->
   Cluster.Carving.t
-
-let as_carver f : carver = fun ?cost ?domain g ~epsilon -> fst (f ?cost ?domain g ~epsilon)

@@ -51,12 +51,3 @@ type carver =
 (** Uniform signature shared by every strong carver in this repository
     (paper algorithms and baselines), used by the decomposition reduction
     and the benchmarks. *)
-
-val as_carver :
-  (?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t * 'a) ->
-  carver
-(** Drop the stats component. *)

@@ -104,8 +104,4 @@ val default_specs :
     giant single clusters; grid / er / reg4) with distinct derived
     seeds. *)
 
-val csv_header : string
-
-val csv_row : step_row -> string
-
 val csv : step_row list -> string

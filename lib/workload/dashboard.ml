@@ -1,12 +1,3 @@
-let metric_columns =
-  [
-    ("seconds", "seconds");
-    ("rounds", "rounds");
-    ("messages", "messages");
-    ("minor_words_per_node", "minor words / node");
-    ("peak_heap_mb", "peak heap MB");
-  ]
-
 let html_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -179,55 +170,82 @@ let render ?(title = "Benchmark trajectory") lines =
   let docs =
     Array.map (fun l -> Result.value (Json.parse l) ~default:Json.Null) snaps
   in
-  let objs = Array.map Trajectory.workloads docs in
-  let fps = Array.map (Json.member "fingerprint") docs in
+  let sides = Array.map (Diff.side_of_trajectory_line ~label:"") snaps in
   let times =
     Array.map
       (fun doc ->
         Option.value (Json.to_float (Json.member "time" doc)) ~default:0.0)
       docs
   in
-  (* workload names in order of first appearance *)
+  let schema i =
+    Option.value (Json.to_int (Json.member "schema" docs.(i))) ~default:1
+  in
+  let append_new acc xs =
+    List.fold_left
+      (fun acc x -> if List.mem x acc then acc else acc @ [ x ])
+      acc xs
+  in
+  (* workload names, and each one's columns, in order of first
+     appearance *)
   let names =
     Array.fold_left
-      (List.fold_left (fun acc (name, _) ->
-           if List.mem name acc then acc else acc @ [ name ]))
-      [] objs
+      (fun acc s ->
+        append_new acc (List.map (fun p -> p.Diff.path) s.Diff.phases))
+      [] sides
+  in
+  let phase name i =
+    List.find_opt (fun p -> p.Diff.path = name) sides.(i).Diff.phases
+  in
+  let columns_of name =
+    Array.fold_left
+      (fun acc s ->
+        match List.find_opt (fun p -> p.Diff.path = name) s.Diff.phases with
+        | Some p -> append_new acc (List.map fst p.Diff.columns)
+        | None -> acc)
+      [] sides
   in
   let value name metric i =
-    Option.bind (List.assoc_opt name objs.(i)) (fun obj ->
-        Json.to_float (Json.member metric obj))
+    Option.bind (phase name i) (fun p -> List.assoc_opt metric p.Diff.columns)
   in
+  let label metric = String.map (function '_' -> ' ' | c -> c) metric in
   (* regression highlights come from the same comparator the CI gate
-     uses, run over each consecutive pair; incomparable pairs (the
-     fingerprint changed) contribute markers instead of flags *)
+     uses: each snapshot against the rows before it *)
   let flagged = Hashtbl.create 16 in
   for i = 1 to n_snaps - 1 do
-    match
-      Trajectory.compare_snapshots ~old_line:snaps.(i - 1) ~new_line:snaps.(i)
-        ()
-    with
-    | Trajectory.Regressions rs ->
-        List.iter
-          (fun (r : Trajectory.regression) ->
-            Hashtbl.replace flagged
-              (r.Trajectory.r_name, r.Trajectory.r_metric, i)
-              (Trajectory.regression_line r))
-          rs
-    | Trajectory.Incomparable _ -> ()
+    List.iter
+      (fun ((name, m) as reg) ->
+        Hashtbl.replace flagged (name, m.Diff.m_name, i)
+          (Diff.regression_line reg))
+      (Diff.regressions
+         (Diff.against_history (Array.to_list (Array.sub snaps 0 i)) snaps.(i)))
   done;
   let fp_changes =
     List.filter_map
       (fun i ->
-        if i > 0 && fps.(i) <> fps.(i - 1) then
+        let env_changed =
+          match
+            (sides.(i - 1).Diff.fingerprint, sides.(i).Diff.fingerprint)
+          with
+          | Some a, Some b -> not (Stats.same_environment a b)
+          | a, b -> Option.is_some a <> Option.is_some b
+        in
+        if env_changed then
           let sha =
-            match Stats.fingerprint_of_value fps.(i) with
+            match sides.(i).Diff.fingerprint with
             | Some fp -> fp.Stats.git_sha
             | None -> "unknown"
           in
-          Some (i, Printf.sprintf "environment changed at snapshot %d (sha %s)" (i + 1) sha)
+          Some
+            ( i,
+              Printf.sprintf "environment changed at snapshot %d (sha %s)"
+                (i + 1) sha )
+        else if schema i <> schema (i - 1) then
+          Some
+            ( i,
+              Printf.sprintf "trajectory schema %d from snapshot %d"
+                (schema i) (i + 1) )
         else None)
-      (List.init n_snaps (fun i -> i))
+      (List.init (max 0 (n_snaps - 1)) (fun i -> i + 1))
   in
   let buf = Buffer.create 16384 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -239,16 +257,17 @@ let render ?(title = "Benchmark trajectory") lines =
   let latest_fp =
     if n_snaps = 0 then "no snapshots"
     else
-      match Stats.fingerprint_of_value fps.(n_snaps - 1) with
+      match sides.(n_snaps - 1).Diff.fingerprint with
       | Some fp -> Format.asprintf "%a" Stats.pp_fingerprint fp
       | None -> "no fingerprint recorded"
   in
   add "<div class=\"meta\">%d snapshots &middot; latest environment: %s</div>\n"
     n_snaps (html_escape latest_fp);
   add
-    "<div class=\"legend\">dashed vertical line = environment fingerprint \
-     changed; red point = comparator-flagged regression against the previous \
-     snapshot (hover any point for its value)</div>\n";
+    "<div class=\"legend\">dashed vertical line = environment or \
+     trajectory schema changed; red point = comparator-flagged regression \
+     against the latest earlier snapshot with that row (hover any point for \
+     its value)</div>\n";
   if n_snaps = 0 then add "<p>The trajectory file has no snapshots yet.</p>\n";
   List.iter
     (fun name ->
@@ -256,7 +275,7 @@ let render ?(title = "Benchmark trajectory") lines =
         (html_escape name);
       let reg_notes = ref [] in
       List.iter
-        (fun (metric, label) ->
+        (fun metric ->
           let series =
             List.filter_map
               (fun i ->
@@ -276,10 +295,10 @@ let render ?(title = "Benchmark trajectory") lines =
               series
           in
           add "<div class=\"panel\">\n<div class=\"label\">%s</div>\n"
-            (html_escape label);
+            (html_escape (label metric));
           sparkline buf ~series ~fp_changes ~flagged:flags ~times;
           add "\n</div>\n")
-        metric_columns;
+        (columns_of name);
       add "</div>\n";
       List.iter
         (fun note -> add "<div class=\"regnote\">%s</div>\n" (html_escape note))
@@ -288,20 +307,18 @@ let render ?(title = "Benchmark trajectory") lines =
     names;
   (* the table view: the same data readable without the charts *)
   if n_snaps > 0 then begin
-    add "<details>\n<summary>Latest snapshot as a table</summary>\n<table>\n<tr><th>workload</th>";
-    List.iter (fun (_, label) -> add "<th>%s</th>" (html_escape label)) metric_columns;
-    add "</tr>\n";
+    add
+      "<details>\n<summary>Latest snapshot as a table</summary>\n<table>\n\
+       <tr><th>workload</th><th>metric</th><th>value</th></tr>\n";
     List.iter
-      (fun name ->
-        add "<tr><td>%s</td>" (html_escape name);
+      (fun p ->
         List.iter
-          (fun (metric, _) ->
-            match value name metric (n_snaps - 1) with
-            | Some v -> add "<td>%s</td>" (html_escape (fmt_compact v))
-            | None -> add "<td>-</td>")
-          metric_columns;
-        add "</tr>\n")
-      names;
+          (fun (metric, v) ->
+            add "<tr><td>%s</td><td>%s</td><td>%s</td></tr>\n"
+              (html_escape p.Diff.path) (html_escape (label metric))
+              (html_escape (fmt_compact v)))
+          p.Diff.columns)
+      sides.(n_snaps - 1).Diff.phases;
     add "</table>\n</details>\n"
   end;
   add "</body>\n</html>\n";

@@ -1,20 +1,19 @@
 (** Trajectory dashboard: renders the BENCH_trajectory.json time
     series into one self-contained HTML file — no external assets, no
-    scripts — with a sparkline per workload x metric, environment-
-    fingerprint change markers, and regression highlights from the
-    {!Trajectory} comparator.
+    scripts — with a sparkline per row x column, environment- and
+    schema-change markers, and regression highlights from the {!Diff}
+    comparator ({!Diff.against_history}, as [bench record] uses it).
 
-    Layout: one row of panels per workload, one panel per headline
-    metric (seconds, rounds, messages, minor_words_per_node,
-    peak_heap_mb). Each panel is a single-series sparkline (so no
+    Layout: one row of panels per trajectory row, one panel per column
+    the row has carried. Each panel is a single-series sparkline (so no
     legend; the panel title names the series), with the latest value
     direct-labeled, native SVG tooltips on every point, dashed
-    vertical markers where the recording fingerprint changed, and a
-    filled marker (plus explanatory tooltip text — color never carries
-    the meaning alone) on points the comparator flagged against their
-    predecessor. Light and dark modes are both styled via
-    [prefers-color-scheme]. Surfaced as [bench dashboard] and uploaded
-    as a CI artifact. *)
+    vertical markers where the recording environment or the trajectory
+    schema changed, and a filled marker (plus explanatory tooltip text
+    — color never carries the meaning alone) on points the comparator
+    flagged against their baseline. Light and dark modes are both
+    styled via [prefers-color-scheme]. Surfaced as [bench dashboard]
+    and uploaded as a CI artifact. *)
 
 val render : ?title:string -> string list -> string
 (** [render lines] builds the HTML document from trajectory snapshot

@@ -1,17 +1,13 @@
 type phase = {
   path : string;
   depth : int;
-  rounds : float;
-  messages : float;
-  bits : float;
-  seconds : float;
-  minor_words : float;
+  columns : (string * float) list;
+  seconds_mad : float;
 }
 
 type side = {
   label : string;
   fingerprint : Stats.fingerprint option;
-  seconds_mad : float;
   phases : phase list;
 }
 
@@ -19,8 +15,15 @@ type side = {
 (* Loading sides                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* trajectory columns default per era: snapshots 0-2 predate
-   [minor_words_per_node] *)
+let ( let* ) = Result.bind
+
+let rec all_ok = function
+  | [] -> Ok []
+  | r :: rest ->
+      let* x = r in
+      let* xs = all_ok rest in
+      Ok (x :: xs)
+
 let num k j = Option.value (Json.to_float (Json.member k j)) ~default:0.0
 let str k j = Json.to_str (Json.member k j)
 
@@ -28,7 +31,6 @@ let str k j = Json.to_str (Json.member k j)
    every column compared must be present, so an older or misspelled
    artifact is refused instead of diffing as a side of zeros. *)
 let side_of_report ~label doc =
-  let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error (label ^ ": " ^ m)) fmt in
   let report = Json.member "report" doc in
   let* () =
@@ -42,10 +44,11 @@ let side_of_report ~label doc =
     | Some spans -> Ok spans
     | None -> fail "missing \"spans\" array"
   in
+  let seconds_mad = num "seconds_mad" report in
   let phase k r =
     let need c =
       match Json.to_float (Json.member c r) with
-      | Some v -> Ok v
+      | Some v -> Ok (c, v)
       | None -> fail "spans[%d] has no numeric %S" k c
     in
     let* path =
@@ -53,36 +56,19 @@ let side_of_report ~label doc =
       | Some p -> Ok p
       | None -> fail "spans[%d] has no string \"path\"" k
     in
-    let* depth = need "depth" in
-    let* rounds = need "rounds" in
-    let* messages = need "messages" in
-    let* bits = need "bits" in
-    let* seconds = need "seconds" in
-    let* minor_words = need "minor_words" in
-    Ok
-      {
-        path;
-        depth = int_of_float depth;
-        rounds;
-        messages;
-        bits;
-        seconds;
-        minor_words;
-      }
+    let* _, depth = need "depth" in
+    let* columns =
+      all_ok
+        (List.map need
+           [ "rounds"; "messages"; "bits"; "seconds"; "minor_words" ])
+    in
+    Ok { path; depth = int_of_float depth; columns; seconds_mad }
   in
-  let rec phases k = function
-    | [] -> Ok []
-    | r :: rest ->
-        let* p = phase k r in
-        let* ps = phases (k + 1) rest in
-        Ok (p :: ps)
-  in
-  let* phases = phases 0 spans in
+  let* phases = all_ok (List.mapi phase spans) in
   Ok
     {
       label;
       fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
-      seconds_mad = num "seconds_mad" report;
       phases;
     }
 
@@ -95,29 +81,32 @@ let side_of_report_json ~label text =
   | Ok _ ->
       Error (Printf.sprintf "%s: not a run report (no \"report\" object)" label)
 
+(* every numeric column of a row is compared, except the MADs that
+   widen the seconds gate and schema 1's [seconds_median] alias *)
+let row_columns = function
+  | Json.Obj members ->
+      List.filter_map
+        (fun (k, v) ->
+          if k = "seconds_median" || String.ends_with ~suffix:"_mad" k then None
+          else Option.map (fun x -> (k, x)) (Json.to_float v))
+        members
+  | _ -> []
+
 let side_of_trajectory_line ~label line =
   let doc = Result.value (Json.parse line) ~default:Json.Null in
-  let rows = Trajectory.workloads doc in
   {
     label;
     fingerprint = Stats.fingerprint_of_value (Json.member "fingerprint" doc);
-    seconds_mad =
-      List.fold_left
-        (fun acc (_, w) -> Float.max acc (num "seconds_mad" w))
-        0.0 rows;
     phases =
       List.map
         (fun (name, w) ->
           {
             path = name;
             depth = 0;
-            rounds = num "rounds" w;
-            messages = num "messages" w;
-            bits = num "max_bits" w;
-            seconds = num "seconds" w;
-            minor_words = num "minor_words_per_node" w;
+            columns = row_columns w;
+            seconds_mad = num "seconds_mad" w;
           })
-        rows;
+        (Trajectory.workloads doc);
   }
 
 let load spec =
@@ -189,15 +178,7 @@ type options = { rel : float; k : float; min_seconds : float; force : bool }
 
 let default_options = { rel = 0.10; k = 3.0; min_seconds = 0.005; force = false }
 
-let metric_names = [ "rounds"; "messages"; "bits"; "seconds"; "minor_words" ]
-
-let metric_of p = function
-  | "rounds" -> p.rounds
-  | "messages" -> p.messages
-  | "bits" -> p.bits
-  | "seconds" -> p.seconds
-  | "minor_words" -> p.minor_words
-  | m -> invalid_arg ("Diff.metric_of: " ^ m)
+let column name p = Option.value (List.assoc_opt name p.columns) ~default:0.0
 
 (* seconds is the only noisy column: it must clear both the MAD-widened
    relative gate and an absolute floor; the logical metrics are
@@ -210,15 +191,16 @@ let significant_delta ~opts ~mad name ov nv =
   in
   Float.abs (nv -. ov) > gate
 
-let zero_phase path depth =
+(* the missing side of an added or removed phase: no columns, and the
+   noise of the side it is missing from *)
+let zero_phase ~(noise : side) p =
   {
-    path;
-    depth;
-    rounds = 0.0;
-    messages = 0.0;
-    bits = 0.0;
-    seconds = 0.0;
-    minor_words = 0.0;
+    p with
+    columns = [];
+    seconds_mad =
+      List.fold_left
+        (fun acc q -> Float.max acc q.seconds_mad)
+        0.0 noise.phases;
   }
 
 let parent_of path =
@@ -226,18 +208,26 @@ let parent_of path =
   | None -> ""
   | Some i -> String.sub path 0 i
 
-let row_of ~opts ~mad status (old_p : phase) (new_p : phase) =
+(* compared columns: the new phase's, then any only the old one has *)
+let row_of ~opts status (old_p : phase) (new_p : phase) =
+  let mad = Float.max old_p.seconds_mad new_p.seconds_mad in
+  let names =
+    List.map fst new_p.columns
+    @ List.filter_map
+        (fun (c, _) -> if List.mem_assoc c new_p.columns then None else Some c)
+        old_p.columns
+  in
   let metrics =
     List.map
       (fun name ->
-        let ov = metric_of old_p name and nv = metric_of new_p name in
+        let ov = column name old_p and nv = column name new_p in
         {
           m_name = name;
           m_old = ov;
           m_new = nv;
           m_sig = significant_delta ~opts ~mad name ov nv;
         })
-      metric_names
+      names
   in
   let score =
     List.fold_left
@@ -257,93 +247,132 @@ let row_of ~opts ~mad status (old_p : phase) (new_p : phase) =
     r_score = score;
   }
 
+let comparable (a : side) (b : side) =
+  match (a.fingerprint, b.fingerprint) with
+  | Some fa, Some fb -> Stats.same_environment fa fb
+  | _ -> true
+
+(* the alignment itself, fingerprints already judged *)
+let align ~opts (a : side) (b : side) =
+  let forced = not (comparable a b) in
+  let find side path = List.find_opt (fun p -> p.path = path) side.phases in
+  let matched =
+    List.filter_map
+      (fun bp ->
+        Option.map (fun ap -> row_of ~opts Matched ap bp) (find a bp.path))
+      b.phases
+  in
+  let added = List.filter (fun bp -> find a bp.path = None) b.phases in
+  let removed = List.filter (fun ap -> find b ap.path = None) a.phases in
+  (* renamed-phase pairing: a removed and an added phase sharing
+     parent and depth, taken in order, count as a rename when their
+     round totals are within 2x (or both zero) *)
+  let renamed = ref [] in
+  let still_added = ref [] in
+  let remaining_removed = ref removed in
+  List.iter
+    (fun bp ->
+      let candidate =
+        List.find_opt
+          (fun ap ->
+            ap.depth = bp.depth
+            && parent_of ap.path = parent_of bp.path
+            &&
+            let r_old = column "rounds" ap and r_new = column "rounds" bp in
+            if r_old = 0.0 && r_new = 0.0 then true
+            else
+              r_old > 0.0 && r_new > 0.0
+              && r_new /. r_old >= 0.5
+              && r_new /. r_old <= 2.0)
+          !remaining_removed
+      in
+      match candidate with
+      | Some ap ->
+          remaining_removed :=
+            List.filter (fun p -> p.path <> ap.path) !remaining_removed;
+          renamed := row_of ~opts (Renamed ap.path) ap bp :: !renamed
+      | None -> still_added := bp :: !still_added)
+    added;
+  let added_rows =
+    List.map
+      (fun bp -> row_of ~opts Added (zero_phase ~noise:a bp) bp)
+      (List.rev !still_added)
+  in
+  let removed_rows =
+    List.map
+      (fun ap -> row_of ~opts Removed ap (zero_phase ~noise:b ap))
+      !remaining_removed
+  in
+  let rows = matched @ List.rev !renamed @ added_rows @ removed_rows in
+  let rows =
+    List.stable_sort
+      (fun r1 r2 ->
+        match Float.compare r2.r_score r1.r_score with
+        | 0 -> String.compare r1.r_path r2.r_path
+        | c -> c)
+      rows
+  in
+  let significant =
+    List.length
+      (List.filter (fun r -> List.exists (fun m -> m.m_sig) r.r_metrics) rows)
+  in
+  { a_label = a.label; b_label = b.label; forced; rows; significant }
+
 let compare ?(options = default_options) (a : side) (b : side) =
   match (a.fingerprint, b.fingerprint) with
-  | Some fa, Some fb
-    when (not (Stats.fingerprint_equal fa fb)) && not options.force ->
+  | Some fa, Some fb when not (Stats.same_environment fa fb || options.force)
+    ->
       Error
         (Format.asprintf
            "refusing to compare across environments (use --force):@ %s: %a@ \
             %s: %a"
            a.label Stats.pp_fingerprint fa b.label Stats.pp_fingerprint fb)
-  | _ ->
-      let forced =
-        match (a.fingerprint, b.fingerprint) with
-        | Some fa, Some fb -> not (Stats.fingerprint_equal fa fb)
-        | _ -> false
-      in
-      let mad = Float.max a.seconds_mad b.seconds_mad in
-      let opts = options in
-      let find side path =
-        List.find_opt (fun p -> p.path = path) side.phases
-      in
-      let matched =
-        List.filter_map
-          (fun bp ->
-            Option.map
-              (fun ap -> row_of ~opts ~mad Matched ap bp)
-              (find a bp.path))
-          b.phases
-      in
-      let added = List.filter (fun bp -> find a bp.path = None) b.phases in
-      let removed = List.filter (fun ap -> find b ap.path = None) a.phases in
-      (* renamed-phase pairing: a removed and an added phase sharing
-         parent and depth, taken in order, count as a rename when their
-         round totals are within 2x (or both zero) *)
-      let renamed = ref [] in
-      let still_added = ref [] in
-      let remaining_removed = ref removed in
-      List.iter
-        (fun bp ->
-          let candidate =
-            List.find_opt
-              (fun ap ->
-                ap.depth = bp.depth
-                && parent_of ap.path = parent_of bp.path
-                &&
-                let r_old = ap.rounds and r_new = bp.rounds in
-                if r_old = 0.0 && r_new = 0.0 then true
-                else
-                  r_old > 0.0 && r_new > 0.0
-                  && r_new /. r_old >= 0.5
-                  && r_new /. r_old <= 2.0)
-              !remaining_removed
-          in
-          match candidate with
-          | Some ap ->
-              remaining_removed :=
-                List.filter (fun p -> p.path <> ap.path) !remaining_removed;
-              renamed := row_of ~opts ~mad (Renamed ap.path) ap bp :: !renamed
-          | None -> still_added := bp :: !still_added)
-        added;
-      let added_rows =
-        List.map
-          (fun bp -> row_of ~opts ~mad Added (zero_phase bp.path bp.depth) bp)
-          (List.rev !still_added)
-      in
-      let removed_rows =
-        List.map
-          (fun ap ->
-            row_of ~opts ~mad Removed ap (zero_phase ap.path ap.depth))
-          !remaining_removed
-      in
-      let rows = matched @ List.rev !renamed @ added_rows @ removed_rows in
-      let rows =
-        List.stable_sort
-          (fun r1 r2 ->
-            match Float.compare r2.r_score r1.r_score with
-            | 0 -> String.compare r1.r_path r2.r_path
-            | c -> c)
-          rows
-      in
-      let significant =
-        List.length
-          (List.filter (fun r -> List.exists (fun m -> m.m_sig) r.r_metrics) rows)
-      in
-      Ok { a_label = a.label; b_label = b.label; forced; rows; significant }
+  | _ -> Ok (align ~opts:options a b)
 
 let significant_rows t =
   List.filter (fun r -> List.exists (fun m -> m.m_sig) r.r_metrics) t.rows
+
+(* each row of the new snapshot against the newest earlier snapshot
+   that has a row of that name under the same environment; the rows
+   are picked comparable, so the baseline side carries no fingerprint *)
+let against_history history line =
+  let b = side_of_trajectory_line ~label:"new" line in
+  let olds =
+    List.rev_map (side_of_trajectory_line ~label:"baseline") history
+  in
+  let baseline (p : phase) =
+    List.find_map
+      (fun a ->
+        if comparable a b then List.find_opt (fun q -> q.path = p.path) a.phases
+        else None)
+      olds
+  in
+  align ~opts:default_options
+    {
+      label = "baseline";
+      fingerprint = None;
+      phases = List.filter_map baseline b.phases;
+    }
+    b
+
+let regressions t =
+  List.concat_map
+    (fun r ->
+      match r.r_status with
+      | Matched ->
+          List.filter_map
+            (fun m ->
+              if m.m_sig && m.m_old > 0.0 && m.m_new > m.m_old then
+                Some (r.r_path, m)
+              else None)
+            r.r_metrics
+      | Added | Removed | Renamed _ -> [])
+    t.rows
+
+let regression_line (path, m) =
+  Printf.sprintf "regression: %s %s: %g -> %g (+%.1f%%)" path m.m_name m.m_old
+    m.m_new
+    (100.0 *. (m.m_new -. m.m_old) /. m.m_old)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -377,12 +406,30 @@ let to_markdown t =
   else
     add "%d of %d phases changed significantly (marked `!`).\n\n" t.significant
       (List.length t.rows);
-  add "| phase | status | rounds | messages | bits | seconds | minor words |\n";
-  add "|---|---|---|---|---|---|---|\n";
+  (* one column per compared metric, in order of first appearance *)
+  let names =
+    List.fold_left
+      (fun acc r ->
+        List.fold_left
+          (fun acc m ->
+            if List.mem m.m_name acc then acc else acc @ [ m.m_name ])
+          acc r.r_metrics)
+      [] t.rows
+  in
+  add "| phase | status |";
+  List.iter
+    (fun name -> add " %s |" (String.map (function '_' -> ' ' | c -> c) name))
+    names;
+  add "\n|---|---|%s\n" (String.concat "" (List.map (fun _ -> "---|") names));
   List.iter
     (fun r ->
       add "| %s | %s |" r.r_path (status_cell r.r_status);
-      List.iter (fun m -> add " %s |" (delta_cell m)) r.r_metrics;
+      List.iter
+        (fun name ->
+          match List.find_opt (fun m -> m.m_name = name) r.r_metrics with
+          | Some m -> add " %s |" (delta_cell m)
+          | None -> add "  |")
+        names;
       add "\n")
     t.rows;
   add "\n";

@@ -6,10 +6,15 @@
 
     A side is loaded from a run-report JSON (the [decompose report]
     artifact, whose ["spans"] array carries the span tree) or from a
-    BENCH_trajectory.json row (headline workloads only, each a depth-0
-    phase). Two sides recorded under
-    different {!Stats.fingerprint}s are refused unless forced —
+    BENCH_trajectory.json snapshot (each row a depth-0 phase). Two
+    sides recorded in different environments
+    ({!Stats.same_environment}) are refused unless forced —
     cross-machine phase timings are not comparable.
+
+    This is the repository's one comparator: [decompose diff], the
+    trajectory regression lines of [bench record]/[scale]/[analyze]
+    ({!against_history}, {!regressions}) and the dashboard's flags all
+    come from {!compare}'s alignment and gates.
 
     Significance is per metric: logical metrics (rounds, messages,
     bits, minor words) are deterministic for seeded runs, so they use
@@ -21,19 +26,19 @@
 type phase = {
   path : string;  (** interned span path, ['/']-joined *)
   depth : int;
-  rounds : float;
-  messages : float;
-  bits : float;
-  seconds : float;
-  minor_words : float;
+  columns : (string * float) list;
+      (** the compared metrics, by name: [rounds], [messages], [bits],
+          [seconds] and [minor_words] for a report span; a trajectory
+          row's own numeric columns *)
+  seconds_mad : float;
+      (** recorded MAD of this phase's seconds (a report's headline
+          MAD, a trajectory row's [seconds_mad]); [0.] for single-shot
+          measurements *)
 }
 
 type side = {
   label : string;
   fingerprint : Stats.fingerprint option;
-  seconds_mad : float;
-      (** recorded MAD of the side's headline seconds; [0.] for
-          single-shot reports *)
   phases : phase list;
 }
 
@@ -46,8 +51,9 @@ val load : string -> (side, string) result
       [Error] naming the file and the key;
     - [path] or [path#N] — a trajectory file; [N] is the 1-based
       snapshot index (negative counts from the end; default [-1], the
-      newest); each workload row becomes a depth-0 phase, and a column
-      an older snapshot lacks reads as [0].
+      newest); each workload row becomes a depth-0 phase whose columns
+      are the row's numeric members except [*_mad] and schema 1's
+      [seconds_median] alias; a column one side lacks reads as [0].
     Errors mention the spec, never raise. *)
 
 val side_of_report_json : label:string -> string -> (side, string) result
@@ -55,7 +61,7 @@ val side_of_report_json : label:string -> string -> (side, string) result
     strictly as {!load}. *)
 
 val side_of_trajectory_line : label:string -> string -> side
-(** One trajectory snapshot line as a side of headline phases. *)
+(** One trajectory snapshot line as a side of depth-0 phases. *)
 
 type status =
   | Matched
@@ -100,11 +106,13 @@ type options = {
 val default_options : options
 
 val compare : ?options:options -> side -> side -> (t, string) result
-(** Aligns [b] (new) against [a] (old). [Error] only on fingerprint
-    mismatch without [force] — the message names both environments.
-    Renamed-phase detection pairs a removed and an added phase that
-    share parent and depth, in order, when their round counts are
-    within a factor of two (or both zero). *)
+(** Aligns [b] (new) against [a] (old). [Error] only when both sides
+    carry fingerprints of different environments and [force] is unset
+    — the message names both. Renamed-phase detection pairs a removed
+    and an added phase that share parent and depth, in order, when
+    their round counts are within a factor of two (or both zero). The
+    MAD widening a matched seconds delta is the larger of the two
+    phases' [seconds_mad]. *)
 
 val to_markdown : t -> string
 (** Human summary: verdict line plus a per-phase table with old -> new
@@ -121,3 +129,21 @@ val to_folded : t -> string
 
 val significant_rows : t -> row list
 (** The rows with at least one significant delta, in rank order. *)
+
+val against_history : string list -> string -> t
+(** [against_history history line] compares each row of the snapshot
+    [line] with the same-named row of the newest snapshot in [history]
+    (oldest first, as {!Trajectory.read_snapshot_lines} returns them)
+    that has one in the same environment — or lacks a fingerprint on
+    either side. A row no such snapshot has aligns as [Added]. Uses
+    {!default_options}. *)
+
+val regressions : t -> (string * mdelta) list
+(** The significant increases of matched phases over a positive
+    baseline, each with its phase path: decreases, added, removed and
+    renamed phases, and zero or missing baselines are never
+    regressions. *)
+
+val regression_line : string * mdelta -> string
+(** ["regression: <path> <metric>: <old> -> <new> (+<pct>%)"] — the
+    exact shape CI greps for. *)

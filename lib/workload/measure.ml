@@ -85,24 +85,6 @@ let decomposition_row ?seed ?trace d family ~n : decomp_row =
   let row, _, _ = decomposition_result ?seed ?trace d family ~n in
   row
 
-(* each sample re-runs the whole workload; the trace sink (if any) is
-   only attached to the last run so its event stream stays that of a
-   single execution *)
-let decomposition_row_sampled ?seed ?trace ?(plan = Stats.quick_plan) d family
-    ~n : decomp_row * Stats.summary =
-  for _ = 1 to plan.warmup do
-    ignore (decomposition_row ?seed d family ~n)
-  done;
-  let k = max 1 plan.samples in
-  let rows =
-    List.init k (fun i ->
-        if plan.settle then Stats.settle ();
-        let trace = if i = k - 1 then trace else None in
-        decomposition_row ?seed ?trace d family ~n)
-  in
-  let last = List.nth rows (k - 1) in
-  (last, Stats.summarize (List.map (fun (r : decomp_row) -> r.seconds) rows))
-
 let carving_result ?(seed = 42) ?trace (c : Algorithms.carver) family ~n
     ~epsilon : carve_row * Cluster.Carving.t * Graph.t =
   let g = family.Suite.build ~seed ~n in

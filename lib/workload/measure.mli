@@ -54,24 +54,6 @@ val decomposition_row :
   n:int ->
   decomp_row
 
-val decomposition_row_sampled :
-  ?seed:int ->
-  ?trace:Congest.Trace.sink ->
-  ?plan:Stats.plan ->
-  Algorithms.decomposer ->
-  Suite.family ->
-  n:int ->
-  decomp_row * Stats.summary
-(** Multi-sample variant for trajectory recording: runs the workload
-    [plan.warmup] untimed times plus [plan.samples] timed times
-    ([plan] defaults to {!Stats.quick_plan}), settling the heap
-    between samples, and returns the last row together with the
-    {!Stats.summary} of the per-run engine seconds. The trace sink, if
-    given, is attached only to the final run, so its event stream is
-    that of a single execution. The logical columns (rounds, messages,
-    bits) are identical across samples for seeded runs — only the
-    timing varies. *)
-
 val decomposition_result :
   ?seed:int ->
   ?trace:Congest.Trace.sink ->

@@ -75,10 +75,10 @@ val repair :
 (** Applies one delta and heals the clustering locally. [recarve] is as
     in [Cluster.Repair.merge] (see {!recarve_decomposer} /
     {!recarve_carver}); [halo] defaults to [0]. Fresh clusters are
-    certified over the lineage's workspace. A certificate that keeps
-    its cluster id is carried physically, and where every id from some
-    point on keeps its certificate, the certificate list's tail is
-    shared with the session's.
+    certified over the lineage's workspace. The certificate list is
+    built fresh, one entry per new cluster id: a carried certificate
+    that keeps its cluster id is reused physically, a renumbered one is
+    copied with its new id.
     @raise Invalid_argument on an inconsistent delta, or when the
     session's audit breaks the cluster-id rule of [Audit.certs_by_id]. *)
 

@@ -113,7 +113,13 @@ let fingerprint_of_value j =
 let fingerprint_of_json s =
   Option.bind (Result.to_option (Json.parse s)) fingerprint_of_value
 
-let fingerprint_equal (a : fingerprint) b = a = b
+(* the commit is what a comparison is about, so it is recorded and
+   printed but never compared *)
+let same_environment (a : fingerprint) b =
+  a.ocaml_version = b.ocaml_version
+  && a.word_size = b.word_size
+  && a.flambda = b.flambda
+  && a.hostname = b.hostname
 
 let pp_fingerprint ppf fp =
   Format.fprintf ppf "sha=%s ocaml=%s word=%d flambda=%b host=%s" fp.git_sha

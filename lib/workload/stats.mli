@@ -5,9 +5,8 @@
 
     Instead of a single-shot [seconds] headline that drifts with
     machine noise, callers run {!measure} and persist the median
-    together with the MAD (median absolute deviation), so the
-    {!Trajectory} comparator and the {!Diff} engine can tell noise from
-    regression — a delta is only significant when it exceeds
+    together with the MAD (median absolute deviation), so the {!Diff}
+    comparator can tell noise from regression — a delta is only significant when it exceeds
     [max(rel * baseline, k * MAD)] (see {!threshold}). {!overhead} is
     the calibration every [bench overhead <layer>] row goes through.
 
@@ -22,8 +21,9 @@ type fingerprint = {
   flambda : bool;
   hostname : string;
 }
-(** The environment a measurement was taken in. Rows recorded under
-    different fingerprints are not hard-comparable: the comparator
+(** The environment a measurement was taken in, and the commit it
+    measured. Rows recorded in different environments (see
+    {!same_environment}) are not hard-comparable: the comparator
     refuses rather than flag phantom regressions across machines or
     compiler configurations. *)
 
@@ -47,7 +47,11 @@ val fingerprint_of_json : string -> fingerprint option
 (** {!fingerprint_of_value} of the parsed text; [None] when it does not
     parse. *)
 
-val fingerprint_equal : fingerprint -> fingerprint -> bool
+val same_environment : fingerprint -> fingerprint -> bool
+(** Equal on everything but [git_sha]: [ocaml_version], [word_size],
+    [flambda] and [hostname]. Two commits measured on one machine
+    compare; one commit measured on two machines does not. *)
+
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 
 type plan = {

@@ -1,31 +1,7 @@
-type entry = {
-  name : string;
-  rounds : int;
-  messages : int;
-  max_bits : int;
-  phases : int;
-  seconds : float;
-  seconds_mad : float;
-  minor_words_per_node : float;
-  peak_heap_mb : float;
-}
+type entry = { name : string; columns : (string * Json.t) list }
 
 let snapshot_json ?fingerprint ~time entries =
-  let row e =
-    Json.Obj
-      [
-        ("name", Json.Str e.name);
-        ("rounds", Json.int e.rounds);
-        ("messages", Json.int e.messages);
-        ("max_bits", Json.int e.max_bits);
-        ("phases", Json.int e.phases);
-        ("seconds", Json.float "%.4f" e.seconds);
-        ("seconds_median", Json.float "%.4f" e.seconds);
-        ("seconds_mad", Json.float "%.6f" e.seconds_mad);
-        ("minor_words_per_node", Json.float "%.1f" e.minor_words_per_node);
-        ("peak_heap_mb", Json.float "%.1f" e.peak_heap_mb);
-      ]
-  in
+  let row e = Json.Obj (("name", Json.Str e.name) :: e.columns) in
   let fingerprint =
     match fingerprint with
     | Some fp -> [ ("fingerprint", Stats.fingerprint_value fp) ]
@@ -33,8 +9,123 @@ let snapshot_json ?fingerprint ~time entries =
   in
   Json.to_string
     (Json.Obj
-       ((("time", Json.float "%.0f" time) :: fingerprint)
+       ((("time", Json.float "%.0f" time) :: ("schema", Json.int 2)
+        :: fingerprint)
        @ [ ("workloads", Json.Arr (List.map row entries)) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Rows from an e2e results.json                                        *)
+(* ------------------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+let rec all_ok = function
+  | [] -> Ok []
+  | r :: rest ->
+      let* x = r in
+      let* xs = all_ok rest in
+      Ok (x :: xs)
+
+let seconds s = Json.float "%.6f" s
+
+(* [seconds] and [seconds_mad] of one end_to_end metric's pass values,
+   scaled to seconds *)
+let timing ~fail ~scale e2e key =
+  match Json.to_list (Json.member "values" (Json.member key e2e)) with
+  | None -> fail (Printf.sprintf "missing end_to_end.%s.values" key)
+  | Some [] -> fail (Printf.sprintf "end_to_end.%s.values is empty" key)
+  | Some vs -> (
+      let floats = List.filter_map Json.to_float vs in
+      if List.length floats < List.length vs then
+        fail (Printf.sprintf "end_to_end.%s.values holds a non-number" key)
+      else
+        let s = Stats.summarize (List.map (fun v -> v *. scale) floats) in
+        Ok
+          [
+            ("seconds", seconds s.Stats.median);
+            ("seconds_mad", seconds s.Stats.mad);
+          ])
+
+let workload_rows i w =
+  let* name =
+    Option.to_result (Json.to_str (Json.member "name" w))
+      ~none:(Printf.sprintf "workloads[%d] has no string \"name\"" i)
+  in
+  let fail msg = Error (Printf.sprintf "workload %s: %s" name msg) in
+  let e2e = Json.member "end_to_end" w in
+  let layers = Json.member "per_layer" w in
+  let row suffix columns = { name = "e2e/" ^ name ^ suffix; columns } in
+  let* run = timing ~fail ~scale:1.0 e2e "run_s" in
+  let* setup = timing ~fail ~scale:1.0 e2e "setup_s" in
+  let* p50 = timing ~fail ~scale:1e-3 e2e "step_ms_p50" in
+  let* p99 = timing ~fail ~scale:1e-3 e2e "step_ms_p99" in
+  let layer_value key v =
+    Option.to_result (Json.to_float (Json.member "value" v))
+      ~none:
+        (Printf.sprintf "workload %s: missing numeric per_layer.%s.value" name
+           key)
+  in
+  let* counts =
+    all_ok
+      (List.map
+         (fun (col, key) ->
+           let* v = layer_value key (Json.member key layers) in
+           Ok (col, Json.int (int_of_float v)))
+         [
+           ("rounds", "congest.rounds");
+           ("messages", "congest.messages");
+           ("max_bits", "congest.max_bits");
+         ])
+  in
+  let* stages =
+    match layers with
+    | Json.Obj members ->
+        all_ok
+          (List.filter_map
+             (fun (key, v) ->
+               Option.map
+                 (fun layer ->
+                   let* s = layer_value key v in
+                   Ok
+                     (if s = 0.0 then None
+                      else Some (row ("/" ^ layer) [ ("seconds", seconds s) ])))
+                 (Filename.chop_suffix_opt ~suffix:".s" key))
+             members)
+    | _ -> fail "missing \"per_layer\" object"
+  in
+  Ok
+    (row "" (run @ counts) :: row "/setup" setup :: row "/step_p50" p50
+     :: row "/step_p99" p99 :: List.filter_map Fun.id stages)
+
+let of_e2e doc =
+  let* fp =
+    Option.to_result
+      (Stats.fingerprint_of_value (Json.member "fingerprint" doc))
+      ~none:"missing or malformed \"fingerprint\""
+  in
+  let* () =
+    match Json.to_float (Json.member "failed" doc) with
+    | Some 0.0 -> Ok ()
+    | Some f ->
+        Error
+          (Printf.sprintf
+             "\"failed\" is %g: a run with failed operations is not a \
+              trajectory point"
+             f)
+    | None -> Error "missing numeric \"failed\""
+  in
+  let* ws =
+    match Json.to_list (Json.member "workloads" doc) with
+    | Some (_ :: _ as ws) -> Ok ws
+    | Some [] -> Error "\"workloads\" is empty"
+    | None -> Error "missing \"workloads\" array"
+  in
+  let* rows = all_ok (List.mapi workload_rows ws) in
+  Ok (fp, List.concat rows)
+
+(* ------------------------------------------------------------------ *)
+(* The file                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* the trajectory file is a JSON array with exactly one snapshot object
    per line, so appending = collect the snapshot lines and rewrite; the
@@ -71,82 +162,3 @@ let workloads doc =
     (fun w ->
       Option.map (fun name -> (name, w)) (Json.to_str (Json.member "name" w)))
     (Option.value (Json.to_list (Json.member "workloads" doc)) ~default:[])
-
-let parse_line line = Result.value (Json.parse line) ~default:Json.Null
-
-type regression = {
-  r_name : string;
-  r_metric : string;
-  r_old : float;
-  r_new : float;
-  r_pct : float;
-}
-
-let default_metrics =
-  [
-    "rounds";
-    "messages";
-    "max_bits";
-    "seconds";
-    "minor_words_per_node";
-    "peak_heap_mb";
-  ]
-
-let compare_docs ~metrics ~k old_doc new_doc =
-  let olds = workloads old_doc in
-  let metric name w = Json.to_float (Json.member name w) in
-  List.concat_map
-    (fun (name, nobj) ->
-      match List.assoc_opt name olds with
-      | None -> []  (* newly-added row: nothing to diff against *)
-      | Some oobj ->
-          List.filter_map
-            (fun m ->
-              match (metric m oobj, metric m nobj) with
-              | Some ov, Some nv when ov > 0.0 ->
-                  (* noisy metrics carry a recorded "<metric>_mad"
-                     column; the gate widens to max(10%, k*MAD), and
-                     metrics without one keep the pure 10% gate *)
-                  let mad_of w =
-                    Option.value (metric (m ^ "_mad") w) ~default:0.0
-                  in
-                  let mad = Float.max (mad_of oobj) (mad_of nobj) in
-                  (* seconds additionally needs to clear an absolute
-                     floor (as in {!Diff}): sub-millisecond headline
-                     jitter on the fast workloads never flags *)
-                  let floor = if m = "seconds" then 0.005 else 0.0 in
-                  if Stats.exceeds ~k ~mad ~baseline:ov nv && nv -. ov > floor
-                  then
-                    Some
-                      {
-                        r_name = name;
-                        r_metric = m;
-                        r_old = ov;
-                        r_new = nv;
-                        r_pct = 100.0 *. (nv -. ov) /. ov;
-                      }
-                  else None
-              | _ -> None)
-            metrics)
-    (workloads new_doc)
-
-let compare_lines ?(metrics = default_metrics) ?(k = 3.0) ~old_line ~new_line
-    () =
-  compare_docs ~metrics ~k (parse_line old_line) (parse_line new_line)
-
-type verdict =
-  | Regressions of regression list
-  | Incomparable of { old_fp : string; new_fp : string }
-
-let compare_snapshots ?(metrics = default_metrics) ?(k = 3.0) ~old_line
-    ~new_line () =
-  let old_doc = parse_line old_line and new_doc = parse_line new_line in
-  let fp = Json.member "fingerprint" in
-  match (fp old_doc, fp new_doc) with
-  | (Json.Obj _ as o), (Json.Obj _ as n) when o <> n ->
-      Incomparable { old_fp = Json.to_string o; new_fp = Json.to_string n }
-  | _ -> Regressions (compare_docs ~metrics ~k old_doc new_doc)
-
-let regression_line r =
-  Printf.sprintf "regression: %s %s: %g -> %g (+%.1f%%)" r.r_name r.r_metric
-    r.r_old r.r_new r.r_pct

@@ -1,46 +1,45 @@
-(** The persistent headline-metrics time series (BENCH_trajectory.json)
-    and its noise-aware regression comparator.
+(** The persistent headline-metrics time series (BENCH_trajectory.json).
 
     The trajectory file is a JSON array with exactly one snapshot
     object per line:
-    [{"time":...,"fingerprint":{...},"workloads":[{...},{...}]}]. Each
-    workload object carries the headline columns — logical costs
-    (rounds, messages, max_bits, phases) plus the resource columns
-    (seconds with its median/MAD, minor_words_per_node, peak_heap_mb) —
-    and each snapshot carries the {!Stats.fingerprint} it was recorded
-    under. [bench record] appends snapshots and diffs the newest
-    against the previous one; CI greps the rendered ["regression: ..."]
-    lines as warnings.
+    [{"time":...,"schema":2,"fingerprint":{...},"workloads":[{...}]}].
+    Each workload object is a row: a ["name"] plus named numeric
+    columns, each holding exactly the quantity its name says
+    (["seconds"] is always seconds; ["<column>_mad"] is the MAD of
+    ["<column>"]). [bench record] appends the rows of an e2e run
+    ({!of_e2e}); [bench scale] and [bench analyze] append their own.
+    Comparing snapshots is {!Diff}'s job ({!Diff.against_history}).
 
-    Extracted from bench/main.ml so the comparator's edge cases
-    (missing baseline row, newly-added row, zero baseline, resource
-    columns, MAD widening, fingerprint refusal, malformed lines) are
-    unit-testable (test/test_trajectory.ml). *)
+    Lines without a ["schema"] member are schema 1, whose rows all had
+    the fixed columns rounds, messages, max_bits, phases, seconds,
+    seconds_median, seconds_mad, minor_words_per_node and
+    peak_heap_mb, some of them holding other quantities (the repair and
+    analyze rows). *)
 
-type entry = {
-  name : string;
-  rounds : int;
-  messages : int;
-  max_bits : int;
-  phases : int;  (** distinct span paths seen *)
-  seconds : float;
-      (** median of the {!Stats.measure} samples (kept under the
-          historical ["seconds"] key for back-compat; also emitted as
-          ["seconds_median"]) *)
-  seconds_mad : float;
-      (** median absolute deviation of the samples; [0.] for
-          single-shot measurements *)
-  minor_words_per_node : float;
-      (** minor-heap allocation divided by workload node count — the
-          per-node allocation pressure the hot-path work must drive
-          down *)
-  peak_heap_mb : float;  (** process peak-heap watermark, MB *)
-}
+type entry = { name : string; columns : (string * Json.t) list }
 
 val snapshot_json :
   ?fingerprint:Stats.fingerprint -> time:float -> entry list -> string
-(** One snapshot line (no trailing newline). [time] is the caller's
-    epoch timestamp — this module never reads the clock. *)
+(** One schema-2 snapshot line (no trailing newline). [time] is
+    the caller's epoch timestamp — this module never reads the
+    clock. *)
+
+val of_e2e : Json.t -> (Stats.fingerprint * entry list, string) result
+(** The rows of a [bench/e2e] [results.json] document and the
+    fingerprint it was recorded under. Per workload [W]:
+    - [e2e/W]: [seconds] and [seconds_mad], the median and MAD
+      ({!Stats.summarize}) of [end_to_end.run_s.values], and the exact
+      counts [rounds], [messages] and [max_bits] of the traced pass's
+      [congest.*];
+    - [e2e/W/setup], [e2e/W/step_p50], [e2e/W/step_p99]: the same two
+      columns of [setup_s], [step_ms_p50] and [step_ms_p99], converted
+      to seconds;
+    - [e2e/W/<layer>]: [seconds], each non-zero per-layer [<layer>.s].
+
+    Strict: a missing [fingerprint], [failed], [workloads] or
+    [run_s], empty or non-numeric [values], or [failed > 0] (a run
+    with failed operations is not a trajectory point) is an [Error]
+    naming the key. *)
 
 val read_snapshot_lines :
   ?warn:(line_number:int -> string -> unit) -> string -> string list
@@ -57,57 +56,3 @@ val write : string -> string list -> unit
 val workloads : Json.t -> (string * Json.t) list
 (** The named workload objects of a parsed snapshot line, in file
     order, each with its name. *)
-
-type regression = {
-  r_name : string;
-  r_metric : string;
-  r_old : float;
-  r_new : float;
-  r_pct : float;  (** percentage increase over the baseline *)
-}
-
-val default_metrics : string list
-(** ["rounds"; "messages"; "max_bits"; "seconds";
-    "minor_words_per_node"; "peak_heap_mb"] — [phases] is
-    informational, not gated. *)
-
-val compare_lines :
-  ?metrics:string list ->
-  ?k:float ->
-  old_line:string ->
-  new_line:string ->
-  unit ->
-  regression list
-(** Every metric of every workload present in both snapshots that grew
-    past {!Stats.threshold} [~rel:0.10 ~k ~mad] — i.e. by more than
-    [max(10%, k*MAD)], where the MAD comes from the recorded
-    ["<metric>_mad"] column (the larger of the two sides; [0.] when
-    absent, restoring the pure 10% gate). [k] defaults to [3.].
-    [seconds] must additionally grow by more than an absolute 5 ms
-    (mirroring {!Diff.options.min_seconds}), so sub-millisecond
-    headline jitter on the fast workloads never flags. Workloads
-    missing from the baseline (newly added rows), metrics missing from
-    either side (e.g. a baseline predating the resource columns), and
-    zero or negative baseline values are all skipped, never flagged. *)
-
-type verdict =
-  | Regressions of regression list
-  | Incomparable of { old_fp : string; new_fp : string }
-      (** the fingerprint object of each side, re-emitted *)
-
-val compare_snapshots :
-  ?metrics:string list ->
-  ?k:float ->
-  old_line:string ->
-  new_line:string ->
-  unit ->
-  verdict
-(** {!compare_lines} guarded by the environment fingerprint: when both
-    snapshots carry one and they differ, the comparison is refused
-    ([Incomparable]) instead of flagging phantom cross-machine deltas.
-    Lines without fingerprints (pre-observatory history) compare as
-    before. *)
-
-val regression_line : regression -> string
-(** ["regression: <name> <metric>: <old> -> <new> (+<pct>%)"] — the
-    exact shape CI greps for. *)

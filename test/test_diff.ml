@@ -1,8 +1,12 @@
 (* Tests for Workload.Diff: phase-tree alignment (matched / added /
    removed / renamed), the per-metric significance gates (pure relative
    for logical columns, MAD-widened with an absolute floor for
-   seconds), fingerprint refusal, side loading, and the rendered
-   outputs. *)
+   seconds), fingerprint refusal, side loading, the rendered outputs,
+   and the trajectory regression lines it gives bench record, scale,
+   analyze and the dashboard — with the edge cases CI depends on: rows
+   missing from the baseline, rows removed since the baseline,
+   zero-valued baselines, and baselines predating the resource columns
+   must all be skipped, never flagged and never a crash. *)
 
 module D = Workload.Diff
 module T = Workload.Trajectory
@@ -12,10 +16,39 @@ let check = Alcotest.check
 
 let phase ?(depth = 1) ?(rounds = 100.0) ?(messages = 1000.0)
     ?(bits = 5000.0) ?(seconds = 1.0) ?(mw = 10000.0) path =
-  { D.path; depth; rounds; messages; bits; seconds; minor_words = mw }
+  {
+    D.path;
+    depth;
+    seconds_mad = 0.0;
+    columns =
+      [
+        ("rounds", rounds);
+        ("messages", messages);
+        ("bits", bits);
+        ("seconds", seconds);
+        ("minor_words", mw);
+      ];
+  }
 
+let with_seconds v p =
+  {
+    p with
+    D.columns =
+      List.map (fun (c, x) -> (c, if c = "seconds" then v else x)) p.D.columns;
+  }
+
+(* a report-like side: one recorded MAD for every phase *)
 let side ?fp ?(mad = 0.0) ?(label = "side") phases =
-  { D.label; fingerprint = fp; seconds_mad = mad; phases }
+  {
+    D.label;
+    fingerprint = fp;
+    phases = List.map (fun p -> { p with D.seconds_mad = mad }) phases;
+  }
+
+let column p c =
+  match List.assoc_opt c p.D.columns with
+  | Some v -> v
+  | None -> Alcotest.fail (Printf.sprintf "%s has no %s column" p.D.path c)
 
 let ok = function Ok d -> d | Error e -> Alcotest.fail e
 
@@ -50,7 +83,7 @@ let test_seeded_regression_is_top_row () =
   let slowed =
     List.map
       (fun p ->
-        if p.D.path = "carve/grow" then { p with D.seconds = 1.2 } else p)
+        if p.D.path = "carve/grow" then with_seconds 1.2 p else p)
       base
   in
   let d = ok (D.compare (side base) (side slowed)) in
@@ -71,7 +104,7 @@ let test_mad_suppresses_seconds () =
   let slowed =
     List.map
       (fun p ->
-        if p.D.path = "carve/grow" then { p with D.seconds = 1.2 } else p)
+        if p.D.path = "carve/grow" then with_seconds 1.2 p else p)
       base
   in
   let d = ok (D.compare (side ~mad:0.1 base) (side slowed)) in
@@ -137,34 +170,34 @@ let test_zero_baseline_phase () =
     (String.length (D.to_markdown d) > 0);
   Alcotest.(check bool) "json renders" true (String.length (D.to_json d) > 0)
 
-let fp ?(sha = "abc123") () =
+let fp ?(sha = "abc123") ?(host = "ci") () =
   {
     S.git_sha = sha;
     ocaml_version = "5.1.1";
     word_size = 64;
     flambda = false;
-    hostname = "ci";
+    hostname = host;
   }
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let test_fingerprint_refusal_and_force () =
   let a = side ~fp:(fp ()) base in
-  let b = side ~fp:(fp ~sha:"def456" ()) base in
+  let b = side ~fp:(fp ~host:"laptop" ()) base in
   (match D.compare a b with
   | Error msg ->
-      Alcotest.(check bool) "message names both shas" true
-        (let has s sub =
-           let n = String.length s and m = String.length sub in
-           let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-           go 0
-         in
-         has msg "abc123" && has msg "def456")
-  | Ok _ -> Alcotest.fail "cross-fingerprint compare not refused");
+      Alcotest.(check bool) "message names both environments" true
+        (contains msg "host=ci" && contains msg "host=laptop")
+  | Ok _ -> Alcotest.fail "cross-environment compare not refused");
   let d = ok (D.compare ~options:{ D.default_options with force = true } a b) in
   Alcotest.(check bool) "forced flag set" true d.D.forced;
   check Alcotest.int "still compares" 0 d.D.significant;
-  (* same fingerprints: no refusal, not forced *)
-  let d2 = ok (D.compare a (side ~fp:(fp ()) base)) in
-  Alcotest.(check bool) "same env not forced" false d2.D.forced
+  (* same environment, another commit: no refusal, not forced *)
+  let d2 = ok (D.compare a (side ~fp:(fp ~sha:"def456" ()) base)) in
+  Alcotest.(check bool) "another commit not forced" false d2.D.forced
 
 let test_markdown_clean_verdict () =
   let d = ok (D.compare (side base) (side base)) in
@@ -186,17 +219,23 @@ let test_folded_output () =
 
 (* ------------------------------------------------------------------ *)
 
-let entry ?(rounds = 100) ?(seconds = 0.5) ?(mad = 0.0) name =
+(* a row with schema 1's columns *)
+let entry ?(rounds = 100) ?(messages = 5000) ?(max_bits = 64) ?(phases = 4)
+    ?(seconds = 0.5) ?(mad = 0.0) ?(minor_words = 1000.0) ?(peak_mb = 12.0)
+    name =
   {
     T.name;
-    rounds;
-    messages = 5000;
-    max_bits = 64;
-    phases = 4;
-    seconds;
-    seconds_mad = mad;
-    minor_words_per_node = 1000.0;
-    peak_heap_mb = 12.0;
+    columns =
+      [
+        ("rounds", Json.int rounds);
+        ("messages", Json.int messages);
+        ("max_bits", Json.int max_bits);
+        ("phases", Json.int phases);
+        ("seconds", Json.float "%.4f" seconds);
+        ("seconds_mad", Json.float "%.6f" mad);
+        ("minor_words_per_node", Json.float "%.1f" minor_words);
+        ("peak_heap_mb", Json.float "%.1f" peak_mb);
+      ];
   }
 
 let test_side_of_trajectory_line () =
@@ -209,9 +248,19 @@ let test_side_of_trajectory_line () =
   let g = List.hd s.D.phases in
   check Alcotest.string "name becomes path" "grid" g.D.path;
   check Alcotest.int "depth zero" 0 g.D.depth;
-  Alcotest.(check (float 1e-9)) "rounds" 100.0 g.D.rounds;
-  Alcotest.(check (float 1e-9)) "bits from max_bits" 64.0 g.D.bits;
-  Alcotest.(check (float 1e-9)) "largest row MAD wins" 0.02 s.D.seconds_mad;
+  Alcotest.(check (float 1e-9)) "rounds" 100.0 (column g "rounds");
+  Alcotest.(check (float 1e-9)) "max_bits under its own name" 64.0
+    (column g "max_bits");
+  Alcotest.(check (list string))
+    "MADs widen the gate, they are not compared"
+    [
+      "rounds"; "messages"; "max_bits"; "phases"; "seconds";
+      "minor_words_per_node"; "peak_heap_mb";
+    ]
+    (List.map fst g.D.columns);
+  Alcotest.(check (list (float 1e-9)))
+    "each row keeps its own MAD" [ 0.01; 0.02 ]
+    (List.map (fun p -> p.D.seconds_mad) s.D.phases);
   Alcotest.(check bool) "fingerprint parsed" true (s.D.fingerprint = Some (fp ()))
 
 let test_side_of_report_json () =
@@ -225,24 +274,23 @@ let test_side_of_report_json () =
      \"bits\":100,\"seconds\":0.5,\"minor_words\":4200}]}"
   in
   let s = ok (D.side_of_report_json ~label:"rep" text) in
-  Alcotest.(check (float 1e-9)) "report-level MAD" 0.003 s.D.seconds_mad;
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 1e-9)) "report-level MAD" 0.003 p.D.seconds_mad)
+    s.D.phases;
   Alcotest.(check bool) "fingerprint parsed" true (s.D.fingerprint = Some (fp ()));
   check Alcotest.int "one phase per spans row" 2 (List.length s.D.phases);
   let carve = List.find (fun p -> p.D.path = "carve") s.D.phases in
   Alcotest.(check (float 1e-9)) "minor words from the row" 4200.0
-    carve.D.minor_words;
+    (column carve "minor_words");
   check Alcotest.int "root depth" 1 carve.D.depth;
   let unsp = List.find (fun p -> p.D.path = "(unspanned)") s.D.phases in
-  Alcotest.(check (float 1e-9)) "unspanned phase kept" 77.0 unsp.D.minor_words;
+  Alcotest.(check (float 1e-9)) "unspanned phase kept" 77.0
+    (column unsp "minor_words");
   (* not a report: refused with the label in the message *)
   match D.side_of_report_json ~label:"rep" "{\"x\":1}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-report JSON accepted"
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* a report file the diff must refuse, with the file and the key named *)
 let refused ~key text =
@@ -303,7 +351,9 @@ let test_load_specs () =
       T.snapshot_json ~time:2.0 [ entry "grid" ~rounds:200 ];
     ];
   let rounds_of s =
-    match s.D.phases with p :: _ -> p.D.rounds | [] -> Alcotest.fail "no phases"
+    match s.D.phases with
+    | p :: _ -> column p "rounds"
+    | [] -> Alcotest.fail "no phases"
   in
   Alcotest.(check (float 1e-9)) "default is newest" 200.0
     (rounds_of (ok (D.load path)));
@@ -358,6 +408,229 @@ let test_load_specs () =
     [ "ci"; "café"; "a\"b"; "tab\there" ];
   Sys.remove rpath
 
+(* ------------------------------------------------------------------ *)
+(* Trajectory regression lines                                          *)
+(* ------------------------------------------------------------------ *)
+
+let regressions_between olds news =
+  D.regressions
+    (D.against_history
+       [ T.snapshot_json ~time:0.0 olds ]
+       (T.snapshot_json ~time:1.0 news))
+
+let metric_names regs =
+  List.sort_uniq compare (List.map (fun (_, m) -> m.D.m_name) regs)
+
+let test_no_regression_on_identical () =
+  let es = [ entry "grid"; entry "expander" ] in
+  check Alcotest.int "identical snapshots" 0
+    (List.length (regressions_between es es))
+
+let test_flags_seeded_allocation_regression () =
+  (* a >10% minor-allocation regression seeded on purpose must be
+     flagged on the resource column *)
+  let regs =
+    regressions_between
+      [ entry "grid" ~minor_words:1000.0 ]
+      [ entry "grid" ~minor_words:1150.0 ]
+  in
+  match regs with
+  | [ ((name, m) as r) ] ->
+      check Alcotest.string "metric" "minor_words_per_node" m.D.m_name;
+      check Alcotest.string "workload" "grid" name;
+      Alcotest.(check string)
+        "rendered shape"
+        "regression: grid minor_words_per_node: 1000 -> 1150 (+15.0%)"
+        (D.regression_line r)
+  | _ -> Alcotest.failf "expected one regression, got %d" (List.length regs)
+
+let test_exactly_ten_percent_not_flagged () =
+  let regs =
+    regressions_between [ entry "g" ~rounds:100 ] [ entry "g" ~rounds:110 ]
+  in
+  check Alcotest.int "10% is the fence, not inside it" 0 (List.length regs)
+
+let test_missing_baseline_row () =
+  (* workload present in the new snapshot but absent from the baseline:
+     nothing to diff against, so nothing is flagged *)
+  let regs =
+    regressions_between [ entry "old_only" ]
+      [ entry "brand_new" ~rounds:999999 ~minor_words:1e9 ]
+  in
+  check Alcotest.int "new row skipped" 0 (List.length regs)
+
+let test_removed_row () =
+  (* workload in the baseline but gone from the new snapshot: also not
+     a regression (and must not crash the parser) *)
+  let regs =
+    regressions_between [ entry "gone"; entry "kept" ] [ entry "kept" ]
+  in
+  check Alcotest.int "removed row skipped" 0 (List.length regs)
+
+let test_zero_valued_baseline () =
+  (* zero (or negative) baselines make the percentage meaningless:
+     skipped even though the new value is positive *)
+  let old_e = [ entry "z" ~messages:0 ~seconds:0.0 ~peak_mb:0.0 ] in
+  let new_e = [ entry "z" ~messages:100000 ~seconds:9.9 ~peak_mb:512.0 ] in
+  check Alcotest.int "zero baselines skipped" 0
+    (List.length (regressions_between old_e new_e))
+
+let test_baseline_predating_resource_columns () =
+  (* a trajectory line written before the resource columns existed:
+     logical metrics still gate, resource metrics are skipped *)
+  let old_line =
+    "{\"time\":0,\"workloads\":[{\"name\":\"grid\",\"rounds\":100,\
+     \"messages\":5000,\"max_bits\":64,\"phases\":4}]}"
+  in
+  let new_line =
+    T.snapshot_json ~time:1.0
+      [
+        entry "grid" ~rounds:150 ~seconds:99.0 ~minor_words:1e9
+          ~peak_mb:4096.0;
+      ]
+  in
+  check
+    Alcotest.(list string)
+    "only the logical metric fires" [ "rounds" ]
+    (metric_names (D.regressions (D.against_history [ old_line ] new_line)))
+
+let test_resource_columns_gate () =
+  (* all three resource columns are gated *)
+  check
+    Alcotest.(list string)
+    "resource regressions flagged"
+    [ "minor_words_per_node"; "peak_heap_mb"; "seconds" ]
+    (metric_names
+       (regressions_between [ entry "g" ]
+          [ entry "g" ~seconds:0.7 ~minor_words:2000.0 ~peak_mb:20.0 ]))
+
+let test_mad_widens_seconds_gate () =
+  (* +24% on seconds clears the 10% gate, but the recorded MAD says the
+     measurement is that noisy: 3*0.05 = 0.15 > 0.12 delta, so the
+     MAD-aware comparator stays quiet where the naive one would flag *)
+  check Alcotest.int "within noise" 0
+    (List.length
+       (regressions_between
+          [ entry "g" ~seconds:0.5 ~mad:0.05 ]
+          [ entry "g" ~seconds:0.62 ~mad:0.05 ]));
+  check
+    Alcotest.(list string)
+    "same delta without MAD flags" [ "seconds" ]
+    (metric_names
+       (regressions_between [ entry "g" ~seconds:0.5 ]
+          [ entry "g" ~seconds:0.62 ]))
+
+let test_mad_is_per_row () =
+  (* a noisy row's MAD widens its own gate, not its neighbours' *)
+  check
+    Alcotest.(list string)
+    "only the quiet row flags" [ "quiet" ]
+    (List.map fst
+       (regressions_between
+          [ entry "noisy" ~seconds:0.5 ~mad:0.05; entry "quiet" ~seconds:0.5 ]
+          [
+            entry "noisy" ~seconds:0.62 ~mad:0.05; entry "quiet" ~seconds:0.62;
+          ]))
+
+let test_seconds_absolute_floor () =
+  (* +16.7% on a 0.6ms headline is quantization noise, not a
+     regression — seconds must also clear the 5ms absolute floor *)
+  check Alcotest.int "sub-floor jitter ignored" 0
+    (List.length
+       (regressions_between [ entry "g" ~seconds:0.0006 ]
+          [ entry "g" ~seconds:0.0007 ]))
+
+let test_mad_taken_from_either_side () =
+  (* only the new side recorded a MAD (baseline predates the stats
+     runner): the larger of the two sides still widens the gate *)
+  check Alcotest.int "new-side MAD widens" 0
+    (List.length
+       (regressions_between [ entry "g" ~seconds:0.5 ]
+          [ entry "g" ~seconds:0.62 ~mad:0.05 ]))
+
+let test_latest_row_of_that_name () =
+  (* a row is compared with the newest earlier snapshot that has it, in
+     the same environment: another kind of snapshot in between, or a
+     newer one from another machine, is passed over *)
+  let line ?fp time es = T.snapshot_json ?fingerprint:fp ~time es in
+  let history =
+    [
+      line ~fp:(fp ()) 0.0 [ entry "scale" ~rounds:100 ];
+      line ~fp:(fp ~host:"laptop" ()) 1.0 [ entry "scale" ~rounds:300 ];
+      line ~fp:(fp ()) 2.0 [ entry "analyze" ];
+    ]
+  in
+  let regs =
+    D.regressions
+      (D.against_history history
+         (line ~fp:(fp ~sha:"def456" ()) 3.0 [ entry "scale" ~rounds:200 ]))
+  in
+  Alcotest.(check (list string))
+    "vs the same-machine row two snapshots back"
+    [ "regression: scale rounds: 100 -> 200 (+100.0%)" ]
+    (List.map D.regression_line regs)
+
+let test_cross_fingerprint_refused () =
+  (* same rows, wildly different numbers, but another machine: the
+     sides are refused, and no trajectory row is compared across them *)
+  let old_line = T.snapshot_json ~fingerprint:(fp ()) ~time:0.0 [ entry "g" ] in
+  let new_line =
+    T.snapshot_json ~fingerprint:(fp ~host:"laptop" ()) ~time:1.0
+      [ entry "g" ~rounds:900 ~seconds:9.0 ]
+  in
+  (match
+     D.compare
+       (D.side_of_trajectory_line ~label:"old" old_line)
+       (D.side_of_trajectory_line ~label:"new" new_line)
+   with
+  | Error msg ->
+      Alcotest.(check bool) "names both hosts" true
+        (contains msg "host=ci" && contains msg "host=laptop")
+  | Ok _ -> Alcotest.fail "cross-environment compare not refused");
+  let d = D.against_history [ old_line ] new_line in
+  Alcotest.(check bool) "no row compared" true
+    (List.for_all (fun r -> r.D.r_status = D.Added) d.D.rows);
+  check Alcotest.int "nothing flagged" 0 (List.length (D.regressions d));
+  (* another commit on the same machine compares as usual *)
+  check
+    Alcotest.(list string)
+    "another commit gates" [ "rounds" ]
+    (metric_names
+       (D.regressions
+          (D.against_history [ old_line ]
+             (T.snapshot_json ~fingerprint:(fp ~sha:"def456" ()) ~time:1.0
+                [ entry "g" ~rounds:900 ]))))
+
+let test_missing_fingerprint_still_compares () =
+  (* pre-observatory baselines carry no fingerprint: history must stay
+     comparable rather than be orphaned wholesale *)
+  let old_line = T.snapshot_json ~time:0.0 [ entry "g" ] in
+  let new_line =
+    T.snapshot_json ~fingerprint:(fp ()) ~time:1.0 [ entry "g" ~rounds:900 ]
+  in
+  check
+    Alcotest.(list string)
+    "still gates" [ "rounds" ]
+    (metric_names (D.regressions (D.against_history [ old_line ] new_line)))
+
+let test_fingerprint_json_roundtrip () =
+  (* the hostnames need escaping (or are not ASCII), so a scanner that
+     stops at the first '"' or reads OCaml escapes misreads them *)
+  List.iter
+    (fun hostname ->
+      let fp = { (fp ()) with S.hostname } in
+      let line = T.snapshot_json ~fingerprint:fp ~time:7.0 [ entry "a" ] in
+      let side = D.side_of_trajectory_line ~label:"t" line in
+      Alcotest.(check bool)
+        ("roundtrips through json: " ^ hostname)
+        true
+        (side.D.fingerprint = Some fp))
+    [ "ci"; "café"; "a\"b"; "tab\there" ];
+  let bare = T.snapshot_json ~time:7.0 [ entry "a" ] in
+  Alcotest.(check bool)
+    "absent stays absent" true
+    ((D.side_of_trajectory_line ~label:"t" bare).D.fingerprint = None)
+
 let () =
   Alcotest.run "diff"
     [
@@ -405,5 +678,41 @@ let () =
           Alcotest.test_case "one depth convention" `Quick
             test_one_depth_convention;
           Alcotest.test_case "load spec parsing" `Quick test_load_specs;
+        ] );
+      ( "comparator",
+        [
+          Alcotest.test_case "identical snapshots clean" `Quick
+            test_no_regression_on_identical;
+          Alcotest.test_case "seeded allocation regression flagged" `Quick
+            test_flags_seeded_allocation_regression;
+          Alcotest.test_case "exactly 10% not flagged" `Quick
+            test_exactly_ten_percent_not_flagged;
+          Alcotest.test_case "missing baseline row skipped" `Quick
+            test_missing_baseline_row;
+          Alcotest.test_case "removed row skipped" `Quick test_removed_row;
+          Alcotest.test_case "zero-valued baseline skipped" `Quick
+            test_zero_valued_baseline;
+          Alcotest.test_case "pre-resource baseline tolerated" `Quick
+            test_baseline_predating_resource_columns;
+          Alcotest.test_case "resource columns gate" `Quick
+            test_resource_columns_gate;
+          Alcotest.test_case "MAD widens the seconds gate" `Quick
+            test_mad_widens_seconds_gate;
+          Alcotest.test_case "MAD is per row" `Quick test_mad_is_per_row;
+          Alcotest.test_case "seconds absolute floor" `Quick
+            test_seconds_absolute_floor;
+          Alcotest.test_case "MAD taken from either side" `Quick
+            test_mad_taken_from_either_side;
+          Alcotest.test_case "latest same-environment row of that name" `Quick
+            test_latest_row_of_that_name;
+        ] );
+      ( "fingerprint",
+        [
+          Alcotest.test_case "cross-fingerprint compare refused" `Quick
+            test_cross_fingerprint_refused;
+          Alcotest.test_case "fingerprint-less baseline compares" `Quick
+            test_missing_fingerprint_still_compares;
+          Alcotest.test_case "fingerprint json round-trip" `Quick
+            test_fingerprint_json_roundtrip;
         ] );
     ]

@@ -124,7 +124,7 @@ let test_fingerprint_roundtrip () =
       | Some back ->
           Alcotest.(check bool)
             ("round-trips: " ^ hostname)
-            true (S.fingerprint_equal fp back))
+            true (fp = back))
     [ fp.S.hostname; "café"; "a\"b"; "tab\there" ]
 
 let test_fingerprint_of_json_rejects () =
@@ -147,6 +147,18 @@ let test_current_fingerprint () =
   (* and it survives its own JSON round-trip *)
   Alcotest.(check bool) "serializable" true
     (S.fingerprint_of_json (S.fingerprint_json fp) = Some fp)
+
+let test_same_environment () =
+  (* the commit is what a comparison is about: another sha compares,
+     another machine or compiler does not *)
+  Alcotest.(check bool) "another commit, same machine" true
+    (S.same_environment fp { fp with S.git_sha = "0123456789ab" });
+  Alcotest.(check bool) "another host" false
+    (S.same_environment fp { fp with S.hostname = "laptop" });
+  Alcotest.(check bool) "another compiler" false
+    (S.same_environment fp { fp with S.ocaml_version = "4.14.2" });
+  Alcotest.(check bool) "flambda differs" false
+    (S.same_environment fp { fp with S.flambda = false })
 
 let test_pp_fingerprint_shape () =
   check Alcotest.string "rendered shape"
@@ -190,5 +202,7 @@ let () =
           Alcotest.test_case "current fingerprint" `Quick
             test_current_fingerprint;
           Alcotest.test_case "pp shape" `Quick test_pp_fingerprint_shape;
+          Alcotest.test_case "environment ignores the sha" `Quick
+            test_same_environment;
         ] );
     ]
