@@ -245,6 +245,35 @@ let rec row_mem (row : int_array1) v lo hi =
 
 let is_edge t u v = row_mem t.targets v t.offsets.{u} t.offsets.{u + 1}
 
+let validate t =
+  let fail fmt = Printf.ksprintf (fun s -> raise_notrace (Failure s)) fmt in
+  try
+    for u = 0 to t.n - 1 do
+      if t.offsets.{u + 1} < t.offsets.{u} then
+        fail "offsets not monotone at node %d" u
+    done;
+    if t.offsets.{t.n} <> 2 * t.m then
+      fail "offsets end at %d, not 2m = %d" t.offsets.{t.n} (2 * t.m);
+    for u = 0 to t.n - 1 do
+      for i = t.offsets.{u} to t.offsets.{u + 1} - 1 do
+        let v = t.targets.{i} in
+        if v < 0 || v >= t.n then
+          fail "target %d of node %d out of range (n = %d)" v u t.n;
+        if v = u then fail "self-loop at node %d" u;
+        if i > t.offsets.{u} && t.targets.{i - 1} >= v then
+          fail "row of node %d not strictly sorted" u
+      done
+    done;
+    for u = 0 to t.n - 1 do
+      for i = t.offsets.{u} to t.offsets.{u + 1} - 1 do
+        let v = t.targets.{i} in
+        if not (is_edge t v u) then
+          fail "not symmetric: edge %d -> %d has no reverse" u v
+      done
+    done;
+    Ok ()
+  with Failure msg -> Error msg
+
 let iter_edges t f =
   for u = 0 to t.n - 1 do
     let hi = t.offsets.{u + 1} in

@@ -61,6 +61,13 @@ val of_csr_unchecked :
     [offsets.{n} = 2m]) are performed.
     @raise Invalid_argument when those fail. *)
 
+val validate : t -> (unit, string) result
+(** Checks the CSR invariants every other function assumes: offsets
+    monotone and ending at [2m], every target in [\[0, n)], rows
+    strictly sorted, no self-loops, and symmetry (each [u -> v] has its
+    [v -> u]). [Error] names the first broken invariant and where.
+    [O(m log Δ)]. *)
+
 val n : t -> int
 (** Number of nodes. *)
 

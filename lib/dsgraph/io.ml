@@ -189,7 +189,12 @@ let load_csr ?(verify = false) path =
         if checksum_csr ~n ~m offsets targets <> stored then
           invalid_arg "Io.load_csr: checksum mismatch"
       end;
-      Graph.of_csr_unchecked ~n ~m ~offsets ~targets)
+      let g = Graph.of_csr_unchecked ~n ~m ~offsets ~targets in
+      (if verify then
+         match Graph.validate g with
+         | Ok () -> ()
+         | Error msg -> invalid_arg ("Io.load_csr: " ^ msg));
+      g)
 
 let palette =
   [|

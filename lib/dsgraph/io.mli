@@ -46,8 +46,9 @@ val load_csr : ?verify:bool -> string -> Graph.t
     magic, a byte-order mismatch, an unknown version, an [n] above
     [2^31] or an [m] whose byte count overflows, or a file whose size
     disagrees with its claimed [n]/[m] (truncation) all raise.
-    [~verify:true] additionally refolds the payload checksum — an
-    [O(n+m)] scan, off by default to keep loads constant-time.
+    [~verify:true] additionally refolds the payload checksum and runs
+    {!Graph.validate} on the structure — an [O(m log Δ)] scan, off by
+    default to keep loads constant-time.
     @raise Invalid_argument on any of the above,
     [Unix.Unix_error] / [Sys_error] on IO failure. *)
 

@@ -6,6 +6,7 @@ type result = {
   step_budget : int;
   total_steps : int;
   engine : Weak_carving.result;
+  forest : Cluster.Steiner.forest Lazy.t;
 }
 
 (* Messages are immediate ints: a 4-bit tag, then up to two fields of
@@ -47,20 +48,16 @@ type tree = {
 (* A node's state is flat: everything about a neighbour sits at its
    position in the sorted row [nbrs], and everything about a cluster in
    the node's [trees]. The per-step tables (proposals, counts, reports)
-   live in the trees: only tree clusters are ever read back. The golden
-   trace pins two orders the program once took from Hashtbls, and both
-   are kept exactly with {!Hashtbl_order}: the order edges are drained
-   in and the order [aggregate] visits the trees in. *)
+   live in the trees: only tree clusters are ever read back. Edges are
+   drained in ascending position and trees aggregated in creation
+   order. *)
 type nstate = {
   id : int;
   mutable label : int; (* >= 0 cluster label, -2 dead *)
   nbrs : int array;  (* neighbour ids, ascending *)
   nbr_label : int array;
-  (* trees in creation order; [tree_order] holds their indices in the
-     order [aggregate] visits them *)
-  mutable trees : tree array;
+  mutable trees : tree array; (* in creation order *)
   mutable ntrees : int;
-  tree_order : Hashtbl_order.t;
   mutable nsent : int;  (* trees with [sent] this step *)
   mutable agg_due : bool;  (* this step's first aggregation has not run *)
   mutable stopped : int array; (* clusters stopped this phase *)
@@ -68,16 +65,13 @@ type nstate = {
   (* root-side bookkeeping, meaningful when some cluster label = id *)
   mutable size : int;
   mutable joined : int;
-  (* one FIFO per edge: linked cells, [qhead.(p) = -1] empty, [-2] never
-     queued to *)
+  (* one FIFO per edge: linked cells, [qhead.(p) = -1] empty *)
   qhead : int array;
   qtail : int array;
   mutable cell_msg : int array;
   mutable cell_next : int array;
   mutable free : int;
   mutable queued : int; (* messages waiting in the FIFOs *)
-  (* positions ever queued to, keyed by neighbour id; drained backwards *)
-  drain : Hashtbl_order.t;
   mutable recv : int -> int -> unit;  (* [process st], made once: a round allocates no closure *)
   mutable round_in_step : int;
   mutable last_round : int; (* the simulator round of the last call *)
@@ -125,8 +119,7 @@ let add_tree st c ~parent =
     st.trees <- trees
   end;
   st.trees.(k) <- t;
-  st.ntrees <- k + 1;
-  Hashtbl_order.add st.tree_order c k
+  st.ntrees <- k + 1
 
 let rec stopped_from st c i =
   i < st.nstopped && (st.stopped.(i) = c || stopped_from st c (i + 1))
@@ -149,10 +142,6 @@ let new_cells st =
   st.free <- k
 
 let enqueue st p m =
-  if st.qhead.(p) = -2 then begin
-    st.qhead.(p) <- -1;
-    Hashtbl_order.add st.drain st.nbrs.(p) p
-  end;
   if st.free < 0 then new_cells st;
   let c = st.free in
   st.free <- st.cell_next.(c);
@@ -162,11 +151,9 @@ let enqueue st p m =
   st.qtail.(p) <- c;
   st.queued <- st.queued + 1
 
-(* one message per edge: the reverse of [Hashtbl.fold] order over the
-   neighbours queued to so far *)
+(* one message per edge, in ascending neighbour position *)
 let drain st out =
-  for i = st.drain.length - 1 downto 0 do
-    let p = st.drain.values.(i) in
+  for p = 0 to Array.length st.nbrs - 1 do
     let c = st.qhead.(p) in
     if c >= 0 then begin
       Congest.Sim.send out st.nbrs.(p) st.cell_msg.(c);
@@ -319,26 +306,29 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     | Weak_carving.Hybrid -> Float.min rg20 ggr21
   in
   (* aggregation pass: once proposals have arrived (round >= 4), each tree
-     node reports each cluster once all of that cluster's children have *)
+     node reports each cluster once all of that cluster's children have.
+     Only red nodes propose, and only to blue labels, so a red cluster's
+     count is 0: its tree nodes, parent and child alike, skip it. *)
   let aggregate st =
     for j = 0 to st.ntrees - 1 do
-      let t = st.trees.(st.tree_order.values.(j)) in
-      if (not t.sent) && t.reports = t.nchildren then begin
-        let total = (if st.label = t.cl then t.nprops else 0) + t.sum in
+      let t = st.trees.(j) in
+      let red = is_red st.bit t.cl in
+      if (not t.sent) && (red || t.reports = t.nchildren) then begin
         t.sent <- true;
         st.nsent <- st.nsent + 1;
-        if t.cl = st.id then begin
+        let total = (if st.label = t.cl then t.nprops else 0) + t.sum in
+        if red then ()
+        else if t.cl <> st.id then
+          enqueue st t.parent (msg2 count_up t.cl total)
+        else if total > 0 then begin
           (* root: decide *)
-          if total > 0 then begin
-            let grow = float_of_int total >= threshold st in
-            if grow then begin
-              st.size <- st.size + total;
-              st.joined <- st.joined + total
-            end;
-            handle_decide st t.cl grow
-          end
+          let grow = float_of_int total >= threshold st in
+          if grow then begin
+            st.size <- st.size + total;
+            st.joined <- st.joined + total
+          end;
+          handle_decide st t.cl grow
         end
-        else enqueue st t.parent (msg2 count_up t.cl total)
       end
     done
   in
@@ -405,20 +395,18 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
                 Array.map (fun w -> if Mask.mem domain w then w else -2) nbrs;
               trees = [||];
               ntrees = 0;
-              tree_order = Hashtbl_order.create 4;
               nsent = 0;
               agg_due = false;
               stopped = [||];
               nstopped = 0;
               size = 1;
               joined = 0;
-              qhead = Array.make deg (-2);
+              qhead = Array.make deg (-1);
               qtail = Array.make deg (-1);
               cell_msg = [||];
               cell_next = [||];
               free = -1;
               queued = 0;
-              drain = Hashtbl_order.create deg;
               recv = (fun _ _ -> ());
               round_in_step = 0;
               last_round = 0;
@@ -518,6 +506,27 @@ let wrap_conformance conformance program =
   | None -> program
   | Some c -> c.Congest.Conformance.instrument program
 
+(* the simulated trees of the engine's clusters, in its indexing: every
+   node that ever entered a tree, with the neighbour it attached to, in
+   ascending node order as the engine lists them *)
+let forest_of states (engine : Cluster.Steiner.forest) =
+  let index = Array.make (Array.length states) (-1) in
+  Array.iteri (fun i t -> index.(t.Cluster.Steiner.root) <- i) engine;
+  let pairs = Array.make (Array.length engine) [] in
+  for v = Array.length states - 1 downto 0 do
+    let st = states.(v) in
+    for j = 0 to st.ntrees - 1 do
+      let t = st.trees.(j) in
+      let i = index.(t.cl) in
+      if i >= 0 then
+        let p = if t.parent < 0 then v else st.nbrs.(t.parent) in
+        pairs.(i) <- (v, p) :: pairs.(i)
+    done
+  done;
+  Array.mapi
+    (fun i (t : Cluster.Steiner.tree) -> { t with parent = pairs.(i) })
+    engine
+
 let carve ?conformance ?preset ?domain ?trace g ~epsilon =
   Congest.Span.enter trace "weakdiam_sim";
   let b =
@@ -548,6 +557,7 @@ let carve ?conformance ?preset ?domain ?trace g ~epsilon =
     step_budget = b.b_step_budget;
     total_steps = b.b_total_steps;
     engine = b.b_engine;
+    forest = lazy (forest_of states b.b_engine.Weak_carving.forest);
   }
 
 type reliable_result = {
@@ -636,4 +646,4 @@ let matches_engine r =
     if Cluster.Clustering.cluster_of sim v <> Cluster.Clustering.cluster_of eng v
     then ok := false
   done;
-  !ok
+  !ok && Lazy.force r.forest = r.engine.Weak_carving.forest

@@ -11,7 +11,7 @@
     attaching to the tree, departures reported upward — with one message
     per edge per round enforced by per-edge FIFO queues. The test suite
     asserts the distributed execution produces {e exactly} the same
-    clustering as the engine.
+    clustering and Steiner trees as the engine ({!matches_engine}).
 
     Scheduling: every step runs for a fixed budget of rounds and every
     phase for a fixed number of steps, as in the paper (that is how
@@ -34,6 +34,10 @@ type result = {
   step_budget : int;  (** rounds allotted to each step *)
   total_steps : int;
   engine : Weak_carving.result;  (** the oracle run it is compared to *)
+  forest : Cluster.Steiner.forest Lazy.t;
+      (** the simulated Steiner trees of the engine's clusters, indexed
+          and listed as [engine.forest]: each node that ever entered a
+          tree, with the neighbour it attached to *)
 }
 
 val carve :
@@ -54,7 +58,8 @@ val carve :
 
 val matches_engine : result -> bool
 (** True iff the simulated clustering equals the engine's exactly
-    (same cluster membership per node, same dead set). *)
+    (same cluster membership per node, same dead set) and so do the
+    Steiner trees ([forest = engine.forest]). *)
 
 type reliable_result = {
   cluster_of : int array;

@@ -333,8 +333,10 @@ let significant_rows t =
   List.filter (fun r -> List.exists (fun m -> m.m_sig) r.r_metrics) t.rows
 
 (* each row of the new snapshot against the newest earlier snapshot
-   that has a row of that name under the same environment; the rows
-   are picked comparable, so the baseline side carries no fingerprint *)
+   that has a row of that name under the same environment; a snapshot
+   without a fingerprint has no environment, so it is no one's baseline.
+   The rows are picked comparable, so the baseline side carries no
+   fingerprint *)
 let against_history history line =
   let b = side_of_trajectory_line ~label:"new" line in
   let olds =
@@ -343,8 +345,10 @@ let against_history history line =
   let baseline (p : phase) =
     List.find_map
       (fun a ->
-        if comparable a b then List.find_opt (fun q -> q.path = p.path) a.phases
-        else None)
+        match (a.fingerprint, b.fingerprint) with
+        | Some fa, Some fb when Stats.same_environment fa fb ->
+            List.find_opt (fun q -> q.path = p.path) a.phases
+        | _ -> None)
       olds
   in
   align ~opts:default_options

@@ -134,9 +134,10 @@ val against_history : string list -> string -> t
 (** [against_history history line] compares each row of the snapshot
     [line] with the same-named row of the newest snapshot in [history]
     (oldest first, as {!Trajectory.read_snapshot_lines} returns them)
-    that has one in the same environment — or lacks a fingerprint on
-    either side. A row no such snapshot has aligns as [Added]. Uses
-    {!default_options}. *)
+    that has one in the same environment. Both snapshots need a
+    fingerprint: one without is nobody's baseline, and a [line] without
+    one compares with nothing. A row no such snapshot has aligns as
+    [Added]. Uses {!default_options}. *)
 
 val regressions : t -> (string * mdelta) list
 (** The significant increases of matched phases over a positive

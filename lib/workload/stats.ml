@@ -200,6 +200,3 @@ let overhead ?(plan = default_plan) ~base ~layer () =
 
 let threshold ?(rel = 0.10) ?(k = 3.0) ~mad baseline =
   Float.max (rel *. Float.abs baseline) (k *. mad)
-
-let exceeds ?rel ?k ~mad ~baseline v =
-  v -. baseline > threshold ?rel ?k ~mad baseline

@@ -119,7 +119,3 @@ val threshold : ?rel:float -> ?k:float -> mad:float -> float -> float
     (the historical 10% gate), [k] to [3.0]. With [mad = 0.] this
     degrades to the pure relative gate, so pre-MAD baselines keep
     their old behavior. *)
-
-val exceeds : ?rel:float -> ?k:float -> mad:float -> baseline:float -> float -> bool
-(** [exceeds ~mad ~baseline v]: did [v] grow past [baseline] by more
-    than {!threshold}? One-sided — improvements never flag. *)

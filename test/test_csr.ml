@@ -285,6 +285,54 @@ let test_pref_attach_shape () =
   check bool "connected" true
     (Array.for_all (fun d -> d >= 0) (Bfs.distances g ~source:0))
 
+(* Two minimized files that loaded silently while [~verify] refolded
+   only the checksum: 4x4 grids whose node 0 row, [1; 4], became [1; 21]
+   (21 >= n = 16) and [1; 5] (node 5 does not list 0), each with its
+   checksum refolded. The plain load stays O(1) and takes them. *)
+let test_rejects_bad_structure () =
+  List.iter
+    (fun (file, msg) ->
+      let path = Filename.concat "fixtures" file in
+      check int (file ^ " loads unverified") 16 (Graph.n (Io.load_csr path));
+      Alcotest.check_raises file (Invalid_argument ("Io.load_csr: " ^ msg))
+        (fun () -> ignore (Io.load_csr ~verify:true path)))
+    [
+      ( "csr_target_out_of_range.csr",
+        "target 21 of node 0 out of range (n = 16)" );
+      ( "csr_asymmetric_row.csr",
+        "not symmetric: edge 0 -> 5 has no reverse" );
+    ]
+
+let raw_csr offsets targets =
+  let ba = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout in
+  Graph.of_csr_unchecked
+    ~n:(Array.length offsets - 1)
+    ~m:(Array.length targets / 2)
+    ~offsets:(ba offsets) ~targets:(ba targets)
+
+let test_validate () =
+  let verdict = Alcotest.(result unit string) in
+  List.iter
+    (fun (name, g) -> Alcotest.check verdict name (Ok ()) (Graph.validate g))
+    [
+      ("path", raw_csr [| 0; 1; 3; 4 |] [| 1; 0; 2; 1 |]);
+      ("grid", Gen.grid 7 9);
+      ("rmat", Gen.rmat (Rng.create 3) ~n:256 ~m:1500);
+      ( "edited",
+        Graph.apply_edits (Gen.grid 4 4) ~del:[ (0, 1); (5, 6) ]
+          ~add:[ (0, 15); (3, 12) ] );
+    ];
+  List.iter
+    (fun (msg, g) -> Alcotest.check verdict msg (Error msg) (Graph.validate g))
+    [
+      ("offsets not monotone at node 1", raw_csr [| 0; 2; 1; 2 |] [| 1; 0 |]);
+      ("self-loop at node 0", raw_csr [| 0; 1; 2 |] [| 0; 1 |]);
+      ( "row of node 0 not strictly sorted",
+        raw_csr [| 0; 2; 4; 6 |] [| 2; 1; 0; 2; 0; 1 |] );
+      ( "row of node 0 not strictly sorted",
+        raw_csr [| 0; 2; 3; 4 |] [| 1; 1; 0; 0 |] );
+    ]
+
 let () =
   Alcotest.run "csr"
     [
@@ -309,6 +357,10 @@ let () =
             test_checksum_catches_bit_rot;
           Alcotest.test_case "sizes that wrap the byte count" `Quick
             test_rejects_wrapping_sizes;
+          Alcotest.test_case "verify rejects bad structure" `Quick
+            test_rejects_bad_structure;
+          Alcotest.test_case "validate names the broken invariant" `Quick
+            test_validate;
         ] );
       ( "generators",
         [

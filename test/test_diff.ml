@@ -415,8 +415,8 @@ let test_load_specs () =
 let regressions_between olds news =
   D.regressions
     (D.against_history
-       [ T.snapshot_json ~time:0.0 olds ]
-       (T.snapshot_json ~time:1.0 news))
+       [ T.snapshot_json ~fingerprint:(fp ()) ~time:0.0 olds ]
+       (T.snapshot_json ~fingerprint:(fp ()) ~time:1.0 news))
 
 let metric_names regs =
   List.sort_uniq compare (List.map (fun (_, m) -> m.D.m_name) regs)
@@ -479,11 +479,12 @@ let test_baseline_predating_resource_columns () =
   (* a trajectory line written before the resource columns existed:
      logical metrics still gate, resource metrics are skipped *)
   let old_line =
-    "{\"time\":0,\"workloads\":[{\"name\":\"grid\",\"rounds\":100,\
-     \"messages\":5000,\"max_bits\":64,\"phases\":4}]}"
+    "{\"time\":0,\"fingerprint\":" ^ S.fingerprint_json (fp ())
+    ^ ",\"workloads\":[{\"name\":\"grid\",\"rounds\":100,\
+       \"messages\":5000,\"max_bits\":64,\"phases\":4}]}"
   in
   let new_line =
-    T.snapshot_json ~time:1.0
+    T.snapshot_json ~fingerprint:(fp ()) ~time:1.0
       [
         entry "grid" ~rounds:150 ~seconds:99.0 ~minor_words:1e9
           ~peak_mb:4096.0;
@@ -601,17 +602,31 @@ let test_cross_fingerprint_refused () =
              (T.snapshot_json ~fingerprint:(fp ~sha:"def456" ()) ~time:1.0
                 [ entry "g" ~rounds:900 ]))))
 
-let test_missing_fingerprint_still_compares () =
-  (* pre-observatory baselines carry no fingerprint: history must stay
-     comparable rather than be orphaned wholesale *)
-  let old_line = T.snapshot_json ~time:0.0 [ entry "g" ] in
+let test_fingerprint_less_history_ignored () =
+  (* pre-observatory snapshots carry no fingerprint, so nothing says
+     which machine ran them: a faster row there is no baseline, and the
+     row aligns as added with nothing flagged *)
+  let old_line = T.snapshot_json ~time:0.0 [ entry "g" ~seconds:0.1 ] in
   let new_line =
-    T.snapshot_json ~fingerprint:(fp ()) ~time:1.0 [ entry "g" ~rounds:900 ]
+    T.snapshot_json ~fingerprint:(fp ()) ~time:1.0 [ entry "g" ~seconds:0.5 ]
   in
-  check
-    Alcotest.(list string)
-    "still gates" [ "rounds" ]
-    (metric_names (D.regressions (D.against_history [ old_line ] new_line)))
+  let d = D.against_history [ old_line ] new_line in
+  Alcotest.(check bool) "no baseline" true
+    (List.for_all (fun r -> r.D.r_status = D.Added) d.D.rows);
+  Alcotest.(check (list string))
+    "no regression line" []
+    (List.map D.regression_line (D.regressions d));
+  (* [compare] of two fingerprint-less sides still aligns them *)
+  match
+    D.compare
+      (D.side_of_trajectory_line ~label:"old" old_line)
+      (D.side_of_trajectory_line ~label:"new"
+         (T.snapshot_json ~time:1.0 [ entry "g" ~seconds:0.5 ]))
+  with
+  | Ok t ->
+      Alcotest.(check bool) "compare matches the row" true
+        (List.for_all (fun r -> r.D.r_status = D.Matched) t.D.rows)
+  | Error msg -> Alcotest.fail msg
 
 let test_fingerprint_json_roundtrip () =
   (* the hostnames need escaping (or are not ASCII), so a scanner that
@@ -710,8 +725,8 @@ let () =
         [
           Alcotest.test_case "cross-fingerprint compare refused" `Quick
             test_cross_fingerprint_refused;
-          Alcotest.test_case "fingerprint-less baseline compares" `Quick
-            test_missing_fingerprint_still_compares;
+          Alcotest.test_case "fingerprint-less history ignored" `Quick
+            test_fingerprint_less_history_ignored;
           Alcotest.test_case "fingerprint json round-trip" `Quick
             test_fingerprint_json_roundtrip;
         ] );

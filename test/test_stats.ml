@@ -45,16 +45,6 @@ let test_threshold () =
   feq "magnitude of baseline" 10.0 (S.threshold ~mad:0.0 (-100.0));
   feq "custom rel and k" 50.0 (S.threshold ~rel:0.5 ~k:1.0 ~mad:10.0 100.0)
 
-let test_exceeds_one_sided () =
-  let bool = Alcotest.bool in
-  check bool "past the gate" true (S.exceeds ~mad:0.0 ~baseline:100.0 110.5);
-  check bool "the fence itself" false (S.exceeds ~mad:0.0 ~baseline:100.0 110.0);
-  check bool "improvement never flags" false
-    (S.exceeds ~mad:0.0 ~baseline:100.0 50.0);
-  check bool "mad widens" false (S.exceeds ~mad:10.0 ~baseline:100.0 125.0);
-  check bool "past the widened gate" true
-    (S.exceeds ~mad:10.0 ~baseline:100.0 131.0)
-
 let test_measure_counts_runs () =
   let calls = ref 0 in
   let plan = { S.warmup = 2; samples = 3; settle = false } in
@@ -178,8 +168,6 @@ let () =
       ( "significance",
         [
           Alcotest.test_case "threshold" `Quick test_threshold;
-          Alcotest.test_case "exceeds is one-sided" `Quick
-            test_exceeds_one_sided;
         ] );
       ( "sampling",
         [
