@@ -395,7 +395,6 @@ let verify_program ?(label = "program") ?capacity ?order_invariant ?max_rounds
   let run sink =
     let config =
       {
-        Sim.Config.default with
         Sim.Config.max_rounds;
         bandwidth;
         adversary = Option.map Fault.create adversary;

@@ -384,27 +384,6 @@ type 'st result = {
 }
 
 let simulate ?(sim = Sim.Config.default) cfg ~bits g inner =
-  (* Sim.Config transport knobs override the transport config, so
-     harnesses can thread detection timeouts and windows through the one
-     run-configuration record; None leaves cfg untouched. Re-validated
-     through the smart constructor. *)
-  let cfg =
-    match
-      ( sim.Sim.Config.transport_window,
-        sim.Sim.Config.transport_rto,
-        sim.Sim.Config.liveness_timeout )
-    with
-    | None, None, None -> cfg
-    | w, r, l ->
-        config ~inner_rounds:cfg.inner_rounds
-          ~window:(Option.value w ~default:cfg.window)
-          ~rto:(Option.value r ~default:cfg.rto)
-          ~heartbeat_every:cfg.heartbeat_every
-          ~liveness_timeout:(Option.value l ~default:cfg.liveness_timeout)
-          ~backoff:cfg.backoff ~max_rto:cfg.max_rto
-          ~max_retries:cfg.max_retries ~jitter:cfg.jitter
-          ~jitter_seed:cfg.jitter_seed ()
-  in
   let n = Graph.n g in
   let inner_bw =
     Option.value sim.Sim.Config.bandwidth ~default:(Bits.bandwidth ~n)

@@ -151,9 +151,5 @@ val simulate :
     [sim.max_rounds] defaults to
     [6 * inner_rounds + 8 * liveness_timeout + 64], ample for drop rates
     well beyond the benchmarked 0.1. A [sim.trace] sink observes the
-    {e outer} (transport-level) rounds and frames.
-
-    When [sim.transport_window], [sim.transport_rto], or
-    [sim.liveness_timeout] is set, it overrides the corresponding
-    [cfg] field (revalidated through {!val-config}), so run harnesses
-    configure the transport through the one {!Sim.Config.t} record. *)
+    {e outer} (transport-level) rounds and frames. The transport's own
+    knobs (window, timeouts, backoff) are [cfg]'s. *)

@@ -151,9 +151,6 @@ module Config = struct
     adversary : Fault.t option;
     on_incomplete : [ `Ignore | `Warn | `Raise ];
     trace : Trace.sink option;
-    transport_window : int option;
-    transport_rto : int option;
-    liveness_timeout : int option;
   }
 
   let default =
@@ -163,9 +160,6 @@ module Config = struct
       adversary = None;
       on_incomplete = `Warn;
       trace = None;
-      transport_window = None;
-      transport_rto = None;
-      liveness_timeout = None;
     }
 
   let with_max_rounds max_rounds t = { t with max_rounds = Some max_rounds }
@@ -173,15 +167,6 @@ module Config = struct
   let with_adversary adversary t = { t with adversary = Some adversary }
   let with_on_incomplete on_incomplete t = { t with on_incomplete }
   let with_trace sink t = { t with trace = Some sink }
-
-  let with_transport_window transport_window t =
-    { t with transport_window = Some transport_window }
-
-  let with_transport_rto transport_rto t =
-    { t with transport_rto = Some transport_rto }
-
-  let with_liveness_timeout liveness_timeout t =
-    { t with liveness_timeout = Some liveness_timeout }
 end
 
 let log_src = Logs.Src.create "congest.sim" ~doc:"CONGEST simulator"
@@ -192,10 +177,38 @@ module Log = (val Logs.src_log log_src)
 (* The fabric: a ring of flat round buffers                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Node sets are bitsets of [word_bits] nodes a word: node [v] is bit
+   [v mod word_bits] of word [v / word_bits]. 62 bits keep every word a
+   non-negative int, so [w land (w - 1)] clears its lowest bit. *)
+let word_bits = 62
+
+let words_of n = (n + word_bits - 1) / word_bits
+
+let add_node set v =
+  let i = v / word_bits in
+  set.(i) <- set.(i) lor (1 lsl (v - (i * word_bits)))
+
+(* The index of the lowest set bit of a non-zero word, by a de Bruijn
+   multiply: the top 6 bits of [b * debruijn] (mod 2^63) differ for each
+   of the [word_bits] powers of two [b]. *)
+let debruijn = 0x218a392cd3d5dbf
+
+let debruijn_index =
+  String.init 64 (fun top ->
+      let rec find k =
+        if k = word_bits || ((1 lsl k) * debruijn) lsr 57 = top then k
+        else find (k + 1)
+      in
+      Char.chr (find 0))
+
+let lowest_bit w =
+  Char.code (String.unsafe_get debruijn_index (((w land -w) * debruijn) lsr 57))
+
 (* One round buffer: every message due in one round, in schedule order,
    with a per-destination chain through [s_next] so a node's inbox is
-   read in that order without sorting. Between rounds every [s_head]
-   entry is -1. *)
+   read in that order without sorting, and the set of destinations with
+   a chain. Between rounds every [s_head] entry is -1 and [s_due] is
+   empty. *)
 type 'msg slot = {
   mutable s_len : int;
   mutable s_dst : int array;
@@ -204,6 +217,7 @@ type 'msg slot = {
   mutable s_next : int array;
   s_head : int array;  (* per destination: first message, -1 = none *)
   s_tail : int array;  (* per destination: last message *)
+  s_due : int array;  (* bitset: destinations whose chain is not empty *)
 }
 
 let new_slot n =
@@ -215,6 +229,7 @@ let new_slot n =
     s_next = [||];
     s_head = Array.make n (-1);
     s_tail = Array.make n (-1);
+    s_due = Array.make (words_of n) 0;
   }
 
 let grow_slot s k msg =
@@ -255,12 +270,34 @@ let schedule f ~at dst src msg =
   s.s_src.(k) <- src;
   s.s_msg.(k) <- msg;
   s.s_next.(k) <- -1;
-  if s.s_head.(dst) < 0 then s.s_head.(dst) <- k
+  if s.s_head.(dst) < 0 then begin
+    s.s_head.(dst) <- k;
+    add_node s.s_due dst
+  end
   else s.s_next.(s.s_tail.(dst)) <- k;
   s.s_tail.(dst) <- k;
   s.s_len <- k + 1;
   f.pending <- f.pending + 1
 [@@hot]
+
+(* one message of this round under an adversary: a crashed destination
+   loses it *)
+let adversarial_arrival f adv ~round ~src ~dst =
+  if Fault.is_crashed adv ~round dst then begin
+    Fault.count_drop adv;
+    f.delivered <- f.delivered - 1;
+    match f.trace with
+    | None -> ()
+    | Some t ->
+        Trace.record t
+          (Trace.Message_dropped
+             { round; src; dst; reason = Trace.Crashed_destination })
+  end
+  else
+    match f.trace with
+    | None -> ()
+    | Some t -> Trace.emit_message_delivered t ~round ~src ~dst
+[@@alloc_ok "adversarial runs only: the churn lookup and drop events are boxed"]
 
 (* Round-level accounting of this round's buffer. Only traced or
    adversarial runs look at individual messages; they walk the buffer
@@ -268,29 +305,20 @@ let schedule f ~at dst src msg =
 let arrivals f s ~round =
   f.pending <- f.pending - s.s_len;
   f.delivered <- s.s_len;
-  let observed =
-    match f.trace with
-    | Some _ -> true
-    | None -> ( match f.adversary with Some _ -> true | None -> false)
-  in
-  if observed then
-    for i = s.s_len - 1 downto 0 do
-      let dst = s.s_dst.(i) and src = s.s_src.(i) in
-      match f.adversary with
-      | Some adv when Fault.is_crashed adv ~round dst -> (
-          Fault.count_drop adv;
-          f.delivered <- f.delivered - 1;
-          match f.trace with
-          | None -> ()
-          | Some t ->
-              Trace.record t
-                (Trace.Message_dropped
-                   { round; src; dst; reason = Trace.Crashed_destination }))
-      | _ -> (
-          match f.trace with
-          | None -> ()
-          | Some t -> Trace.emit_message_delivered t ~round ~src ~dst)
-    done
+  match f.adversary with
+  | Some adv ->
+      for i = s.s_len - 1 downto 0 do
+        adversarial_arrival f adv ~round ~src:s.s_src.(i) ~dst:s.s_dst.(i)
+      done
+  | None -> (
+      match f.trace with
+      | None -> ()
+      | Some t ->
+          for i = s.s_len - 1 downto 0 do
+            Trace.emit_message_delivered t ~round ~src:s.s_src.(i)
+              ~dst:s.s_dst.(i)
+          done)
+[@@hot]
 
 (* Delivery step: [v]'s messages of this round, in send order, into the
    reusable inbox view; leaves [v]'s chain empty. *)
@@ -370,18 +398,177 @@ let send_step f ~round ~src o =
   end
 [@@hot]
 
+(* ------------------------------------------------------------------ *)
+(* The round loop: only due nodes are visited                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Rounds the timer wheel spans. A wake round less than [span] rounds
+   ahead is filed in the wheel slot of that round; a later one waits in
+   the overflow, which is re-filed once per lap of [span] rounds. *)
+let span = 64
+
+(* Per-run node state. A node is due in round [r] if it has mail in [r]
+   or its bit is set in wheel slot [r mod span]: its wake round, or a
+   crash or revive round of the adversary. A due node is called iff it
+   is up and has mail or [wake.(v) <= r]; any other wheel bit is stale
+   and costs one test. *)
+type ('st, 'msg) run = {
+  fab : 'msg fabric;
+  program : ('st, 'msg) program;
+  states : 'st array;
+  halted : bool array;  (* the last vote, or true while crashed *)
+  mutable n_halted : int;  (* nodes whose [halted] entry is true *)
+  voted : bool array;  (* the vote of the node's last call *)
+  wake : int array;
+      (* the first round [v] must be called without mail; a skipped node
+         keeps its last halt vote *)
+  inbox : 'msg inbox;
+  out : 'msg out;
+  words : int;
+  wheel : int array;  (* [span] bitsets of [words] words, slot-major *)
+  overflow : int array;  (* nodes whose wake round is past the wheel *)
+  mutable n_overflow : int;
+  in_overflow : Bytes.t;
+  events : (int * int) array;
+      (* the adversary's (node, round) crashes and revives, by round *)
+  mutable next_event : int;
+}
+
+(* sets [v]'s bit in the wheel slot of round [at], which must be less
+   than [span] rounds ahead of the round being run *)
+let file r ~at v =
+  let i = v / word_bits in
+  let k = ((at land (span - 1)) * r.words) + i in
+  r.wheel.(k) <- r.wheel.(k) lor (1 lsl (v - (i * word_bits)))
+
+(* files [v] under the wake round its call in [round] just set; a node
+   idle until mail is filed nowhere *)
+let file_wake r ~round v =
+  let w = r.wake.(v) in
+  if w - round < span then file r ~at:w v
+  else if w < max_int && Bytes.get r.in_overflow v = '\000' then begin
+    Bytes.set r.in_overflow v '\001';
+    r.overflow.(r.n_overflow) <- v;
+    r.n_overflow <- r.n_overflow + 1
+  end
+
+(* At the first round of a lap (and in round 1): files every overflow
+   node and adversary event that falls in this lap, and keeps the
+   overflow nodes that wake later. An overflow node is keyed by its
+   current wake round; one woken and re-filed since is dropped or filed
+   again in the same slot. *)
+let refile r ~round =
+  let lap_end = round lor (span - 1) in
+  let listed = r.n_overflow in
+  r.n_overflow <- 0;
+  for i = 0 to listed - 1 do
+    let v = r.overflow.(i) in
+    let w = r.wake.(v) in
+    if w > lap_end && w < max_int then begin
+      r.overflow.(r.n_overflow) <- v;
+      r.n_overflow <- r.n_overflow + 1
+    end
+    else begin
+      Bytes.set r.in_overflow v '\000';
+      if w >= round && w <= lap_end then file r ~at:w v
+    end
+  done;
+  while
+    r.next_event < Array.length r.events
+    && snd r.events.(r.next_event) <= lap_end
+  do
+    let v, at = r.events.(r.next_event) in
+    file r ~at v;
+    r.next_event <- r.next_event + 1
+  done
+
+let set_halted r v h =
+  if h <> r.halted.(v) then begin
+    r.halted.(v) <- h;
+    r.n_halted <- (r.n_halted + if h then 1 else -1)
+  end
+
+let is_down adv ~round v = Fault.is_crashed adv ~round v
+[@@alloc_ok "adversarial runs only: the churn lookup boxes its result"]
+
+(* a due node that is down runs nothing and receives nothing *)
+let crash_step r adv ~round s v =
+  (match r.fab.trace with
+  | None -> ()
+  | Some t ->
+      if not (is_down adv ~round:(round - 1) v) then
+        Trace.record t (Trace.Node_crashed { round; node = v }));
+  set_halted r v true;
+  s.s_head.(v) <- -1
+[@@alloc_ok "adversarial runs only: crash events are boxed"]
+
+let call r ~round s v =
+  let was_halted = r.halted.(v) in
+  deliver s v r.inbox;
+  Out.reset r.out;
+  r.out.round <- round;
+  r.states.(v) <-
+    r.program.round ~node:v ~state:r.states.(v) ~inbox:r.inbox ~out:r.out;
+  let halt = r.out.halt_vote in
+  set_halted r v halt;
+  r.voted.(v) <- halt;
+  (* next round without mail, saturating at [max_int] *)
+  let k = r.out.idle_for in
+  r.wake.(v) <- (if k >= max_int - round then max_int else round + 1 + k);
+  file_wake r ~round v;
+  (match r.fab.trace with
+  | None -> ()
+  | Some t ->
+      if halt && not was_halted then Trace.emit_node_halted t ~round ~node:v);
+  send_step r.fab ~round ~src:v r.out
+[@@hot]
+
+let visit r ~round s v =
+  match r.fab.adversary with
+  | Some adv when is_down adv ~round v -> crash_step r adv ~round s v
+  | _ ->
+      if r.wake.(v) <= round || s.s_head.(v) >= 0 then call r ~round s v
+      else
+        (* skipped: a node revived in this round takes back its vote *)
+        set_halted r v r.voted.(v)
+
+(* the set bits of [w], nodes [base ..], in ascending order *)
+let rec visit_bits r ~round s base w =
+  if w <> 0 then begin
+    visit r ~round s (base + lowest_bit w);
+    visit_bits r ~round s base (w land (w - 1))
+  end
+
+(* One round: the nodes with mail or a wheel bit, in ascending order, a
+   word of [word_bits] nodes at a time. A call files its node in a later
+   slot and sends into a later round buffer, so the words of this round
+   change only as they are read and cleared. *)
+let run_round r ~round =
+  let f = r.fab in
+  f.sent <- 0;
+  (match f.trace with None -> () | Some t -> Trace.emit_round_start t ~round);
+  if round land (span - 1) = 0 || round = 1 then refile r ~round;
+  let s = slot f round in
+  arrivals f s ~round;
+  let base = (round land (span - 1)) * r.words in
+  for i = 0 to r.words - 1 do
+    let w = s.s_due.(i) lor r.wheel.(base + i) in
+    if w <> 0 then begin
+      s.s_due.(i) <- 0;
+      r.wheel.(base + i) <- 0;
+      visit_bits r ~round s (i * word_bits) w
+    end
+  done;
+  s.s_len <- 0;
+  match f.trace with
+  | None -> ()
+  | Some t ->
+      Trace.emit_round_end t ~round ~sent:f.sent ~delivered:f.delivered
+        ~in_flight:f.pending ~halted:r.n_halted
+[@@hot]
+
 let simulate ?(config = Config.default) ~bits g program =
-  let {
-    Config.max_rounds;
-    bandwidth;
-    adversary;
-    on_incomplete;
-    trace;
-    (* transport knobs are consumed by Reliable.simulate, not here *)
-    transport_window = _;
-    transport_rto = _;
-    liveness_timeout = _;
-  } =
+  let { Config.max_rounds; bandwidth; adversary; on_incomplete; trace } =
     config
   in
   let n = Graph.n g in
@@ -409,76 +596,53 @@ let simulate ?(config = Config.default) ~bits g program =
       delivered = 0;
     }
   in
-  let states = Array.init n (fun v -> program.init ~node:v ~neighbors:(Graph.neighbors g v)) in
-  let halted = Array.make n false in
-  (* nodes whose [halted] entry is true, kept as the entries change *)
-  let n_halted = ref 0 in
-  let set_halted v h =
-    if h <> halted.(v) then begin
-      halted.(v) <- h;
-      if h then incr n_halted else decr n_halted
-    end
-  in
-  (* [wake.(v)]: the first round [v] must be run without mail; a skipped
-     node keeps its last halt vote *)
-  let wake = Array.make n 0 in
-  let inbox = Inbox.create () and out = Out.create () in
-  let rounds_used = ref 0 in
-  let crashed_at round v =
+  let events =
     match adversary with
-    | Some adv -> Fault.is_crashed adv ~round v
-    | None -> false
+    | None -> [||]
+    | Some adv ->
+        let sp = Fault.spec_of adv in
+        List.filter (fun (v, _) -> v >= 0 && v < n) (sp.Fault.crashes @ sp.revives)
+        |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
+        |> Array.of_list
   in
-  let adversarial = Option.is_some adversary in
+  let words = words_of n in
+  let r =
+    {
+      fab = f;
+      program;
+      states =
+        Array.init n (fun v ->
+            program.init ~node:v ~neighbors:(Graph.neighbors g v));
+      halted = Array.make n false;
+      n_halted = 0;
+      voted = Array.make n false;
+      wake = Array.make n 1;
+      inbox = Inbox.create ();
+      out = Out.create ();
+      words;
+      wheel = Array.make (span * words) 0;
+      overflow = Array.make n 0;
+      n_overflow = 0;
+      in_overflow = Bytes.make n '\000';
+      events;
+      next_event = 0;
+    }
+  in
+  (* every node is due in round 1 *)
+  for v = 0 to n - 1 do
+    file r ~at:1 v
+  done;
+  let rounds_used = ref 0 in
   let continue = ref true in
   while !continue && !rounds_used < max_rounds do
     incr rounds_used;
-    let round = !rounds_used in
-    f.sent <- 0;
-    (match trace with None -> () | Some t -> Trace.emit_round_start t ~round);
-    let s = slot f round in
-    arrivals f s ~round;
-    for v = 0 to n - 1 do
-      if adversarial && crashed_at round v then begin
-        (match trace with
-        | None -> ()
-        | Some t ->
-            if not (crashed_at (round - 1) v) then
-              Trace.record t (Trace.Node_crashed { round; node = v }));
-        set_halted v true;
-        s.s_head.(v) <- -1
-      end
-      else if wake.(v) <= round || s.s_head.(v) >= 0 then begin
-        let was_halted = halted.(v) in
-        deliver s v inbox;
-        Out.reset out;
-        out.round <- round;
-        states.(v) <- program.round ~node:v ~state:states.(v) ~inbox ~out;
-        let halt = out.halt_vote in
-        set_halted v halt;
-        (* next round without mail, saturating at [max_int] *)
-        wake.(v) <-
-          (if out.idle_for = 0 then 0
-           else if out.idle_for >= max_int - round then max_int
-           else round + 1 + out.idle_for);
-        (match trace with
-        | None -> ()
-        | Some t ->
-            if halt && not was_halted then Trace.emit_node_halted t ~round ~node:v);
-        send_step f ~round ~src:v out
-      end
-    done;
-    s.s_len <- 0;
-    (match trace with
-    | None -> ()
-    | Some t ->
-        Trace.emit_round_end t ~round ~sent:f.sent ~delivered:f.delivered
-          ~in_flight:f.pending ~halted:!n_halted);
-    if !n_halted = n && f.pending = 0 then continue := false
+    run_round r ~round:!rounds_used;
+    if r.n_halted = n && f.pending = 0 then continue := false
   done;
-  let all_halted = !n_halted = n in
+  let n_halted = r.n_halted and states = r.states in
+  let all_halted = n_halted = n in
   if (not all_halted) || f.pending > 0 then begin
-    let running = n - !n_halted in
+    let running = n - n_halted in
     match on_incomplete with
     | `Ignore -> ()
     | `Warn ->

@@ -171,29 +171,17 @@ module Config : sig
     adversary : Fault.t option;
     on_incomplete : [ `Ignore | `Warn | `Raise ];
     trace : Trace.sink option;  (** event sink; [None] = tracing off *)
-    transport_window : int option;
-        (** overrides {!Reliable.config}'s send window when set; ignored
-            by raw (non-reliable) simulations *)
-    transport_rto : int option;
-        (** overrides {!Reliable.config}'s base retransmission timeout *)
-    liveness_timeout : int option;
-        (** overrides {!Reliable.config}'s crash-detection timeout: the
-            silence threshold (in outer rounds) after which an awaited
-            neighbor is declared dead *)
   }
+  (** The reliable transport's own knobs (window, timeouts) live in
+      {!Reliable.config}, not here. *)
 
   val default : t
-  (** No adversary, no trace, defaults for rounds/bandwidth, [`Warn],
-      no transport overrides (so reliable runs keep their
-      byte-identical default behavior). *)
+  (** No adversary, no trace, defaults for rounds/bandwidth, [`Warn]. *)
 
   val with_max_rounds : int -> t -> t
   val with_bandwidth : int -> t -> t
   val with_adversary : Fault.t -> t -> t
   val with_on_incomplete : [ `Ignore | `Warn | `Raise ] -> t -> t
-  val with_transport_window : int -> t -> t
-  val with_transport_rto : int -> t -> t
-  val with_liveness_timeout : int -> t -> t
 
   val with_trace : Trace.sink -> t -> t
   (** Setters take the configuration last for pipeline style:
@@ -211,9 +199,17 @@ val simulate :
   'st array * stats
 (** Runs until every node votes to halt {e and} no message is in flight,
     or until [config.max_rounds] (default [4 * n + 16]); a node skipped
-    under an {!idle} hint counts with the vote it last cast.
+    under an {!idle} hint counts with the vote it last cast, and a
+    crashed node counts as halted.
     [config.bandwidth] defaults to {!Bits.bandwidth}. Returns final
     states (a crashed node's state is frozen at its crash round).
+
+    Cost: a round visits only its due nodes, those with mail and those
+    whose wake round (or, under an adversary, crash or revive round)
+    it is, in increasing node order. It costs O(due nodes + n / 62)
+    plus the calls, their sends and deliveries; once every 64 rounds
+    the nodes whose wake round was further ahead are re-filed. Set-up
+    is O(n + m); the scheduler keeps O(n) words.
 
     When the run is cut off by [max_rounds] with nodes still running or
     messages still in flight, [config.on_incomplete] decides what

@@ -464,13 +464,18 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
             aggregate st
           end;
           (* with nothing queued, only mail, the first aggregate (round 4
-             of the step) or the step boundary can make the node act *)
-          if st.queued > 0 then drain st out
-          else if st.steps_left_in_phase = 0 && st.phases_left = [] then begin
-            Congest.Sim.halt out;
-            Congest.Sim.idle out ~rounds:max_int
+             of the step) or the step boundary can make the node act; a
+             drain that empties the queue passes that hint at once. A
+             finished node halts in the call after its last drain. *)
+          let drained = st.queued > 0 in
+          if drained then drain st out;
+          if st.steps_left_in_phase = 0 && st.phases_left = [] then begin
+            if not drained then begin
+              Congest.Sim.halt out;
+              Congest.Sim.idle out ~rounds:max_int
+            end
           end
-          else
+          else if st.queued = 0 then
             Congest.Sim.idle out
               ~rounds:
                 (if st.round_in_step < 4 then 3 - st.round_in_step

@@ -28,23 +28,32 @@ let rec all_ok = function
 
 let seconds s = Json.float "%.6f" s
 
-(* [seconds] and [seconds_mad] of one end_to_end metric's pass values,
-   scaled to seconds *)
-let timing ~fail ~scale e2e key =
+(* one end_to_end metric's pass values *)
+let values ~fail e2e key =
   match Json.to_list (Json.member "values" (Json.member key e2e)) with
   | None -> fail (Printf.sprintf "missing end_to_end.%s.values" key)
   | Some [] -> fail (Printf.sprintf "end_to_end.%s.values is empty" key)
-  | Some vs -> (
+  | Some vs ->
       let floats = List.filter_map Json.to_float vs in
       if List.length floats < List.length vs then
         fail (Printf.sprintf "end_to_end.%s.values holds a non-number" key)
-      else
-        let s = Stats.summarize (List.map (fun v -> v *. scale) floats) in
-        Ok
-          [
-            ("seconds", seconds s.Stats.median);
-            ("seconds_mad", seconds s.Stats.mad);
-          ])
+      else Ok floats
+
+(* [seconds] and [seconds_mad] of pass values, scaled to seconds *)
+let timing ~scale floats =
+  let s = Stats.summarize (List.map (fun v -> v *. scale) floats) in
+  [ ("seconds", seconds s.Stats.median); ("seconds_mad", seconds s.Stats.mad) ]
+
+(* Where a step is the whole iteration, the step percentiles in ms are
+   the run times, sample for sample: such a row adds nothing, and would
+   flag one slowdown three times. *)
+let repeats_run ~run_s step_ms =
+  List.length step_ms = List.length run_s
+  && List.for_all2
+       (fun ms s ->
+         let scaled = s *. 1e3 in
+         Float.abs (ms -. scaled) <= 1e-12 *. Float.abs scaled)
+       step_ms run_s
 
 let workload_rows i w =
   let* name =
@@ -55,10 +64,14 @@ let workload_rows i w =
   let e2e = Json.member "end_to_end" w in
   let layers = Json.member "per_layer" w in
   let row suffix columns = { name = "e2e/" ^ name ^ suffix; columns } in
-  let* run = timing ~fail ~scale:1.0 e2e "run_s" in
-  let* setup = timing ~fail ~scale:1.0 e2e "setup_s" in
-  let* p50 = timing ~fail ~scale:1e-3 e2e "step_ms_p50" in
-  let* p99 = timing ~fail ~scale:1e-3 e2e "step_ms_p99" in
+  let* run_s = values ~fail e2e "run_s" in
+  let* setup_s = values ~fail e2e "setup_s" in
+  let* p50 = values ~fail e2e "step_ms_p50" in
+  let* p99 = values ~fail e2e "step_ms_p99" in
+  let step suffix step_ms =
+    if repeats_run ~run_s step_ms then None
+    else Some (row suffix (timing ~scale:1e-3 step_ms))
+  in
   let layer_value key v =
     Option.to_result (Json.to_float (Json.member "value" v))
       ~none:
@@ -94,8 +107,10 @@ let workload_rows i w =
     | _ -> fail "missing \"per_layer\" object"
   in
   Ok
-    (row "" (run @ counts) :: row "/setup" setup :: row "/step_p50" p50
-     :: row "/step_p99" p99 :: List.filter_map Fun.id stages)
+    (row "" (timing ~scale:1.0 run_s @ counts)
+     :: row "/setup" (timing ~scale:1.0 setup_s)
+     :: List.filter_map Fun.id
+          (step "/step_p50" p50 :: step "/step_p99" p99 :: stages))
 
 let of_e2e doc =
   let* fp =

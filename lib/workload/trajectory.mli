@@ -33,7 +33,9 @@ val of_e2e : Json.t -> (Stats.fingerprint * entry list, string) result
       [congest.*];
     - [e2e/W/setup], [e2e/W/step_p50], [e2e/W/step_p99]: the same two
       columns of [setup_s], [step_ms_p50] and [step_ms_p99], converted
-      to seconds;
+      to seconds. A step row is left out when its values are [run_s]'s
+      times 1e3, sample for sample (relative tolerance 1e-12): there a
+      step is the whole iteration, and the row would repeat [e2e/W];
     - [e2e/W/<layer>]: [seconds], each non-zero per-layer [<layer>.s].
 
     Strict: a missing [fingerprint], [failed], [workloads] or

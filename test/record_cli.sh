@@ -29,7 +29,7 @@ grep -qF "$fp" BENCH_trajectory.json || fail "snapshot lacks the results' finger
 "$main" record > second.log || fail "second record failed"
 [ "$(snapshots)" = 2 ] || fail "expected 2 snapshots, got $(snapshots)"
 if grep -q '^regression:' second.log; then fail "unchanged record flagged: $(grep '^regression:' second.log)"; fi
-grep -q '^no significant regressions in 20 of 20 rows' second.log \
+grep -q '^no significant regressions in 28 of 28 rows' second.log \
   || fail "second record did not compare every row: $(cat second.log)"
 
 sed 's/"failed":0/"failed":2/' "$fixture" > bench_results/e2e/results.json

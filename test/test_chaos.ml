@@ -1,6 +1,6 @@
 (* Tests for the chaos layer: the churn (crash + timed revive)
-   adversary, the adaptive-backoff transport knobs and their
-   [Sim.Config] threading, and the [Workload.Chaos] sweep harness
+   adversary, the adaptive-backoff transport knobs, and the
+   [Workload.Chaos] sweep harness
    (seeded determinism, zero invariant violations on the default
    schedule mix). *)
 
@@ -144,48 +144,6 @@ let test_max_retries_detects_crash () =
   check bool "survivors finished" true
     (r.Reliable.finished.(0) && r.Reliable.finished.(1) && r.Reliable.finished.(2))
 
-(* the same knobs threaded through Sim.Config override the transport
-   config field-for-field *)
-let test_sim_config_threads_transport_knobs () =
-  let g = Gen.cycle 6 in
-  let talk = 3 in
-  let inner = talk + 2 in
-  let direct_cfg =
-    Reliable.config ~inner_rounds:inner ~window:4 ~rto:3 ~liveness_timeout:80 ()
-  in
-  let run_direct () =
-    let adv = Fault.create (Fault.spec ~seed:9 ~drop:0.2 ()) in
-    Reliable.simulate
-      ~sim:Sim.Config.(default |> with_adversary adv)
-      direct_cfg ~bits:chat_bits g (chatter ~talk g)
-  in
-  let run_threaded () =
-    let adv = Fault.create (Fault.spec ~seed:9 ~drop:0.2 ()) in
-    let sim =
-      Sim.Config.(
-        default |> with_adversary adv |> with_transport_window 4
-        |> with_transport_rto 3 |> with_liveness_timeout 80)
-    in
-    Reliable.simulate ~sim
-      (Reliable.config ~inner_rounds:inner ())
-      ~bits:chat_bits g (chatter ~talk g)
-  in
-  let a = run_direct () and b = run_threaded () in
-  check bool "same inner states" true
-    (Array.for_all2
-       (fun x y -> normalize_log ~upto:inner x = normalize_log ~upto:inner y)
-       a.Reliable.states b.Reliable.states);
-  check int "same retransmissions"
-    a.Reliable.transport.Reliable.retransmissions
-    b.Reliable.transport.Reliable.retransmissions;
-  check int "same rounds" a.Reliable.sim_stats.Sim.rounds_used
-    b.Reliable.sim_stats.Sim.rounds_used;
-  (* defaults stay byte-identical: no knob set = the legacy trace *)
-  check bool "default knobs are off" true
-    (Sim.Config.default.Sim.Config.transport_window = None
-    && Sim.Config.default.Sim.Config.transport_rto = None
-    && Sim.Config.default.Sim.Config.liveness_timeout = None)
-
 (* ------------------------------------------------------------------ *)
 (* Chaos sweeps                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -258,8 +216,6 @@ let () =
             test_backoff_transparency_under_drops;
           Alcotest.test_case "capped retries detect crashes" `Quick
             test_max_retries_detects_crash;
-          Alcotest.test_case "Sim.Config threads the knobs" `Quick
-            test_sim_config_threads_transport_knobs;
         ] );
       ( "sweep",
         [

@@ -315,6 +315,170 @@ let test_crash_while_idle_traced () =
   Alcotest.(check (list int)) "crash counted" [ 0 ] stats.Sim.faults.crashed;
   check int "ends when the survivor halts" 8 stats.Sim.rounds_used
 
+(* Random hinted programs. A node is awake when it has mail or its
+   sleep has run out; it then folds its inbox into [acc], and a hash of
+   (seed, node, round, acc) picks its sends, its halt vote and its next
+   hint: 0, 1-3, 4-63, longer than the scheduler's 64-round wheel, or
+   max_int. Asleep, it sends nothing, repeats its vote and returns its
+   state unchanged, so every hint is sound and dropping them must change
+   nothing. [log.(v)] collects (round, hint) of each call of [v]. *)
+type sleeper = { nbrs : int array; until : int; vote : bool; acc : int }
+
+let mix a b =
+  ((a * 0x9E3779B1) lxor (b + 0x7F4A7C15 + (a lsl 6) + (a lsr 2))) land max_int
+
+let random_hint h =
+  match h mod 20 with
+  | 0 | 1 | 2 | 3 -> 0
+  | 4 | 5 | 6 | 7 | 8 | 9 -> 1 + (h / 20 mod 3)
+  | 10 | 11 | 12 -> 4 + (h / 20 mod 60)
+  | 13 | 14 | 15 | 16 -> 65 + (h / 20 mod 120)
+  | _ -> max_int
+
+let sleeper_program ~seed n =
+  let log = Array.make n [] in
+  let program =
+    {
+      Sim.init =
+        (fun ~node:_ ~neighbors ->
+          { nbrs = neighbors; until = 0; vote = false; acc = 0 });
+      round =
+        (fun ~node ~state ~inbox ~out ->
+          let r = Sim.round out in
+          let hint, state =
+            if Sim.Inbox.is_empty inbox && r < state.until then
+              ( (if state.until = max_int then max_int
+                 else state.until - r - 1),
+                state )
+            else begin
+              let acc =
+                Sim.Inbox.fold
+                  (fun acc src msg -> mix (mix acc src) msg)
+                  state.acc inbox
+              in
+              let h = mix (mix (mix seed node) r) acc in
+              if h land 1 = 0 then
+                Array.iteri
+                  (fun i w ->
+                    if (h lsr (3 + (i mod 16))) land 3 = 0 then
+                      Sim.send out w (h land 255))
+                  state.nbrs;
+              let hint = random_hint (h lsr 40) in
+              ( hint,
+                {
+                  state with
+                  until = (if hint = max_int then max_int else r + 1 + hint);
+                  vote = (h lsr 10) land 1 = 0;
+                  acc;
+                } )
+            end
+          in
+          if state.vote then Sim.halt out;
+          Sim.idle out ~rounds:hint;
+          log.(node) <- (r, hint) :: log.(node);
+          state);
+    }
+  in
+  (program, log)
+
+(* A crash/revive schedule for a quarter of the nodes: some stay down,
+   some come back, some crash again; rounds reach past the first laps of
+   the wheel *)
+let churn_spec rng ~seed n =
+  let crashes = ref [] and revives = ref [] in
+  for v = 0 to n - 1 do
+    if Rng.int rng 4 = 0 then begin
+      let c = 1 + Rng.int rng 150 in
+      crashes := (v, c) :: !crashes;
+      if Rng.bool rng then begin
+        let r = c + 1 + Rng.int rng 80 in
+        revives := (v, r) :: !revives;
+        if Rng.bool rng then crashes := (v, r + 1 + Rng.int rng 60) :: !crashes
+      end
+    end
+  done;
+  Congest.Fault.spec ~seed ~drop:0.1 ~duplicate:0.05 ~delay:0.1
+    ~delay_window:3 ~crashes:!crashes ~revives:!revives ()
+
+let run_sleepers ~seed ?spec ?conformance g =
+  let program, log = sleeper_program ~seed (Graph.n g) in
+  let program =
+    match conformance with
+    | None -> program
+    | Some c -> c.Congest.Conformance.instrument program
+  in
+  let trace = Congest.Trace.sink () in
+  let config =
+    {
+      Sim.Config.default with
+      max_rounds = Some 300;
+      on_incomplete = `Ignore;
+      trace = Some trace;
+      adversary = Option.map Congest.Fault.create spec;
+    }
+  in
+  let states, stats = Sim.simulate ~config ~bits:(fun _ -> 8) g program in
+  (states, stats, trace, log)
+
+(* The [Sim.idle] contract, replayed from the outside: node [v] is
+   called in round [r] iff it is up and has mail in [r] or [r] is at
+   least the wake round its last call set (1 before any call). *)
+let calls_follow_contract ?spec g (stats : Sim.stats) trace log =
+  let mail = Hashtbl.create 64 in
+  Congest.Trace.iter
+    (function
+      | Congest.Trace.Message_delivered { round; dst; _ } ->
+          Hashtbl.replace mail (dst, round) ()
+      | _ -> ())
+    trace;
+  let adv = Option.map Congest.Fault.create spec in
+  let up v r =
+    match adv with
+    | None -> true
+    | Some a -> not (Congest.Fault.is_crashed a ~round:r v)
+  in
+  List.for_all
+    (fun v ->
+      let rec go r wake calls =
+        if r > stats.Sim.rounds_used then calls = []
+        else if up v r && (Hashtbl.mem mail (v, r) || r >= wake) then
+          match calls with
+          | (r', hint) :: rest when r' = r ->
+              go (r + 1)
+                (if hint >= max_int - r then max_int else r + 1 + hint)
+                rest
+          | _ -> false
+        else
+          match calls with
+          | (r', _) :: _ when r' = r -> false
+          | _ -> go (r + 1) wake calls
+      in
+      go 1 1 (List.rev log.(v)))
+    (Graph.nodes g)
+
+let prop_scheduler_contract =
+  QCheck.Test.make
+    ~name:"scheduler: calls follow the idle contract, hints change nothing"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seed, family) -> Printf.sprintf "seed=%d family=%d" seed family)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 0 2)))
+    (fun (seed, family) ->
+      let rng = Rng.create seed in
+      let g = Random_graph.make rng family in
+      List.for_all
+        (fun spec ->
+          let states, stats, trace, log = run_sleepers ~seed ?spec g in
+          let states', stats', trace', _ =
+            run_sleepers ~seed ?spec ~conformance:Hints.drop_hints g
+          in
+          calls_follow_contract ?spec g stats trace log
+          && states = states' && stats = stats'
+          && String.equal
+               (Congest.Trace.to_jsonl trace)
+               (Congest.Trace.to_jsonl trace'))
+        [ None; Some (churn_spec rng ~seed (Graph.n g)) ])
+
 (* ------------------------------------------------------------------ *)
 (* Allocation per node-round                                            *)
 (* ------------------------------------------------------------------ *)
@@ -349,6 +513,31 @@ let test_idle_rounds_allocate_nothing () =
   let per = words /. float_of_int (Graph.n g * rounds) in
   check bool
     (Printf.sprintf "idle simulation: %.3f words per node-round < 1" per)
+    true (per < 1.0)
+
+(* the same with wake hints of 0 to 138 rounds, so nodes are filed in
+   the timer wheel and in its overflow; every wake round is at most
+   [rounds], where every node halts *)
+let test_hinted_idle_rounds_allocate_nothing () =
+  let g = Gen.grid 32 32 and rounds = 200 in
+  let hinted =
+    {
+      Sim.init = (fun ~node ~neighbors:_ -> node mod 7 * 23);
+      round =
+        (fun ~node:_ ~state ~inbox:_ ~out ->
+          let r = Sim.round out in
+          if r >= rounds then Sim.halt out
+          else Sim.idle out ~rounds:(min state (rounds - r - 1));
+          state);
+    }
+  in
+  let (_, stats), words =
+    minor_words_of (fun () -> Sim.simulate ~bits:(fun _ -> 1) g hinted)
+  in
+  check int "ends when every node halts" rounds stats.Sim.rounds_used;
+  let per = words /. float_of_int (Graph.n g * rounds) in
+  check bool
+    (Printf.sprintf "hinted simulation: %.3f words per node-round < 1" per)
     true (per < 1.0)
 
 let test_weak_carve_allocation_bound () =
@@ -578,6 +767,8 @@ let () =
         [
           Alcotest.test_case "idle rounds allocate nothing" `Quick
             test_idle_rounds_allocate_nothing;
+          Alcotest.test_case "hinted idle rounds allocate nothing" `Quick
+            test_hinted_idle_rounds_allocate_nothing;
           Alcotest.test_case "weak carve words per node-round" `Quick
             test_weak_carve_allocation_bound;
         ] );
@@ -604,5 +795,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sim_bfs; prop_leader_min; prop_cost_matches_sim ] );
+          [ prop_sim_bfs; prop_leader_min; prop_cost_matches_sim ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 27 |])
+              prop_scheduler_contract;
+          ] );
     ]

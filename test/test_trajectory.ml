@@ -129,14 +129,20 @@ let test_fixture_rows () =
     fp.Workload.Stats.git_sha;
   let names = List.map (fun e -> e.T.name) entries in
   Alcotest.(check (list string))
-    "rows per workload: headline, setup, steps, non-zero layers"
+    "rows per workload: headline, setup, steps unless they repeat the \
+     headline, non-zero layers"
     [
-      "e2e/rmat-greedy"; "e2e/rmat-greedy/setup"; "e2e/rmat-greedy/step_p50";
-      "e2e/rmat-greedy/step_p99"; "e2e/rmat-greedy/dsgraph.gen";
+      "e2e/rmat-greedy"; "e2e/rmat-greedy/setup"; "e2e/rmat-greedy/dsgraph.gen";
       "e2e/rmat-greedy/dsgraph.io_save"; "e2e/rmat-greedy/dsgraph.io_load";
       "e2e/rmat-greedy/workload.audit_certify";
       "e2e/rmat-greedy/workload.audit_verify";
-      "e2e/rmat-greedy/baseline.greedy"; "e2e/grid-churn";
+      "e2e/rmat-greedy/baseline.greedy"; "e2e/grid-thm23";
+      "e2e/grid-thm23/setup"; "e2e/grid-thm23/dsgraph.gen";
+      "e2e/grid-thm23/workload.audit_certify";
+      "e2e/grid-thm23/workload.audit_verify";
+      "e2e/grid-thm23/strongdecomp.strong"; "e2e/grid-sim";
+      "e2e/grid-sim/setup"; "e2e/grid-sim/dsgraph.gen";
+      "e2e/grid-sim/weakdiam.sim_carve"; "e2e/grid-churn";
       "e2e/grid-churn/setup"; "e2e/grid-churn/step_p50";
       "e2e/grid-churn/step_p99"; "e2e/grid-churn/dsgraph.gen";
       "e2e/grid-churn/baseline.greedy"; "e2e/grid-churn/baseline.recarve";
@@ -144,13 +150,16 @@ let test_fixture_rows () =
       "e2e/grid-churn/workload.verify_cert";
     ]
     names;
+  (* rmat-greedy, grid-thm23 and grid-sim time one step per iteration,
+     so their step rows would repeat the headline: 6 of 34 rows go *)
+  check int "6 fewer rows" 28 (List.length entries);
   let row name = List.find (fun e -> e.T.name = name) entries in
   let head = row "e2e/rmat-greedy" in
-  let values key =
+  let values ?(workload = "rmat-greedy") key =
     List.filter_map Json.to_float
       (Option.get
          (Json.to_list
-            (get [ "workloads"; "rmat-greedy"; "end_to_end"; key; "values" ])))
+            (get [ "workloads"; workload; "end_to_end"; key; "values" ])))
   in
   let run = Workload.Stats.summarize (values "run_s") in
   Alcotest.(check (float 1e-6)) "seconds: median of run_s" run.median
@@ -160,13 +169,34 @@ let test_fixture_rows () =
   Alcotest.(check (float 0.)) "exact rounds" 7466. (column head "rounds");
   Alcotest.(check (float 0.)) "exact max_bits" 28. (column head "max_bits");
   Alcotest.(check (float 0.)) "exact messages" 0. (column head "messages");
-  let p50 = Workload.Stats.summarize (values "step_ms_p50") in
+  let p50 = Workload.Stats.summarize (values ~workload:"grid-churn" "step_ms_p50") in
   Alcotest.(check (float 1e-6)) "step_p50 in seconds" (p50.median /. 1000.)
-    (column (row "e2e/rmat-greedy/step_p50") "seconds");
+    (column (row "e2e/grid-churn/step_p50") "seconds");
   Alcotest.(check (float 1e-6)) "a layer's seconds" 0.055863
     (column (row "e2e/rmat-greedy/dsgraph.gen") "seconds");
   Alcotest.(check (list string)) "a layer row holds seconds only" [ "seconds" ]
     (List.map fst (row "e2e/rmat-greedy/dsgraph.gen").T.columns)
+
+(* the step rows are dropped only on equal samples: one sample of
+   grid-sim's p99 off by 1e-9 relative brings its row back *)
+let test_step_row_kept_when_it_differs () =
+  let nudged =
+    edited
+      [ "workloads"; "grid-sim"; "end_to_end"; "step_ms_p99"; "values" ]
+      (fun vs ->
+        match Option.get (Json.to_list vs) with
+        | v :: rest ->
+            Some
+              (Json.Arr
+                 (Json.float "%.17g"
+                    (Option.get (Json.to_float v) *. (1. +. 1e-9))
+                 :: rest))
+        | [] -> None)
+  in
+  let names = List.map (fun e -> e.T.name) (snd (rows nudged)) in
+  check Alcotest.bool "p99 row back" true (List.mem "e2e/grid-sim/step_p99" names);
+  check Alcotest.bool "p50 row still out" false (List.mem "e2e/grid-sim/step_p50" names);
+  check int "one row more" 29 (List.length names)
 
 let refused ~key doc =
   match T.of_e2e doc with
@@ -247,6 +277,8 @@ let () =
       ( "e2e",
         [
           Alcotest.test_case "fixture rows" `Quick test_fixture_rows;
+          Alcotest.test_case "step row kept when it differs" `Quick
+            test_step_row_kept_when_it_differs;
           Alcotest.test_case "bad results refused" `Quick
             test_bad_results_refused;
           Alcotest.test_case "unchanged clean, doubled run_s flagged" `Quick

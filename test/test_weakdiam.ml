@@ -307,6 +307,29 @@ let test_distributed_minor_words () =
     Alcotest.failf "%.0f minor words for %d messages: %.2f a message, over 5"
       words messages per_message
 
+(* A node passes a wake hint whenever it has nothing queued, also in
+   the call whose drain empties its queue, so the 16x16 grid runs its
+   3,432 rounds (878,592 node-rounds) in 32,695 calls of
+   [program.round]. *)
+let test_distributed_round_calls () =
+  let calls = ref 0 in
+  let counting =
+    {
+      Congest.Conformance.instrument =
+        (fun p ->
+          {
+            p with
+            Congest.Sim.round =
+              (fun ~node ~state ~inbox ~out ->
+                incr calls;
+                p.Congest.Sim.round ~node ~state ~inbox ~out);
+          });
+    }
+  in
+  let r = Dist.carve ~conformance:counting (Gen.grid 16 16) ~epsilon:0.5 in
+  check int "rounds" 3_432 r.Dist.sim_stats.Congest.Sim.rounds_used;
+  check int "program.round calls" 32_695 !calls
+
 let prop_distributed_matches_engine =
   QCheck.Test.make
     ~name:"distributed weak carving equals the step-granular engine" ~count:45
@@ -507,32 +530,9 @@ let prop_reference_never_rejoins =
             (List.init calls Fun.id))
         [ WC.Rg20; WC.Ggr21; WC.Hybrid ])
 
-(* The wake hint of the node program is only a hint: run through a
-   wrapper that drops it (a private outbox carrying the true round, sends
-   and halt vote forwarded), so every node is called every round, the
+(* The wake hint of the node program is only a hint: run through
+   [Hints.drop_hints], so every node is called every round, the
    simulation gives the same labels, stats and trace bytes. *)
-let drop_hints =
-  {
-    Congest.Conformance.instrument =
-      (fun p ->
-        let priv = Congest.Sim.Out.create () in
-        {
-          p with
-          Congest.Sim.round =
-            (fun ~node ~state ~inbox ~out ->
-              Congest.Sim.Out.reset priv;
-              Congest.Sim.Out.set_round priv (Congest.Sim.round out);
-              let state = p.Congest.Sim.round ~node ~state ~inbox ~out:priv in
-              for i = 0 to Congest.Sim.Out.length priv - 1 do
-                Congest.Sim.send out
-                  (Congest.Sim.Out.dst priv i)
-                  (Congest.Sim.Out.msg priv i)
-              done;
-              if Congest.Sim.Out.halted priv then Congest.Sim.halt out;
-              state);
-        });
-  }
-
 let prop_wake_hint_transparent =
   QCheck.Test.make ~name:"weak carve: wake hints change no output" ~count:30
     (QCheck.make
@@ -565,7 +565,7 @@ let prop_wake_hint_transparent =
         in
         (labels, r.Dist.sim_stats, Digest.string (Congest.Trace.to_jsonl trace))
       in
-      let la, sa, ta = run None and lb, sb, tb = run (Some drop_hints) in
+      let la, sa, ta = run None and lb, sb, tb = run (Some Hints.drop_hints) in
       la = lb && sa = sb && ta = tb)
 
 (* The node program against the engine it replays, on grids, ER, RMAT
@@ -718,6 +718,8 @@ let () =
             test_distributed_rounds_within_schedule;
           Alcotest.test_case "minor words per message" `Quick
             test_distributed_minor_words;
+          Alcotest.test_case "program.round calls" `Quick
+            test_distributed_round_calls;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
