@@ -340,7 +340,9 @@ let strong_witnesses ~scratch t c =
         Option.map
           (fun (u, _) ->
             let height =
-              List.fold_left (fun h v -> max h scratch.Bfs.dist.(v)) 0 members
+              List.fold_left
+                (fun h v -> Int.max h scratch.Bfs.dist.(v))
+                0 members
             in
             let pairs =
               List.filter_map

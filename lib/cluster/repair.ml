@@ -31,6 +31,7 @@ module Packed = Set.Make (Int)
 type state = {
   base_g : Graph.t;
   down_set : Bytes.t;
+  down_nodes : int list;  (* the nodes flagged in [down_set], ascending *)
   removed : Packed.t;
   extra : Packed.t;
   current : Graph.t;
@@ -44,6 +45,7 @@ let init g =
   {
     base_g = g;
     down_set = flags (Graph.n g);
+    down_nodes = [];
     removed = Packed.empty;
     extra = Packed.empty;
     current = g;
@@ -53,12 +55,7 @@ let graph st = st.current
 let base st = st.base_g
 let is_down st v = flagged st.down_set v
 
-let down st =
-  let acc = ref [] in
-  for v = Bytes.length st.down_set - 1 downto 0 do
-    if flagged st.down_set v then acc := v :: !acc
-  done;
-  !acc
+let down st = st.down_nodes
 
 let survivors st =
   let n = Graph.n st.base_g in
@@ -179,7 +176,12 @@ let step st d =
   (* the one sanctioned delta-application path (the conformance lint's
      graph-edit rule) *)
   let current = Graph.apply_edits st.current ~del:!del ~add:!add in
-  { base_g = st.base_g; down_set; removed; extra; current }
+  let down_nodes =
+    List.merge Int.compare
+      (List.filter (fun v -> flagged down_set v) st.down_nodes)
+      (List.sort Int.compare d.crash)
+  in
+  { base_g = st.base_g; down_set; down_nodes; removed; extra; current }
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-region planning                                               *)
@@ -254,7 +256,7 @@ let plan ?(halo = 0) ~weak ~color ~old st d =
         mark (cl v)
       end)
     d.add_edges;
-  let seeds = List.sort_uniq compare !seeds in
+  let seeds = List.sort_uniq Int.compare !seeds in
   let extras = ref d.revive in
   if halo > 0 then
     List.iter
@@ -275,7 +277,7 @@ let plan ?(halo = 0) ~weak ~color ~old st d =
   for c = k - 1 downto 0 do
     if flagged dirty c then dirty_ids := c :: !dirty_ids
   done;
-  { dirty = !dirty_ids; region = List.sort_uniq compare !region; seeds }
+  { dirty = !dirty_ids; region = List.sort_uniq Int.compare !region; seeds }
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
@@ -327,9 +329,7 @@ let reset sc ~old ~plan:pl ~state:st =
       sc.label.(v) <- -1;
       untrim v)
     pl.region;
-  for v = 0 to Bytes.length st.down_set - 1 do
-    if flagged st.down_set v then untrim v
-  done;
+  List.iter untrim st.down_nodes;
   Array.fill sc.new_id 0 (Clustering.num_clusters old) (-1)
 
 (* The merged clustering is built from the old one. Untouched clusters
@@ -398,9 +398,7 @@ let merge_into sc ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
     if c >= 0 && not (flagged dirty c) then flag sc.trimmed c true
   in
   List.iter trim pl.region;
-  for v = 0 to n - 1 do
-    if flagged st.down_set v then trim v
-  done;
+  List.iter trim st.down_nodes;
   (* one pass in node order: the first node of each cluster fixes its
      new id. Fresh clusters are met in the order of their first nodes,
      which is their order inside the sub graph, so [fresh_to_new]
@@ -408,24 +406,34 @@ let merge_into sc ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   let cluster_of = Array.make n (-1) in
   let fresh_to_new = Array.make k_fresh (-1) in
   let k_new = ref 0 in
-  let id_of ids i =
+  let set_id v (ids : int array) i =
     if ids.(i) < 0 then begin
       ids.(i) <- !k_new;
       incr k_new
     end;
-    ids.(i)
+    cluster_of.(v) <- ids.(i)
   in
   for v = 0 to n - 1 do
-    if sc.label.(v) >= 0 then cluster_of.(v) <- id_of fresh_to_new sc.label.(v)
-    else if untouched v && not (is_down st v) then
-      cluster_of.(v) <- id_of sc.new_id (Clustering.cluster_of old v)
+    let l = sc.label.(v) in
+    if l >= 0 then set_id v fresh_to_new l
+    else
+      let o = Clustering.cluster_of old v in
+      if
+        o >= 0
+        && (not (flagged dirty o))
+        && (not (flagged in_region v))
+        && not (flagged st.down_set v)
+      then set_id v sc.new_id o
   done;
   let members = Array.make !k_new [] in
+  let colors = Array.make !k_new (-1) in
   let carried = ref [] in
   for o = k_old - 1 downto 0 do
     let c = sc.new_id.(o) in
     if c >= 0 then begin
       carried := (o, c) :: !carried;
+      (* carried clusters keep their colors *)
+      if kind = Decomposition then colors.(c) <- color_of o;
       members.(c) <-
         (if flagged sc.trimmed o then
            List.filter (fun v -> cluster_of.(v) = c) (Clustering.members old o)
@@ -440,28 +448,42 @@ let merge_into sc ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
           members.(c) <- List.map (fun i -> back.(i)) (Clustering.members cl l))
         fresh_to_new);
   let clustering = Clustering.of_parts st.current ~cluster_of ~members in
-  let colors = Array.make !k_new (-1) in
   (match kind with
   | Carving -> ()
   | Decomposition ->
-      (* carried clusters keep their colors *)
-      List.iter (fun (o, c) -> colors.(c) <- color_of o) !carried;
       (* fresh clusters: smallest color unused by any adjacent,
          already-colored cluster — deterministic in new-id order, and
          always possible (the palette may grow) *)
+      let rec banned i = function
+        | [] -> false
+        | b :: rest -> Int.equal b i || banned i rest
+      in
+      let offsets = Graph.offsets st.current
+      and targets = Graph.targets st.current in
+      (* the colors of [c]'s colored neighbours in row positions
+         [j .. hi - 1], added to [used] *)
+      let rec row c used j hi =
+        if j = hi then used
+        else
+          let cw = Clustering.cluster_of clustering targets.{j} in
+          let used =
+            if
+              cw >= 0 && cw <> c && colors.(cw) >= 0
+              && not (banned colors.(cw) used)
+            then colors.(cw) :: used
+            else used
+          in
+          row c used (j + 1) hi
+      in
+      let rec neighbourhood c used = function
+        | [] -> used
+        | v :: rest ->
+            neighbourhood c (row c used offsets.{v} offsets.{v + 1}) rest
+      in
       Array.iter
         (fun c ->
-          let banned = ref [] in
-          List.iter
-            (fun v ->
-              Graph.iter_neighbors st.current v (fun w ->
-                  let cw = Clustering.cluster_of clustering w in
-                  if
-                    cw >= 0 && cw <> c && colors.(cw) >= 0
-                    && not (List.mem colors.(cw) !banned)
-                  then banned := colors.(cw) :: !banned))
-            (Clustering.members clustering c);
-          let rec first i = if List.mem i !banned then first (i + 1) else i in
+          let used = neighbourhood c [] (Clustering.members clustering c) in
+          let rec first i = if banned i used then first (i + 1) else i in
           colors.(c) <- first 0)
         fresh_to_new);
   {

@@ -76,7 +76,8 @@ val graph : state -> Dsgraph.Graph.t
 val base : state -> Dsgraph.Graph.t
 
 val down : state -> int list
-(** Sorted list of currently crashed nodes. *)
+(** Sorted list of currently crashed nodes; O(1), it is kept by
+    {!step}. *)
 
 val is_down : state -> int -> bool
 
@@ -99,7 +100,8 @@ val step : state -> delta -> state
     is edited by exactly those that differ ({!Dsgraph.Graph.apply_edits}).
     Beyond that splice's O(n + m) copy, one step is O(D log H) for the
     D candidate edges and the H edges of the history, plus an O(n)-byte
-    copy of the down set.
+    copy of the down set and an update of the sorted down list in its
+    length ({!down} returns that list).
     @raise Invalid_argument on any inconsistency, with a message that
     starts with ["Repair.step"]. *)
 

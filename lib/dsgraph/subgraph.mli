@@ -9,6 +9,6 @@ val induce : Graph.t -> int list -> Graph.t * int array
 (** [induce g nodes] returns the subgraph induced by [nodes] (compacted to
     identifiers [0 .. k-1], in the sorted order of [nodes]) together with
     the map back: cell [i] holds the original identifier of new node [i].
+    It costs O(k log k + vol log k) for the k nodes and their total degree
+    vol in [g]; nothing is proportional to [Graph.n g].
     @raise Invalid_argument on duplicate or out-of-range nodes. *)
-
-val induce_mask : Graph.t -> Mask.t -> Graph.t * int array

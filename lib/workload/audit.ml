@@ -127,37 +127,21 @@ let id_error ~k i id =
          i id (k - 1))
   else None
 
-(* placeholder for id-indexed cert arrays: a constant, so it is static
-   data and [Array.make] never empties the minor heap to store it *)
-let blank =
-  {
-    cluster = -1;
-    color = -1;
-    members = [];
-    strong = false;
-    tree = None;
-    diameter_lb = -1;
-    lb_pair = (-1, -1);
-    diameter_ub = None;
-  }
-
-let certs_by_id_into buf t =
-  let k = List.length t.certs in
-  if Array.length !buf < k then buf := Array.make (2 * k) blank;
-  let a = !buf in
-  let rec fill i = function
-    | [] -> Ok k
-    | c :: rest -> (
-        a.(i) <- c;
-        match id_error ~k i c.cluster with
-        | Some e -> Error e
-        | None -> fill (i + 1) rest)
+(* [id_error] is [None] exactly when the id equals its position, so
+   the first error is found without k, which is counted only for its
+   message *)
+let cert_ids t =
+  let rec walk i = function
+    | [] -> Ok i
+    | c :: rest ->
+        if c.cluster = i then walk (i + 1) rest
+        else
+          Error
+            (Option.get (id_error ~k:(List.length t.certs) i c.cluster))
   in
-  fill 0 t.certs
+  walk 0 t.certs
 
-let certs_by_id t =
-  let buf = ref (Array.make (List.length t.certs) blank) in
-  Result.map (fun _ -> !buf) (certs_by_id_into buf t)
+let certs_by_id t = Result.map (fun _ -> Array.of_list t.certs) (cert_ids t)
 
 (* Verify buffers, reused across verifies. Each verify reserves the
    stamps [base .. base + k] (k certificates): cluster c's stamp is
@@ -252,7 +236,27 @@ let rec members_in_tree ts ~stamp ~cluster = function
 
 let rec tree_height ts h = function
   | [] -> h
-  | v :: rest -> tree_height ts (max h ts.t_depth.(v)) rest
+  | v :: rest -> tree_height ts (Int.max h ts.t_depth.(v)) rest
+
+(* The certificate of a one-node cluster {v}: root v, no pairs, height
+   0, the pair (v, v) at lower bound 0, upper bound 0. Once the claim
+   pass of [verify_with] has put v in range and in this cluster, its
+   witness checks can only accept it (the tree is the root alone, of
+   height 0, and 0 = 2 x 0; the pair is one member at distance 0), so
+   they are skipped: the cluster costs its claim and these
+   comparisons. *)
+let trivial = function
+  | {
+      members = [ v ];
+      strong = true;
+      tree = Some { w_root; w_parents = []; w_height = 0 };
+      diameter_lb = 0;
+      lb_pair = a, b;
+      diameter_ub = Some 0;
+      _;
+    } ->
+      w_root = v && a = v && b = v
+  | _ -> false
 
 let verify_with ws g t =
   let n = Graph.n g in
@@ -270,15 +274,15 @@ let verify_with ws g t =
     if t.n <> n then
       fail "certificate claims n=%d but the graph has %d nodes" t.n n;
     (* domain: sorted, in range, duplicate-free *)
-    let rec check_domain = function
-      | [] -> ()
+    let rec check_domain size = function
+      | [] -> size
       | v :: rest ->
           if v < 0 || v >= n then fail "domain node %d out of range" v;
           if in_domain.(v) = dom then fail "domain node %d listed twice" v;
           in_domain.(v) <- dom;
-          check_domain rest
+          check_domain (size + 1) rest
     in
-    check_domain t.domain;
+    let domain_size = check_domain 0 t.domain in
     (* membership: disjoint clusters with ids 0..k-1 in order, confined
        to the domain; owner.(v) is base + the id of v's cluster, so
        afterwards one array read answers "is v a member of cluster c" *)
@@ -300,6 +304,8 @@ let verify_with ws g t =
           incr clustered;
           claim cert rest
     in
+    (* the certificates the witness pass must walk, last first *)
+    let nontrivial = ref [] in
     List.iteri
       (fun i cert ->
         (match id_error ~k i cert.cluster with
@@ -315,17 +321,18 @@ let verify_with ws g t =
             if cert.color <> -1 then
               fail "cluster %d: carved clusters carry no colors (got %d)"
                 cert.cluster cert.color);
-        claim cert cert.members)
+        claim cert cert.members;
+        if not (trivial cert) then nontrivial := cert :: !nontrivial)
       t.certs;
     (* dead accounting, recounted from the lists just validated *)
-    let dead = List.length t.domain - !clustered in
+    let dead = domain_size - !clustered in
     if dead <> t.dead then
       fail "dead count: certificate claims %d, recount gives %d" t.dead dead;
     (match t.kind with
     | Decomposition ->
         if dead > 0 then fail "decomposition leaves %d nodes unclustered" dead
     | Carving -> ());
-    let denom = List.length t.domain in
+    let denom = domain_size in
     let expected_fraction =
       if denom = 0 then 0.0 else float_of_int dead /. float_of_int denom
     in
@@ -334,14 +341,19 @@ let verify_with ws g t =
         t.dead_fraction expected_fraction;
     (* color-class disjointness by one scan of the raw edge set; for
        carvings every color is -1, so this is full non-adjacency *)
-    Graph.iter_edges g (fun u v ->
-        if
-          owner.(u) >= base && owner.(v) >= base
-          && owner.(u) <> owner.(v)
-          && node_color.(u) = node_color.(v)
-        then
-          fail "edge (%d,%d) joins clusters %d and %d of the same color %d" u
-            v (owner.(u) - base) (owner.(v) - base) node_color.(u));
+    let offsets = Graph.offsets g and targets = Graph.targets g in
+    for u = 0 to n - 1 do
+      let ou = owner.(u) in
+      if ou >= base then
+        for i = offsets.{u} to offsets.{u + 1} - 1 do
+          let v = targets.{i} in
+          let ov = owner.(v) in
+          if u < v && ov >= base && ov <> ou && node_color.(v) = node_color.(u)
+          then
+            fail "edge (%d,%d) joins clusters %d and %d of the same color %d"
+              u v (ou - base) (ov - base) node_color.(u)
+        done
+    done;
     (* witness trees and eccentric pairs, cluster by cluster, over the
        workspace's buffers; owner answers membership *)
     let bfs = ws.bfs in
@@ -431,7 +443,7 @@ let verify_with ws g t =
             fail "cluster %d: lower bound %d exceeds upper bound %d"
               cert.cluster lb ub
         | _ -> ())
-      t.certs;
+      (List.rev !nontrivial);
     Ok ()
   with Reject msg -> Error msg
 

@@ -83,13 +83,10 @@ val certs_by_id : t -> (cert array, string) result
     [0 .. k-1] in list order — as out of range, repeated, or out of
     order. *)
 
-val certs_by_id_into : cert array ref -> t -> (int, string) result
-(** {!certs_by_id} into a caller-owned buffer: [Ok k] puts the [k]
-    certificates in cells [0 .. k-1] of [!buf], which is replaced by
-    one twice as long first when it is shorter than [k]; later cells
-    are stale. [Error] is {!certs_by_id}'s. Buffers are filled from a
-    static placeholder, never from a young value, so a long one costs
-    no forced minor collection. *)
+val cert_ids : t -> (int, string) result
+(** The check of {!certs_by_id} alone: [Ok k] for [k] certificates
+    whose ids run [0 .. k-1] in list order, else its [Error]. Walks the
+    list and stores nothing. *)
 
 val verify : Dsgraph.Graph.t -> t -> (unit, string) result
 (** Re-checks every claim against [g] alone: cluster ids run
@@ -105,8 +102,13 @@ val verify : Dsgraph.Graph.t -> t -> (unit, string) result
     re-derived by BFS (inside the claimed members for strong
     certificates, in [g] for weak ones) and must equal [diameter_lb], and
     [diameter_lb <= diameter_ub] where both exist. A weak pair's BFS
-    stops once it reaches the pair's second node. Allocates a fresh
-    {!workspace}; see {!verify_with}. *)
+    stops once it reaches the pair's second node. A one-node cluster
+    whose certificate is the trivial one (root its member, no pairs,
+    height 0, the pair (v, v) at lower bound 0, upper bound 0) costs
+    its claim and a few comparisons: once its member is claimed, the
+    tree and pair checks cannot fail. Every other certificate takes
+    the full checks. Allocates a fresh {!workspace}; see
+    {!verify_with}. *)
 
 type workspace
 (** Reusable buffers for {!verify_with}: seven [n]-cell int arrays and a
@@ -120,7 +122,8 @@ val workspace : int -> workspace
 
 val verify_with : workspace -> Dsgraph.Graph.t -> t -> (unit, string) result
 (** {!verify} on caller-owned buffers: the same verdicts and messages,
-    and no [n]-sized allocation.
+    and no [n]-sized array; it allocates one list cell per certificate
+    that is not a one-node cluster's trivial one.
     @raise Invalid_argument when the workspace was made for another
     number of nodes than the graph has. *)
 

@@ -2,34 +2,34 @@ open Dsgraph
 module CR = Cluster.Repair
 
 (* Scratch of one session lineage: what [repair] and [verify_cert]
-   would otherwise allocate per step. Holds no result; the cert buffers
-   are refilled from the session's audit on every use. *)
+   would otherwise allocate per step. Holds no result. *)
 type workspace = {
   verify : Audit.workspace;
   bfs : Bfs.scratch;  (* certifies fresh clusters *)
   merge : CR.scratch;
-  old_certs : Audit.cert array ref;
-  new_certs : Audit.cert array ref;
   from_old : int array;  (* new cluster id -> old id, or -1 *)
+  old_marks : int array ref;  (* [partitions]' stamps, by old cluster id *)
+  new_marks : int array ref;  (* and by new cluster id *)
+  mutable stamp : int;  (* the last stamp [partitions] wrote *)
 }
 
-(* the cert buffers start at twice the first audit's size, so a lineage
-   whose cluster count stays below that never regrows them *)
-let workspace (audit : Audit.t) =
-  let n = audit.Audit.n in
-  let sized () =
-    let buf = ref [||] in
-    ignore (Audit.certs_by_id_into buf audit : (int, string) result);
-    buf
-  in
+let workspace n =
   {
     verify = Audit.workspace n;
     bfs = Bfs.scratch n;
     merge = CR.scratch n;
-    old_certs = sized ();
-    new_certs = sized ();
     from_old = Array.make n (-1);
+    old_marks = ref (Array.make n (-1));
+    new_marks = ref (Array.make n (-1));
+    stamp = -1;
   }
+
+(* [rest] is the tail of [all] from index [i] on; the tail from index
+   [j] on, walking forward from [rest], or from the head when [j < i].
+   Walks in ascending [j] cost one pass over [all] in total. *)
+let seek all rest i j =
+  let rec skip l j = if j = 0 then l else skip (List.tl l) (j - 1) in
+  if j < i then skip all j else skip rest (j - i)
 
 type session = {
   state : CR.state;
@@ -51,7 +51,7 @@ let start_decomposition d =
     colors = Array.init k (Cluster.Decomposition.color_of_cluster d);
     base_domain = Array.make (Graph.n g) true;
     audit;
-    work = workspace audit;
+    work = workspace (Graph.n g);
   }
 
 let start_carving cv =
@@ -65,7 +65,7 @@ let start_carving cv =
     colors = Array.make k (-1);
     base_domain = Array.init (Graph.n g) (Mask.mem cv.Cluster.Carving.domain);
     audit;
-    work = workspace audit;
+    work = workspace (Graph.n g);
   }
 
 type cert = {
@@ -92,17 +92,22 @@ let repair ?(halo = 0) ~recarve session d =
   let ws = session.work in
   let st = CR.step session.state d in
   let k_old = Cluster.Clustering.num_clusters session.clustering in
-  (match Audit.certs_by_id_into ws.old_certs session.audit with
+  let old_certs = session.audit.Audit.certs in
+  (match Audit.cert_ids session.audit with
   | Ok k when k = k_old -> ()
   | Ok k ->
       invalid_arg
         (Printf.sprintf
            "Repair.repair: session audit covers %d clusters, not %d" k k_old)
   | Error e -> invalid_arg ("Repair.repair: session audit: " ^ e));
-  let old_certs = !(ws.old_certs) in
-  let weak c = not old_certs.(c).Audit.strong in
+  let weak = Bytes.make k_old '\000' in
+  List.iter
+    (fun (c : Audit.cert) ->
+      if not c.Audit.strong then Bytes.set weak c.Audit.cluster '\001')
+    old_certs;
   let pl =
-    CR.plan ~halo ~weak
+    CR.plan ~halo
+      ~weak:(fun c -> Bytes.get weak c <> '\000')
       ~color:(fun c -> session.colors.(c))
       ~old:session.clustering st d
   in
@@ -128,19 +133,24 @@ let repair ?(halo = 0) ~recarve session d =
   (* untouched certificates are carried over verbatim (only the cluster
      id is renumbered; a cert keeping its id is reused as it is), and
      only touched clusters are re-certified, on the workspace's BFS
-     scratch *)
-  let certs = ref [] in
-  for c = k_new - 1 downto 0 do
-    let o = from_old.(c) in
-    let cert =
+     scratch. The list is built in new-id order; [olds] is the old list
+     from id [i] on, and the renumbering keeps carried ids in old-id
+     order, so the walk over it only moves forward (a carried id below
+     [i] would restart it from the head). *)
+  let[@tail_mod_cons] rec build c olds i =
+    if c = k_new then []
+    else
+      let o = from_old.(c) in
       if o < 0 then
         Audit.cert_of_cluster ~scratch:ws.bfs clustering ~color:colors.(c) c
-      else if o = c then old_certs.(o)
-      else { (old_certs.(o)) with Audit.cluster = c }
-    in
-    certs := cert :: !certs
-  done;
-  let certs = !certs in
+        :: build (c + 1) olds i
+      else
+        let olds = seek old_certs olds i o in
+        let old = List.hd olds in
+        (if o = c then old else { old with Audit.cluster = c })
+        :: build (c + 1) (List.tl olds) (o + 1)
+  in
+  let certs = build 0 old_certs 0 in
   (* audit domain: the original domain's survivors, plus anything the
      merge clustered (for decompositions this is exactly the survivor
      set; for partial-domain carvings a halo never reaches outside) *)
@@ -158,7 +168,7 @@ let repair ?(halo = 0) ~recarve session d =
   let num_colors =
     match kind with
     | CR.Carving -> 0
-    | CR.Decomposition -> 1 + Array.fold_left max (-1) colors
+    | CR.Decomposition -> 1 + Array.fold_left Int.max (-1) colors
   in
   let audit =
     {
@@ -199,7 +209,8 @@ let repair ?(halo = 0) ~recarve session d =
       touched_fraction =
         float_of_int m.CR.touched_nodes /. float_of_int (max 1 survivor_count);
       fresh_clusters = List.length m.CR.fresh;
-      carried_clusters = List.length carried;
+      (* every new id is carried or fresh *)
+      carried_clusters = k_new - List.length m.CR.fresh;
       seconds = Congest.Resource.now () -. t0;
       cert;
     } )
@@ -208,28 +219,74 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* [ids] then the [side] of every pair name each of 0..k-1 exactly once:
-   k distinct in-range marks *)
-let partitions k ids pairs side =
-  let seen = Bytes.make k '\000' in
-  let mark i =
-    if i < 0 || i >= k || Bytes.get seen i <> '\000' then false
-    else begin
-      Bytes.set seen i '\001';
-      true
-    end
-  in
-  List.length ids + List.length pairs = k
-  && List.for_all mark ids
-  && List.for_all (fun p -> mark (side p)) pairs
+(* [mark] sets [marks.(i)] to [stamp]: false when [i] is out of
+   [0, k) or already marked *)
+let mark (marks : int array) stamp k i =
+  i >= 0 && i < k
+  && marks.(i) <> stamp
+  &&
+  (marks.(i) <- stamp;
+   true)
 
-(* [b] is [a] renumbered to [cluster]. A carried cert shares its lists
-   with its predecessor (and is its predecessor when the id did not
-   move), and [compare] (unlike [=]) returns at once on physically
-   equal blocks, so each shared field costs one pointer test. The full
-   record patterns make the compiler reject a cert field it forgets. *)
+(* [count] plus the number of ids marked, or -1 at the first id that
+   cannot be *)
+let rec mark_all marks stamp k count = function
+  | [] -> count
+  | i :: rest ->
+      if mark marks stamp k i then mark_all marks stamp k (count + 1) rest
+      else -1
+
+(* [c_dirty] and the old sides of [c_carried] name each of
+   0..k_old-1 exactly once, and [c_fresh] and the new sides each of
+   0..k_new-1: k distinct in-range marks per side. One walk of
+   [c_carried] marks both sides. Each call writes a stamp of its own,
+   so the marks are never cleared. *)
+let partitions ws ~k_old ~k_new c =
+  let fit marks k =
+    if Array.length !marks < k then marks := Array.make k (-1)
+  in
+  fit ws.old_marks k_old;
+  fit ws.new_marks k_new;
+  ws.stamp <- ws.stamp + 1;
+  let stamp = ws.stamp and om = !(ws.old_marks) and nm = !(ws.new_marks) in
+  let rec walk ok_old ok_new count = function
+    | [] -> (ok_old, ok_new, count)
+    | (o, nw) :: rest ->
+        walk
+          (ok_old && mark om stamp k_old o)
+          (ok_new && mark nm stamp k_new nw)
+          (count + 1) rest
+  in
+  let ok_old, ok_new, carried = walk true true 0 c.c_carried in
+  let side ok marks k ids = ok && mark_all marks stamp k carried ids = k in
+  (side ok_old om k_old c.c_dirty, side ok_new nm k_new c.c_fresh)
+
+let rec ints_equal (a : int list) (b : int list) =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> x = y && ints_equal a b
+  | _ -> false
+
+let rec pairs_equal (a : (int * int) list) (b : (int * int) list) =
+  match (a, b) with
+  | [], [] -> true
+  | (x, x') :: a, (y, y') :: b -> x = y && x' = y' && pairs_equal a b
+  | _ -> false
+
+let tree_equal (a : Audit.witness option) (b : Audit.witness option) =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+      a.Audit.w_root = b.Audit.w_root
+      && a.Audit.w_height = b.Audit.w_height
+      && pairs_equal a.Audit.w_parents b.Audit.w_parents
+  | _ -> false
+
+(* [b] is [a] renumbered to [cluster]: every other field is equal, by
+   typed equality (the lists are walked, so all carried certs together
+   cost O(n)). The full record patterns make the compiler reject a cert
+   field it forgets. *)
 let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
-  let same x y = compare x y = 0 in
   let {
     Audit.cluster = _;
     color;
@@ -255,34 +312,44 @@ let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
     b
   in
   b_cluster = cluster && b_color = color && b_strong = strong
-  && b_lb = diameter_lb && same members b_members && same tree b_tree
-  && same lb_pair b_pair && same diameter_ub b_ub
+  && b_lb = diameter_lb
+  && fst b_pair = fst lb_pair
+  && snd b_pair = snd lb_pair
+  && Option.equal Int.equal b_ub diameter_ub
+  && ints_equal b_members members
+  && tree_equal b_tree tree
 
 let verify_cert ~prev ~post c =
   let ws = prev.work in
   try
     let k_old = Cluster.Clustering.num_clusters prev.clustering in
-    if not (partitions k_old c.c_dirty c.c_carried fst) then
-      bad "dirty + carried do not partition the %d previous clusters" k_old;
     let k_new = List.length c.c_audit.Audit.certs in
-    if not (partitions k_new c.c_fresh c.c_carried snd) then
+    let old_ok, new_ok = partitions ws ~k_old ~k_new c in
+    if not old_ok then
+      bad "dirty + carried do not partition the %d previous clusters" k_old;
+    if not new_ok then
       bad "fresh + carried do not partition the %d repaired clusters" k_new;
-    let by_id what buf audit =
-      match Audit.certs_by_id_into buf audit with
+    let ids what audit =
+      match Audit.cert_ids audit with
       | Ok k -> k
       | Error e -> bad "%s certificate: %s" what e
     in
-    let k_prev = by_id "previous" ws.old_certs prev.audit in
-    ignore (by_id "repaired" ws.new_certs c.c_audit : int);
+    let k_prev = ids "previous" prev.audit in
+    ignore (ids "repaired" c.c_audit : int);
     if k_prev <> k_old then
       bad "previous certificate covers %d clusters, not %d" k_prev k_old;
-    (* the partitions put every carried pair in range *)
-    let old_certs = !(ws.old_certs) and new_certs = !(ws.new_certs) in
-    List.iter
-      (fun (o, nw) ->
-        if not (carried_equal old_certs.(o) new_certs.(nw) ~cluster:nw) then
-          bad "carried cluster %d -> %d: certificate not identical" o nw)
-      c.c_carried;
+    (* the partitions put every carried pair in range, and both lists
+       hold their certificates in id order *)
+    let all_old = prev.audit.Audit.certs and all_new = c.c_audit.Audit.certs in
+    let rec check olds i news j = function
+      | [] -> ()
+      | (o, nw) :: rest ->
+          let olds = seek all_old olds i o and news = seek all_new news j nw in
+          if not (carried_equal (List.hd olds) (List.hd news) ~cluster:nw) then
+            bad "carried cluster %d -> %d: certificate not identical" o nw;
+          check olds o news nw rest
+    in
+    check all_old 0 all_new 0 c.c_carried;
     let n = Graph.n (CR.graph prev.state) in
     if Graph.n post <> n then
       bad "post graph has %d nodes, not %d" (Graph.n post) n;
@@ -298,7 +365,9 @@ let verify_cert ~prev ~post c =
 (* The re-carve region is rarely connected, and the registered engines
    are written for (and measured on) connected inputs — run them per
    component and renumber the labels densely. Singleton components skip
-   the engine entirely. *)
+   the engine entirely. [engine] returns a component's clustering and
+   the color of each of its clusters; labels are written straight into
+   the region's array. *)
 let componentwise engine sub =
   let n = Graph.n sub in
   let labels = Array.make n (-1) in
@@ -313,33 +382,35 @@ let componentwise engine sub =
           incr next
       | comp ->
           let csub, back = Subgraph.induce sub comp in
-          let cl_labels, cl_colors = engine csub in
+          let cl, color_of = engine csub in
           Array.iteri
-            (fun i l -> if l >= 0 then labels.(back.(i)) <- !next + l)
-            cl_labels;
-          Array.iter (fun col -> colors := col :: !colors) cl_colors;
-          next := !next + Array.length cl_colors)
+            (fun i v ->
+              let l = Cluster.Clustering.cluster_of cl i in
+              if l >= 0 then labels.(v) <- !next + l)
+            back;
+          let k = Cluster.Clustering.num_clusters cl in
+          for c = 0 to k - 1 do
+            colors := color_of c :: !colors
+          done;
+          next := !next + k)
     (Components.components sub);
   (labels, Array.of_list (List.rev !colors))
 
+(* one meter serves every component of a call: nothing reads it, and
+   the engines' output does not depend on what it holds *)
 let recarve_decomposer (a : Algorithms.decomposer) ~seed sub =
+  let cost = Congest.Cost.create () in
   componentwise
     (fun csub ->
-      let d = a.Algorithms.run ~cost:(Congest.Cost.create ()) ~seed csub in
-      let cl = Cluster.Decomposition.clustering d in
-      let k = Cluster.Clustering.num_clusters cl in
-      ( Array.init (Graph.n csub) (Cluster.Clustering.cluster_of cl),
-        Array.init k (Cluster.Decomposition.color_of_cluster d) ))
+      let d = a.Algorithms.run ~cost ~seed csub in
+      ( Cluster.Decomposition.clustering d,
+        Cluster.Decomposition.color_of_cluster d ))
     sub
 
 let recarve_carver (a : Algorithms.carver) ~seed ~epsilon sub =
+  let cost = Congest.Cost.create () in
   componentwise
     (fun csub ->
-      let cv =
-        a.Algorithms.run ~cost:(Congest.Cost.create ()) ~seed csub ~epsilon
-      in
-      let cl = cv.Cluster.Carving.clustering in
-      let k = Cluster.Clustering.num_clusters cl in
-      ( Array.init (Graph.n csub) (Cluster.Clustering.cluster_of cl),
-        Array.make k (-1) ))
+      let cv = a.Algorithms.run ~cost ~seed csub ~epsilon in
+      (cv.Cluster.Carving.clustering, fun _ -> -1))
     sub

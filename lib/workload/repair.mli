@@ -22,8 +22,9 @@
 type workspace
 (** Scratch of one session lineage: a {!Audit.workspace} for
     {!verify_cert}'s full verify, a [Bfs.scratch] for certifying fresh
-    clusters, the merge's {!Cluster.Repair.scratch} and the id-indexed
-    certificate buffers. {!start_decomposition} and {!start_carving}
+    clusters, the merge's {!Cluster.Repair.scratch}, and three
+    cluster-indexed int arrays (carried ids, two sides of partition
+    marks). {!start_decomposition} and {!start_carving}
     make one, and every session {!repair} derives from it shares it. It
     holds scratch only, never a result, so a lineage may branch; but its
     sessions must be repaired and verified from one domain at a

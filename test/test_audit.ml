@@ -394,6 +394,81 @@ let test_workspace_reuse () =
           (Graph.n g + 1) (Graph.n g)))
     (fun () -> ignore (Audit.verify_with (Audit.workspace (Graph.n g + 1)) g t))
 
+(* One-node clusters. Their trivial certificate (members [v], root v,
+   no pairs, height 0, pair (v, v) at lb 0, ub 0) is accepted without
+   the tree walks; each tamper below must still meet the rejection and
+   the message of the full checks. A weak claim on a one-node cluster
+   is true, so [strong = false] is accepted. The fixtures: a 6x6 grid
+   of one-node clusters in a checkerboard coloring (every certificate
+   trivial, as on rmat-greedy), and greedy's 8x8 grid decomposition
+   (one-node clusters among larger ones). *)
+let singleton_fixture () =
+  let g = Gen.grid 6 6 in
+  let cl = Cluster.Clustering.make g ~cluster_of:(Array.init 36 Fun.id) in
+  let colors = Array.init 36 (fun v -> ((v / 6) + (v mod 6)) mod 2) in
+  ( Audit.certify_decomposition
+      (Cluster.Decomposition.make cl ~color_of_cluster:colors),
+    g )
+
+let mixed_fixture () =
+  let g = Gen.grid 8 8 in
+  (Audit.certify_decomposition (Baseline.Greedy.decompose g), g)
+
+let test_one_node_certificates () =
+  let one_node (c : Audit.cert) = List.length c.Audit.members = 1 in
+  List.iter
+    (fun (name, (t, g)) ->
+      let ws = Audit.workspace (Graph.n g) in
+      let check_verdict what want audit =
+        check Alcotest.string (name ^ ": " ^ what) want
+          (verdict (Audit.verify g audit));
+        check Alcotest.string (name ^ ": " ^ what ^ " (workspace)") want
+          (verdict (Audit.verify_with ws g audit));
+        check Alcotest.string (name ^ ": honest after " ^ what) "ok"
+          (verdict (Audit.verify_with ws g t))
+      in
+      check_verdict "honest" "ok" t;
+      let singles = List.filter one_node t.Audit.certs in
+      check bool (name ^ ": has one-node clusters") true (singles <> []);
+      if name = "mixed" then
+        check bool "mixed: has larger clusters" true
+          (List.length singles < List.length t.Audit.certs);
+      List.iter
+        (fun (c : Audit.cert) ->
+          let cl = c.Audit.cluster and v = List.hd c.Audit.members in
+          let w = (Graph.neighbors g v).(0) in
+          let msg fmt = Printf.sprintf ("cluster %d: " ^^ fmt) cl in
+          let with_tree f =
+            tamper t cl (fun c ->
+                { c with Audit.tree = Option.map f c.Audit.tree })
+          in
+          check_verdict "root not the member"
+            (msg "witness root %d is not a member" w)
+            (with_tree (fun tr -> { tr with Audit.w_root = w }));
+          check_verdict "stray parent pair"
+            (msg "strong witness pair (%d,%d) leaves the cluster" w v)
+            (with_tree (fun tr -> { tr with Audit.w_parents = [ (w, v) ] }));
+          check_verdict "height 1"
+            (msg "witness height claims 1, recomputed 0")
+            (with_tree (fun tr -> { tr with Audit.w_height = 1 }));
+          check_verdict "lb 1"
+            (msg "eccentric pair (%d,%d) is at distance 0, not the claimed 1"
+               v v)
+            (tamper t cl (fun c -> { c with Audit.diameter_lb = 1 }));
+          check_verdict "lb pair (v, w)"
+            (msg "eccentric pair (%d,%d) not members" v w)
+            (tamper t cl (fun c -> { c with Audit.lb_pair = (v, w) }));
+          check_verdict "ub None"
+            (msg "diameter upper bound is not 2 x height")
+            (tamper t cl (fun c -> { c with Audit.diameter_ub = None }));
+          check_verdict "ub Some 2"
+            (msg "diameter upper bound is not 2 x height")
+            (tamper t cl (fun c -> { c with Audit.diameter_ub = Some 2 }));
+          check_verdict "strong = false" "ok"
+            (tamper t cl (fun c -> { c with Audit.strong = false })))
+        [ List.hd singles; List.nth singles (List.length singles - 1) ])
+    [ ("all one-node", singleton_fixture ()); ("mixed", mixed_fixture ()) ]
+
 let () =
   Alcotest.run "audit"
     [
@@ -423,5 +498,7 @@ let () =
             test_weak_pairs_keep_messages;
           Alcotest.test_case "workspace reuse after rejections" `Quick
             test_workspace_reuse;
+          Alcotest.test_case "one-node certificates keep their messages" `Quick
+            test_one_node_certificates;
         ] );
     ]

@@ -421,10 +421,9 @@ let test_subgraph_induce_rejects_bad () =
     (Invalid_argument "Subgraph.induce: node out of range") (fun () ->
       ignore (Subgraph.induce g [ 7 ]))
 
-let test_subgraph_induce_mask () =
+let test_subgraph_induce_block () =
   let g = Gen.grid 4 4 in
-  let mask = Mask.of_list 16 [ 0; 1; 4; 5 ] in
-  let h, back = Subgraph.induce_mask g mask in
+  let h, back = Subgraph.induce g [ 0; 1; 4; 5 ] in
   check int "n" 4 (Graph.n h);
   check int "m (2x2 block)" 4 (Graph.m h);
   Alcotest.(check (array int)) "mapping" [| 0; 1; 4; 5 |] back
@@ -725,6 +724,84 @@ let prop_subgraph_distances_dominate =
             (fun i -> dh.(i) = -1 || dh.(i) >= dg.(back.(i)))
             (Graph.nodes h))
 
+(* The construction [Subgraph.induce] had before it wrote its CSR
+   directly: a Hashtbl forward map and a Graph.Builder. *)
+let induce_reference g nodes =
+  let n = Graph.n g in
+  let sorted = List.sort_uniq compare nodes in
+  if List.length sorted <> List.length nodes then
+    invalid_arg "Subgraph.induce: duplicate nodes";
+  List.iter
+    (fun v ->
+      if v < 0 || v >= n then invalid_arg "Subgraph.induce: node out of range")
+    sorted;
+  let back = Array.of_list sorted in
+  let fwd = Hashtbl.create (Array.length back) in
+  Array.iteri (fun i v -> Hashtbl.replace fwd v i) back;
+  let b = Graph.Builder.create ~n:(Array.length back) in
+  Array.iteri
+    (fun i v ->
+      Graph.iter_neighbors g v (fun w ->
+          if w > v then
+            match Hashtbl.find_opt fwd w with
+            | Some j -> Graph.Builder.add_edge b i j
+            | None -> ()))
+    back;
+  (Graph.Builder.build b, back)
+
+(* ER, grid and RMAT graphs; node lists empty, one node, all nodes, or
+   a random subset in random order, some with a repeated or an
+   out-of-range node added (both sides must raise the same message) *)
+let prop_induce_matches_builder =
+  QCheck.Test.make ~name:"Subgraph.induce equals the Graph.Builder construction"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, family, shape, bad) ->
+         Printf.sprintf "seed=%d family=%d shape=%d bad=%d" seed family shape
+           bad)
+       QCheck.Gen.(
+         quad (int_bound 10_000) (int_range 0 2) (int_range 0 3)
+           (int_range 0 5)))
+    (fun (seed, family, shape, bad) ->
+      let rng = Rng.create seed in
+      let g =
+        match family with
+        | 0 -> Gen.erdos_renyi rng (2 + Rng.int rng 60) 0.1
+        | 1 -> Gen.grid (1 + Rng.int rng 12) (1 + Rng.int rng 12)
+        | _ -> Gen.rmat rng ~n:256 ~m:1024
+      in
+      let n = Graph.n g in
+      let nodes =
+        match shape with
+        | 0 -> []
+        | 1 -> [ Rng.int rng n ]
+        | 2 -> Graph.nodes g
+        | _ ->
+            let keep =
+              List.filter (fun _ -> Rng.int rng 3 = 0) (Graph.nodes g)
+            in
+            let a = Array.of_list keep in
+            for i = Array.length a - 1 downto 1 do
+              let j = Rng.int rng (i + 1) in
+              let t = a.(i) in
+              a.(i) <- a.(j);
+              a.(j) <- t
+            done;
+            Array.to_list a
+      in
+      let nodes =
+        match (bad, nodes) with
+        | 0, v :: _ -> v :: nodes
+        | 1, _ -> nodes @ [ n + Rng.int rng 3 ]
+        | 2, _ -> -1 :: nodes
+        | _ -> nodes
+      in
+      let run f = try Ok (f g nodes) with Invalid_argument e -> Error e in
+      match (run Subgraph.induce, run induce_reference) with
+      | Ok (h, back), Ok (h', back') -> Graph.equal h h' && back = back'
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+
 let prop_power_monotone =
   QCheck.Test.make ~name:"G^k edges grow with k" ~count:30 arb_graph
     (fun (seed, n, pct) ->
@@ -817,6 +894,7 @@ let qcheck_cases =
       prop_components_partition;
       prop_subdivide_preserves_components;
       prop_subgraph_distances_dominate;
+      prop_induce_matches_builder;
       prop_power_monotone;
     ]
 
@@ -900,7 +978,8 @@ let () =
           Alcotest.test_case "induce basic" `Quick test_subgraph_induce_basic;
           Alcotest.test_case "rejects bad input" `Quick
             test_subgraph_induce_rejects_bad;
-          Alcotest.test_case "induce mask" `Quick test_subgraph_induce_mask;
+          Alcotest.test_case "induce 2x2 block" `Quick
+            test_subgraph_induce_block;
         ] );
       ( "mask",
         [

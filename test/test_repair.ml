@@ -480,6 +480,33 @@ let test_tampered_cert_rejected () =
   (* claim a dirty cluster was carried-clean: the partition check fails *)
   expect_reject "dropped dirty id"
     { cert with Repair.c_dirty = List.tl cert.Repair.c_dirty };
+  (* a repeated id in place of a missing one keeps the count right; the
+     partition check must still see the repeat *)
+  let k_old = Cluster.Clustering.num_clusters s.Repair.clustering in
+  let k_new = List.length cert.Repair.c_audit.Audit.certs in
+  let expect_message what want c =
+    match Repair.verify_cert ~prev:s ~post c with
+    | Ok () -> Alcotest.failf "tampering not rejected: %s" what
+    | Error e -> check Alcotest.string what want e
+  in
+  let o0, nw0 = List.hd cert.Repair.c_carried in
+  let old_msg =
+    Printf.sprintf "dirty + carried do not partition the %d previous clusters"
+      k_old
+  and new_msg =
+    Printf.sprintf "fresh + carried do not partition the %d repaired clusters"
+      k_new
+  in
+  expect_message "carried old id repeated as dirty" old_msg
+    { cert with Repair.c_dirty = o0 :: List.tl cert.Repair.c_dirty };
+  expect_message "carried new id repeated as fresh" new_msg
+    { cert with Repair.c_fresh = nw0 :: List.tl cert.Repair.c_fresh };
+  expect_message "carried pair repeated" old_msg
+    {
+      cert with
+      Repair.c_carried =
+        (o0, nw0) :: (o0, nw0) :: List.tl (List.tl cert.Repair.c_carried);
+    };
   (* tamper one carried cluster's certificate content *)
   (match cert.Repair.c_carried with
   | [] -> Alcotest.fail "expected carried clusters"
@@ -503,7 +530,7 @@ let test_tampered_cert_rejected () =
 (* carried certificates are compared by value: a fresh copy of an equal
    member list passes, a changed witness tree does not *)
 let test_carried_cert_by_value () =
-  let s, recarve = decomp_session () in
+  let s, recarve = decomp_session ~n:256 () in
   let s', rep = Repair.repair ~halo:1 ~recarve s (CR.delta ~crash:[ 10 ] ()) in
   let post = CR.graph s'.Repair.state in
   let cert = rep.Repair.cert in
@@ -512,12 +539,17 @@ let test_carried_cert_by_value () =
       List.find_opt
         (fun (_, nw) ->
           List.exists
-            (fun (c : Audit.cert) -> c.Audit.cluster = nw && c.Audit.tree <> None)
+            (fun (c : Audit.cert) ->
+              c.Audit.cluster = nw && c.Audit.tree <> None
+              && List.length c.Audit.members > 1
+              && fst c.Audit.lb_pair <> snd c.Audit.lb_pair)
             cert.Repair.c_audit.Audit.certs)
         cert.Repair.c_carried
     with
     | Some p -> p
-    | None -> Alcotest.fail "expected a carried cluster with a witness tree"
+    | None ->
+        Alcotest.fail
+          "expected a carried cluster with a witness tree and two members"
   in
   let with_cert f =
     let audit = cert.Repair.c_audit in
@@ -539,13 +571,75 @@ let test_carried_cert_by_value () =
   (match Repair.verify_cert ~prev:s ~post copied with
   | Ok () -> ()
   | Error e -> Alcotest.failf "copied member list rejected: %s" e);
-  let retreed = with_cert (fun c -> { c with Audit.tree = None }) in
-  match Repair.verify_cert ~prev:s ~post retreed with
-  | Ok () -> Alcotest.fail "changed witness tree accepted"
-  | Error e ->
-      check Alcotest.string "message"
-        (Printf.sprintf "carried cluster %d -> %d: certificate not identical" o nw)
-        e
+  (* each field changed alone; the carried check runs before the full
+     verify, so its message names the change even where the verify
+     would reject it too *)
+  let want =
+    Printf.sprintf "carried cluster %d -> %d: certificate not identical" o nw
+  in
+  List.iter
+    (fun (what, f) ->
+      match Repair.verify_cert ~prev:s ~post (with_cert f) with
+      | Ok () -> Alcotest.failf "%s accepted" what
+      | Error e -> check Alcotest.string what want e)
+    [
+      ("changed witness tree", fun c -> { c with Audit.tree = None });
+      ( "witness height",
+        fun c ->
+          {
+            c with
+            Audit.tree =
+              Option.map
+                (fun w -> { w with Audit.w_height = w.Audit.w_height + 1 })
+                c.Audit.tree;
+          } );
+      ( "members reversed",
+        fun c -> { c with Audit.members = List.rev c.Audit.members } );
+      ( "pair's first node",
+        fun c ->
+          let _, v = c.Audit.lb_pair in
+          { c with Audit.lb_pair = (v, v) } );
+      ( "pair's second node",
+        fun c ->
+          let u, _ = c.Audit.lb_pair in
+          { c with Audit.lb_pair = (u, u) } );
+      ( "witness pairs",
+        fun c ->
+          {
+            c with
+            Audit.tree =
+              Option.map
+                (fun w -> { w with Audit.w_parents = [] })
+                c.Audit.tree;
+          } );
+      ( "witness pair's parent",
+        fun c ->
+          let bump w =
+            match w.Audit.w_parents with
+            | (v, p) :: rest -> { w with Audit.w_parents = (v, p + 1) :: rest }
+            | [] -> w
+          in
+          { c with Audit.tree = Option.map bump c.Audit.tree } );
+      ( "witness root",
+        fun c ->
+          {
+            c with
+            Audit.tree =
+              Option.map
+                (fun w -> { w with Audit.w_root = w.Audit.w_root + 1 })
+                c.Audit.tree;
+          } );
+      ( "upper bound",
+        fun c ->
+          {
+            c with
+            Audit.diameter_ub = Option.map (fun u -> u + 2) c.Audit.diameter_ub;
+          } );
+      ( "lower bound",
+        fun c -> { c with Audit.diameter_lb = c.Audit.diameter_lb + 1 } );
+      ("color", fun c -> { c with Audit.color = c.Audit.color + 1 });
+      ("strength", fun c -> { c with Audit.strong = not c.Audit.strong });
+    ]
 
 (* minimized regression: an out-of-range or repeated cluster id in the
    repaired audit indexed the by-id array directly and raised
