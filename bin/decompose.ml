@@ -4,7 +4,7 @@
      decompose run   --algo thm2.3 --family grid --n 1024
      decompose carve --algo thm2.2 --family path --n 4096 --epsilon 0.25
      decompose lemma31 --family subdiv --n 2048
-     decompose trace thm2.3 grid --n 1024
+     decompose report thm2.3 grid --n 1024 --chrome run.json
      decompose list *)
 
 open Cmdliner
@@ -291,235 +291,6 @@ let faults_cmd =
       const run $ algo_arg $ family_arg $ n_arg $ seed_arg $ epsilon_arg
       $ drop_arg $ crashes_arg $ sweep_arg $ out_arg)
 
-let trace_cmd =
-  let algo_pos =
-    Arg.(
-      value & pos 0 string "thm2.3"
-      & info [] ~docv:"ALGO"
-          ~doc:"Algorithm to trace (a decomposer name; carver names work too).")
-  in
-  let family_pos =
-    Arg.(value & pos 1 string "grid" & info [] ~docv:"FAMILY" ~doc:"Workload family.")
-  in
-  let out_dir_arg =
-    Arg.(
-      value & opt string "bench_results"
-      & info [ "out-dir"; "o" ] ~docv:"DIR"
-          ~doc:"Directory for the JSONL event stream and metric dumps.")
-  in
-  let run algo family n seed epsilon out_dir =
-    let family = lookup_family family in
-    let sink = Congest.Trace.sink () in
-    let name, reference, valid, print_row =
-      match Algorithms.find_decomposer algo with
-      | d ->
-          let row = Measure.decomposition_row ~seed ~trace:sink d family ~n in
-          ( d.Algorithms.name,
-            d.Algorithms.reference,
-            row.Measure.valid,
-            fun () -> Measure.pp_decomp_table Format.std_formatter [ row ] )
-      | exception Not_found -> (
-          match Algorithms.find_carver algo with
-          | c ->
-              let row =
-                Measure.carving_row ~seed ~trace:sink c family ~n ~epsilon
-              in
-              ( c.Algorithms.name,
-                c.Algorithms.reference,
-                row.Measure.valid,
-                fun () -> Measure.pp_carve_table Format.std_formatter [ row ] )
-          | exception Not_found ->
-              Format.eprintf "unknown algorithm %s@." algo;
-              exit 2)
-    in
-    Format.printf "%s -- %s@.@." name reference;
-    print_row ();
-    let base = Printf.sprintf "trace_%s_%s" name family.Suite.name in
-    let jsonl =
-      Congest.Trace.save ~dir:out_dir ~file:(base ^ ".jsonl") sink
-    in
-    let metrics = Congest.Metrics.of_trace sink in
-    let metric_files = Congest.Metrics.save ~dir:out_dir ~prefix:base metrics in
-    Format.printf "@.%d trace events%s -> %s@." (Congest.Trace.length sink)
-      (if Congest.Trace.truncated sink > 0 then
-         Printf.sprintf " (%d more dropped at capacity)"
-           (Congest.Trace.truncated sink)
-       else "")
-      jsonl;
-    List.iter (Format.printf "derived metrics -> %s@.") metric_files;
-    if not valid then exit 1
-  in
-  let doc =
-    "run one algorithm with a trace sink attached and dump the per-round \
-     event stream (JSONL) plus derived metrics (CSV/JSONL)"
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const run $ algo_pos $ family_pos $ n_arg $ seed_arg $ epsilon_arg
-      $ out_dir_arg)
-
-let profile_cmd =
-  let algo_pos =
-    Arg.(
-      value & pos 0 string "thm2.3"
-      & info [] ~docv:"ALGO"
-          ~doc:"Algorithm to profile (a decomposer name; carver names work too).")
-  in
-  let family_pos =
-    Arg.(value & pos 1 string "grid" & info [] ~docv:"FAMILY" ~doc:"Workload family.")
-  in
-  let out_dir_arg =
-    Arg.(
-      value & opt string "bench_results"
-      & info [ "out-dir"; "o" ] ~docv:"DIR"
-          ~doc:"Directory for the per-phase CSV and folded stacks.")
-  in
-  let weight_arg =
-    let weight_conv =
-      Arg.enum
-        [
-          ("rounds", `Rounds);
-          ("messages", `Messages);
-          ("bits", `Bits);
-          ("seconds", `Seconds);
-          ("minor-words", `Minor_words);
-          ("major-words", `Major_words);
-        ]
-    in
-    Arg.(
-      value & opt weight_conv `Rounds
-      & info [ "weight"; "w" ] ~docv:"WEIGHT"
-          ~doc:
-            "Folded-stack weight: $(b,rounds), $(b,messages) or $(b,bits) \
-             (logical costs from the trace), or $(b,seconds), \
-             $(b,minor-words), $(b,major-words) (from the resource \
-             recorder).")
-  in
-  let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the span timeline as Chrome trace-event (catapult) \
-             JSON to $(i,FILE) — open it in chrome://tracing or \
-             Perfetto.")
-  in
-  let run algo family n seed epsilon out_dir weight chrome =
-    let family = lookup_family family in
-    let sink = Congest.Trace.sink () in
-    let res = Congest.Resource.create () in
-    Congest.Resource.attach res sink;
-    let name, valid =
-      match Algorithms.find_decomposer algo with
-      | d ->
-          let row = Measure.decomposition_row ~seed ~trace:sink d family ~n in
-          (d.Algorithms.name, row.Measure.valid)
-      | exception Not_found -> (
-          match Algorithms.find_carver algo with
-          | c ->
-              let row =
-                Measure.carving_row ~seed ~trace:sink c family ~n ~epsilon
-              in
-              (c.Algorithms.name, row.Measure.valid)
-          | exception Not_found ->
-              Format.eprintf "unknown algorithm %s@." algo;
-              exit 2)
-    in
-    (* one sample serves both the table and the exact-sum check below *)
-    let res_rollups, tot = Congest.Resource.snapshot res in
-    let rollups = Congest.Span.rollups ~resource:res_rollups sink in
-    Format.printf "%s on %s (n=%d): per-phase rollups@.@." name
-      family.Suite.name n;
-    Congest.Span.pp_rollups Format.std_formatter rollups;
-    let prefix = Printf.sprintf "profile_%s_%s" name family.Suite.name in
-    let files = Congest.Span.save ~dir:out_dir ~weight ~prefix rollups in
-    let files =
-      match chrome with
-      | None -> files
-      | Some path ->
-          write_file path (Congest.Resource.chrome_json res);
-          files @ [ path ]
-    in
-    List.iter (Format.printf "@.wrote %s") files;
-    Format.printf "@.";
-    (* resource exact-sum invariant: per-path self words (plus the
-       unspanned bucket) telescope to the window totals *)
-    let sum f =
-      List.fold_left
-        (fun acc (r : Congest.Span.rollup) ->
-          acc +. Option.fold ~none:0.0 ~some:f r.resource)
-        0.0 rollups
-    in
-    let minor = sum (fun r -> r.Congest.Resource.r_minor_words) in
-    let major = sum (fun r -> r.Congest.Resource.r_major_words) in
-    if
-      minor <> tot.Congest.Resource.t_minor_words
-      || major <> tot.Congest.Resource.t_major_words
-    then begin
-      Format.eprintf
-        "resource attribution mismatch: spans (%.0f minor, %.0f major \
-         words) vs process (%.0f minor, %.0f major words)@."
-        minor major tot.Congest.Resource.t_minor_words
-        tot.Congest.Resource.t_major_words;
-      exit 1
-    end
-    else
-      Format.printf
-        "resource attribution check: %.0f minor words, %.0f major words, \
-         %.3f s fully attributed (peak heap %.1f MB)@."
-        tot.Congest.Resource.t_minor_words tot.Congest.Resource.t_major_words
-        tot.Congest.Resource.t_seconds
-        (Congest.Resource.peak_heap_mb tot);
-    (* self-totals over all phases must reproduce the trace-wide globals;
-       only enforceable when nothing was dropped at capacity *)
-    if Congest.Trace.truncated sink = 0 then begin
-      let m = Congest.Metrics.of_trace sink in
-      let c name' =
-        Congest.Metrics.counter_value (Congest.Metrics.counter m name')
-      in
-      let global_rounds = c "rounds" + c "cost_rounds" in
-      let global_messages = c "messages_sent" + c "cost_messages" in
-      let global_bits =
-        Congest.Metrics.hist_sum
-          (Congest.Metrics.histogram m "bits_per_message")
-      in
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 rollups in
-      let span_rounds = sum (fun (r : Congest.Span.rollup) -> r.rounds) in
-      let span_messages = sum (fun (r : Congest.Span.rollup) -> r.messages) in
-      let span_bits = sum (fun (r : Congest.Span.rollup) -> r.bits) in
-      if
-        span_rounds <> global_rounds
-        || span_messages <> global_messages
-        || span_bits <> global_bits
-      then begin
-        Format.eprintf
-          "attribution mismatch: spans (%d rounds, %d msgs, %d bits) vs \
-           trace (%d rounds, %d msgs, %d bits)@."
-          span_rounds span_messages span_bits global_rounds global_messages
-          global_bits;
-        exit 1
-      end
-      else
-        Format.printf
-          "attribution check: %d rounds, %d messages, %d bits fully \
-           attributed@."
-          global_rounds global_messages global_bits
-    end;
-    if not valid then exit 1
-  in
-  let doc =
-    "run one algorithm with phase spans and a resource recorder attached \
-     and emit the per-phase table (CSV: logical cost plus wall-clock/GC \
-     attribution, each checked to sum exactly to its global total) plus \
-     flamegraph-compatible folded stacks, and optionally a Chrome trace \
-     ($(b,--chrome))"
-  in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const run $ algo_pos $ family_pos $ n_arg $ seed_arg $ epsilon_arg
-      $ out_dir_arg $ weight_arg $ chrome_arg)
-
 let conform_cmd =
   let target_arg =
     Arg.(
@@ -604,6 +375,60 @@ let conform_cmd =
       const run $ target_arg $ family_arg $ n_arg $ seed_arg $ epsilon_arg
       $ no_adversarial_arg $ json_arg $ out_arg)
 
+(* the exact-sum checks of the per-span table: self words against the
+   recorder's window totals, self rounds, messages and bits against the
+   replayed trace (only when nothing was dropped at capacity) *)
+let attribution_checks (r : Workload.Report.t) =
+  let open Congest in
+  let tot = r.res_totals in
+  let words f =
+    List.fold_left
+      (fun acc (s : Span.rollup) ->
+        acc +. Option.fold ~none:0.0 ~some:f s.resource)
+      0.0 r.spans
+  in
+  let minor = words (fun x -> x.Resource.r_minor_words) in
+  let major = words (fun x -> x.Resource.r_major_words) in
+  let resource =
+    if minor = tot.t_minor_words && major = tot.t_major_words then
+      Ok
+        (Printf.sprintf
+           "resource attribution check: %.0f minor words, %.0f major words, \
+            %.3f s fully attributed (peak heap %.1f MB)"
+           tot.t_minor_words tot.t_major_words tot.t_seconds
+           (Resource.peak_heap_mb tot))
+    else
+      Error
+        (Printf.sprintf
+           "resource attribution mismatch: spans (%.0f minor, %.0f major \
+            words) vs process (%.0f minor, %.0f major words)"
+           minor major tot.t_minor_words tot.t_major_words)
+  in
+  let logical () =
+    let c = Metrics.count r.metrics in
+    let rounds = c "rounds" + c "cost_rounds" in
+    let messages = c "messages_sent" + c "cost_messages" in
+    let bits =
+      Metrics.hist_sum (Metrics.histogram r.metrics "bits_per_message")
+    in
+    let sum f = List.fold_left (fun acc s -> acc + f s) 0 r.spans in
+    let s_rounds = sum (fun (s : Span.rollup) -> s.rounds) in
+    let s_messages = sum (fun (s : Span.rollup) -> s.messages) in
+    let s_bits = sum (fun (s : Span.rollup) -> s.bits) in
+    if s_rounds = rounds && s_messages = messages && s_bits = bits then
+      Ok
+        (Printf.sprintf
+           "attribution check: %d rounds, %d messages, %d bits fully attributed"
+           rounds messages bits)
+    else
+      Error
+        (Printf.sprintf
+           "attribution mismatch: spans (%d rounds, %d msgs, %d bits) vs \
+            trace (%d rounds, %d msgs, %d bits)"
+           s_rounds s_messages s_bits rounds messages bits)
+  in
+  resource :: (if Trace.truncated r.trace = 0 then [ logical () ] else [])
+
 let report_cmd =
   let algo_pos =
     Arg.(
@@ -620,9 +445,40 @@ let report_cmd =
     Arg.(
       value & opt string "bench_results"
       & info [ "out-dir"; "o" ] ~docv:"DIR"
-          ~doc:"Directory for the markdown and JSON reports.")
+          ~doc:"Directory for the report, trace, metrics and phase files.")
   in
-  let run algo family n seed epsilon out_dir =
+  let weight_arg =
+    let weight_conv =
+      Arg.enum
+        [
+          ("rounds", `Rounds);
+          ("messages", `Messages);
+          ("bits", `Bits);
+          ("seconds", `Seconds);
+          ("minor-words", `Minor_words);
+          ("major-words", `Major_words);
+        ]
+    in
+    Arg.(
+      value & opt weight_conv `Rounds
+      & info [ "weight"; "w" ] ~docv:"WEIGHT"
+          ~doc:
+            "Folded-stack weight: $(b,rounds), $(b,messages) or $(b,bits) \
+             (logical costs from the trace), or $(b,seconds), \
+             $(b,minor-words), $(b,major-words) (from the resource \
+             recorder).")
+  in
+  let chrome_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "chrome" ] ~docv:"FILE"
+          ~doc:
+            "Write the span timeline as Chrome trace-event (catapult) \
+             JSON to $(i,FILE) — open it in chrome://tracing or \
+             Perfetto.")
+  in
+  let run algo family n seed epsilon out_dir weight chrome =
     let family = lookup_family family in
     let report =
       match Algorithms.find_decomposer algo with
@@ -635,25 +491,38 @@ let report_cmd =
               exit 2)
     in
     Workload.Report.pp_summary Format.std_formatter report;
-    Format.printf "%a@." Congest.Causal.pp report.Workload.Report.causal;
-    let files = Workload.Report.save ~dir:out_dir report in
+    Format.printf "%a@.@." Congest.Causal.pp report.Workload.Report.causal;
+    Congest.Span.pp_rollups Format.std_formatter report.Workload.Report.spans;
+    let files = Workload.Report.save ~dir:out_dir ~weight ?chrome report in
     List.iter (Format.printf "wrote %s@.") files;
+    let checks = attribution_checks report in
+    List.iter
+      (function
+        | Ok line -> Format.printf "%s@." line
+        | Error line -> Format.eprintf "%s@." line)
+      checks;
     (match report.Workload.Report.audit_verdict with
     | Ok () -> ()
     | Error e ->
         Format.eprintf "certificate audit rejected: %s@." e;
         exit 1);
-    if not report.Workload.Report.valid then exit 1
+    if List.exists Result.is_error checks || not report.Workload.Report.valid
+    then exit 1
   in
   let doc =
-    "run one algorithm and write a unified report (markdown + JSON): \
-     measured row, metrics, phase rollups, causal critical path and slack, \
-     and an independently verified per-cluster certificate audit"
+    "run one algorithm with a trace sink, phase spans and a resource \
+     recorder attached and write every artifact of the run: the report \
+     (markdown + JSON: measured row, metrics, per-span table, causal \
+     critical path and slack, and an independently verified per-cluster \
+     certificate audit), the JSONL event stream, the metrics (CSV/JSONL), \
+     the per-span table (CSV) with its flamegraph folded stacks, and \
+     optionally a Chrome trace ($(b,--chrome)); the per-span self totals \
+     are checked to sum exactly to the run's totals"
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const run $ algo_pos $ family_pos $ n_arg $ seed_arg $ epsilon_arg
-      $ out_dir_arg)
+      $ out_dir_arg $ weight_arg $ chrome_arg)
 
 let repair_cmd =
   let algo_pos =
@@ -918,8 +787,6 @@ let () =
             lemma31_cmd;
             sweep_cmd;
             faults_cmd;
-            trace_cmd;
-            profile_cmd;
             repair_cmd;
             report_cmd;
             conform_cmd;

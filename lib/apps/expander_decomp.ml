@@ -57,42 +57,6 @@ let inter_cluster_fraction g t =
   if Graph.m g = 0 then 0.0
   else float_of_int t.inter_cluster_edges /. float_of_int (Graph.m g)
 
-let min_internal_sweep_conductance g t =
-  let n = Graph.n g in
-  let best = ref Float.infinity in
-  List.iter
-    (fun members ->
-      match members with
-      | [] | [ _ ] -> ()
-      | root :: _ ->
-          let mask = Mask.of_list n members in
-          (* sweep conductance measured in the induced subgraph *)
-          let sub_edges = ref [] in
-          List.iter
-            (fun u ->
-              Graph.iter_neighbors g u (fun v ->
-                  if u < v && Mask.mem mask v then sub_edges := (u, v) :: !sub_edges))
-            members;
-          if !sub_edges <> [] then begin
-            (* compact the induced subgraph *)
-            let index = Hashtbl.create (List.length members) in
-            List.iteri (fun i v -> Hashtbl.replace index v i) members;
-            let edges =
-              List.map
-                (fun (u, v) -> (Hashtbl.find index u, Hashtbl.find index v))
-                !sub_edges
-            in
-            let h =
-              Graph.of_edge_seq ~n:(List.length members) (List.to_seq edges)
-            in
-            let phi =
-              Metrics.sweep_conductance h ~source:(Hashtbl.find index root)
-            in
-            if phi < !best then best := phi
-          end)
-    (Cluster.Clustering.clusters t.clustering);
-  !best
-
 let check g t =
   let ( let* ) r f = Result.bind r f in
   let* () =

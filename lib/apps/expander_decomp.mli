@@ -30,10 +30,6 @@ val decompose :
 
 val inter_cluster_fraction : Dsgraph.Graph.t -> t -> float
 
-val min_internal_sweep_conductance : Dsgraph.Graph.t -> t -> float
-(** Minimum, over clusters with at least one internal edge, of the sweep
-    conductance measured inside the cluster — a cheap certificate proxy. *)
-
 val check : Dsgraph.Graph.t -> t -> (unit, string) result
 (** Clusters partition the node set and each induces a connected
     subgraph. *)

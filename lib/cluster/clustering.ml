@@ -134,18 +134,6 @@ let unclustered t =
   done;
   !acc
 
-let largest_cluster t =
-  let best = ref (-1) and best_size = ref (-1) in
-  Array.iteri
-    (fun c l ->
-      let s = List.length l in
-      if s > !best_size then begin
-        best := c;
-        best_size := s
-      end)
-    t.member_lists;
-  !best
-
 let adjacent_cluster_pairs t =
   let seen = Hashtbl.create 16 in
   Graph.iter_edges t.graph (fun u v ->

@@ -43,9 +43,6 @@ val clustered_count : t -> int
 
 val unclustered : t -> int list
 
-val largest_cluster : t -> int
-(** Id of a maximum-size cluster; [-1] if there are none. *)
-
 val non_adjacent : t -> bool
 (** True when no edge joins two {e distinct} clusters — the ball-carving
     separation requirement. *)

@@ -387,29 +387,3 @@ let verify_run ?(label = "run") ?capacity ?recorder:rec_ ~run () =
     violations = violations1;
     violations_dropped = dropped1;
   }
-
-let verify_program ?(label = "program") ?capacity ?order_invariant ?max_rounds
-    ?bandwidth ?adversary ~bits g program =
-  let rec_ = recorder () in
-  let wrapped = instrument ?order_invariant rec_ g program in
-  let run sink =
-    let config =
-      {
-        Sim.Config.max_rounds;
-        bandwidth;
-        adversary = Option.map Fault.create adversary;
-        on_incomplete = `Ignore;
-        trace = Some sink;
-      }
-    in
-    let _, stats = Sim.simulate ~config ~bits g wrapped in
-    [
-      Sim_totals
-        {
-          rounds = stats.Sim.rounds_used;
-          messages = stats.Sim.total_messages;
-          max_bits = stats.Sim.max_bits_seen;
-        };
-    ]
-  in
-  verify_run ~label ?capacity ~recorder:rec_ ~run ()

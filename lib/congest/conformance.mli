@@ -11,8 +11,7 @@
     Five invariants are checked:
 
     - {b (a) replay determinism} — two runs of the same configuration
-      produce byte-identical {!Trace} streams ({!verify_run},
-      {!verify_program});
+      produce byte-identical {!Trace} streams ({!verify_run});
     - {b (b) bandwidth cross-check} — per-edge bits summed over the trace
       equal {!Metrics.of_trace}'s aggregates, the simulator's own
       {!Sim.stats}, and (for engine-level runs) the {!Cost} meter totals,
@@ -141,19 +140,3 @@ val verify_run :
     violations, and the report carries them. [capacity] bounds each sink
     (the {!Trace.sink} default); raise it for chatty programs, since an
     overflowing sink yields a failing [capacity] check. *)
-
-val verify_program :
-  ?label:string ->
-  ?capacity:int ->
-  ?order_invariant:bool ->
-  ?max_rounds:int ->
-  ?bandwidth:int ->
-  ?adversary:Fault.spec ->
-  bits:('msg -> int) ->
-  Dsgraph.Graph.t ->
-  ('st, 'msg) Sim.program ->
-  report
-(** The full battery (a)–(e) for one node program: {!instrument}s it,
-    runs it twice under {!Sim.simulate} (a fresh {!Fault.create} of
-    [adversary] per run, so fault schedules replay), and cross-checks the
-    traces against the returned {!Sim.stats}. *)

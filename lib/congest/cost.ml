@@ -35,16 +35,6 @@ let reset t =
   t.max_bits <- 0;
   Hashtbl.reset t.tags
 
-let merge_max acc other =
-  acc.rounds <- acc.rounds + other.rounds;
-  acc.messages <- acc.messages + other.messages;
-  if other.max_bits > acc.max_bits then acc.max_bits <- other.max_bits;
-  Hashtbl.iter
-    (fun k v ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt acc.tags k) in
-      Hashtbl.replace acc.tags k (prev + v))
-    other.tags
-
 let parallel acc metered tag =
   let max_rounds = List.fold_left (fun m sub -> max m sub.rounds) 0 metered in
   let sum_messages = List.fold_left (fun s sub -> s + sub.messages) 0 metered in

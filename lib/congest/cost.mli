@@ -39,13 +39,6 @@ val breakdown : t -> (string * int) list
 
 val reset : t -> unit
 
-val merge_max : t -> t -> unit
-(** [merge_max acc other] adds [other]'s rounds as if it ran {i in
-    parallel} with previously merged meters under the same tag — used when
-    independent components execute simultaneously: the per-tag cost is the
-    max, message counts still add. (Simplified: callers that need parallel
-    semantics should use {!val:parallel} instead.) *)
-
 val parallel : t -> t list -> string -> unit
 (** [parallel acc metered tag] charges [acc] the {e maximum} round count
     among the [metered] sub-meters (components running simultaneously) and

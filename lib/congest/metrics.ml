@@ -40,6 +40,9 @@ let counter t name =
 let incr ?(by = 1) c = c.count <- c.count + by
 let counter_value c = c.count
 
+let count t name =
+  match Hashtbl.find_opt t.tbl name with Some (Counter c) -> c.count | _ -> 0
+
 let gauge t name =
   match Hashtbl.find_opt t.tbl name with
   | Some (Gauge g) -> g

@@ -21,6 +21,10 @@ val counter : t -> string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
+val count : t -> string -> int
+(** The value of the counter named [name], [0] when there is none;
+    unlike {!counter} it registers nothing. *)
+
 val gauge : t -> string -> gauge
 (** A gauge keeps the last value set and the maximum ever set. *)
 

@@ -273,9 +273,8 @@ let snapshot t =
 
 let peak_heap_mb tot = float_of_int tot.t_peak_heap_words *. word_bytes /. 1e6
 
-let metrics ?into t =
+let metrics ?into tot =
   let m = match into with Some m -> m | None -> Metrics.create () in
-  let tot = totals t in
   Metrics.set (Metrics.gauge m "res.seconds") tot.t_seconds;
   Metrics.set (Metrics.gauge m "res.minor_words") tot.t_minor_words;
   Metrics.set (Metrics.gauge m "res.promoted_words") tot.t_promoted_words;

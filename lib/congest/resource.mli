@@ -90,8 +90,9 @@ val snapshot : t -> rollup list * totals
 val peak_heap_mb : totals -> float
 (** [t_peak_heap_words] in megabytes ([Sys.word_size] bytes/word). *)
 
-val metrics : ?into:Metrics.t -> t -> Metrics.t
-(** Exports window totals as gauges ([res.seconds],
+val metrics : ?into:Metrics.t -> totals -> Metrics.t
+(** Exports window totals (one {!snapshot}'s, so they agree with its
+    rollups) as gauges ([res.seconds],
     [res.minor_words], [res.promoted_words], [res.major_words],
     [res.peak_heap_mb]) and a counter ([res.major_collections]). *)
 

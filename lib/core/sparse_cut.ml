@@ -6,8 +6,6 @@ type outcome =
 
 let delta ~n ~epsilon = epsilon /. Float.max (log (float_of_int n)) 1.0
 
-let ratio_bound ~n ~epsilon = 1.0 +. delta ~n ~epsilon
-
 let window ~n ~epsilon =
   let d = delta ~n ~epsilon in
   (* (1+d)^K >= 3 suffices: a set of size >= n/3 cannot keep growing by

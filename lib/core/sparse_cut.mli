@@ -38,12 +38,7 @@ val run :
     depth; the half-split charges one BFS plus a broadcast.
     @raise Invalid_argument if the domain is empty or disconnected. *)
 
-val ratio_bound : n:int -> epsilon:float -> float
-(** The per-layer growth threshold [1 + δ] with [δ = ε / ln n] used by
-    the weak-layer search; exposed for tests and for the barrier
-    experiment. *)
-
 val window : n:int -> epsilon:float -> int
 (** The search-window length [K = O(log n / ε)]: scanning [K] consecutive
     layers starting at a set of size [>= n/3] must find a layer with
-    growth ratio below {!ratio_bound}. *)
+    growth ratio below [1 + δ], [δ = ε / ln n]. *)

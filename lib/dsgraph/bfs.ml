@@ -50,17 +50,6 @@ let ball ?mask g ~center ~radius =
   done;
   !acc
 
-let layer_sizes ?mask g ~sources =
-  let dist = multi_distances ?mask g ~sources in
-  let maxd = Array.fold_left max 0 dist in
-  let counts = Array.make (maxd + 1) 0 in
-  Array.iter (fun d -> if d >= 0 then counts.(d) <- counts.(d) + 1) dist;
-  (* cumulative *)
-  for r = 1 to maxd do
-    counts.(r) <- counts.(r) + counts.(r - 1)
-  done;
-  counts
-
 let eccentricity ?mask g v =
   let dist = distances ?mask g ~source:v in
   Array.fold_left max 0 dist
@@ -302,13 +291,3 @@ let reach g ~owner ~id ~count ~source s =
     done
   done;
   !tail
-
-let component_of ?mask g v =
-  if not (alive mask v) then []
-  else
-    let dist = distances ?mask g ~source:v in
-    let acc = ref [] in
-    for u = Graph.n g - 1 downto 0 do
-      if dist.(u) >= 0 then acc := u :: !acc
-    done;
-    !acc

@@ -17,11 +17,6 @@ val parents : ?mask:Mask.t -> Graph.t -> source:int -> int array
 val ball : ?mask:Mask.t -> Graph.t -> center:int -> radius:int -> int list
 (** Nodes at distance [<= radius] from [center] in [G\[mask\]]. *)
 
-val layer_sizes : ?mask:Mask.t -> Graph.t -> sources:int list -> int array
-(** [layer_sizes g ~sources] where cell [r] holds [|B_r(sources)|], the
-    number of nodes within distance [r]; the array extends to the largest
-    finite distance. Cumulative, i.e. non-decreasing. *)
-
 val eccentricity : ?mask:Mask.t -> Graph.t -> int -> int
 (** Largest finite distance from the node within its component. *)
 
@@ -33,9 +28,6 @@ val diameter_of_set : Graph.t -> int list -> int
 val weak_diameter_of_set : ?mask:Mask.t -> Graph.t -> int list -> int
 (** Max pairwise distance between set members measured in [G\[mask\]]
     (paths may leave the set). [-1] if some pair is disconnected. *)
-
-val component_of : ?mask:Mask.t -> Graph.t -> int -> int list
-(** The connected component of a node in [G\[mask\]], sorted. *)
 
 type scratch = private {
   dist : int array;

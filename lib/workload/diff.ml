@@ -74,13 +74,6 @@ let side_of_report ~label doc =
 
 let is_report doc = Json.member "report" doc <> Json.Null
 
-let side_of_report_json ~label text =
-  match Json.parse text with
-  | Error e -> Error (Printf.sprintf "%s: JSON parse failed: %s" label e)
-  | Ok doc when is_report doc -> side_of_report ~label doc
-  | Ok _ ->
-      Error (Printf.sprintf "%s: not a run report (no \"report\" object)" label)
-
 (* every numeric column of a row is compared, except the MADs that
    widen the seconds gate and schema 1's [seconds_median] alias *)
 let row_columns = function
@@ -328,9 +321,6 @@ let compare ?(options = default_options) (a : side) (b : side) =
             %s: %a"
            a.label Stats.pp_fingerprint fa b.label Stats.pp_fingerprint fb)
   | _ -> Ok (align ~opts:options a b)
-
-let significant_rows t =
-  List.filter (fun r -> List.exists (fun m -> m.m_sig) r.r_metrics) t.rows
 
 (* each row of the new snapshot against the newest earlier snapshot
    that has a row of that name under the same environment; a snapshot

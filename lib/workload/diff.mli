@@ -56,10 +56,6 @@ val load : string -> (side, string) result
       [seconds_median] alias; a column one side lacks reads as [0].
     Errors mention the spec, never raise. *)
 
-val side_of_report_json : label:string -> string -> (side, string) result
-(** Parses a run-report JSON document (see {!Report.to_json}) as
-    strictly as {!load}. *)
-
 val side_of_trajectory_line : label:string -> string -> side
 (** One trajectory snapshot line as a side of depth-0 phases. *)
 
@@ -126,9 +122,6 @@ val to_folded : t -> string
     phase with seconds in microseconds — the input difffolded.pl and
     flamegraph renderers expect. Added phases have old 0; removed
     phases have new 0. *)
-
-val significant_rows : t -> row list
-(** The rows with at least one significant delta, in rank order. *)
 
 val against_history : string list -> string -> t
 (** [against_history history line] compares each row of the snapshot

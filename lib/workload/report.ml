@@ -15,8 +15,8 @@ type t = {
   max_message_bits : int;
   valid : bool;
   seconds : float;
-  events : int;
-  truncated : int;
+  trace : Congest.Trace.sink;
+  resource : Congest.Resource.t;
   metrics : Congest.Metrics.t;
   spans : Congest.Span.rollup list;
   res_totals : Congest.Resource.totals;
@@ -26,14 +26,33 @@ type t = {
   fingerprint : Stats.fingerprint;
 }
 
+(* a span-enabled sink with a resource recorder on it; the recorder's
+   window opens here *)
+let instruments () =
+  let sink = Congest.Trace.sink ~spans:true () in
+  let resource = Congest.Resource.create () in
+  Congest.Resource.attach resource sink;
+  (sink, resource)
+
+(* [snapshot] closes the recorder's window: the caller takes it right
+   after the measured run, so the certificate audit stays outside it *)
 let assemble ~algo ~reference ~family ~n ~m ~seed ~epsilon ~colors
-    ~strong_diameter ~weak_diameter ~dead_fraction ~rounds ~messages
-    ~max_message_bits ~valid ~seconds ~sink ~resource ~audit ~graph =
-  let res_rollups, res_totals = Congest.Resource.snapshot resource in
+    ~strong_diameter ~weak_diameter ~dead_fraction ~rounds ?messages
+    ~max_message_bits ~valid ~seconds ~sink ~resource ~snapshot ~audit ~graph
+    () =
+  let res_rollups, res_totals = snapshot in
   let metrics = Congest.Metrics.of_trace sink in
+  (* a carving row has no message count: the trace's is the one *)
+  let messages =
+    match messages with
+    | Some k -> k
+    | None ->
+        Congest.Metrics.count metrics "messages_sent"
+        + Congest.Metrics.count metrics "cost_messages"
+  in
   let causal = Congest.Causal.analyze sink in
   let metrics = Congest.Causal.metrics ~into:metrics causal in
-  let metrics = Congest.Resource.metrics ~into:metrics resource in
+  let metrics = Congest.Resource.metrics ~into:metrics res_totals in
   {
     algo;
     reference;
@@ -51,8 +70,8 @@ let assemble ~algo ~reference ~family ~n ~m ~seed ~epsilon ~colors
     max_message_bits;
     valid;
     seconds;
-    events = Congest.Trace.length sink;
-    truncated = Congest.Trace.truncated sink;
+    trace = sink;
+    resource;
     metrics;
     spans = Congest.Span.rollups ~resource:res_rollups ~causal sink;
     res_totals;
@@ -63,12 +82,11 @@ let assemble ~algo ~reference ~family ~n ~m ~seed ~epsilon ~colors
   }
 
 let of_decomposer ?(seed = 42) (d : Algorithms.decomposer) family ~n =
-  let sink = Congest.Trace.sink ~spans:true () in
-  let resource = Congest.Resource.create () in
-  Congest.Resource.attach resource sink;
+  let sink, resource = instruments () in
   let row, decomp, graph =
     Measure.decomposition_result ~seed ~trace:sink d family ~n
   in
+  let snapshot = Congest.Resource.snapshot resource in
   assemble ~algo:row.Measure.algorithm ~reference:row.Measure.reference
     ~family:row.Measure.family ~n:row.Measure.n ~m:row.Measure.m ~seed
     ~epsilon:None ~colors:row.Measure.colors
@@ -76,33 +94,28 @@ let of_decomposer ?(seed = 42) (d : Algorithms.decomposer) family ~n =
     ~weak_diameter:row.Measure.weak_diameter ~dead_fraction:None
     ~rounds:row.Measure.rounds ~messages:row.Measure.messages
     ~max_message_bits:row.Measure.max_message_bits ~valid:row.Measure.valid
-    ~seconds:row.Measure.seconds ~sink ~resource
+    ~seconds:row.Measure.seconds ~sink ~resource ~snapshot
     ~audit:(Audit.certify_decomposition decomp)
-    ~graph
+    ~graph ()
 
 let of_carver ?(seed = 42) ?(epsilon = 0.25) (c : Algorithms.carver) family ~n
     =
-  let sink = Congest.Trace.sink ~spans:true () in
-  let resource = Congest.Resource.create () in
-  Congest.Resource.attach resource sink;
+  let sink, resource = instruments () in
   let row, carving, graph =
     Measure.carving_result ~seed ~trace:sink c family ~n ~epsilon
   in
-  let counter name =
-    Congest.Metrics.counter_value
-      (Congest.Metrics.counter (Congest.Metrics.of_trace sink) name)
-  in
-  let messages = counter "messages_sent" + counter "cost_messages" in
+  let snapshot = Congest.Resource.snapshot resource in
   assemble ~algo:row.Measure.algorithm ~reference:row.Measure.reference
     ~family:row.Measure.family ~n:row.Measure.n
     ~m:(Dsgraph.Graph.m graph) ~seed ~epsilon:(Some epsilon) ~colors:0
     ~strong_diameter:row.Measure.strong_diameter
     ~weak_diameter:row.Measure.weak_diameter
     ~dead_fraction:(Some row.Measure.dead_fraction) ~rounds:row.Measure.rounds
-    ~messages ~max_message_bits:row.Measure.max_message_bits
+    ~max_message_bits:row.Measure.max_message_bits
     ~valid:row.Measure.valid ~seconds:row.Measure.seconds ~sink ~resource
+    ~snapshot
     ~audit:(Audit.certify_carving carving)
-    ~graph
+    ~graph ()
 
 (* ------------------------------------------------------------------ *)
 (* Markdown                                                             *)
@@ -117,8 +130,10 @@ let to_markdown t =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "# Run report: %s on %s (n=%d)\n\n" t.algo t.family t.n;
-  add "Reference: %s. Seed %d. %d events recorded" t.reference t.seed t.events;
-  if t.truncated > 0 then add " (%d truncated)" t.truncated;
+  add "Reference: %s. Seed %d. %d events recorded" t.reference t.seed
+    (Congest.Trace.length t.trace);
+  let truncated = Congest.Trace.truncated t.trace in
+  if truncated > 0 then add " (%d truncated)" truncated;
   add ".\n\n";
   add "Environment: %s.\n\n"
     (Format.asprintf "%a" Stats.pp_fingerprint t.fingerprint);
@@ -227,8 +242,8 @@ let to_json t =
                ("max_message_bits", i t.max_message_bits);
                ("valid", bool t.valid);
                ("seconds", f6 t.seconds);
-               ("events", i t.events);
-               ("truncated", i t.truncated);
+               ("events", i (Trace.length t.trace));
+               ("truncated", i (Trace.truncated t.trace));
              ] );
          ("fingerprint", Stats.fingerprint_value t.fingerprint);
          ( "causal",
@@ -301,17 +316,27 @@ let to_json t =
              ] );
        ])
 
-let save ?(dir = "bench_results") t =
+let save ?(dir = "bench_results") ?weight ?chrome t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let base = Printf.sprintf "report_%s_%s" t.algo t.family in
-  let write ext contents =
-    let path = Filename.concat dir (base ^ ext) in
+  let prefix = Printf.sprintf "report_%s_%s" t.algo t.family in
+  let write path contents =
     let oc = open_out path in
     output_string oc contents;
     close_out oc;
     path
   in
-  [ write ".md" (to_markdown t); write ".json" (to_json t) ]
+  let in_dir ext = Filename.concat dir (prefix ^ ext) in
+  let md = write (in_dir ".md") (to_markdown t) in
+  let json = write (in_dir ".json") (to_json t) in
+  let jsonl = Congest.Trace.save ~dir ~file:(prefix ^ ".jsonl") t.trace in
+  let metrics = Congest.Metrics.save ~dir ~prefix t.metrics in
+  let phases = Congest.Span.save ~dir ?weight ~prefix t.spans in
+  let chrome =
+    Option.map
+      (fun path -> write path (Congest.Resource.chrome_json t.resource))
+      chrome
+  in
+  (md :: json :: jsonl :: metrics) @ phases @ Option.to_list chrome
 
 let pp_summary ppf t =
   Format.fprintf ppf

@@ -34,15 +34,21 @@ type t = {
   max_message_bits : int;
   valid : bool;
   seconds : float;
-  events : int;  (** trace events recorded *)
-  truncated : int;  (** events dropped by the sink's capacity bound *)
+  trace : Congest.Trace.sink;
+      (** the run's span-enabled event stream (the JSON's [events] and
+          [truncated] are its {!Congest.Trace.length} and
+          {!Congest.Trace.truncated}) *)
+  resource : Congest.Resource.t;
+      (** the recorder attached for the run; its span timeline is the
+          [chrome] file of {!save} *)
   metrics : Congest.Metrics.t;
   spans : Congest.Span.rollup list;
       (** the per-span table with the resource and causal column groups *)
   res_totals : Congest.Resource.totals;
       (** process totals over the run window, one sample with the
-          resource columns of [spans] so the exact-sum invariant holds
-          between them *)
+          resource columns of [spans] and the [res.*] metrics so the
+          exact-sum invariant holds between them. The window is the
+          measured row alone: it closes before the certificate audit *)
   causal : Congest.Causal.t;
   audit : Audit.t;
   audit_verdict : (unit, string) result;
@@ -77,10 +83,21 @@ val to_json : t -> string
     [resources] (the recorder's totals), [metrics] (the array of
     {!Congest.Metrics.to_json} objects) and [audit]. *)
 
-val save : ?dir:string -> t -> string list
-(** Writes [report_<algo>_<family>.md] and [.json] under [dir]
-    (default ["bench_results"], created if missing); returns the paths
-    written. *)
+val save :
+  ?dir:string ->
+  ?weight:Congest.Span.weight ->
+  ?chrome:string ->
+  t ->
+  string list
+(** Writes every artifact of the run under [dir] (default
+    ["bench_results"], created if missing), each named
+    [report_<algo>_<family>] plus: [.md], [.json], [.jsonl] (the event
+    stream, {!Congest.Trace.save}), [_metrics.csv] and [_metrics.jsonl]
+    ({!Congest.Metrics.save}), [_phases.csv] and [.folded] (the per-span
+    table and its folded stacks under [weight], default rounds,
+    {!Congest.Span.save}); with [chrome], also the span timeline as
+    Chrome trace-event JSON at that path. Returns the paths written, in
+    that order. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Short CLI summary: headline verdicts plus where the files landed

@@ -110,9 +110,6 @@ let fingerprint_of_value j =
   let* hostname = str "hostname" in
   Some { git_sha; ocaml_version; word_size; flambda; hostname }
 
-let fingerprint_of_json s =
-  Option.bind (Result.to_option (Json.parse s)) fingerprint_of_value
-
 (* the commit is what a comparison is about, so it is recorded and
    printed but never compared *)
 let same_environment (a : fingerprint) b =

@@ -43,10 +43,6 @@ val fingerprint_of_value : Json.t -> fingerprint option
 (** Inverse of {!fingerprint_value}; [None] when any field is missing or
     malformed. *)
 
-val fingerprint_of_json : string -> fingerprint option
-(** {!fingerprint_of_value} of the parsed text; [None] when it does not
-    parse. *)
-
 val same_environment : fingerprint -> fingerprint -> bool
 (** Equal on everything but [git_sha]: [ocaml_version], [word_size],
     [flambda] and [hostname]. Two commits measured on one machine

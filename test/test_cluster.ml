@@ -51,7 +51,6 @@ let test_clustering_adjacency () =
 let test_clustering_largest () =
   let g = Gen.path 6 in
   let c = Clustering.make g ~cluster_of:[| 0; 0; 0; 1; 1; -1 |] in
-  check int "largest" 0 (Clustering.largest_cluster c);
   Alcotest.(check (array int)) "sizes" [| 3; 2 |] (Clustering.sizes c)
 
 let test_clustering_strong_diameter () =

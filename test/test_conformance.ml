@@ -1,6 +1,7 @@
 (* Tests for the dynamic model-invariant verifier (Congest.Conformance):
    the per-round instrumentation must flag edge-discipline, halt-
-   monotonicity, and inbox-order cheats; verify_program must certify a
+   monotonicity, and inbox-order cheats; the full battery (instrument +
+   verify_run, the local verify_program) must certify a
    well-behaved program (with the exact-sum bandwidth cross-check) and
    fail a nondeterministic one; and the whole-registry Workload.Conform
    sweep must pass on two families, fault-free and adversarial. *)
@@ -116,13 +117,40 @@ let flood g =
         (best', false));
   }
 
+(* the full battery (a)-(e) for one node program: instrument it, run it
+   twice under Sim.simulate (a fresh adversary per run, so fault
+   schedules replay) and cross-check the traces against Sim.stats *)
+let verify_program ~label ?order_invariant ?bandwidth ~bits g program =
+  let rec_ = Conformance.recorder () in
+  let wrapped = Conformance.instrument ?order_invariant rec_ g program in
+  let run sink =
+    let config =
+      {
+        Sim.Config.default with
+        bandwidth;
+        on_incomplete = `Ignore;
+        trace = Some sink;
+      }
+    in
+    let _, stats = Sim.simulate ~config ~bits g wrapped in
+    [
+      Conformance.Sim_totals
+        {
+          rounds = stats.Sim.rounds_used;
+          messages = stats.Sim.total_messages;
+          max_bits = stats.Sim.max_bits_seen;
+        };
+    ]
+  in
+  Conformance.verify_run ~label ~recorder:rec_ ~run ()
+
 let find_check name (r : Conformance.report) =
   List.find (fun c -> c.Conformance.name = name) r.Conformance.checks
 
 let test_verify_program_passes () =
   let g = Gen.grid 5 5 in
   let report =
-    Conformance.verify_program ~label:"flood" ~order_invariant:true
+    verify_program ~label:"flood" ~order_invariant:true
       ~bits:(fun _ -> 10)
       g (flood g)
   in
@@ -159,7 +187,7 @@ let test_verify_program_catches_nondeterminism () =
   let report =
     (* bits depend on the payload, so the leak shows up in the trace;
        widen the bandwidth so only determinism can fail *)
-    Conformance.verify_program ~label:"nondet" ~bandwidth:512
+    verify_program ~label:"nondet" ~bandwidth:512
       ~bits:(fun m -> 8 + (m land 0xff))
       g nondet
   in
@@ -193,7 +221,7 @@ let test_verify_program_catches_order_cheat () =
     }
   in
   let report =
-    Conformance.verify_program ~label:"order-cheat" ~order_invariant:true
+    verify_program ~label:"order-cheat" ~order_invariant:true
       ~bits:(fun _ -> 4)
       g order_cheat
   in

@@ -58,19 +58,6 @@ let test_cost_parallel () =
   check int "max rounds" 9 (Cost.rounds acc);
   check int "sum messages" 16 (Cost.messages acc)
 
-let test_cost_merge_max () =
-  let acc = Cost.create () in
-  Cost.charge acc ~rounds:5 ~messages:3 ~max_bits:10 "a";
-  let other = Cost.create () in
-  Cost.charge other ~rounds:2 ~messages:4 ~max_bits:12 "a";
-  Cost.charge other ~rounds:1 "b";
-  Cost.merge_max acc other;
-  check int "rounds added" 8 (Cost.rounds acc);
-  check int "messages added" 7 (Cost.messages acc);
-  check int "max bits" 12 (Cost.max_message_bits acc);
-  Alcotest.(check (list (pair string int)))
-    "breakdown merged" [ ("a", 7); ("b", 1) ] (Cost.breakdown acc)
-
 let test_cost_parallel_empty () =
   let acc = Cost.create () in
   Cost.parallel acc [] "nothing";
@@ -730,7 +717,6 @@ let () =
           Alcotest.test_case "accumulates" `Quick test_cost_accumulates;
           Alcotest.test_case "reset" `Quick test_cost_reset;
           Alcotest.test_case "parallel" `Quick test_cost_parallel;
-          Alcotest.test_case "merge max" `Quick test_cost_merge_max;
           Alcotest.test_case "parallel empty" `Quick test_cost_parallel_empty;
           Alcotest.test_case "rejects negative" `Quick
             test_cost_rejects_negative;

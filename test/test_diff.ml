@@ -94,9 +94,7 @@ let test_seeded_regression_is_top_row () =
   let m = metric (row d "carve/grow") "seconds" in
   Alcotest.(check bool) "seconds flagged" true m.D.m_sig;
   Alcotest.(check bool) "rounds untouched" false
-    (metric (row d "carve/grow") "rounds").D.m_sig;
-  check Alcotest.(list string) "significant_rows agrees" [ "carve/grow" ]
-    (List.map (fun r -> r.D.r_path) (D.significant_rows d))
+    (metric (row d "carve/grow") "rounds").D.m_sig
 
 let test_mad_suppresses_seconds () =
   (* same +20% delta, but the runs recorded a MAD of 0.1s: the gate
@@ -263,6 +261,15 @@ let test_side_of_trajectory_line () =
     (List.map (fun p -> p.D.seconds_mad) s.D.phases);
   Alcotest.(check bool) "fingerprint parsed" true (s.D.fingerprint = Some (fp ()))
 
+(* a report document loaded the way `decompose diff` loads it: from a
+   file, labelled by its base name *)
+let load_report text =
+  let path = Filename.temp_file "diff_report" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let r = D.load path in
+  Sys.remove path;
+  r
+
 let test_side_of_report_json () =
   let text =
     "{\"report\":{\"schema\":2,\"algo\":\"thm2.3\",\"seconds_mad\":0.003},\
@@ -273,7 +280,7 @@ let test_side_of_report_json () =
      {\"path\":\"carve\",\"depth\":1,\"rounds\":10,\"messages\":5,\
      \"bits\":100,\"seconds\":0.5,\"minor_words\":4200}]}"
   in
-  let s = ok (D.side_of_report_json ~label:"rep" text) in
+  let s = ok (load_report text) in
   List.iter
     (fun p ->
       Alcotest.(check (float 1e-9)) "report-level MAD" 0.003 p.D.seconds_mad)
@@ -287,10 +294,10 @@ let test_side_of_report_json () =
   let unsp = List.find (fun p -> p.D.path = "(unspanned)") s.D.phases in
   Alcotest.(check (float 1e-9)) "unspanned phase kept" 77.0
     (column unsp "minor_words");
-  (* not a report: refused with the label in the message *)
-  match D.side_of_report_json ~label:"rep" "{\"x\":1}" with
+  (* not JSON at all: refused, not read as an empty side *)
+  match load_report "not json" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-report JSON accepted"
+  | Ok _ -> Alcotest.fail "non-JSON file accepted"
 
 (* a report file the diff must refuse, with the file and the key named *)
 let refused ~key text =
@@ -336,7 +343,7 @@ let test_one_depth_convention () =
   let json = Workload.Report.to_json r in
   Alcotest.(check bool) "JSON root depth 1" true
     (contains json "{\"path\":\"netdecomp\",\"depth\":1,");
-  let s = ok (D.side_of_report_json ~label:"rep" json) in
+  let s = ok (load_report json) in
   let depth path =
     (List.find (fun p -> p.D.path = path) s.D.phases).D.depth
   in

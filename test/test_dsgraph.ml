@@ -296,14 +296,6 @@ let test_bfs_ball () =
   let ball = Bfs.ball g ~center:12 ~radius:1 in
   Alcotest.(check (list int)) "plus shape" [ 7; 11; 12; 13; 17 ] ball
 
-let test_bfs_layer_sizes_cumulative () =
-  let g = Gen.cycle 10 in
-  let ls = Bfs.layer_sizes g ~sources:[ 0 ] in
-  check int "layers" 6 (Array.length ls);
-  check int "B_0" 1 ls.(0);
-  check int "B_1" 3 ls.(1);
-  check int "B_5" 10 ls.(5)
-
 let test_diameter_of_set () =
   let g = Gen.path 10 in
   check int "sub-path" 3 (Bfs.diameter_of_set g [ 2; 3; 4; 5 ]);
@@ -318,11 +310,6 @@ let test_weak_vs_strong_diameter () =
   let leaves = [ 1; 2; 3; 4; 5 ] in
   check int "strong disconnected" (-1) (Bfs.diameter_of_set g leaves);
   check int "weak via hub" 2 (Bfs.weak_diameter_of_set g leaves)
-
-let test_component_of () =
-  let g = Gen.disjoint_union (Gen.path 3) (Gen.path 2) in
-  Alcotest.(check (list int)) "first" [ 0; 1; 2 ] (Bfs.component_of g 1);
-  Alcotest.(check (list int)) "second" [ 3; 4 ] (Bfs.component_of g 4)
 
 (* ------------------------------------------------------------------ *)
 (* Components                                                           *)
@@ -953,12 +940,9 @@ let () =
           Alcotest.test_case "parents form tree" `Quick
             test_bfs_parents_form_tree;
           Alcotest.test_case "ball" `Quick test_bfs_ball;
-          Alcotest.test_case "layer sizes cumulative" `Quick
-            test_bfs_layer_sizes_cumulative;
           Alcotest.test_case "diameter of set" `Quick test_diameter_of_set;
           Alcotest.test_case "weak vs strong diameter" `Quick
             test_weak_vs_strong_diameter;
-          Alcotest.test_case "component_of" `Quick test_component_of;
         ] );
       ( "components",
         [

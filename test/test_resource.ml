@@ -314,7 +314,7 @@ let test_metrics_export () =
   let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
   let _, tot = Resource.snapshot res in
-  let m = Resource.metrics res in
+  let m = Resource.metrics tot in
   check bool "seconds gauge" true
     (Metrics.gauge_value (Metrics.gauge m "res.seconds") > 0.0);
   check bool "minor words gauge" true
