@@ -492,7 +492,10 @@ let ablation_colors_vs_eps size =
       let carver ?cost ?domain g ~epsilon =
         fst (Strongdecomp.Strong_carving.carve ?cost ?domain g ~epsilon)
       in
-      let d = Strongdecomp.Netdecomp.of_carver ~cost ~epsilon carver g in
+      let d =
+        Strongdecomp.Netdecomp.(
+          of_carver ~cost ~epsilon (of_mask_carver carver) g)
+      in
       let clustering = Cluster.Decomposition.clustering d in
       Format.fprintf fmt "%8.3f %8d %8d %8d@." epsilon
         (Cluster.Decomposition.num_colors d)

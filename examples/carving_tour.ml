@@ -80,7 +80,13 @@ let () =
     (Congest.Bits.bandwidth ~n:(Graph.n g));
 
   (* the greedy sequential comparator *)
-  let c, cost = meter (fun cost -> Baseline.Greedy.carve ~cost g ~epsilon) in
+  let c, cost =
+    meter (fun cost ->
+        let n = Graph.n g in
+        Cluster.Carving.of_clusters g ~domain:(Mask.full n)
+          (Baseline.Greedy.carve ~cost g ~domain:(Array.init n Fun.id)
+             ~epsilon))
+  in
   line "greedy (sequential)" ~kind:"strong" c cost;
 
   (* edge version *)

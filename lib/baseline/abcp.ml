@@ -24,12 +24,12 @@ let carve ?cost ?domain g ~epsilon =
      we account for it below. *)
   let power = Power.power g (2 * d) in
   let decomp =
+    let scratch = Weakdiam.Weak_carving.scratch () in
     Strongdecomp.Netdecomp.of_carver
-      (fun ?cost ?domain g ~epsilon ->
-        ignore cost;
-        let r = Weakdiam.Weak_carving.carve ?domain g ~epsilon in
-        r.carving)
-      ~domain power
+      (fun ?cost:_ g ~domain ~epsilon ->
+        (Weakdiam.Weak_carving.carve_local ~scratch g ~domain ~epsilon)
+          .members)
+      ~domain:(Mask.to_array domain) power
   in
   let clustering = Cluster.Decomposition.clustering decomp in
   let colors = Cluster.Decomposition.num_colors decomp in
@@ -138,5 +138,5 @@ let decompose ?cost g =
       };
     carving
   in
-  let d = Strongdecomp.Netdecomp.of_carver ?cost carver g in
+  let d = Strongdecomp.Netdecomp.(of_carver ?cost (of_mask_carver carver) g) in
   (d, !acc)

@@ -25,13 +25,15 @@ val beta_of_preset : preset -> n:int -> float
 val carve :
   ?cost:Congest.Cost.t ->
   ?beta:float ->
-  ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t
-(** One greedy pass ([β] defaults to [1/(1-ε)], so that at most an [ε]
-    fraction of the domain is dead): non-adjacent connected clusters of
-    strong diameter [<= 2·log_β n]. *)
+  int array array
+(** One greedy pass over [G\[domain\]], [domain] being ascending ids
+    ([β] defaults to [1/(1-ε)], so that at most an [ε] fraction of the
+    domain is dead): the member arrays of non-adjacent connected clusters
+    of strong diameter [<= 2·log_β n], the {!Strongdecomp.Netdecomp.carver}
+    contract ({!Cluster.Carving.of_clusters} makes them a carving). *)
 
 val decompose :
   ?cost:Congest.Cost.t ->

@@ -7,4 +7,4 @@ let decompose ?cost rng g =
   let carver ?cost ?domain g ~epsilon =
     fst (carve ?cost rng ?domain g ~epsilon)
   in
-  Strongdecomp.Netdecomp.of_carver ?cost carver g
+  Strongdecomp.Netdecomp.(of_carver ?cost (of_mask_carver carver) g)

@@ -104,4 +104,4 @@ let carve ?cost ?(max_retries = 60) rng ?domain g ~epsilon =
 
 let decompose ?cost rng g =
   let carver ?cost ?domain g ~epsilon = carve ?cost rng ?domain g ~epsilon in
-  Strongdecomp.Netdecomp.of_carver ?cost carver g
+  Strongdecomp.Netdecomp.(of_carver ?cost (of_mask_carver carver) g)

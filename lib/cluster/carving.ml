@@ -10,6 +10,11 @@ let make clustering ~domain =
   done;
   { clustering; domain }
 
+let of_clusters g ~domain clusters =
+  let cluster_of = Array.make (Graph.n g) (-1) in
+  Array.iteri (fun id -> Array.iter (fun v -> cluster_of.(v) <- id)) clusters;
+  make (Clustering.make g ~cluster_of) ~domain
+
 let dead t =
   List.filter
     (fun v -> Clustering.cluster_of t.clustering v < 0)

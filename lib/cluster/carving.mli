@@ -13,6 +13,11 @@ type t = {
 val make : Clustering.t -> domain:Dsgraph.Mask.t -> t
 (** @raise Invalid_argument if a clustered node lies outside the domain. *)
 
+val of_clusters :
+  Dsgraph.Graph.t -> domain:Dsgraph.Mask.t -> int array array -> t
+(** The carving of [domain] whose clusters are the disjoint member
+    arrays [clusters]; domain nodes in none are dead. Raises as {!make}. *)
+
 val dead : t -> int list
 (** Domain nodes left unclustered. *)
 

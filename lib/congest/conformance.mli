@@ -114,14 +114,6 @@ type expectation =
       (** a {!Sim.stats}: must equal the [Message_sent]/[Round_start]
           sums of the trace *)
 
-val consistency_checks :
-  ?expect:expectation list -> Trace.sink -> check list
-(** Invariant (b) on one recorded run: folds the event stream into
-    per-edge bit sums and message/round/cost totals, and asserts exact
-    agreement with {!Metrics.of_trace} and with every [expect]ation.
-    When the sink overflowed its capacity the exact-sum checks are
-    reported as skipped and a failing [capacity] check is emitted. *)
-
 val verify_run :
   ?label:string ->
   ?capacity:int ->
@@ -134,7 +126,10 @@ val verify_run :
     the two executions are replays of one configuration; it returns the
     independently-accounted totals of that execution. Checks: (a) the two
     JSONL-serialized traces are byte-identical and the returned
-    expectations coincide; (b) {!consistency_checks} on the first run.
+    expectations coincide; (b) the first run's per-edge bit sums and
+    message/round/cost totals agree exactly with {!Metrics.of_trace} and
+    every expectation (skipped, plus a failing [capacity] check, when the
+    sink overflowed).
     When a [recorder] is given (shared with an {!instrumentor} inside
     [run]) it is cleared between the runs, both runs must record the same
     violations, and the report carries them. [capacity] bounds each sink

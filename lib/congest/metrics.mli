@@ -47,9 +47,6 @@ val hist_min : histogram -> int
 val hist_max : histogram -> int
 (** [min_int] when empty. *)
 
-val hist_mean : histogram -> float
-(** [nan] when empty. *)
-
 val hist_buckets : histogram -> (int * int) list
 (** [(upper_bound_exclusive, count)] for each non-empty bucket, ascending. *)
 

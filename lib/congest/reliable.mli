@@ -100,31 +100,24 @@ val header_bits : inner_rounds:int -> int
 type 'msg frame
 (** Wire format of the wrapped program: token and/or acknowledgement. *)
 
-val frame_bits : bits:('msg -> int) -> inner_rounds:int -> 'msg frame -> int
-(** Size of a frame: {!header_bits} plus the payload's [bits] (if any). *)
-
 type ('st, 'msg) node
 (** Transport state of one node: inner state plus per-neighbor link
     bookkeeping (send queue, expected sequence, liveness clock). *)
 
 val wrap :
   config -> ('st, 'msg) Sim.program -> (('st, 'msg) node, 'msg frame) Sim.program
-(** The transport combinator. Run the result through {!Sim.simulate} with
-    [bits = frame_bits ~bits ~inner_rounds] and a bandwidth widened by
-    {!header_bits} — or use {!simulate}, which does exactly that. *)
+(** The transport combinator. Run it through {!simulate}, which sizes a
+    frame as {!header_bits} plus the payload's [bits] (if any) and widens
+    the bandwidth by {!header_bits}. *)
 
-val inner_state : ('st, 'msg) node -> 'st
 val finished : ('st, 'msg) node -> bool
 (** Whether the node executed all [inner_rounds] inner rounds. *)
-
-val dead_neighbors : ('st, 'msg) node -> int list
-(** Neighbors this node declared crashed, sorted. *)
 
 type transport_stats = {
   retransmissions : int;
   heartbeats : int;
   detected_dead : int list;
-      (** union over nodes of {!dead_neighbors}, sorted *)
+      (** union of the nodes' declared-crashed neighbors, sorted *)
 }
 
 val transport_stats : ('st, 'msg) node array -> transport_stats
@@ -132,7 +125,7 @@ val transport_stats : ('st, 'msg) node array -> transport_stats
 type 'st result = {
   states : 'st array;  (** final inner states (crashed nodes: frozen) *)
   finished : bool array;
-  dead_view : int list array;  (** per-node {!dead_neighbors} *)
+  dead_view : int list array;  (** per node, neighbors it declared crashed *)
   sim_stats : Sim.stats;
   transport : transport_stats;
 }

@@ -150,14 +150,12 @@ type fault_stats = {
   crashed : int list;  (** nodes crash-stopped during the run, sorted *)
 }
 
-val no_faults : fault_stats
-
 type stats = {
   rounds_used : int;
   total_messages : int;  (** program-sent messages (injected copies excluded) *)
   max_bits_seen : int;
   all_halted : bool;  (** false when stopped by [max_rounds] *)
-  faults : fault_stats;  (** {!no_faults} when no adversary was given *)
+  faults : fault_stats;  (** all zero when no adversary was given *)
 }
 
 (** Run configuration: every knob of a simulation in one value, so entry

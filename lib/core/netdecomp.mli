@@ -4,16 +4,31 @@
     repetition [i] get color [i]. Each repetition clusters at least half
     of the remaining nodes, so [O(log n)] colors suffice. *)
 
+type carver =
+  ?cost:Congest.Cost.t ->
+  Dsgraph.Graph.t ->
+  domain:int array ->
+  epsilon:float ->
+  int array array
+(** One carving of [G\[domain\]], [domain] being ascending node ids:
+    the clusters' disjoint member arrays, in any order; domain nodes in
+    none are left for the next color. *)
+
+val of_mask_carver : Strong_carving.carver -> carver
+(** A mask carver as a {!carver}, at [O(n)] per call. *)
+
 val of_carver :
   ?cost:Congest.Cost.t ->
   ?epsilon:float ->
-  ?domain:Dsgraph.Mask.t ->
-  Strong_carving.carver ->
+  ?domain:int array ->
+  carver ->
   Dsgraph.Graph.t ->
   Cluster.Decomposition.t
-(** [of_carver carver g] builds a decomposition of the domain (default:
-    all nodes). [epsilon] (default [1/2]) is the per-repetition boundary
-    parameter; any value in (0,1) yields [O(log_{1/(1-ε)} n)] colors.
+(** [of_carver carver g] builds a decomposition of the ascending
+    [domain] (default: all nodes). [epsilon] (default [1/2]) is the
+    per-repetition boundary parameter; any value in (0,1) yields
+    [O(log_{1/(1-ε)} n)] colors. Beyond the carver's work, a color costs
+    its remaining nodes.
     @raise Failure if a repetition clusters nothing (broken carver). *)
 
 val strong :

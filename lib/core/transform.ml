@@ -296,12 +296,6 @@ let strong_carve_local ?cost ~weak ?(scratch = scratch ()) g ~domain
   in
   (Array.of_list (List.rev !clusters), stats)
 
-(* The carving of [domain] whose clusters are [clusters]. *)
-let carving g ~domain clusters =
-  let output = Array.make (Graph.n g) (-1) in
-  Array.iteri (fun id -> Array.iter (fun v -> output.(v) <- id)) clusters;
-  Cluster.Carving.make (Cluster.Clustering.make g ~cluster_of:output) ~domain
-
 let strong_carve ?cost ~weak ?domain g ~epsilon =
   check_epsilon epsilon;
   let n_graph = Graph.n g in
@@ -320,7 +314,7 @@ let strong_carve ?cost ~weak ?domain g ~epsilon =
   let clusters, stats =
     strong_carve_local ?cost ~weak g ~domain:(Mask.to_array domain) ~epsilon
   in
-  (carving g ~domain clusters, stats)
+  (Cluster.Carving.of_clusters g ~domain clusters, stats)
 
 (* Section 2 remark: remove the global-n assumption by pre-clustering with
    the weak carving at eps/2, then transforming inside each weak cluster
@@ -350,4 +344,4 @@ let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
       match cost with
       | None -> ()
       | Some c -> Congest.Cost.parallel c sub_meters "transform.unknown_n");
-  carving g ~domain (Array.of_list !clusters)
+  Cluster.Carving.of_clusters g ~domain (Array.of_list !clusters)

@@ -13,6 +13,11 @@
     asserts the distributed execution produces {e exactly} the same
     clustering and Steiner trees as the engine ({!matches_engine}).
 
+    The program runs on graphs of at most [2^29 - 1] nodes: a message
+    is one immediate int holding a 4-bit tag and up to two 29-bit fields
+    (a cluster label and a count), and {!carve} and {!carve_reliable}
+    raise [Invalid_argument] on a larger graph rather than misencode.
+
     Scheduling: every step runs for a fixed budget of rounds and every
     phase for a fixed number of steps, as in the paper (that is how
     CONGEST algorithms synchronize without global coordination). A real
@@ -21,12 +26,6 @@
     prior engine run and a round budget derived from the measured tree
     depth and congestion — the {e execution} is faithful, only the
     schedule lengths are oracle-provided (see DESIGN.md §2). *)
-
-val max_nodes : int
-(** The largest graph the program runs on, [2^29 - 1] nodes: a message
-    is one immediate int holding a 4-bit tag and up to two 29-bit fields
-    (a cluster label and a count), and {!carve} and {!carve_reliable}
-    raise [Invalid_argument] on a larger graph rather than misencode. *)
 
 type result = {
   carving : Cluster.Carving.t;

@@ -452,11 +452,8 @@ let carve ?preset ?scratch ?cost ?domain g ~epsilon =
     run ~trees:true ?preset ?scratch ?cost g ~domain:(Mask.to_array domain)
       ~epsilon
   in
-  let cluster_of = Array.make n (-1) in
-  Array.iteri (fun id -> Array.iter (fun v -> cluster_of.(v) <- id)) l.members;
-  let clustering = Cluster.Clustering.make g ~cluster_of in
   {
-    carving = Cluster.Carving.make clustering ~domain;
+    carving = Cluster.Carving.of_clusters g ~domain l.members;
     forest;
     steps = l.steps;
     phases = l.phases;

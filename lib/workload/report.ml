@@ -27,8 +27,10 @@ type t = {
 }
 
 (* a span-enabled sink with a resource recorder on it; the recorder's
-   window opens here *)
+   window opens here, on a settled heap, so it does not count the
+   promotion of start-up data still in the minor heap *)
 let instruments () =
+  Stats.settle ();
   let sink = Congest.Trace.sink ~spans:true () in
   let resource = Congest.Resource.create () in
   Congest.Resource.attach resource sink;

@@ -90,4 +90,4 @@ let decompose ?cost ?(preset = Baseline.Greedy.Ls93_existential) g =
   let epsilon = 1.0 -. (1.0 /. beta) in
   let epsilon = Float.min 0.9 (Float.max 0.25 epsilon) in
   let carver ?cost ?domain g ~epsilon = carve ?cost ~beta ?domain g ~epsilon in
-  Strongdecomp.Netdecomp.of_carver ?cost ~epsilon carver g
+  Strongdecomp.Netdecomp.(of_carver ?cost ~epsilon (of_mask_carver carver) g)

@@ -2,7 +2,8 @@
 # `decompose report` in a scratch directory, once for a decomposer with a
 # Chrome timeline and once for a carver: every artifact of the run is
 # written and non-empty, both exact-sum attribution checks print, and the
-# Chrome file pairs every "B" event with an "E" event.
+# Chrome file pairs every "B" event with an "E" event; the major-word
+# count does not depend on the length of the -o path.
 #   bash report_cli.sh <bin/decompose.exe>
 set -euo pipefail
 decompose=$(realpath "$1")
@@ -39,3 +40,15 @@ ends=$(grep -o '"ph":"E"' c.json | wc -l)
 
 run carver.log thm2.2 grid
 artifacts thm2.2_grid
+
+# The recorder's window counts the run, not the process's start-up data:
+# the major words do not move with the length of the -o path.
+major_words() {
+  "$decompose" report thm2.2 grid --nodes 256 -o "$1" \
+    | sed -n 's/^resource attribution check: .* minor words, \([0-9]*\) major words.*/\1/p'
+}
+short=$(major_words a)
+long=$(major_words out_with_a_much_longer_directory_name_than_the_others)
+[ -n "$short" ] || fail "no major-word count printed"
+[ "$short" = "$long" ] \
+  || fail "major words depend on the -o path: $short with -o a, $long with a longer one"

@@ -134,17 +134,23 @@ let test_mpx_diameter_shape () =
 (* Greedy ball growing                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Greedy.carve on every node, as a carving *)
+let greedy_carving g ~epsilon =
+  let n = Graph.n g in
+  Carving.of_clusters g ~domain:(Mask.full n)
+    (Greedy.carve g ~domain:(Array.init n Fun.id) ~epsilon)
+
 let test_greedy_carve_contract () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving = Greedy.carve g ~epsilon:0.5 in
+      let carving = greedy_carving g ~epsilon:0.5 in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 21)
 
 let test_greedy_carve_diameter_bound () =
   let g = Gen.grid 12 12 in
-  let carving = Greedy.carve g ~epsilon:0.5 in
+  let carving = greedy_carving g ~epsilon:0.5 in
   (* beta = 2: diameter <= 2·log2 n *)
   let diam = Clustering.max_strong_diameter carving.Carving.clustering in
   check bool "diameter <= 2 log2 n" true (diam <= 2 * log2_ceil 144)
@@ -170,8 +176,8 @@ let test_greedy_tradeoff_direction () =
 
 let test_greedy_deterministic () =
   let g = Gen.erdos_renyi (Rng.create 8) 60 0.08 in
-  let a = Greedy.carve g ~epsilon:0.5 in
-  let b = Greedy.carve g ~epsilon:0.5 in
+  let a = greedy_carving g ~epsilon:0.5 in
+  let b = greedy_carving g ~epsilon:0.5 in
   for v = 0 to 59 do
     check int "same"
       (Clustering.cluster_of a.Carving.clustering v)
@@ -180,7 +186,10 @@ let test_greedy_deterministic () =
 
 let test_greedy_beta_validation () =
   Alcotest.check_raises "beta" (Invalid_argument "Greedy.carve: beta must exceed 1")
-    (fun () -> ignore (Greedy.carve ~beta:1.0 (Gen.path 4) ~epsilon:0.5))
+    (fun () ->
+      ignore
+        (Greedy.carve ~beta:1.0 (Gen.path 4) ~domain:[| 0; 1; 2; 3 |]
+           ~epsilon:0.5))
 
 (* ------------------------------------------------------------------ *)
 (* ABCP                                                                 *)
@@ -248,7 +257,7 @@ let prop_greedy_carve =
   QCheck.Test.make ~name:"greedy carving is a valid strong carving" ~count:60
     arb_connected (fun input ->
       let g = connected_graph input in
-      is_ok (Carving.check_strong ~epsilon:0.5 (Greedy.carve g ~epsilon:0.5)))
+      is_ok (Carving.check_strong ~epsilon:0.5 (greedy_carving g ~epsilon:0.5)))
 
 let prop_abcp_carve =
   QCheck.Test.make ~name:"abcp carving is a valid strong carving" ~count:25
@@ -259,8 +268,9 @@ let prop_abcp_carve =
 
 (* The layer-by-layer greedy grower against the whole-component BFS
    oracle of greedy_ref.ml: same cluster of every node, same dead set,
-   same colors, same Cost rounds, messages and bits — with and without
-   a domain, on grids, sparse ER and hub-heavy RMAT graphs. *)
+   same colors, same Cost breakdown, rounds, messages and bits — on all
+   nodes and on random ascending domain arrays, on grids, sparse ER and
+   hub-heavy RMAT graphs. *)
 let equivalence_gen =
   QCheck.Gen.(
     quad (int_bound 100_000) (int_range 0 2) (int_range 0 2) (int_range 2 6))
@@ -276,7 +286,8 @@ let equivalence_graph rng family =
       Gen.rmat rng ~n:(1 lsl log2) ~m:((2 + Rng.int rng 14) lsl log2)
 
 let same_cost ca cb =
-  Congest.Cost.rounds ca = Congest.Cost.rounds cb
+  Congest.Cost.breakdown ca = Congest.Cost.breakdown cb
+  && Congest.Cost.rounds ca = Congest.Cost.rounds cb
   && Congest.Cost.messages ca = Congest.Cost.messages cb
   && Congest.Cost.max_message_bits ca = Congest.Cost.max_message_bits cb
 
@@ -315,18 +326,19 @@ let prop_greedy_matches_reference =
            (fun call ->
              let epsilon = 0.05 +. Rng.float rng 0.9 in
              let domain =
-               if call = 0 then None
+               if call = 0 then Graph.nodes g
                else
                  let keep = 0.3 +. Rng.float rng 0.7 in
-                 Some
-                   (Mask.of_list n
-                      (List.filter
-                         (fun _ -> Rng.float rng 1.0 < keep)
-                         (Graph.nodes g)))
+                 List.filter (fun _ -> Rng.float rng 1.0 < keep) (Graph.nodes g)
              in
+             let mask = Mask.of_list n domain in
              let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
-             let a = Greedy.carve ~cost:ca ?domain g ~epsilon in
-             let b = Greedy_ref.carve ~cost:cb ?domain g ~epsilon in
+             let a =
+               Carving.of_clusters g ~domain:mask
+                 (Greedy.carve ~cost:ca g ~domain:(Array.of_list domain)
+                    ~epsilon)
+             in
+             let b = Greedy_ref.carve ~cost:cb ~domain:mask g ~epsilon in
              same_cost ca cb
              && same_labels g a.Carving.clustering b.Carving.clustering
              && Carving.dead a = Carving.dead b)

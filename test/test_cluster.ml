@@ -481,7 +481,11 @@ let test_checker_catches_steiner_corruption () =
 
 let test_checker_catches_membership_corruption () =
   let g = Gen.grid 6 6 in
-  let carving = Baseline.Greedy.carve g ~epsilon:0.5 in
+  let n = Graph.n g in
+  let carving =
+    Carving.of_clusters g ~domain:(Mask.full n)
+      (Baseline.Greedy.carve g ~domain:(Array.init n Fun.id) ~epsilon:0.5)
+  in
   let clustering = carving.Carving.clustering in
   check bool "pristine accepted" true (is_ok (Carving.check_strong carving));
   (* move one node into a non-adjacent foreign cluster *)

@@ -510,7 +510,7 @@ let test_netdecomp_custom_epsilon () =
       let carver ?cost ?domain g ~epsilon =
         fst (Carve.carve ?cost ?domain g ~epsilon)
       in
-      let d = Netdecomp.of_carver ~epsilon carver g in
+      let d = Netdecomp.(of_carver ~epsilon (of_mask_carver carver) g) in
       fail_on_error (Decomposition.check d))
     [ 0.75; 0.5; 0.3 ]
 
@@ -813,8 +813,9 @@ let prop_transform_matches_reference =
         let weak = Transform_ref.engine_weak ~scratch preset in
         let r =
           Netdecomp.of_carver
-            (fun ?cost ?domain g ~epsilon ->
-              fst (Transform_ref.strong_carve ?cost ~weak ?domain g ~epsilon))
+            (Netdecomp.of_mask_carver (fun ?cost ?domain g ~epsilon ->
+                 fst
+                   (Transform_ref.strong_carve ?cost ~weak ?domain g ~epsilon)))
             g
         in
         let of_dec d =
