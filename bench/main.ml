@@ -227,15 +227,17 @@ let lemma31_experiment size =
       if Components.is_connected g then begin
         let cost = Congest.Cost.create () in
         let outcome =
-          Strongdecomp.Sparse_cut.run ~cost ~epsilon:0.5 g
-            ~domain:(Mask.full (Graph.n g))
+          Strongdecomp.Sparse_cut.(run ~cost ~epsilon:0.5 (scratch ())) g
+            ~domain:(Array.init (Graph.n g) Fun.id)
         in
         let kind, sep, diam =
           match outcome with
           | Strongdecomp.Sparse_cut.Cut { removed; _ } ->
-              ("cut", List.length removed, -1)
+              ("cut", Array.length removed, -1)
           | Strongdecomp.Sparse_cut.Component { u; boundary } ->
-              ("component", List.length boundary, Bfs.diameter_of_set g u)
+              ( "component",
+                Array.length boundary,
+                Bfs.diameter_of_set g (Array.to_list u) )
         in
         Format.fprintf fmt "%-10s %7d %-10s %10d %9d %10d@." fam.Suite.name
           (Graph.n g) kind sep diam (Congest.Cost.rounds cost)
@@ -489,12 +491,10 @@ let ablation_colors_vs_eps size =
   List.iter
     (fun epsilon ->
       let cost = Congest.Cost.create () in
-      let carver ?cost ?domain g ~epsilon =
-        fst (Strongdecomp.Strong_carving.carve ?cost ?domain g ~epsilon)
-      in
       let d =
-        Strongdecomp.Netdecomp.(
-          of_carver ~cost ~epsilon (of_mask_carver carver) g)
+        Strongdecomp.Netdecomp.of_carver ~cost ~epsilon
+          (Strongdecomp.Strong_carving.local ())
+          g
       in
       let clustering = Cluster.Decomposition.clustering d in
       Format.fprintf fmt "%8.3f %8d %8d %8d@." epsilon
@@ -586,7 +586,9 @@ let timing_suite size =
         run (fun () -> Strongdecomp.Strong_carving.carve grid ~epsilon:0.5) );
       ( "table2 thm3.3/grid",
         run (fun () ->
-            Strongdecomp.Strong_carving.carve_improved grid ~epsilon:0.5) );
+            Strongdecomp.Strong_carving.carve_improved () grid
+              ~domain:(Array.init (Graph.n grid) Fun.id)
+              ~epsilon:0.5) );
       ( "table2 ggr21/grid",
         run (fun () -> Weakdiam.Weak_carving.carve grid ~epsilon:0.5) );
       ( "table2 rg20/grid",
@@ -595,8 +597,8 @@ let timing_suite size =
               ~epsilon:0.5) );
       ( "figures lemma3.1/grid",
         run (fun () ->
-            Strongdecomp.Sparse_cut.run ~epsilon:0.5 grid
-              ~domain:(Mask.full (Graph.n grid))) );
+            Strongdecomp.Sparse_cut.(run ~epsilon:0.5 (scratch ())) grid
+              ~domain:(Array.init (Graph.n grid) Fun.id)) );
       ("figures mis/er", run (fun () -> Apps.Mis.run er));
       ( "figures edge_carving/grid",
         run (fun () -> Strongdecomp.Edge_carving.carve grid ~epsilon:0.25) );

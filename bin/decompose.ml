@@ -88,14 +88,12 @@ let run_cmd =
         exit 2
     in
     let family = family_or_input family input in
-    let row = Measure.decomposition_row ~seed d family ~n in
+    let row, decomp, g = Measure.decomposition_result ~seed d family ~n in
     Format.printf "%s -- %s@.@." d.Algorithms.name d.Algorithms.reference;
     Measure.pp_decomp_table Format.std_formatter [ row ];
     (match dot with
     | None -> ()
     | Some path ->
-        let g = family.Suite.build ~seed ~n in
-        let decomp = d.run ~cost:(Congest.Cost.create ()) ~seed g in
         let clustering = Cluster.Decomposition.clustering decomp in
         let oc = open_out path in
         output_string oc

@@ -29,6 +29,9 @@ let () =
     let r = f cost in
     (r, cost)
   in
+  let n = Graph.n g in
+  let all = Array.init n Fun.id in
+  let carving = Cluster.Carving.of_clusters g ~domain:(Mask.full n) in
 
   (* weak-diameter engines: clusters may induce disconnected subgraphs but
      carry shallow Steiner trees *)
@@ -47,11 +50,16 @@ let () =
 
   (* randomized baselines *)
   let c, cost =
-    meter (fun cost -> Baseline.Linial_saks.carve ~cost (Rng.create 5) g ~epsilon)
+    meter (fun cost ->
+        Cluster.Carving.of_carver ~cost
+          (Baseline.Linial_saks.carve (Rng.create 5))
+          g ~epsilon)
   in
   line "Linial-Saks (rand)" ~kind:"weak" c cost;
   let c, cost =
-    meter (fun cost -> Baseline.Mpx.carve ~cost (Rng.create 5) g ~epsilon)
+    meter (fun cost ->
+        Cluster.Carving.of_carver ~cost (Baseline.Mpx.carve (Rng.create 5)) g
+          ~epsilon)
   in
   line "MPX/EN16 (rand)" ~kind:"strong" c cost;
 
@@ -65,16 +73,19 @@ let () =
     stats.Strongdecomp.Transform.weak_invocations;
   let (c, stats), cost =
     meter (fun cost ->
-        Strongdecomp.Strong_carving.carve_improved ~cost g ~epsilon)
+        Strongdecomp.Strong_carving.carve_improved () ~cost g ~domain:all
+          ~epsilon)
   in
-  line "Theorem 3.3" ~kind:"strong" c cost;
+  line "Theorem 3.3" ~kind:"strong" (carving c) cost;
   Format.printf "%-24s        levels=%d cuts=%d components=%d@." ""
     stats.Strongdecomp.Improve.levels stats.Strongdecomp.Improve.cuts_taken
     stats.Strongdecomp.Improve.components_taken;
 
   (* the big-message foil *)
-  let (c, info), cost = meter (fun cost -> Baseline.Abcp.carve ~cost g ~epsilon) in
-  line "ABCP96 (big messages)" ~kind:"strong" c cost;
+  let (c, info), cost =
+    meter (fun cost -> Baseline.Abcp.carve ~cost g ~domain:all ~epsilon)
+  in
+  line "ABCP96 (big messages)" ~kind:"strong" (carving c) cost;
   Format.printf "%-24s        gathered-topology message: %d bits (bandwidth %d)@."
     "" info.Baseline.Abcp.max_message_bits
     (Congest.Bits.bandwidth ~n:(Graph.n g));
@@ -82,10 +93,9 @@ let () =
   (* the greedy sequential comparator *)
   let c, cost =
     meter (fun cost ->
-        let n = Graph.n g in
-        Cluster.Carving.of_clusters g ~domain:(Mask.full n)
-          (Baseline.Greedy.carve ~cost g ~domain:(Array.init n Fun.id)
-             ~epsilon))
+        Cluster.Carving.of_carver ~cost
+          (fun ?cost g -> Baseline.Greedy.carve ?cost g)
+          g ~epsilon)
   in
   line "greedy (sequential)" ~kind:"strong" c cost;
 

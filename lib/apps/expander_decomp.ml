@@ -13,36 +13,44 @@ let decompose ?cost ?(epsilon = 0.5) g =
   let emit members =
     let id = !next in
     incr next;
-    List.iter (fun v -> cluster_of.(v) <- id) members
+    Array.iter (fun v -> cluster_of.(v) <- id) members
   in
   let max_level = ref 0 in
+  let st = Stamp.create () in
+  Stamp.fit st g;
+  (* [members]: a connected part, ascending *)
   let rec handle level members =
     if level > !max_level then max_level := level;
-    match members with
-    | [] -> ()
-    | [ v ] -> emit [ v ]
+    match Array.length members with
+    | 0 -> ()
+    | 1 -> emit members
     | _ -> (
-        let part = Mask.of_list n members in
-        match Strongdecomp.Sparse_cut.run ?cost ~epsilon g ~domain:part with
+        match
+          Strongdecomp.Sparse_cut.run ?cost ~epsilon st g ~domain:members
+        with
         | Strongdecomp.Sparse_cut.Cut { v1; v2; removed } ->
             (* no node is discarded: the separating layer becomes singleton
                clusters (they sit between two well-separated halves) *)
-            List.iter (fun v -> emit [ v ]) removed;
+            Array.iter (fun v -> emit [| v |]) removed;
             recurse level v1;
             recurse level v2
         | Strongdecomp.Sparse_cut.Component { u; boundary = _ } ->
             emit u;
-            let rest = Mask.copy part in
-            List.iter (fun v -> Mask.remove rest v) u;
-            recurse level (Mask.to_list rest))
+            let inside = Stamp.stamp st u in
+            recurse level
+              (Array.of_seq
+                 (Seq.filter
+                    (fun v -> st.Stamp.mark.(v) <> inside)
+                    (Array.to_seq members))))
+  (* the components of an ascending set, each handled one level down *)
   and recurse level members =
-    match members with
-    | [] -> ()
-    | _ ->
-        let mask = Mask.of_list n members in
-        List.iter (handle (level + 1)) (Components.components ~mask g)
+    if members <> [||] then
+      Array.iter (handle (level + 1))
+        (Stamp.components st g members ~inside:(Stamp.stamp st members))
   in
-  List.iter (handle 0) (Components.components g);
+  let all = Array.init n Fun.id in
+  Array.iter (handle 0)
+    (Stamp.components st g all ~inside:(Stamp.stamp st all));
   let clustering = Cluster.Clustering.make g ~cluster_of in
   let inter_cluster_edges =
     Graph.fold_edges g ~init:0 ~f:(fun acc u v ->

@@ -27,12 +27,18 @@ type info = {
 
 val carve :
   ?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t * info
-(** Strong-diameter ball carving with dead fraction [<= ε] and cluster
-    diameter [<= 2·log_{1/(1-ε)} n]. *)
+  int array array * info
+(** Strong-diameter ball carving of the ascending [domain], as a
+    {!Cluster.Carving.carver} with [info]: dead fraction [<= ε] and
+    cluster diameter [<= 2·log_{1/(1-ε)} n]. Beyond the power graph,
+    which is built on all of [G], every search is truncated (to [2d] or
+    [d] hops, or at the carved ball's kill layer) and counts the edges
+    it gathers on the rows it reached.
+    @raise Invalid_argument on [ε] outside (0, 1) or a domain failing
+    {!Cluster.Carving.check_domain}. *)
 
 val decompose :
   ?cost:Congest.Cost.t -> Dsgraph.Graph.t -> Cluster.Decomposition.t * info

@@ -77,6 +77,7 @@ let carve ?cost ?beta g ~domain ~epsilon =
     invalid_arg "Greedy.carve: epsilon must be in (0, 1)";
   let beta = match beta with Some b -> b | None -> 1.0 /. (1.0 -. epsilon) in
   if beta <= 1.0 then invalid_arg "Greedy.carve: beta must exceed 1";
+  Cluster.Carving.check_domain "Greedy.carve" g domain;
   let n = Graph.n g in
   grow_balls ~owner:(Array.make n (-1)) (Bfs.scratch n) ?cost ~beta g ~domain
 

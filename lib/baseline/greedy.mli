@@ -32,8 +32,9 @@ val carve :
 (** One greedy pass over [G\[domain\]], [domain] being ascending ids
     ([β] defaults to [1/(1-ε)], so that at most an [ε] fraction of the
     domain is dead): the member arrays of non-adjacent connected clusters
-    of strong diameter [<= 2·log_β n], the {!Strongdecomp.Netdecomp.carver}
-    contract ({!Cluster.Carving.of_clusters} makes them a carving). *)
+    of strong diameter [<= 2·log_β n], the {!Cluster.Carving.carver}
+    contract ({!Cluster.Carving.of_clusters} makes them a carving).
+    @raise Invalid_argument as {!Cluster.Carving.check_domain}. *)
 
 val decompose :
   ?cost:Congest.Cost.t ->

@@ -1,10 +1,12 @@
-let carve ?cost rng ?domain g ~epsilon =
-  Strongdecomp.Transform.strong_carve ?cost
-    ~weak:(Linial_saks.weak_carver rng)
-    ?domain g ~epsilon
+let carve rng =
+  let weak = Linial_saks.weak_carver rng
+  and scratch = Strongdecomp.Transform.scratch () in
+  fun ?cost g ~domain ~epsilon ->
+    Strongdecomp.Transform.strong_carve_local ?cost ~weak ~scratch g ~domain
+      ~epsilon
 
 let decompose ?cost rng g =
-  let carver ?cost ?domain g ~epsilon =
-    fst (carve ?cost rng ?domain g ~epsilon)
-  in
-  Strongdecomp.Netdecomp.(of_carver ?cost (of_mask_carver carver) g)
+  let carve = carve rng in
+  Strongdecomp.Netdecomp.of_carver ?cost
+    (fun ?cost g ~domain ~epsilon -> fst (carve ?cost g ~domain ~epsilon))
+    g

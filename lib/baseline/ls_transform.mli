@@ -11,14 +11,17 @@
     general statement of Theorem 2.1. *)
 
 val carve :
-  ?cost:Congest.Cost.t ->
   Dsgraph.Rng.t ->
-  ?domain:Dsgraph.Mask.t ->
+  ?cost:Congest.Cost.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t * Strongdecomp.Transform.stats
-(** Randomized strong-diameter ball carving via Theorem 2.1 over
-    Linial–Saks. *)
+  int array array * Strongdecomp.Transform.stats
+(** [carve rng] is the randomized strong-diameter ball carving via
+    Theorem 2.1 over Linial–Saks, a {!Cluster.Carving.carver} with the
+    transformation's stats: {!Strongdecomp.Transform.strong_carve_local}
+    over {!Linial_saks.weak_carver}. All calls share one Linial–Saks and
+    one transformation scratch, and draw from [rng]. *)
 
 val decompose :
   ?cost:Congest.Cost.t ->

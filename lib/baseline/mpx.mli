@@ -17,25 +17,20 @@
     stays [O(log n/ε)], see EXPERIMENTS.md). *)
 
 val partition :
-  Dsgraph.Rng.t ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  beta:float ->
-  Cluster.Clustering.t
-(** The plain MPX partition: every domain node assigned to a center;
-    clusters induce connected subgraphs. No dead nodes, clusters may be
+  Dsgraph.Rng.t -> Dsgraph.Graph.t -> beta:float -> Cluster.Clustering.t
+(** The plain MPX partition: every node assigned to a center; clusters
+    induce connected subgraphs. No dead nodes, clusters may be
     adjacent. *)
 
-val carve :
-  ?cost:Congest.Cost.t ->
-  ?max_retries:int ->
-  Dsgraph.Rng.t ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t
-(** Strong-diameter ball carving: non-adjacent connected clusters, dead
-    fraction [<= ε] (enforced by retry; [β = ε/6]). *)
+val carve : ?max_retries:int -> Dsgraph.Rng.t -> Cluster.Carving.carver
+(** [carve rng] is the strong-diameter ball carving as a
+    {!Cluster.Carving.carver}, whose calls share one scratch and draw
+    from [rng]: non-adjacent connected clusters (each ascending), dead
+    fraction [<= ε] (enforced by retry, default 60 attempts; [β = ε/6]).
+    Work per attempt: the domain's volume, the heap aside.
+    @raise Invalid_argument on [ε] outside (0, 1) or a domain failing
+    {!Cluster.Carving.check_domain}.
+    @raise Failure if no attempt succeeds. *)
 
 val decompose :
   ?cost:Congest.Cost.t ->

@@ -15,6 +15,27 @@ let of_clusters g ~domain clusters =
   Array.iteri (fun id -> Array.iter (fun v -> cluster_of.(v) <- id)) clusters;
   make (Clustering.make g ~cluster_of) ~domain
 
+type carver =
+  ?cost:Congest.Cost.t ->
+  Graph.t ->
+  domain:int array ->
+  epsilon:float ->
+  int array array
+
+let check_domain name g domain =
+  let n = Graph.n g in
+  for k = 0 to Array.length domain - 1 do
+    let v = domain.(k) in
+    if v < 0 || v >= n || (k > 0 && v <= domain.(k - 1)) then
+      invalid_arg
+        (name ^ ": domain must be strictly ascending node ids of the graph")
+  done
+
+let of_carver ?cost (carver : carver) g ~epsilon =
+  let n = Graph.n g in
+  of_clusters g ~domain:(Mask.full n)
+    (carver ?cost g ~domain:(Array.init n Fun.id) ~epsilon)
+
 let dead t =
   List.filter
     (fun v -> Clustering.cluster_of t.clustering v < 0)

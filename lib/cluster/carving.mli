@@ -18,6 +18,29 @@ val of_clusters :
 (** The carving of [domain] whose clusters are the disjoint member
     arrays [clusters]; domain nodes in none are dead. Raises as {!make}. *)
 
+type carver =
+  ?cost:Congest.Cost.t ->
+  Dsgraph.Graph.t ->
+  domain:int array ->
+  epsilon:float ->
+  int array array
+(** The one carver contract: a ball carving of [G\[domain\]], [domain]
+    being strictly ascending node ids. It returns the clusters' disjoint
+    member arrays, in any order and each in any order; domain nodes in
+    none are dead. A carver makes its node-indexed memory once, when it
+    is built, so a call costs its domain, not the graph. The [LS93] color
+    loop, Theorem 3.2's black box and every strong carver of Table 1
+    meet here. *)
+
+val check_domain : string -> Dsgraph.Graph.t -> int array -> unit
+(** [check_domain name g domain] checks the {!carver} contract's domain.
+    @raise Invalid_argument ["<name>: domain must be strictly ascending
+    node ids of the graph"]. *)
+
+val of_carver :
+  ?cost:Congest.Cost.t -> carver -> Dsgraph.Graph.t -> epsilon:float -> t
+(** One call of the carver on all of [g]'s nodes, as a carving. *)
+
 val dead : t -> int list
 (** Domain nodes left unclustered. *)
 

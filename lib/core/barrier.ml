@@ -23,15 +23,17 @@ type analysis = {
 let analyze ?(epsilon = 0.5) g =
   let n = Graph.n g in
   let nf = float_of_int n in
-  let domain = Mask.full n in
   let separator_bound = epsilon *. nf /. Float.max (log nf) 1.0 in
   let diameter_scale = log nf *. log nf /. epsilon in
-  match Sparse_cut.run ~epsilon g ~domain with
+  match
+    Sparse_cut.run ~epsilon (Sparse_cut.scratch ()) g
+      ~domain:(Array.init n Fun.id)
+  with
   | Sparse_cut.Cut { removed; _ } ->
       {
         n;
         outcome = `Cut;
-        separator_size = List.length removed;
+        separator_size = Array.length removed;
         separator_bound;
         u_diameter = -1;
         diameter_scale;
@@ -40,8 +42,8 @@ let analyze ?(epsilon = 0.5) g =
       {
         n;
         outcome = `Component;
-        separator_size = List.length boundary;
+        separator_size = Array.length boundary;
         separator_bound;
-        u_diameter = Bfs.diameter_of_set g u;
+        u_diameter = Bfs.diameter_of_set g (Array.to_list u);
         diameter_scale;
       }

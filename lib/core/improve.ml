@@ -1,12 +1,3 @@
-open Dsgraph
-
-type strong_carver =
-  ?cost:Congest.Cost.t ->
-  Dsgraph.Graph.t ->
-  domain:Dsgraph.Mask.t ->
-  epsilon:float ->
-  Cluster.Carving.t
-
 type stats = {
   levels : int;
   carver_invocations : int;
@@ -19,73 +10,89 @@ let log2_ceil n =
   let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
   max 1 (go 0 1)
 
-let improve ?cost ~strong ?domain g ~epsilon =
-  if epsilon <= 0.0 || epsilon >= 1.0 then
-    invalid_arg "Improve.improve: epsilon must be in (0, 1)";
-  let n_graph = Graph.n g in
-  let domain = match domain with Some d -> d | None -> Mask.full n_graph in
-  let n = max (Mask.count domain) 2 in
-  (* A runs with Θ(ε/log n); Lemma 3.1 has its own 1/log n factor inside,
-     so it receives ε/4 (its per-call boundary is O(ε n / log n)). *)
-  let eps_a = epsilon /. (4.0 *. float_of_int (log2_ceil n)) in
-  let eps_lemma = epsilon /. 4.0 in
-  let output = Array.make n_graph (-1) in
-  let next_cluster = ref 0 in
-  let stats =
-    ref
-      {
-        levels = 0;
-        carver_invocations = 0;
-        lemma_invocations = 0;
-        cuts_taken = 0;
-        components_taken = 0;
-      }
-  in
-  let active = ref [ Mask.copy domain ] in
-  let trace = Option.bind cost Congest.Cost.trace in
-  Congest.Span.enter trace "improve";
-  while List.exists (fun m -> Mask.count m > 0) !active do
-    stats := { !stats with levels = !stats.levels + 1 };
-    Congest.Span.enter_idx trace "level" !stats.levels;
-    (* one carving invocation on the union of all active parts; parts are
-       pairwise non-adjacent so each resulting cluster stays in one part *)
-    let union = Mask.empty n_graph in
-    List.iter (fun m -> Mask.iter m (fun v -> Mask.add union v)) !active;
-    stats := { !stats with carver_invocations = !stats.carver_invocations + 1 };
-    let carving = strong ?cost g ~domain:union ~epsilon:eps_a in
-    let clustering = carving.Cluster.Carving.clustering in
-    let next_active = ref [] in
-    let sub_meters = ref [] in
-    List.iter
-      (fun members ->
-        let sub = Congest.Cost.create () in
-        sub_meters := sub :: !sub_meters;
-        let part = Mask.of_list n_graph members in
-        stats := { !stats with lemma_invocations = !stats.lemma_invocations + 1 };
-        match Sparse_cut.run ~cost:sub ~epsilon:eps_lemma g ~domain:part with
-        | Sparse_cut.Cut { v1; v2; removed = _ } ->
-            stats := { !stats with cuts_taken = !stats.cuts_taken + 1 };
-            if v1 <> [] then next_active := Mask.of_list n_graph v1 :: !next_active;
-            if v2 <> [] then next_active := Mask.of_list n_graph v2 :: !next_active
-        | Sparse_cut.Component { u; boundary } ->
-            stats :=
-              { !stats with components_taken = !stats.components_taken + 1 };
-            let id = !next_cluster in
-            incr next_cluster;
-            List.iter (fun v -> output.(v) <- id) u;
-            let rest = Mask.copy part in
-            List.iter (fun v -> Mask.remove rest v) u;
-            List.iter (fun v -> Mask.remove rest v) boundary;
-            if Mask.count rest > 0 then next_active := rest :: !next_active)
-      (Cluster.Clustering.clusters clustering);
-    (match cost with
-    | None -> ()
-    | Some c ->
-        Congest.Cost.parallel c !sub_meters
-          (Printf.sprintf "improve.level_%02d" !stats.levels));
-    active := !next_active;
-    Congest.Span.exit trace
-  done;
-  Congest.Span.exit trace;
-  let clustering = Cluster.Clustering.make g ~cluster_of:output in
-  (Cluster.Carving.make clustering ~domain, !stats)
+let improve ~(strong : Cluster.Carving.carver) =
+  let cut = Sparse_cut.scratch () in
+  fun ?cost g ~domain ~epsilon ->
+    if epsilon <= 0.0 || epsilon >= 1.0 then
+      invalid_arg "Improve.improve: epsilon must be in (0, 1)";
+    Cluster.Carving.check_domain "Improve.improve" g domain;
+    let n = max (Array.length domain) 2 in
+    (* A runs with Θ(ε/log n); Lemma 3.1 has its own 1/log n factor
+       inside, so it receives ε/4 (its per-call boundary is
+       O(ε n / log n)). *)
+    let eps_a = epsilon /. (4.0 *. float_of_int (log2_ceil n)) in
+    let eps_lemma = epsilon /. 4.0 in
+    let output = ref [] in
+    let stats =
+      ref
+        {
+          levels = 0;
+          carver_invocations = 0;
+          lemma_invocations = 0;
+          cuts_taken = 0;
+          components_taken = 0;
+        }
+    in
+    let active = ref (if Array.length domain > 0 then [ domain ] else []) in
+    let trace = Option.bind cost Congest.Cost.trace in
+    Congest.Span.enter trace "improve";
+    while !active <> [] do
+      stats := { !stats with levels = !stats.levels + 1 };
+      Congest.Span.enter_idx trace "level" !stats.levels;
+      (* one carving invocation on the union of all active parts; parts
+         are pairwise non-adjacent so each resulting cluster stays in one
+         part *)
+      let union = Array.concat !active in
+      Array.sort Int.compare union;
+      stats :=
+        { !stats with carver_invocations = !stats.carver_invocations + 1 };
+      let clusters =
+        strong ?cost g ~domain:union ~epsilon:eps_a
+        |> Array.to_list
+        |> List.filter_map (fun c ->
+               if c = [||] then None
+               else
+                 let c = Array.copy c in
+                 Array.sort Int.compare c;
+                 Some c)
+        |> List.sort (fun a b -> Int.compare a.(0) b.(0))
+      in
+      let next_active = ref [] in
+      let sub_meters = ref [] in
+      List.iter
+        (fun part ->
+          let sub = Congest.Cost.create () in
+          sub_meters := sub :: !sub_meters;
+          stats :=
+            { !stats with lemma_invocations = !stats.lemma_invocations + 1 };
+          match
+            Sparse_cut.run ~cost:sub ~epsilon:eps_lemma cut g ~domain:part
+          with
+          | Sparse_cut.Cut { v1; v2; removed = _ } ->
+              stats := { !stats with cuts_taken = !stats.cuts_taken + 1 };
+              if v1 <> [||] then next_active := v1 :: !next_active;
+              if v2 <> [||] then next_active := v2 :: !next_active
+          | Sparse_cut.Component { u; boundary } ->
+              stats :=
+                { !stats with components_taken = !stats.components_taken + 1 };
+              output := u :: !output;
+              let gone = Dsgraph.Stamp.stamp cut u in
+              Array.iter (fun v -> cut.mark.(v) <- gone) boundary;
+              let rest =
+                Array.of_seq
+                  (Seq.filter
+                     (fun v -> cut.mark.(v) <> gone)
+                     (Array.to_seq part))
+              in
+              if rest <> [||] then next_active := rest :: !next_active)
+        clusters;
+      (match cost with
+      | None -> ()
+      | Some c ->
+          Congest.Cost.parallel c !sub_meters
+            (Printf.sprintf "improve.level_%02d" !stats.levels));
+      active := !next_active;
+      Congest.Span.exit trace
+    done;
+    Congest.Span.exit trace;
+    (Array.of_list (List.rev !output), !stats)

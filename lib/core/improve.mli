@@ -11,14 +11,6 @@
     shrinks by a factor [>= 3/2] per level, so there are [O(log n)]
     levels. *)
 
-type strong_carver =
-  ?cost:Congest.Cost.t ->
-  Dsgraph.Graph.t ->
-  domain:Dsgraph.Mask.t ->
-  epsilon:float ->
-  Cluster.Carving.t
-(** The black box [A] of Theorem 3.2: any strong-diameter ball carving. *)
-
 type stats = {
   levels : int;
   carver_invocations : int;
@@ -28,13 +20,23 @@ type stats = {
 }
 
 val improve :
+  strong:Cluster.Carving.carver ->
   ?cost:Congest.Cost.t ->
-  strong:strong_carver ->
-  ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t * stats
-(** Output contract: clusters pairwise non-adjacent, each inducing a
-    connected subgraph with the [O(log^2 n/ε)] diameter shape; at most an
-    [ε] fraction of the domain dead (enforced by the constant choices in
-    the implementation, verified by the test suite). *)
+  int array array * stats
+(** [improve ~strong] is Theorem 3.2 over the black box [A = strong],
+    a {!Cluster.Carving.carver} with the stats of each call. Applying
+    it to [~strong] makes the Lemma 3.1 scratch that all its calls
+    share, so build it once per decomposition.
+
+    Output contract: the clusters' member arrays (each ascending),
+    pairwise non-adjacent, each inducing a connected subgraph with the
+    [O(log^2 n/ε)] diameter shape; at most an [ε] fraction of the
+    ascending [domain] dead (enforced by the constant choices in the
+    implementation, verified by the test suite). Work: beyond [A]'s, a
+    level costs the volume of its parts plus sorting them; nothing is
+    [O(n)].
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    fails {!Cluster.Carving.check_domain}. *)

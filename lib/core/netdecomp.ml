@@ -1,21 +1,7 @@
 open Dsgraph
 
-type carver =
-  ?cost:Congest.Cost.t ->
-  Graph.t ->
-  domain:int array ->
-  epsilon:float ->
-  int array array
-
-let of_mask_carver (carver : Strong_carving.carver) : carver =
- fun ?cost g ~domain ~epsilon ->
-  let domain = Mask.of_list (Graph.n g) (Array.to_list domain) in
-  let carving = carver ?cost ~domain g ~epsilon in
-  Array.of_list
-    (List.map Array.of_list
-       (Cluster.Clustering.clusters carving.Cluster.Carving.clustering))
-
-let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : carver) g =
+let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : Cluster.Carving.carver)
+    g =
   let n = Graph.n g in
   let cluster_of = Array.make n (-1) in
   let node_color = Array.make n (-1) in
@@ -55,7 +41,11 @@ let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : carver) g =
   in
   Congest.Span.with_span trace "netdecomp" (fun () ->
       colors 0
-        (match domain with Some d -> d | None -> Array.init n Fun.id));
+        (match domain with
+        | Some d ->
+            Cluster.Carving.check_domain "Netdecomp.of_carver" g d;
+            d
+        | None -> Array.init n Fun.id));
   (* [Clustering.make] renumbers clusters by first node appearance, so
      each cluster's color is read back off one of its members *)
   let clustering = Cluster.Clustering.make g ~cluster_of in
@@ -65,27 +55,14 @@ let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : carver) g =
   in
   Cluster.Decomposition.make clustering ~color_of_cluster
 
-let strong ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
-  let weak = Strong_carving.weak_of_preset preset in
-  let scratch = Transform.scratch () in
-  let carver ?cost g ~domain ~epsilon =
-    Congest.Span.with_span
-      (Option.bind cost Congest.Cost.trace)
-      "strong_carving"
-      (fun () ->
-        fst
-          (Transform.strong_carve_local ?cost ~weak ~scratch g ~domain
-             ~epsilon))
-  in
-  of_carver ?cost carver g
+let strong ?cost ?preset g =
+  of_carver ?cost (Strong_carving.local ?preset ()) g
 
-let strong_improved ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
-  let scratch = Weakdiam.Weak_carving.scratch () in
-  let carver ?cost ?domain g ~epsilon =
-    fst
-      (Strong_carving.carve_improved ?cost ~preset ~scratch ?domain g ~epsilon)
-  in
-  of_carver ?cost (of_mask_carver carver) g
+let strong_improved ?cost ?preset g =
+  let carve = Strong_carving.carve_improved ?preset () in
+  of_carver ?cost
+    (fun ?cost g ~domain ~epsilon -> fst (carve ?cost g ~domain ~epsilon))
+    g
 
 let weak ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
   let scratch = Weakdiam.Weak_carving.scratch () in

@@ -18,25 +18,36 @@
     is the large component. *)
 
 type outcome =
-  | Cut of { v1 : int list; v2 : int list; removed : int list }
+  | Cut of { v1 : int array; v2 : int array; removed : int array }
       (** [v1] and [v2] are non-adjacent; [removed] is the separating
-          layer (dead nodes). The three sets partition the domain. *)
-  | Component of { u : int list; boundary : int list }
+          layer (dead nodes). The three sets, each ascending, partition
+          the domain. *)
+  | Component of { u : int array; boundary : int array }
       (** [u] induces a small-diameter subgraph; [boundary] is the set of
           outside nodes adjacent to [u] (to be killed by callers that need
-          separation). [u], [boundary] and the untouched rest partition
-          the domain. *)
+          separation). [u], [boundary] (each ascending) and the untouched
+          rest partition the domain. *)
+
+type scratch = Dsgraph.Stamp.t
+
+val scratch : unit -> scratch
+(** An empty scratch; the first call sizes it. One serves any number of
+    calls, one at a time. *)
 
 val run :
   ?cost:Congest.Cost.t ->
   ?epsilon:float ->
+  scratch ->
   Dsgraph.Graph.t ->
-  domain:Dsgraph.Mask.t ->
+  domain:int array ->
   outcome
-(** [run g ~domain] on a {e connected} [G\[domain\]] ([ε] defaults to
-    [1/2]). Cost charging: each iteration's BFS waves charge their actual
-    depth; the half-split charges one BFS plus a broadcast.
-    @raise Invalid_argument if the domain is empty or disconnected. *)
+(** [run s g ~domain] on a {e connected} [G\[domain\]], [domain] being
+    strictly ascending node ids ([ε] defaults to [1/2]). Cost charging:
+    each iteration's BFS waves charge their actual depth; the half-split
+    charges one BFS plus a broadcast. Work: each BFS wave costs the
+    domain's volume; nothing is [O(n)] with a warm scratch.
+    @raise Invalid_argument if the domain is empty, not ascending ids
+    of [g]'s nodes ({!Cluster.Carving.check_domain}) or disconnected. *)
 
 val window : n:int -> epsilon:float -> int
 (** The search-window length [K = O(log n / ε)]: scanning [K] consecutive

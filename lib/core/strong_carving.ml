@@ -1,7 +1,5 @@
-let weak_of_preset ?scratch preset : Transform.weak_carver =
-  let scratch =
-    Option.value scratch ~default:(Weakdiam.Weak_carving.scratch ())
-  in
+let weak_of_preset preset : Transform.weak_carver =
+  let scratch = Weakdiam.Weak_carving.scratch () in
   fun ?cost g ~domain ~epsilon ->
     let r =
       Weakdiam.Weak_carving.carve_local ~preset ~scratch ?cost g ~domain
@@ -14,32 +12,31 @@ let weak_of_preset ?scratch preset : Transform.weak_carver =
       congestion = r.congestion;
     }
 
-let carve ?cost ?(preset = Weakdiam.Weak_carving.default_preset) ?scratch
-    ?domain g ~epsilon =
+let carve ?cost ?(preset = Weakdiam.Weak_carving.default_preset) ?domain g
+    ~epsilon =
   Congest.Span.with_span
     (Option.bind cost Congest.Cost.trace)
     "strong_carving"
     (fun () ->
-      Transform.strong_carve ?cost
-        ~weak:(weak_of_preset ?scratch preset)
-        ?domain g ~epsilon)
+      Transform.strong_carve ?cost ~weak:(weak_of_preset preset) ?domain g
+        ~epsilon)
 
-let carve_improved ?cost ?(preset = Weakdiam.Weak_carving.default_preset)
-    ?scratch ?domain g ~epsilon =
-  let scratch =
-    Option.value scratch ~default:(Weakdiam.Weak_carving.scratch ())
-  in
-  let strong ?cost g ~domain ~epsilon =
-    fst (carve ?cost ~preset ~scratch ~domain g ~epsilon)
-  in
-  Congest.Span.with_span
-    (Option.bind cost Congest.Cost.trace)
-    "strong_carving_improved"
-    (fun () -> Improve.improve ?cost ~strong ?domain g ~epsilon)
+let local ?(preset = Weakdiam.Weak_carving.default_preset) () :
+    Cluster.Carving.carver =
+  let weak = weak_of_preset preset and scratch = Transform.scratch () in
+  fun ?cost g ~domain ~epsilon ->
+    Congest.Span.with_span
+      (Option.bind cost Congest.Cost.trace)
+      "strong_carving"
+      (fun () ->
+        fst
+          (Transform.strong_carve_local ?cost ~weak ~scratch g ~domain
+             ~epsilon))
 
-type carver =
-  ?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t
+let carve_improved ?preset () =
+  let improve = Improve.improve ~strong:(local ?preset ()) in
+  fun ?cost g ~domain ~epsilon ->
+    Congest.Span.with_span
+      (Option.bind cost Congest.Cost.trace)
+      "strong_carving_improved"
+      (fun () -> improve ?cost g ~domain ~epsilon)

@@ -8,46 +8,40 @@
       to Theorem 2.2, giving strong diameter [O(log^2 n/ε)] in
       [O(log^10 n/ε^2)] rounds. *)
 
-val weak_of_preset :
-  ?scratch:Weakdiam.Weak_carving.scratch ->
-  Weakdiam.Weak_carving.preset ->
-  Transform.weak_carver
+val weak_of_preset : Weakdiam.Weak_carving.preset -> Transform.weak_carver
 (** Package the weak-diameter engine as the black box [A] of
     Theorem 2.1. Every invocation of the returned carver runs through one
-    {!Weakdiam.Weak_carving.scratch}: [scratch] if given, else one made
-    when [weak_of_preset] is applied. *)
+    {!Weakdiam.Weak_carving.scratch}, made when [weak_of_preset] is
+    applied. *)
 
 val carve :
   ?cost:Congest.Cost.t ->
   ?preset:Weakdiam.Weak_carving.preset ->
-  ?scratch:Weakdiam.Weak_carving.scratch ->
   ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
   epsilon:float ->
   Cluster.Carving.t * Transform.stats
 (** Theorem 2.2. Every output cluster induces a connected subgraph;
     clusters are pairwise non-adjacent; at most an [ε] fraction of the
-    domain is dead. All weak carvings of the call share [scratch] (a
-    fresh one if absent); pass one scratch to every call of a
-    decomposition. *)
+    domain is dead. All weak carvings of the call share one scratch; a
+    decomposition builds {!local} once instead. *)
+
+val local :
+  ?preset:Weakdiam.Weak_carving.preset -> unit -> Cluster.Carving.carver
+(** Theorem 2.2 as a {!Cluster.Carving.carver}: {!carve}'s clusters and
+    charges on the ascending domain, under the same ["strong_carving"]
+    span. The returned carver owns one weak and one {!Transform} scratch,
+    which all its calls share; build it once per decomposition. *)
 
 val carve_improved :
-  ?cost:Congest.Cost.t ->
   ?preset:Weakdiam.Weak_carving.preset ->
-  ?scratch:Weakdiam.Weak_carving.scratch ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t * Improve.stats
-(** Theorem 3.3: same contract with the improved [O(log^2 n/ε)] diameter
-    shape. *)
-
-type carver =
+  unit ->
   ?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t
-(** Uniform signature shared by every strong carver in this repository
-    (paper algorithms and baselines), used by the decomposition reduction
-    and the benchmarks. *)
+  int array array * Improve.stats
+(** Theorem 3.3: {!Improve.improve} over {!local}, under the
+    ["strong_carving_improved"] span: the same contract with the
+    improved [O(log^2 n/ε)] diameter shape. [carve_improved ()] builds
+    the scratches that all calls of the returned carver share. *)

@@ -28,101 +28,9 @@ let ball_growth_limit ~n ~epsilon =
   let growth = 1.0 /. (1.0 -. (epsilon /. 2.0)) in
   int_of_float (Float.ceil (log (float_of_int (max n 2)) /. log growth)) + 1
 
-(* Working memory indexed by node, reusable across carves and graphs.
-   Every node set a carve looks at (a component, the alive part of one,
-   the rest of one after a ball) is stamped afresh: mark.(v) = inside
-   lists v in the set, mark.(v) = inside + 1 says a search has reached
-   it, value.(v) holds its distance or component id. Stamps only grow
-   and no array is ever cleared, so a set costs its own volume, not n. *)
-type scratch = {
-  mutable mark : int array;
-  mutable value : int array;
-  mutable queue : int array;
-  mutable stamp : int;
-}
+type scratch = Stamp.t
 
-let scratch () = { mark = [||]; value = [||]; queue = [||]; stamp = 0 }
-
-(* Size the scratch for [g]; arrays only ever grow. *)
-let fit s g =
-  let n = Graph.n g in
-  if Array.length s.mark < n then begin
-    s.mark <- Array.make n 0;
-    s.value <- Array.make n 0;
-    s.queue <- Array.make n 0
-  end
-
-(* A stamp no node carries yet, and the one after it. *)
-let fresh_stamp s =
-  s.stamp <- s.stamp + 2;
-  s.stamp - 1
-
-(* Stamp every node of [set]; returns the [inside] stamp. *)
-let stamp s set =
-  let inside = fresh_stamp s in
-  Array.iter (fun v -> s.mark.(v) <- inside) set;
-  inside
-
-(* BFS of the nodes stamped [inside] from [source], appending them to
-   queue.(tail ..) layer by layer with their distance in [value]. The
-   search never leaves the set. Returns the new tail. *)
-let bfs s g ~inside ~source tail =
-  let offsets = Graph.offsets g and targets = Graph.targets g in
-  let mark = s.mark and value = s.value and queue = s.queue in
-  mark.(source) <- inside + 1;
-  value.(source) <- 0;
-  queue.(tail) <- source;
-  let head = ref tail and tail = ref (tail + 1) in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let d = value.(u) + 1 in
-    for i = offsets.{u} to offsets.{u + 1} - 1 do
-      let w = targets.{i} in
-      if mark.(w) = inside then begin
-        mark.(w) <- inside + 1;
-        value.(w) <- d;
-        queue.(!tail) <- w;
-        incr tail
-      end
-    done
-  done;
-  !tail
-
-(* The connected components of G[S], S being the nodes of ascending
-   [set] stamped [inside]: each one an ascending array, in order of
-   smallest node (Components.components' order). When S is all of [set]
-   and connected, the one component is [set] itself. *)
-let components s g set ~inside =
-  let sizes = ref [] and ncomp = ref 0 and tail = ref 0 in
-  Array.iter
-    (fun v ->
-      if s.mark.(v) = inside then begin
-        let lo = !tail in
-        tail := bfs s g ~inside ~source:v lo;
-        for j = lo to !tail - 1 do
-          s.value.(s.queue.(j)) <- !ncomp
-        done;
-        sizes := (!tail - lo) :: !sizes;
-        incr ncomp
-      end)
-    set;
-  if !tail = Array.length set && !ncomp = 1 then [| set |]
-  else begin
-    let comps =
-      Array.of_list (List.rev_map (fun k -> Array.make k 0) !sizes)
-    in
-    let fill = Array.make !ncomp 0 in
-    Array.iter
-      (fun v ->
-        if s.mark.(v) = inside + 1 then begin
-          let c = s.value.(v) in
-          comps.(c).(fill.(c)) <- v;
-          fill.(c) <- fill.(c) + 1
-        end)
-      set;
-    comps
-  end
+let scratch = Stamp.create
 
 (* Theorem 2.1's size-halving levels on G[set], [set] ascending, with the
    node count n = |set|. Each output cluster, an ascending array, is
@@ -138,7 +46,9 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
   (* Current level: list of components. All components of one level
      execute in parallel; we meter each separately and merge. *)
   let level =
-    ref (Array.to_list (components s g set ~inside:(stamp s set)))
+    ref
+      (Array.to_list
+         (Stamp.components s g set ~inside:(Stamp.stamp s set)))
   in
   let i = ref 1 in
   let trace = Option.bind cost Congest.Cost.trace in
@@ -177,7 +87,7 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
             (* Case I: A's unclustered nodes die; alive components (each a
                subset of one cluster, hence <= n/2^i) continue *)
             Congest.Span.enter trace "case_i";
-            let inside = stamp s comp in
+            let inside = Stamp.stamp s comp in
             let alive =
               Array.map
                 (fun cluster ->
@@ -187,7 +97,8 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
                         invalid_arg
                           "Transform: weak cluster node outside its domain")
                     cluster;
-                  components s g cluster ~inside:(stamp s cluster))
+                  Stamp.components s g cluster
+                    ~inside:(Stamp.stamp s cluster))
                 wr.clusters
             in
             (* clusters are non-adjacent, so these are the components of
@@ -202,9 +113,10 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
                cluster's Steiner root that swallows the whole cluster *)
             Congest.Span.enter trace "case_ii";
             let root = wr.roots.(!giant) in
-            let inside = stamp s comp in
+            let inside = Stamp.stamp s comp in
             let reached =
-              if s.mark.(root) = inside then bfs s g ~inside ~source:root 0
+              if s.mark.(root) = inside then
+                Stamp.bfs s g ~inside ~source:root 0
               else 0
             in
             let dist v = s.value.(v) in
@@ -242,14 +154,14 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
                 end)
               comp;
             if !k > 0 then emit ball;
-            let rest = fresh_stamp s in
+            let rest = Stamp.fresh s in
             Array.iter
               (fun v ->
                 if s.mark.(v) <> inside + 1 || dist v > r_star + 1 then
                   s.mark.(v) <- rest)
               comp;
             next_level :=
-              push (components s g comp ~inside:rest) !next_level;
+              push (Stamp.components s g comp ~inside:rest) !next_level;
             Congest.Span.exit trace
           end
         end)
@@ -276,14 +188,8 @@ let check_epsilon epsilon =
 let strong_carve_local ?cost ~weak ?(scratch = scratch ()) g ~domain
     ~epsilon =
   check_epsilon epsilon;
-  Array.iteri
-    (fun k v ->
-      if v < 0 || v >= Graph.n g || (k > 0 && v <= domain.(k - 1)) then
-        invalid_arg
-          "Transform.strong_carve_local: domain must be ascending node ids \
-           of the graph")
-    domain;
-  fit scratch g;
+  Cluster.Carving.check_domain "Transform.strong_carve_local" g domain;
+  Stamp.fit scratch g;
   let clusters = ref [] in
   let stats =
     Congest.Span.with_span
@@ -326,7 +232,7 @@ let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
   let half = epsilon /. 2.0 in
   let trace = Option.bind cost Congest.Cost.trace in
   let s = scratch () in
-  fit s g;
+  Stamp.fit s g;
   let clusters = ref [] in
   Congest.Span.with_span trace "transform_unknown_n" (fun () ->
       let pre = weak ?cost g ~domain:(Mask.to_array domain) ~epsilon:half in

@@ -50,11 +50,9 @@ type stats = {
   max_ball_radius : int;  (** largest [r*] used in Case II *)
 }
 
-type scratch
-(** Caller-owned working memory for {!strong_carve_local}: three arrays
-    indexed by node whose marks are stamped afresh for every node set, so
-    they are never cleared. One scratch serves any number of calls, on
-    any graphs, one call at a time; it grows to the largest graph. *)
+type scratch = Dsgraph.Stamp.t
+(** Caller-owned working memory for {!strong_carve_local}; one serves
+    any number of calls, on any graphs, one call at a time. *)
 
 val scratch : unit -> scratch
 (** An empty scratch; the first call sizes it. *)

@@ -42,14 +42,6 @@ let parents ?mask g ~source =
   end;
   parent
 
-let ball ?mask g ~center ~radius =
-  let dist = distances ?mask g ~source:center in
-  let acc = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    if dist.(v) >= 0 && dist.(v) <= radius then acc := v :: !acc
-  done;
-  !acc
-
 let eccentricity ?mask g v =
   let dist = distances ?mask g ~source:v in
   Array.fold_left max 0 dist

@@ -14,9 +14,6 @@ val parents : ?mask:Mask.t -> Graph.t -> source:int -> int array
 (** BFS-tree parent pointers; [parents.(source) = source], [-1] if
     unreachable. *)
 
-val ball : ?mask:Mask.t -> Graph.t -> center:int -> radius:int -> int list
-(** Nodes at distance [<= radius] from [center] in [G\[mask\]]. *)
-
 val eccentricity : ?mask:Mask.t -> Graph.t -> int -> int
 (** Largest finite distance from the node within its component. *)
 

@@ -216,13 +216,7 @@ let run ~trees ?(preset = default_preset) ?scratch:s ?cost g ~domain:dom
     ~epsilon =
   check_epsilon epsilon;
   let n = Graph.n g in
-  Array.iteri
-    (fun k v ->
-      if v < 0 || v >= n || (k > 0 && v <= dom.(k - 1)) then
-        invalid_arg
-          "Weak_carving.carve_local: domain must be ascending node ids of \
-           the graph")
-    dom;
+  Cluster.Carving.check_domain "Weak_carving.carve_local" g dom;
   let s = match s with Some s -> s | None -> scratch () in
   fit s g;
   let charge ?rounds ?messages ?max_bits tag =

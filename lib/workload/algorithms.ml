@@ -130,7 +130,9 @@ let carvers =
       model = Randomized;
       run =
         (fun ~cost ~seed g ~epsilon ->
-          Baseline.Linial_saks.carve ~cost (Rng.create seed) g ~epsilon);
+          Cluster.Carving.of_carver ~cost
+            (Baseline.Linial_saks.carve (Rng.create seed))
+            g ~epsilon);
     };
     {
       name = "rg20";
@@ -165,7 +167,9 @@ let carvers =
       model = Randomized;
       run =
         (fun ~cost ~seed g ~epsilon ->
-          Baseline.Mpx.carve ~cost (Rng.create seed) g ~epsilon);
+          Cluster.Carving.of_carver ~cost
+            (Baseline.Mpx.carve (Rng.create seed))
+            g ~epsilon);
     };
     {
       name = "thm2.1+ls";
@@ -174,7 +178,11 @@ let carvers =
       model = Randomized;
       run =
         (fun ~cost ~seed g ~epsilon ->
-          fst (Baseline.Ls_transform.carve ~cost (Rng.create seed) g ~epsilon));
+          let carve = Baseline.Ls_transform.carve (Rng.create seed) in
+          Cluster.Carving.of_carver ~cost
+            (fun ?cost g ~domain ~epsilon ->
+              fst (carve ?cost g ~domain ~epsilon))
+            g ~epsilon);
     };
     {
       name = "thm2.2";
@@ -192,7 +200,11 @@ let carvers =
       model = Deterministic;
       run =
         (fun ~cost ~seed:_ g ~epsilon ->
-          fst (Strongdecomp.Strong_carving.carve_improved ~cost g ~epsilon));
+          let carve = Strongdecomp.Strong_carving.carve_improved () in
+          Cluster.Carving.of_carver ~cost
+            (fun ?cost g ~domain ~epsilon ->
+              fst (carve ?cost g ~domain ~epsilon))
+            g ~epsilon);
     };
   ]
 

@@ -89,5 +89,12 @@ let decompose ?cost ?(preset = Baseline.Greedy.Ls93_existential) g =
   let beta = Baseline.Greedy.beta_of_preset preset ~n:(Graph.n g) in
   let epsilon = 1.0 -. (1.0 /. beta) in
   let epsilon = Float.min 0.9 (Float.max 0.25 epsilon) in
-  let carver ?cost ?domain g ~epsilon = carve ?cost ~beta ?domain g ~epsilon in
-  Strongdecomp.Netdecomp.(of_carver ?cost ~epsilon (of_mask_carver carver) g)
+  let n = Graph.n g in
+  Strongdecomp.Netdecomp.of_carver ?cost ~epsilon
+    (fun ?cost g ~domain ~epsilon ->
+      let domain = Mask.of_list n (Array.to_list domain) in
+      let carving = carve ?cost ~beta ~domain g ~epsilon in
+      Array.of_list
+        (List.map Array.of_list
+           (Cluster.Clustering.clusters carving.Cluster.Carving.clustering)))
+    g

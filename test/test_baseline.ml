@@ -23,6 +23,12 @@ let log2_ceil n =
 
 let color_bound n = (6 * log2_ceil n) + 6
 
+(* ABCP on every node of [g], as a carving *)
+let abcp_carve g ~epsilon =
+  let n = Graph.n g in
+  let clusters, info = Abcp.carve g ~domain:(Array.init n Fun.id) ~epsilon in
+  (Carving.of_clusters g ~domain:(Mask.full n) clusters, info)
+
 let workload seed =
   let rng = Rng.create seed in
   [
@@ -43,14 +49,14 @@ let test_ls_carve_contract () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving = LS.carve (Rng.create 1) g ~epsilon:0.5 in
+      let carving = Carving.of_carver (LS.carve (Rng.create 1)) g ~epsilon:0.5 in
       fail_on_error (Carving.check_weak ~epsilon:0.5 carving))
     (workload 1)
 
 let test_ls_carve_weak_diameter_bound () =
   let g = Gen.grid 10 10 in
   let epsilon = 0.5 in
-  let carving = LS.carve (Rng.create 2) g ~epsilon in
+  let carving = Carving.of_carver (LS.carve (Rng.create 2)) g ~epsilon in
   let bound = 2 * LS.max_radius ~n:100 ~epsilon in
   let diam = Clustering.max_weak_diameter carving.Carving.clustering in
   check bool
@@ -70,13 +76,13 @@ let test_ls_epsilon_sweep () =
   let g = Gen.grid 9 9 in
   List.iter
     (fun epsilon ->
-      let carving = LS.carve (Rng.create 4) g ~epsilon in
+      let carving = Carving.of_carver (LS.carve (Rng.create 4)) g ~epsilon in
       check bool "dead bounded" true (Carving.dead_fraction carving <= epsilon))
     [ 0.5; 0.25 ]
 
 let test_ls_charges_cost () =
   let cost = Congest.Cost.create () in
-  ignore (LS.carve ~cost (Rng.create 5) (Gen.grid 8 8) ~epsilon:0.5);
+  ignore (Carving.of_carver ~cost (LS.carve (Rng.create 5)) (Gen.grid 8 8) ~epsilon:0.5);
   check bool "rounds" true (Congest.Cost.rounds cost > 0);
   check bool "small messages" true
     (Congest.Cost.max_message_bits cost <= 2 * Congest.Bits.id_bits ~n:64)
@@ -105,7 +111,7 @@ let test_mpx_carve_contract () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving = Mpx.carve (Rng.create 3) g ~epsilon:0.5 in
+      let carving = Carving.of_carver (Mpx.carve (Rng.create 3)) g ~epsilon:0.5 in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 13)
 
@@ -122,7 +128,7 @@ let test_mpx_decompose () =
 let test_mpx_diameter_shape () =
   (* strong diameter should stay in the O(log n / eps) regime *)
   let g = Gen.expander (Rng.create 6) 256 in
-  let carving = Mpx.carve (Rng.create 7) g ~epsilon:0.5 in
+  let carving = Carving.of_carver (Mpx.carve (Rng.create 7)) g ~epsilon:0.5 in
   let diam = Clustering.max_strong_diameter carving.Carving.clustering in
   let bound = 40.0 *. log 256.0 in
   check bool
@@ -191,6 +197,57 @@ let test_greedy_beta_validation () =
         (Greedy.carve ~beta:1.0 (Gen.path 4) ~domain:[| 0; 1; 2; 3 |]
            ~epsilon:0.5))
 
+(* Every carver checks its domain with the one loop of
+   Cluster.Carving.check_domain: strictly ascending ids of the graph's
+   nodes. Before, Greedy.carve took [|3; 1; 0|] on a 4x4 grid and
+   returned the adjacent clusters [1] and [0], and a duplicate, negative
+   or too-large id raised a bare "index out of bounds", directly and
+   through Netdecomp.of_carver. *)
+let test_domain_check () =
+  let g = Gen.grid 4 4 in
+  let rejects name f =
+    List.iter
+      (fun domain ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s [%s]" name
+             (String.concat ";" (Array.to_list (Array.map string_of_int domain))))
+          (Invalid_argument
+             (name ^ ": domain must be strictly ascending node ids of the graph"))
+          (fun () -> f domain))
+      [ [| 3; 1; 0 |]; [| 1; 1 |]; [| -1; 2 |]; [| 0; 16 |] ]
+  in
+  let greedy ?cost g ~domain ~epsilon = Greedy.carve ?cost g ~domain ~epsilon in
+  rejects "Greedy.carve" (fun domain ->
+      ignore (greedy g ~domain ~epsilon:0.5));
+  rejects "Netdecomp.of_carver" (fun domain ->
+      ignore (Strongdecomp.Netdecomp.of_carver ~domain greedy g));
+  rejects "Linial_saks.carve" (fun domain ->
+      ignore (LS.carve (Rng.create 1) g ~domain ~epsilon:0.5));
+  rejects "Linial_saks.carve_with_trees" (fun domain ->
+      ignore (LS.weak_carver (Rng.create 1) g ~domain ~epsilon:0.5));
+  rejects "Mpx.carve" (fun domain ->
+      ignore (Mpx.carve (Rng.create 1) g ~domain ~epsilon:0.5));
+  rejects "Abcp.carve" (fun domain -> ignore (Abcp.carve g ~domain ~epsilon:0.5));
+  rejects "Transform.strong_carve_local" (fun domain ->
+      ignore (Baseline.Ls_transform.carve (Rng.create 1) g ~domain ~epsilon:0.5));
+  rejects "Weak_carving.carve_local" (fun domain ->
+      ignore (Weakdiam.Weak_carving.carve_local g ~domain ~epsilon:0.5));
+  rejects "Improve.improve" (fun domain ->
+      ignore (Strongdecomp.Strong_carving.carve_improved () g ~domain ~epsilon:0.5));
+  rejects "Sparse_cut.run" (fun domain ->
+      ignore Strongdecomp.Sparse_cut.(run (scratch ()) g ~domain));
+  (* a well-formed domain still carves, and the loop's own domains are
+     never rejected *)
+  fail_on_error
+    (Carving.check_strong ~epsilon:0.5
+       (Carving.of_clusters g
+          ~domain:(Mask.of_list 16 [ 0; 1; 3 ])
+          (greedy g ~domain:[| 0; 1; 3 |] ~epsilon:0.5)));
+  fail_on_error
+    (Decomposition.check
+       ~domain:(Mask.of_list 16 [ 0; 2; 5; 15 ])
+       (Strongdecomp.Netdecomp.of_carver ~domain:[| 0; 2; 5; 15 |] greedy g))
+
 (* ------------------------------------------------------------------ *)
 (* ABCP                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -199,20 +256,20 @@ let test_abcp_carve_contract () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving, _ = Abcp.carve g ~epsilon:0.5 in
+      let carving, _ = abcp_carve g ~epsilon:0.5 in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 31)
 
 let test_abcp_diameter_bound () =
   let g = Gen.grid 8 8 in
-  let carving, _ = Abcp.carve g ~epsilon:0.5 in
+  let carving, _ = abcp_carve g ~epsilon:0.5 in
   let diam = Clustering.max_strong_diameter carving.Carving.clustering in
   check bool "diameter <= 2 log2 n" true (diam <= 2 * log2_ceil 64)
 
 let test_abcp_messages_blow_up () =
   (* the whole point: topology gathering needs more than O(log n) bits *)
   let g = Gen.grid 8 8 in
-  let _, info = Abcp.carve g ~epsilon:0.5 in
+  let _, info = abcp_carve g ~epsilon:0.5 in
   check bool
     (Printf.sprintf "max message %d bits exceeds CONGEST bandwidth %d"
        info.Abcp.max_message_bits
@@ -243,14 +300,14 @@ let prop_ls_carve =
   QCheck.Test.make ~name:"linial-saks carving is a valid weak carving" ~count:60
     arb_connected (fun input ->
       let g = connected_graph input in
-      let carving = LS.carve (Rng.create (Graph.n g)) g ~epsilon:0.5 in
+      let carving = Carving.of_carver (LS.carve (Rng.create (Graph.n g))) g ~epsilon:0.5 in
       is_ok (Carving.check_weak ~epsilon:0.5 carving))
 
 let prop_mpx_carve =
   QCheck.Test.make ~name:"mpx carving is a valid strong carving" ~count:60
     arb_connected (fun input ->
       let g = connected_graph input in
-      let carving = Mpx.carve (Rng.create (Graph.n g)) g ~epsilon:0.5 in
+      let carving = Carving.of_carver (Mpx.carve (Rng.create (Graph.n g))) g ~epsilon:0.5 in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
 let prop_greedy_carve =
@@ -263,7 +320,7 @@ let prop_abcp_carve =
   QCheck.Test.make ~name:"abcp carving is a valid strong carving" ~count:25
     arb_connected (fun input ->
       let g = connected_graph input in
-      let carving, _ = Abcp.carve g ~epsilon:0.5 in
+      let carving, _ = abcp_carve g ~epsilon:0.5 in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
 (* The layer-by-layer greedy grower against the whole-component BFS
@@ -377,6 +434,7 @@ let () =
             test_greedy_tradeoff_direction;
           Alcotest.test_case "deterministic" `Quick test_greedy_deterministic;
           Alcotest.test_case "beta validation" `Quick test_greedy_beta_validation;
+          Alcotest.test_case "domain check" `Quick test_domain_check;
         ] );
       ( "abcp",
         [

@@ -16,6 +16,17 @@ let bool = Alcotest.bool
 
 let is_ok = function Ok () -> true | Error _ -> false
 
+let all n = Array.init n Fun.id
+
+(* Theorem 3.3 on the ascending [domain] (default: every node), as a
+   carving of it *)
+let carve_improved ?domain g ~epsilon =
+  let n = Graph.n g in
+  let domain = Option.value domain ~default:(all n) in
+  let clusters, stats = Carve.carve_improved () g ~domain ~epsilon in
+  let mask = Mask.of_list n (Array.to_list domain) in
+  (Carving.of_clusters g ~domain:mask clusters, stats)
+
 let fail_on_error = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "checker rejected: %s" e
@@ -50,11 +61,12 @@ let workload seed =
 
 let validate_sparse_cut ~epsilon g =
   let n = Graph.n g in
-  let domain = Mask.full n in
-  let outcome = SC.run ~epsilon g ~domain in
-  let members = Mask.to_list domain in
+  let outcome = SC.run ~epsilon (SC.scratch ()) g ~domain:(all n) in
+  let members = List.init n Fun.id in
   (match outcome with
   | SC.Cut { v1; v2; removed } ->
+      let v1 = Array.to_list v1 and v2 = Array.to_list v2 in
+      let removed = Array.to_list removed in
       (* partition *)
       let all = List.sort compare (v1 @ v2 @ removed) in
       Alcotest.(check (list int)) "cut partitions domain" members all;
@@ -69,6 +81,7 @@ let validate_sparse_cut ~epsilon g =
               check bool "v2 not adjacent to v1" false (Mask.mem m1 w)))
         v2
   | SC.Component { u; boundary } ->
+      let u = Array.to_list u and boundary = Array.to_list boundary in
       check bool "u large" true (3 * List.length u >= n);
       (* boundary is exactly the outside nodes adjacent to u *)
       let mu = Mask.of_list n u in
@@ -99,47 +112,47 @@ let test_sparse_cut_epsilons () =
 
 let test_sparse_cut_singleton () =
   let g = Graph.of_edge_seq ~n:1 Seq.empty in
-  match SC.run g ~domain:(Mask.full 1) with
+  match SC.run (SC.scratch ()) g ~domain:(all 1) with
   | SC.Component { u; boundary } ->
-      Alcotest.(check (list int)) "u" [ 0 ] u;
-      Alcotest.(check (list int)) "no boundary" [] boundary
+      Alcotest.(check (array int)) "u" [| 0 |] u;
+      Alcotest.(check (array int)) "no boundary" [||] boundary
   | SC.Cut _ -> Alcotest.fail "expected component on singleton"
 
 let test_sparse_cut_long_path_returns_cut () =
   (* a long path has huge diameter: the [a,b] window is wide, so the
      algorithm must find a balanced sparse cut (of a single node) *)
   let g = Gen.path 400 in
-  match SC.run ~epsilon:0.5 g ~domain:(Mask.full 400) with
+  match SC.run ~epsilon:0.5 (SC.scratch ()) g ~domain:(all 400) with
   | SC.Cut { removed; _ } ->
-      check bool "tiny separator" true (List.length removed <= 3)
+      check bool "tiny separator" true (Array.length removed <= 3)
   | SC.Component { u; _ } ->
       (* also acceptable only if the diameter bound holds, which on a long
          path forces a small component — contradiction with |u| >= n/3 *)
       Alcotest.failf "expected cut on path, got component of size %d"
-        (List.length u)
+        (Array.length u)
 
 let test_sparse_cut_clique_returns_component () =
   let g = Gen.complete 30 in
-  match SC.run ~epsilon:0.5 g ~domain:(Mask.full 30) with
+  match SC.run ~epsilon:0.5 (SC.scratch ()) g ~domain:(all 30) with
   | SC.Component { u; boundary } ->
-      check bool "everything" true (List.length u + List.length boundary = 30)
+      check bool "everything" true (Array.length u + Array.length boundary = 30)
   | SC.Cut _ -> Alcotest.fail "clique has no balanced sparse cut"
 
 let test_sparse_cut_rejects_disconnected () =
   let g = Gen.disjoint_union (Gen.path 3) (Gen.path 3) in
   Alcotest.check_raises "disconnected"
     (Invalid_argument "Sparse_cut.run: domain disconnected") (fun () ->
-      ignore (SC.run g ~domain:(Mask.full 6)))
+      ignore (SC.run (SC.scratch ()) g ~domain:(all 6)))
 
 let test_sparse_cut_rejects_empty () =
   let g = Gen.path 3 in
   Alcotest.check_raises "empty" (Invalid_argument "Sparse_cut.run: empty domain")
-    (fun () -> ignore (SC.run g ~domain:(Mask.empty 3)))
+    (fun () -> ignore (SC.run (SC.scratch ()) g ~domain:[||]))
 
 let test_sparse_cut_charges_cost () =
   let cost = Congest.Cost.create () in
   let g = Gen.grid 8 8 in
-  ignore (SC.run ~cost g ~domain:(Mask.full 64));
+  ignore (SC.run ~cost (SC.scratch ()) g ~domain:(all 64));
   check bool "rounds" true (Congest.Cost.rounds cost > 0)
 
 let test_sparse_cut_window_monotone () =
@@ -312,7 +325,7 @@ let test_unknown_n_domain () =
 (* ------------------------------------------------------------------ *)
 
 let validate_improved ~epsilon g =
-  let carving, stats = Carve.carve_improved g ~epsilon in
+  let carving, stats = carve_improved g ~epsilon in
   fail_on_error (Carving.check_strong ~epsilon carving);
   let n = Graph.n g in
   let diam = Clustering.max_strong_diameter carving.Carving.clustering in
@@ -333,13 +346,13 @@ let test_thm33_families () =
 
 let test_thm33_levels_logarithmic () =
   let g = Gen.grid 10 10 in
-  let _, stats = Carve.carve_improved g ~epsilon:0.5 in
+  let _, stats = carve_improved g ~epsilon:0.5 in
   check bool "levels" true (stats.Improve.levels <= (3 * log2_ceil 100) + 3)
 
 let test_thm33_domain_restriction () =
   let g = Gen.grid 8 8 in
-  let domain = Mask.of_list 64 (List.filter (fun v -> v >= 16) (Graph.nodes g)) in
-  let carving, _ = Carve.carve_improved ~domain g ~epsilon:0.5 in
+  let domain = Array.init 48 (fun k -> k + 16) in
+  let carving, _ = carve_improved ~domain g ~epsilon:0.5 in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving);
   for v = 0 to 15 do
     check int "outside untouched" (-1)
@@ -348,7 +361,7 @@ let test_thm33_domain_restriction () =
 
 let test_thm33_stats_consistent () =
   let g = Gen.expander (Rng.create 9) 64 in
-  let _, stats = Carve.carve_improved g ~epsilon:0.5 in
+  let _, stats = carve_improved g ~epsilon:0.5 in
   check bool "every lemma call is a cut or a component" true
     (stats.Improve.lemma_invocations
     = stats.Improve.cuts_taken + stats.Improve.components_taken);
@@ -507,10 +520,7 @@ let test_netdecomp_custom_epsilon () =
   let g = Gen.grid 9 9 in
   List.iter
     (fun epsilon ->
-      let carver ?cost ?domain g ~epsilon =
-        fst (Carve.carve ?cost ?domain g ~epsilon)
-      in
-      let d = Netdecomp.(of_carver ~epsilon (of_mask_carver carver) g) in
+      let d = Netdecomp.of_carver ~epsilon (Carve.local ()) g in
       fail_on_error (Decomposition.check d))
     [ 0.75; 0.5; 0.3 ]
 
@@ -613,8 +623,10 @@ let prop_sparse_cut_valid =
     arb_connected (fun input ->
       let g = connected_graph input in
       let n = Graph.n g in
-      match SC.run ~epsilon:0.5 g ~domain:(Mask.full n) with
+      match SC.run ~epsilon:0.5 (SC.scratch ()) g ~domain:(all n) with
       | SC.Cut { v1; v2; removed } ->
+          let v1 = Array.to_list v1 and v2 = Array.to_list v2 in
+          let removed = Array.to_list removed in
           let m1 = Mask.of_list n v1 in
           List.length v1 + List.length v2 + List.length removed = n
           && 3 * List.length v1 >= n
@@ -626,6 +638,7 @@ let prop_sparse_cut_valid =
                    (Graph.neighbors g v))
                v2
       | SC.Component { u; boundary } ->
+          let u = Array.to_list u and boundary = Array.to_list boundary in
           3 * List.length u >= n
           && Bfs.diameter_of_set g u >= 0
           && List.sort compare boundary
@@ -642,7 +655,7 @@ let prop_thm33_valid =
   QCheck.Test.make ~name:"theorem 3.3 carving is a valid strong carving"
     ~count:30 arb_connected (fun input ->
       let g = connected_graph input in
-      let carving, _ = Carve.carve_improved g ~epsilon:0.5 in
+      let carving, _ = carve_improved g ~epsilon:0.5 in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
 let prop_thm23_valid =
@@ -813,9 +826,14 @@ let prop_transform_matches_reference =
         let weak = Transform_ref.engine_weak ~scratch preset in
         let r =
           Netdecomp.of_carver
-            (Netdecomp.of_mask_carver (fun ?cost ?domain g ~epsilon ->
-                 fst
-                   (Transform_ref.strong_carve ?cost ~weak ?domain g ~epsilon)))
+            (fun ?cost g ~domain ~epsilon ->
+              let domain = Mask.of_list n (Array.to_list domain) in
+              let c, _ =
+                Transform_ref.strong_carve ?cost ~weak ~domain g ~epsilon
+              in
+              Array.of_list
+                (List.map Array.of_list
+                   (Clustering.clusters c.Carving.clustering)))
             g
         in
         let of_dec d =

@@ -1,8 +1,9 @@
-(* Output fixture for every registered decomposer: on the grid and er
-   families at n = 512, seed 42, the MD5 of every node's (cluster, color)
-   and the run's Cost rounds, messages and max_bits, compared with
-   fixtures/decomposer_digests.txt. A change that alters any
-   decomposition or its charges fails here.
+(* Output fixture for every registered decomposer and carver: on the
+   grid and er families at n = 512, seed 42, the MD5 of every node's
+   (cluster, color) -- for a carver at epsilon = 1/2, every node's
+   cluster and then the dead set -- and the run's Cost rounds, messages
+   and max_bits, compared with fixtures/decomposer_digests.txt. A change
+   that alters any decomposition, carving or their charges fails here.
 
    Regenerate (only after a deliberate output change, and say so):
      dune exec test/test_digests.exe -- --print > test/fixtures/decomposer_digests.txt *)
@@ -12,6 +13,12 @@ open Workload
 let families = [ "grid"; "er" ]
 let n = 512
 let seed = 42
+
+let format name family b cost =
+  Printf.sprintf "%s %s %s %d %d %d" name family
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    (Congest.Cost.rounds cost) (Congest.Cost.messages cost)
+    (Congest.Cost.max_message_bits cost)
 
 let line (d : Algorithms.decomposer) family =
   let g = (Suite.find family).Suite.build ~seed ~n in
@@ -24,15 +31,27 @@ let line (d : Algorithms.decomposer) family =
       (Cluster.Clustering.cluster_of clustering v)
       (Cluster.Decomposition.color_of_node decomp v)
   done;
-  Printf.sprintf "%s %s %s %d %d %d" d.name family
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
-    (Congest.Cost.rounds cost) (Congest.Cost.messages cost)
-    (Congest.Cost.max_message_bits cost)
+  format d.name family b cost
+
+let carver_line (c : Algorithms.carver) family =
+  let g = (Suite.find family).Suite.build ~seed ~n in
+  let cost = Congest.Cost.create () in
+  let carving = c.run ~cost ~seed g ~epsilon:0.5 in
+  let clustering = carving.Cluster.Carving.clustering in
+  let b = Buffer.create (8 * n) in
+  for v = 0 to Dsgraph.Graph.n g - 1 do
+    Printf.bprintf b "%d\n" (Cluster.Clustering.cluster_of clustering v)
+  done;
+  List.iter (Printf.bprintf b "dead %d\n") (Cluster.Carving.dead carving);
+  format ("carve:" ^ c.name) family b cost
 
 let lines () =
   List.concat_map
     (fun d -> List.map (line d) families)
     Algorithms.decomposers
+  @ List.concat_map
+      (fun c -> List.map (carver_line c) families)
+      Algorithms.carvers
 
 let fixture = "fixtures/decomposer_digests.txt"
 

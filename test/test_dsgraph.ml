@@ -291,11 +291,6 @@ let test_bfs_parents_form_tree () =
     else check int "unreachable has no parent" (-1) p.(v)
   done
 
-let test_bfs_ball () =
-  let g = Gen.grid 5 5 in
-  let ball = Bfs.ball g ~center:12 ~radius:1 in
-  Alcotest.(check (list int)) "plus shape" [ 7; 11; 12; 13; 17 ] ball
-
 let test_diameter_of_set () =
   let g = Gen.path 10 in
   check int "sub-path" 3 (Bfs.diameter_of_set g [ 2; 3; 4; 5 ]);
@@ -939,7 +934,6 @@ let () =
           Alcotest.test_case "multi source" `Quick test_bfs_multi_source;
           Alcotest.test_case "parents form tree" `Quick
             test_bfs_parents_form_tree;
-          Alcotest.test_case "ball" `Quick test_bfs_ball;
           Alcotest.test_case "diameter of set" `Quick test_diameter_of_set;
           Alcotest.test_case "weak vs strong diameter" `Quick
             test_weak_vs_strong_diameter;

@@ -19,6 +19,10 @@ let bool = Alcotest.bool
 
 let is_ok = function Ok () -> true | Error _ -> false
 
+(* every node of [g], and the carving of [g] with these clusters *)
+let all g = Array.init (Graph.n g) Fun.id
+let whole g = Carving.of_clusters g ~domain:(Mask.full (Graph.n g))
+
 let fail_on_error = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "checker rejected: %s" e
@@ -42,7 +46,10 @@ let test_ls_trees_contract () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving, forest = LS.carve_with_trees (Rng.create 3) g ~epsilon:0.5 in
+      let clusters, forest =
+        LS.carve_with_trees (Rng.create 3) g ~domain:(all g) ~epsilon:0.5
+      in
+      let carving = whole g clusters in
       let cap = LS.max_radius ~n:(Graph.n g) ~epsilon:0.5 in
       fail_on_error
         (Carving.check_weak ~epsilon:0.5 ~steiner:forest ~depth_bound:cap
@@ -53,7 +60,10 @@ let test_ls_trees_roots_may_be_nonmembers () =
   (* tree roots are centers, which can lose their own node to a
      higher-priority center; the forest must still validate *)
   let g = Gen.complete 12 in
-  let carving, forest = LS.carve_with_trees (Rng.create 1) g ~epsilon:0.5 in
+  let clusters, forest =
+    LS.carve_with_trees (Rng.create 1) g ~domain:(all g) ~epsilon:0.5
+  in
+  let carving = whole g clusters in
   check int "forest size matches clusters"
     (Clustering.num_clusters carving.Carving.clustering)
     (Array.length forest)
@@ -61,7 +71,7 @@ let test_ls_trees_roots_may_be_nonmembers () =
 let test_ls_trees_depth_bounded () =
   let g = Gen.grid 9 9 in
   let epsilon = 0.25 in
-  let _, forest = LS.carve_with_trees (Rng.create 7) g ~epsilon in
+  let _, forest = LS.carve_with_trees (Rng.create 7) g ~domain:(all g) ~epsilon in
   let cap = LS.max_radius ~n:81 ~epsilon in
   Array.iter
     (fun t -> check bool "depth <= cap" true (Steiner.depth t <= cap))
@@ -75,7 +85,8 @@ let test_ls_transform_families () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving, _ = LsT.carve (Rng.create 5) g ~epsilon:0.5 in
+      let clusters, _ = LsT.carve (Rng.create 5) g ~domain:(all g) ~epsilon:0.5 in
+      let carving = whole g clusters in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 5)
 
@@ -102,7 +113,8 @@ let test_ls_transform_beats_deterministic_diameter_on_path () =
      gives O(log^2 n/eps) strong diameter — below the deterministic
      Theorem 2.2's O(log^3) on a long path *)
   let g = Gen.path 2048 in
-  let rand, _ = LsT.carve (Rng.create 11) g ~epsilon:0.5 in
+  let rand, _ = LsT.carve (Rng.create 11) g ~domain:(all g) ~epsilon:0.5 in
+  let rand = whole g rand in
   let det, _ = Strongdecomp.Strong_carving.carve g ~epsilon:0.5 in
   let d c = Clustering.max_strong_diameter c.Carving.clustering in
   check bool
@@ -431,8 +443,108 @@ let prop_ls_transform_valid =
       let g =
         Gen.ensure_connected rng (Gen.erdos_renyi rng n (float_of_int pct /. 100.0))
       in
-      let carving, _ = LsT.carve (Rng.create (seed + 1)) g ~epsilon:0.5 in
+      let clusters, _ =
+        LsT.carve (Rng.create (seed + 1)) g ~domain:(all g) ~epsilon:0.5
+      in
+      let carving = whole g clusters in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
+
+(* The pruned descending-priority Linial–Saks pass against the
+   mask-based oracle of linial_saks_ref.ml, which runs a full truncated
+   BFS from every domain node and a Hashtbl BFS per center for its tree:
+   on grids, ER, RMAT and scrambled grids, a random ascending domain and
+   ε ∈ {0.5, 0.1, 0.02}, the same winner and slack of every domain node,
+   the same clusters, forest, depth, congestion and Cost, with equally
+   seeded generators. *)
+let prop_ls_matches_oracle =
+  QCheck.Test.make ~name:"pruned linial-saks pass equals the oracle"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (seed, family, eps) ->
+         Printf.sprintf "seed=%d family=%d eps=%d" seed family eps)
+       QCheck.Gen.(triple (int_bound 1_000_000) (int_range 0 3) (int_range 0 2)))
+    (fun (seed, family, eps) ->
+      let rng = Rng.create seed in
+      let g =
+        if family = 3 then Gen.grid (2 + Rng.int rng 11) (2 + Rng.int rng 11)
+        else Random_graph.make rng family
+      in
+      let n = Graph.n g in
+      let epsilon = [| 0.5; 0.1; 0.02 |].(eps) in
+      let keep = if Rng.bool rng then 1.0 else 0.3 +. Rng.float rng 0.7 in
+      let domain =
+        Array.of_list
+          (List.filter (fun _ -> Rng.float rng 1.0 < keep) (Graph.nodes g))
+      in
+      let mask = Mask.of_list n (Array.to_list domain) in
+      let protect f = try Ok (f ()) with Failure m -> Error m in
+      let same_cost a b =
+        Congest.Cost.breakdown a = Congest.Cost.breakdown b
+        && Congest.Cost.rounds a = Congest.Cost.rounds b
+        && Congest.Cost.messages a = Congest.Cost.messages b
+        && Congest.Cost.max_message_bits a = Congest.Cost.max_message_bits b
+      in
+      let labels (c : Carving.t) =
+        Array.init n (Clustering.cluster_of c.Carving.clustering)
+      in
+      let r = Rng.create (seed + 1) in
+      let winners, max_r = LS.winners r g ~domain ~epsilon in
+      let ref_winners, ref_max_r =
+        Linial_saks_ref.winners (Rng.create (seed + 1)) g ~domain:mask
+          ~epsilon
+      in
+      let pass =
+        max_r = ref_max_r
+        && Array.for_all2
+             (fun v w -> ref_winners.(v) = Some w)
+             domain winners
+      in
+      let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
+      let a =
+        protect (fun () ->
+            let clusters, forest =
+              LS.carve_with_trees (Rng.create seed) ~cost:ca g ~domain
+                ~epsilon
+            in
+            (labels (Carving.of_clusters g ~domain:mask clusters), forest))
+      in
+      let b =
+        protect (fun () ->
+            let c, forest =
+              Linial_saks_ref.carve_with_trees ~cost:cb (Rng.create seed)
+                ~domain:mask g ~epsilon
+            in
+            (labels c, forest))
+      in
+      let ua = Congest.Cost.create () and ub = Congest.Cost.create () in
+      let a' =
+        protect (fun () ->
+            labels
+              (Carving.of_clusters g ~domain:mask
+                 (LS.carve (Rng.create seed) ~cost:ua g ~domain ~epsilon)))
+      in
+      let b' =
+        protect (fun () ->
+            labels
+              (Linial_saks_ref.carve ~cost:ub (Rng.create seed) ~domain:mask g
+                 ~epsilon))
+      in
+      let weak =
+        match
+          ( b,
+            protect (fun () -> LS.weak_carver (Rng.create seed) g ~domain ~epsilon)
+          )
+        with
+        | Ok (_, forest), Ok w ->
+            w.Strongdecomp.Transform.roots
+            = Array.map (fun t -> t.Steiner.root) forest
+            && w.depth
+               = Array.fold_left (fun d t -> max d (Steiner.depth t)) 0 forest
+            && w.congestion = Steiner.congestion g forest
+        | Error x, Error y -> x <> "" && y <> ""
+        | _ -> false
+      in
+      pass && a = b && same_cost ca cb && a' = b' && same_cost ua ub && weak)
 
 let prop_ls_distributed_valid =
   QCheck.Test.make ~name:"distributed linial-saks is a valid weak carving"
@@ -575,6 +687,7 @@ let () =
           [
             prop_estimates_bracket_exact;
             prop_ls_transform_valid;
+            prop_ls_matches_oracle;
             prop_ls_distributed_valid;
             prop_mpx_distributed_matches;
             prop_luby_valid;

@@ -44,27 +44,37 @@ let test_weak_carving_grid_4096 () =
 
 let test_sparse_cut_path_10000 () =
   let g = Gen.path 10_000 in
-  match Strongdecomp.Sparse_cut.run ~epsilon:0.5 g ~domain:(Mask.full 10_000) with
+  match
+    Strongdecomp.Sparse_cut.(run ~epsilon:0.5 (scratch ())) g
+      ~domain:(Array.init 10_000 Fun.id)
+  with
   | Strongdecomp.Sparse_cut.Cut { v1; v2; removed } ->
       check int "partition" 10_000
-        (List.length v1 + List.length v2 + List.length removed);
-      check bool "thin separator" true (List.length removed <= 3)
+        (Array.length v1 + Array.length v2 + Array.length removed);
+      check bool "thin separator" true (Array.length removed <= 3)
   | Strongdecomp.Sparse_cut.Component _ ->
       Alcotest.fail "expected a cut on a long path"
 
 let test_improve_barbell_2000 () =
   let g = Gen.barbell 900 200 in
-  let carving, _ = Strongdecomp.Strong_carving.carve_improved g ~epsilon:0.5 in
+  let carving =
+    Carving.of_carver
+      (fun ?cost g ~domain ~epsilon ->
+        fst
+          (Strongdecomp.Strong_carving.carve_improved () ?cost g ~domain
+             ~epsilon))
+      g ~epsilon:0.5
+  in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving)
 
 let test_mpx_expander_4096 () =
   let g = Gen.expander (Rng.create 2) 4096 in
-  let carving = Baseline.Mpx.carve (Rng.create 3) g ~epsilon:0.5 in
+  let carving = Carving.of_carver (Baseline.Mpx.carve (Rng.create 3)) g ~epsilon:0.5 in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving)
 
 let test_ls_grid_4096 () =
   let g = Gen.grid 64 64 in
-  let carving = Baseline.Linial_saks.carve (Rng.create 4) g ~epsilon:0.5 in
+  let carving = Carving.of_carver (Baseline.Linial_saks.carve (Rng.create 4)) g ~epsilon:0.5 in
   fail_on_error (Carving.check_weak ~epsilon:0.5 carving)
 
 let test_edge_carving_torus_4096 () =

@@ -225,11 +225,11 @@ let engine_weak ?(scratch = Weakdiam.Weak_carving.scratch ()) preset :
     congestion = r.congestion;
   }
 
-(* Linial-Saks as the old black box. *)
+(* Linial-Saks as the old black box: the mask-based oracle. *)
 let ls_weak rng : weak_carver =
  fun ?cost g ~domain ~epsilon ->
   let carving, forest =
-    Baseline.Linial_saks.carve_with_trees ?cost rng ~domain g ~epsilon
+    Linial_saks_ref.carve_with_trees ?cost rng ~domain g ~epsilon
   in
   let depth =
     Array.fold_left (fun acc t -> max acc (Cluster.Steiner.depth t)) 0 forest
