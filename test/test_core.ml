@@ -416,6 +416,23 @@ let test_transform_distributed_rg20_preset () =
   check bool "matches with rg20 preset" true
     (TD.matches_centralized ~preset:Weakdiam.Weak_carving.Rg20 g ~epsilon:0.5)
 
+(* The simulated run's counts on a 32x32 grid, and the charged rounds of
+   the centralized run on the same graph: the anchor of the cost model *)
+let test_transform_distributed_grid32_counts () =
+  let g = Gen.grid 32 32 in
+  check bool "matches centralized" true (TD.matches_centralized g ~epsilon:0.5);
+  let _, stats = TD.strong_carve g ~epsilon:0.5 in
+  check int "iterations" 1 stats.TD.iterations;
+  check int "weak rounds" 26_544 stats.TD.weak_rounds;
+  check int "ball rounds" 192 stats.TD.ball_rounds;
+  check int "max bits" 24 stats.TD.max_bits;
+  let cost = Congest.Cost.create () in
+  ignore
+    (Transform.strong_carve ~cost
+       ~weak:(Carve.weak_of_preset Weakdiam.Weak_carving.default_preset)
+       g ~epsilon:0.5);
+  check int "charged rounds" 6_350 (Congest.Cost.rounds cost)
+
 let prop_transform_distributed =
   QCheck.Test.make
     ~name:"distributed theorem 2.1 equals the centralized transformation"
@@ -908,6 +925,8 @@ let () =
           Alcotest.test_case "epsilons" `Quick test_transform_distributed_epsilons;
           Alcotest.test_case "rg20 preset" `Quick
             test_transform_distributed_rg20_preset;
+          Alcotest.test_case "grid 32x32 counts" `Quick
+            test_transform_distributed_grid32_counts;
         ] );
       ( "decomposition",
         [
