@@ -329,26 +329,34 @@ let sim_experiment size =
   Format.fprintf fmt
     "@.Theorem 2.1 itself as composed distributed stages (weak carving + \
      BFS ball@.growing as node programs); 'match' compares against the \
-     centralized Thm 2.1:@.@.";
-  Format.fprintf fmt "%-8s %5s %6s %6s %12s %12s %8s@." "family" "n" "match"
-    "iters" "weak_rounds" "ball_rounds" "maxbits";
+     centralized Thm 2.1,@.charged_rounds is its Cost meter on the same \
+     graph:@.@.";
+  Format.fprintf fmt "%-8s %5s %6s %6s %10s %14s %8s %8s@." "family" "n"
+    "match" "iters" "sim_rounds" "charged_rounds" "ratio" "maxbits";
+  let ok = ref true in
   List.iter
     (fun (name, g) ->
-      let _, stats = Strongdecomp.Transform_distributed.strong_carve g ~epsilon:0.5 in
-      let m = Strongdecomp.Transform_distributed.matches_centralized g ~epsilon:0.5 in
-      Format.fprintf fmt "%-8s %5d %6b %6d %12d %12d %8d@." name (Graph.n g) m
-        stats.Strongdecomp.Transform_distributed.iterations
-        stats.Strongdecomp.Transform_distributed.weak_rounds
-        stats.Strongdecomp.Transform_distributed.ball_rounds
-        stats.Strongdecomp.Transform_distributed.max_bits)
+      let module TD = Strongdecomp.Transform_distributed in
+      let _, stats = TD.strong_carve g ~epsilon:0.5 in
+      let m = TD.matches_centralized g ~epsilon:0.5 in
+      ok := !ok && m;
+      let cost = Congest.Cost.create () in
+      ignore (Strongdecomp.Strong_carving.carve ~cost g ~epsilon:0.5);
+      let charged = Congest.Cost.rounds cost in
+      Format.fprintf fmt "%-8s %5d %6b %6d %10d %14d %8.2f %8d@." name
+        (Graph.n g) m stats.TD.iterations stats.TD.rounds charged
+        (float_of_int stats.TD.rounds /. float_of_int (max 1 charged))
+        stats.TD.max_bits)
     (match size with
     | Quick -> [ ("grid", Gen.grid 5 5) ]
     | _ ->
         [
           ("path", Gen.path 40);
           ("grid", Gen.grid 6 6);
+          ("grid", Gen.grid 32 32);
           ("er", Suite.erdos_renyi.Suite.build ~seed ~n:40);
-        ])
+        ]);
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Shape check: measured / theory-formula ratios across the n sweep      *)
@@ -1298,7 +1306,7 @@ let run_tables size =
   barrier_experiment size;
   lemma31_experiment size;
   apps_experiment size;
-  sim_experiment size;
+  let sim_ok = sim_experiment size in
   ablation_presets size;
   ablation_epsilon_split size;
   ablation_colors_vs_eps size;
@@ -1308,7 +1316,7 @@ let run_tables size =
     write_result "table1.csv" (Workload.Measure.decomp_csv rows1)
     && write_result "table2.csv" (Workload.Measure.carve_csv rows2)
   then Format.fprintf fmt "@.CSV dumps written to %s/@." results_dir;
-  true
+  sim_ok
 
 exception Usage
 

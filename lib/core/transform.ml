@@ -32,17 +32,62 @@ type scratch = Stamp.t
 
 let scratch = Stamp.create
 
+(* The model stages. [model_weak weak]: A, then the giant check's
+   information gathering over the Steiner trees, depth · congestion
+   rounds. [model_ball]: one stamped BFS. *)
+let charge_model cost g ~rounds ~messages tag =
+  Congest.Cost.charge cost ~rounds ~messages
+    ~max_bits:(2 * Congest.Bits.id_bits ~n:(Graph.n g))
+    tag
+
+let model_weak (weak : weak_carver) ~cost g ~domain ~epsilon =
+  let wr = weak ~cost g ~domain ~epsilon in
+  charge_model cost g
+    ~rounds:(max 1 (wr.depth * max 1 wr.congestion))
+    ~messages:(Array.length domain) "transform.size_check";
+  wr
+
+let model_ball ~cost (s : scratch) g comp ~inside ~root ~radius =
+  let reached =
+    if s.mark.(root) = inside then Stamp.bfs s g ~inside ~source:root 0 else 0
+  in
+  let maxd = if reached = 0 then 0 else s.value.(s.queue.(reached - 1)) in
+  (* |B_d|: the BFS queue lists the layers one after another *)
+  let cum = Array.make (maxd + 1) 0 in
+  for j = 0 to reached - 1 do
+    cum.(s.value.(s.queue.(j))) <- j + 1
+  done;
+  let ball k = cum.(min k maxd) in
+  let r_star = radius ~maxd (fun r -> (ball r, ball (r + 1))) in
+  charge_model cost g ~rounds:(r_star + 2) ~messages:(Array.length comp)
+    "transform.ball_bfs";
+  r_star
+
 (* Theorem 2.1's size-halving levels on G[set], [set] ascending, with the
    node count n = |set|. Each output cluster, an ascending array, is
    passed to [emit]. *)
-let levels ?cost ~weak s g ~emit ~epsilon set =
+let levels ?cost ~trace ~weak ~ball s g ~emit ~epsilon set =
+  Stamp.fit s g;
   let n = max (Array.length set) 2 in
   let eps' = epsilon /. (2.0 *. float_of_int (log2_ceil n)) in
   let growth_limit = ball_growth_limit ~n ~epsilon in
+  (* r*: the first radius from the tree depth on whose ball holds a
+     (1 - ε/2) share of the next one, or the growth limit *)
+  let radius ~depth ~maxd counts =
+    let lo = min depth maxd in
+    let rec find r =
+      if r >= lo + growth_limit then r
+      else
+        let br, br1 = counts r in
+        if float_of_int br >= (1.0 -. (epsilon /. 2.0)) *. float_of_int br1
+        then r
+        else find (r + 1)
+    in
+    find lo
+  in
   let weak_invocations = ref 0 in
   let max_ball_radius = ref 0 in
   let iterations = ref 0 in
-  let id_bits = Congest.Bits.id_bits ~n:(Graph.n g) in
   (* Current level: list of components. All components of one level
      execute in parallel; we meter each separately and merge. *)
   let level =
@@ -51,7 +96,6 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
          (Stamp.components s g set ~inside:(Stamp.stamp s set)))
   in
   let i = ref 1 in
-  let trace = Option.bind cost Congest.Cost.trace in
   let push comps next = Array.fold_left (fun acc c -> c :: acc) next comps in
   while !level <> [] do
     Congest.Span.enter_idx trace "level" !i;
@@ -61,8 +105,7 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
     let sub_meters = ref [] in
     List.iter
       (fun comp ->
-        let comp_size = Array.length comp in
-        if comp_size = 1 then
+        if Array.length comp = 1 then
           (* trivial component: its own output cluster, at no cost *)
           emit comp
         else begin
@@ -70,13 +113,8 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
           sub_meters := sub :: !sub_meters;
           incr weak_invocations;
           Congest.Span.enter trace "weak";
-          let wr = weak ?cost:(Some sub) g ~domain:comp ~epsilon:eps' in
+          let wr = weak ~cost:sub g ~domain:comp ~epsilon:eps' in
           Congest.Span.exit trace;
-          (* giant-cluster check: information gathering over the Steiner
-             trees costs depth · congestion rounds *)
-          Congest.Cost.charge sub
-            ~rounds:(max 1 (wr.depth * max 1 wr.congestion))
-            ~messages:comp_size ~max_bits:(2 * id_bits) "transform.size_check";
           let giant = ref (-1) in
           Array.iteri
             (fun c members ->
@@ -112,54 +150,27 @@ let levels ?cost ~weak s g ~emit ~epsilon set =
             (* Case II: grow a strong-diameter ball from the giant
                cluster's Steiner root that swallows the whole cluster *)
             Congest.Span.enter trace "case_ii";
-            let root = wr.roots.(!giant) in
             let inside = Stamp.stamp s comp in
-            let reached =
-              if s.mark.(root) = inside then
-                Stamp.bfs s g ~inside ~source:root 0
-              else 0
+            let r_star =
+              ball ~cost:sub s g comp ~inside ~root:wr.roots.(!giant)
+                ~radius:(radius ~depth:wr.depth)
             in
-            let dist v = s.value.(v) in
-            let maxd =
-              if reached = 0 then 0 else dist s.queue.(reached - 1)
-            in
-            let cum = Array.make (maxd + 1) 0 in
-            for j = 0 to reached - 1 do
-              let d = dist s.queue.(j) in
-              cum.(d) <- cum.(d) + 1
-            done;
-            for k = 1 to maxd do
-              cum.(k) <- cum.(k) + cum.(k - 1)
-            done;
-            let ball k = if k > maxd then cum.(maxd) else cum.(k) in
-            let lo = min wr.depth maxd in
-            let rec find r =
-              if r >= lo + growth_limit then r
-              else if
-                float_of_int (ball r)
-                >= (1.0 -. (epsilon /. 2.0)) *. float_of_int (ball (r + 1))
-              then r
-              else find (r + 1)
-            in
-            let r_star = find lo in
             if r_star > !max_ball_radius then max_ball_radius := r_star;
-            Congest.Cost.charge sub ~rounds:(r_star + 2) ~messages:comp_size
-              ~max_bits:(2 * id_bits) "transform.ball_bfs";
-            let ball = Array.make (ball r_star) 0 and k = ref 0 in
+            (* one pass in ascending order: the ball's nodes go to the
+               queue, free until the components below, and the nodes
+               past its next layer are stamped for the next level *)
+            let rest = Stamp.fresh s and k = ref 0 in
             Array.iter
               (fun v ->
-                if s.mark.(v) = inside + 1 && dist v <= r_star then begin
-                  ball.(!k) <- v;
+                let reached = s.mark.(v) = inside + 1 in
+                if reached && s.value.(v) <= r_star then begin
+                  s.queue.(!k) <- v;
                   incr k
-                end)
-              comp;
-            if !k > 0 then emit ball;
-            let rest = Stamp.fresh s in
-            Array.iter
-              (fun v ->
-                if s.mark.(v) <> inside + 1 || dist v > r_star + 1 then
+                end
+                else if (not reached) || s.value.(v) > r_star + 1 then
                   s.mark.(v) <- rest)
               comp;
+            if !k > 0 then emit (Array.sub s.queue 0 !k);
             next_level :=
               push (Stamp.components s g comp ~inside:rest) !next_level;
             Congest.Span.exit trace
@@ -189,15 +200,12 @@ let strong_carve_local ?cost ~weak ?(scratch = scratch ()) g ~domain
     ~epsilon =
   check_epsilon epsilon;
   Cluster.Carving.check_domain "Transform.strong_carve_local" g domain;
-  Stamp.fit scratch g;
   let clusters = ref [] in
+  let trace = Option.bind cost Congest.Cost.trace in
   let stats =
-    Congest.Span.with_span
-      (Option.bind cost Congest.Cost.trace)
-      "transform"
-      (fun () ->
-        levels ?cost ~weak scratch g
-          ~emit:(fun c -> clusters := c :: !clusters)
+    Congest.Span.with_span trace "transform" (fun () ->
+        levels ?cost ~trace ~weak:(model_weak weak) ~ball:model_ball
+          scratch g ~emit:(fun c -> clusters := c :: !clusters)
           ~epsilon domain)
   in
   (Array.of_list (List.rev !clusters), stats)
@@ -232,7 +240,6 @@ let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
   let half = epsilon /. 2.0 in
   let trace = Option.bind cost Congest.Cost.trace in
   let s = scratch () in
-  Stamp.fit s g;
   let clusters = ref [] in
   Congest.Span.with_span trace "transform_unknown_n" (fun () ->
       let pre = weak ?cost g ~domain:(Mask.to_array domain) ~epsilon:half in
@@ -241,7 +248,8 @@ let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
           (fun acc cluster ->
             let sub = Congest.Cost.create () in
             ignore
-              (levels ~cost:sub ~weak s g
+              (levels ~cost:sub ~trace:None ~weak:(model_weak weak)
+                 ~ball:model_ball s g
                  ~emit:(fun c -> clusters := c :: !clusters)
                  ~epsilon:half cluster);
             sub :: acc)

@@ -57,6 +57,43 @@ type scratch = Dsgraph.Stamp.t
 val scratch : unit -> scratch
 (** An empty scratch; the first call sizes it. *)
 
+val levels :
+  ?cost:Congest.Cost.t ->
+  trace:Congest.Trace.sink option ->
+  weak:
+    (cost:Congest.Cost.t ->
+    Dsgraph.Graph.t ->
+    domain:int array ->
+    epsilon:float ->
+    weak_result) ->
+  ball:
+    (cost:Congest.Cost.t ->
+    scratch ->
+    Dsgraph.Graph.t ->
+    int array ->
+    inside:int ->
+    root:int ->
+    radius:(maxd:int -> (int -> int * int) -> int) ->
+    int) ->
+  scratch ->
+  Dsgraph.Graph.t ->
+  emit:(int array -> unit) ->
+  epsilon:float ->
+  int array ->
+  stats
+(** [levels ~trace ~weak ~ball s g ~emit ~epsilon set]: Theorem 2.1's
+    levels on [G\[set\]] ([set] ascending, [n = |set|]), each output
+    cluster passed to [emit]. Each component runs its two stages on its
+    own meter: [weak] is [A]; [ball comp ~inside ~root ~radius] is Case
+    II's ball on the component (stamped [inside]), a BFS from [root]
+    inside it that leaves each node it reaches stamped [inside + 1] with
+    its distance in [value], returning [radius ~maxd counts], [maxd]
+    being the largest distance and [counts r = (|B_r|, |B_{r+1}|)]. A
+    level charges [cost] the {!Congest.Cost.parallel} composition of its
+    components' meters; its spans (see {!strong_carve}) go to [trace].
+    {!strong_carve_local} passes the model stages (the charges of
+    DESIGN.md §5), {!Transform_distributed} simulated node programs. *)
+
 val strong_carve_local :
   ?cost:Congest.Cost.t ->
   weak:weak_carver ->
@@ -94,7 +131,7 @@ val strong_carve :
     parallel (per-level round cost = max over components); per component,
     the [A] invocation charges through the shared meter, the giant-cluster
     size check charges [depth·congestion] rounds, and the Case II BFS
-    charges [r* + 1] rounds.
+    charges [r* + 2] rounds.
 
     Work: components are ascending member arrays, found by BFS over one
     node-indexed scratch whose marks are stamped afresh per node set and

@@ -2,23 +2,19 @@ open Dsgraph
 
 type stats = {
   iterations : int;
-  weak_rounds : int;
-  ball_rounds : int;
+  rounds : int;
+  messages : int;
   max_bits : int;
   all_matched : bool;
 }
 
-let log2_ceil n =
-  let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
-  max 1 (go 0 1)
-
 (* ------------------------------------------------------------------ *)
-(* Stage B1: masked BFS wave from one source                            *)
+(* Stage B1: BFS wave from one source over the nodes [member] admits    *)
 (* ------------------------------------------------------------------ *)
 
 type bfs_state = { dist : int; parent : int; announced : bool }
 
-let bfs_stage ?trace g ~mask ~source =
+let bfs_stage g ~member ~source =
   let n = Graph.n g in
   let msg_bits = Congest.Bits.int_bits (max 1 n) in
   let program =
@@ -29,7 +25,7 @@ let bfs_stage ?trace g ~mask ~source =
           else { dist = -1; parent = -1; announced = false });
       round =
         (fun ~node ~state ~inbox ~out ->
-          if not (Mask.mem mask node) then begin
+          if not (member node) then begin
             Congest.Sim.halt out;
             state
           end
@@ -56,14 +52,7 @@ let bfs_stage ?trace g ~mask ~source =
             end);
     }
   in
-  let states, stats =
-    Congest.Sim.simulate
-      ~config:{ Congest.Sim.Config.default with trace }
-      ~bits:(fun _ -> msg_bits) g program
-  in
-  ( Array.map (fun s -> s.dist) states,
-    Array.map (fun s -> s.parent) states,
-    stats )
+  ((fun _ -> msg_bits), program)
 
 (* ------------------------------------------------------------------ *)
 (* Stage B2: paired-count convergecast over a rooted tree               *)
@@ -80,7 +69,7 @@ type count_state = {
   sent_up : bool;
 }
 
-let pair_counts_stage ?trace g ~parent ~contrib =
+let pair_counts_stage g ~parent ~contrib =
   let n = Graph.n g in
   let msg_bits = (2 * Congest.Bits.int_bits (max 1 n)) + 2 in
   let program =
@@ -129,13 +118,7 @@ let pair_counts_stage ?trace g ~parent ~contrib =
               end);
     }
   in
-  let states, stats =
-    Congest.Sim.simulate
-      ~config:{ Congest.Sim.Config.default with trace }
-      ~bits:(fun m -> match m with Child -> 1 | Pair _ -> msg_bits)
-      g program
-  in
-  (Array.map (fun s -> (s.acc_a, s.acc_b)) states, stats)
+  ((function Child -> 1 | Pair _ -> msg_bits), program)
 
 (* ------------------------------------------------------------------ *)
 (* Stage B3: broadcast a value down a rooted tree                       *)
@@ -143,7 +126,7 @@ let pair_counts_stage ?trace g ~parent ~contrib =
 
 type bcast_state = { value : int; relayed : bool }
 
-let broadcast_stage ?trace g ~parent ~root ~value =
+let broadcast_stage g ~parent ~root ~value =
   let n = Graph.n g in
   let msg_bits = Congest.Bits.int_bits (max 1 (n + value)) in
   (* children lists derived implicitly: a node relays to neighbors that
@@ -188,165 +171,103 @@ let broadcast_stage ?trace g ~parent ~root ~value =
             end);
     }
   in
-  let states, stats =
-    Congest.Sim.simulate
-      ~config:{ Congest.Sim.Config.default with trace }
-      ~bits:(fun _ -> msg_bits) g program
-  in
-  (Array.map (fun s -> s.value) states, stats)
+  ((fun _ -> msg_bits), program)
 
 (* ------------------------------------------------------------------ *)
-(* The composed transformation                                          *)
+(* The two stages of Theorem 2.1's levels, simulated                    *)
 (* ------------------------------------------------------------------ *)
+
+(* a simulated stage's measured rounds, messages and largest message *)
+let charge cost tag (st : Congest.Sim.stats) =
+  Congest.Cost.charge cost ~rounds:st.rounds_used ~messages:st.total_messages
+    ~max_bits:st.max_bits_seen tag
+
+(* A: the weak carving as a node program on the component; its clusters
+   are the simulated ones, its roots, depth and congestion the engine's *)
+let weak_stage ~preset ?trace ~matched ~cost g ~domain ~epsilon =
+  let mask = Mask.empty (Graph.n g) in
+  Array.iter (Mask.add mask) domain;
+  let wd : Weakdiam.Distributed.result =
+    Weakdiam.Distributed.carve ~preset ~domain:mask ?trace g ~epsilon
+  in
+  if not (Weakdiam.Distributed.matches_engine wd) then matched := false;
+  charge cost "transform_sim.weak" wd.sim_stats;
+  let e = wd.engine in
+  {
+    Transform.clusters =
+      Array.of_list
+        (List.map Array.of_list
+           (Cluster.Clustering.clusters wd.carving.clustering));
+    roots = Array.map (fun (t : Cluster.Steiner.tree) -> t.root) e.forest;
+    depth = e.max_depth;
+    congestion = e.congestion;
+  }
+
+(* Case II's ball: B1 from the root, one B2 per radius the r* rule asks
+   about, then B3 of r*, after which each node decides locally from its
+   distance whether it is clustered, dead or left for the next level *)
+let ball_stage ?trace ~cost (s : Transform.scratch) g comp ~inside ~root
+    ~radius =
+  let run name (bits, program) =
+    let states, st =
+      Congest.Span.with_span trace name (fun () ->
+          Congest.Sim.simulate
+            ~config:{ Congest.Sim.Config.default with trace }
+            ~bits g program)
+    in
+    charge cost ("transform_sim." ^ name) st;
+    states
+  in
+  let b1 =
+    run "bfs" (bfs_stage g ~member:(fun v -> s.mark.(v) = inside) ~source:root)
+  in
+  let dist v = b1.(v).dist and parent = Array.map (fun st -> st.parent) b1 in
+  let maxd = ref 0 in
+  Array.iter
+    (fun v ->
+      if dist v >= 0 then begin
+        s.mark.(v) <- inside + 1;
+        s.value.(v) <- dist v;
+        maxd := max !maxd (dist v)
+      end)
+    comp;
+  let counts r =
+    let contrib v =
+      if dist v < 0 then (0, 0)
+      else ((if dist v <= r then 1 else 0), if dist v <= r + 1 then 1 else 0)
+    in
+    let b2 = run "pair_counts" (pair_counts_stage g ~parent ~contrib) in
+    (b2.(root).acc_a, b2.(root).acc_b)
+  in
+  let r_star = radius ~maxd:!maxd counts in
+  ignore (run "broadcast" (broadcast_stage g ~parent ~root ~value:r_star));
+  r_star
 
 let strong_carve ?(preset = Weakdiam.Weak_carving.default_preset) ?trace g
     ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Transform_distributed.strong_carve: epsilon must be in (0, 1)";
-  let n_graph = Graph.n g in
-  let n = max n_graph 2 in
-  let eps' = epsilon /. (2.0 *. float_of_int (log2_ceil n)) in
-  let growth_limit = Transform.ball_growth_limit ~n ~epsilon in
-  let output = Array.make n_graph (-1) in
-  let next_cluster = ref 0 in
-  let fresh () =
-    let c = !next_cluster in
-    incr next_cluster;
-    c
+  let n = Graph.n g in
+  let matched = ref true and clusters = ref [] in
+  (* composes the stages' simulated counts; it writes nothing to [trace],
+     which the simulator already reports every round to *)
+  let cost = Congest.Cost.create () in
+  let stats =
+    Congest.Span.with_span trace "transform" (fun () ->
+        Transform.levels ~cost ~trace
+          ~weak:(weak_stage ~preset ?trace ~matched)
+          ~ball:(ball_stage ?trace) (Transform.scratch ()) g
+          ~emit:(fun c -> clusters := c :: !clusters)
+          ~epsilon (Array.init n Fun.id))
   in
-  let weak_rounds = ref 0 in
-  let ball_rounds = ref 0 in
-  let max_bits = ref 0 in
-  let all_matched = ref true in
-  let iterations = ref 0 in
-  let note_bits (s : Congest.Sim.stats) =
-    if s.max_bits_seen > !max_bits then max_bits := s.max_bits_seen
-  in
-  let level = ref (Components.components g |> List.map (Mask.of_list n_graph)) in
-  let i = ref 1 in
-  Congest.Span.enter trace "transform_sim";
-  while !level <> [] do
-    Congest.Span.enter_idx trace "iter" !i;
-    incr iterations;
-    let threshold = float_of_int n /. (2.0 ** float_of_int !i) in
-    let next_level = ref [] in
-    let iter_weak = ref 0 and iter_ball = ref 0 in
-    List.iter
-      (fun comp ->
-        if Mask.count comp = 1 then
-          Mask.iter comp (fun v -> output.(v) <- fresh ())
-        else begin
-          (* stage W: distributed weak carving on this component *)
-          let wd =
-            Weakdiam.Distributed.carve ~preset ~domain:comp ?trace g
-              ~epsilon:eps'
-          in
-          if not (Weakdiam.Distributed.matches_engine wd) then
-            all_matched := false;
-          note_bits wd.Weakdiam.Distributed.sim_stats;
-          iter_weak :=
-            max !iter_weak
-              wd.Weakdiam.Distributed.sim_stats.Congest.Sim.rounds_used;
-          let clustering = wd.Weakdiam.Distributed.carving.Cluster.Carving.clustering in
-          let giant =
-            let best = ref (-1) in
-            List.iteri
-              (fun c members ->
-                if float_of_int (List.length members) > threshold then best := c)
-              (Cluster.Clustering.clusters clustering);
-            !best
-          in
-          if giant < 0 then begin
-            (* Case I *)
-            let alive = Mask.copy comp in
-            List.iter
-              (fun v -> Mask.remove alive v)
-              (Cluster.Clustering.unclustered clustering);
-            List.iter
-              (fun c -> next_level := Mask.of_list n_graph c :: !next_level)
-              (Components.components ~mask:alive g)
-          end
-          else begin
-            (* Case II, as three simulated stages *)
-            let root =
-              wd.Weakdiam.Distributed.engine.Weakdiam.Weak_carving.forest.(giant)
-                .Cluster.Steiner.root
-            in
-            Congest.Span.enter trace "bfs";
-            let dist, parent, b1 = bfs_stage ?trace g ~mask:comp ~source:root in
-            Congest.Span.exit trace;
-            note_bits b1;
-            let stage_rounds = ref b1.Congest.Sim.rounds_used in
-            let maxd = Array.fold_left max 0 dist in
-            let lo =
-              min wd.Weakdiam.Distributed.engine.Weakdiam.Weak_carving.max_depth
-                maxd
-            in
-            let ball_count r =
-              (* one simulated paired-count convergecast *)
-              Congest.Span.enter trace "pair_counts";
-              let totals, s =
-                pair_counts_stage ?trace g ~parent ~contrib:(fun v ->
-                    if dist.(v) < 0 then (0, 0)
-                    else
-                      ( (if dist.(v) <= r then 1 else 0),
-                        if dist.(v) <= r + 1 then 1 else 0 ))
-              in
-              Congest.Span.exit trace;
-              note_bits s;
-              stage_rounds := !stage_rounds + s.Congest.Sim.rounds_used;
-              totals.(root)
-            in
-            let rec find r =
-              if r >= lo + growth_limit then r
-              else
-                let br, br1 = ball_count r in
-                if float_of_int br >= (1.0 -. (epsilon /. 2.0)) *. float_of_int br1
-                then r
-                else find (r + 1)
-            in
-            let r_star = find lo in
-            Congest.Span.enter trace "broadcast";
-            let r_known, b3 =
-              broadcast_stage ?trace g ~parent ~root ~value:r_star
-            in
-            Congest.Span.exit trace;
-            note_bits b3;
-            stage_rounds := !stage_rounds + b3.Congest.Sim.rounds_used;
-            iter_ball := max !iter_ball !stage_rounds;
-            let cluster_id = fresh () in
-            let rest = Mask.copy comp in
-            ignore r_known;
-            Mask.iter comp (fun v ->
-                (* each node decides locally from its distance and the
-                   r-star value that stage B3 delivered to every tree node *)
-                if dist.(v) >= 0 && dist.(v) <= r_star then begin
-                  output.(v) <- cluster_id;
-                  Mask.remove rest v
-                end
-                else if dist.(v) = r_star + 1 then Mask.remove rest v);
-            List.iter
-              (fun c -> next_level := Mask.of_list n_graph c :: !next_level)
-              (Components.components ~mask:rest g)
-          end
-        end)
-      !level;
-    weak_rounds := !weak_rounds + !iter_weak;
-    ball_rounds := !ball_rounds + !iter_ball;
-    level := !next_level;
-    incr i;
-    Congest.Span.exit trace
-  done;
-  Congest.Span.exit trace;
-  let clustering = Cluster.Clustering.make g ~cluster_of:output in
-  let carving = Cluster.Carving.make clustering ~domain:(Mask.full n_graph) in
-  ( carving,
+  ( Cluster.Carving.of_clusters g ~domain:(Mask.full n)
+      (Array.of_list !clusters),
     {
-      iterations = !iterations;
-      weak_rounds = !weak_rounds;
-      ball_rounds = !ball_rounds;
-      max_bits = !max_bits;
-      all_matched = !all_matched;
+      iterations = stats.Transform.iterations;
+      rounds = Congest.Cost.rounds cost;
+      messages = Congest.Cost.messages cost;
+      max_bits = Congest.Cost.max_message_bits cost;
+      all_matched = !matched;
     } )
 
 let matches_centralized ?(preset = Weakdiam.Weak_carving.default_preset) g
@@ -354,11 +275,7 @@ let matches_centralized ?(preset = Weakdiam.Weak_carving.default_preset) g
   let distributed, stats = strong_carve ~preset g ~epsilon in
   let weak = Strong_carving.weak_of_preset preset in
   let central, _ = Transform.strong_carve ~weak g ~epsilon in
-  let a = distributed.Cluster.Carving.clustering in
-  let b = central.Cluster.Carving.clustering in
-  let ok = ref stats.all_matched in
-  for v = 0 to Graph.n g - 1 do
-    if Cluster.Clustering.cluster_of a v <> Cluster.Clustering.cluster_of b v
-    then ok := false
-  done;
-  !ok
+  let labels (c : Cluster.Carving.t) =
+    Array.init (Graph.n g) (Cluster.Clustering.cluster_of c.clustering)
+  in
+  stats.all_matched && labels distributed = labels central

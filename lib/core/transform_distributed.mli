@@ -1,31 +1,35 @@
-(** Theorem 2.1 executed as a sequence of {e genuinely distributed} stages
-    on {!Congest.Sim} — the paper's own algorithm as message passing.
+(** Theorem 2.1 executed as {e genuinely distributed} stages on
+    {!Congest.Sim} — the paper's own algorithm as message passing.
 
-    Each size-halving iteration runs, per connected component of alive
-    nodes:
-    + the weak-diameter carving as a real node program
-      ({!Weakdiam.Distributed}),
-    + the Case II ball carving as three more node programs: a BFS wave
-      from the giant cluster's Steiner root, repeated paired-count
-      convergecasts over the BFS tree (how many nodes lie within radius
-      [r] and [r+1]) until the [|B_r| >= (1-ε/2)·|B_{r+1}|] radius is
-      found, and a broadcast of [r*] after which each node decides
-      locally whether it is clustered, dead, or survives to the next
-      iteration.
+    The level loop is {!Transform.levels}, the one Theorem 2.1 loop: it
+    keeps the levels, components, threshold, giant check, Case I/II
+    next-level sets and the emitted clusters. This module hands it, per
+    component, two simulated stages in place of the model ones:
+    + [A], the weak-diameter carving as a real node program
+      ({!Weakdiam.Distributed}) on the component, returning the
+      simulated clusters with the engine's roots, depth and congestion;
+    + Case II's ball as three more node programs: a BFS wave from the
+      giant cluster's Steiner root over the component (B1), one
+      paired-count convergecast over the BFS tree per radius [r] the
+      [|B_r| >= (1-ε/2)·|B_{r+1}|] rule asks about (B2), and a
+      broadcast of [r*] (B3) after which each node decides locally
+      whether it is clustered, dead, or survives to the next level.
 
-    The harness only orchestrates stage boundaries and carries each
-    node's own local state between stages; all communication inside a
-    stage is simulated message passing within the CONGEST bandwidth. As
-    with {!Weakdiam.Distributed}, schedule lengths and the giant-cluster
-    threshold comparison are oracle-assisted (worst-case bounds in a real
-    deployment); the test suite asserts the result equals the
+    Each stage charges its simulated rounds, messages and largest
+    message to the component's meter, and the loop composes each level
+    with {!Congest.Cost.parallel}, as it does for the model charges.
+    Schedule lengths and the giant-cluster threshold comparison are
+    oracle-assisted, as with {!Weakdiam.Distributed} (worst-case bounds
+    in a real deployment); the test suite asserts the result equals the
     centralized {!Transform.strong_carve} exactly. *)
 
 type stats = {
-  iterations : int;
-  weak_rounds : int;  (** simulated rounds in the weak-carving stages
-                          (parallel components: max per iteration) *)
-  ball_rounds : int;  (** simulated rounds in the Case II stages *)
+  iterations : int;  (** size-halving levels used *)
+  rounds : int;
+      (** simulated rounds: per level the max over its components of
+          the component's stage rounds (A, then its Case II stages),
+          summed over levels *)
+  messages : int;  (** simulated messages over all stages *)
   max_bits : int;  (** largest message over all stages *)
   all_matched : bool;  (** every weak stage matched its engine *)
 }
@@ -37,10 +41,12 @@ val strong_carve :
   epsilon:float ->
   Cluster.Carving.t * stats
 (** When [trace] is attached, every stage's simulated run reports into
-    it, bracketed by spans
-    [transform_sim/iter=<i>/{weakdiam_sim,bfs,pair_counts,broadcast}]
-    so per-stage rounds and messages can be rolled up with
-    {!Congest.Span.rollups}. *)
+    it, under the loop's spans [transform/level=<i>/{weak,case_i,case_ii}]
+    ({!Weakdiam.Distributed}'s own ["weakdiam_sim"] inside ["weak"];
+    ["bfs"], ["pair_counts"] and ["broadcast"] inside ["case_ii"]), so
+    per-stage rounds and messages roll up with {!Congest.Span.rollups}.
+    The meter that composes [stats] writes no [Cost_charged] event: the
+    trace's rounds are exactly the simulated ones. *)
 
 val matches_centralized :
   ?preset:Weakdiam.Weak_carving.preset ->

@@ -421,17 +421,65 @@ let test_transform_distributed_rg20_preset () =
 let test_transform_distributed_grid32_counts () =
   let g = Gen.grid 32 32 in
   check bool "matches centralized" true (TD.matches_centralized g ~epsilon:0.5);
-  let _, stats = TD.strong_carve g ~epsilon:0.5 in
+  let sink = Congest.Trace.sink () in
+  let _, stats = TD.strong_carve ~trace:sink g ~epsilon:0.5 in
   check int "iterations" 1 stats.TD.iterations;
-  check int "weak rounds" 26_544 stats.TD.weak_rounds;
-  check int "ball rounds" 192 stats.TD.ball_rounds;
+  check int "simulated rounds" 26_736 stats.TD.rounds;
   check int "max bits" 24 stats.TD.max_bits;
+  (* one component: A's 26,544 rounds, then Case II's 192 *)
+  let incl path =
+    match
+      List.find_opt
+        (fun (r : Congest.Span.rollup) -> r.Congest.Span.path = path)
+        (Congest.Span.rollups sink)
+    with
+    | Some r -> r.Congest.Span.rounds_incl
+    | None -> Alcotest.failf "no span %s" path
+  in
+  check int "weak stage rounds" 26_544 (incl "transform/level=1/weak");
+  check int "ball stage rounds" 192 (incl "transform/level=1/case_ii");
   let cost = Congest.Cost.create () in
-  ignore
-    (Transform.strong_carve ~cost
-       ~weak:(Carve.weak_of_preset Weakdiam.Weak_carving.default_preset)
-       g ~epsilon:0.5);
+  ignore (Carve.carve ~cost g ~epsilon:0.5);
   check int "charged rounds" 6_350 (Congest.Cost.rounds cost)
+
+(* Components run in parallel, each A and then its ball: a level costs
+   the max over components of their sum, not the max weak stage plus
+   the max ball (912 + 36 = 948 here) *)
+let test_transform_distributed_level_rounds () =
+  let g = Gen.erdos_renyi (Rng.create 6) 16 0.14 in
+  check bool "matches centralized" true (TD.matches_centralized g ~epsilon:0.5);
+  let _, stats = TD.strong_carve g ~epsilon:0.5 in
+  check int "iterations" 2 stats.TD.iterations;
+  check int "rounds" 933 stats.TD.rounds
+
+(* the simulator reports every round to the sink; the meter composing
+   the stats adds no Cost_charged event of its own *)
+let test_transform_distributed_traced () =
+  let sink = Congest.Trace.sink () in
+  let _, stats = TD.strong_carve ~trace:sink (Gen.grid 8 8) ~epsilon:0.5 in
+  let starts = ref 0 and charges = ref 0 in
+  Congest.Trace.iter
+    (function
+      | Congest.Trace.Round_start _ -> incr starts
+      | Congest.Trace.Cost_charged _ -> incr charges
+      | _ -> ())
+    sink;
+  check int "no Cost_charged event" 0 !charges;
+  let rolls = Congest.Span.rollups sink in
+  check int "self rounds = Round_start events" !starts
+    (List.fold_left (fun acc r -> acc + r.Congest.Span.rounds) 0 rolls);
+  (* one non-trivial component per level, so nothing runs in parallel *)
+  check int "stats rounds = Round_start events" stats.TD.rounds !starts;
+  List.iter
+    (fun path ->
+      check bool (path ^ " recorded") true
+        (List.exists (fun r -> r.Congest.Span.path = path) rolls))
+    [
+      "transform/level=1/weak/weakdiam_sim";
+      "transform/level=1/case_ii/bfs";
+      "transform/level=1/case_ii/pair_counts";
+      "transform/level=1/case_ii/broadcast";
+    ]
 
 let prop_transform_distributed =
   QCheck.Test.make
@@ -927,6 +975,10 @@ let () =
             test_transform_distributed_rg20_preset;
           Alcotest.test_case "grid 32x32 counts" `Quick
             test_transform_distributed_grid32_counts;
+          Alcotest.test_case "level rounds compose" `Quick
+            test_transform_distributed_level_rounds;
+          Alcotest.test_case "traced run" `Quick
+            test_transform_distributed_traced;
         ] );
       ( "decomposition",
         [
