@@ -425,6 +425,7 @@ let test_transform_distributed_grid32_counts () =
   let _, stats = TD.strong_carve ~trace:sink g ~epsilon:0.5 in
   check int "iterations" 1 stats.TD.iterations;
   check int "simulated rounds" 26_736 stats.TD.rounds;
+  check int "simulated messages" 305_783 stats.TD.messages;
   check int "max bits" 24 stats.TD.max_bits;
   (* one component: A's 26,544 rounds, then Case II's 192 *)
   let incl path =
