@@ -2,10 +2,6 @@ open Dsgraph
 
 type info = { max_message_bits : int; power_colors : int; rounds : int }
 
-let log2_ceil n =
-  let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
-  max 1 (go 0 1)
-
 (* BFS over the alive nodes (alive.(v) = a) from the sources
    queue.(0 .. tail-1), already stamped [b]: appends every alive node
    within [radius] hops, layer by layer, and returns how many it holds,
@@ -52,7 +48,7 @@ let carve ?cost g ~domain ~epsilon =
   Cluster.Carving.check_domain "Abcp.carve" g domain;
   let n = Graph.n g in
   let nd = Array.length domain in
-  let d = log2_ceil (max 2 nd) in
+  let d = Congest.Bits.id_bits ~n:(max 2 nd) in
   let id_bits = Congest.Bits.id_bits ~n in
   (* Weak-diameter decomposition of the power graph G^{2d} restricted to
      the domain. Building G^{2d} itself needs big messages in CONGEST;

@@ -109,7 +109,9 @@ let attempt_reliable ?adversary ?conformance ?(liveness_timeout = 64) ?trace
     inner_rounds;
   }
 
-let carve ?(max_retries = 60) ?trace rng g ~epsilon =
+(* The Las Vegas retry loop; [on_attempt] sees every attempt's stats,
+   the rejected ones too. *)
+let retry ~on_attempt ?(max_retries = 60) ?trace rng g ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Ls_distributed.carve: epsilon must be in (0, 1)";
   let n = Graph.n g in
@@ -122,6 +124,7 @@ let carve ?(max_retries = 60) ?trace rng g ~epsilon =
     Congest.Span.enter_idx trace "attempt" k;
     let cluster_of, stats = attempt ?trace rng g ~epsilon in
     Congest.Span.exit trace;
+    on_attempt stats;
     let clustering = Cluster.Clustering.make g ~cluster_of in
     let carving = Cluster.Carving.make clustering ~domain in
     if Cluster.Carving.dead_fraction carving <= epsilon then begin
@@ -132,54 +135,35 @@ let carve ?(max_retries = 60) ?trace rng g ~epsilon =
   in
   go 0
 
+let carve = retry ~on_attempt:ignore
+
 type decompose_stats = {
   total_rounds : int;
   total_messages : int;
   max_bits : int;
 }
 
-let decompose ?(max_retries = 60) ?trace rng g =
-  let n = Graph.n g in
-  let cluster_of = Array.make n (-1) in
-  let node_color = Array.make n (-1) in
-  let next_cluster = ref 0 in
+let decompose ?max_retries ?trace rng g =
   let stats = ref { total_rounds = 0; total_messages = 0; max_bits = 0 } in
-  let remaining = ref (Graph.nodes g) in
-  let color = ref 0 in
-  Congest.Span.enter trace "ls_decompose";
-  while !remaining <> [] do
-    Congest.Span.enter_idx trace "color" !color;
-    let sub, back = Subgraph.induce g !remaining in
-    let carving, sim_stats = carve ~max_retries ?trace rng sub ~epsilon:0.5 in
+  let on_attempt (st : Congest.Sim.stats) =
     stats :=
       {
-        total_rounds = !stats.total_rounds + sim_stats.Congest.Sim.rounds_used;
-        total_messages =
-          !stats.total_messages + sim_stats.Congest.Sim.total_messages;
-        max_bits = max !stats.max_bits sim_stats.Congest.Sim.max_bits_seen;
-      };
-    let clustering = carving.Cluster.Carving.clustering in
-    if Cluster.Clustering.clustered_count clustering = 0 then
-      failwith "Ls_distributed.decompose: carving clustered no nodes";
-    List.iter
-      (fun members ->
-        let id = !next_cluster in
-        incr next_cluster;
-        List.iter
-          (fun v ->
-            let orig = back.(v) in
-            cluster_of.(orig) <- id;
-            node_color.(orig) <- !color)
-          members)
-      (Cluster.Clustering.clusters clustering);
-    remaining := List.filter (fun v -> cluster_of.(v) = -1) !remaining;
-    incr color;
-    Congest.Span.exit trace
-  done;
-  Congest.Span.exit trace;
-  let clustering = Cluster.Clustering.make g ~cluster_of in
-  let color_of_cluster =
-    Array.init (Cluster.Clustering.num_clusters clustering) (fun c ->
-        node_color.(List.hd (Cluster.Clustering.members clustering c)))
+        total_rounds = !stats.total_rounds + st.rounds_used;
+        total_messages = !stats.total_messages + st.total_messages;
+        max_bits = max !stats.max_bits st.max_bits_seen;
+      }
   in
-  (Cluster.Decomposition.make clustering ~color_of_cluster, !stats)
+  (* the carving of G[domain], run on the induced subgraph *)
+  let carver ?cost:_ g ~domain ~epsilon =
+    let sub, back = Subgraph.induce g (Array.to_list domain) in
+    let carving, _ = retry ~on_attempt ?max_retries ?trace rng sub ~epsilon in
+    Array.of_list
+      (List.map
+         (fun members -> Array.of_list (List.map (Array.get back) members))
+         (Cluster.Clustering.clusters carving.Cluster.Carving.clustering))
+  in
+  (* the meter only carries [trace] to the color loop's spans: nothing is
+     charged to it, so no [Cost_charged] event repeats a simulated round *)
+  let cost = Congest.Cost.create ?trace () in
+  let d = Strongdecomp.Netdecomp.of_carver ~cost carver g in
+  (d, !stats)

@@ -67,15 +67,17 @@ val carve :
   Cluster.Carving.t * Congest.Sim.stats
 (** Runs the node program under [Sim.simulate] (Las Vegas retry on the dead
     fraction, default 60 attempts) and returns the carving together with
-    the {e measured} simulator statistics (rounds, messages, max message
-    bits). A [trace] sink sees each retry under an
+    the accepted attempt's {e measured} simulator statistics (rounds,
+    messages, max message bits). A [trace] sink sees each retry under an
     [ls_carve/attempt=<k>] span. @raise Failure when retries are
     exhausted. *)
 
 type decompose_stats = {
-  total_rounds : int;  (** summed over the color repetitions *)
-  total_messages : int;
-  max_bits : int;
+  total_rounds : int;
+      (** summed over every carving attempt of every color repetition,
+          the rejected retries included *)
+  total_messages : int;  (** likewise *)
+  max_bits : int;  (** over every attempt *)
 }
 
 val decompose :
@@ -85,9 +87,13 @@ val decompose :
   Dsgraph.Graph.t ->
   Cluster.Decomposition.t * decompose_stats
 (** A complete network decomposition computed {e entirely} on the
-    synchronous simulator: repeat the distributed carving with [ε = 1/2]
-    on the (materialized) subgraph induced by the not-yet-clustered nodes,
-    coloring repetition [i]'s clusters with color [i]. Every message of
-    every round fits the CONGEST bandwidth — the end-to-end
-    small-messages execution of a full decomposition. A [trace] sink
-    sees color repetition [i] under an [ls_decompose/color=<i>] span. *)
+    synchronous simulator: {!Strongdecomp.Netdecomp.of_carver} with
+    [ε = 1/2] over a carver that runs {!carve}'s retry loop on the
+    (materialized) subgraph induced by the not-yet-clustered nodes;
+    repetition [i]'s clusters get color [i]. Every message of every
+    round fits the CONGEST bandwidth — the end-to-end small-messages
+    execution of a full decomposition. A [trace] sink sees color
+    repetition [i] under the color loop's [netdecomp/color=<i>] span and
+    each attempt under [netdecomp/color=<i>/ls_carve/attempt=<k>]; the
+    totals then equal the trace's [Round_start] and [Message_sent]
+    events. No [Cost_charged] event is written. *)

@@ -42,7 +42,7 @@ let leader_election ?adversary ?conformance ?trace g =
 
 type bfs_state = { dist : int; parent : int; announced : bool }
 
-let bfs ?adversary ?conformance ?trace g ~source =
+let bfs ?adversary ?conformance ?trace ?(member = fun _ -> true) g ~source =
   let n = Graph.n g in
   let msg_bits = Bits.int_bits (max 1 n) in
   let program =
@@ -53,25 +53,30 @@ let bfs ?adversary ?conformance ?trace g ~source =
           else { dist = -1; parent = -1; announced = false });
       round =
         (fun ~node ~state ~inbox ~out ->
-          let state =
-            if state.dist >= 0 || Sim.Inbox.is_empty inbox then state
-            else
-              (* first arrival wins distance ties *)
-              let best_u, best_d =
-                Sim.Inbox.fold
-                  (fun (bu, bd) u d -> if d < bd then (u, d) else (bu, bd))
-                  (-1, max_int) inbox
-              in
-              { dist = best_d + 1; parent = best_u; announced = false }
-          in
-          if state.dist >= 0 && not state.announced then begin
-            Graph.iter_neighbors g node (fun nb -> Sim.send out nb state.dist);
-            { state with announced = true }
-          end
-          else begin
+          if not (member node) then begin
             Sim.halt out;
             state
-          end);
+          end
+          else
+            let state =
+              if state.dist >= 0 || Sim.Inbox.is_empty inbox then state
+              else
+                (* first arrival wins distance ties *)
+                let best_u, best_d =
+                  Sim.Inbox.fold
+                    (fun (bu, bd) u d -> if d < bd then (u, d) else (bu, bd))
+                    (-1, max_int) inbox
+                in
+                { dist = best_d + 1; parent = best_u; announced = false }
+            in
+            if state.dist >= 0 && not state.announced then begin
+              Graph.iter_neighbors g node (fun nb -> Sim.send out nb state.dist);
+              { state with announced = true }
+            end
+            else begin
+              Sim.halt out;
+              state
+            end);
     }
   in
   let states, stats =
@@ -82,32 +87,29 @@ let bfs ?adversary ?conformance ?trace g ~source =
   ((Array.map (fun s -> s.dist) states, Array.map (fun s -> s.parent) states), stats)
 
 (* ------------------------------------------------------------------ *)
-(* Subtree counting (convergecast).                                    *)
+(* Convergecast over a rooted forest.                                  *)
 (* ------------------------------------------------------------------ *)
 
-type count_msg = Child | Count of int
+type 'a up_msg = Child | Up of 'a
 
-type count_state = {
+type 'a up_state = {
   round_no : int;
   pending : int; (* children that have not reported yet *)
-  total : int;
+  acc : 'a;
   sent_up : bool;
 }
 
 (* Timing invariant: every node sends [Child] to its parent in round 1, so
-   all [Child] messages arrive exactly in round 2; [Count] messages are sent
+   all [Child] messages arrive exactly in round 2; [Up] messages are sent
    in rounds >= 2 and arrive in rounds >= 3. Hence after processing the
    round-2 inbox, [pending] equals the true child count, and from round 2 on
    [pending = 0] means the whole subtree has reported. *)
-let subtree_counts ?adversary ?conformance ?trace g ~parent =
-  let n = Graph.n g in
-  let msg_bits = Bits.int_bits (max 1 n) + 1 in
+let convergecast ?adversary ?conformance ?trace g ~parent ~value ~add ~bits =
   let program =
     {
       Sim.init =
         (fun ~node ~neighbors:_ ->
-          ignore node;
-          { round_no = 0; pending = 0; total = 1; sent_up = false });
+          { round_no = 0; pending = 0; acc = value node; sent_up = false });
       round =
         (fun ~node ~state ~inbox ~out ->
           if parent.(node) = -1 then begin
@@ -126,13 +128,13 @@ let subtree_counts ?adversary ?conformance ?trace g ~parent =
                   (fun st _ m ->
                     match m with
                     | Child -> { st with pending = st.pending + 1 }
-                    | Count c ->
-                        { st with pending = st.pending - 1; total = st.total + c })
+                    | Up a ->
+                        { st with pending = st.pending - 1; acc = add st.acc a })
                   state inbox
               in
               let is_root = parent.(node) = node in
               if state.pending = 0 && not state.sent_up && not is_root then begin
-                Sim.send out parent.(node) (Count state.total);
+                Sim.send out parent.(node) (Up state.acc);
                 { state with sent_up = true }
               end
               else begin
@@ -144,7 +146,69 @@ let subtree_counts ?adversary ?conformance ?trace g ~parent =
   in
   let states, stats =
     Sim.simulate ~config:(config ?adversary ?trace ())
-      ~bits:(fun m -> match m with Child -> 1 | Count _ -> msg_bits)
+      ~bits:(function Child -> 1 | Up a -> bits a)
       g (wrap conformance program)
   in
-  (Array.map (fun s -> s.total) states, stats)
+  (Array.map (fun s -> s.acc) states, stats)
+
+let subtree_counts ?adversary ?conformance ?trace g ~parent =
+  let msg_bits = Bits.int_bits (max 1 (Graph.n g)) + 1 in
+  convergecast ?adversary ?conformance ?trace g ~parent
+    ~value:(fun _ -> 1)
+    ~add:( + )
+    ~bits:(fun _ -> msg_bits)
+
+(* ------------------------------------------------------------------ *)
+(* Broadcast down a rooted forest.                                     *)
+(* ------------------------------------------------------------------ *)
+
+type bcast_state = { got : int; relayed : bool }
+
+let broadcast ?adversary ?conformance ?trace g ~parent ~root ~value =
+  if value < 0 then invalid_arg "Programs.broadcast: negative value";
+  let msg_bits = Bits.int_bits (max 1 (Graph.n g + value)) in
+  let program =
+    {
+      Sim.init =
+        (fun ~node ~neighbors:_ ->
+          { got = (if node = root then value else -1); relayed = false });
+      round =
+        (fun ~node ~state ~inbox ~out ->
+          if parent.(node) = -1 then begin
+            Sim.halt out;
+            state
+          end
+          else
+            let state =
+              if state.got = -1 && not (Sim.Inbox.is_empty inbox) then
+                (* the first delivery carries the value *)
+                let v =
+                  Sim.Inbox.fold
+                    (fun acc _ v -> if acc = -1 then v else acc)
+                    (-1) inbox
+                in
+                { state with got = v }
+              else state
+            in
+            if state.got >= 0 && not state.relayed then begin
+              (* a node's children are the neighbours naming it their
+                 parent, served in descending id order *)
+              let nbrs = Graph.neighbors g node in
+              for i = Array.length nbrs - 1 downto 0 do
+                let w = nbrs.(i) in
+                if parent.(w) = node && w <> node then Sim.send out w state.got
+              done;
+              { state with relayed = true }
+            end
+            else begin
+              if state.got >= 0 then Sim.halt out;
+              state
+            end);
+    }
+  in
+  let states, stats =
+    Sim.simulate ~config:(config ?adversary ?trace ())
+      ~bits:(fun _ -> msg_bits)
+      g (wrap conformance program)
+  in
+  (Array.map (fun s -> s.got) states, stats)

@@ -6,10 +6,6 @@ type stats = {
   components_taken : int;
 }
 
-let log2_ceil n =
-  let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
-  max 1 (go 0 1)
-
 let improve ~(strong : Cluster.Carving.carver) =
   let cut = Sparse_cut.scratch () in
   fun ?cost g ~domain ~epsilon ->
@@ -20,7 +16,7 @@ let improve ~(strong : Cluster.Carving.carver) =
     (* A runs with Θ(ε/log n); Lemma 3.1 has its own 1/log n factor
        inside, so it receives ε/4 (its per-call boundary is
        O(ε n / log n)). *)
-    let eps_a = epsilon /. (4.0 *. float_of_int (log2_ceil n)) in
+    let eps_a = epsilon /. (4.0 *. float_of_int (Congest.Bits.id_bits ~n)) in
     let eps_lemma = epsilon /. 4.0 in
     let output = ref [] in
     let stats =

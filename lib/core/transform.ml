@@ -20,10 +20,6 @@ type stats = {
   max_ball_radius : int;
 }
 
-let log2_ceil n =
-  let rec go acc k = if k >= n then acc else go (acc + 1) (2 * k) in
-  max 1 (go 0 1)
-
 let ball_growth_limit ~n ~epsilon =
   let growth = 1.0 /. (1.0 -. (epsilon /. 2.0)) in
   int_of_float (Float.ceil (log (float_of_int (max n 2)) /. log growth)) + 1
@@ -69,7 +65,7 @@ let model_ball ~cost (s : scratch) g comp ~inside ~root ~radius =
 let levels ?cost ~trace ~weak ~ball s g ~emit ~epsilon set =
   Stamp.fit s g;
   let n = max (Array.length set) 2 in
-  let eps' = epsilon /. (2.0 *. float_of_int (log2_ceil n)) in
+  let eps' = epsilon /. (2.0 *. float_of_int (Congest.Bits.id_bits ~n)) in
   let growth_limit = ball_growth_limit ~n ~epsilon in
   (* r*: the first radius from the tree depth on whose ball holds a
      (1 - ε/2) share of the next one, or the growth limit *)

@@ -6,14 +6,18 @@
     next-level sets and the emitted clusters. This module hands it, per
     component, two simulated stages in place of the model ones:
     + [A], the weak-diameter carving as a real node program
-      ({!Weakdiam.Distributed}) on the component, returning the
-      simulated clusters with the engine's roots, depth and congestion;
-    + Case II's ball as three more node programs: a BFS wave from the
-      giant cluster's Steiner root over the component (B1), one
-      paired-count convergecast over the BFS tree per radius [r] the
-      [|B_r| >= (1-ε/2)·|B_{r+1}|] rule asks about (B2), and a
-      broadcast of [r*] (B3) after which each node decides locally
-      whether it is clustered, dead, or survives to the next level.
+      ({!Weakdiam.Distributed}) on the component, whose ascending node
+      array is the carving's [domain] (nodes outside it sleep),
+      returning the simulated clusters with the engine's roots, depth
+      and congestion;
+    + Case II's ball as three of the shared {!Congest.Programs}: a BFS
+      wave ({!Congest.Programs.bfs} with [~member] the component) from
+      the giant cluster's Steiner root (B1), one paired-count
+      {!Congest.Programs.convergecast} over the BFS tree per radius [r]
+      the [|B_r| >= (1-ε/2)·|B_{r+1}|] rule asks about (B2), and a
+      {!Congest.Programs.broadcast} of [r*] (B3) after which each node
+      decides locally whether it is clustered, dead, or survives to the
+      next level.
 
     Each stage charges its simulated rounds, messages and largest
     message to the component's meter, and the loop composes each level

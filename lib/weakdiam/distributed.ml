@@ -270,7 +270,6 @@ type built = {
   b_engine : Weak_carving.result;
   b_step_budget : int;
   b_total_steps : int;
-  b_domain : Mask.t;
   b_program : (nstate, int) Congest.Sim.program;
   b_bits : int -> int;
   b_bandwidth : int;
@@ -285,8 +284,8 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
          "Weakdiam.Distributed: n = %d exceeds %d, the largest graph whose \
           messages pack into one int"
          n max_nodes);
-  let domain = match domain with Some d -> d | None -> Mask.full n in
-  let engine = Weak_carving.carve ~preset ~domain g ~epsilon in
+  let engine = Weak_carving.carve ~preset ?domain g ~epsilon in
+  let domain = engine.carving.Cluster.Carving.domain in
   let b = Congest.Bits.id_bits ~n in
   let id_bits = b in
   (* Step budget: proposals (2) + count convergecast (depth + queueing) +
@@ -496,7 +495,6 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     b_engine = engine;
     b_step_budget = step_budget;
     b_total_steps = total_steps;
-    b_domain = domain;
     b_program = program;
     b_bits = bits;
     b_bandwidth = bandwidth;
@@ -555,7 +553,10 @@ let carve ?conformance ?preset ?domain ?trace g ~epsilon =
   Congest.Span.exit trace;
   let cluster_of = Array.map (fun st -> st.label) states in
   let clustering = Cluster.Clustering.make g ~cluster_of in
-  let carving = Cluster.Carving.make clustering ~domain:b.b_domain in
+  let carving =
+    Cluster.Carving.make clustering
+      ~domain:b.b_engine.Weak_carving.carving.Cluster.Carving.domain
+  in
   {
     carving;
     sim_stats;

@@ -42,14 +42,18 @@ type result = {
 val carve :
   ?conformance:Congest.Conformance.instrumentor ->
   ?preset:Weak_carving.preset ->
-  ?domain:Dsgraph.Mask.t ->
+  ?domain:int array ->
   ?trace:Congest.Trace.sink ->
   Dsgraph.Graph.t ->
   epsilon:float ->
   result
 (** Runs the engine (for the schedule and as the comparison oracle), then
-    the full synchronous simulation. [result.carving] is built from the
-    {e simulated} node states. A [trace] sink observes the simulated
+    the full synchronous simulation. [domain] is the strictly ascending
+    node set to carve (default: all nodes), passed to
+    {!Weak_carving.carve}, which checks it; the node program reads
+    membership from that engine run's [carving.domain], and nodes
+    outside it sleep. [result.carving] is built from the {e simulated}
+    node states over the same domain. A [trace] sink observes the simulated
     rounds and messages. A [conformance] instrumentor wraps the node
     program with the model-invariant checks; the per-node state is
     mutable, so the instrumentor must {e not} be built with
@@ -81,13 +85,13 @@ val carve_reliable :
   ?conformance:Congest.Conformance.instrumentor ->
   ?liveness_timeout:int ->
   ?preset:Weak_carving.preset ->
-  ?domain:Dsgraph.Mask.t ->
+  ?domain:int array ->
   ?trace:Congest.Trace.sink ->
   Dsgraph.Graph.t ->
   epsilon:float ->
   reliable_result
-(** The same node program wrapped in {!Congest.Reliable} and run against
-    an optional fault adversary. The program is deterministic, so a
+(** The same node program, on the same [domain] as {!carve}, wrapped in
+    {!Congest.Reliable} and run against an optional fault adversary. The program is deterministic, so a
     fault-free run first sizes [inner_rounds = rounds_used + step_budget
     + 8]; with no adversary the resulting labels are {e identical} to
     {!carve}'s (zero-fault transparency). Under crashes the surviving

@@ -216,7 +216,9 @@ let run ~trees ?(preset = default_preset) ?scratch:s ?cost g ~domain:dom
     ~epsilon =
   check_epsilon epsilon;
   let n = Graph.n g in
-  Cluster.Carving.check_domain "Weak_carving.carve_local" g dom;
+  Cluster.Carving.check_domain
+    (if trees then "Weak_carving.carve" else "Weak_carving.carve_local")
+    g dom;
   let s = match s with Some s -> s | None -> scratch () in
   fit s g;
   let charge ?rounds ?messages ?max_bits tag =
@@ -428,26 +430,14 @@ let carve_local ?preset ?scratch ?cost g ~domain ~epsilon =
   fst (run ~trees:false ?preset ?scratch ?cost g ~domain ~epsilon)
 
 let carve ?preset ?scratch ?cost ?domain g ~epsilon =
-  check_epsilon epsilon;
   let n = Graph.n g in
-  let domain =
-    match domain with
-    | None -> Mask.full n
-    | Some d ->
-        if Mask.size d <> n then
-          invalid_arg
-            (Printf.sprintf
-               "Weak_carving.carve: domain mask has size %d, graph has %d \
-                nodes"
-               (Mask.size d) n);
-        d
-  in
-  let l, forest =
-    run ~trees:true ?preset ?scratch ?cost g ~domain:(Mask.to_array domain)
-      ~epsilon
-  in
+  let domain = match domain with Some d -> d | None -> Array.init n Fun.id in
+  let l, forest = run ~trees:true ?preset ?scratch ?cost g ~domain ~epsilon in
   {
-    carving = Cluster.Carving.of_clusters g ~domain l.members;
+    carving =
+      Cluster.Carving.of_clusters g
+        ~domain:(Mask.of_list n (Array.to_list domain))
+        l.members;
     forest;
     steps = l.steps;
     phases = l.phases;

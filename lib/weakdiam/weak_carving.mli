@@ -114,19 +114,21 @@ val carve :
   ?preset:preset ->
   ?scratch:scratch ->
   ?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
+  ?domain:int array ->
   Dsgraph.Graph.t ->
   epsilon:float ->
   result
-(** [carve g ~epsilon] runs the carving on [G\[domain\]] (default: all
-    nodes). Guarantees on the output: clusters are pairwise non-adjacent;
-    every non-dead domain node is clustered; each cluster has a valid
-    Steiner tree containing all its members as nodes.
+(** [carve g ~epsilon] runs the carving on [G\[domain\]], [domain]
+    being strictly ascending node ids (the {!Cluster.Carving.carver}
+    contract's domain; default: all nodes). Guarantees on the output:
+    clusters are pairwise non-adjacent; every non-dead domain node is
+    clustered; each cluster has a valid Steiner tree containing all its
+    members as nodes.
 
-    Work: {!carve_local} on the mask's members, plus one arena entry per
-    join (chunked, grown once per scratch, never copied) from which the
-    trees are listed, plus [O(n)] to list the members and to build the
-    {!Cluster.Carving.t}.
+    Work: {!carve_local} on [domain], plus one arena entry per join
+    (chunked, grown once per scratch, never copied) from which the trees
+    are listed, plus [O(n)] to build the {!Cluster.Carving.t}, whose
+    [domain] is the mask of [domain].
 
     Cost charging (see DESIGN.md §5): each step charges one round for the
     proposal exchange plus [2·(d + L) + 2] rounds for the per-cluster
@@ -135,6 +137,6 @@ val carve :
 
     @param preset default {!Ggr21} (the paper composes with GGR21).
     @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
-    is not a mask over exactly [Graph.n g] nodes. *)
+    fails {!Cluster.Carving.check_domain} (named ["Weak_carving.carve"]). *)
 
 val default_preset : preset

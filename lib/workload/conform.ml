@@ -135,6 +135,13 @@ let program_rows ?(seed = 42) ?(epsilon = 0.5) ~adversarial family ~n =
               ~trace:sink g ~parent
           in
           sim_totals stats);
+      mk "program:broadcast" ~order_invariant:true (fun inst adv sink ->
+          let parent = Dsgraph.Bfs.parents g ~source:0 in
+          let _, stats =
+            Congest.Programs.broadcast ?adversary:adv ~conformance:inst
+              ~trace:sink g ~parent ~root:0 ~value:gn
+          in
+          sim_totals stats);
     ]
   in
   let carvings =

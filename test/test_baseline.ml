@@ -232,6 +232,13 @@ let test_domain_check () =
       ignore (Baseline.Ls_transform.carve (Rng.create 1) g ~domain ~epsilon:0.5));
   rejects "Weak_carving.carve_local" (fun domain ->
       ignore (Weakdiam.Weak_carving.carve_local g ~domain ~epsilon:0.5));
+  (* the simulated carvings check their domain in their engine run *)
+  rejects "Weak_carving.carve" (fun domain ->
+      ignore (Weakdiam.Weak_carving.carve g ~domain ~epsilon:0.5));
+  rejects "Weak_carving.carve" (fun domain ->
+      ignore (Weakdiam.Distributed.carve g ~domain ~epsilon:0.5));
+  rejects "Weak_carving.carve" (fun domain ->
+      ignore (Weakdiam.Distributed.carve_reliable g ~domain ~epsilon:0.5));
   rejects "Improve.improve" (fun domain ->
       ignore (Strongdecomp.Strong_carving.carve_improved () g ~domain ~epsilon:0.5));
   rejects "Sparse_cut.run" (fun domain ->

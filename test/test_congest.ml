@@ -587,7 +587,15 @@ let test_bfs_program_matches_central () =
           check bool "parent edge" true (Graph.is_edge g v parent.(v));
           check int "parent closer" (dist.(v) - 1) dist.(parent.(v))
         end
-      done)
+      done;
+      (* over a member set, the distances of the induced subgraph *)
+      let mask =
+        Mask.of_list (Graph.n g)
+          (List.filter (fun v -> v = 0 || Rng.int rng 4 > 0) (Graph.nodes g))
+      in
+      let (dist, _), _ = Programs.bfs ~member:(Mask.mem mask) g ~source:0 in
+      Alcotest.(check (array int))
+        "member distances" (Bfs.distances ~mask g ~source:0) dist)
     [ 1; 2; 3 ]
 
 let test_bfs_program_rounds_anchor_cost_model () =
@@ -597,26 +605,52 @@ let test_bfs_program_rounds_anchor_cost_model () =
   check bool "wave takes ecc + O(1) rounds" true
     (stats.rounds_used >= 19 && stats.rounds_used <= 24)
 
+(* a convergecast of each node's (id, 1) *)
+let pair_sums g ~parent =
+  Programs.convergecast g ~parent
+    ~value:(fun v -> (v, 1))
+    ~add:(fun (a, b) (c, d) -> (a + c, b + d))
+    ~bits:(fun _ -> 2 * Bits.int_bits (Graph.n g))
+
 let test_subtree_counts_path () =
   let g = Gen.path 5 in
   let parent = [| 0; 0; 1; 2; 3 |] in
   let counts, stats = Programs.subtree_counts g ~parent in
   check bool "halted" true stats.all_halted;
-  Alcotest.(check (array int)) "counts" [| 5; 4; 3; 2; 1 |] counts
+  Alcotest.(check (array int)) "counts" [| 5; 4; 3; 2; 1 |] counts;
+  let sums, _ = pair_sums g ~parent in
+  Alcotest.(check (array (pair int int)))
+    "pair sums"
+    [| (10, 5); (10, 4); (9, 3); (7, 2); (4, 1) |]
+    sums;
+  let values, stats = Programs.broadcast g ~parent ~root:0 ~value:9 in
+  check bool "broadcast halted" true stats.all_halted;
+  Alcotest.(check (array int)) "broadcast" [| 9; 9; 9; 9; 9 |] values
 
 let test_subtree_counts_bfs_tree () =
   let rng = Rng.create 4 in
   let g = Gen.ensure_connected rng (Gen.erdos_renyi rng 25 0.12) in
   let parent = Bfs.parents g ~source:0 in
   let counts, _ = Programs.subtree_counts g ~parent in
-  check int "root counts all" (Graph.n g) counts.(0)
+  let n = Graph.n g in
+  check int "root counts all" n counts.(0);
+  let sums, _ = pair_sums g ~parent in
+  check (Alcotest.pair int int) "root sums all" (n * (n - 1) / 2, n) sums.(0);
+  let values, _ = Programs.broadcast g ~parent ~root:0 ~value:n in
+  check bool "every node hears the root" true (Array.for_all (( = ) n) values)
 
 let test_subtree_counts_skips_non_tree_nodes () =
   let g = Gen.path 4 in
   let parent = [| 0; 0; -1; -1 |] in
   let counts, _ = Programs.subtree_counts g ~parent in
   check int "root" 2 counts.(0);
-  check int "outside untouched" 1 counts.(2)
+  check int "outside untouched" 1 counts.(2);
+  let sums, _ = pair_sums g ~parent in
+  check (Alcotest.pair int int) "root sums" (1, 2) sums.(0);
+  check (Alcotest.pair int int) "outside sums untouched" (2, 1) sums.(2);
+  let values, _ = Programs.broadcast g ~parent ~root:0 ~value:5 in
+  Alcotest.(check (array int)) "broadcast stays in the tree"
+    [| 5; 5; -1; -1 |] values
 
 let test_cost_max_bits_tracks_max () =
   let c = Cost.create () in

@@ -172,6 +172,25 @@ let test_ls_distributed_decompose_er () =
   let decomp, _ = LsD.decompose (Rng.create 9) g in
   fail_on_error (Cluster.Decomposition.check decomp)
 
+(* The totals count every simulated round and message, the rejected
+   attempts' too: on a run that retries, they equal the trace's
+   [Round_start] and [Message_sent] events *)
+let test_ls_distributed_decompose_counts_retries () =
+  let sink = Congest.Trace.sink () in
+  let _, stats = LsD.decompose ~trace:sink (Rng.create 3) (Gen.grid 12 12) in
+  let retried = ref false and rounds = ref 0 and messages = ref 0 in
+  Congest.Trace.iter
+    (function
+      | Congest.Trace.Span_enter { path } ->
+          if String.ends_with ~suffix:"/attempt=1" path then retried := true
+      | Congest.Trace.Round_start _ -> incr rounds
+      | Congest.Trace.Message_sent _ -> incr messages
+      | _ -> ())
+    sink;
+  check bool "an attempt was rejected" true !retried;
+  check int "rounds" !rounds stats.LsD.total_rounds;
+  check int "messages" !messages stats.LsD.total_messages
+
 let test_ls_distributed_weak_diameter () =
   let g = Gen.grid 10 10 in
   let epsilon = 0.5 in
@@ -624,6 +643,8 @@ let () =
             test_ls_distributed_decompose;
           Alcotest.test_case "decompose er" `Quick
             test_ls_distributed_decompose_er;
+          Alcotest.test_case "decompose counts retries" `Quick
+            test_ls_distributed_decompose_counts_retries;
         ] );
       ( "luby",
         [

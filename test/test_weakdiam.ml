@@ -168,7 +168,7 @@ let test_domain_restriction () =
     Mask.of_list (Graph.n g)
       (List.filter (fun v -> v mod 6 < 3) (Graph.nodes g))
   in
-  let r = WC.carve ~domain g ~epsilon:0.5 in
+  let r = WC.carve ~domain:(Mask.to_array domain) g ~epsilon:0.5 in
   let clustering = r.carving.Carving.clustering in
   for v = 0 to Graph.n g - 1 do
     if not (Mask.mem domain v) then
@@ -187,15 +187,22 @@ let test_epsilon_validation () =
     (fun () -> ignore (WC.carve g ~epsilon:1.0))
 
 let test_domain_size_mismatch () =
+  (* a domain sized for a larger graph names nodes this graph lacks; a
+     shorter one is a proper subdomain and carves only its own nodes *)
   let g = Gen.grid 6 6 in
-  Alcotest.check_raises "short mask"
+  Alcotest.check_raises "long domain"
     (Invalid_argument
-       "Weak_carving.carve: domain mask has size 10, graph has 36 nodes")
-    (fun () -> ignore (WC.carve ~domain:(Mask.full 10) g ~epsilon:0.5));
-  Alcotest.check_raises "long mask"
-    (Invalid_argument
-       "Weak_carving.carve: domain mask has size 40, graph has 36 nodes")
-    (fun () -> ignore (WC.carve ~domain:(Mask.full 40) g ~epsilon:0.5))
+       "Weak_carving.carve: domain must be strictly ascending node ids of the \
+        graph")
+    (fun () ->
+      ignore (WC.carve ~domain:(Array.init 40 Fun.id) g ~epsilon:0.5));
+  let r = WC.carve ~domain:(Array.init 10 Fun.id) g ~epsilon:0.5 in
+  let clustering = r.carving.Carving.clustering in
+  check int "short domain" 10 (Mask.count r.carving.Carving.domain);
+  for v = 10 to Graph.n g - 1 do
+    check int "outside short domain unclustered" (-1)
+      (Clustering.cluster_of clustering v)
+  done
 
 let test_scratch_reuse_across_graphs () =
   (* one scratch through a small graph, a larger one and the small one
@@ -474,7 +481,11 @@ let prop_flat_engine_matches_reference =
                       (Graph.nodes g)))
           in
           let ca = Cost.create () and cb = Cost.create () in
-          let a = WC.carve ~preset ~scratch ~cost:ca ?domain g ~epsilon in
+          let a =
+            WC.carve ~preset ~scratch ~cost:ca
+              ?domain:(Option.map Mask.to_array domain)
+              g ~epsilon
+          in
           let b = Weak_carving_ref.carve ~preset ~cost:cb ?domain g ~epsilon in
           forest_in_node_order a.forest && same_run g a b ca cb)
         (List.init calls Fun.id))
@@ -509,7 +520,11 @@ let prop_reference_never_rejoins =
               in
               let before = !Weak_carving_ref.rejoins in
               let ca = Cost.create () and cb = Cost.create () in
-              let a = WC.carve ~preset ~scratch ~cost:ca ?domain g ~epsilon in
+              let a =
+            WC.carve ~preset ~scratch ~cost:ca
+              ?domain:(Option.map Mask.to_array domain)
+              g ~epsilon
+          in
               let b = Weak_carving_ref.carve ~preset ~cost:cb ?domain g ~epsilon in
               (* the local result, through the same scratch, is [a] *)
               let l =
@@ -553,7 +568,7 @@ let prop_wake_hint_transparent =
         if family < 4 then None
         else
           Some
-            (Mask.of_list (Graph.n g)
+            (Array.of_list
                (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
       in
       let run conformance =
@@ -591,12 +606,11 @@ let program_case ~small (seed, family, preset) =
              (Graph.edges_seq (Gen.grid side side)))
     | f -> Random_graph.make rng (f - 1)
   in
-  let n = Graph.n g in
   let domain =
     if Rng.bool rng then None
     else
       Some
-        (Mask.of_list n (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
+        (Array.of_list (List.filter (fun _ -> Rng.int rng 4 > 0) (Graph.nodes g)))
   in
   let epsilon = if Rng.bool rng then 0.5 else 0.05 +. Rng.float rng 0.9 in
   (rng, g, [| WC.Rg20; WC.Ggr21; WC.Hybrid |].(preset), domain, epsilon)

@@ -216,7 +216,8 @@ let engine_weak ?(scratch = Weakdiam.Weak_carving.scratch ()) preset :
     weak_carver =
  fun ?cost g ~domain ~epsilon ->
   let r =
-    Weakdiam.Weak_carving.carve ~preset ~scratch ?cost ~domain g ~epsilon
+    Weakdiam.Weak_carving.carve ~preset ~scratch ?cost
+      ~domain:(Mask.to_array domain) g ~epsilon
   in
   {
     clustering = r.carving.Cluster.Carving.clustering;
