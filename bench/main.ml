@@ -341,7 +341,10 @@ let sim_experiment size =
       let m = TD.matches_centralized g ~epsilon:0.5 in
       ok := !ok && m;
       let cost = Congest.Cost.create () in
-      ignore (Strongdecomp.Strong_carving.carve ~cost g ~epsilon:0.5);
+      ignore
+        (Cluster.Carving.of_carver ~cost
+           (Strongdecomp.Strong_carving.carve ())
+           g ~epsilon:0.5);
       let charged = Congest.Cost.rounds cost in
       Format.fprintf fmt "%-8s %5d %6b %6d %10d %14d %8.2f %8d@." name
         (Graph.n g) m stats.TD.iterations stats.TD.rounds charged
@@ -441,8 +444,10 @@ let ablation_presets size =
         (fun (label, preset) ->
           let g = Suite.path.Suite.build ~seed ~n in
           let cost = Congest.Cost.create () in
-          let carving, _ =
-            Strongdecomp.Strong_carving.carve ~cost ~preset g ~epsilon:0.5
+          let carving =
+            Cluster.Carving.of_carver ~cost
+              (Strongdecomp.Strong_carving.carve ~preset ())
+              g ~epsilon:0.5
           in
           let clustering = carving.Cluster.Carving.clustering in
           Format.fprintf fmt "%-9s %7d %-8s %7d %7.1f %7s %12d@." "path" n
@@ -501,7 +506,7 @@ let ablation_colors_vs_eps size =
       let cost = Congest.Cost.create () in
       let d =
         Strongdecomp.Netdecomp.of_carver ~cost ~epsilon
-          (Strongdecomp.Strong_carving.local ())
+          (Strongdecomp.Strong_carving.carve ())
           g
       in
       let clustering = Cluster.Decomposition.clustering d in
@@ -591,7 +596,10 @@ let timing_suite size =
         run (fun () -> Baseline.Linial_saks.decompose (Rng.create 1) path) );
       ("table1 mpx/path", run (fun () -> Baseline.Mpx.decompose (Rng.create 1) path));
       ( "table2 thm2.2/grid",
-        run (fun () -> Strongdecomp.Strong_carving.carve grid ~epsilon:0.5) );
+        run (fun () ->
+            Cluster.Carving.of_carver
+              (Strongdecomp.Strong_carving.carve ())
+              grid ~epsilon:0.5) );
       ( "table2 thm3.3/grid",
         run (fun () ->
             Strongdecomp.Strong_carving.carve_improved () grid

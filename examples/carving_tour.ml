@@ -65,16 +65,22 @@ let () =
 
   (* the paper *)
   let (c, stats), cost =
-    meter (fun cost -> Strongdecomp.Strong_carving.carve ~cost g ~epsilon)
+    meter (fun cost ->
+        Strongdecomp.Transform.strong_carve ~cost
+          ~weak:
+            (Strongdecomp.Strong_carving.weak_of_preset
+               Weakdiam.Weak_carving.default_preset)
+          g ~domain:all ~epsilon)
   in
-  line "Theorem 2.2" ~kind:"strong" c cost;
+  line "Theorem 2.2" ~kind:"strong" (carving c) cost;
   Format.printf "%-24s        halving iterations=%d weak invocations=%d@." ""
     stats.Strongdecomp.Transform.iterations
     stats.Strongdecomp.Transform.weak_invocations;
   let (c, stats), cost =
     meter (fun cost ->
-        Strongdecomp.Strong_carving.carve_improved () ~cost g ~domain:all
-          ~epsilon)
+        Strongdecomp.Improve.improve
+          ~strong:(Strongdecomp.Strong_carving.carve ())
+          ~cost g ~domain:all ~epsilon)
   in
   line "Theorem 3.3" ~kind:"strong" (carving c) cost;
   Format.printf "%-24s        levels=%d cuts=%d components=%d@." ""

@@ -45,10 +45,18 @@ let () =
       (List.length clusters) nodes
   done;
 
-  (* One-shot ball carving (Theorem 2.2) is also exposed directly: remove
-     at most an eps fraction of nodes, leave non-adjacent low-diameter
-     components. *)
-  let carving, stats = Strongdecomp.Strong_carving.carve g ~epsilon:0.25 in
+  (* One-shot ball carving (Theorem 2.2: Theorem 2.1 over the weak
+     carving) is also exposed directly: remove at most an eps fraction of
+     the domain's nodes, leave non-adjacent low-diameter components. *)
+  let n = Graph.n g in
+  let clusters, stats =
+    Strongdecomp.Transform.strong_carve
+      ~weak:
+        (Strongdecomp.Strong_carving.weak_of_preset
+           Weakdiam.Weak_carving.default_preset)
+      g ~domain:(Array.init n Fun.id) ~epsilon:0.25
+  in
+  let carving = Cluster.Carving.of_clusters g ~domain:(Mask.full n) clusters in
   Format.printf
     "carving (eps=1/4): %d clusters, dead fraction %.3f, %d halving \
      iterations@."

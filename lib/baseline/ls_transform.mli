@@ -10,16 +10,9 @@
     one log factor better than the deterministic Theorem 2.2, matching the
     general statement of Theorem 2.1. *)
 
-val carve :
-  Dsgraph.Rng.t ->
-  ?cost:Congest.Cost.t ->
-  Dsgraph.Graph.t ->
-  domain:int array ->
-  epsilon:float ->
-  int array array * Strongdecomp.Transform.stats
+val carve : Dsgraph.Rng.t -> Cluster.Carving.carver
 (** [carve rng] is the randomized strong-diameter ball carving via
-    Theorem 2.1 over Linial–Saks, a {!Cluster.Carving.carver} with the
-    transformation's stats: {!Strongdecomp.Transform.strong_carve_local}
+    Theorem 2.1 over Linial–Saks: {!Strongdecomp.Transform.strong_carve}
     over {!Linial_saks.weak_carver}. All calls share one Linial–Saks and
     one transformation scratch, and draw from [rng]. *)
 

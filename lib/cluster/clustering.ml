@@ -158,14 +158,13 @@ let max_strong_diameter t =
   done;
   if !disconnected then -1 else !worst
 
-let weak_diameter ?within t c =
-  Bfs.weak_diameter_of_set ?mask:within t.graph t.member_lists.(c)
+let weak_diameter t c = Bfs.weak_diameter_of_set t.graph t.member_lists.(c)
 
-let max_weak_diameter ?within t =
+let max_weak_diameter t =
   let worst = ref 0 in
   let disconnected = ref false in
   for c = 0 to t.num_clusters - 1 do
-    match weak_diameter ?within t c with
+    match weak_diameter t c with
     | -1 -> disconnected := true
     | d -> if d > !worst then worst := d
   done;
@@ -255,15 +254,15 @@ let max_weak_diameter_estimate t =
   let scratch = Bfs.scratch (Graph.n t.graph) in
   estimate_max (weak_diameter_estimate ~scratch) t
 
-(* BFS witness tree from the first member in the (masked) host graph,
-   pruned to the union of the root-to-member paths. A node's parent is
-   its min-id neighbour one layer up — the canonical parent of
-   Bfs.restricted_into, read off the masked distances. *)
-let weak_witness_tree ?within t c =
+(* BFS witness tree from the first member in the host graph, pruned to
+   the union of the root-to-member paths. A node's parent is its min-id
+   neighbour one layer up — the canonical parent of Bfs.restricted_into,
+   read off the distances. *)
+let weak_witness_tree t c =
   match t.member_lists.(c) with
   | [] -> None
   | root :: _ as members ->
-      let dist = Bfs.distances ?mask:within t.graph ~source:root in
+      let dist = Bfs.distances t.graph ~source:root in
       if List.exists (fun v -> dist.(v) < 0) members then None
       else
         let height = List.fold_left (fun h v -> max h dist.(v)) 0 members in
@@ -294,13 +293,13 @@ let weak_witness_tree ?within t c =
         in
         Some (root, pairs, height)
 
-let weak_eccentric_pair ?within t c =
+let weak_eccentric_pair t c =
   match t.member_lists.(c) with
   | [] -> (-1, -1, -1)
   | [ v ] -> (v, v, 0)
   | first :: _ as members ->
       let sweep source =
-        let dist = Bfs.distances ?mask:within t.graph ~source in
+        let dist = Bfs.distances t.graph ~source in
         if List.exists (fun v -> dist.(v) < 0) members then None
         else
           Some

@@ -57,11 +57,11 @@ val max_strong_diameter : t -> int
 (** Max over clusters; [-1] if any cluster is internally disconnected;
     [0] when there are no clusters. *)
 
-val weak_diameter : ?within:Dsgraph.Mask.t -> t -> int -> int
-(** Max pairwise distance of a cluster's members measured in the (masked)
-    host graph. *)
+val weak_diameter : t -> int -> int
+(** Max pairwise distance of a cluster's members measured in the host
+    graph. *)
 
-val max_weak_diameter : ?within:Dsgraph.Mask.t -> t -> int
+val max_weak_diameter : t -> int
 
 (** {2 Member-restricted searches}
 
@@ -119,21 +119,21 @@ val strong_witnesses :
 
     Two restricted searches: the tree's search from the first member
     doubles as the first eccentric sweep. Both witnesses equal
-    {!weak_witness_tree} and {!weak_eccentric_pair} confined to the
-    member mask. *)
+    {!weak_witness_tree} and {!weak_eccentric_pair} in the graph of the
+    cluster's own edges. *)
 
-val weak_witness_tree : ?within:Dsgraph.Mask.t -> t -> int -> (int * (int * int) list * int) option
-(** As the tree of {!strong_witnesses} but the BFS runs in the (masked)
-    host graph, so the tree may route through non-members (Steiner
-    nodes); it is pruned to the union of the root-to-member paths. Each
-    node's parent is again its min-id neighbour one layer up, read off
-    the masked distances.
+val weak_witness_tree : t -> int -> (int * (int * int) list * int) option
+(** As the tree of {!strong_witnesses} but the BFS runs in the host
+    graph, so the tree may route through non-members (Steiner nodes); it
+    is pruned to the union of the root-to-member paths. Each node's
+    parent is again its min-id neighbour one layer up, read off the
+    distances.
     Certifies weak diameter at most [2 * height]. [None] when some
     member is unreachable even in the host graph. *)
 
-val weak_eccentric_pair : ?within:Dsgraph.Mask.t -> t -> int -> int * int * int
-(** As the pair of {!strong_witnesses}, measured in the (masked) host
-    graph: a lower bound on the weak diameter. [(-1, -1, -1)] when some
+val weak_eccentric_pair : t -> int -> int * int * int
+(** As the pair of {!strong_witnesses}, measured in the host graph: a
+    lower bound on the weak diameter. [(-1, -1, -1)] when some
     member is unreachable. *)
 
 val pp : Format.formatter -> t -> unit

@@ -10,8 +10,15 @@ let carve ?cost ?domain g ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Edge_carving.carve: epsilon must be in (0, 1)";
   let n = Graph.n g in
-  let domain = match domain with Some d -> d | None -> Mask.full n in
-  let remaining = Mask.copy domain in
+  let remaining =
+    match domain with
+    | None -> Mask.full n
+    | Some d ->
+        Cluster.Carving.check_domain "Edge_carving.carve" g d;
+        let m = Mask.empty n in
+        Array.iter (Mask.add m) d;
+        m
+  in
   let cluster_of = Array.make n (-1) in
   let cut = ref [] in
   let next_cluster = ref 0 in

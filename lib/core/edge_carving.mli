@@ -20,10 +20,14 @@ type result = {
 
 val carve :
   ?cost:Congest.Cost.t ->
-  ?domain:Dsgraph.Mask.t ->
+  ?domain:int array ->
   Dsgraph.Graph.t ->
   epsilon:float ->
   result
+(** [carve g ~epsilon] carves the ascending [domain] (default: every
+    node).
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    fails {!Cluster.Carving.check_domain}. *)
 
 val check :
   result -> epsilon:float -> Dsgraph.Graph.t -> (unit, string) Stdlib.result

@@ -56,13 +56,10 @@ let of_carver ?cost ?(epsilon = 0.5) ?domain (carver : Cluster.Carving.carver)
   Cluster.Decomposition.make clustering ~color_of_cluster
 
 let strong ?cost ?preset g =
-  of_carver ?cost (Strong_carving.local ?preset ()) g
+  of_carver ?cost (Strong_carving.carve ?preset ()) g
 
 let strong_improved ?cost ?preset g =
-  let carve = Strong_carving.carve_improved ?preset () in
-  of_carver ?cost
-    (fun ?cost g ~domain ~epsilon -> fst (carve ?cost g ~domain ~epsilon))
-    g
+  of_carver ?cost (Strong_carving.carve_improved ?preset ()) g
 
 let weak ?cost ?(preset = Weakdiam.Weak_carving.default_preset) g =
   let scratch = Weakdiam.Weak_carving.scratch () in

@@ -12,16 +12,7 @@ let weak_of_preset preset : Transform.weak_carver =
       congestion = r.congestion;
     }
 
-let carve ?cost ?(preset = Weakdiam.Weak_carving.default_preset) ?domain g
-    ~epsilon =
-  Congest.Span.with_span
-    (Option.bind cost Congest.Cost.trace)
-    "strong_carving"
-    (fun () ->
-      Transform.strong_carve ?cost ~weak:(weak_of_preset preset) ?domain g
-        ~epsilon)
-
-let local ?(preset = Weakdiam.Weak_carving.default_preset) () :
+let carve ?(preset = Weakdiam.Weak_carving.default_preset) () :
     Cluster.Carving.carver =
   let weak = weak_of_preset preset and scratch = Transform.scratch () in
   fun ?cost g ~domain ~epsilon ->
@@ -29,14 +20,12 @@ let local ?(preset = Weakdiam.Weak_carving.default_preset) () :
       (Option.bind cost Congest.Cost.trace)
       "strong_carving"
       (fun () ->
-        fst
-          (Transform.strong_carve_local ?cost ~weak ~scratch g ~domain
-             ~epsilon))
+        fst (Transform.strong_carve ?cost ~weak ~scratch g ~domain ~epsilon))
 
-let carve_improved ?preset () =
-  let improve = Improve.improve ~strong:(local ?preset ()) in
+let carve_improved ?preset () : Cluster.Carving.carver =
+  let improve = Improve.improve ~strong:(carve ?preset ()) in
   fun ?cost g ~domain ~epsilon ->
     Congest.Span.with_span
       (Option.bind cost Congest.Cost.trace)
       "strong_carving_improved"
-      (fun () -> improve ?cost g ~domain ~epsilon)
+      (fun () -> fst (improve ?cost g ~domain ~epsilon))

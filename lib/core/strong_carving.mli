@@ -15,33 +15,20 @@ val weak_of_preset : Weakdiam.Weak_carving.preset -> Transform.weak_carver
     applied. *)
 
 val carve :
-  ?cost:Congest.Cost.t ->
-  ?preset:Weakdiam.Weak_carving.preset ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t * Transform.stats
-(** Theorem 2.2. Every output cluster induces a connected subgraph;
-    clusters are pairwise non-adjacent; at most an [ε] fraction of the
-    domain is dead. All weak carvings of the call share one scratch; a
-    decomposition builds {!local} once instead. *)
-
-val local :
   ?preset:Weakdiam.Weak_carving.preset -> unit -> Cluster.Carving.carver
-(** Theorem 2.2 as a {!Cluster.Carving.carver}: {!carve}'s clusters and
-    charges on the ascending domain, under the same ["strong_carving"]
-    span. The returned carver owns one weak and one {!Transform} scratch,
-    which all its calls share; build it once per decomposition. *)
+(** Theorem 2.2 as a {!Cluster.Carving.carver}: {!Transform.strong_carve}
+    over {!weak_of_preset}, under the ["strong_carving"] span. Every
+    output cluster induces a connected subgraph; clusters are pairwise
+    non-adjacent; at most an [ε] fraction of the ascending domain is
+    dead. The returned carver owns one weak and one {!Transform}
+    scratch, which all its calls share; build it once per
+    decomposition. *)
 
 val carve_improved :
-  ?preset:Weakdiam.Weak_carving.preset ->
-  unit ->
-  ?cost:Congest.Cost.t ->
-  Dsgraph.Graph.t ->
-  domain:int array ->
-  epsilon:float ->
-  int array array * Improve.stats
-(** Theorem 3.3: {!Improve.improve} over {!local}, under the
+  ?preset:Weakdiam.Weak_carving.preset -> unit -> Cluster.Carving.carver
+(** Theorem 3.3: {!Improve.improve} over {!carve}, under the
     ["strong_carving_improved"] span: the same contract with the
     improved [O(log^2 n/ε)] diameter shape. [carve_improved ()] builds
-    the scratches that all calls of the returned carver share. *)
+    the scratches that all calls of the returned carver share. Its
+    {!Improve.stats} are read by calling
+    [Improve.improve ~strong:(carve ())] directly. *)

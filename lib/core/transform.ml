@@ -192,10 +192,9 @@ let check_epsilon epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Transform.strong_carve: epsilon must be in (0, 1)"
 
-let strong_carve_local ?cost ~weak ?(scratch = scratch ()) g ~domain
-    ~epsilon =
+let strong_carve ?cost ~weak ?(scratch = scratch ()) g ~domain ~epsilon =
   check_epsilon epsilon;
-  Cluster.Carving.check_domain "Transform.strong_carve_local" g domain;
+  Cluster.Carving.check_domain "Transform.strong_carve" g domain;
   let clusters = ref [] in
   let trace = Option.bind cost Congest.Cost.trace in
   let stats =
@@ -206,39 +205,19 @@ let strong_carve_local ?cost ~weak ?(scratch = scratch ()) g ~domain
   in
   (Array.of_list (List.rev !clusters), stats)
 
-let strong_carve ?cost ~weak ?domain g ~epsilon =
-  check_epsilon epsilon;
-  let n_graph = Graph.n g in
-  let domain =
-    match domain with
-    | None -> Mask.full n_graph
-    | Some d ->
-        if Mask.size d <> n_graph then
-          invalid_arg
-            (Printf.sprintf
-               "Transform.strong_carve: domain mask has size %d, graph has \
-                %d nodes"
-               (Mask.size d) n_graph);
-        d
-  in
-  let clusters, stats =
-    strong_carve_local ?cost ~weak g ~domain:(Mask.to_array domain) ~epsilon
-  in
-  (Cluster.Carving.of_clusters g ~domain clusters, stats)
-
 (* Section 2 remark: remove the global-n assumption by pre-clustering with
    the weak carving at eps/2, then transforming inside each weak cluster
    with its own local node count. *)
-let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
+let strong_carve_unknown_n ?cost ~weak g ~domain ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Transform.strong_carve_unknown_n: epsilon must be in (0, 1)";
-  let domain = match domain with Some d -> d | None -> Mask.full (Graph.n g) in
+  Cluster.Carving.check_domain "Transform.strong_carve_unknown_n" g domain;
   let half = epsilon /. 2.0 in
   let trace = Option.bind cost Congest.Cost.trace in
   let s = scratch () in
   let clusters = ref [] in
   Congest.Span.with_span trace "transform_unknown_n" (fun () ->
-      let pre = weak ?cost g ~domain:(Mask.to_array domain) ~epsilon:half in
+      let pre = weak ?cost g ~domain ~epsilon:half in
       let sub_meters =
         Array.fold_left
           (fun acc cluster ->
@@ -254,4 +233,4 @@ let strong_carve_unknown_n ?cost ~weak ?domain g ~epsilon =
       match cost with
       | None -> ()
       | Some c -> Congest.Cost.parallel c sub_meters "transform.unknown_n");
-  Cluster.Carving.of_clusters g ~domain (Array.of_list !clusters)
+  Array.of_list !clusters

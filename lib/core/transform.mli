@@ -51,7 +51,7 @@ type stats = {
 }
 
 type scratch = Dsgraph.Stamp.t
-(** Caller-owned working memory for {!strong_carve_local}; one serves
+(** Caller-owned working memory for {!strong_carve}; one serves
     any number of calls, on any graphs, one call at a time. *)
 
 val scratch : unit -> scratch
@@ -91,10 +91,10 @@ val levels :
     being the largest distance and [counts r = (|B_r|, |B_{r+1}|)]. A
     level charges [cost] the {!Congest.Cost.parallel} composition of its
     components' meters; its spans (see {!strong_carve}) go to [trace].
-    {!strong_carve_local} passes the model stages (the charges of
+    {!strong_carve} passes the model stages (the charges of
     DESIGN.md §5), {!Transform_distributed} simulated node programs. *)
 
-val strong_carve_local :
+val strong_carve :
   ?cost:Congest.Cost.t ->
   weak:weak_carver ->
   ?scratch:scratch ->
@@ -102,30 +102,14 @@ val strong_carve_local :
   domain:int array ->
   epsilon:float ->
   int array array * stats
-(** {!strong_carve} on [G\[domain\]], [domain] being ascending node
-    ids, with the output described by the domain alone: the clusters'
-    member arrays (each ascending; the clusters in no particular order),
-    the domain nodes in none of them being dead. Same clusters, stats and
-    cost charges as {!strong_carve} on the same node set. A returned
-    array may be [domain] itself or one of [weak]'s cluster arrays; none
-    is modified.
-
-    Work: beyond what [weak] costs, each component of each level costs
-    its own volume, and the call allocates only arrays of the domain's
-    size; with a warm [scratch] nothing in it is [O(n)].
-    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
-    is not strictly ascending ids of [g]'s nodes. *)
-
-val strong_carve :
-  ?cost:Congest.Cost.t ->
-  weak:weak_carver ->
-  ?domain:Dsgraph.Mask.t ->
-  Dsgraph.Graph.t ->
-  epsilon:float ->
-  Cluster.Carving.t * stats
-(** [strong_carve ~weak g ~epsilon] removes at most an [ε] fraction of the
-    domain so that every cluster (equivalently, every remaining connected
-    component) induces a connected subgraph of bounded diameter.
+(** [strong_carve ~weak g ~domain ~epsilon] removes at most an [ε]
+    fraction of the ascending [domain] so that every cluster
+    (equivalently, every remaining connected component of [G\[domain\]])
+    induces a connected subgraph of bounded diameter. It returns the
+    clusters' member arrays (each ascending; the clusters in no
+    particular order), the domain nodes in none of them being dead. A
+    returned array may be [domain] itself or one of [weak]'s cluster
+    arrays; none is modified.
 
     Cost charging (DESIGN.md §5): components of one iteration level run in
     parallel (per-level round cost = max over components); per component,
@@ -133,14 +117,14 @@ val strong_carve :
     size check charges [depth·congestion] rounds, and the Case II BFS
     charges [r* + 2] rounds.
 
-    Work: components are ascending member arrays, found by BFS over one
-    node-indexed scratch whose marks are stamped afresh per node set and
-    never cleared. Beyond what [weak] costs, a component costs its own
-    volume: Case I's alive components and Case II's ball BFS (which
-    stops at the component's edge) and remaining components read only
-    the component's nodes and rows. The call is {!strong_carve_local} on
-    the mask's members plus [O(n)] once: a fresh scratch, the output
-    labels and the returned carving.
+    Work: components are ascending member arrays, found by BFS over the
+    node-indexed [scratch] (default: a fresh one), whose marks are
+    stamped afresh per node set and never cleared. Beyond what [weak]
+    costs, a component costs its own volume: Case I's alive components
+    and Case II's ball BFS (which stops at the component's edge) and
+    remaining components read only the component's nodes and rows. The
+    call allocates only arrays of the domain's size; with a warm
+    [scratch] nothing in it is [O(n)].
 
     Trace spans: ["transform/level=i"] per level, and inside it
     ["weak"], ["case_i"] and ["case_ii"] around each component's [A]
@@ -149,7 +133,7 @@ val strong_carve :
     words.
 
     @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
-    is not a mask over exactly [Graph.n g] nodes. *)
+    fails {!Cluster.Carving.check_domain}. *)
 
 val ball_growth_limit : n:int -> epsilon:float -> int
 (** The number of radius-growth steps [O(log n/ε)] Case II may need:
@@ -158,14 +142,17 @@ val ball_growth_limit : n:int -> epsilon:float -> int
 val strong_carve_unknown_n :
   ?cost:Congest.Cost.t ->
   weak:weak_carver ->
-  ?domain:Dsgraph.Mask.t ->
   Dsgraph.Graph.t ->
+  domain:int array ->
   epsilon:float ->
-  Cluster.Carving.t
+  int array array
 (** The paper's Section 2 remark: Theorem 2.1 assumes the node count is
     global knowledge, and the assumption is removed by first running the
     weak carving with boundary parameter [ε/2], letting each cluster count
     its own [n' = |C|], and then applying the transformation inside each
     cluster with parameter [ε/2] (using that cluster-local [n']). This
-    function implements exactly that wrapper; dead fraction
-    [<= ε/2 + ε/2 = ε], same diameter shape. *)
+    function implements exactly that wrapper on the ascending [domain];
+    dead fraction [<= ε/2 + ε/2 = ε], same diameter shape. Once [~weak]
+    is applied it is a {!Cluster.Carving.carver}.
+    @raise Invalid_argument if [epsilon] is outside (0, 1) or [domain]
+    fails {!Cluster.Carving.check_domain}. *)

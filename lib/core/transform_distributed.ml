@@ -117,8 +117,9 @@ let strong_carve ?(preset = Weakdiam.Weak_carving.default_preset) ?trace g
 let matches_centralized ?(preset = Weakdiam.Weak_carving.default_preset) g
     ~epsilon =
   let distributed, stats = strong_carve ~preset g ~epsilon in
-  let weak = Strong_carving.weak_of_preset preset in
-  let central, _ = Transform.strong_carve ~weak g ~epsilon in
+  let central =
+    Cluster.Carving.of_carver (Strong_carving.carve ~preset ()) g ~epsilon
+  in
   let labels (c : Cluster.Carving.t) =
     Array.init (Graph.n g) (Cluster.Clustering.cluster_of c.clustering)
   in

@@ -25,7 +25,7 @@
     Schedule lengths and the giant-cluster threshold comparison are
     oracle-assisted, as with {!Weakdiam.Distributed} (worst-case bounds
     in a real deployment); the test suite asserts the result equals the
-    centralized {!Transform.strong_carve} exactly. *)
+    centralized {!Strong_carving.carve} exactly. *)
 
 type stats = {
   iterations : int;  (** size-halving levels used *)

@@ -64,7 +64,7 @@ let diameter_of_set g set =
         set;
       if !disconnected then -1 else !diam
 
-let weak_diameter_of_set ?mask g set =
+let weak_diameter_of_set g set =
   match set with
   | [] | [ _ ] -> 0
   | _ ->
@@ -72,7 +72,7 @@ let weak_diameter_of_set ?mask g set =
       let disconnected = ref false in
       List.iter
         (fun s ->
-          let dist = distances ?mask g ~source:s in
+          let dist = distances g ~source:s in
           List.iter
             (fun v ->
               if dist.(v) = -1 then disconnected := true

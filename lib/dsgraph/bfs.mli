@@ -22,9 +22,9 @@ val diameter_of_set : Graph.t -> int list -> int
     distance measured inside the set. Returns [-1] if the induced subgraph
     is disconnected, [0] for singletons and the empty set. O(k·(k+m)). *)
 
-val weak_diameter_of_set : ?mask:Mask.t -> Graph.t -> int list -> int
-(** Max pairwise distance between set members measured in [G\[mask\]]
-    (paths may leave the set). [-1] if some pair is disconnected. *)
+val weak_diameter_of_set : Graph.t -> int list -> int
+(** Max pairwise distance between set members measured in [G] (paths
+    may leave the set). [-1] if some pair is disconnected. *)
 
 type scratch = private {
   dist : int array;

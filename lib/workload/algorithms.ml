@@ -178,10 +178,8 @@ let carvers =
       model = Randomized;
       run =
         (fun ~cost ~seed g ~epsilon ->
-          let carve = Baseline.Ls_transform.carve (Rng.create seed) in
           Cluster.Carving.of_carver ~cost
-            (fun ?cost g ~domain ~epsilon ->
-              fst (carve ?cost g ~domain ~epsilon))
+            (Baseline.Ls_transform.carve (Rng.create seed))
             g ~epsilon);
     };
     {
@@ -191,7 +189,9 @@ let carvers =
       model = Deterministic;
       run =
         (fun ~cost ~seed:_ g ~epsilon ->
-          fst (Strongdecomp.Strong_carving.carve ~cost g ~epsilon));
+          Cluster.Carving.of_carver ~cost
+            (Strongdecomp.Strong_carving.carve ())
+            g ~epsilon);
     };
     {
       name = "thm3.3";
@@ -200,10 +200,8 @@ let carvers =
       model = Deterministic;
       run =
         (fun ~cost ~seed:_ g ~epsilon ->
-          let carve = Strongdecomp.Strong_carving.carve_improved () in
           Cluster.Carving.of_carver ~cost
-            (fun ?cost g ~domain ~epsilon ->
-              fst (carve ?cost g ~domain ~epsilon))
+            (Strongdecomp.Strong_carving.carve_improved ())
             g ~epsilon);
     };
   ]

@@ -202,7 +202,10 @@ let test_greedy_beta_validation () =
    nodes. Before, Greedy.carve took [|3; 1; 0|] on a 4x4 grid and
    returned the adjacent clusters [1] and [0], and a duplicate, negative
    or too-large id raised a bare "index out of bounds", directly and
-   through Netdecomp.of_carver. *)
+   through Netdecomp.of_carver. The paper's carvers took a mask:
+   Transform.strong_carve_unknown_n accepted a 10-cell mask on a 6x6
+   grid without a word, and Edge_carving.carve raised a bare "index out
+   of bounds" on a 10-cell or a 40-cell one. *)
 let test_domain_check () =
   let g = Gen.grid 4 4 in
   let rejects name f =
@@ -228,8 +231,19 @@ let test_domain_check () =
   rejects "Mpx.carve" (fun domain ->
       ignore (Mpx.carve (Rng.create 1) g ~domain ~epsilon:0.5));
   rejects "Abcp.carve" (fun domain -> ignore (Abcp.carve g ~domain ~epsilon:0.5));
-  rejects "Transform.strong_carve_local" (fun domain ->
+  rejects "Transform.strong_carve" (fun domain ->
       ignore (Baseline.Ls_transform.carve (Rng.create 1) g ~domain ~epsilon:0.5));
+  rejects "Transform.strong_carve" (fun domain ->
+      ignore (Strongdecomp.Strong_carving.carve () g ~domain ~epsilon:0.5));
+  rejects "Transform.strong_carve_unknown_n" (fun domain ->
+      ignore
+        (Strongdecomp.Transform.strong_carve_unknown_n
+           ~weak:
+             (Strongdecomp.Strong_carving.weak_of_preset
+                Weakdiam.Weak_carving.default_preset)
+           g ~domain ~epsilon:0.5));
+  rejects "Edge_carving.carve" (fun domain ->
+      ignore (Strongdecomp.Edge_carving.carve ~domain g ~epsilon:0.5));
   rejects "Weak_carving.carve_local" (fun domain ->
       ignore (Weakdiam.Weak_carving.carve_local g ~domain ~epsilon:0.5));
   (* the simulated carvings check their domain in their engine run *)

@@ -18,14 +18,26 @@ let is_ok = function Ok () -> true | Error _ -> false
 
 let all n = Array.init n Fun.id
 
-(* Theorem 3.3 on the ascending [domain] (default: every node), as a
-   carving of it *)
-let carve_improved ?domain g ~epsilon =
+(* A carving of the ascending [domain] (default: every node) from its
+   clusters, and the stats of the call that made them *)
+let carving_of ?domain g carve =
   let n = Graph.n g in
   let domain = Option.value domain ~default:(all n) in
-  let clusters, stats = Carve.carve_improved () g ~domain ~epsilon in
+  let clusters, stats = carve domain in
   let mask = Mask.of_list n (Array.to_list domain) in
   (Carving.of_clusters g ~domain:mask clusters, stats)
+
+(* Theorem 2.2 with the transformation's stats *)
+let carve ?(preset = Weakdiam.Weak_carving.default_preset) ?cost ?domain g
+    ~epsilon =
+  carving_of ?domain g (fun domain ->
+      Transform.strong_carve ?cost ~weak:(Carve.weak_of_preset preset) g
+        ~domain ~epsilon)
+
+(* Theorem 3.3 with the improvement's stats *)
+let carve_improved ?domain g ~epsilon =
+  carving_of ?domain g (fun domain ->
+      Improve.improve ~strong:(Carve.carve ()) g ~domain ~epsilon)
 
 let fail_on_error = function
   | Ok () -> ()
@@ -166,7 +178,7 @@ let test_sparse_cut_window_monotone () =
 (* ------------------------------------------------------------------ *)
 
 let validate_strong_carving ?preset ~epsilon g =
-  let carving, stats = Carve.carve ?preset g ~epsilon in
+  let carving, stats = carve ?preset g ~epsilon in
   fail_on_error (Carving.check_strong ~epsilon carving);
   let diam = Clustering.max_strong_diameter carving.Carving.clustering in
   check bool "clusters connected" true (diam >= 0);
@@ -201,7 +213,7 @@ let test_thm22_epsilon_sweep () =
 
 let test_thm22_iterations_logarithmic () =
   let g = Gen.grid 12 12 in
-  let _, stats = Carve.carve g ~epsilon:0.5 in
+  let _, stats = carve g ~epsilon:0.5 in
   check bool "iterations <= 2·log2 n + 2" true
     (stats.Transform.iterations <= (2 * log2_ceil 144) + 2)
 
@@ -212,7 +224,7 @@ let test_thm22_ball_radius_bound () =
   let epsilon = 0.5 in
   let cost = Congest.Cost.create () in
   let carving, stats =
-    Carve.carve ~cost ~preset:Weakdiam.Weak_carving.Rg20 g ~epsilon
+    carve ~cost ~preset:Weakdiam.Weak_carving.Rg20 g ~epsilon
   in
   ignore carving;
   let b = Congest.Bits.id_bits ~n in
@@ -226,7 +238,7 @@ let test_thm22_dead_fraction_tight_epsilon () =
   let g = Gen.expander (Rng.create 3) 128 in
   List.iter
     (fun epsilon ->
-      let carving, _ = Carve.carve g ~epsilon in
+      let carving, _ = carve g ~epsilon in
       check bool
         (Printf.sprintf "dead fraction within %.3f" epsilon)
         true
@@ -235,8 +247,7 @@ let test_thm22_dead_fraction_tight_epsilon () =
 
 let test_thm22_domain_restriction () =
   let g = Gen.grid 8 8 in
-  let domain = Mask.of_list 64 (List.filter (fun v -> v < 40) (Graph.nodes g)) in
-  let carving, _ = Carve.carve ~domain g ~epsilon:0.5 in
+  let carving, _ = carve ~domain:(all 40) g ~epsilon:0.5 in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving);
   for v = 40 to 63 do
     check int "outside untouched" (-1)
@@ -245,8 +256,8 @@ let test_thm22_domain_restriction () =
 
 let test_thm22_deterministic () =
   let g = Gen.erdos_renyi (Rng.create 17) 60 0.07 in
-  let c1, _ = Carve.carve g ~epsilon:0.5 in
-  let c2, _ = Carve.carve g ~epsilon:0.5 in
+  let c1, _ = carve g ~epsilon:0.5 in
+  let c2, _ = carve g ~epsilon:0.5 in
   for v = 0 to 59 do
     check int "same output"
       (Clustering.cluster_of c1.Carving.clustering v)
@@ -254,16 +265,25 @@ let test_thm22_deterministic () =
   done
 
 let test_thm22_domain_size_mismatch () =
+  (* a domain sized for a larger graph names nodes this graph lacks; a
+     shorter one is a proper subdomain and carves only its own nodes *)
   let g = Gen.grid 6 6 in
-  Alcotest.check_raises "short mask"
+  Alcotest.check_raises "long domain"
     (Invalid_argument
-       "Transform.strong_carve: domain mask has size 10, graph has 36 nodes")
-    (fun () -> ignore (Carve.carve ~domain:(Mask.full 10) g ~epsilon:0.5))
+       "Transform.strong_carve: domain must be strictly ascending node ids \
+        of the graph")
+    (fun () -> ignore (Carve.carve () g ~domain:(all 40) ~epsilon:0.5));
+  let carving, _ = carve ~domain:(all 10) g ~epsilon:0.5 in
+  check int "short domain" 10 (Mask.count carving.Carving.domain);
+  for v = 10 to Graph.n g - 1 do
+    check int "outside short domain unclustered" (-1)
+      (Clustering.cluster_of carving.Carving.clustering v)
+  done
 
 let test_thm22_message_size_small () =
   let cost = Congest.Cost.create () in
   let g = Gen.grid 8 8 in
-  ignore (Carve.carve ~cost g ~epsilon:0.5);
+  ignore (Carving.of_carver ~cost (Carve.carve ()) g ~epsilon:0.5);
   check bool "O(log n) bit messages" true
     (Congest.Cost.max_message_bits cost <= 2 * Congest.Bits.id_bits ~n:64)
 
@@ -281,15 +301,15 @@ let weak_box preset : Transform.weak_carver =
     congestion = r.congestion;
   }
 
+let unknown_n =
+  Transform.strong_carve_unknown_n
+    ~weak:(weak_box Weakdiam.Weak_carving.Ggr21)
+
 let test_unknown_n_families () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let carving =
-        Transform.strong_carve_unknown_n
-          ~weak:(weak_box Weakdiam.Weak_carving.Ggr21)
-          g ~epsilon:0.5
-      in
+      let carving = Carving.of_carver unknown_n g ~epsilon:0.5 in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 61)
 
@@ -298,21 +318,16 @@ let test_unknown_n_matches_known_n_contract () =
   let g = Gen.grid 9 9 in
   List.iter
     (fun epsilon ->
-      let carving =
-        Transform.strong_carve_unknown_n
-          ~weak:(weak_box Weakdiam.Weak_carving.Ggr21)
-          g ~epsilon
-      in
+      let carving = Carving.of_carver unknown_n g ~epsilon in
       fail_on_error (Carving.check_strong ~epsilon carving))
     [ 0.5; 0.25 ]
 
 let test_unknown_n_domain () =
   let g = Gen.grid 8 8 in
-  let domain = Mask.of_list 64 (List.filter (fun v -> v < 32) (Graph.nodes g)) in
   let carving =
-    Transform.strong_carve_unknown_n
-      ~weak:(weak_box Weakdiam.Weak_carving.Ggr21)
-      ~domain g ~epsilon:0.5
+    Carving.of_clusters g
+      ~domain:(Mask.of_list 64 (List.init 32 Fun.id))
+      (unknown_n g ~domain:(all 32) ~epsilon:0.5)
   in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving);
   for v = 32 to 63 do
@@ -440,7 +455,7 @@ let test_transform_distributed_grid32_counts () =
   check int "weak stage rounds" 26_544 (incl "transform/level=1/weak");
   check int "ball stage rounds" 192 (incl "transform/level=1/case_ii");
   let cost = Congest.Cost.create () in
-  ignore (Carve.carve ~cost g ~epsilon:0.5);
+  ignore (Carving.of_carver ~cost (Carve.carve ()) g ~epsilon:0.5);
   check int "charged rounds" 6_350 (Congest.Cost.rounds cost)
 
 (* Components run in parallel, each A and then its ball: a level costs
@@ -586,20 +601,20 @@ let test_netdecomp_custom_epsilon () =
   let g = Gen.grid 9 9 in
   List.iter
     (fun epsilon ->
-      let d = Netdecomp.of_carver ~epsilon (Carve.local ()) g in
+      let d = Netdecomp.of_carver ~epsilon (Carve.carve ()) g in
       fail_on_error (Decomposition.check d))
     [ 0.75; 0.5; 0.3 ]
 
 let test_edge_carving_domain () =
   let g = Gen.grid 8 8 in
-  let domain = Mask.of_list 64 (List.filter (fun v -> v mod 8 < 5) (Graph.nodes g)) in
+  let domain = Array.of_list (List.filter (fun v -> v mod 8 < 5) (Graph.nodes g)) in
   let r = EdgeC.carve ~domain g ~epsilon:0.25 in
   for v = 0 to 63 do
-    if not (Mask.mem domain v) then
+    if v mod 8 >= 5 then
       check int "outside unclustered" (-1)
         (Clustering.cluster_of r.EdgeC.clustering v)
   done;
-  check int "inside all clustered" (Mask.count domain)
+  check int "inside all clustered" (Array.length domain)
     (Clustering.clustered_count r.EdgeC.clustering)
 
 let test_edge_carving_families () =
@@ -714,7 +729,7 @@ let prop_thm22_valid =
   QCheck.Test.make ~name:"theorem 2.2 carving is a valid strong carving"
     ~count:50 arb_connected (fun input ->
       let g = connected_graph input in
-      let carving, _ = Carve.carve g ~epsilon:0.5 in
+      let carving, _ = carve g ~epsilon:0.5 in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
 let prop_thm33_valid =
@@ -748,6 +763,10 @@ let prop_edge_carving_valid =
    colors. *)
 let labels g (c : Carving.t) =
   Array.init (Graph.n g) (Clustering.cluster_of c.Carving.clustering)
+
+(* the labels of a carver's clusters, numbered as a carving numbers them *)
+let cluster_labels g clusters =
+  labels g (Carving.of_clusters g ~domain:(Mask.full (Graph.n g)) clusters)
 
 let same_cost a b =
   Congest.Cost.breakdown a = Congest.Cost.breakdown b
@@ -807,9 +826,9 @@ let test_transform_component_order () =
       congestion = 1;
     }
   in
-  let a, _ = Transform.strong_carve ~weak g ~epsilon:0.5 in
+  let a, _ = Transform.strong_carve ~weak g ~domain:(all 60) ~epsilon:0.5 in
   let b, _ = Transform_ref.strong_carve ~weak:weak_ref g ~epsilon:0.5 in
-  check bool "same labels" true (labels g a = labels g b);
+  check bool "same labels" true (cluster_labels g a = labels g b);
   check bool "several calls" true (List.length !log_new > 3);
   check bool "same weak calls, same order" true (!log_new = !log_ref)
 
@@ -851,18 +870,25 @@ let prop_transform_matches_reference =
               (Mask.of_list n
                  (List.filter (fun _ -> Rng.float rng 1.0 < keep) (Graph.nodes g)))
         in
+        (* the reference takes the domain as a mask *)
+        let domain_ref = domain in
+        let domain =
+          match domain with None -> all n | Some d -> Mask.to_array d
+        in
         let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
         let a =
           protect (fun () ->
-              let c, st = Transform.strong_carve ~cost:ca ~weak ?domain g ~epsilon in
-              (labels g c, st.Transform.iterations, st.weak_invocations,
-               st.max_ball_radius))
+              let c, st =
+                Transform.strong_carve ~cost:ca ~weak g ~domain ~epsilon
+              in
+              (cluster_labels g c, st.Transform.iterations,
+               st.weak_invocations, st.max_ball_radius))
         in
         let b =
           protect (fun () ->
               let c, st =
-                Transform_ref.strong_carve ~cost:cb ~weak:weak_ref ?domain g
-                  ~epsilon
+                Transform_ref.strong_carve ~cost:cb ~weak:weak_ref
+                  ?domain:domain_ref g ~epsilon
               in
               (labels g c, st.Transform_ref.iterations, st.weak_invocations,
                st.max_ball_radius))
@@ -870,15 +896,15 @@ let prop_transform_matches_reference =
         let ua = Congest.Cost.create () and ub = Congest.Cost.create () in
         let a' =
           protect (fun () ->
-              labels g
-                (Transform.strong_carve_unknown_n ~cost:ua ~weak ?domain g
+              cluster_labels g
+                (Transform.strong_carve_unknown_n ~cost:ua ~weak g ~domain
                    ~epsilon))
         in
         let b' =
           protect (fun () ->
               labels g
                 (Transform_ref.strong_carve_unknown_n ~cost:ub ~weak:weak_ref
-                   ?domain g ~epsilon))
+                   ?domain:domain_ref g ~epsilon))
         in
         a = b && same_cost ca cb && a' = b' && same_cost ua ub
       in

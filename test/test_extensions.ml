@@ -85,8 +85,7 @@ let test_ls_transform_families () =
   List.iter
     (fun (name, g) ->
       ignore name;
-      let clusters, _ = LsT.carve (Rng.create 5) g ~domain:(all g) ~epsilon:0.5 in
-      let carving = whole g clusters in
+      let carving = Carving.of_carver (LsT.carve (Rng.create 5)) g ~epsilon:0.5 in
       fail_on_error (Carving.check_strong ~epsilon:0.5 carving))
     (workload 5)
 
@@ -102,8 +101,9 @@ let test_ls_transform_unknown_n () =
      box too *)
   let g = Gen.grid 8 8 in
   let carving =
-    Strongdecomp.Transform.strong_carve_unknown_n
-      ~weak:(LS.weak_carver (Rng.create 9))
+    Cluster.Carving.of_carver
+      (Strongdecomp.Transform.strong_carve_unknown_n
+         ~weak:(LS.weak_carver (Rng.create 9)))
       g ~epsilon:0.5
   in
   fail_on_error (Cluster.Carving.check_strong ~epsilon:0.5 carving)
@@ -113,9 +113,10 @@ let test_ls_transform_beats_deterministic_diameter_on_path () =
      gives O(log^2 n/eps) strong diameter — below the deterministic
      Theorem 2.2's O(log^3) on a long path *)
   let g = Gen.path 2048 in
-  let rand, _ = LsT.carve (Rng.create 11) g ~domain:(all g) ~epsilon:0.5 in
-  let rand = whole g rand in
-  let det, _ = Strongdecomp.Strong_carving.carve g ~epsilon:0.5 in
+  let rand = Carving.of_carver (LsT.carve (Rng.create 11)) g ~epsilon:0.5 in
+  let det =
+    Carving.of_carver (Strongdecomp.Strong_carving.carve ()) g ~epsilon:0.5
+  in
   let d c = Clustering.max_strong_diameter c.Carving.clustering in
   check bool
     (Printf.sprintf "randomized %d <= deterministic %d" (d rand) (d det))
@@ -462,10 +463,9 @@ let prop_ls_transform_valid =
       let g =
         Gen.ensure_connected rng (Gen.erdos_renyi rng n (float_of_int pct /. 100.0))
       in
-      let clusters, _ =
-        LsT.carve (Rng.create (seed + 1)) g ~domain:(all g) ~epsilon:0.5
+      let carving =
+        Carving.of_carver (LsT.carve (Rng.create (seed + 1))) g ~epsilon:0.5
       in
-      let carving = whole g clusters in
       is_ok (Carving.check_strong ~epsilon:0.5 carving))
 
 (* The pruned descending-priority Linial–Saks pass against the

@@ -58,12 +58,8 @@ let test_sparse_cut_path_10000 () =
 let test_improve_barbell_2000 () =
   let g = Gen.barbell 900 200 in
   let carving =
-    Carving.of_carver
-      (fun ?cost g ~domain ~epsilon ->
-        fst
-          (Strongdecomp.Strong_carving.carve_improved () ?cost g ~domain
-             ~epsilon))
-      g ~epsilon:0.5
+    Carving.of_carver (Strongdecomp.Strong_carving.carve_improved ()) g
+      ~epsilon:0.5
   in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving)
 
@@ -131,7 +127,10 @@ let test_unknown_n_grid_2500 () =
       congestion = r.congestion;
     }
   in
-  let carving = Strongdecomp.Transform.strong_carve_unknown_n ~weak g ~epsilon:0.5 in
+  let carving =
+    Carving.of_carver (Strongdecomp.Transform.strong_carve_unknown_n ~weak) g
+      ~epsilon:0.5
+  in
   fail_on_error (Carving.check_strong ~epsilon:0.5 carving)
 
 let () =
