@@ -189,43 +189,92 @@ let step st d =
 
 type plan = { dirty : int list; region : int list; seeds : int list }
 
-(* multi-source BFS ball of radius [h], restricted to up nodes: the
-   nodes reached, in BFS order; it costs what the ball holds, not n *)
-let ball g ~up ~seeds ~h =
-  let dist = Hashtbl.create 64 in
-  let q = Queue.create () in
+(* Node-indexed buffers of one plan and one merge, left as they were
+   found: every flag cleared, every label, id and depth -1. A cluster id
+   is below n, so the cluster-indexed ones are node-sized too. *)
+type scratch = {
+  dirty_c : Bytes.t;
+  in_region : Bytes.t;
+  withheld : Bytes.t;
+  trimmed : Bytes.t;  (* untouched cluster that lost a member *)
+  label : int array;  (* fresh cluster of a re-carved node, by sub id *)
+  new_id : int array;  (* new id of an untouched cluster *)
+  depth : int array;  (* the halo ball's BFS depths *)
+  queue : int array;  (* and its queue *)
+}
+
+let scratch n =
+  {
+    dirty_c = flags n;
+    in_region = flags n;
+    withheld = flags n;
+    trimmed = flags n;
+    label = Array.make n (-1);
+    new_id = Array.make n (-1);
+    depth = Array.make n (-1);
+    queue = Array.make n 0;
+  }
+
+(* multi-source BFS ball of radius [h] over up nodes: the nodes
+   reached, in BFS order. It costs what the ball holds, not n, and
+   leaves [depth] all -1. *)
+let ball sc st ~seeds ~h =
+  let depth = sc.depth and queue = sc.queue in
+  let offsets = Graph.offsets st.current
+  and targets = Graph.targets st.current in
+  let tail = ref 0 in
   let reach v d =
-    if up v && not (Hashtbl.mem dist v) then begin
-      Hashtbl.add dist v d;
-      Queue.add v q
+    if (not (is_down st v)) && depth.(v) < 0 then begin
+      depth.(v) <- d;
+      queue.(!tail) <- v;
+      incr tail
     end
   in
   List.iter (fun v -> reach v 0) seeds;
-  let reached = ref [] in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    reached := v :: !reached;
-    let d = Hashtbl.find dist v in
-    if d < h then Graph.iter_neighbors g v (fun w -> reach w (d + 1))
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let d = depth.(v) in
+    if d < h then
+      for i = offsets.{v} to offsets.{v + 1} - 1 do
+        reach targets.{i} (d + 1)
+      done
   done;
-  List.rev !reached
+  let reached = ref [] in
+  for i = !tail - 1 downto 0 do
+    reached := queue.(i) :: !reached;
+    depth.(queue.(i)) <- -1
+  done;
+  !reached
 
-let plan ?(halo = 0) ~weak ~color ~old st d =
+let plan ?(halo = 0) ~scratch:sc ~weak ~color ~old st d =
   if halo < 0 then invalid_arg "Repair.plan: negative halo";
   let pre = Clustering.graph old in
   let n = Graph.n pre in
   if n <> Graph.n st.current then
     invalid_arg "Repair.plan: clustering and state disagree on n";
+  if Array.length sc.depth <> n then
+    invalid_arg "Repair.plan: scratch made for another number of nodes";
   let k = Clustering.num_clusters old in
-  let dirty = flags k in
+  let dirty = flags k and dirty_ids = ref [] in
   let cl v = Clustering.cluster_of old v in
-  let mark c = if c >= 0 then flag dirty c true in
+  let mark c =
+    if c >= 0 && not (flagged dirty c) then begin
+      flag dirty c true;
+      dirty_ids := c :: !dirty_ids
+    end
+  in
   (* weak certificates route through arbitrary host nodes: any delta
      at all invalidates them *)
   if not (is_empty d) then
-    for c = 0 to k - 1 do
-      if weak c then flag dirty c true
-    done;
+    List.iter
+      (fun c ->
+        if c < 0 || c >= k then
+          invalid_arg
+            (Printf.sprintf "Repair.plan: weak cluster %d out of range" c);
+        mark c)
+      weak;
   (* a crashed member invalidates its cluster's membership *)
   List.iter (fun v -> mark (cl v)) d.crash;
   let seeds = ref [] in
@@ -261,23 +310,23 @@ let plan ?(halo = 0) ~weak ~color ~old st d =
   if halo > 0 then
     List.iter
       (fun v -> if cl v >= 0 then mark (cl v) else extras := v :: !extras)
-      (ball st.current ~up:(fun v -> not (is_down st v)) ~seeds ~h:halo);
+      (ball sc st ~seeds ~h:halo);
   let region = ref [] in
-  for c = 0 to k - 1 do
-    if flagged dirty c then
+  List.iter
+    (fun c ->
       List.iter
         (fun v -> if not (is_down st v) then region := v :: !region)
-        (Clustering.members old c)
-  done;
+        (Clustering.members old c))
+    !dirty_ids;
   List.iter
     (fun v ->
       if cl v < 0 || not (flagged dirty (cl v)) then region := v :: !region)
     !extras;
-  let dirty_ids = ref [] in
-  for c = k - 1 downto 0 do
-    if flagged dirty c then dirty_ids := c :: !dirty_ids
-  done;
-  { dirty = !dirty_ids; region = List.sort_uniq Int.compare !region; seeds }
+  {
+    dirty = List.sort Int.compare !dirty_ids;
+    region = List.sort_uniq Int.compare !region;
+    seeds;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
@@ -292,28 +341,6 @@ type merged = {
   fresh : int list;
   touched_nodes : int;
 }
-
-(* Node-indexed buffers of one merge, left as they were found: every
-   flag cleared, every label and id -1. A cluster id is below n, so the
-   cluster-indexed ones are node-sized too. *)
-type scratch = {
-  dirty_c : Bytes.t;
-  in_region : Bytes.t;
-  withheld : Bytes.t;
-  trimmed : Bytes.t;  (* untouched cluster that lost a member *)
-  label : int array;  (* fresh cluster of a re-carved node, by sub id *)
-  new_id : int array;  (* new id of an untouched cluster *)
-}
-
-let scratch n =
-  {
-    dirty_c = flags n;
-    in_region = flags n;
-    withheld = flags n;
-    trimmed = flags n;
-    label = Array.make n (-1);
-    new_id = Array.make n (-1);
-  }
 
 (* clears what a merge over [pl] may have set, however far it got *)
 let reset sc ~old ~plan:pl ~state:st =
@@ -428,12 +455,13 @@ let merge_into sc ~kind ~old ~color_of ~plan:pl ~state:st ~recarve =
   let members = Array.make !k_new [] in
   let colors = Array.make !k_new (-1) in
   let carried = ref [] in
+  let colored = match kind with Decomposition -> true | Carving -> false in
   for o = k_old - 1 downto 0 do
     let c = sc.new_id.(o) in
     if c >= 0 then begin
       carried := (o, c) :: !carried;
       (* carried clusters keep their colors *)
-      if kind = Decomposition then colors.(c) <- color_of o;
+      if colored then colors.(c) <- color_of o;
       members.(c) <-
         (if flagged sc.trimmed o then
            List.filter (fun v -> cluster_of.(v) = c) (Clustering.members old o)

@@ -116,9 +116,18 @@ type plan = {
           crashed nodes, endpoints of changed edges, revived nodes *)
 }
 
+type scratch
+(** Node-indexed flags, labels and a BFS queue for {!plan} and {!merge},
+    reused across calls and left cleared after each one, whether it
+    returns or raises. Use it from one domain at a time. *)
+
+val scratch : int -> scratch
+(** [scratch n] for graphs of [n] nodes. *)
+
 val plan :
   ?halo:int ->
-  weak:(int -> bool) ->
+  scratch:scratch ->
+  weak:int list ->
   color:(int -> int) ->
   old:Clustering.t ->
   state ->
@@ -127,10 +136,14 @@ val plan :
 (** [plan ~halo ~weak ~color ~old st delta] computes the dirty region
     of [old] (a clustering of the {e pre}-delta graph) under [delta],
     where [st] is the {e post}-delta state ([step pre delta]),
-    [weak c] says whether cluster [c] is only weakly certified, and
+    [weak] lists the clusters that are only weakly certified, and
     [color c] is its color ([-1] for every cluster of a carving, which
     makes any inserted inter-cluster edge dirty both sides).
-    [halo] defaults to [0]. *)
+    [halo] defaults to [0]. The halo ball runs on [scratch]; beyond one
+    k-byte flag set, a plan costs what the delta, the halo ball and the
+    dirty clusters hold.
+    @raise Invalid_argument on a negative halo, a clustering or scratch
+    of another size, or a [weak] id out of range. *)
 
 type kind = Decomposition | Carving
 
@@ -144,14 +157,6 @@ type merged = {
   fresh : int list;  (** new ids of re-carved clusters, sorted *)
   touched_nodes : int;  (** size of the re-carve region *)
 }
-
-type scratch
-(** Node-indexed flags and labels for {!merge}, reused across merges
-    and left cleared after each one, whether it returns or raises. Use
-    it from one domain at a time. *)
-
-val scratch : int -> scratch
-(** [scratch n] for graphs of [n] nodes. *)
 
 val merge :
   scratch:scratch ->

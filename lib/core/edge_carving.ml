@@ -6,6 +6,14 @@ type result = {
   max_radius : int;
 }
 
+(* Each ball is a BFS from the smallest remaining node over the
+   remaining nodes, grown one layer at a time, so it costs the volume it
+   reaches. Scanning layer [d] finds layer [d + 1] and counts the edges
+   inside layer [d] and from it to layer [d + 1]; once that scan is done
+   the edges with both ends within distance [d] are all counted, so the
+   first radius the test accepts is known without the rest of the
+   component. [dist] is reset on the nodes each ball reached, and the
+   center is found by a cursor that only moves up. *)
 let carve ?cost ?domain g ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Edge_carving.carve: epsilon must be in (0, 1)";
@@ -19,7 +27,9 @@ let carve ?cost ?domain g ~epsilon =
         Array.iter (Mask.add m) d;
         m
   in
+  let offsets = Graph.offsets g and targets = Graph.targets g in
   let cluster_of = Array.make n (-1) in
+  let dist = Array.make n (-1) and queue = Array.make (max 1 n) 0 in
   let cut = ref [] in
   let next_cluster = ref 0 in
   let max_radius = ref 0 in
@@ -30,52 +40,72 @@ let carve ?cost ?domain g ~epsilon =
         Congest.Cost.charge c ~rounds ~messages:(Mask.count remaining)
           ~max_bits:(2 * Congest.Bits.id_bits ~n) "edge_carving.grow"
   in
+  let center = ref 0 in
   while Mask.count remaining > 0 do
-    let center = List.hd (Mask.to_list remaining) in
-    let dist = Bfs.distances ~mask:remaining g ~source:center in
-    (* inside.(r) = edges with both endpoints within distance r;
-       boundary.(r) = edges from distance <= r to distance r+1 *)
-    let maxd = Array.fold_left max 0 dist in
-    let inside = Array.make (maxd + 2) 0 in
-    let boundary = Array.make (maxd + 2) 0 in
-    Graph.iter_edges g (fun u v ->
-        if dist.(u) >= 0 && dist.(v) >= 0 then begin
-          let lo = min dist.(u) dist.(v) and hi = max dist.(u) dist.(v) in
-          if hi = lo then inside.(lo) <- inside.(lo) + 1
-          else begin
-            (* hi = lo + 1 *)
-            inside.(hi) <- inside.(hi) + 1;
-            boundary.(lo) <- boundary.(lo) + 1
-          end
-        end);
-    for r = 1 to maxd + 1 do
-      inside.(r) <- inside.(r) + inside.(r - 1)
+    while not (Mask.mem remaining !center) do
+      incr center
     done;
-    let rec find r =
-      if r > maxd then maxd
-      else if
-        float_of_int boundary.(r) <= epsilon *. float_of_int (inside.(r) + 1)
-      then r
-      else find (r + 1)
-    in
-    let r = find 0 in
+    dist.(!center) <- 0;
+    queue.(0) <- !center;
+    (* layer d is queue.(lo .. hi - 1); the scan appends layer d + 1 up
+       to [tail]. [inside] counts the edges with both ends within
+       distance d, less those inside layer d until its scan adds them. *)
+    let lo = ref 0 and hi = ref 1 and tail = ref 1 in
+    let d = ref 0 and inside = ref 0 and radius = ref (-1) in
+    while !radius < 0 do
+      let boundary = ref 0 in
+      for i = !lo to !hi - 1 do
+        let u = queue.(i) in
+        for j = offsets.{u} to offsets.{u + 1} - 1 do
+          let w = targets.{j} in
+          if Mask.mem remaining w then begin
+            let dw = dist.(w) in
+            if dw < 0 then begin
+              dist.(w) <- !d + 1;
+              queue.(!tail) <- w;
+              incr tail;
+              incr boundary
+            end
+            else if dw = !d + 1 then incr boundary
+            else if dw = !d && u < w then incr inside
+          end
+        done
+      done;
+      if float_of_int !boundary <= epsilon *. float_of_int (!inside + 1) then
+        radius := !d
+      else begin
+        inside := !inside + !boundary;
+        lo := !hi;
+        hi := !tail;
+        incr d
+      end
+    done;
+    let r = !radius in
     if r > !max_radius then max_radius := r;
     charge (r + 2);
     let id = !next_cluster in
     incr next_cluster;
-    for v = 0 to n - 1 do
-      if dist.(v) >= 0 && dist.(v) <= r then begin
-        cluster_of.(v) <- id;
-        Mask.remove remaining v
-      end
+    for i = 0 to !hi - 1 do
+      cluster_of.(queue.(i)) <- id;
+      Mask.remove remaining queue.(i)
     done;
-    (* cut the boundary edges of the carved ball *)
-    Graph.iter_edges g (fun u v ->
-        if
-          (dist.(u) >= 0 && dist.(v) >= 0)
-          && min dist.(u) dist.(v) = r
-          && max dist.(u) dist.(v) = r + 1
-        then cut := (u, v) :: !cut)
+    (* cut the boundary edges of the carved ball, consed in
+       lexicographic order of their (smaller, larger) ends *)
+    let ball_cut = ref [] in
+    for i = !lo to !hi - 1 do
+      let u = queue.(i) in
+      for j = offsets.{u} to offsets.{u + 1} - 1 do
+        let w = targets.{j} in
+        if dist.(w) = r + 1 && Mask.mem remaining w then
+          ball_cut := ((min u w * n) + max u w) :: !ball_cut
+      done
+    done;
+    List.iter
+      (fun p -> cut := (p / n, p mod n) :: !cut)
+      (List.sort Int.compare !ball_cut);
+    for i = 0 to !tail - 1 do
+      dist.(queue.(i)) <- -1
+    done
   done;
   {
     clustering = Cluster.Clustering.make g ~cluster_of;

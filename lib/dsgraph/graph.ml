@@ -16,7 +16,18 @@ type t = {
      neighbors]. Computed on first [edge_index] call: only the congestion
      accounting needs it, and skipping it keeps mmap loads O(1). *)
   mutable edge_offset : int array option;
+  (* Provenance for [diff_rows]: [id] is unique to this graph's
+     construction, and a graph [apply_edits] made records its source's
+     id and the rows the edits changed, ascending ([source] is -1 and
+     [rows] empty otherwise). A graph is never mutated, so an id names
+     one edge set. *)
+  id : int;
+  source : int;
+  rows : int array;
 }
+
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
 
 let ba_create len : int_array1 =
   Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 len)
@@ -205,7 +216,16 @@ module Builder = struct
         end
       done
     done;
-    { n; m; offsets; targets; edge_offset = None }
+    {
+      n;
+      m;
+      offsets;
+      targets;
+      edge_offset = None;
+      id = fresh_id ();
+      source = -1;
+      rows = [||];
+    }
 end
 
 let of_edge_seq ~n seq =
@@ -231,7 +251,16 @@ let of_csr_unchecked ~n ~m ~offsets ~targets =
     invalid_arg "Graph.of_csr_unchecked: targets too short";
   if offsets.{0} <> 0 || offsets.{n} <> 2 * m then
     invalid_arg "Graph.of_csr_unchecked: inconsistent offsets";
-  { n; m; offsets; targets; edge_offset = None }
+  {
+    n;
+    m;
+    offsets;
+    targets;
+    edge_offset = None;
+    id = fresh_id ();
+    source = -1;
+    rows = [||];
+  }
 
 (* binary search of a sorted row; top level, so no closure per call *)
 let rec row_mem (row : int_array1) v lo hi =
@@ -395,6 +424,7 @@ let apply_edits t ~del ~add =
   (* [di]/[ai] walk rdel/radd in row order; rows before [copied] are
      written, and [moved] is how far the next row's start has shifted *)
   let di = ref 0 and ai = ref 0 and copied = ref 0 and moved = ref 0 in
+  let rows = ref [] in
   let copy_rows upto =
     let lo = t.offsets.{!copied} and hi = t.offsets.{upto} in
     for u = !copied to upto - 1 do
@@ -413,6 +443,7 @@ let apply_edits t ~del ~add =
       else min (rdel.(!di) lsr shift) (radd.(!ai) lsr shift)
     in
     copy_rows x;
+    rows := x :: !rows;
     (* merge row x: its old neighbours minus deletions, plus additions,
        with [max_int] standing for an exhausted side *)
     let out = ref (t.offsets.{x} + !moved) in
@@ -445,7 +476,16 @@ let apply_edits t ~del ~add =
   done;
   copy_rows t.n;
   offsets.{t.n} <- 2 * m;
-  { n = t.n; m; offsets; targets; edge_offset = None }
+  {
+    n = t.n;
+    m;
+    offsets;
+    targets;
+    edge_offset = None;
+    id = fresh_id ();
+    source = t.id;
+    rows = Array.of_list (List.rev !rows);
+  }
 
 let pp fmt t =
   Format.fprintf fmt "graph(n=%d, m=%d, maxdeg=%d)" t.n t.m (max_degree t)
@@ -463,3 +503,26 @@ let equal a b =
       if a.targets.{i} <> b.targets.{i} then ok := false
     done;
   !ok
+
+(* row [u] of [a] from position [i] on equals row [u] of [b] shifted by
+   [shift]; [hi] ends [a]'s row *)
+let rec same_row (ta : int_array1) (tb : int_array1) ~shift i hi =
+  i = hi || (ta.{i} = tb.{i + shift} && same_row ta tb ~shift (i + 1) hi)
+
+let diff_rows a b f =
+  if a.n <> b.n then
+    invalid_arg
+      (Printf.sprintf "Graph.diff_rows: graphs of %d and %d nodes" a.n b.n);
+  if a.id = b.id then ()
+  else if b.source = a.id then Array.iter f b.rows
+  else if a.source = b.id then Array.iter f a.rows
+  else begin
+    let oa = a.offsets and ob = b.offsets in
+    for u = 0 to a.n - 1 do
+      let lo = oa.{u} and hi = oa.{u + 1} and lb = ob.{u} in
+      if
+        ob.{u + 1} - lb <> hi - lo
+        || not (same_row a.targets b.targets ~shift:(lb - lo) lo hi)
+      then f u
+    done
+  end

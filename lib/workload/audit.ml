@@ -258,6 +258,100 @@ let trivial = function
       w_root = v && a = v && b = v
   | _ -> false
 
+(* [v] is a member of the class [id] *)
+let member ~owner ~id n v = v >= 0 && v < n && owner.(v) = id
+
+let rec check_pairs g ~owner ~id cert = function
+  | [] -> ()
+  | (v, p) :: rest ->
+      let n = Graph.n g in
+      if v < 0 || v >= n || p < 0 || p >= n then
+        fail "cluster %d: witness pair (%d,%d) out of range" cert.cluster v p;
+      if not (Graph.is_edge g v p) then
+        fail "cluster %d: witness pair (%d,%d) is not a graph edge"
+          cert.cluster v p;
+      if
+        cert.strong
+        && not (member ~owner ~id n v && member ~owner ~id n p)
+      then
+        fail "cluster %d: strong witness pair (%d,%d) leaves the cluster"
+          cert.cluster v p;
+      check_pairs g ~owner ~id cert rest
+
+(* The witness checks of one certificate on [g]: the tree, the
+   eccentric pair and the bounds. Membership is [owner.(v) = id], which
+   the claim checks have made hold for exactly the members; [stamp] is
+   one no earlier check has written into the tree buffers or
+   [in_domain], where a weak pair's search stamps its target. The
+   functions are top-level and take the certificate, so a check
+   allocates nothing. *)
+let check_witnesses ws g ~owner ~id ~stamp cert =
+  let n = Graph.n g in
+  (match cert.tree with
+  | None ->
+      if cert.diameter_ub <> None then
+        fail "cluster %d: diameter upper bound without a witness tree"
+          cert.cluster
+  | Some w ->
+      if not (member ~owner ~id n w.w_root) then
+        fail "cluster %d: witness root %d is not a member" cert.cluster
+          w.w_root;
+      check_pairs g ~owner ~id cert w.w_parents;
+      tree_depths ws ~stamp ~cluster:cert.cluster w;
+      members_in_tree ws ~stamp ~cluster:cert.cluster cert.members;
+      (* the tree holds its root plus one distinct node per pair *)
+      if cert.strong && List.length w.w_parents + 1 <> List.length cert.members
+      then
+        fail "cluster %d: strong witness tree has non-member nodes"
+          cert.cluster;
+      let height = tree_height ws 0 cert.members in
+      if height <> w.w_height then
+        fail "cluster %d: witness height claims %d, recomputed %d"
+          cert.cluster w.w_height height;
+      match cert.diameter_ub with
+      | Some ub when ub = 2 * w.w_height -> ()
+      | _ ->
+          fail "cluster %d: diameter upper bound is not 2 x height"
+            cert.cluster);
+  (if cert.diameter_lb >= 0 then begin
+     let u, v = cert.lb_pair in
+     if not (member ~owner ~id n u && member ~owner ~id n v) then
+       fail "cluster %d: eccentric pair (%d,%d) not members" cert.cluster u
+         v;
+     (* strong: member-restricted BFS, O(cluster volume), so the full
+        recheck stays linear across 10^5+ clusters (the class is
+        exactly cert.members, what a pull step scans); weak: host-graph
+        BFS that stops at v, the one node of in_domain with [stamp] *)
+     let duv =
+       if u = v then 0
+       else begin
+         let bfs = ws.bfs in
+         let reached =
+           if cert.strong then
+             Bfs.restricted_into g ~owner ~id ~members:cert.members ~source:u
+               bfs
+           else begin
+             ws.in_domain.(v) <- stamp;
+             Bfs.reach g ~owner:ws.in_domain ~id:stamp ~count:1 ~source:u bfs
+           end
+         in
+         let d = bfs.Bfs.dist.(v) in
+         Bfs.release bfs reached;
+         d
+       end
+     in
+     if duv <> cert.diameter_lb then
+       fail
+         "cluster %d: eccentric pair (%d,%d) is at distance %d, not the \
+          claimed %d"
+         cert.cluster u v duv cert.diameter_lb
+   end);
+  match (cert.diameter_lb, cert.diameter_ub) with
+  | lb, Some ub when lb > ub ->
+      fail "cluster %d: lower bound %d exceeds upper bound %d" cert.cluster
+        lb ub
+  | _ -> ()
+
 let verify_with ws g t =
   let n = Graph.n g in
   if ws.w_n <> n then
@@ -355,99 +449,30 @@ let verify_with ws g t =
         done
     done;
     (* witness trees and eccentric pairs, cluster by cluster, over the
-       workspace's buffers; owner answers membership *)
-    let bfs = ws.bfs in
-    let member cert v = v >= 0 && v < n && owner.(v) = base + cert.cluster in
-    let rec check_pairs cert = function
-      | [] -> ()
-      | (v, p) :: rest ->
-          if v < 0 || v >= n || p < 0 || p >= n then
-            fail "cluster %d: witness pair (%d,%d) out of range" cert.cluster v
-              p;
-          if not (Graph.is_edge g v p) then
-            fail "cluster %d: witness pair (%d,%d) is not a graph edge"
-              cert.cluster v p;
-          if cert.strong && not (member cert v && member cert p) then
-            fail "cluster %d: strong witness pair (%d,%d) leaves the cluster"
-              cert.cluster v p;
-          check_pairs cert rest
-    in
+       workspace's buffers; owner answers membership, and a cluster's
+       class id doubles as its stamp *)
     List.iter
       (fun cert ->
-        (match cert.tree with
-        | None ->
-            if cert.diameter_ub <> None then
-              fail "cluster %d: diameter upper bound without a witness tree"
-                cert.cluster
-        | Some w ->
-            if not (member cert w.w_root) then
-              fail "cluster %d: witness root %d is not a member" cert.cluster
-                w.w_root;
-            check_pairs cert w.w_parents;
-            let stamp = base + cert.cluster in
-            tree_depths ws ~stamp ~cluster:cert.cluster w;
-            members_in_tree ws ~stamp ~cluster:cert.cluster cert.members;
-            (* the tree holds its root plus one distinct node per pair *)
-            if
-              cert.strong
-              && List.length w.w_parents + 1 <> List.length cert.members
-            then
-              fail "cluster %d: strong witness tree has non-member nodes"
-                cert.cluster;
-            let height = tree_height ws 0 cert.members in
-            if height <> w.w_height then
-              fail "cluster %d: witness height claims %d, recomputed %d"
-                cert.cluster w.w_height height;
-            match cert.diameter_ub with
-            | Some ub when ub = 2 * w.w_height -> ()
-            | _ ->
-                fail "cluster %d: diameter upper bound is not 2 x height"
-                  cert.cluster);
-        (if cert.diameter_lb >= 0 then begin
-           let u, v = cert.lb_pair in
-           if not (member cert u && member cert v) then
-             fail "cluster %d: eccentric pair (%d,%d) not members"
-               cert.cluster u v;
-           (* strong: member-restricted BFS, O(cluster volume), so the
-              full recheck stays linear across 10^5+ clusters (owner was
-              built from cert.members, so they are exactly the class a
-              pull step scans); weak: host-graph BFS that stops at v,
-              the one node of in_domain with the cluster's stamp *)
-           let duv =
-             if u = v then 0
-             else begin
-               let stamp = base + cert.cluster in
-               let reached =
-                 if cert.strong then
-                   Bfs.restricted_into g ~owner ~id:stamp
-                     ~members:cert.members ~source:u bfs
-                 else begin
-                   in_domain.(v) <- stamp;
-                   Bfs.reach g ~owner:in_domain ~id:stamp ~count:1 ~source:u
-                     bfs
-                 end
-               in
-               let d = bfs.Bfs.dist.(v) in
-               Bfs.release bfs reached;
-               d
-             end
-           in
-           if duv <> cert.diameter_lb then
-             fail
-               "cluster %d: eccentric pair (%d,%d) is at distance %d, not \
-                the claimed %d"
-               cert.cluster u v duv cert.diameter_lb
-         end);
-        match (cert.diameter_lb, cert.diameter_ub) with
-        | lb, Some ub when lb > ub ->
-            fail "cluster %d: lower bound %d exceeds upper bound %d"
-              cert.cluster lb ub
-        | _ -> ())
+        let id = base + cert.cluster in
+        check_witnesses ws g ~owner ~id ~stamp:id cert)
       (List.rev !nontrivial);
     Ok ()
   with Reject msg -> Error msg
 
 let verify g t = verify_with (workspace (Graph.n g)) g t
+
+let witness_ok ws g ~owner ~id cert =
+  if ws.w_n <> Graph.n g then
+    invalid_arg
+      (Printf.sprintf "Audit.witness_ok: workspace for %d nodes, graph has %d"
+         ws.w_n (Graph.n g));
+  trivial cert
+  ||
+  let stamp = ws.next in
+  ws.next <- stamp + 1;
+  match check_witnesses ws g ~owner ~id ~stamp cert with
+  | () -> true
+  | exception Reject _ -> false
 
 (* The one source of truth for post-fault validity: certify the labels
    restricted to the survivor subgraph as a carving (non-adjacency is

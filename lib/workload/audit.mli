@@ -127,6 +127,22 @@ val verify_with : workspace -> Dsgraph.Graph.t -> t -> (unit, string) result
     @raise Invalid_argument when the workspace was made for another
     number of nodes than the graph has. *)
 
+val witness_ok :
+  workspace -> Dsgraph.Graph.t -> owner:int array -> id:int -> cert -> bool
+(** [witness_ok ws g ~owner ~id cert] runs on one certificate the
+    witness checks {!verify_with} runs on each: the tree (every pair a
+    graph edge, acyclic, rooted at a member, covering the members;
+    strong trees inside the cluster, with the height and
+    [diameter_ub = 2 * height] recomputed), the eccentric pair's
+    distance re-derived by BFS, and [diameter_lb <= diameter_ub]. The
+    cluster is the class [owner.(v) = id]: the caller must have checked
+    that this holds for exactly [cert.members], which must be non-empty
+    and in range — the claim checks of a verify. [true] when every
+    check passes; a one-node cluster's trivial certificate passes
+    without them, as in {!verify_with}. For verifiers that re-check
+    only some clusters of an audit they keep an owner index of.
+    @raise Invalid_argument as {!verify_with}. *)
+
 val check_survivors :
   Dsgraph.Graph.t ->
   survivors:int list ->

@@ -22,11 +22,13 @@
 type workspace
 (** Scratch of one session lineage: a {!Audit.workspace} for
     {!verify_cert}'s full verify, a [Bfs.scratch] for certifying fresh
-    clusters, the merge's {!Cluster.Repair.scratch}, and three
+    clusters, the plan's and merge's {!Cluster.Repair.scratch},
     cluster-indexed int arrays (carried ids, two sides of partition
-    marks). {!start_decomposition} and {!start_carving}
-    make one, and every session {!repair} derives from it shares it. It
-    holds scratch only, never a result, so a lineage may branch; but its
+    marks), and the memo of {!verify_cert}: the audit it last accepted,
+    the graph it was accepted on, and node-indexed owner, color and
+    domain flags of that audit. {!start_decomposition} and
+    {!start_carving} make one, and every session {!repair} derives from
+    it shares it. It holds no result, so a lineage may branch; but its
     sessions must be repaired and verified from one domain at a
     time. *)
 
@@ -87,9 +89,16 @@ val verify_cert :
   prev:session -> post:Dsgraph.Graph.t -> cert -> (unit, string) result
 (** Checks the locality claim (see the module header). [post] must be
     the post-delta graph ([Cluster.Repair.graph] of the new state); a
-    graph of another size is rejected. The full [Audit.verify] runs on
-    [prev]'s workspace ([Audit.verify_with]), with the same verdicts and
-    messages. *)
+    graph of another size is rejected. When [prev]'s audit and graph
+    are the ones the lineage's last accepted verify left (by physical
+    identity), a fast path re-checks only the fresh clusters, the weak
+    ones and those holding an endpoint of an edge that differs between
+    [prev]'s graph and [post] ([Dsgraph.Graph.diff_rows]; [c_delta] is
+    not read), plus the partitions, ids, carried certificates, domain
+    and dead count (DESIGN.md §11). It only accepts; otherwise, and on a
+    memo miss, the full checks run: the locality checks, then
+    [Audit.verify_with] on [prev]'s workspace. So verdicts and messages
+    are those of the full checks. *)
 
 val recarve_decomposer :
   Algorithms.decomposer -> seed:int -> Dsgraph.Graph.t -> int array * int array

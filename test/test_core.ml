@@ -832,6 +832,38 @@ let test_transform_component_order () =
   check bool "several calls" true (List.length !log_new > 3);
   check bool "same weak calls, same order" true (!log_new = !log_ref)
 
+(* the per-ball carving equals the whole-graph-pass reference: labels,
+   cut edges in order, max radius and the charged cost *)
+let prop_edge_carving_matches_reference =
+  QCheck.Test.make ~name:"edge carving equals the reference" ~count:150
+    (QCheck.make
+       ~print:(fun (seed, family) ->
+         Printf.sprintf "seed=%d family=%d" seed family)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 0 2)))
+    (fun (seed, family) ->
+      let rng = Rng.create seed in
+      let g = Random_graph.make rng family in
+      let n = Graph.n g in
+      let epsilon = 0.05 +. Rng.float rng 0.9 in
+      let domain =
+        if Rng.bool rng then None
+        else
+          let keep = 0.3 +. Rng.float rng 0.7 in
+          Some
+            (Array.of_list
+               (List.filter (fun _ -> Rng.float rng 1.0 < keep) (Graph.nodes g)))
+      in
+      let ca = Congest.Cost.create () and cb = Congest.Cost.create () in
+      let a = EdgeC.carve ~cost:ca ?domain g ~epsilon in
+      let b = Edge_carving_ref.carve ~cost:cb ?domain g ~epsilon in
+      Array.init n (Clustering.cluster_of a.EdgeC.clustering)
+      = Array.init n (Clustering.cluster_of b.EdgeC.clustering)
+      && a.EdgeC.cut_edges = b.EdgeC.cut_edges
+      && a.EdgeC.max_radius = b.EdgeC.max_radius
+      && Congest.Cost.rounds ca = Congest.Cost.rounds cb
+      && Congest.Cost.messages ca = Congest.Cost.messages cb
+      && Congest.Cost.max_message_bits ca = Congest.Cost.max_message_bits cb)
+
 let prop_transform_matches_reference =
   QCheck.Test.make ~name:"domain-local transform equals the reference"
     ~count:120
@@ -1050,5 +1082,6 @@ let () =
             prop_thm33_valid;
             prop_thm23_valid;
             prop_edge_carving_valid;
+            prop_edge_carving_matches_reference;
           ] );
     ]

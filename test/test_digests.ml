@@ -1,4 +1,5 @@
-(* Output fixture for every registered decomposer and carver: on the
+(* Output fixture for every registered decomposer and carver, and for
+   [Edge_carving]: on the
    grid and er families at n = 512, seed 42, the MD5 of every node's
    (cluster, color) -- for a carver at epsilon = 1/2, every node's
    cluster and then the dead set -- and the run's Cost rounds, messages
@@ -45,6 +46,24 @@ let carver_line (c : Algorithms.carver) family =
   List.iter (Printf.bprintf b "dead %d\n") (Cluster.Carving.dead carving);
   format ("carve:" ^ c.name) family b cost
 
+(* [Edge_carving] is in no registry: its line digests every node's
+   cluster, the cut edges in order and the max radius, at epsilon =
+   1/4 *)
+let edge_carving_line family =
+  let g = (Suite.find family).Suite.build ~seed ~n in
+  let cost = Congest.Cost.create () in
+  let r = Strongdecomp.Edge_carving.carve ~cost g ~epsilon:0.25 in
+  let b = Buffer.create (8 * n) in
+  for v = 0 to Dsgraph.Graph.n g - 1 do
+    Printf.bprintf b "%d\n"
+      (Cluster.Clustering.cluster_of r.Strongdecomp.Edge_carving.clustering v)
+  done;
+  List.iter
+    (fun (u, v) -> Printf.bprintf b "cut %d %d\n" u v)
+    r.Strongdecomp.Edge_carving.cut_edges;
+  Printf.bprintf b "radius %d\n" r.Strongdecomp.Edge_carving.max_radius;
+  format "edge_carving" family b cost
+
 let lines () =
   List.concat_map
     (fun d -> List.map (line d) families)
@@ -52,6 +71,7 @@ let lines () =
   @ List.concat_map
       (fun c -> List.map (carver_line c) families)
       Algorithms.carvers
+  @ List.map edge_carving_line families
 
 let fixture = "fixtures/decomposer_digests.txt"
 

@@ -81,7 +81,9 @@ let rebuild g ~del ~add =
 
 let prop_apply_edits_matches_rebuild =
   QCheck2.Test.make ~count:300
-    ~name:"Graph.apply_edits splice equals a Graph.Builder rebuild"
+    ~name:
+      "Graph.apply_edits splice equals a Graph.Builder rebuild, and diff_rows \
+       finds its rows"
     ~print:(fun (seed, n, pct) -> Printf.sprintf "seed=%d n=%d p=%d%%" seed n pct)
     QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 40) (int_range 0 50))
     (fun (seed, n, pct) ->
@@ -126,7 +128,21 @@ let prop_apply_edits_matches_rebuild =
       let add = List.filter (fun (u, v) -> not (Graph.is_edge g u v)) !add in
       let before = rebuild g ~del:[] ~add:[] in
       let spliced = Graph.apply_edits g ~del ~add in
-      Graph.equal spliced (rebuild g ~del ~add) && Graph.equal g before)
+      let rebuilt = rebuild g ~del ~add in
+      (* the changed rows: from the splice's record, and by comparing
+         the CSRs of two graphs with no common origin *)
+      let rows a b =
+        let acc = ref [] in
+        Graph.diff_rows a b (fun u -> acc := u :: !acc);
+        List.rev !acc
+      in
+      let ends =
+        List.sort_uniq Int.compare
+          (List.concat_map (fun (u, v) -> [ u; v ]) (del @ add))
+      in
+      Graph.equal spliced rebuilt && Graph.equal g before
+      && rows g spliced = ends && rows spliced g = ends
+      && rows before rebuilt = ends)
 
 (* ------------------------------------------------------------------ *)
 (* Fault state                                                          *)
@@ -329,41 +345,46 @@ let pairs_fixture () =
   let cl = Cluster.Clustering.make g ~cluster_of:[| 0; 0; 1; 1; 2; 2; 3; 3 |] in
   (g, cl)
 
-let strong _ = false
 let carving_color _ = -1
 
 let test_plan_halo () =
   let g, cl = pairs_fixture () in
   let d = CR.delta ~crash:[ 0 ] () in
   let st = CR.step (CR.init g) d in
-  let p0 = CR.plan ~weak:strong ~color:carving_color ~old:cl st d in
+  let sc = CR.scratch (Graph.n g) in
+  let p0 = CR.plan ~scratch:sc ~weak:[] ~color:carving_color ~old:cl st d in
   Alcotest.(check (list int)) "halo 0: only the hit cluster" [ 0 ] p0.CR.dirty;
   Alcotest.(check (list int)) "halo 0: surviving member" [ 1 ] p0.CR.region;
-  let p1 = CR.plan ~halo:1 ~weak:strong ~color:carving_color ~old:cl st d in
+  let p1 =
+    CR.plan ~halo:1 ~scratch:sc ~weak:[] ~color:carving_color ~old:cl st d
+  in
   Alcotest.(check (list int)) "halo 1: ball reaches neighbors" [ 0; 1; 3 ]
     p1.CR.dirty;
   Alcotest.(check (list int)) "halo 1: region" [ 1; 2; 3; 6; 7 ] p1.CR.region
 
 let test_plan_edge_rules () =
   let g, cl = pairs_fixture () in
+  let scratch = CR.scratch (Graph.n g) in
   (* intra-cluster deletion invalidates the exact eccentric witness *)
   let d = CR.delta ~del_edges:[ (2, 3) ] () in
   let st = CR.step (CR.init g) d in
-  let p = CR.plan ~weak:strong ~color:carving_color ~old:cl st d in
+  let p = CR.plan ~scratch ~weak:[] ~color:carving_color ~old:cl st d in
   Alcotest.(check (list int)) "intra del dirties its cluster" [ 1 ] p.CR.dirty;
   (* inter-cluster insertion with equal colors dirties both sides *)
   let d = CR.delta ~add_edges:[ (1, 4) ] () in
   let st = CR.step (CR.init g) d in
-  let p = CR.plan ~weak:strong ~color:carving_color ~old:cl st d in
+  let p = CR.plan ~scratch ~weak:[] ~color:carving_color ~old:cl st d in
   Alcotest.(check (list int)) "same-color insertion dirties both" [ 0; 2 ]
     p.CR.dirty;
   (* distinct colors: separation is allowed to survive the insertion *)
   let p =
-    CR.plan ~weak:strong ~color:(fun c -> c) ~old:cl st d
+    CR.plan ~scratch ~weak:[] ~color:(fun c -> c) ~old:cl st d
   in
   Alcotest.(check (list int)) "distinct-color insertion is clean" [] p.CR.dirty;
   (* weak certificates are dirtied by any delta at all *)
-  let p = CR.plan ~weak:(fun _ -> true) ~color:(fun c -> c) ~old:cl st d in
+  let p =
+    CR.plan ~scratch ~weak:[ 0; 1; 2; 3 ] ~color:(fun c -> c) ~old:cl st d
+  in
   Alcotest.(check (list int)) "weak certs always dirty" [ 0; 1; 2; 3 ]
     p.CR.dirty
 
@@ -379,7 +400,10 @@ let test_merge_carving_frontier () =
   in
   let d = CR.delta ~crash:[ 0 ] () in
   let st = CR.step (CR.init g) d in
-  let p = CR.plan ~halo:1 ~weak:strong ~color:carving_color ~old:cl st d in
+  let p =
+    CR.plan ~halo:1 ~scratch:(CR.scratch (Graph.n g)) ~weak:[]
+      ~color:carving_color ~old:cl st d
+  in
   Alcotest.(check (list int)) "region = survivor + halo extra" [ 1; 2 ]
     p.CR.region;
   let recarve_nodes = ref (-1) in
@@ -878,6 +902,296 @@ let prop_workspace_matches_reference =
         go 0 s0 (Ref.of_session s0)
       end)
 
+(* ------------------------------------------------------------------ *)
+(* The incremental verify decides exactly as the full checks            *)
+(* ------------------------------------------------------------------ *)
+
+let replace_cert (cert : Repair.cert) id f =
+  let audit = cert.Repair.c_audit in
+  {
+    cert with
+    Repair.c_audit =
+      {
+        audit with
+        Audit.certs =
+          List.map
+            (fun (c : Audit.cert) -> if c.Audit.cluster = id then f c else c)
+            audit.Audit.certs;
+      };
+  }
+
+let cert_of (cert : Repair.cert) id =
+  List.nth cert.Repair.c_audit.Audit.certs id
+
+let cluster_of_node (cert : Repair.cert) v =
+  List.find_opt
+    (fun (c : Audit.cert) -> List.mem v c.Audit.members)
+    cert.Repair.c_audit.Audit.certs
+
+(* The tampered certificates of one step, each with the graph it is
+   verified on: the certificate list of [tamperings], a [c_delta] that
+   lies, carried certificates with a member dropped or added, a fresh
+   certificate with a neighbour's color or a carried member, a domain
+   without a carried member, a miscounted dead count, and the genuine
+   certificate on the graph of a delta that also deletes an edge of a
+   carried cluster's witness tree, or adds an edge between two carried
+   clusters of one color. *)
+let tampered_steps ~recarve (prev : Repair.session) d (cert : Repair.cert) post
+    =
+  let audit = cert.Repair.c_audit in
+  let carried_with p =
+    List.find_map
+      (fun (_, nw) ->
+        let c = cert_of cert nw in
+        if p c then Some c else None)
+      cert.Repair.c_carried
+  in
+  let on_post c = [ (c, post) ] in
+  let lie =
+    { cert with Repair.c_delta = CR.delta ~crash:[ 0 ] ~del_edges:[ (0, 1) ] () }
+  in
+  let dropped =
+    match carried_with (fun c -> List.length c.Audit.members > 1) with
+    | Some c ->
+        on_post
+          (replace_cert cert c.Audit.cluster (fun c ->
+               { c with Audit.members = List.tl c.Audit.members }))
+    | None -> []
+  in
+  let added =
+    match (cert.Repair.c_carried, cert.Repair.c_fresh) with
+    | (_, nw) :: _, f :: _ ->
+        let v = List.hd (cert_of cert f).Audit.members in
+        on_post
+          (replace_cert cert nw (fun c ->
+               {
+                 c with
+                 Audit.members = List.sort_uniq Int.compare (v :: c.Audit.members);
+               }))
+    | _ -> []
+  in
+  let fresh =
+    match cert.Repair.c_fresh with
+    | [] -> []
+    | f :: _ ->
+        let fc = cert_of cert f in
+        (* a neighbouring cluster's color, or the next one *)
+        let color =
+          List.fold_left
+            (fun acc v ->
+              Array.fold_left
+                (fun acc w ->
+                  match cluster_of_node cert w with
+                  | Some c when c.Audit.cluster <> f -> Some c.Audit.color
+                  | _ -> acc)
+                acc (Graph.neighbors post v))
+            None fc.Audit.members
+          |> Option.value ~default:(fc.Audit.color + 1)
+        in
+        let overlap =
+          match cert.Repair.c_carried with
+          | (_, nw) :: _ ->
+              let v = List.hd (cert_of cert nw).Audit.members in
+              on_post
+                (replace_cert cert f (fun c ->
+                     {
+                       c with
+                       Audit.members =
+                         List.sort_uniq Int.compare (v :: c.Audit.members);
+                     }))
+          | [] -> []
+        in
+        on_post (replace_cert cert f (fun c -> { c with Audit.color = color }))
+        @ overlap
+  in
+  (* a carried member swapped out of the domain for a node outside it,
+     which keeps the dead count *)
+  let domain =
+    let outside =
+      List.filter
+        (fun v -> not (List.mem v audit.Audit.domain))
+        (List.init (Graph.n post) Fun.id)
+    in
+    match (cert.Repair.c_carried, outside) with
+    | (_, nw) :: _, y :: _ ->
+        let v = List.hd (cert_of cert nw).Audit.members in
+        on_post
+          {
+            cert with
+            Repair.c_audit =
+              {
+                audit with
+                Audit.domain =
+                  List.sort Int.compare
+                    (y :: List.filter (( <> ) v) audit.Audit.domain);
+              };
+          }
+    | _ -> []
+  in
+  (* a fresh one-node cluster moved onto a carried one-node cluster's
+     node, which keeps the dead count and every color *)
+  let moved =
+    let single (c : Audit.cert) = List.length c.Audit.members = 1 in
+    match
+      ( List.find_opt single (List.map (cert_of cert) cert.Repair.c_fresh),
+        carried_with single )
+    with
+    | Some f, Some c ->
+        let v = List.hd c.Audit.members in
+        on_post
+          (replace_cert cert f.Audit.cluster (fun f ->
+               {
+                 f with
+                 Audit.members = [ v ];
+                 color = c.Audit.color;
+                 tree = Some { Audit.w_root = v; w_parents = []; w_height = 0 };
+                 lb_pair = (v, v);
+               }))
+    | _ -> []
+  in
+  let dead =
+    on_post
+      {
+        cert with
+        Repair.c_audit = { audit with Audit.dead = audit.Audit.dead + 1 };
+      }
+  in
+  (* the genuine certificate on the graph of a larger delta *)
+  let st = prev.Repair.state in
+  let on_delta d' =
+    match CR.step st d' with
+    | st' -> [ (cert, CR.graph st') ]
+    | exception Invalid_argument _ -> []
+  in
+  let cut =
+    match
+      carried_with (fun c ->
+          match c.Audit.tree with
+          | Some { Audit.w_parents = (v, p) :: _; _ } ->
+              not (List.mem (v, p) d.CR.del_edges || List.mem (p, v) d.CR.del_edges)
+          | _ -> false)
+    with
+    | Some { Audit.tree = Some { Audit.w_parents = e :: _; _ }; _ } ->
+        on_delta { d with CR.del_edges = e :: d.CR.del_edges }
+    | _ -> []
+  in
+  let bridge =
+    let carried =
+      List.map (fun (_, nw) -> cert_of cert nw) cert.Repair.c_carried
+    in
+    let pre = CR.graph st in
+    let up v = not (CR.is_down (CR.step st d) v) in
+    let fits u v =
+      u <> v && up u && up v
+      && (not (Graph.is_edge pre u v))
+      && not (List.mem (min u v, max u v) d.CR.add_edges
+              || List.mem (max u v, min u v) d.CR.add_edges)
+    in
+    let rec search = function
+      | [] -> []
+      | (a : Audit.cert) :: rest -> (
+          match
+            List.find_map
+              (fun (b : Audit.cert) ->
+                if b.Audit.cluster > a.Audit.cluster && b.Audit.color = a.Audit.color
+                then
+                  let u = List.hd a.Audit.members and v = List.hd b.Audit.members in
+                  if fits u v then Some (u, v) else None
+                else None)
+              rest
+          with
+          | Some e -> on_delta { d with CR.add_edges = e :: d.CR.add_edges }
+          | None -> search rest)
+    in
+    search carried
+  in
+  (* an empty delta's certificate carries every weak cluster; on the
+     graph of a delta that deletes a pair of a weak witness tree with
+     both ends outside the cluster, only the weak re-check sees it *)
+  let weak_cut =
+    let outside (c : Audit.cert) =
+      match c.Audit.tree with
+      | Some w when not c.Audit.strong ->
+          List.find_opt
+            (fun (v, p) ->
+              not (List.mem v c.Audit.members || List.mem p c.Audit.members))
+            w.Audit.w_parents
+      | _ -> None
+    in
+    match List.find_map outside prev.Repair.audit.Audit.certs with
+    | Some e -> (
+        let _, rep = Repair.repair ~recarve prev (CR.delta ()) in
+        match CR.step st (CR.delta ~del_edges:[ e ] ()) with
+        | st' -> [ (rep.Repair.cert, CR.graph st') ]
+        | exception Invalid_argument _ -> [])
+    | None -> []
+  in
+  on_post cert @ on_post lie @ dropped @ added @ fresh @ domain @ moved @ dead
+  @ cut @ weak_cut
+  @ bridge
+  @ List.concat_map on_post (List.tl (tamperings cert))
+
+let prop_incremental_verify_exact =
+  QCheck2.Test.make ~count:20
+    ~name:
+      "verify_cert on a memo hit decides as the full checks, over 200-step \
+       replays, sibling branches and tampered certificates"
+    QCheck2.Gen.(pair (int_range 0 17) (int_range 0 5000))
+    (fun (mode, s) ->
+      let seed = mode + (18 * s) in
+      let g, s0, recarve, halo = lineage_case seed in
+      if Graph.n g < 5 then true
+      else begin
+        let rng = Rng.create (seed + 1) and sibling_rng = Rng.create (seed + 2) in
+        let deltas = ref [] in
+        let rejected = ref 0 in
+        (* [prime] makes the memo the previous session's: it re-verifies
+           the certificate that produced it *)
+        let compare ~prime i what (prev : Repair.session) (cert, post) =
+          prime ();
+          let got = Repair.verify_cert ~prev ~post cert in
+          let want = Ref.verify_cert ~prev:(Ref.of_session prev) ~post cert in
+          if got <> want then
+            QCheck2.Test.fail_reportf "seed %d, step %d, %s: %s vs %s" seed i
+              what
+              (match got with Ok () -> "ok" | Error e -> e)
+              (match want with Ok () -> "ok" | Error e -> e);
+          if got <> Ok () then incr rejected
+        in
+        let rec replay i steps (prev : Repair.session) prime =
+          match steps with
+          | [] -> ()
+          | d :: rest ->
+              let s', rep = Repair.repair ~halo ~recarve:(recarve i) prev d in
+              let post = CR.graph s'.Repair.state in
+              let cert = rep.Repair.cert in
+              List.iteri
+                (fun j t -> compare ~prime i (Printf.sprintf "case %d" j) prev t)
+                (tampered_steps ~recarve:(recarve i) prev d cert post);
+              (* a sibling branch of [prev] *)
+              let d' = E2e_core.Churn.delta sibling_rng prev.Repair.state in
+              let sib, srep = Repair.repair ~halo ~recarve:(recarve i) prev d' in
+              compare ~prime i "sibling" prev
+                (srep.Repair.cert, CR.graph sib.Repair.state);
+              (* the step itself, on whatever memo the last check left *)
+              if Repair.verify_cert ~prev ~post cert <> Ok () then
+                QCheck2.Test.fail_reportf "seed %d, step %d rejected" seed i;
+              replay (i + 1) rest s' (fun () ->
+                  ignore (Repair.verify_cert ~prev ~post cert))
+        in
+        let st = ref s0.Repair.state in
+        for _ = 1 to 200 do
+          let d = E2e_core.Churn.delta rng !st in
+          st := CR.step !st d;
+          deltas := d :: !deltas
+        done;
+        let deltas = List.rev !deltas in
+        (* two replays from the one shared first session *)
+        replay 0 deltas s0 ignore;
+        replay 0 deltas s0 ignore;
+        !rejected > 0
+      end)
+
 (* one fresh cluster per re-carved node *)
 let singletons sub =
   (Array.init (Graph.n sub) Fun.id, Array.make (Graph.n sub) 0)
@@ -1033,6 +1347,9 @@ let () =
       ( "workspace",
         [
           QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 35 |])
+            prop_incremental_verify_exact;
           Alcotest.test_case "merge trims untouched clusters like relabeling"
             `Quick test_merge_trims_like_relabeling;
           Alcotest.test_case "merge scratch survives failed merges" `Quick

@@ -144,9 +144,15 @@ let repair ?(halo = 0) ~recarve (session : session) d =
     | Ok a -> a
     | Error e -> invalid_arg ("Repair.repair: session audit: " ^ e)
   in
-  let weak c = not old_certs.(c).Audit.strong in
+  let weak =
+    List.filter
+      (fun c -> not old_certs.(c).Audit.strong)
+      (List.init (Array.length old_certs) Fun.id)
+  in
   let pl =
-    CR.plan ~halo ~weak
+    CR.plan ~halo
+      ~scratch:(CR.scratch (Graph.n (CR.graph st)))
+      ~weak
       ~color:(fun c -> session.colors.(c))
       ~old:session.clustering st d
   in

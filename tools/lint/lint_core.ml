@@ -49,6 +49,10 @@ let default_config =
         ("wallclock", "congest/resource");
         ("wallclock", "workload/stats");
         ("wallclock", "bench/");
+        (* the memo of the incremental verify and its carried-certificate
+           shortcut: identity only selects a fast path whose verdicts
+           equal the full checks' *)
+        ("physeq", "workload/repair");
       ];
   }
 
