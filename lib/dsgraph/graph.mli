@@ -135,11 +135,12 @@ val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 (** Structural equality (same node count and edge set). *)
 
-val diff_rows : t -> t -> (int -> unit) -> unit
-(** [diff_rows a b f] calls [f u], in ascending [u], for every node whose
-    adjacency row in [b] differs from its row in [a]: the endpoints of
-    the edges in one graph and not the other. When one graph was made
-    from the other by {!apply_edits}, which records the rows it edits,
-    this costs those rows; otherwise it compares both CSRs, [O(n + m)].
-    Allocation-free.
+val diff_rows : t -> t -> (int -> unit) -> bool
+(** [diff_rows a b f] lists the rows that differ between [a] and [b]
+    when [b] is [a] or was made from [a] by one {!apply_edits}, which
+    records the rows it edits: it calls [f u], in ascending [u], for
+    every node whose adjacency row in [b] differs from its row in [a]
+    (the endpoints of the edges in one graph and not the other) and
+    returns [true], at the cost of those rows. For any other pair it
+    calls nothing and returns [false]. Allocation-free.
     @raise Invalid_argument when the node counts differ. *)

@@ -1,20 +1,9 @@
 open Dsgraph
 module CR = Cluster.Repair
 
-(* What [verify_cert] last accepted: an audit, the graph it holds on,
-   and facts about it the incremental verify reads. *)
-type memo = {
-  m_audit : Audit.t;
-  m_graph : Graph.t;
-  m_clusters : int;
-  m_clustered : int;  (* members over all clusters *)
-  m_size : int;  (* domain nodes *)
-  m_sorted : bool;  (* the domain ascends strictly *)
-}
-
 (* Scratch of one session lineage: what [repair] and [verify_cert]
-   would otherwise allocate per step, and the memo with its owner
-   index. Holds no result. *)
+   would otherwise allocate per step, and the incremental verify's
+   memo. Holds no result. *)
 type workspace = {
   verify : Audit.workspace;
   bfs : Bfs.scratch;  (* certifies fresh clusters *)
@@ -23,11 +12,7 @@ type workspace = {
   old_marks : int array ref;  (* [partitions]' stamps, by old cluster id *)
   new_marks : int array ref;  (* and by new cluster id *)
   mutable stamp : int;  (* the last stamp written *)
-  mutable memo : memo option;
-  owner : int array;  (* node -> first member of its memo cluster, or -1 *)
-  color : int array;  (* node -> its memo cluster's color *)
-  in_dom : Bytes.t;  (* node in the memo's domain *)
-  hit : int array;  (* by first member: stamp of a cluster to re-check *)
+  memo : Verify_memo.t;
 }
 
 let workspace n =
@@ -39,11 +24,7 @@ let workspace n =
     old_marks = ref (Array.make n (-1));
     new_marks = ref (Array.make n (-1));
     stamp = -1;
-    memo = None;
-    owner = Array.make n (-1);
-    color = Array.make n 0;
-    in_dom = Bytes.make n '\000';
-    hit = Array.make n (-1);
+    memo = Verify_memo.create n;
   }
 
 (* [rest] is the tail of [all] from index [i] on; the tail from index
@@ -287,284 +268,6 @@ let partitions ws ~k_old ~k_new c =
   let side ok marks k ids = ok && mark_all marks stamp k carried ids = k in
   (side ok_old om k_old c.c_dirty, side ok_new nm k_new c.c_fresh)
 
-let rec ints_equal (a : int list) (b : int list) =
-  match (a, b) with
-  | [], [] -> true
-  | x :: a, y :: b -> x = y && ints_equal a b
-  | _ -> false
-
-let rec pairs_equal (a : (int * int) list) (b : (int * int) list) =
-  match (a, b) with
-  | [], [] -> true
-  | (x, x') :: a, (y, y') :: b -> x = y && x' = y' && pairs_equal a b
-  | _ -> false
-
-let tree_equal (a : Audit.witness option) (b : Audit.witness option) =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-      a.Audit.w_root = b.Audit.w_root
-      && a.Audit.w_height = b.Audit.w_height
-      && pairs_equal a.Audit.w_parents b.Audit.w_parents
-  | _ -> false
-
-(* [b] is [a] renumbered to [cluster]: every other field is equal, by
-   typed equality. Lists that [repair] shared are equal by [==]; others
-   are walked, so all carried certs together cost at most O(n). The
-   full record patterns make the compiler reject a cert field it
-   forgets. *)
-let carried_equal (a : Audit.cert) (b : Audit.cert) ~cluster =
-  let {
-    Audit.cluster = _;
-    color;
-    members;
-    strong;
-    tree;
-    diameter_lb;
-    lb_pair;
-    diameter_ub;
-  } =
-    a
-  in
-  let {
-    Audit.cluster = b_cluster;
-    color = b_color;
-    members = b_members;
-    strong = b_strong;
-    tree = b_tree;
-    diameter_lb = b_lb;
-    lb_pair = b_pair;
-    diameter_ub = b_ub;
-  } =
-    b
-  in
-  b_cluster = cluster && b_color = color && b_strong = strong
-  && b_lb = diameter_lb
-  && fst b_pair = fst lb_pair
-  && snd b_pair = snd lb_pair
-  && Option.equal Int.equal b_ub diameter_ub
-  && (b_members == members || ints_equal b_members members)
-  && (b_tree == tree || tree_equal b_tree tree)
-
-(* ---- the incremental verify ----
-
-   [Audit.verify_with] re-checks every cluster of the merged audit. When
-   the previous audit is the one the lineage last accepted, on the graph
-   it was accepted on (the memo, by physical identity), most of that
-   work has a known outcome: a carried certificate equals an accepted
-   one, and its checks read only its own members' rows. The fast path
-   re-checks what the delta can change and answers only "accept" or
-   "don't know" (DESIGN.md §11); on "don't know" the checks run in full,
-   so every rejection and its message are theirs. The changed rows come
-   from the two graphs ([Graph.diff_rows]), never from the
-   certificate's own [c_delta]. *)
-
-exception Unknown
-
-let unknown_if b = if b then raise Unknown
-
-let rec ascending last = function
-  | [] -> true
-  | v :: rest -> v > last && ascending v rest
-
-(* The memo and owner index of an audit [verify_cert] accepted: every
-   member points at its cluster's first member and carries its
-   color. *)
-let index ws post (a : Audit.t) =
-  let n = Graph.n post in
-  Array.fill ws.owner 0 n (-1);
-  Bytes.fill ws.in_dom 0 n '\000';
-  List.iter (fun v -> Bytes.set ws.in_dom v '\001') a.Audit.domain;
-  let clusters = ref 0 and clustered = ref 0 in
-  List.iter
-    (fun (cert : Audit.cert) ->
-      incr clusters;
-      let first = List.hd cert.Audit.members in
-      List.iter
-        (fun v ->
-          ws.owner.(v) <- first;
-          ws.color.(v) <- cert.Audit.color;
-          incr clustered)
-        cert.Audit.members)
-    a.Audit.certs;
-  ws.memo <-
-    Some
-      {
-        m_audit = a;
-        m_graph = post;
-        m_clusters = !clusters;
-        m_clustered = !clustered;
-        m_size = List.length a.Audit.domain;
-        m_sorted = ascending (-1) a.Audit.domain;
-      }
-
-let rec unclaim owner removed = function
-  | [] -> removed
-  | v :: rest ->
-      owner.(v) <- -1;
-      unclaim owner (removed + 1) rest
-
-(* a fresh cluster's members: in range, in the domain and unowned *)
-let rec claim ws ~n ~first ~color count = function
-  | [] -> count
-  | v :: rest ->
-      unknown_if
-        (v < 0 || v >= n
-        || Bytes.get ws.in_dom v = '\000'
-        || ws.owner.(v) >= 0);
-      ws.owner.(v) <- first;
-      ws.color.(v) <- color;
-      claim ws ~n ~first ~color (count + 1) rest
-
-(* no arc at a member joins two distinct clusters of one color *)
-let rec separated ws (offsets : Graph.int_array1) (targets : Graph.int_array1)
-    = function
-  | [] -> ()
-  | u :: rest ->
-      let ou = ws.owner.(u) and cu = ws.color.(u) in
-      for i = offsets.{u} to offsets.{u + 1} - 1 do
-        let v = targets.{i} in
-        let ov = ws.owner.(v) in
-        unknown_if (ov >= 0 && ov <> ou && ws.color.(v) = cu)
-      done;
-      separated ws offsets targets rest
-
-(* The new domain against the memo's, both strictly ascending: a node
-   that leaves must not be a carried member (the dirty clusters have
-   given theirs up), and [in_dom] follows. The size, by the memo's. *)
-let rec domains ws ~n last size olds news =
-  match news with
-  | y :: news_rest when (match olds with x :: _ -> y <= x | [] -> true) -> (
-      unknown_if (y <= last || y >= n);
-      match olds with
-      | x :: olds_rest when x = y -> domains ws ~n y size olds_rest news_rest
-      | _ ->
-          Bytes.set ws.in_dom y '\001';
-          domains ws ~n y (size + 1) olds news_rest)
-  | _ -> (
-      match olds with
-      | [] -> size
-      | x :: olds_rest ->
-          unknown_if (ws.owner.(x) >= 0);
-          Bytes.set ws.in_dom x '\000';
-          domains ws ~n last (size - 1) olds_rest news)
-
-(* One walk of both certificate lists in id order, against the carried
-   pairs and the dirty and fresh ids, all ascending: every old id is the
-   next carried or the next dirty one, every new id the next carried or
-   the next fresh one, every new certificate carries its position, and
-   every carried one equals its predecessor. That is what [partitions],
-   [Audit.cert_ids] and the carried comparison establish, for lists in
-   the order [repair] makes. Dirty clusters give up their members; fresh
-   certificates, and carried ones that are weak or hold a changed node,
-   are collected for the re-check. *)
-let rec walk ws ~stamp ~color_ok olds i news j dirty fresh carried removed todo
-    recheck =
-  match (carried, olds, news) with
-  | (o, nw) :: carried, old :: olds, (cert : Audit.cert) :: news
-    when o = i && nw = j ->
-      unknown_if
-        (cert.Audit.cluster <> j
-        || (not (old == cert || carried_equal old cert ~cluster:j))
-        || not (color_ok cert));
-      let recheck =
-        if
-          (not cert.Audit.strong)
-          || ws.hit.(List.hd cert.Audit.members) = stamp
-        then cert :: recheck
-        else recheck
-      in
-      walk ws ~stamp ~color_ok olds (i + 1) news (j + 1) dirty fresh carried
-        removed todo recheck
-  | _ -> (
-      match (dirty, olds) with
-      | d :: dirty, (old : Audit.cert) :: olds when d = i ->
-          walk ws ~stamp ~color_ok olds (i + 1) news j dirty fresh carried
-            (unclaim ws.owner removed old.Audit.members)
-            todo recheck
-      | _ -> (
-          match (fresh, news) with
-          | f :: fresh, (cert : Audit.cert) :: news when f = j ->
-              unknown_if
-                (cert.Audit.cluster <> j
-                || cert.Audit.members = []
-                || not (color_ok cert));
-              walk ws ~stamp ~color_ok olds i news (j + 1) dirty fresh carried
-                removed (cert :: todo) recheck
-          | _ -> (
-              match (olds, news, dirty, fresh, carried) with
-              | [], [], [], [], [] -> (removed, todo, recheck, j)
-              | _ -> raise Unknown)))
-
-(* Accepts [c] when the memo's audit is [prev]'s and holds on [prev]'s
-   graph. Besides the walk's checks: the domain, the fresh clusters'
-   claims, the dead count, and, at fresh clusters, weak ones and ones
-   holding an endpoint of a changed edge, separation at every member's
-   arcs and the witnesses. Moves the owner index to the new audit as it
-   goes; on [false], [verify_cert] drops the memo. *)
-let incremental ws ~prev ~post c memo =
-  let a = memo.m_audit and b = c.c_audit and n = Graph.n post in
-  ws.stamp <- ws.stamp + 1;
-  let stamp = ws.stamp in
-  try
-    unknown_if
-      (Graph.n memo.m_graph <> n
-      || b.Audit.n <> n
-      || b.Audit.kind <> a.Audit.kind
-      || (not memo.m_sorted)
-      || Cluster.Clustering.num_clusters prev.clustering <> memo.m_clusters);
-    Graph.diff_rows memo.m_graph post (fun u ->
-        let o = ws.owner.(u) in
-        if o >= 0 then ws.hit.(o) <- stamp);
-    let color_ok (cert : Audit.cert) =
-      match b.Audit.kind with
-      | Audit.Decomposition ->
-          cert.Audit.color >= 0 && cert.Audit.color < b.Audit.num_colors
-      | Audit.Carving -> cert.Audit.color = -1
-    in
-    let removed, todo, touched, k_new =
-      walk ws ~stamp ~color_ok a.Audit.certs 0 b.Audit.certs 0 c.c_dirty
-        c.c_fresh c.c_carried 0 [] []
-    in
-    let size = domains ws ~n (-1) memo.m_size a.Audit.domain b.Audit.domain in
-    let added =
-      List.fold_left
-        (fun added (cert : Audit.cert) ->
-          claim ws ~n
-            ~first:(List.hd cert.Audit.members)
-            ~color:cert.Audit.color added cert.Audit.members)
-        0 todo
-    in
-    let clustered = memo.m_clustered - removed + added in
-    let dead = size - clustered in
-    unknown_if (dead <> b.Audit.dead);
-    unknown_if (b.Audit.kind = Audit.Decomposition && dead > 0);
-    let fraction =
-      if size = 0 then 0.0 else float_of_int dead /. float_of_int size
-    in
-    unknown_if (Float.abs (fraction -. b.Audit.dead_fraction) > 1e-9);
-    let offsets = Graph.offsets post and targets = Graph.targets post in
-    let recheck (cert : Audit.cert) =
-      separated ws offsets targets cert.Audit.members;
-      let id = List.hd cert.Audit.members in
-      unknown_if
-        (not (Audit.witness_ok ws.verify post ~owner:ws.owner ~id cert))
-    in
-    List.iter recheck todo;
-    List.iter recheck touched;
-    ws.memo <-
-      Some
-        {
-          m_audit = b;
-          m_graph = post;
-          m_clusters = k_new;
-          m_clustered = clustered;
-          m_size = size;
-          m_sorted = true;
-        };
-    true
-  with Unknown -> false
-
 (* The checks in full: the locality claim, then [Audit.verify_with];
    an accepted audit becomes the memo *)
 let verify_full ~prev ~post c =
@@ -593,8 +296,11 @@ let verify_full ~prev ~post c =
       | [] -> ()
       | (o, nw) :: rest ->
           let olds = seek all_old olds i o and news = seek all_new news j nw in
-          if not (carried_equal (List.hd olds) (List.hd news) ~cluster:nw) then
-            bad "carried cluster %d -> %d: certificate not identical" o nw;
+          if
+            not
+              (Verify_memo.carried_equal (List.hd olds) (List.hd news)
+                 ~cluster:nw)
+          then bad "carried cluster %d -> %d: certificate not identical" o nw;
           check olds o news nw rest
     in
     check all_old 0 all_new 0 c.c_carried;
@@ -603,22 +309,25 @@ let verify_full ~prev ~post c =
       bad "post graph has %d nodes, not %d" (Graph.n post) n;
     match Audit.verify_with ws.verify post c.c_audit with
     | Ok () ->
-        index ws post c.c_audit;
+        Verify_memo.remember ws.memo post c.c_audit;
         Ok ()
     | Error e -> Error (Printf.sprintf "merged audit rejected: %s" e)
   with Bad s -> Error s
 
+(* On a memo hit the incremental verify may accept; otherwise, and
+   whenever it does not know, the checks run in full, so every
+   rejection and its message are theirs. *)
 let verify_cert ~prev ~post c =
   let ws = prev.work in
-  match ws.memo with
-  | Some memo
-    when memo.m_audit == prev.audit
-         && memo.m_graph == CR.graph prev.state
-         && incremental ws ~prev ~post c memo ->
-      Ok ()
-  | _ ->
-      ws.memo <- None;
-      verify_full ~prev ~post c
+  if
+    Verify_memo.accept ws.memo ws.verify ~prev:prev.audit
+      ~prev_graph:(CR.graph prev.state)
+      ~k_old:(Cluster.Clustering.num_clusters prev.clustering)
+      ~post ~dirty:c.c_dirty ~carried:c.c_carried ~fresh:c.c_fresh c.c_audit
+  then Ok ()
+  else verify_full ~prev ~post c
+
+let fast_accepts s = Verify_memo.fast_accepts s.work.memo
 
 (* ------------------------------------------------------------------ *)
 (* Re-carve adapters over the algorithm registry                       *)
@@ -632,38 +341,31 @@ let verify_cert ~prev ~post c =
    the region's array. *)
 let componentwise engine sub =
   let n = Graph.n sub in
-  match Components.components sub with
-  | [ _ ] when n > 1 ->
-      (* connected: the engine runs on [sub] itself *)
-      let cl, color_of = engine sub in
-      ( Array.init n (Cluster.Clustering.cluster_of cl),
-        Array.init (Cluster.Clustering.num_clusters cl) color_of )
-  | comps ->
-      let labels = Array.make n (-1) in
-      let colors = ref [] in
-      let next = ref 0 in
-      List.iter
-        (fun comp ->
-          match comp with
-          | [ v ] ->
-              labels.(v) <- !next;
-              colors := 0 :: !colors;
-              incr next
-          | comp ->
-              let csub, back = Subgraph.induce sub comp in
-              let cl, color_of = engine csub in
-              Array.iteri
-                (fun i v ->
-                  let l = Cluster.Clustering.cluster_of cl i in
-                  if l >= 0 then labels.(v) <- !next + l)
-                back;
-              let k = Cluster.Clustering.num_clusters cl in
-              for c = 0 to k - 1 do
-                colors := color_of c :: !colors
-              done;
-              next := !next + k)
-        comps;
-      (labels, Array.of_list (List.rev !colors))
+  let labels = Array.make n (-1) in
+  let colors = ref [] in
+  let next = ref 0 in
+  List.iter
+    (fun comp ->
+      match comp with
+      | [ v ] ->
+          labels.(v) <- !next;
+          colors := 0 :: !colors;
+          incr next
+      | comp ->
+          let csub, back = Subgraph.induce sub comp in
+          let cl, color_of = engine csub in
+          Array.iteri
+            (fun i v ->
+              let l = Cluster.Clustering.cluster_of cl i in
+              if l >= 0 then labels.(v) <- !next + l)
+            back;
+          let k = Cluster.Clustering.num_clusters cl in
+          for c = 0 to k - 1 do
+            colors := color_of c :: !colors
+          done;
+          next := !next + k)
+    (Components.components sub);
+  (labels, Array.of_list (List.rev !colors))
 
 (* one meter serves every component of a call: nothing reads it, and
    the engines' output does not depend on what it holds *)

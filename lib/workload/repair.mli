@@ -24,11 +24,9 @@ type workspace
     {!verify_cert}'s full verify, a [Bfs.scratch] for certifying fresh
     clusters, the plan's and merge's {!Cluster.Repair.scratch},
     cluster-indexed int arrays (carried ids, two sides of partition
-    marks), and the memo of {!verify_cert}: the audit it last accepted,
-    the graph it was accepted on, and node-indexed owner, color and
-    domain flags of that audit. {!start_decomposition} and
-    {!start_carving} make one, and every session {!repair} derives from
-    it shares it. It holds no result, so a lineage may branch; but its
+    marks), and the {!Verify_memo.t} of {!verify_cert}.
+    {!start_decomposition} and {!start_carving} make one, and every
+    session {!repair} derives from it shares it. It holds no result, so a lineage may branch; but its
     sessions must be repaired and verified from one domain at a
     time. *)
 
@@ -91,14 +89,19 @@ val verify_cert :
     the post-delta graph ([Cluster.Repair.graph] of the new state); a
     graph of another size is rejected. When [prev]'s audit and graph
     are the ones the lineage's last accepted verify left (by physical
-    identity), a fast path re-checks only the fresh clusters, the weak
+    identity) and [post] was made from that graph by one edit,
+    {!Verify_memo.accept} re-checks only the fresh clusters, the weak
     ones and those holding an endpoint of an edge that differs between
-    [prev]'s graph and [post] ([Dsgraph.Graph.diff_rows]; [c_delta] is
-    not read), plus the partitions, ids, carried certificates, domain
-    and dead count (DESIGN.md §11). It only accepts; otherwise, and on a
-    memo miss, the full checks run: the locality checks, then
-    [Audit.verify_with] on [prev]'s workspace. So verdicts and messages
-    are those of the full checks. *)
+    the two graphs ([Dsgraph.Graph.diff_rows]; [c_delta] is not read),
+    plus the partitions, ids, carried certificates, domain, colors and
+    dead count (DESIGN.md §11). It only accepts; otherwise the full
+    checks run: the locality checks, then [Audit.verify_with] on
+    [prev]'s workspace. So verdicts and messages are those of the full
+    checks. *)
+
+val fast_accepts : session -> int
+(** How many [verify_cert] calls of the session's lineage the memo's
+    fast path accepted, the rest going to [Audit.verify_with]. *)
 
 val recarve_decomposer :
   Algorithms.decomposer -> seed:int -> Dsgraph.Graph.t -> int array * int array

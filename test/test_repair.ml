@@ -129,20 +129,23 @@ let prop_apply_edits_matches_rebuild =
       let before = rebuild g ~del:[] ~add:[] in
       let spliced = Graph.apply_edits g ~del ~add in
       let rebuilt = rebuild g ~del ~add in
-      (* the changed rows: from the splice's record, and by comparing
-         the CSRs of two graphs with no common origin *)
+      (* the changed rows come from the splice's record; a pair that
+         no one splice relates has none to give *)
       let rows a b =
         let acc = ref [] in
-        Graph.diff_rows a b (fun u -> acc := u :: !acc);
-        List.rev !acc
+        if Graph.diff_rows a b (fun u -> acc := u :: !acc) then
+          Some (List.rev !acc)
+        else None
       in
       let ends =
         List.sort_uniq Int.compare
           (List.concat_map (fun (u, v) -> [ u; v ]) (del @ add))
       in
       Graph.equal spliced rebuilt && Graph.equal g before
-      && rows g spliced = ends && rows spliced g = ends
-      && rows before rebuilt = ends)
+      && rows g spliced = Some ends
+      && rows g g = Some []
+      && rows spliced g = None
+      && rows before rebuilt = None)
 
 (* ------------------------------------------------------------------ *)
 (* Fault state                                                          *)
@@ -1176,6 +1179,20 @@ let prop_incremental_verify_exact =
               (* the step itself, on whatever memo the last check left *)
               if Repair.verify_cert ~prev ~post cert <> Ok () then
                 QCheck2.Test.fail_reportf "seed %d, step %d rejected" seed i;
+              (* and on [prev]'s memo, where the fast path must accept it:
+                 a fast path that never accepts decides as the full
+                 checks too *)
+              if i > 0 then begin
+                prime ();
+                let hits = Repair.fast_accepts prev in
+                if
+                  Repair.verify_cert ~prev ~post cert <> Ok ()
+                  || Repair.fast_accepts prev <> hits + 1
+                then
+                  QCheck2.Test.fail_reportf
+                    "seed %d, step %d: the fast path did not accept it" seed
+                    i
+              end;
               replay (i + 1) rest s' (fun () ->
                   ignore (Repair.verify_cert ~prev ~post cert))
         in

@@ -52,7 +52,7 @@ let default_config =
         (* the memo of the incremental verify and its carried-certificate
            shortcut: identity only selects a fast path whose verdicts
            equal the full checks' *)
-        ("physeq", "workload/repair");
+        ("physeq", "workload/verify_memo.ml");
       ];
   }
 
